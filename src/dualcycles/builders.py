@@ -9,6 +9,7 @@ shape, rationality, Gorenstein-ness).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .lattice import DualGraph, virtual_genus
@@ -198,9 +199,27 @@ def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     return seen == verts
 
 
-def _leading_minors(m: list[list[int]]) -> list[int]:
-    """Leading principal minors det(m[:k][:k]) for k=1..r, exact integers."""
-    return [_det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
+def _leading_minors(m: list[list[int]]) -> Iterator[int]:
+    """Leading principal minors det(m[:k][:k]) for k=1..r of a symmetric m.
+
+    One Bareiss fraction-free elimination without row exchanges: after
+    step k-1 the pivot m[k][k] is the (k+1)-th leading minor, and every
+    division by the previous pivot is exact (Bareiss 1968).  The trailing
+    block stays symmetric, so only its upper triangle is updated.  Yields
+    the minors in order and stops after the first one <= 0, so the pass
+    costs O(r^3) instead of the O(r^4) of r separate determinants.
+    """
+    a = [row[:] for row in m]
+    prev = 1
+    for k, pivot_row in enumerate(a):
+        p = pivot_row[k]
+        yield p
+        if p <= 0:
+            return
+        for i in range(k + 1, len(a)):
+            f = pivot_row[i]
+            a[i][i:] = [(x * p - f * y) // prev for x, y in zip(a[i][i:], pivot_row[i:])]
+        prev = p
 
 
 def _det(m: list[list[int]]) -> int:
@@ -226,7 +245,11 @@ def _det(m: list[list[int]]) -> int:
 
 
 def is_negative_definite(g: DualGraph) -> bool:
-    """Sylvester's criterion on -M: all leading principal minors positive."""
+    """Sylvester's criterion on -M: all leading principal minors positive.
+
+    The minors are the pivots of one Bareiss pass over -M, which stops at
+    the first pivot <= 0: O(r^3) for r vertices.
+    """
     neg = [[-x for x in row] for row in g.intersection_matrix()]
     return all(d > 0 for d in _leading_minors(neg))
 

@@ -14,12 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .builders import (
     GraphFormatError,
     build_ade,
     build_cyclic,
+    is_negative_definite,
     parse_graph,
     validate,
 )
@@ -196,7 +198,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _json_chunks(v, pad: str = "\n"):
+    """Yield the text of ``json.dumps(v, indent=2)`` in pieces.
+
+    ``pad`` is a newline plus the indentation of the enclosing level.  A
+    list holding only ints is joined in one step; keys and strings go
+    through the C string encoder and other scalars through json.dumps.
+    Dict keys must be strings.
+    """
+    if isinstance(v, dict):
+        if not v:
+            yield "{}"
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            yield sep + encode_basestring_ascii(k) + ": "
+            yield from _json_chunks(x, inner)
+            sep = "," + inner
+        yield pad + "}"
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            yield "[]"
+            return
+        inner = pad + "  "
+        if set(map(type, v)) == {int}:
+            yield "[" + inner + ("," + inner).join(map(str, v)) + pad + "]"
+            return
+        sep = "[" + inner
+        for x in v:
+            yield sep
+            yield from _json_chunks(x, inner)
+            sep = "," + inner
+        yield pad + "]"
+    elif isinstance(v, str):
+        yield encode_basestring_ascii(v)
+    else:
+        yield json.dumps(v)
+
+
 def _emit(args, command: str, g: DualGraph | None, results: dict, out) -> None:
+    """Write the JSON document of a command when ``--format json`` is set.
+
+    The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
+    byte.  It is streamed to ``out`` in pieces and never held whole, and
+    costs O(size of the document) with int lists joined at C speed.
+    """
     if args.format == "json":
         doc = {
             "tool": {"name": "dualcycles", "version": __version__},
@@ -204,8 +251,8 @@ def _emit(args, command: str, g: DualGraph | None, results: dict, out) -> None:
             "graph": _graph_dict(g) if g is not None else None,
             "results": results,
         }
-        json.dump(doc, out, indent=2)
-        print(file=out)
+        out.writelines(_json_chunks(doc))
+        out.write("\n")
 
 
 def _cmd_graph(args, out) -> int:
@@ -247,6 +294,9 @@ def _cmd_fundamental(args, out) -> int:
     supp = None
     if args.support:
         supp = frozenset(int(p) - 1 for p in args.support.split(","))
+    if not is_negative_definite(g):
+        print("error: intersection matrix is not negative definite", file=sys.stderr)
+        return EXIT_VALIDATION
     z = fundamental_cycle(g, supp)
     if args.format == "json":
         _emit(args, "fundamental", g, {"cycle": list(z)}, out)
@@ -258,6 +308,10 @@ def _cmd_fundamental(args, out) -> int:
 def _cmd_invariants(args, out) -> int:
     g = _resolve_graph(args)
     z = _parse_cycle_arg(args.cycle, g)
+    rep = validate(g)
+    if not rep.ok:
+        print(f"error: invalid graph: {rep.failures[0]}", file=sys.stderr)
+        return EXIT_VALIDATION
     if any(a < 0 for a in z) or not is_anti_nef(g, z):
         print("error: cycle is not anti-nef (represents no ideal)", file=sys.stderr)
         return EXIT_VALIDATION

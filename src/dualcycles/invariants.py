@@ -8,6 +8,7 @@ and the vertex set picking out special modules.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .lattice import (
@@ -29,10 +30,13 @@ _Z0_CACHE: dict[DualGraph, Cycle] = {}
 def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> Cycle:
     """Minimal nonzero cycle Z with Supp(Z) = vertices and Z.E_i <= 0 there.
 
-    Incremental construction: start from the sum of the unit cycles on the
-    support and repeatedly bump the lowest-index vertex whose pairing is
-    still positive.  The fixed point is order independent; the lowest
-    index rule only makes traces reproducible.  Requires the support to be
+    Incremental construction (Laufer's algorithm): start from the sum of
+    the unit cycles on the support and repeatedly bump the lowest-index
+    vertex whose pairing is still positive.  The fixed point is order
+    independent; the lowest index rule only makes traces reproducible.
+    The pairing vector is computed once and updated per bump (w_i at the
+    bumped vertex, +1 at each neighbour), with the positive vertices kept
+    in a heap, so a bump costs O(deg log r).  Requires the support to be
     nonempty and connected (guaranteed on full vertex sets of connected
     graphs); diverges on non-negative-definite graphs, so callers validate
     first.
@@ -49,15 +53,19 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
         raise ValueError("fundamental cycle needs a connected support")
 
     z = [1 if i in verts else 0 for i in range(g.vertex_count)]
-    order = sorted(verts)
-    while True:
-        pairing = pairing_vector(g, tuple(z))
-        for i in order:
-            if pairing[i] > 0:
-                z[i] += 1
-                break
-        else:
-            break
+    pairing = list(pairing_vector(g, tuple(z)))
+    # Exactly the support vertices with positive pairing; a sorted list is a heap.
+    positive = [i for i in sorted(verts) if pairing[i] > 0]
+    while positive:
+        i = positive[0]
+        z[i] += 1
+        pairing[i] += g.weights[i]
+        if pairing[i] <= 0:
+            heapq.heappop(positive)
+        for j in g.neighbors(i):
+            pairing[j] += 1
+            if pairing[j] == 1 and j in verts:
+                heapq.heappush(positive, j)
     result = tuple(z)
     if full:
         _Z0_CACHE[g] = result

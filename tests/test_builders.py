@@ -1,13 +1,16 @@
 """Tests for graph construction, parsing and validation."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualcycles.builders import (
     GraphFormatError,
+    _det,
+    _leading_minors,
     build_ade,
     build_cyclic,
     graph_determinant,
@@ -234,3 +237,54 @@ class TestNegativeDefinite:
         # positive determinant for every leading block; spot check via det
         g = build_cyclic(11, 4)
         assert graph_determinant(g) == 11
+
+
+@st.composite
+def symmetric_matrices(draw) -> list[list[int]]:
+    """Symmetric integer matrices up to 6x6; small entries make zero and
+    negative leading minors common."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 4))
+    return m
+
+
+@st.composite
+def random_graphs(draw) -> DualGraph:
+    """Graphs up to 7 vertices with weights in -4..1 and arbitrary edges."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    weights = draw(st.lists(st.integers(-4, 1), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return DualGraph(weights, edges)
+
+
+def block_minors(m: list[list[int]]) -> list[int]:
+    """det of every leading block, each by its own elimination."""
+    return [_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+class TestLeadingMinors:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_pivots_equal_block_determinants(self, m):
+        minors = block_minors(m)
+        stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
+        assert list(_leading_minors(m)) == minors[: stop + 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs())
+    def test_sylvester_verdict(self, g):
+        neg = [[-x for x in row] for row in g.intersection_matrix()]
+        assert is_negative_definite(g) == all(d > 0 for d in block_minors(neg))
+
+    def test_validate_scales_to_rank_300(self):
+        # one elimination pass takes about a second on a 2-vCPU machine;
+        # r separate determinants took minutes
+        start = time.perf_counter()
+        rep = validate(build_ade("A", 300))
+        elapsed = time.perf_counter() - start
+        assert rep.ok
+        assert elapsed < 30.0, f"validate(A_300) took {elapsed:.1f}s"

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dualcycles
+import dualcycles.cli as cli
 from dualcycles.builders import build_ade, build_cyclic, parse_graph
 from dualcycles.cli import (
     EXIT_MISMATCH,
@@ -19,6 +25,15 @@ from dualcycles.lattice import DualGraph
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
     [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
+)
+
+# A -2 centre with five -2 leaves: not negative definite.
+INDEFINITE_STAR = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
+
+# Negative definite but not rational: p_a(Z_0) = 1.
+NON_RATIONAL_TREE = DualGraph(
+    (-3, -2, -2, -2, -3, -2, -2, -2, -3),
+    [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 7), (5, 6), (5, 8)],
 )
 
 
@@ -123,6 +138,22 @@ class TestFundamentalCommand:
         code, _ = run("fundamental", "--family", "A", "--index", "4", "--support", "1,3")
         assert code == EXIT_USAGE
 
+    def test_indefinite_graph_exits_one_in_time(self, tmp_path):
+        # Laufer's loop never ends on this graph; the command must refuse it.
+        src = tmp_path / "star.txt"
+        src.write_text(serialize_graph(INDEFINITE_STAR))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualcycles.cli", "fundamental", "--graph", str(src)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
 
 class TestInvariantsCommand:
     def test_values(self):
@@ -152,6 +183,18 @@ class TestInvariantsCommand:
     def test_malformed_cycle_exits_two(self):
         code, _ = run("invariants", "--family", "A", "--index", "3", "--cycle", "1,x,1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_non_rational_graph_exits_one(self, tmp_path, capsys, fmt):
+        src = tmp_path / "tree.txt"
+        src.write_text(serialize_graph(NON_RATIONAL_TREE))
+        code, out = run(
+            "--format", fmt, "invariants", "--graph", str(src), "--cycle", "2,1,1,2,1,2,1,1,1"
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestClassifyCommand:
@@ -256,3 +299,91 @@ class TestUsageErrors:
     def test_version_flag(self):
         code, _ = run("--version")
         assert code == EXIT_OK
+
+
+JSON_REQUESTS = [
+    ["graph", "ade", "--family", "E", "--index", "6"],
+    ["graph", "cyclic", "--n", "19", "--q", "7"],
+    ["validate", "--family", "D", "--index", "5"],
+    ["validate", "--n", "7", "--q", "3"],
+    ["fundamental", "--family", "D", "--index", "5", "--support", "2,3,4,5"],
+    ["invariants", "--family", "E", "--index", "6", "--cycle", "2,3,4,3,2,2"],
+    ["classify", "--family", "D", "--index", "6"],
+    ["classify", "--n", "19", "--q", "7", "--ulrich"],
+    ["oracle", "--family", "A", "--index", "3", "--bound", "3"],
+    ["verify-rdp", "--family", "E", "--index", "7"],
+]
+
+
+def json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.text()
+    int_lists = st.lists(st.integers() | st.booleans()) | st.lists(st.integers()).map(tuple)
+    return st.recursive(
+        scalars | int_lists,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+        max_leaves=20,
+    )
+
+
+class TestJsonEmitter:
+    @pytest.fixture
+    def emitted_docs(self, monkeypatch):
+        """Record every document ``_emit`` hands to the chunk writer."""
+        docs = []
+        real = cli._json_chunks
+
+        def spy(v, pad="\n"):
+            if pad == "\n":
+                docs.append(v)
+            return real(v, pad)
+
+        monkeypatch.setattr(cli, "_json_chunks", spy)
+        return docs
+
+    @pytest.mark.parametrize("argv", JSON_REQUESTS, ids=lambda a: "-".join(a[:2]))
+    def test_matches_json_dumps(self, argv, emitted_docs):
+        code, out = run("--format", "json", *argv)
+        assert code == EXIT_OK
+        assert len(emitted_docs) == 1
+        assert out == json.dumps(emitted_docs[0], indent=2) + "\n"
+
+    def test_failed_validation_and_mismatch_documents(self, tmp_path, monkeypatch, emitted_docs):
+        from dualcycles.classify import RdpVerification
+
+        src = tmp_path / "g.txt"
+        src.write_text("vertices 2\n")
+        code, out = run("--format", "json", "validate", "--graph", str(src))
+        assert code == EXIT_VALIDATION
+        assert out == json.dumps(emitted_docs[-1], indent=2) + "\n"
+
+        monkeypatch.setattr(
+            cli,
+            "verify_rdp",
+            lambda family, index: RdpVerification(
+                family="A", index=2, matched=False, expected=[((1, 1), 1)],
+                actual=[], expected_count=1, missing=[(1, 1)],
+            ),
+        )
+        code, out = run("--format", "json", "verify-rdp", "--family", "A", "--index", "2")
+        assert code == EXIT_MISMATCH
+        assert out == json.dumps(emitted_docs[-1], indent=2) + "\n"
+
+    def test_streams_in_pieces(self):
+        class Pieces(io.StringIO):
+            largest = 0
+
+            def write(self, s):
+                self.largest = max(self.largest, len(s))
+                return super().write(s)
+
+        out = Pieces()
+        assert main(["--format", "json", "classify", "--family", "D", "--index", "20"], out) == EXIT_OK
+        assert 0 < out.largest < len(out.getvalue()) / 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values())
+    @example({"": [], "k": {}, "t": [1, True, None], "f": [False]})
+    @example(["caf\u00e9 \u2028 \U0001f600", "\"quoted\" \\ \n\t\x00", "\ud800"])
+    @example((-1, 0, 10**30))
+    def test_any_value_matches_json_dumps(self, v):
+        assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)

@@ -5,7 +5,13 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dualcycles.builders import build_ade, build_cyclic, validate
+from dualcycles.builders import (
+    build_ade,
+    build_cyclic,
+    is_connected,
+    is_negative_definite,
+    validate,
+)
 from dualcycles.invariants import (
     colength,
     filtration,
@@ -22,6 +28,7 @@ from dualcycles.lattice import (
     compare,
     intersection,
     is_anti_nef,
+    pairing_vector,
     scale,
     sub,
     support,
@@ -245,3 +252,25 @@ def test_colength_and_multiplicity_of_sums(g, a, b):
     zw = intersection(g, z, w)
     assert colength(g, s) == colength(g, z) + colength(g, w) - zw
     assert multiplicity(g, s) == multiplicity(g, z) + multiplicity(g, w) - 2 * zw
+
+
+def laufer_by_recomputation(g, verts):
+    """Reference Laufer loop: recompute every pairing before each bump."""
+    z = [1 if i in verts else 0 for i in range(g.vertex_count)]
+    while True:
+        pairing = pairing_vector(g, tuple(z))
+        positive = [i for i in sorted(verts) if pairing[i] > 0]
+        if not positive:
+            return tuple(z)
+        z[positive[0]] += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(), st.data())
+def test_incremental_laufer_matches_recomputation(g, data):
+    assume(is_negative_definite(g))
+    verts = frozenset(
+        data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
+    )
+    assume(is_connected(g, verts))
+    assert fundamental_cycle(g, verts) == laufer_by_recomputation(g, verts)
