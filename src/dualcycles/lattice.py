@@ -12,7 +12,6 @@ need it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 Cycle = tuple[int, ...]
 
@@ -169,24 +168,3 @@ def inf_cycles(z: Cycle, w: Cycle) -> Cycle:
     """Componentwise minimum.  Preserves anti-nefness of anti-nef inputs."""
     return tuple(min(a, b) for a, b in zip(z, w, strict=True))
 
-
-class Order(Enum):
-    EQUAL = "equal"
-    LESS_EQ = "less_eq"
-    GREATER_EQ = "greater_eq"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(z: Cycle, w: Cycle) -> Order:
-    """Componentwise partial-order verdict."""
-    if len(z) != len(w):
-        raise DimensionError("cycles live on different graphs")
-    le = all(a <= b for a, b in zip(z, w))
-    ge = all(a >= b for a, b in zip(z, w))
-    if le and ge:
-        return Order.EQUAL
-    if le:
-        return Order.LESS_EQ
-    if ge:
-        return Order.GREATER_EQ
-    return Order.INCOMPARABLE

@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dualcycles.builders import build_ade, build_cyclic, validate
+import dualcycles
+from dualcycles.builders import build_ade, build_cyclic, is_negative_definite, validate
 from dualcycles.classify import (
+    ChainDepthError,
     InvalidGraphError,
     brute_force_anti_nef,
     enumerate_special,
@@ -45,20 +51,48 @@ class TestGuards:
         with pytest.raises(ValueError):
             brute_force_anti_nef(g, 0)
 
+    def test_box_search_refuses_indefinite_graph_in_time(self):
+        # A -2 centre with five -2 leaves: Laufer's loop never ends on it.
+        code = (
+            "from dualcycles.classify import InvalidGraphError, brute_force_anti_nef\n"
+            "from dualcycles.lattice import DualGraph\n"
+            "g = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])\n"
+            "try:\n"
+            "    brute_force_anti_nef(g, 1)\n"
+            "except InvalidGraphError:\n"
+            "    print('refused')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refused\n"
+
 
 class TestBruteForce:
     @pytest.mark.parametrize(
-        "family, index, bound", [("A", 3, 4), ("A", 5, 3), ("D", 4, 3), ("E", 6, 2)]
+        "family, index, bound",
+        [("A", 3, 4), ("A", 5, 3), ("D", 4, 3), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)],
     )
     def test_matches_naive_enumeration(self, family, index, bound):
         g = build_ade(family, index)
-        box = scale(bound, fundamental_cycle(g))
-        naive = sorted(
-            z
-            for z in itertools.product(*(range(b + 1) for b in box))
-            if any(z) and is_anti_nef(g, z)
-        )
-        assert brute_force_anti_nef(g, bound) == naive
+        assert brute_force_anti_nef(g, bound) == naive_anti_nef(g, bound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_naive_enumeration_on_random_graphs(self, data):
+        g = data.draw(connected_graphs())
+        bound = data.draw(st.integers(1, 4))
+        if not is_negative_definite(g):
+            with pytest.raises(InvalidGraphError):
+                brute_force_anti_nef(g, bound)
+            return
+        z0 = fundamental_cycle(g)
+        while bound > 1 and math.prod(bound * n + 1 for n in z0) > 5000:
+            bound -= 1
+        assume(math.prod(bound * n + 1 for n in z0) <= 5000)
+        assert brute_force_anti_nef(g, bound) == naive_anti_nef(g, bound)
 
     def test_every_result_is_anti_nef_and_in_box(self):
         g = STAR
@@ -134,6 +168,18 @@ class TestEnumerators:
                 assert tuple(acc) == zk
             assert tuple(acc) == e.cycle
 
+    @pytest.mark.parametrize(
+        "g, longest, count",
+        [(STAR, 2, 3), (build_ade("A", 9), 4, 5)],
+        ids=["star", "A9"],
+    )
+    def test_max_steps_caps_the_longest_chain(self, g, longest, count):
+        with pytest.raises(ChainDepthError):
+            enumerate_ulrich(g, max_steps=longest - 1)
+        entries = enumerate_ulrich(g, max_steps=longest)
+        assert len(entries) == count
+        assert max(e.chain.length for e in entries) == longest
+
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)
         for cap in (1, 2, 3):
@@ -170,6 +216,26 @@ class TestOracleAgreement:
         assert chain_ulrich == sorted(z for z in oracle_ulrich if inbox(z))
 
 
+    @pytest.mark.parametrize("index", [7, 8])
+    def test_large_bounds_match_golden_table_and_chain_route(self, index):
+        g = build_ade("E", index)
+        golden = [z for z, _ in golden_table("E", index)]
+        z0 = fundamental_cycle(g)
+        start = time.monotonic()
+        for bound in (7, 8, 9):
+            box = scale(bound, z0)
+            inbox = lambda z: all(x <= y for x, y in zip(z, box))
+            oracle_special, oracle_ulrich = oracle_classify(g, bound)
+            chain_special = sorted(
+                e.cycle for e in enumerate_special(g, bound * sum(z0) + 1) if inbox(e.cycle)
+            )
+            chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
+            assert oracle_ulrich == golden == chain_ulrich
+            assert oracle_special == chain_special
+        elapsed = time.monotonic() - start
+        assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
 class TestGoldenTables:
     @pytest.mark.parametrize(
         "family, index",
@@ -203,6 +269,28 @@ class TestGoldenTables:
         rep = verify_rdp("E", 7)
         assert rep.expected_count == 3 == len(rep.actual)
         assert rep.family == "E" and rep.index == 7
+
+
+def naive_anti_nef(g: DualGraph, bound: int) -> list:
+    """Every point of the box 0..bound * Z_0, filtered by the definition."""
+    box = scale(bound, fundamental_cycle(g))
+    return sorted(
+        z
+        for z in itertools.product(*(range(b + 1) for b in box))
+        if any(z) and is_anti_nef(g, z)
+    )
+
+
+@st.composite
+def connected_graphs(draw) -> DualGraph:
+    """A random tree on at most 6 vertices plus up to three extra edges."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(st.integers(-6, -1), min_size=n, max_size=n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 3)) if n > 2 else 0):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        edges.add((i, j))
+    return DualGraph(weights, edges)
 
 
 @st.composite

@@ -25,7 +25,6 @@ from dualcycles.lattice import (
     CycleError,
     DualGraph,
     add,
-    compare,
     intersection,
     is_anti_nef,
     pairing_vector,
@@ -33,7 +32,6 @@ from dualcycles.lattice import (
     sub,
     support,
     virtual_genus,
-    Order,
 )
 
 STAR = DualGraph(
@@ -51,7 +49,7 @@ def minimal_anti_nef_by_search(g, box=4):
             continue
         if not is_anti_nef(g, z):
             continue
-        if best is None or compare(z, best) is Order.LESS_EQ:
+        if best is None or all(a <= b for a, b in zip(z, best)):
             best = z
     return best
 
@@ -183,7 +181,7 @@ class TestFiltration:
         f = filtration(g, z)
         prev = z0
         for y in f.increments():
-            assert compare(y, prev) in (Order.LESS_EQ, Order.EQUAL)
+            assert all(a <= b for a, b in zip(y, prev))
             prev = y
 
     def test_colength_recursion(self):

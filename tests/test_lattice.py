@@ -10,10 +10,8 @@ from dualcycles.lattice import (
     CycleError,
     DimensionError,
     DualGraph,
-    Order,
     add,
     canonical_degree,
-    compare,
     inf_cycles,
     intersection,
     is_anti_nef,
@@ -101,22 +99,6 @@ class TestArithmetic:
 
     def test_inf(self):
         assert inf_cycles((1, 5), (2, 3)) == (1, 3)
-
-    @pytest.mark.parametrize(
-        "z, w, expected",
-        [
-            ((1, 1), (1, 1), Order.EQUAL),
-            ((1, 1), (2, 1), Order.LESS_EQ),
-            ((3, 1), (2, 1), Order.GREATER_EQ),
-            ((0, 2), (1, 1), Order.INCOMPARABLE),
-        ],
-    )
-    def test_compare(self, z, w, expected):
-        assert compare(z, w) is expected
-
-    def test_compare_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            compare((1,), (1, 2))
 
 
 class TestPairing:
