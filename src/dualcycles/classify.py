@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .builders import ADE_FAMILIES, build_ade, validate
-from .invariants import (
-    Filtration,
-    colength,
-    fundamental_cycle,
-    min_gens,
-    multiplicity,
-    special_module_indices,
-    u_invariant,
-)
+from .invariants import Filtration, fundamental_cycle, multiplicity
 from .lattice import (
     Cycle,
     CycleError,
@@ -75,14 +67,17 @@ class ClassificationEntry:
     kind: str  # "special" | "ulrich" | "both"
 
 
-def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> tuple[bool, int, int]:
-    """(special?, min_gens, U(Z)) of an anti-nef Z, read off one pairing vector.
+def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> tuple[frozenset[int], int, int, int, int]:
+    """(special module indices, min_gens, U(Z), colength, multiplicity) of an
+    anti-nef Z, read off one pairing vector.
 
     With P = M.Z: Z^2 = Z.P, Z.Z_0 = Z_0.P, p_a(Z) = (Z^2 + K.Z)/2 + 1,
-    colength 1 - p_a(Z), min_gens 1 - Z.Z_0 and U(Z) = (Z.Z_0)(p_a - 1) + Z^2,
-    the formulas of ``invariants``.  Raises what those functions raise on a
-    cycle of the wrong length, one that is not positive and anti-nef, odd
-    Z^2 + K.Z, or a coefficient above n_i * colength(Z).
+    colength 1 - p_a(Z), multiplicity -Z^2, min_gens 1 - Z.Z_0,
+    U(Z) = (Z.Z_0)(p_a - 1) + Z^2 and the indices i with a_i = n_i * colength,
+    the formulas of ``invariants``.  Z is special when the index set is
+    nonempty.  Raises what those functions raise on a cycle of the wrong
+    length, one that is not positive and anti-nef, odd Z^2 + K.Z, or a
+    coefficient above n_i * colength(Z).
     """
     z = g.check_cycle(z)
     if not any(a > 0 for a in z):
@@ -101,14 +96,14 @@ def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> tuple[bool, int, int]:
     if any(a > n * ell for a, n in zip(z, z0)):
         raise AssertionError("coefficient bound violated: input graph is not rational")
     z0z = sum(n * v for n, v in zip(z0, pairing))
-    special = any(a == n * ell for a, n in zip(z, z0))
-    return special, 1 - z0z, z0z * (genus - 1) + zz
+    indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
+    return indices, 1 - z0z, z0z * (genus - 1) + zz, ell, -zz
 
 
-def _ulrich(point: tuple[bool, int, int], mult2: bool) -> bool:
-    special, mu, u = point
+def _ulrich(point: tuple, mult2: bool) -> bool:
+    indices, mu, u = point[:3]
     if mult2:
-        return special
+        return bool(indices)
     if mu <= 2:
         raise CycleError(
             "U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
@@ -120,7 +115,7 @@ def _ulrich(point: tuple[bool, int, int], mult2: bool) -> bool:
 def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
     """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
     _require_rational(g)
-    return _pointwise(g, z, fundamental_cycle(g))[0]
+    return bool(_pointwise(g, z, fundamental_cycle(g))[0])
 
 
 def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
@@ -162,38 +157,47 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
     z0 = fundamental_cycle(g)
     best: dict[Cycle, tuple[tuple[Cycle, Cycle], ...]] = {}
 
-    def walk(z_prev: Cycle, y_prev: Cycle, chain: tuple[tuple[Cycle, Cycle], ...]):
-        for comp in sorted(_zero_components(g, z_prev, support(y_prev)), key=sorted):
-            y = fundamental_cycle(g, comp)
-            if any(a > b for a, b in zip(y, y_prev)):
-                continue  # increments must decrease componentwise
-            z_new = add(z_prev, y)
-            if not is_anti_nef(g, z_new):
-                continue
-            if not accept(y, z_new):
-                continue
-            new_chain = chain + ((y, z_new),)
-            if len(new_chain) > max_depth:
-                if on_cap is not None:
-                    on_cap(new_chain)
-                continue
-            old = best.get(z_new)
-            if old is None or [s[0] for s in new_chain] < [s[0] for s in old]:
-                best[z_new] = new_chain
-            walk(z_new, y, new_chain)
+    def children(z: Cycle, y: Cycle):
+        return iter(sorted(_zero_components(g, z, support(y)), key=sorted))
 
-    walk(z0, z0, ())
+    # Preorder with an explicit stack of (candidates left, Z, Y, chain)
+    # frames, so chain length is not bounded by the interpreter's recursion.
+    stack = [(children(z0, z0), z0, z0, ())]
+    while stack:
+        comps, z_prev, y_prev, chain = stack[-1]
+        comp = next(comps, None)
+        if comp is None:
+            stack.pop()
+            continue
+        y = fundamental_cycle(g, comp)
+        if any(a > b for a, b in zip(y, y_prev)):
+            continue  # increments must decrease componentwise
+        z_new = add(z_prev, y)
+        if not is_anti_nef(g, z_new):
+            continue
+        if not accept(y, z_new):
+            continue
+        new_chain = chain + ((y, z_new),)
+        if len(new_chain) > max_depth:
+            if on_cap is not None:
+                on_cap(new_chain)
+            continue
+        old = best.get(z_new)
+        if old is None or [s[0] for s in new_chain] < [s[0] for s in old]:
+            best[z_new] = new_chain
+        stack.append((children(z_new, y), z_new, y, new_chain))
     return z0, best
 
 
-def _entry(g: DualGraph, z: Cycle, chain, kind: str) -> ClassificationEntry:
+def _entry(z0: Cycle, z: Cycle, chain, point: tuple, kind: str) -> ClassificationEntry:
+    indices, mu, _, ell, mult = point
     return ClassificationEntry(
         cycle=z,
-        colength=colength(g, z),
-        multiplicity=multiplicity(g, z),
-        min_gens=min_gens(g, z),
-        module_indices=special_module_indices(g, z),
-        chain=Filtration(base=fundamental_cycle(g), steps=tuple(chain)),
+        colength=ell,
+        multiplicity=mult,
+        min_gens=mu,
+        module_indices=indices,
+        chain=Filtration(base=z0, steps=tuple(chain)),
         kind=kind,
     )
 
@@ -215,13 +219,13 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
     if max_colength < 1:
         raise ValueError("max_colength must be >= 1")
     z0 = fundamental_cycle(g)
-
-    special: set[Cycle] = {z0}
+    mult2 = multiplicity(g, z0) == 2
 
     _, best = _chain_enumerate(
         g, lambda y, z_new: True, max_depth=max_colength - 1, on_cap=on_cap
     )
 
+    special = {}  # special cycle -> its _pointwise record
     for z, chain in best.items():
         # Re-derive the surviving index set along the witness chain.  Any
         # chain reaching z is equivalent for emission because the pointwise
@@ -231,17 +235,18 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
             surviving &= frozenset(
                 i for i in range(g.vertex_count) if y[i] == z0[i]
             )
-        pointwise = special_module_indices(g, z)
-        if surviving and not pointwise:
+        point = _pointwise(g, z, z0)
+        if surviving and not point[0]:
             raise AssertionError("chain criterion disagrees with pointwise test")
-        if pointwise:
-            special.add(z)
+        if point[0]:
+            special[z] = point
+    special[z0] = _pointwise(g, z0, z0)
 
     out = []
     for z in sorted(special):
-        chain = best.get(z, ())
-        kind = "both" if is_ulrich_cycle(g, z) else "special"
-        out.append(_entry(g, z, chain, kind))
+        point = special[z]
+        kind = "both" if _ulrich(point, mult2) else "special"
+        out.append(_entry(z0, z, best.get(z, ()), point, kind))
     return out
 
 
@@ -276,11 +281,11 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
 
     out = []
     for z in sorted(set(best) | {z0}):
-        chain = best.get(z, ())
-        if u_invariant(g, z) != 0:
+        point = _pointwise(g, z, z0)
+        if point[2] != 0:
             raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
-        kind = "both" if is_special_cycle(g, z) else "ulrich"
-        out.append(_entry(g, z, chain, kind))
+        kind = "both" if point[0] else "ulrich"
+        out.append(_entry(z0, z, best.get(z, ()), point, kind))
     return out
 
 

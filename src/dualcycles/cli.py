@@ -11,6 +11,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -145,7 +146,16 @@ def _resolve_graph(args) -> DualGraph:
     raise GraphFormatError("no graph given: use --graph, --family/--index or --n/--q")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused.
+
+    Building it costs far more than parsing a small request, so each
+    process builds it once.  Reuse is safe: ``parse_args`` returns a fresh
+    namespace each call, no default is mutable, and usage errors and
+    ``--version`` write to whatever ``sys.stderr``/``sys.stdout`` is
+    current at call time.
+    """
     top = argparse.ArgumentParser(
         prog="dualcycles",
         description="classify Ulrich and special cycles on resolution dual graphs",
@@ -350,7 +360,9 @@ def _cmd_classify(args, out) -> int:
     want_ulrich = args.ulrich or not args.special
     special = ulrich = None
     if want_special:
-        max_colength = args.max_colength or 10 * g.vertex_count
+        max_colength = args.max_colength
+        if max_colength is None:
+            max_colength = 10 * g.vertex_count
         special = enumerate_special(g, max_colength)
         results["special"] = [_entry_dict(e) for e in special]
     if want_ulrich:

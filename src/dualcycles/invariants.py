@@ -37,18 +37,23 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     The pairing vector is computed once and updated per bump (w_i at the
     bumped vertex, +1 at each neighbour), with the positive vertices kept
     in a heap, so a bump costs O(deg log r).  Requires the support to be
-    nonempty and connected (guaranteed on full vertex sets of connected
-    graphs); diverges on non-negative-definite graphs, so callers validate
-    first.
+    nonempty, inside 0..r-1 and connected (guaranteed on full vertex sets
+    of connected graphs), else ValueError; diverges on non-negative-definite
+    graphs, so callers validate first.
     """
     from .builders import is_connected
 
-    full = vertices is None or vertices == frozenset(range(g.vertex_count))
+    everything = frozenset(range(g.vertex_count))
+    full = vertices is None or vertices == everything
     if full and g in _Z0_CACHE:
         return _Z0_CACHE[g]
-    verts = frozenset(range(g.vertex_count)) if vertices is None else frozenset(vertices)
+    verts = everything if vertices is None else frozenset(vertices)
     if not verts:
         raise ValueError("fundamental cycle needs a nonempty support")
+    if not verts <= everything:
+        raise ValueError(
+            f"support has vertices outside the graph's {g.vertex_count} vertices"
+        )
     if not is_connected(g, verts):
         raise ValueError("fundamental cycle needs a connected support")
 

@@ -1,5 +1,6 @@
 """Tests for the classification layer: chain enumerators, oracle, tables."""
 
+import inspect
 import itertools
 import math
 import os
@@ -25,7 +26,14 @@ from dualcycles.classify import (
     oracle_classify,
     verify_rdp,
 )
-from dualcycles.invariants import colength, fundamental_cycle, u_invariant
+from dualcycles.invariants import (
+    colength,
+    fundamental_cycle,
+    min_gens,
+    multiplicity,
+    special_module_indices,
+    u_invariant,
+)
 from dualcycles.lattice import DualGraph, is_anti_nef, scale
 
 STAR = DualGraph(
@@ -179,6 +187,49 @@ class TestEnumerators:
         entries = enumerate_ulrich(g, max_steps=longest)
         assert len(entries) == count
         assert max(e.chain.length for e in entries) == longest
+
+    def test_chain_walk_does_not_recurse_per_step(self):
+        # A_301's Ulrich chains have 150 steps; a recursive walk needs a
+        # frame per step.
+        g = build_ade("A", 301)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            entries = enumerate_ulrich(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(entries) == expected_ulrich_count("A", 301)
+        assert max(e.chain.length for e in entries) == 150
+
+    ENTRY_CORPUS = {
+        "ade": [
+            build_ade(f, n)
+            for f, ns in (("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8)))
+            for n in ns
+        ],
+        "cyclic": [
+            build_cyclic(n, q) for n in range(2, 31) for q in range(1, n) if math.gcd(n, q) == 1
+        ],
+        "minus3_chains": [
+            DualGraph(
+                tuple(-3 if i == at else -2 for i in range(r)),
+                [(i, i + 1) for i in range(r - 1)],
+            )
+            for r, at in ((4, 0), (7, 3), (12, 5), (20, 19))
+        ],
+    }
+
+    @pytest.mark.parametrize("corpus", list(ENTRY_CORPUS))
+    def test_entries_agree_with_public_invariants(self, corpus):
+        for g in self.ENTRY_CORPUS[corpus]:
+            for e in enumerate_special(g, 10 * g.vertex_count) + enumerate_ulrich(g):
+                z = e.cycle
+                assert e.colength == colength(g, z)
+                assert e.multiplicity == multiplicity(g, z)
+                assert e.min_gens == min_gens(g, z)
+                assert e.module_indices == special_module_indices(g, z)
+                assert (e.kind != "ulrich") == is_special_cycle(g, z)
+                assert (e.kind != "special") == is_ulrich_cycle(g, z)
 
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)

@@ -138,6 +138,15 @@ class TestFundamentalCommand:
         code, _ = run("fundamental", "--family", "A", "--index", "4", "--support", "1,3")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("support", ["0", "99"])
+    def test_support_out_of_range_exits_two(self, capsys, support):
+        # "0" once printed 0 0 0 and exited 0; "99" ended in a traceback.
+        code, out = run("fundamental", "--family", "A", "--index", "3", "--support", support)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_indefinite_graph_exits_one_in_time(self, tmp_path):
         # Laufer's loop never ends on this graph; the command must refuse it.
         src = tmp_path / "star.txt"
@@ -234,6 +243,13 @@ class TestClassifyCommand:
         code, _ = run("classify", "--graph", str(src))
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_max_colength_exits_two(self, capsys, cap):
+        code, out = run("classify", "--family", "A", "--index", "3", "--max-colength", cap)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == "error: max_colength must be >= 1\n"
+
 
 class TestOracleCommand:
     def test_agrees_with_classify(self):
@@ -299,6 +315,47 @@ class TestUsageErrors:
     def test_version_flag(self):
         code, _ = run("--version")
         assert code == EXIT_OK
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["classify", "--family", "A"],
+        ["--format", "json", "classify", "--n", "7", "--q", "3", "--ulrich"],
+        ["classify", "--n", "7", "--q", "3"],
+        ["--version"],
+        ["--format", "xml", "validate"],
+        ["fundamental", "--family", "D", "--index", "5", "--support", "2,3,4,5"],
+        ["--format", "json", "classify", "--n", "7", "--q", "3", "--special"],
+        ["frobnicate"],
+        ["classify", "--n", "7", "--q", "3"],
+    ]
+
+    def test_calls_in_one_process_match_calls_alone(self, capsys, monkeypatch):
+        # Usage text wraps at the terminal width; fix it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(
+            os.environ,
+            COLUMNS="80",
+            PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)),
+        )
+        cli._build_parser.cache_clear()
+        for argv in self.SEQUENCE:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-m", "dualcycles.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=30,
+            )
+            assert (code, captured.out, captured.err) == (
+                alone.returncode,
+                alone.stdout,
+                alone.stderr,
+            ), argv
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
 
 
 JSON_REQUESTS = [

@@ -99,6 +99,12 @@ class TestFundamentalCycle:
         with pytest.raises(ValueError, match="connected"):
             fundamental_cycle(g, frozenset({0, 2}))
 
+    @pytest.mark.parametrize("verts", [{-1}, {98}, {0, 1, 3}], ids=["-1", "98", "0,1,3"])
+    def test_rejects_support_outside_the_graph(self, verts):
+        # -1 once read as the last vertex and 98 raised IndexError.
+        with pytest.raises(ValueError, match="outside"):
+            fundamental_cycle(build_ade("A", 3), frozenset(verts))
+
     def test_result_is_anti_nef_with_full_support(self):
         for g in (build_ade("E", 7), build_cyclic(19, 7), STAR):
             z0 = fundamental_cycle(g)
