@@ -199,27 +199,52 @@ def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     return seen == verts
 
 
-def _leading_minors(m: list[list[int]]) -> Iterator[int]:
-    """Leading principal minors det(m[:k][:k]) for k=1..r of a symmetric m.
+def _leading_minors(m) -> Iterator[int]:
+    """Leading principal minors D_k = det(m[:k][:k]) for k=1..r of a symmetric m.
 
-    One Bareiss fraction-free elimination without row exchanges: after
-    step k-1 the pivot m[k][k] is the (k+1)-th leading minor, and every
-    division by the previous pivot is exact (Bareiss 1968).  The trailing
-    block stays symmetric, so only its upper triangle is updated.  Yields
-    the minors in order and stops after the first one <= 0, so the pass
-    costs O(r^3) instead of the O(r^4) of r separate determinants.
+    ``m`` is a list of rows, each a list or a {column: entry} dict; only
+    the upper triangle is read.  One Bareiss fraction-free elimination
+    without row exchanges (Bareiss 1968): pivot k is D_{k+1}, and every
+    entry is an integer minor, so each division is exact.  Rows are kept
+    sparse.  Step k rewrites only the rows i with m[k][i] != 0; any other
+    row would just be multiplied by D_{k+1}/D_k, so it is rescaled once,
+    by D_k/D_s since its last rewrite at step s, when next read.  Yields
+    the minors in order and stops after the first one <= 0.  Cost:
+    O(r + fill-in) entry updates, so O(r) on a path and at most the O(r^3)
+    of a dense pass.
     """
-    a = [row[:] for row in m]
-    prev = 1
-    for k, pivot_row in enumerate(a):
-        p = pivot_row[k]
+    rows = []
+    for i, row in enumerate(m):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        rows.append({j: x for j, x in items if j >= i and x})
+    minors = [1]  # D_0, D_1, ...
+    level = [0] * len(rows)  # rows[i] holds its entries as of step level[i]
+
+    def read(i: int, k: int) -> dict[int, int]:
+        s = level[i]
+        if s != k:
+            d, ds = minors[k], minors[s]
+            rows[i] = {j: x * d // ds for j, x in rows[i].items()}
+            level[i] = k
+        return rows[i]
+
+    for k in range(len(rows)):
+        pivot_row = read(k, k)
+        p = pivot_row.get(k, 0)
         yield p
         if p <= 0:
             return
-        for i in range(k + 1, len(a)):
-            f = pivot_row[i]
-            a[i][i:] = [(x * p - f * y) // prev for x, y in zip(a[i][i:], pivot_row[i:])]
-        prev = p
+        prev = minors[k]
+        for i, f in pivot_row.items():
+            if i == k:
+                continue
+            upd = {j: x * p for j, x in read(i, k).items()}
+            for j, y in pivot_row.items():
+                if j >= i:
+                    upd[j] = upd.get(j, 0) - f * y
+            rows[i] = {j: x // prev for j, x in upd.items() if x}
+            level[i] = k + 1
+        minors.append(p)
 
 
 def _det(m: list[list[int]]) -> int:
@@ -247,11 +272,14 @@ def _det(m: list[list[int]]) -> int:
 def is_negative_definite(g: DualGraph) -> bool:
     """Sylvester's criterion on -M: all leading principal minors positive.
 
-    The minors are the pivots of one Bareiss pass over -M, which stops at
-    the first pivot <= 0: O(r^3) for r vertices.
+    The minors are the pivots of one sparse Bareiss pass over -M, which
+    stops at the first pivot <= 0: O(r + fill-in) for r vertices, O(r) on
+    a chain.
     """
-    neg = [[-x for x in row] for row in g.intersection_matrix()]
-    return all(d > 0 for d in _leading_minors(neg))
+    rows = [{i: -w} for i, w in enumerate(g.weights)]
+    for i, j in g.edges:
+        rows[i][j] = -1
+    return all(d > 0 for d in _leading_minors(rows))
 
 
 def graph_determinant(g: DualGraph) -> int:

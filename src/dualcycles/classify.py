@@ -22,7 +22,6 @@ from .lattice import (
     DualGraph,
     add,
     canonical_degree,
-    is_anti_nef,
     pairing_vector,
     scale,
     sub,
@@ -126,9 +125,9 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     return _ulrich(_pointwise(g, z, z0), multiplicity(g, z0) == 2)
 
 
-def _zero_components(g: DualGraph, z: Cycle, inside: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of {v in inside : Z.E_v = 0}."""
-    pairing = pairing_vector(g, z)
+def _zero_components(g: DualGraph, pairing: Cycle, inside: frozenset[int]) -> list[frozenset[int]]:
+    """Connected components of {v in inside : Z.E_v = 0}, given Z's pairing
+    vector (Z.E_1, ..., Z.E_r)."""
     verts = {v for v in inside if pairing[v] == 0}
     comps = []
     while verts:
@@ -151,20 +150,25 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
     increment's support; ``accept(y, z_new)`` decides whether a candidate
-    extends the chain.  Returns {cycle: lexicographically least witness
-    chain}, the chain being a tuple of (Y_k, Z_k) pairs.
+    extends the chain.  Returns {cycle: (lexicographically least witness
+    chain, its surviving set)}, the chain being a tuple of (Y_k, Z_k) pairs
+    and the surviving set the vertices i with coeff(Y_k) = n_i at every
+    step.
     """
     z0 = fundamental_cycle(g)
-    best: dict[Cycle, tuple[tuple[Cycle, Cycle], ...]] = {}
+    best: dict[Cycle, tuple[tuple[tuple[Cycle, Cycle], ...], frozenset[int]]] = {}
 
-    def children(z: Cycle, y: Cycle):
-        return iter(sorted(_zero_components(g, z, support(y)), key=sorted))
+    def children(pairing: Cycle, y: Cycle):
+        return iter(sorted(_zero_components(g, pairing, support(y)), key=sorted))
 
-    # Preorder with an explicit stack of (candidates left, Z, Y, chain)
-    # frames, so chain length is not bounded by the interpreter's recursion.
-    stack = [(children(z0, z0), z0, z0, ())]
+    # Preorder with an explicit stack of (candidates left, Z, Y, chain,
+    # surviving set) frames, so chain length is not bounded by the
+    # interpreter's recursion.  One pairing vector per step serves both the
+    # anti-nef test and the zero locus that gives the frame's candidates.
+    everything = frozenset(range(g.vertex_count))
+    stack = [(children(pairing_vector(g, z0), z0), z0, z0, (), everything)]
     while stack:
-        comps, z_prev, y_prev, chain = stack[-1]
+        comps, z_prev, y_prev, chain, surv_prev = stack[-1]
         comp = next(comps, None)
         if comp is None:
             stack.pop()
@@ -173,8 +177,9 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
         if any(a > b for a, b in zip(y, y_prev)):
             continue  # increments must decrease componentwise
         z_new = add(z_prev, y)
-        if not is_anti_nef(g, z_new):
-            continue
+        pairing = pairing_vector(g, z_new)
+        if any(v > 0 for v in pairing):
+            continue  # not anti-nef
         if not accept(y, z_new):
             continue
         new_chain = chain + ((y, z_new),)
@@ -182,10 +187,11 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
             if on_cap is not None:
                 on_cap(new_chain)
             continue
+        surviving = frozenset(i for i in surv_prev if y[i] == z0[i])
         old = best.get(z_new)
-        if old is None or [s[0] for s in new_chain] < [s[0] for s in old]:
-            best[z_new] = new_chain
-        stack.append((children(z_new, y), z_new, y, new_chain))
+        if old is None or [s[0] for s in new_chain] < [s[0] for s in old[0]]:
+            best[z_new] = (new_chain, surviving)
+        stack.append((children(pairing, y), z_new, y, new_chain, surviving))
     return z0, best
 
 
@@ -226,15 +232,10 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
     )
 
     special = {}  # special cycle -> its _pointwise record
-    for z, chain in best.items():
-        # Re-derive the surviving index set along the witness chain.  Any
-        # chain reaching z is equivalent for emission because the pointwise
-        # saturation test is chain independent; assert that equivalence.
-        surviving = frozenset(range(g.vertex_count))
-        for y, _ in chain:
-            surviving &= frozenset(
-                i for i in range(g.vertex_count) if y[i] == z0[i]
-            )
+    for z, (_, surviving) in best.items():
+        # Any chain reaching z is equivalent for emission because the
+        # pointwise saturation test is chain independent; assert that
+        # equivalence on the witness chain's surviving set.
         point = _pointwise(g, z, z0)
         if surviving and not point[0]:
             raise AssertionError("chain criterion disagrees with pointwise test")
@@ -246,7 +247,7 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
     for z in sorted(special):
         point = special[z]
         kind = "both" if _ulrich(point, mult2) else "special"
-        out.append(_entry(z0, z, best.get(z, ()), point, kind))
+        out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
     return out
 
 
@@ -259,11 +260,14 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     (every vertex with weight <= -3 keeps its full Z_0 coefficient), and
     every surviving chain endpoint is Ulrich.  On both branches
     ChainDepthError is raised when an accepted step would make a chain
-    longer than ``max_steps`` (default 10 r).
+    longer than ``max_steps`` (default 10 r), and ValueError when
+    ``max_steps`` is negative.
     """
     _require_rational(g)
     if max_steps is None:
         max_steps = 10 * g.vertex_count
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     z0 = fundamental_cycle(g)
 
     def on_cap(chain):
@@ -285,7 +289,7 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
         if point[2] != 0:
             raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
         kind = "both" if point[0] else "ulrich"
-        out.append(_entry(z0, z, best.get(z, ()), point, kind))
+        out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
     return out
 
 

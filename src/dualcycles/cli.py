@@ -208,51 +208,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _json_chunks(v, pad: str = "\n"):
-    """Yield the text of ``json.dumps(v, indent=2)`` in pieces.
+def _json_chunks(v, pad: str = "\n") -> list[str]:
+    """The text of ``json.dumps(v, indent=2)`` as a list of pieces.
 
     ``pad`` is a newline plus the indentation of the enclosing level.  A
-    list holding only ints is joined in one step; keys and strings go
-    through the C string encoder and other scalars through json.dumps.
-    Dict keys must be strings.
+    list holding only ints is joined in one step, and only once per
+    distinct value and indentation: a memo keyed on (pad, values) hands
+    later equal lists the same piece, so witness chains that share steps
+    are formatted once.  Keys and strings go through the C string encoder
+    and other scalars through json.dumps.  Dict keys must be strings.
     """
-    if isinstance(v, dict):
-        if not v:
-            yield "{}"
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for k, x in v.items():
-            yield sep + encode_basestring_ascii(k) + ": "
-            yield from _json_chunks(x, inner)
-            sep = "," + inner
-        yield pad + "}"
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            yield "[]"
-            return
-        inner = pad + "  "
-        if set(map(type, v)) == {int}:
-            yield "[" + inner + ("," + inner).join(map(str, v)) + pad + "]"
-            return
-        sep = "[" + inner
-        for x in v:
-            yield sep
-            yield from _json_chunks(x, inner)
-            sep = "," + inner
-        yield pad + "]"
-    elif isinstance(v, str):
-        yield encode_basestring_ascii(v)
-    else:
-        yield json.dumps(v)
+    pieces: list[str] = []
+    put = pieces.append
+    memo: dict[tuple, str] = {}
+
+    def walk(v, pad: str) -> None:
+        if isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, x in v.items():
+                put(sep + encode_basestring_ascii(k) + ": ")
+                walk(x, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = pad + "  "
+            # The type test comes first: True == 1, so a list with bools
+            # would otherwise hit the memo entry of an int list.
+            if set(map(type, v)) == {int}:
+                key = (pad, tuple(v))
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = "[" + inner + ("," + inner).join(map(str, v)) + pad + "]"
+                put(text)
+                return
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                walk(x, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif isinstance(v, str):
+            put(encode_basestring_ascii(v))
+        else:
+            put(json.dumps(v))
+
+    walk(v, pad)
+    return pieces
 
 
 def _emit(args, command: str, g: DualGraph | None, results: dict, out) -> None:
     """Write the JSON document of a command when ``--format json`` is set.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
-    byte.  It is streamed to ``out`` in pieces and never held whole, and
-    costs O(size of the document) with int lists joined at C speed.
+    byte.  It is written to ``out`` in pieces and never joined whole; each
+    distinct int list is formatted once per depth, at C speed.
     """
     if args.format == "json":
         doc = {

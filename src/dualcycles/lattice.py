@@ -82,7 +82,7 @@ class DualGraph:
         return m
 
     def check_cycle(self, z: Cycle) -> Cycle:
-        z = tuple(int(a) for a in z)
+        z = tuple(map(int, z))
         if len(z) != self.vertex_count:
             raise DimensionError(
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"
@@ -118,13 +118,10 @@ def scale(k: int, z: Cycle) -> Cycle:
 def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
     """The vector (Z.E_1, ..., Z.E_r), i.e. the intersection matrix applied to Z."""
     z = g.check_cycle(z)
-    out = []
-    for i in range(g.vertex_count):
-        s = g.weights[i] * z[i]
-        for j in g.neighbors(i):
-            s += z[j]
-        out.append(s)
-    return tuple(out)
+    at = z.__getitem__
+    return tuple([
+        w * a + sum(map(at, nbrs)) for w, a, nbrs in zip(g.weights, z, g._neighbors)
+    ])
 
 
 def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:

@@ -266,7 +266,54 @@ def block_minors(m: list[list[int]]) -> list[int]:
     return [_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
 
 
+def star(leaves: int, centre_weight: int, centre_last: bool) -> DualGraph:
+    c = leaves if centre_last else 0
+    others = [v for v in range(leaves + 1) if v != c]
+    weights = [-2] * (leaves + 1)
+    weights[c] = centre_weight
+    return DualGraph(weights, [(c, v) for v in others])
+
+
+def relabel(g: DualGraph, order: list[int]) -> DualGraph:
+    """The graph with vertex order[k] renamed k."""
+    new = {v: k for k, v in enumerate(order)}
+    weights = [g.weights[v] for v in order]
+    return DualGraph(weights, [(new[i], new[j]) for i, j in g.edges])
+
+
+def minus_m(g: DualGraph) -> list[list[int]]:
+    return [[-x for x in row] for row in g.intersection_matrix()]
+
+
+# Graphs whose elimination leaves rows untouched for many steps before
+# reading them, or fills rows in: the lazy rescaling and the sparse
+# updates must give the dense pass's pivots.
+SKIPPED_ROW_GRAPHS = {
+    "star-centre-last": star(8, -5, centre_last=True),
+    "star-centre-last-indefinite": star(8, -3, centre_last=True),
+    "star-centre-first": star(8, -5, centre_last=False),  # full fill-in
+    "path-reversed": relabel(build_cyclic(1009, 390), list(range(8))[::-1]),
+    "path-ends-inwards": relabel(build_ade("A", 11), [0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5]),
+    "D9-fork-first": relabel(build_ade("D", 9), list(range(9))[::-1]),
+    "E8-branch-first": relabel(build_ade("E", 8), [2, 7, 6, 5, 4, 3, 1, 0]),
+    "tree-fill-in": DualGraph(
+        (-3, -2, -2, -2, -4, -2, -2, -2, -3, -2),
+        [(0, 3), (0, 6), (0, 9), (3, 1), (3, 8), (6, 2), (6, 5), (9, 4), (9, 7)],
+    ),
+}
+
+
 class TestLeadingMinors:
+    @pytest.mark.parametrize("g", SKIPPED_ROW_GRAPHS.values(), ids=SKIPPED_ROW_GRAPHS)
+    def test_skipped_rows_match_block_determinants(self, g):
+        m = minus_m(g)
+        minors = block_minors(m)
+        stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
+        assert list(_leading_minors(m)) == minors[: stop + 1]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+        assert list(_leading_minors(sparse)) == minors[: stop + 1]
+        assert is_negative_definite(g) == all(d > 0 for d in minors)
+
     @settings(max_examples=300, deadline=None)
     @given(symmetric_matrices())
     def test_pivots_equal_block_determinants(self, m):
@@ -288,3 +335,12 @@ class TestLeadingMinors:
         elapsed = time.perf_counter() - start
         assert rep.ok
         assert elapsed < 30.0, f"validate(A_300) took {elapsed:.1f}s"
+
+    def test_validate_chain_of_1000_in_budget(self):
+        # the sparse pass touches O(r) entries on a chain; the dense pass
+        # took tens of seconds here
+        start = time.perf_counter()
+        rep = validate(build_ade("A", 1000))
+        elapsed = time.perf_counter() - start
+        assert rep.ok
+        assert elapsed < 2.0, f"validate(A_1000) took {elapsed:.2f}s"

@@ -188,6 +188,13 @@ class TestEnumerators:
         assert len(entries) == count
         assert max(e.chain.length for e in entries) == longest
 
+    @pytest.mark.parametrize(
+        "g", [build_ade("A", 3), build_cyclic(5, 2), STAR], ids=["A3", "cyclic5_2", "star"]
+    )
+    def test_negative_max_steps_is_refused_on_both_branches(self, g):
+        with pytest.raises(ValueError, match=r"^max_steps must be >= 0$"):
+            enumerate_ulrich(g, max_steps=-1)
+
     def test_chain_walk_does_not_recurse_per_step(self):
         # A_301's Ulrich chains have 150 steps; a recursive walk needs a
         # frame per step.

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -251,6 +252,17 @@ class TestClassifyCommand:
         assert capsys.readouterr().err == "error: max_colength must be >= 1\n"
 
 
+    @pytest.mark.parametrize(
+        "source", [["--family", "A", "--index", "3"], ["--n", "5", "--q", "2"]], ids=["A3", "cyclic5_2"]
+    )
+    def test_negative_max_steps_exits_two(self, capsys, source):
+        # A_3 takes the multiplicity-2 branch, (1/5)(1,2) the multiplicity-3 one
+        code, out = run("classify", *source, "--ulrich", "--max-steps", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
+
+
 class TestOracleCommand:
     def test_agrees_with_classify(self):
         _, oracle_doc = run_json("oracle", "--n", "7", "--q", "3", "--bound", "4")
@@ -442,5 +454,106 @@ class TestJsonEmitter:
     @example({"": [], "k": {}, "t": [1, True, None], "f": [False]})
     @example(["caf\u00e9 \u2028 \U0001f600", "\"quoted\" \\ \n\t\x00", "\ud800"])
     @example((-1, 0, 10**30))
+    @example({"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2]]}})  # one list, three depths
+    @example([(3, 4), [3, 4], {"t": (3, 4)}, {"l": [3, 4]}])  # tuple and list of one value
+    @example([[1, 1], [True, 1], [1, True], [1, 1]])  # True == 1, yet no shared memo entry
+    @example([[True, 1], [1, 1]])
     def test_any_value_matches_json_dumps(self, v):
         assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
+
+    def test_document_with_shared_steps_round_trips(self):
+        # D_30's witness chains share most of their steps
+        code, out = run("--format", "json", "classify", "--family", "D", "--index", "30")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+MALFORMED_LINES = [
+    "vertices 3",
+    "vertices 0",
+    "weight 1",
+    "weight 99 -2",
+    "edge 1 1",
+    "edge 1 x",
+    "edge 1 2 3",
+    "frobnicate",
+    "# a comment",
+    "",
+]
+
+
+@st.composite
+def fuzz_graphs(draw) -> tuple[str, str, str]:
+    """(graph text, cycle argument, support argument).
+
+    Graphs have at most 8 vertices: a random forest plus arbitrary extra
+    edges, so trees, cycles and disconnected graphs.  One draw in four
+    allows weights up to 0 and adds a malformed line.  Cycle and support
+    arguments mostly have one entry per vertex (sometimes all equal), else
+    any length or text.
+    """
+    n = draw(st.integers(1, 8))
+    rough = draw(st.integers(0, 3)) == 0
+    lines = [f"vertices {n}"]
+    for i in range(1, n + 1):
+        w = draw(st.integers(-6, 0 if rough else -2))
+        if w != -2 or draw(st.booleans()):
+            lines.append(f"weight {i} {w}")
+    edges = set()
+    for v in range(2, n + 1):
+        if draw(st.integers(0, 5)):  # else v starts a new component
+            edges.add((draw(st.integers(1, v - 1)), v))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    lines += [f"edge {j} {i}" if draw(st.booleans()) else f"edge {i} {j}" for i, j in sorted(edges)]
+    if rough:
+        junk = draw(st.sampled_from(MALFORMED_LINES) | st.text(max_size=10))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+
+    def arg(low: int, high: int) -> str:
+        z = draw(
+            st.lists(st.integers(low, high), min_size=n, max_size=n)
+            | st.integers(low, high).map(lambda a: [a] * n)  # anti-nef on chains
+            | st.lists(st.integers(-2, 12), min_size=1, max_size=9)
+        )
+        return ",".join(map(str, z)) if draw(st.integers(0, 7)) else draw(st.text(max_size=6))
+
+    return "\n".join(lines) + "\n", arg(0, 6), arg(1, n)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=fuzz_graphs(),
+        cap=st.integers(-1, 4),
+        bound=st.integers(-1, 2),
+        family=st.sampled_from("ADEx"),
+        index=st.integers(-1, 9),
+        fmt=st.sampled_from(["table", "json"]),
+    )
+    def test_every_subcommand_ends_with_a_documented_exit_code(
+        self, tmp_path_factory, graph, cap, bound, family, index, fmt
+    ):
+        text, cycle, support = graph
+        src = tmp_path_factory.mktemp("fuzz") / "g.txt"
+        src.write_text(text, encoding="utf-8")
+        graph = ["--graph", str(src)]
+        requests = [
+            ["graph", "load", str(src)],
+            ["validate", *graph],
+            ["fundamental", *graph],
+            ["fundamental", *graph, "--support", support],
+            ["invariants", *graph, "--cycle", cycle],
+            ["classify", *graph, "--max-colength", str(cap + 1)],
+            ["classify", *graph, "--ulrich", "--max-steps", str(cap)],
+            ["classify", *graph, "--special", "--max-colength", str(cap)],
+            ["oracle", *graph, "--bound", str(bound)],
+            ["verify-rdp", "--family", family, "--index", str(index)],
+        ]
+        for argv in requests:
+            start = time.perf_counter()
+            code = main(["--format", fmt, *argv], out=io.StringIO())
+            elapsed = time.perf_counter() - start
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_MISMATCH), argv
+            assert elapsed < 2.0, f"{argv} took {elapsed:.2f}s on\n{text}"
