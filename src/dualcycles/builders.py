@@ -269,16 +269,21 @@ def _det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_negative_definite(g: DualGraph) -> bool:
-    """Sylvester's criterion on -M: all leading principal minors positive.
+def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
+    """Sylvester's criterion on -M, or on its block over ``vertices`` (the
+    induced subgraph): all leading principal minors positive.
 
     The minors are the pivots of one sparse Bareiss pass over -M, which
     stops at the first pivot <= 0: O(r + fill-in) for r vertices, O(r) on
     a chain.
     """
-    rows = [{i: -w} for i, w in enumerate(g.weights)]
-    for i, j in g.edges:
-        rows[i][j] = -1
+    verts = range(g.vertex_count) if vertices is None else sorted(vertices)
+    pos = {v: k for k, v in enumerate(verts)}
+    rows = [{k: -g.weights[v]} for k, v in enumerate(verts)]
+    for v, k in pos.items():
+        for u in g.neighbors(v):
+            if u in pos:
+                rows[k][pos[u]] = -1
     return all(d > 0 for d in _leading_minors(rows))
 
 

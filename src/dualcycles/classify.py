@@ -15,17 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .builders import ADE_FAMILIES, build_ade, validate
-from .invariants import Filtration, fundamental_cycle, multiplicity
+from .invariants import Filtration, _laufer, fundamental_cycle, multiplicity
 from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
-    add,
     canonical_degree,
     pairing_vector,
     scale,
-    sub,
-    support,
 )
 
 
@@ -125,9 +122,9 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     return _ulrich(_pointwise(g, z, z0), multiplicity(g, z0) == 2)
 
 
-def _zero_components(g: DualGraph, pairing: Cycle, inside: frozenset[int]) -> list[frozenset[int]]:
+def _zero_components(g: DualGraph, pairing, inside) -> list[frozenset[int]]:
     """Connected components of {v in inside : Z.E_v = 0}, given Z's pairing
-    vector (Z.E_1, ..., Z.E_r)."""
+    Z.E_v at every v in ``inside`` (a sequence or a {vertex: value} dict)."""
     verts = {v for v in inside if pairing[v] == 0}
     comps = []
     while verts:
@@ -149,49 +146,68 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
 
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
-    increment's support; ``accept(y, z_new)`` decides whether a candidate
+    increment's support; ``accept(ys)`` decides, from the increment as a
+    {vertex: coefficient} dict over its support, whether a candidate
     extends the chain.  Returns {cycle: (lexicographically least witness
     chain, its surviving set)}, the chain being a tuple of (Y_k, Z_k) pairs
     and the surviving set the vertices i with coeff(Y_k) = n_i at every
     step.
+
+    A step Y on a component C does O(|C| + boundary) Python work: Laufer's
+    loop runs on C alone (connected by construction, definite inside a
+    definite graph), and the frame's pairing P moves by M.Y only on C and
+    its neighbours, which is also all that the steps below it read.  The
+    anti-nef test reads the moved entries only: the parent is anti-nef,
+    so every other entry stays <= 0.  Y and Z + Y are then built as
+    length-r tuples, at C speed.
     """
     z0 = fundamental_cycle(g)
+    weights, nbrs = g.weights, g._neighbors
     best: dict[Cycle, tuple[tuple[tuple[Cycle, Cycle], ...], frozenset[int]]] = {}
 
-    def children(pairing: Cycle, y: Cycle):
-        return iter(sorted(_zero_components(g, pairing, support(y)), key=sorted))
+    def children(pairing, inside):
+        return iter(sorted(_zero_components(g, pairing, inside), key=sorted))
 
-    # Preorder with an explicit stack of (candidates left, Z, Y, chain,
-    # surviving set) frames, so chain length is not bounded by the
-    # interpreter's recursion.  One pairing vector per step serves both the
-    # anti-nef test and the zero locus that gives the frame's candidates.
-    everything = frozenset(range(g.vertex_count))
-    stack = [(children(pairing_vector(g, z0), z0), z0, z0, (), everything)]
+    # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
+    # chain, surviving set) frames, so chain length is not bounded by the
+    # interpreter's recursion.
+    everything = range(g.vertex_count)
+    root = pairing_vector(g, z0)
+    stack = [(children(root, everything), z0, z0, root, (), frozenset(everything))]
     while stack:
-        comps, z_prev, y_prev, chain, surv_prev = stack[-1]
+        comps, z_prev, y_prev, pairing, chain, surv_prev = stack[-1]
         comp = next(comps, None)
         if comp is None:
             stack.pop()
             continue
-        y = fundamental_cycle(g, comp)
-        if any(a > b for a, b in zip(y, y_prev)):
+        ys = _laufer(g, comp)
+        if any(a > y_prev[v] for v, a in ys.items()):
             continue  # increments must decrease componentwise
-        z_new = add(z_prev, y)
-        pairing = pairing_vector(g, z_new)
-        if any(v > 0 for v in pairing):
+        moved = {}
+        for v, a in ys.items():
+            moved[v] = moved.get(v, pairing[v]) + weights[v] * a
+            for u in nbrs[v]:
+                moved[u] = moved.get(u, pairing[u]) + a
+        if any(p > 0 for p in moved.values()):
             continue  # not anti-nef
-        if not accept(y, z_new):
+        if not accept(ys):
             continue
+        y, z_new = [0] * len(z0), list(z_prev)
+        for v, a in ys.items():
+            y[v] = a
+            z_new[v] += a
+        y, z_new = tuple(y), tuple(z_new)
         new_chain = chain + ((y, z_new),)
         if len(new_chain) > max_depth:
             if on_cap is not None:
                 on_cap(new_chain)
             continue
-        surviving = frozenset(i for i in surv_prev if y[i] == z0[i])
+        surviving = frozenset(v for v, a in ys.items() if a == z0[v] and v in surv_prev)
         old = best.get(z_new)
-        if old is None or [s[0] for s in new_chain] < [s[0] for s in old[0]]:
+        # Equal increments give equal cycles: pairs compare as increments.
+        if old is None or new_chain < old[0]:
             best[z_new] = (new_chain, surviving)
-        stack.append((children(pairing, y), z_new, y, new_chain, surviving))
+        stack.append((children(moved, comp), z_new, y, moved, new_chain, surviving))
     return z0, best
 
 
@@ -228,7 +244,7 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
     mult2 = multiplicity(g, z0) == 2
 
     _, best = _chain_enumerate(
-        g, lambda y, z_new: True, max_depth=max_colength - 1, on_cap=on_cap
+        g, lambda ys: True, max_depth=max_colength - 1, on_cap=on_cap
     )
 
     special = {}  # special cycle -> its _pointwise record
@@ -278,8 +294,11 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     if multiplicity(g, z0) == 2:
         return _special(g, max_steps + 1, on_cap)
 
-    def accept(y: Cycle, z_new: Cycle) -> bool:
-        return canonical_degree(g, sub(z0, y)) == 0
+    # K.(Z_0 - Y) = 0 reads K.Y = K.Z_0, with K.E_v = -w_v - 2.
+    k0 = canonical_degree(g, z0)
+
+    def accept(ys: dict[int, int]) -> bool:
+        return sum(a * (-g.weights[v] - 2) for v, a in ys.items()) == k0
 
     _, best = _chain_enumerate(g, accept, max_depth=max_steps, on_cap=on_cap)
 
@@ -291,6 +310,26 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
         kind = "both" if point[0] else "ulrich"
         out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
     return out
+
+
+def _enumerate_both(g: DualGraph, max_colength: int, max_steps: int | None = None):
+    """(enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)),
+    errors and their order included, from one walk on multiplicity 2.
+
+    A step Y is the fundamental cycle of a connected piece of Z's zero
+    locus, so p_a(Y) = 0 (Laufer) and Z.Y = 0, whence p_a(Z + Y) =
+    p_a(Z) - 1: every chain to Z has colength(Z) - 1 steps.  On
+    multiplicity 2, where special and Ulrich coincide, the Ulrich walk is
+    thus the special walk at the larger cap, and the special list is its
+    colength <= max_colength part: the same list object when that is all
+    of it.  Other graphs take both walks, as their accept rules differ.
+    """
+    _require_rational(g)
+    if max_colength >= 1 and multiplicity(g, fundamental_cycle(g)) == 2:
+        ulrich = enumerate_ulrich(g, max_steps)
+        special = [e for e in ulrich if e.colength <= max_colength]
+        return (ulrich if len(special) == len(ulrich) else special), ulrich
+    return enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)
 
 
 def _elimination_order(g: DualGraph) -> list[int]:

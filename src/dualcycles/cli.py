@@ -30,6 +30,7 @@ from .classify import (
     ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
+    _enumerate_both,
     enumerate_special,
     enumerate_ulrich,
     oracle_classify,
@@ -215,12 +216,17 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
     list holding only ints is joined in one step, and only once per
     distinct value and indentation: a memo keyed on (pad, values) hands
     later equal lists the same piece, so witness chains that share steps
-    are formatted once.  Keys and strings go through the C string encoder
-    and other scalars through json.dumps.  Dict keys must be strings.
+    are formatted once.  Any other list object met again at the same
+    indentation, such as one entry list under both "special" and
+    "ulrich", copies its earlier pieces: a memo keyed on (pad, id(list)),
+    sound because ``v`` keeps every list alive.  Dicts and int lists skip
+    it.  Keys and strings go through the C string encoder and other
+    scalars through json.dumps.  Dict keys must be strings.
     """
     pieces: list[str] = []
     put = pieces.append
     memo: dict[tuple, str] = {}
+    spans: dict[tuple[str, int], tuple[int, int]] = {}
 
     def walk(v, pad: str) -> None:
         if isinstance(v, dict):
@@ -248,12 +254,18 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
                     text = memo[key] = "[" + inner + ("," + inner).join(map(str, v)) + pad + "]"
                 put(text)
                 return
+            key = (pad, id(v))
+            if key in spans:
+                pieces.extend(pieces[slice(*spans[key])])
+                return
+            start = len(pieces)
             sep = "[" + inner
             for x in v:
                 put(sep)
                 walk(x, inner)
                 sep = "," + inner
             put(pad + "]")
+            spans[key] = (start, len(pieces))
         elif isinstance(v, str):
             put(encode_basestring_ascii(v))
         else:
@@ -268,7 +280,8 @@ def _emit(args, command: str, g: DualGraph | None, results: dict, out) -> None:
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
     byte.  It is written to ``out`` in pieces and never joined whole; each
-    distinct int list is formatted once per depth, at C speed.
+    distinct int list and each other list object is formatted once per
+    depth (``_json_chunks``).
     """
     if args.format == "json":
         doc = {
@@ -341,7 +354,6 @@ def _cmd_invariants(args, out) -> int:
     if any(a < 0 for a in z) or not is_anti_nef(g, z):
         print("error: cycle is not anti-nef (represents no ideal)", file=sys.stderr)
         return EXIT_VALIDATION
-    filt = filtration(g, z)
     results = {
         "cycle": list(z),
         "virtual_genus": virtual_genus(g, z),
@@ -352,9 +364,10 @@ def _cmd_invariants(args, out) -> int:
         "special_module_indices": sorted(
             i + 1 for i in special_module_indices(g, z)
         ),
-        "filtration": _filtration_dict(filt),
     }
     if args.format == "json":
+        # One step per multiple of Z_0 below Z: built only when printed.
+        results["filtration"] = _filtration_dict(filtration(g, z))
         _emit(args, "invariants", g, results, out)
     else:
         for key in (
@@ -371,20 +384,24 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     g = _resolve_graph(args)
-    results = {}
-    want_special = args.special or not args.ulrich
-    want_ulrich = args.ulrich or not args.special
+    max_colength = args.max_colength
+    if max_colength is None:
+        max_colength = 10 * g.vertex_count
     special = ulrich = None
-    if want_special:
-        max_colength = args.max_colength
-        if max_colength is None:
-            max_colength = 10 * g.vertex_count
+    if args.special:
         special = enumerate_special(g, max_colength)
-        results["special"] = [_entry_dict(e) for e in special]
-    if want_ulrich:
+    elif args.ulrich:
         ulrich = enumerate_ulrich(g, args.max_steps)
-        results["ulrich"] = [_entry_dict(e) for e in ulrich]
+    else:
+        special, ulrich = _enumerate_both(g, max_colength, args.max_steps)
     if args.format == "json":
+        results = {}
+        if special is not None:
+            results["special"] = [_entry_dict(e) for e in special]
+        if ulrich is not None:
+            results["ulrich"] = (
+                results["special"] if ulrich is special else [_entry_dict(e) for e in ulrich]
+            )
         _emit(args, "classify", g, results, out)
     else:
         _render_graph(g, out)

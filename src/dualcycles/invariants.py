@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .builders import is_connected, is_negative_definite
 from .lattice import (
     Cycle,
     CycleError,
@@ -18,7 +19,6 @@ from .lattice import (
     inf_cycles,
     intersection,
     is_anti_nef,
-    pairing_vector,
     scale,
     sub,
     virtual_genus,
@@ -27,22 +27,45 @@ from .lattice import (
 _Z0_CACHE: dict[DualGraph, Cycle] = {}
 
 
+def _laufer(g: DualGraph, verts: frozenset[int]) -> dict[int, int]:
+    """{vertex: coefficient} of the fundamental cycle on ``verts``.
+
+    Laufer's loop: start from 1 everywhere and bump the lowest-index vertex
+    whose pairing over ``verts`` is positive (the fixed point is order
+    independent; the rule makes traces reproducible).  The pairing is
+    updated per bump and its positive vertices kept in a heap: a bump
+    costs O(deg log |verts|), nothing costs O(r).  ``verts`` must be
+    connected and negative definite, unchecked, or the loop never ends.
+    """
+    z = dict.fromkeys(verts, 1)
+    weights, nbrs = g.weights, g._neighbors
+    pairing = {v: weights[v] + sum(map(z.__contains__, nbrs[v])) for v in z}
+    # Exactly the vertices with positive pairing; a sorted list is a heap.
+    positive = sorted(v for v, p in pairing.items() if p > 0)
+    while positive:
+        i = positive[0]
+        z[i] += 1
+        pairing[i] += weights[i]
+        if pairing[i] <= 0:
+            heapq.heappop(positive)
+        for j in nbrs[i]:
+            if j in z:
+                pairing[j] += 1
+                if pairing[j] == 1:
+                    heapq.heappush(positive, j)
+    return z
+
+
 def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> Cycle:
     """Minimal nonzero cycle Z with Supp(Z) = vertices and Z.E_i <= 0 there.
 
-    Incremental construction (Laufer's algorithm): start from the sum of
-    the unit cycles on the support and repeatedly bump the lowest-index
-    vertex whose pairing is still positive.  The fixed point is order
-    independent; the lowest index rule only makes traces reproducible.
-    The pairing vector is computed once and updated per bump (w_i at the
-    bumped vertex, +1 at each neighbour), with the positive vertices kept
-    in a heap, so a bump costs O(deg log r).  Requires the support to be
-    nonempty, inside 0..r-1 and connected (guaranteed on full vertex sets
-    of connected graphs), else ValueError; diverges on non-negative-definite
-    graphs, so callers validate first.
+    Laufer's algorithm (``_laufer``).  Requires the support to be
+    nonempty, inside 0..r-1, connected (guaranteed on full vertex sets of
+    connected graphs) and negative definite, else ValueError.  The
+    definiteness test is one sparse Bareiss pass over the support's
+    induced subgraph, O(|support| + fill-in); on the full support it runs
+    once per graph, since Z_0 is cached.
     """
-    from .builders import is_connected
-
     everything = frozenset(range(g.vertex_count))
     full = vertices is None or vertices == everything
     if full and g in _Z0_CACHE:
@@ -56,21 +79,12 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
         )
     if not is_connected(g, verts):
         raise ValueError("fundamental cycle needs a connected support")
+    if not is_negative_definite(g, verts):
+        raise ValueError("fundamental cycle needs a negative definite support")
 
-    z = [1 if i in verts else 0 for i in range(g.vertex_count)]
-    pairing = list(pairing_vector(g, tuple(z)))
-    # Exactly the support vertices with positive pairing; a sorted list is a heap.
-    positive = [i for i in sorted(verts) if pairing[i] > 0]
-    while positive:
-        i = positive[0]
-        z[i] += 1
-        pairing[i] += g.weights[i]
-        if pairing[i] <= 0:
-            heapq.heappop(positive)
-        for j in g.neighbors(i):
-            pairing[j] += 1
-            if pairing[j] == 1 and j in verts:
-                heapq.heappush(positive, j)
+    z = [0] * g.vertex_count
+    for v, a in _laufer(g, verts).items():
+        z[v] = a
     result = tuple(z)
     if full:
         _Z0_CACHE[g] = result

@@ -16,6 +16,8 @@ from dualcycles.builders import build_ade, build_cyclic, is_negative_definite, v
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
+    _chain_enumerate,
+    _enumerate_both,
     brute_force_anti_nef,
     enumerate_special,
     enumerate_ulrich,
@@ -238,6 +240,21 @@ class TestEnumerators:
                 assert (e.kind != "ulrich") == is_special_cycle(g, z)
                 assert (e.kind != "special") == is_ulrich_cycle(g, z)
 
+    @pytest.mark.parametrize(
+        "g", [build_ade("A", 9), build_ade("D", 8), STAR], ids=["A9", "D8", "star"]
+    )
+    def test_one_walk_gives_both_lists(self, g):
+        longest = max(e.chain.length for e in enumerate_ulrich(g))
+        for max_steps in (longest, longest + 1, None):
+            for max_colength in (1, longest, longest + 1, longest + 2, 10 * g.vertex_count):
+                special, ulrich = _enumerate_both(g, max_colength, max_steps)
+                assert special == enumerate_special(g, max_colength)
+                assert ulrich == enumerate_ulrich(g, max_steps)
+                if g is not STAR and len(special) == len(ulrich):
+                    assert special is ulrich
+        with pytest.raises(ChainDepthError):
+            _enumerate_both(g, 1, longest - 1)
+
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)
         for cap in (1, 2, 3):
@@ -374,3 +391,16 @@ def test_random_graph_chain_route_equals_oracle(g):
     chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
     assert chain_special == oracle_special
     assert chain_ulrich == sorted(z for z in oracle_ulrich if inbox(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees())
+def test_every_walked_chain_has_colength_minus_one_steps(g):
+    # Each step Y is the fundamental cycle of a piece of Z's zero locus,
+    # so p_a(Y) = 0 and Z.Y = 0: p_a drops by one per step.  The one-walk
+    # classify (``_enumerate_both``) rests on this.
+    rep = validate(g)
+    assume(rep.connected and rep.negative_definite and rep.rational)
+    _, best = _chain_enumerate(g, lambda ys: True, max_depth=10 * g.vertex_count)
+    for z, (chain, _) in best.items():
+        assert len(chain) == colength(g, z) - 1

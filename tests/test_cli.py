@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import dualcycles
 import dualcycles.cli as cli
 from dualcycles.builders import build_ade, build_cyclic, parse_graph
+from dualcycles.classify import enumerate_special, enumerate_ulrich
 from dualcycles.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -207,6 +208,39 @@ class TestInvariantsCommand:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    def test_table_form_builds_no_filtration_in_time(self, capsys):
+        # The filtration has one step per multiple of Z_0 below Z: 2,000,000
+        # here.  Table output never prints it.
+        a = 2_000_000
+        start = time.perf_counter()
+        code, out = run("invariants", "--family", "A", "--index", "1", "--cycle", str(a))
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert out == (
+            f"  virtual_genus: {1 - a * a}\n"
+            f"  colength: {a * a}\n"
+            f"  multiplicity: {2 * a * a}\n"
+            f"  min_gens: {1 + 2 * a}\n"
+            f"  u_invariant: {2 * a**3 - 2 * a * a}\n"
+            "  special_module_indices: []\n"
+        )
+        assert capsys.readouterr().err == ""
+        assert elapsed < 2.0
+
+    def test_table_form_prints_the_json_values(self):
+        argv = ["invariants", "--family", "E", "--index", "6", "--cycle", "2,3,4,3,2,2"]
+        code, out = run(*argv)
+        _, doc = run_json(*argv)
+        assert code == EXIT_OK
+        keys = list(doc["results"])[1:-1]  # between "cycle" and "filtration"
+        assert out == "".join(f"  {k}: {doc['results'][k]}\n" for k in keys)
+
+
+def two_walk_classify(g, max_colength, max_steps=None):
+    """Reference for plain ``classify``: the special walk, then the Ulrich walk."""
+    return enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)
+
+
 class TestClassifyCommand:
     def test_both_lists_by_default(self):
         code, doc = run_json("classify", "--n", "7", "--q", "3")
@@ -261,6 +295,60 @@ class TestClassifyCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
+
+
+    @pytest.mark.parametrize("source", ["A9", "D8", "star"])
+    def test_one_walk_matches_two_walks(self, tmp_path, capsys, monkeypatch, source):
+        # A_9 and D_8 have multiplicity 2 and take one walk; the star has
+        # multiplicity 3 and still takes two.
+        if source == "star":
+            g = STAR
+            path = tmp_path / "star.txt"
+            path.write_text(serialize_graph(STAR))
+            argv = ["classify", "--graph", str(path)]
+        else:
+            g = build_ade(source[0], int(source[1:]))
+            argv = ["classify", "--family", source[0], "--index", source[1:]]
+        longest = max(e.chain.length for e in enumerate_ulrich(g))
+        # Bad caps first: each walk checks its own cap before walking.
+        caps = [(0, None), (0, -1), (1, -1), (None, None), (1, None), (2, None)]
+        for steps in (longest - 1, longest, longest + 1):  # the first one raises
+            caps += [(colength, steps) for colength in (None, 1, steps, steps + 1, steps + 2)]
+
+        def outputs():
+            got = []
+            for colength, steps in caps:
+                extra = [] if colength is None else ["--max-colength", str(colength)]
+                extra += [] if steps is None else ["--max-steps", str(steps)]
+                for fmt in ("table", "json"):
+                    code, out = run("--format", fmt, *argv, *extra)
+                    got.append((fmt, colength, steps, code, out, capsys.readouterr().err))
+            return got
+
+        shared = outputs()
+        monkeypatch.setattr(cli, "_enumerate_both", two_walk_classify)
+        reference = outputs()
+        assert shared == reference
+        raised = [r for r in reference if r[2] == longest - 1]
+        assert raised and all(r[3:5] == (EXIT_VALIDATION, "") for r in raised)
+        assert all(r[5].startswith("error: chain through ") for r in raised)
+
+    def test_table_form_builds_no_entry_dicts(self, monkeypatch):
+        calls = []
+        real = cli._entry_dict
+
+        def spy(e):
+            calls.append(e)
+            return real(e)
+
+        monkeypatch.setattr(cli, "_entry_dict", spy)
+        code, out = run("classify", "--family", "A", "--index", "9")
+        assert code == EXIT_OK and "ulrich cycles (5):" in out
+        assert calls == []
+        # JSON form builds one dict per entry: the two lists share them.
+        code, doc = run_json("classify", "--family", "A", "--index", "9")
+        assert code == EXIT_OK
+        assert len(calls) == len(doc["results"]["ulrich"]) == 5
 
 
 class TestOracleCommand:
@@ -460,6 +548,17 @@ class TestJsonEmitter:
     @example([[True, 1], [1, 1]])
     def test_any_value_matches_json_dumps(self, v):
         assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
+
+    def test_list_objects_met_twice_match_json_dumps(self):
+        shared = [{"cycle": [1, 2], "kind": "both"}, [[3, 4], "x"], []]
+        cases = [
+            {"a": shared, "b": {"c": shared}, "d": [shared, {"e": [shared]}]},  # depths
+            {"special": shared, "ulrich": shared},  # sibling keys
+            [shared, shared],  # sibling items
+            {"special": [{"c": [1]}, [["s"]]], "ulrich": [{"c": [1]}, [["s"]]]},  # equal, distinct
+        ]
+        for v in cases:
+            assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
 
     def test_document_with_shared_steps_round_trips(self):
         # D_30's witness chains share most of their steps

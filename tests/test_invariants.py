@@ -1,10 +1,14 @@
 """Tests for fundamental cycles, ideal invariants and filtrations."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import dualcycles
 from dualcycles.builders import (
     build_ade,
     build_cyclic,
@@ -104,6 +108,28 @@ class TestFundamentalCycle:
         # -1 once read as the last vertex and 98 raised IndexError.
         with pytest.raises(ValueError, match="outside"):
             fundamental_cycle(build_ade("A", 3), frozenset(verts))
+
+    def test_refuses_indefinite_support_in_time(self):
+        # A -2 centre with five -2 leaves, alone (full support) and with a
+        # seventh vertex hung on a leaf (sub-support): Laufer's loop never
+        # ends on either.
+        code = (
+            "from dualcycles.invariants import fundamental_cycle\n"
+            "from dualcycles.lattice import DualGraph\n"
+            "star = [(0, i) for i in range(1, 6)]\n"
+            "for g, verts in ((DualGraph((-2,) * 6, star), None),\n"
+            "                 (DualGraph((-2,) * 7, star + [(5, 6)]), frozenset(range(6)))):\n"
+            "    try:\n"
+            "        fundamental_cycle(g, verts)\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "fundamental cycle needs a negative definite support\n" * 2
 
     def test_result_is_anti_nef_with_full_support(self):
         for g in (build_ade("E", 7), build_cyclic(19, 7), STAR):
