@@ -9,10 +9,10 @@ shape, rationality, Gorenstein-ness).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .lattice import DualGraph, virtual_genus
+from .lattice import DualGraph
 
 ADE_FAMILIES = ("A", "D", "E")
 
@@ -183,20 +183,27 @@ class ValidationReport:
         return not self.failures
 
 
+def _components(g: DualGraph, verts: Iterable[int]) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced on ``verts``."""
+    verts = set(verts)
+    comps = []
+    while verts:
+        stack = [verts.pop()]
+        comp = set(stack)
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u in verts:
+                    verts.discard(u)
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
 def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     """Graph search on the induced subgraph (whole graph by default)."""
-    verts = set(range(g.vertex_count)) if vertices is None else set(vertices)
-    if not verts:
-        return False
-    stack = [next(iter(verts))]
-    seen = set()
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(u for u in g.neighbors(v) if u in verts and u not in seen)
-    return seen == verts
+    verts = range(g.vertex_count) if vertices is None else vertices
+    return len(_components(g, verts)) == 1
 
 
 def _leading_minors(m) -> Iterator[int]:
@@ -247,28 +254,6 @@ def _leading_minors(m) -> Iterator[int]:
         minors.append(p)
 
 
-def _det(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     """Sylvester's criterion on -M, or on its block over ``vertices`` (the
     induced subgraph): all leading principal minors positive.
@@ -287,20 +272,15 @@ def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -
     return all(d > 0 for d in _leading_minors(rows))
 
 
-def graph_determinant(g: DualGraph) -> int:
-    """det(-M), the order of the discriminant group (n for (1/n)(1,q))."""
-    return _det([[-x for x in row] for row in g.intersection_matrix()])
-
-
 def validate(g: DualGraph) -> ValidationReport:
-    """Full structural report; never raises, all findings are collected."""
-    from .invariants import fundamental_cycle, multiplicity  # cycle-level layer
+    """Full structural report; never raises, all findings are collected.
+    Read from the graph record that the classifiers share."""
+    from .invariants import _graph_record  # cycle-level layer
 
-    rep = ValidationReport()
-    rep.connected = is_connected(g)
+    record = _graph_record(g)
+    rep = ValidationReport(record.connected, record.negative_definite)
     if not rep.connected:
         rep.failures.append("graph is not connected")
-    rep.negative_definite = is_negative_definite(g)
     if not rep.negative_definite:
         rep.failures.append("intersection matrix is not negative definite")
     rep.tree = rep.connected and len(g.edges) == g.vertex_count - 1
@@ -310,13 +290,12 @@ def validate(g: DualGraph) -> ValidationReport:
             f"weights > -2 at vertices {bad_weights} (not a minimal resolution)"
         )
 
-    if rep.connected and rep.negative_definite:
-        z0 = fundamental_cycle(g)
-        rep.multiplicity = multiplicity(g, z0)
-        rep.rational = virtual_genus(g, z0) == 0
+    if record.z0 is not None:
+        rep.multiplicity = record.multiplicity
+        rep.rational = record.genus == 0
         if not rep.rational:
             rep.failures.append(
-                f"not rational: fundamental cycle has virtual genus {virtual_genus(g, z0)}"
+                f"not rational: fundamental cycle has virtual genus {record.genus}"
             )
         rep.gorenstein = rep.multiplicity == 2
         if rep.gorenstein and not rep.rational:

@@ -7,15 +7,27 @@ zero-pairing locus) and accept steps by the chain criteria; the oracle
 brute-forces all anti-nef cycles in a box and applies the pointwise
 tests (coefficient saturation for special, vanishing U invariant for
 Ulrich).  The two routes are compared by the differential tests and must
-never disagree.
+never disagree.  Each public entry point reads the graph's memoised
+record once (InvalidGraphError unless rational) and passes Z_0 down; the
+cycle invariants come from ``invariants._pointwise``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builders import ADE_FAMILIES, build_ade, validate
-from .invariants import Filtration, _laufer, fundamental_cycle, multiplicity
+from .builders import ADE_FAMILIES, _components, build_ade
+from .invariants import (
+    CycleInvariants,
+    Filtration,
+    InvalidGraphError,
+    _graph_record,
+    _invariants_of,
+    _laufer,
+    _pointwise,
+    _rational,
+    fundamental_cycle,
+)
 from .lattice import (
     Cycle,
     CycleError,
@@ -26,28 +38,8 @@ from .lattice import (
 )
 
 
-class InvalidGraphError(ValueError):
-    """The graph fails validation (classification is undefined on it)."""
-
-
 class ChainDepthError(RuntimeError):
     """A chain enumeration exceeded its step cap without terminating."""
-
-
-_VALIDATED: dict[DualGraph, bool] = {}
-
-
-def _require_rational(g: DualGraph) -> None:
-    ok = _VALIDATED.get(g)
-    if ok is None:
-        rep = validate(g)
-        ok = rep.connected and rep.negative_definite and rep.rational
-        _VALIDATED[g] = ok
-    if not ok:
-        raise InvalidGraphError(
-            "graph is not a valid rational singularity resolution graph "
-            "(must be connected, negative definite, with p_a(Z0) = 0)"
-        )
 
 
 @dataclass(frozen=True)
@@ -63,86 +55,31 @@ class ClassificationEntry:
     kind: str  # "special" | "ulrich" | "both"
 
 
-def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> tuple[frozenset[int], int, int, int, int]:
-    """(special module indices, min_gens, U(Z), colength, multiplicity) of an
-    anti-nef Z, read off one pairing vector.
-
-    With P = M.Z: Z^2 = Z.P, Z.Z_0 = Z_0.P, p_a(Z) = (Z^2 + K.Z)/2 + 1,
-    colength 1 - p_a(Z), multiplicity -Z^2, min_gens 1 - Z.Z_0,
-    U(Z) = (Z.Z_0)(p_a - 1) + Z^2 and the indices i with a_i = n_i * colength,
-    the formulas of ``invariants``.  Z is special when the index set is
-    nonempty.  Raises what those functions raise on a cycle of the wrong
-    length, one that is not positive and anti-nef, odd Z^2 + K.Z, or a
-    coefficient above n_i * colength(Z).
-    """
-    z = g.check_cycle(z)
-    if not any(a > 0 for a in z):
-        raise CycleError("expected a positive cycle")
-    if any(a < 0 for a in z):
-        raise CycleError("anti-nef test requires a nonnegative cycle")
-    pairing = pairing_vector(g, z)
-    if any(v > 0 for v in pairing):
-        raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
-    zz = sum(a * v for a, v in zip(z, pairing))
-    q = zz + canonical_degree(g, z)
-    if q % 2 != 0:
-        raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
-    genus = q // 2 + 1
-    ell = 1 - genus
-    if any(a > n * ell for a, n in zip(z, z0)):
-        raise AssertionError("coefficient bound violated: input graph is not rational")
-    z0z = sum(n * v for n, v in zip(z0, pairing))
-    indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
-    return indices, 1 - z0z, z0z * (genus - 1) + zz, ell, -zz
-
-
-def _ulrich(point: tuple, mult2: bool) -> bool:
-    indices, mu, u = point[:3]
+def _is_ulrich(point: CycleInvariants, mult2: bool) -> bool:
     if mult2:
-        return bool(indices)
-    if mu <= 2:
+        return bool(point.indices)
+    if point.min_gens <= 2:
         raise CycleError(
             "U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
             "on a multiplicity >= 3 graph"
         )
-    return u == 0
+    return point.u == 0
 
 
 def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
     """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
-    _require_rational(g)
-    return bool(_pointwise(g, z, fundamental_cycle(g))[0])
+    return bool(_invariants_of(g, z).indices)
 
 
 def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     """Ulrich test: on multiplicity-2 graphs this coincides with the special
     test; otherwise U(Z) = 0 decides (valid since mu(I_Z) > 2 there)."""
-    _require_rational(g)
-    z0 = fundamental_cycle(g)
-    return _ulrich(_pointwise(g, z, z0), multiplicity(g, z0) == 2)
+    z0, mult2 = _rational(g)
+    return _is_ulrich(_pointwise(g, z, z0), mult2)
 
 
-def _zero_components(g: DualGraph, pairing, inside) -> list[frozenset[int]]:
-    """Connected components of {v in inside : Z.E_v = 0}, given Z's pairing
-    Z.E_v at every v in ``inside`` (a sequence or a {vertex: value} dict)."""
-    verts = {v for v in inside if pairing[v] == 0}
-    comps = []
-    while verts:
-        stack = [verts.pop()]
-        comp = set(stack)
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in verts:
-                    verts.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
-    """Shared depth-first walk over admissible filtration chains.
+def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=None):
+    """Shared depth-first walk over admissible filtration chains from Z_0.
 
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
@@ -161,12 +98,12 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
     so every other entry stays <= 0.  Y and Z + Y are then built as
     length-r tuples, at C speed.
     """
-    z0 = fundamental_cycle(g)
     weights, nbrs = g.weights, g._neighbors
     best: dict[Cycle, tuple[tuple[tuple[Cycle, Cycle], ...], frozenset[int]]] = {}
 
-    def children(pairing, inside):
-        return iter(sorted(_zero_components(g, pairing, inside), key=sorted))
+    def children(pairing, inside):  # the components of Z's zero locus in `inside`
+        zeros = [v for v in inside if pairing[v] == 0]
+        return iter(sorted(_components(g, zeros), key=sorted))
 
     # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
     # chain, surviving set) frames, so chain length is not bounded by the
@@ -208,17 +145,16 @@ def _chain_enumerate(g: DualGraph, accept, max_depth: int, on_cap=None):
         if old is None or new_chain < old[0]:
             best[z_new] = (new_chain, surviving)
         stack.append((children(moved, comp), z_new, y, moved, new_chain, surviving))
-    return z0, best
+    return best
 
 
-def _entry(z0: Cycle, z: Cycle, chain, point: tuple, kind: str) -> ClassificationEntry:
-    indices, mu, _, ell, mult = point
+def _entry(z0: Cycle, z: Cycle, chain, point: CycleInvariants, kind: str) -> ClassificationEntry:
     return ClassificationEntry(
         cycle=z,
-        colength=ell,
-        multiplicity=mult,
-        min_gens=mu,
-        module_indices=indices,
+        colength=point.colength,
+        multiplicity=point.multiplicity,
+        min_gens=point.min_gens,
+        module_indices=point.indices,
         chain=Filtration(base=z0, steps=tuple(chain)),
         kind=kind,
     )
@@ -231,21 +167,16 @@ def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEnt
     has coeff(Y_k) = n_i at every step; the surviving index set is tracked
     per chain and the cycle is emitted once it stays nonempty.
     """
-    return _special(g, max_colength)
+    return _special(g, *_rational(g), max_colength)
 
 
-def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[ClassificationEntry]:
-    """``enumerate_special``; ``on_cap`` is called on any accepted chain
-    longer than max_colength - 1 steps, which is otherwise dropped."""
-    _require_rational(g)
+def _special(g: DualGraph, z0: Cycle, mult2: bool, max_colength: int, on_cap=None):
+    """``enumerate_special`` on a rational graph with fundamental cycle
+    ``z0``; ``on_cap`` is called on any accepted chain longer than
+    max_colength - 1 steps, which is otherwise dropped."""
     if max_colength < 1:
         raise ValueError("max_colength must be >= 1")
-    z0 = fundamental_cycle(g)
-    mult2 = multiplicity(g, z0) == 2
-
-    _, best = _chain_enumerate(
-        g, lambda ys: True, max_depth=max_colength - 1, on_cap=on_cap
-    )
+    best = _chain_enumerate(g, z0, lambda ys: True, max_colength - 1, on_cap)
 
     special = {}  # special cycle -> its _pointwise record
     for z, (_, surviving) in best.items():
@@ -253,16 +184,16 @@ def _special(g: DualGraph, max_colength: int, on_cap=None) -> list[Classificatio
         # pointwise saturation test is chain independent; assert that
         # equivalence on the witness chain's surviving set.
         point = _pointwise(g, z, z0)
-        if surviving and not point[0]:
+        if surviving and not point.indices:
             raise AssertionError("chain criterion disagrees with pointwise test")
-        if point[0]:
+        if point.indices:
             special[z] = point
     special[z0] = _pointwise(g, z0, z0)
 
     out = []
     for z in sorted(special):
         point = special[z]
-        kind = "both" if _ulrich(point, mult2) else "special"
+        kind = "both" if _is_ulrich(point, mult2) else "special"
         out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
     return out
 
@@ -279,20 +210,23 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     longer than ``max_steps`` (default 10 r), and ValueError when
     ``max_steps`` is negative.
     """
-    _require_rational(g)
+    return _ulrich(g, *_rational(g), max_steps)
+
+
+def _ulrich(g: DualGraph, z0: Cycle, mult2: bool, max_steps: int | None):
+    """``enumerate_ulrich`` on a rational graph with fundamental cycle ``z0``."""
     if max_steps is None:
         max_steps = 10 * g.vertex_count
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    z0 = fundamental_cycle(g)
 
     def on_cap(chain):
         raise ChainDepthError(
             f"chain through {[s[1] for s in chain]} exceeded {max_steps} steps"
         )
 
-    if multiplicity(g, z0) == 2:
-        return _special(g, max_steps + 1, on_cap)
+    if mult2:
+        return _special(g, z0, mult2, max_steps + 1, on_cap)
 
     # K.(Z_0 - Y) = 0 reads K.Y = K.Z_0, with K.E_v = -w_v - 2.
     k0 = canonical_degree(g, z0)
@@ -300,14 +234,14 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     def accept(ys: dict[int, int]) -> bool:
         return sum(a * (-g.weights[v] - 2) for v, a in ys.items()) == k0
 
-    _, best = _chain_enumerate(g, accept, max_depth=max_steps, on_cap=on_cap)
+    best = _chain_enumerate(g, z0, accept, max_steps, on_cap)
 
     out = []
     for z in sorted(set(best) | {z0}):
         point = _pointwise(g, z, z0)
-        if point[2] != 0:
+        if point.u != 0:
             raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
-        kind = "both" if point[0] else "ulrich"
+        kind = "both" if point.indices else "ulrich"
         out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
     return out
 
@@ -324,12 +258,12 @@ def _enumerate_both(g: DualGraph, max_colength: int, max_steps: int | None = Non
     colength <= max_colength part: the same list object when that is all
     of it.  Other graphs take both walks, as their accept rules differ.
     """
-    _require_rational(g)
-    if max_colength >= 1 and multiplicity(g, fundamental_cycle(g)) == 2:
-        ulrich = enumerate_ulrich(g, max_steps)
+    z0, mult2 = _rational(g)
+    if max_colength >= 1 and mult2:
+        ulrich = _ulrich(g, z0, mult2, max_steps)
         special = [e for e in ulrich if e.colength <= max_colength]
         return (ulrich if len(special) == len(ulrich) else special), ulrich
-    return enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)
+    return _special(g, z0, mult2, max_colength), _ulrich(g, z0, mult2, max_steps)
 
 
 def _elimination_order(g: DualGraph) -> list[int]:
@@ -355,9 +289,8 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
     neighbours u of v in U, so that sum c_v a_v = (adj(-M_U) b)_p.  The
     adjugates are grown from the last position backwards by the bordering
     (Schur complement) update, all in exact integers: O(r^3) in all.  The
-    dets are the leading minors of -M in reversed order, so by Sylvester's
-    criterion they are all positive exactly when the graph is negative
-    definite; InvalidGraphError otherwise.
+    dets are leading minors of -M, positive as the graph must be negative
+    definite (Sylvester's criterion).
     """
     pos: dict[int, int] = {}  # vertex -> row of `adj`, for the vertices of U
     adj: list[list[int]] = []
@@ -368,8 +301,6 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
         near = [pos[q] for q in g.neighbors(p) if q in pos]
         t = [sum(row[j] for j in near) for row in adj]
         det = -g.weights[p] * d - sum(t[j] for j in near)
-        if det <= 0:
-            raise InvalidGraphError("graph is not negative definite")
         adj = [
             [(det * x + ti * tj) // d for x, tj in zip(row, t)] + [ti]
             for row, ti in zip(adj, t)
@@ -388,14 +319,24 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
 
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
-    """All anti-nef cycles 0 < Z <= bound * Z_0, by pruned box enumeration.
+    """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1.
+    InvalidGraphError on a graph that is not negative definite."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if not _graph_record(g).negative_definite:
+        raise InvalidGraphError("graph is not negative definite")
+    return _box_search(g, scale(bound, fundamental_cycle(g)))
 
-    ``bound`` >= 1 scales the box: coefficient a_i ranges over
-    0..bound * n_i with Z_0 = sum n_i E_i.  Coefficients are assigned in the
-    breadth-first order of ``_elimination_order``, depth first with an
-    explicit stack.  The interval of the vertex p being assigned is cut
-    from both sides by the pointwise definition Z.E_i <= 0 alone, so
-    nothing here uses the chain results or the theorem Z >= Z_0:
+
+def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
+    """All anti-nef cycles 0 < Z <= ``box`` on a negative definite graph,
+    by pruned enumeration.
+
+    Coefficients are assigned in the breadth-first order of
+    ``_elimination_order``, depth first with an explicit stack.  The
+    interval of the vertex p being assigned is cut from both sides by the
+    pointwise definition Z.E_i <= 0 alone, so nothing here uses the chain
+    results or the theorem Z >= Z_0:
 
     - upper: unassigned coefficients are nonnegative, so each assigned
       neighbour u of p must keep its pairing over the assigned vertices,
@@ -412,14 +353,10 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     Cost: O(r^3) set-up plus O(r) per value tried.  On E_8 the search
     tries 503 values for the 61 cycles at bound 6 and 1,708 for the 255 at
     bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
-    bound it tried 226,667 and 2,189,834.  Raises InvalidGraphError on a
-    graph that is not negative definite (Laufer's loop would not end).
+    bound it tried 226,667 and 2,189,834.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
     order = _elimination_order(g)
     plans = _lower_bound_plans(g, order)
-    box = scale(bound, fundamental_cycle(g))
     rank = {v: k for k, v in enumerate(order)}
     caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]
 
@@ -467,16 +404,15 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
 def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]:
     """Reference classification with no chain reasoning: filter the brute
     force anti-nef list by the pointwise special and Ulrich tests."""
-    _require_rational(g)
-    cycles = brute_force_anti_nef(g, bound)
-    z0 = fundamental_cycle(g)
-    mult2 = multiplicity(g, z0) == 2
+    z0, mult2 = _rational(g)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     special, ulrich = [], []
-    for z in cycles:
+    for z in _box_search(g, scale(bound, z0)):
         point = _pointwise(g, z, z0)
-        if point[0]:
+        if point.indices:
             special.append(z)
-        if _ulrich(point, mult2):
+        if _is_ulrich(point, mult2):
             ulrich.append(z)
     return special, ulrich
 

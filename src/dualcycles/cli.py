@@ -36,17 +36,8 @@ from .classify import (
     oracle_classify,
     verify_rdp,
 )
-from .invariants import (
-    Filtration,
-    colength,
-    filtration,
-    fundamental_cycle,
-    min_gens,
-    multiplicity,
-    special_module_indices,
-    u_invariant,
-)
-from .lattice import Cycle, CycleError, DualGraph, is_anti_nef, virtual_genus
+from .invariants import Filtration, _invariants_of, filtration, fundamental_cycle
+from .lattice import Cycle, CycleError, DualGraph, is_anti_nef
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -354,30 +345,22 @@ def _cmd_invariants(args, out) -> int:
     if any(a < 0 for a in z) or not is_anti_nef(g, z):
         print("error: cycle is not anti-nef (represents no ideal)", file=sys.stderr)
         return EXIT_VALIDATION
+    inv = _invariants_of(g, z)
     results = {
         "cycle": list(z),
-        "virtual_genus": virtual_genus(g, z),
-        "colength": colength(g, z),
-        "multiplicity": multiplicity(g, z),
-        "min_gens": min_gens(g, z),
-        "u_invariant": u_invariant(g, z),
-        "special_module_indices": sorted(
-            i + 1 for i in special_module_indices(g, z)
-        ),
+        "virtual_genus": inv.genus,
+        "colength": inv.colength,
+        "multiplicity": inv.multiplicity,
+        "min_gens": inv.min_gens,
+        "u_invariant": inv.u,
+        "special_module_indices": sorted(i + 1 for i in inv.indices),
     }
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
         results["filtration"] = _filtration_dict(filtration(g, z))
         _emit(args, "invariants", g, results, out)
     else:
-        for key in (
-            "virtual_genus",
-            "colength",
-            "multiplicity",
-            "min_gens",
-            "u_invariant",
-            "special_module_indices",
-        ):
+        for key in list(results)[1:]:  # all but the cycle
             print(f"  {key}: {results[key]}", file=out)
     return EXIT_OK
 

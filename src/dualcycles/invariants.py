@@ -1,34 +1,43 @@
-"""Numerical invariants of anti-nef cycles.
+"""Numerical invariants of graphs and of anti-nef cycles, each formula
+in one place.
 
-Fundamental cycles (globally and on sub-supports), colength and
-multiplicity of the represented ideal, minimal generator count, the U
-invariant whose vanishing detects Ulrich cycles, canonical filtrations,
-and the vertex set picking out special modules.
+``_graph_record`` holds Z_0 and the validity of a graph, memoised and
+shared by the validator and the classifiers.  ``_pointwise`` reads every
+invariant of an anti-nef cycle off one pairing vector; the public
+functions read it, after raising InvalidGraphError unless the graph is
+connected, negative definite and rational.  Also: fundamental cycles on
+sub-supports and canonical filtrations.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .builders import is_connected, is_negative_definite
 from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
+    _genus,
     inf_cycles,
-    intersection,
-    is_anti_nef,
+    pairing_vector,
     scale,
     sub,
-    virtual_genus,
 )
 
-_Z0_CACHE: dict[DualGraph, Cycle] = {}
+
+class InvalidGraphError(ValueError):
+    """The graph fails validation (classification is undefined on it)."""
 
 
-def _laufer(g: DualGraph, verts: frozenset[int]) -> dict[int, int]:
-    """{vertex: coefficient} of the fundamental cycle on ``verts``.
+def _laufer(g: DualGraph, verts: Iterable[int]) -> dict[int, int]:
+    """{vertex: coefficient} of the fundamental cycle on ``verts``, in the
+    order of ``verts``.
 
     Laufer's loop: start from 1 everywhere and bump the lowest-index vertex
     whose pairing over ``verts`` is positive (the fixed point is order
@@ -63,14 +72,16 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     nonempty, inside 0..r-1, connected (guaranteed on full vertex sets of
     connected graphs) and negative definite, else ValueError.  The
     definiteness test is one sparse Bareiss pass over the support's
-    induced subgraph, O(|support| + fill-in); on the full support it runs
-    once per graph, since Z_0 is cached.
+    induced subgraph, O(|support| + fill-in); on the full support of a
+    valid graph Z_0 is read from the graph record.
     """
     everything = frozenset(range(g.vertex_count))
-    full = vertices is None or vertices == everything
-    if full and g in _Z0_CACHE:
-        return _Z0_CACHE[g]
-    verts = everything if vertices is None else frozenset(vertices)
+    if vertices is None or vertices == everything:
+        z0 = _graph_record(g).z0
+        if z0 is not None:
+            return z0
+        vertices = everything  # the checks below say what is wrong
+    verts = frozenset(vertices)
     if not verts:
         raise ValueError("fundamental cycle needs a nonempty support")
     if not verts <= everything:
@@ -85,31 +96,104 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     z = [0] * g.vertex_count
     for v, a in _laufer(g, verts).items():
         z[v] = a
-    result = tuple(z)
-    if full:
-        _Z0_CACHE[g] = result
-    return result
+    return tuple(z)
 
 
-def _require_anti_nef(g: DualGraph, z: Cycle) -> Cycle:
+class GraphRecord(NamedTuple):
+    """What is known of a graph.  ``z0``, ``multiplicity`` (-Z_0^2) and
+    ``genus`` (p_a(Z_0)) are None unless the graph is connected and
+    negative definite; it is rational exactly when ``genus == 0``."""
+
+    connected: bool
+    negative_definite: bool
+    z0: Cycle | None = None
+    multiplicity: int | None = None
+    genus: int | None = None
+
+
+@functools.lru_cache(maxsize=256)
+def _graph_record(g: DualGraph) -> GraphRecord:
+    """One graph search, one sparse Bareiss pass, one Laufer loop and one
+    pairing vector, memoised on graph equality: requests on one graph
+    share them, and a long-running process holds a bounded set of graphs."""
+    connected, definite = is_connected(g), is_negative_definite(g)
+    if not (connected and definite):
+        return GraphRecord(connected, definite)
+    z0 = tuple(_laufer(g, range(g.vertex_count)).values())
+    zz = sum(map(operator.mul, z0, pairing_vector(g, z0)))
+    return GraphRecord(True, True, z0, -zz, _genus(g, z0, zz))
+
+
+def _rational(g: DualGraph) -> tuple[Cycle, bool]:
+    """(Z_0, multiplicity == 2) of a connected, negative definite, rational
+    graph; InvalidGraphError on any other graph."""
+    record = _graph_record(g)
+    if record.genus != 0:
+        raise InvalidGraphError(
+            "graph is not a valid rational singularity resolution graph "
+            "(must be connected, negative definite, with p_a(Z0) = 0)"
+        )
+    return record.z0, record.multiplicity == 2
+
+
+class CycleInvariants(NamedTuple):
+    """The invariants of one anti-nef cycle (a tuple: one is built per
+    walked cycle)."""
+
+    genus: int
+    colength: int
+    multiplicity: int
+    min_gens: int
+    u: int
+    indices: frozenset[int]
+
+
+def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> CycleInvariants:
+    """The invariants of a positive anti-nef Z on a rational graph with
+    fundamental cycle Z_0 = sum n_i E_i, read off one pairing vector P = M.Z:
+
+    - p_a(Z) = (Z^2 + K.Z)/2 + 1, with Z^2 = Z.P and Z.Z_0 = Z_0.P;
+    - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch);
+    - multiplicity -Z^2 and min_gens 1 - Z.Z_0;
+    - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2;
+    - the indices i with a_i = n_i * colength(Z).
+
+    Raises DimensionError on a cycle of the wrong length, CycleError on
+    one that is not positive and anti-nef, and AssertionError on odd
+    Z^2 + K.Z or a coefficient above n_i * colength(Z) (impossible on a
+    rational graph).
+    """
     z = g.check_cycle(z)
     if not any(a > 0 for a in z):
         raise CycleError("expected a positive cycle")
-    if not is_anti_nef(g, z):
+    if any(a < 0 for a in z):
+        raise CycleError("anti-nef test requires a nonnegative cycle")
+    pairing = pairing_vector(g, z)
+    if any(v > 0 for v in pairing):
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
-    return z
+    zz = sum(map(operator.mul, z, pairing))
+    genus = _genus(g, z, zz)
+    ell = 1 - genus
+    if any(a > n * ell for a, n in zip(z, z0)):
+        raise AssertionError("coefficient bound violated: input graph is not rational")
+    z0z = sum(map(operator.mul, z0, pairing))
+    indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
+    return CycleInvariants(genus, ell, -zz, 1 - z0z, z0z * (genus - 1) + zz, indices)
+
+
+def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:
+    """``_pointwise`` after the graph check: InvalidGraphError first."""
+    return _pointwise(g, z, _rational(g)[0])
 
 
 def colength(g: DualGraph, z: Cycle) -> int:
     """Length of A/I_Z, which is 1 - p_a(Z) by the Riemann-Roch formula."""
-    z = _require_anti_nef(g, z)
-    return 1 - virtual_genus(g, z)
+    return _invariants_of(g, z).colength
 
 
 def multiplicity(g: DualGraph, z: Cycle) -> int:
     """Multiplicity of the represented ideal: -Z^2."""
-    z = _require_anti_nef(g, z)
-    return -intersection(g, z, z)
+    return _invariants_of(g, z).multiplicity
 
 
 def min_gens(g: DualGraph, z: Cycle) -> int:
@@ -119,16 +203,13 @@ def min_gens(g: DualGraph, z: Cycle) -> int:
     to -Z^2 - (mu - 1) * colength; cross-checked against the known
     generator counts of the classified ideals.
     """
-    z = _require_anti_nef(g, z)
-    return 1 - intersection(g, z, fundamental_cycle(g))
+    return _invariants_of(g, z).min_gens
 
 
 def u_invariant(g: DualGraph, z: Cycle) -> int:
     """U(Z) = (Z_0.Z)(p_a(Z) - 1) + Z^2; zero exactly on Ulrich cycles
     once the graph has multiplicity >= 3."""
-    z = _require_anti_nef(g, z)
-    z0 = fundamental_cycle(g)
-    return intersection(g, z0, z) * (virtual_genus(g, z) - 1) + intersection(g, z, z)
+    return _invariants_of(g, z).u
 
 
 @dataclass(frozen=True)
@@ -155,11 +236,14 @@ class Filtration:
 
 
 def filtration(g: DualGraph, z: Cycle) -> Filtration:
-    """Canonical filtration of an anti-nef Z >= Z_0: Z_k = inf(Z, (k+1)Z_0)."""
-    z = _require_anti_nef(g, z)
-    z0 = fundamental_cycle(g)
-    if any(a < b for a, b in zip(z, z0)):
-        raise CycleError("anti-nef cycles dominate the fundamental cycle")
+    """Canonical filtration of an anti-nef Z: Z_k = inf(Z, (k+1)Z_0).
+
+    Every positive anti-nef Z on a connected graph dominates Z_0, so the
+    chain starts at Z_0 and ends at Z.
+    """
+    z0 = _rational(g)[0]
+    z = g.check_cycle(z)
+    _pointwise(g, z, z0)  # Z must be positive and anti-nef
     s = 0
     while any(a > (s + 1) * b for a, b in zip(z, z0)):
         s += 1
@@ -178,14 +262,6 @@ def special_module_indices(g: DualGraph, z: Cycle) -> frozenset[int]:
     Each such vertex marks an indecomposable module that stays free modulo
     the represented ideal; a nonempty set makes Z a special cycle.  The
     upper bound itself holds for every anti-nef cycle on a rational graph
-    and is asserted here.
+    and is asserted.
     """
-    z = _require_anti_nef(g, z)
-    z0 = fundamental_cycle(g)
-    ell = colength(g, z)
-    for a, n in zip(z, z0):
-        if a > n * ell:
-            raise AssertionError(
-                "coefficient bound violated: input graph is not rational"
-            )
-    return frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
+    return _invariants_of(g, z).indices

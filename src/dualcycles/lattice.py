@@ -71,16 +71,6 @@ class DualGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
-    def intersection_matrix(self) -> list[list[int]]:
-        r = self.vertex_count
-        m = [[0] * r for _ in range(r)]
-        for i in range(r):
-            m[i][i] = self.weights[i]
-        for i, j in self.edges:
-            m[i][j] = 1
-            m[j][i] = 1
-        return m
-
     def check_cycle(self, z: Cycle) -> Cycle:
         z = tuple(map(int, z))
         if len(z) != self.vertex_count:
@@ -88,9 +78,6 @@ class DualGraph:
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"
             )
         return z
-
-    def zero(self) -> Cycle:
-        return (0,) * self.vertex_count
 
     def unit(self, i: int) -> Cycle:
         z = [0] * self.vertex_count
@@ -144,13 +131,18 @@ def canonical_degree(g: DualGraph, z: Cycle) -> int:
     return sum(a * (-w - 2) for a, w in zip(z, g.weights))
 
 
-def virtual_genus(g: DualGraph, z: Cycle) -> int:
-    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer."""
-    z = g.check_cycle(z)
-    q = intersection(g, z, z) + canonical_degree(g, z)
+def _genus(g: DualGraph, z: Cycle, square: int) -> int:
+    """p_a(Z) = (Z^2 + K.Z)/2 + 1 of a checked Z with Z^2 = ``square``."""
+    q = square + canonical_degree(g, z)
     if q % 2 != 0:
         raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
     return q // 2 + 1
+
+
+def virtual_genus(g: DualGraph, z: Cycle) -> int:
+    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer."""
+    z = g.check_cycle(z)
+    return _genus(g, z, intersection(g, z, z))
 
 
 def is_anti_nef(g: DualGraph, z: Cycle) -> bool:

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from dualcycles.builders import (
     GraphFormatError,
-    _det,
     _leading_minors,
     build_ade,
     build_cyclic,
-    graph_determinant,
     hj_expansion,
     is_connected,
     is_negative_definite,
@@ -21,6 +19,46 @@ from dualcycles.builders import (
     validate,
 )
 from dualcycles.lattice import DualGraph
+
+
+def minus_m(g: DualGraph) -> list[list[int]]:
+    """-M as a dense list of rows."""
+    r = g.vertex_count
+    m = [[0] * r for _ in range(r)]
+    for i, w in enumerate(g.weights):
+        m[i][i] = -w
+    for i, j in g.edges:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
+def _det(m: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination with row
+    exchanges: the dense reference for the sparse pass."""
+    n = len(m)
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def last_pivot(g: DualGraph) -> int:
+    """The last pivot of one sparse Bareiss pass over -M: det(-M) on a
+    negative definite graph, the order of its discriminant group."""
+    return list(_leading_minors(minus_m(g)))[-1]
 
 
 def continued_fraction_value(bs):
@@ -71,11 +109,11 @@ class TestAde:
 
     def test_determinants(self):
         # classical discriminant group orders: n+1, 4, 3, 2, 1
-        assert graph_determinant(build_ade("A", 5)) == 6
-        assert graph_determinant(build_ade("D", 6)) == 4
-        assert graph_determinant(build_ade("E", 6)) == 3
-        assert graph_determinant(build_ade("E", 7)) == 2
-        assert graph_determinant(build_ade("E", 8)) == 1
+        assert last_pivot(build_ade("A", 5)) == 6
+        assert last_pivot(build_ade("D", 6)) == 4
+        assert last_pivot(build_ade("E", 6)) == 3
+        assert last_pivot(build_ade("E", 7)) == 2
+        assert last_pivot(build_ade("E", 8)) == 1
 
 
 class TestHjExpansion:
@@ -121,7 +159,7 @@ class TestCyclic:
         for n in range(3, 30):
             for q in range(1, n):
                 if math.gcd(n, q) == 1:
-                    assert graph_determinant(build_cyclic(n, q)) == n
+                    assert last_pivot(build_cyclic(n, q)) == n
 
     def test_all_small_cyclic_graphs_are_rational(self):
         for n in range(3, 20):
@@ -233,10 +271,10 @@ class TestNegativeDefinite:
         assert not is_negative_definite(g)
 
     def test_determinant_sign_alternation(self):
-        # det(-M) of a negative definite -M... -M positive definite has
-        # positive determinant for every leading block; spot check via det
+        # -M is positive definite, so every pivot is positive and the last
+        # one is det(-M), the order n of the group of (1/n)(1, q)
         g = build_cyclic(11, 4)
-        assert graph_determinant(g) == 11
+        assert last_pivot(g) == 11
 
 
 @st.composite
@@ -281,10 +319,6 @@ def relabel(g: DualGraph, order: list[int]) -> DualGraph:
     return DualGraph(weights, [(new[i], new[j]) for i, j in g.edges])
 
 
-def minus_m(g: DualGraph) -> list[list[int]]:
-    return [[-x for x in row] for row in g.intersection_matrix()]
-
-
 # Graphs whose elimination leaves rows untouched for many steps before
 # reading them, or fills rows in: the lazy rescaling and the sparse
 # updates must give the dense pass's pivots.
@@ -324,8 +358,7 @@ class TestLeadingMinors:
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())
     def test_sylvester_verdict(self, g):
-        neg = [[-x for x in row] for row in g.intersection_matrix()]
-        assert is_negative_definite(g) == all(d > 0 for d in block_minors(neg))
+        assert is_negative_definite(g) == all(d > 0 for d in block_minors(minus_m(g)))
 
     def test_validate_scales_to_rank_300(self):
         # one elimination pass takes about a second on a 2-vCPU machine;

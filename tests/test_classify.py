@@ -1,5 +1,6 @@
 """Tests for the classification layer: chain enumerators, oracle, tables."""
 
+import gc
 import inspect
 import itertools
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,7 +38,14 @@ from dualcycles.invariants import (
     special_module_indices,
     u_invariant,
 )
-from dualcycles.lattice import DualGraph, is_anti_nef, scale
+from dualcycles.lattice import (
+    DualGraph,
+    canonical_degree,
+    intersection,
+    is_anti_nef,
+    scale,
+    virtual_genus,
+)
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
@@ -53,6 +62,21 @@ class TestGuards:
             enumerate_ulrich(g)
         with pytest.raises(InvalidGraphError):
             oracle_classify(g, 2)
+
+    def test_graph_memo_keeps_a_bounded_set_of_graphs(self):
+        # Classifying many distinct graphs keeps at most the memo's bound
+        # of them alive; unbounded per-graph caches kept every one.
+        # The graphs are distinct: the chain determines n/q.
+        pairs = ((n, q) for n in itertools.count(5) for q in (1, 2, 3) if math.gcd(n, q) == 1)
+        refs = []
+        for n, q in itertools.islice(pairs, 1000):
+            g = build_cyclic(n, q)
+            enumerate_ulrich(g)
+            refs.append(weakref.ref(g))
+        del g
+        gc.collect()
+        bound = dualcycles.invariants._graph_record.cache_parameters()["maxsize"]
+        assert sum(r() is not None for r in refs) <= bound
 
     def test_rejects_bad_bounds(self):
         g = build_ade("A", 2)
@@ -230,15 +254,27 @@ class TestEnumerators:
 
     @pytest.mark.parametrize("corpus", list(ENTRY_CORPUS))
     def test_entries_agree_with_public_invariants(self, corpus):
+        # The entries and the public functions read one formula site; the
+        # reference here is built from the lattice definitions instead.
         for g in self.ENTRY_CORPUS[corpus]:
+            z0 = fundamental_cycle(g)
+            mult2 = -intersection(g, z0, z0) == 2
             for e in enumerate_special(g, 10 * g.vertex_count) + enumerate_ulrich(g):
                 z = e.cycle
-                assert e.colength == colength(g, z)
-                assert e.multiplicity == multiplicity(g, z)
-                assert e.min_gens == min_gens(g, z)
-                assert e.module_indices == special_module_indices(g, z)
-                assert (e.kind != "ulrich") == is_special_cycle(g, z)
-                assert (e.kind != "special") == is_ulrich_cycle(g, z)
+                zz, z0z = intersection(g, z, z), intersection(g, z0, z)
+                genus = (zz + canonical_degree(g, z)) // 2 + 1
+                assert genus == virtual_genus(g, z)
+                ell = 1 - genus
+                indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
+                u = z0z * (genus - 1) + zz
+                expected = (ell, -zz, 1 - z0z, indices)
+                assert (e.colength, e.multiplicity, e.min_gens, e.module_indices) == expected
+                public = (colength, multiplicity, min_gens, special_module_indices)
+                assert tuple(f(g, z) for f in public) == expected
+                assert u_invariant(g, z) == u
+                special, ulrich = bool(indices), bool(indices) if mult2 else u == 0
+                assert (e.kind != "ulrich") == special == is_special_cycle(g, z)
+                assert (e.kind != "special") == ulrich == is_ulrich_cycle(g, z)
 
     @pytest.mark.parametrize(
         "g", [build_ade("A", 9), build_ade("D", 8), STAR], ids=["A9", "D8", "star"]
@@ -401,6 +437,6 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     # classify (``_enumerate_both``) rests on this.
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
-    _, best = _chain_enumerate(g, lambda ys: True, max_depth=10 * g.vertex_count)
+    best = _chain_enumerate(g, fundamental_cycle(g), lambda ys: True, 10 * g.vertex_count)
     for z, (chain, _) in best.items():
         assert len(chain) == colength(g, z) - 1

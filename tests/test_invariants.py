@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
+from dualcycles import builders, classify, invariants
 from dualcycles.builders import (
     build_ade,
     build_cyclic,
@@ -17,6 +18,7 @@ from dualcycles.builders import (
     validate,
 )
 from dualcycles.invariants import (
+    InvalidGraphError,
     colength,
     filtration,
     fundamental_cycle,
@@ -42,6 +44,21 @@ STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
     [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
 )
+
+# Graphs outside the library's domain, each with a cycle that is anti-nef
+# on it where possible: every invariant function must refuse them.
+INVALID_GRAPHS = {
+    "non-rational-tree": (
+        DualGraph(
+            (-3, -2, -2, -2, -3, -2, -2, -2, -3),
+            [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 7), (5, 6), (5, 8)],
+        ),
+        (2, 1, 1, 2, 1, 2, 1, 1, 1),
+    ),
+    "disconnected": (DualGraph((-2, -2), []), (1, 1)),
+    "affine-D4": (DualGraph((-2,) * 5, [(0, i) for i in range(1, 5)]), (2, 1, 1, 1, 1)),
+    "indefinite-star": (DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)]), (1,) * 6),
+}
 
 
 def minimal_anti_nef_by_search(g, box=4):
@@ -136,6 +153,46 @@ class TestFundamentalCycle:
             z0 = fundamental_cycle(g)
             assert is_anti_nef(g, z0)
             assert support(z0) == frozenset(range(g.vertex_count))
+
+
+class TestGraphChecks:
+    @pytest.mark.parametrize(
+        "fn",
+        [colength, multiplicity, min_gens, u_invariant, special_module_indices, filtration],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("g, z", INVALID_GRAPHS.values(), ids=list(INVALID_GRAPHS))
+    def test_invalid_graph_raises_typed_error(self, fn, g, z):
+        with pytest.raises(InvalidGraphError):
+            fn(g, z)
+
+    def test_one_error_class(self):
+        assert InvalidGraphError is classify.InvalidGraphError is dualcycles.InvalidGraphError
+
+    def test_validation_does_its_work_once(self, monkeypatch):
+        # One Bareiss pass and one graph search per fresh graph, shared by
+        # the validator, Z_0 and the classifiers.
+        calls = {"minors": 0, "search": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        minors = counting("minors", builders._leading_minors)
+        search = counting("search", builders.is_connected)
+        monkeypatch.setattr(builders, "_leading_minors", minors)
+        monkeypatch.setattr(builders, "is_connected", search)
+        monkeypatch.setattr(invariants, "is_connected", search)
+        invariants._graph_record.cache_clear()  # every graph is fresh
+        g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
+        assert validate(g).ok
+        assert calls == {"minors": 1, "search": 1}
+        fundamental_cycle(g)
+        validate(g)
+        classify.enumerate_ulrich(g)
+        assert calls == {"minors": 1, "search": 1}
 
 
 class TestIdealInvariants:

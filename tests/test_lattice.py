@@ -70,11 +70,12 @@ class TestDualGraph:
         assert g.neighbors(2) == (0, 1)
 
     def test_intersection_matrix(self):
+        # column i of M is the pairing vector of E_i
         g = path_graph(3, (-2, -3, -2))
-        assert g.intersection_matrix() == [
-            [-2, 1, 0],
-            [1, -3, 1],
-            [0, 1, -2],
+        assert [pairing_vector(g, g.unit(i)) for i in range(3)] == [
+            (-2, 1, 0),
+            (1, -3, 1),
+            (0, 1, -2),
         ]
 
     def test_check_cycle_dimension(self):
@@ -105,7 +106,7 @@ class TestPairing:
     def test_pairing_vector_matches_matrix(self):
         g = path_graph(4, (-2, -3, -2, -4))
         z = (1, 2, 0, 3)
-        m = g.intersection_matrix()
+        m = [[-2, 1, 0, 0], [1, -3, 1, 0], [0, 1, -2, 1], [0, 0, 1, -4]]
         expected = tuple(sum(m[i][j] * z[j] for j in range(4)) for i in range(4))
         assert pairing_vector(g, z) == expected
 
