@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 from .lattice import DualGraph
 
-ADE_FAMILIES = ("A", "D", "E")
-
-
 class GraphFormatError(ValueError):
     """Malformed graph text (carries a 1-based line number when known)."""
 
@@ -27,6 +24,18 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
+def _ade_type(family: str, index: int) -> tuple[str, int]:
+    """(upper-cased family, n) of an ADE type; ValueError unless the family
+    is A, D or E and n >= 1, n >= 4 or n in {6, 7, 8} respectively."""
+    family, n = family.upper(), int(index)
+    need = {"A": "n >= 1", "D": "n >= 4", "E": "n in {6, 7, 8}"}.get(family)
+    if need is None:
+        raise ValueError(f"unknown family {family!r}, expected one of A, D, E")
+    if not (n >= 1 if family == "A" else n >= 4 if family == "D" else n in (6, 7, 8)):
+        raise ValueError(f"{family}_n requires {need}, got {n}")
+    return family, n
+
+
 def build_ade(family: str, index: int) -> DualGraph:
     """Dual graph of the rational double point of the given ADE type.
 
@@ -34,24 +43,15 @@ def build_ade(family: str, index: int) -> DualGraph:
     E_1 - ... - E_{n-2} with E_{n-1} and E_n both joined to E_{n-2}; E_n
     (n in {6,7,8}) is the path E_1 - ... - E_{n-1} with E_n joined to E_3.
     """
-    family = family.upper()
-    n = int(index)
+    family, n = _ade_type(family, index)
     if family == "A":
-        if n < 1:
-            raise ValueError(f"A_n requires n >= 1, got {n}")
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "D":
-        if n < 4:
-            raise ValueError(f"D_n requires n >= 4, got {n}")
         edges = [(i, i + 1) for i in range(n - 3)]
         edges += [(n - 3, n - 2), (n - 3, n - 1)]
-    elif family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError(f"E_n requires n in {{6, 7, 8}}, got {n}")
+    else:
         edges = [(i, i + 1) for i in range(n - 2)]
         edges.append((2, n - 1))
-    else:
-        raise ValueError(f"unknown family {family!r}, expected one of A, D, E")
     return DualGraph((-2,) * n, edges)
 
 

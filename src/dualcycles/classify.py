@@ -1,22 +1,25 @@
 """Special and Ulrich cycle classification.
 
-Two independent routes are provided for every question.  The chain
-enumerators walk the tree of admissible filtration steps (each increment
-is the fundamental cycle of a connected component of the current
-zero-pairing locus) and accept steps by the chain criteria; the oracle
-brute-forces all anti-nef cycles in a box and applies the pointwise
-tests (coefficient saturation for special, vanishing U invariant for
-Ulrich).  The two routes are compared by the differential tests and must
-never disagree.  Each public entry point reads the graph's memoised
-record once (InvalidGraphError unless rational) and passes Z_0 down; the
-cycle invariants come from ``invariants._pointwise``.
+Two independent routes are provided for every question.  The chain route
+walks the tree of admissible filtration steps once (each increment is
+the fundamental cycle of a connected component of the current
+zero-pairing locus) and reads both lists off that one walk: a chain
+witnesses a special endpoint when some vertex keeps its full Z_0
+coefficient at every step, and an Ulrich one when every step keeps
+K.(Z_0 - Y) = 0.  The oracle brute-forces all anti-nef cycles in a box
+and applies the pointwise tests (coefficient saturation for special,
+vanishing U invariant for Ulrich).  The two routes are compared by the
+differential tests and must never disagree.  Each public entry point
+reads the graph's memoised record once (InvalidGraphError unless
+``validate`` accepts the graph) and passes Z_0 down; the cycle
+invariants come from ``invariants._pointwise``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builders import ADE_FAMILIES, _components, build_ade
+from .builders import _ade_type, _components, build_ade
 from .invariants import (
     CycleInvariants,
     Filtration,
@@ -32,7 +35,6 @@ from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
-    canonical_degree,
     pairing_vector,
     scale,
 )
@@ -78,17 +80,32 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     return _is_ulrich(_pointwise(g, z, z0), mult2)
 
 
-def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=None):
-    """Shared depth-first walk over admissible filtration chains from Z_0.
+def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
+    """The admissible filtration chains from Z_0, walked once for both lists.
 
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
-    increment's support; ``accept(ys)`` decides, from the increment as a
-    {vertex: coefficient} dict over its support, whether a candidate
-    extends the chain.  Returns {cycle: (lexicographically least witness
-    chain, its surviving set)}, the chain being a tuple of (Y_k, Z_k) pairs
-    and the surviving set the vertices i with coeff(Y_k) = n_i at every
-    step.
+    increment's support; a candidate extends the chain when it is below
+    the previous increment and keeps Z anti-nef.  Returns {cycle:
+    (lexicographically least witness chain, its surviving set, K bit)},
+    Z_0 included: the chain is a tuple of (Y_k, Z_k) pairs, the surviving
+    set the vertices i with coeff(Y_k) = n_i at every step, and the K bit
+    whether every step keeps K.(Z_0 - Y_k) = 0, the Ulrich condition.
+
+    A step past ``max_depth`` is dropped unless it keeps K and
+    ``max_steps`` is set; a K step past ``max_steps`` raises
+    ChainDepthError.  K steps are a prefix-closed subtree of the same
+    sorted children, so the first such step in preorder is the first one
+    a walk of K steps alone meets.
+
+    The K bit is a function of the cycle, so the least chain to Z is also
+    its least K chain.  With K.E_v = -w_v - 2 >= 0 on a minimal graph and
+    every Y_k <= Z_0, K.Y_k = K.Z_0 holds exactly when Y_k takes the full
+    coefficient n_v at every vertex of weight <= -3, that is when those
+    vertices all survive.  A step Y is the fundamental cycle of a
+    connected piece of Z's zero locus, so p_a(Y) = 0 (Laufer) and Z.Y = 0,
+    whence p_a(Z + Y) = p_a(Z) - 1: every chain to Z has colength(Z) - 1
+    steps, and a vertex survives exactly when a_v = n_v * colength(Z).
 
     A step Y on a component C does O(|C| + boundary) Python work: Laufer's
     loop runs on C alone (connected by construction, definite inside a
@@ -99,7 +116,9 @@ def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=Non
     length-r tuples, at C speed.
     """
     weights, nbrs = g.weights, g._neighbors
-    best: dict[Cycle, tuple[tuple[tuple[Cycle, Cycle], ...], frozenset[int]]] = {}
+    heavy = frozenset(v for v, w in enumerate(weights) if w < -2)
+    everything = frozenset(range(g.vertex_count))
+    best = {z0: ((), everything, True)}
 
     def children(pairing, inside):  # the components of Z's zero locus in `inside`
         zeros = [v for v in inside if pairing[v] == 0]
@@ -108,9 +127,8 @@ def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=Non
     # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
     # chain, surviving set) frames, so chain length is not bounded by the
     # interpreter's recursion.
-    everything = range(g.vertex_count)
     root = pairing_vector(g, z0)
-    stack = [(children(root, everything), z0, z0, root, (), frozenset(everything))]
+    stack = [(children(root, range(g.vertex_count)), z0, z0, root, (), everything)]
     while stack:
         comps, z_prev, y_prev, pairing, chain, surv_prev = stack[-1]
         comp = next(comps, None)
@@ -127,7 +145,10 @@ def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=Non
                 moved[u] = moved.get(u, pairing[u]) + a
         if any(p > 0 for p in moved.values()):
             continue  # not anti-nef
-        if not accept(ys):
+        surviving = frozenset(v for v, a in ys.items() if a == z0[v] and v in surv_prev)
+        keeps = heavy <= surviving
+        counted = keeps and max_steps is not None  # max_steps caps it, not max_depth
+        if not counted and len(chain) >= max_depth:
             continue
         y, z_new = [0] * len(z0), list(z_prev)
         for v, a in ys.items():
@@ -135,29 +156,65 @@ def _chain_enumerate(g: DualGraph, z0: Cycle, accept, max_depth: int, on_cap=Non
             z_new[v] += a
         y, z_new = tuple(y), tuple(z_new)
         new_chain = chain + ((y, z_new),)
-        if len(new_chain) > max_depth:
-            if on_cap is not None:
-                on_cap(new_chain)
-            continue
-        surviving = frozenset(v for v, a in ys.items() if a == z0[v] and v in surv_prev)
+        if counted and len(new_chain) > max_steps:
+            raise ChainDepthError(
+                f"chain through {[s[1] for s in new_chain]} exceeded {max_steps} steps"
+            )
         old = best.get(z_new)
         # Equal increments give equal cycles: pairs compare as increments.
         if old is None or new_chain < old[0]:
-            best[z_new] = (new_chain, surviving)
+            best[z_new] = (new_chain, surviving, keeps)
         stack.append((children(moved, comp), z_new, y, moved, new_chain, surviving))
     return best
 
 
-def _entry(z0: Cycle, z: Cycle, chain, point: CycleInvariants, kind: str) -> ClassificationEntry:
-    return ClassificationEntry(
-        cycle=z,
-        colength=point.colength,
-        multiplicity=point.multiplicity,
-        min_gens=point.min_gens,
-        module_indices=point.indices,
-        chain=Filtration(base=z0, steps=tuple(chain)),
-        kind=kind,
-    )
+def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
+    """(special cycles of colength <= max_colength, Ulrich cycles) from one
+    ``_walk``, with None in place of a list whose cap is None.
+
+    One ``_pointwise`` record per walked cycle checks the chain criteria
+    against the pointwise tests; each cycle that is special or Ulrich
+    gets one entry, shared by both lists.  Equal lists are returned as
+    one list object.  Errors come in this order: InvalidGraphError,
+    ValueError on a bad ``max_colength``, then on a bad ``max_steps``,
+    then ChainDepthError from the walk.
+    """
+    z0 = _rational(g)[0]
+    if max_colength is not None and max_colength < 1:
+        raise ValueError("max_colength must be >= 1")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    max_depth = 0 if max_colength is None else max_colength - 1
+    best = _walk(g, z0, max_depth, max_steps)
+
+    special, ulrich = [], []
+    for z in sorted(best):
+        chain, surviving, keeps = best[z]
+        point = _pointwise(g, z, z0)
+        if surviving and not point.indices:
+            raise AssertionError("chain criterion disagrees with pointwise test")
+        if keeps and point.u != 0:
+            raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
+        in_special = bool(point.indices) and len(chain) <= max_depth
+        in_ulrich = keeps and max_steps is not None
+        if not (in_special or in_ulrich):
+            continue
+        entry = ClassificationEntry(
+            cycle=z,
+            colength=point.colength,
+            multiplicity=point.multiplicity,
+            min_gens=point.min_gens,
+            module_indices=point.indices,
+            chain=Filtration(base=z0, steps=chain),
+            kind=("both" if keeps else "special") if point.indices else "ulrich",
+        )
+        if in_special:
+            special.append(entry)
+        if in_ulrich:
+            ulrich.append(entry)
+    if special == ulrich:
+        ulrich = special
+    return None if max_colength is None else special, None if max_steps is None else ulrich
 
 
 def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEntry]:
@@ -167,103 +224,21 @@ def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEnt
     has coeff(Y_k) = n_i at every step; the surviving index set is tracked
     per chain and the cycle is emitted once it stays nonempty.
     """
-    return _special(g, *_rational(g), max_colength)
-
-
-def _special(g: DualGraph, z0: Cycle, mult2: bool, max_colength: int, on_cap=None):
-    """``enumerate_special`` on a rational graph with fundamental cycle
-    ``z0``; ``on_cap`` is called on any accepted chain longer than
-    max_colength - 1 steps, which is otherwise dropped."""
-    if max_colength < 1:
-        raise ValueError("max_colength must be >= 1")
-    best = _chain_enumerate(g, z0, lambda ys: True, max_colength - 1, on_cap)
-
-    special = {}  # special cycle -> its _pointwise record
-    for z, (_, surviving) in best.items():
-        # Any chain reaching z is equivalent for emission because the
-        # pointwise saturation test is chain independent; assert that
-        # equivalence on the witness chain's surviving set.
-        point = _pointwise(g, z, z0)
-        if surviving and not point.indices:
-            raise AssertionError("chain criterion disagrees with pointwise test")
-        if point.indices:
-            special[z] = point
-    special[z0] = _pointwise(g, z0, z0)
-
-    out = []
-    for z in sorted(special):
-        point = special[z]
-        kind = "both" if _is_ulrich(point, mult2) else "special"
-        out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
-    return out
+    return _classify(g, max_colength, None)[0]
 
 
 def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[ClassificationEntry]:
     """All Ulrich cycles of the graph.
 
-    On multiplicity-2 graphs Ulrich and special cycles coincide, so the
-    special enumerator is reused.  Otherwise each admissible increment
-    must additionally leave the canonical degree of Z_0 - Y_k at zero
-    (every vertex with weight <= -3 keeps its full Z_0 coefficient), and
-    every surviving chain endpoint is Ulrich.  On both branches
-    ChainDepthError is raised when an accepted step would make a chain
-    longer than ``max_steps`` (default 10 r), and ValueError when
-    ``max_steps`` is negative.
+    These are the endpoints of the chains whose every increment leaves
+    the canonical degree of Z_0 - Y_k at zero (every vertex with weight
+    <= -3 keeps its full Z_0 coefficient).  On a multiplicity-2 graph
+    every weight is -2, so every chain qualifies and Ulrich and special
+    cycles coincide.  ChainDepthError is raised when such a step would
+    make a chain longer than ``max_steps`` (default 10 r), and ValueError
+    when ``max_steps`` is negative.
     """
-    return _ulrich(g, *_rational(g), max_steps)
-
-
-def _ulrich(g: DualGraph, z0: Cycle, mult2: bool, max_steps: int | None):
-    """``enumerate_ulrich`` on a rational graph with fundamental cycle ``z0``."""
-    if max_steps is None:
-        max_steps = 10 * g.vertex_count
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-
-    def on_cap(chain):
-        raise ChainDepthError(
-            f"chain through {[s[1] for s in chain]} exceeded {max_steps} steps"
-        )
-
-    if mult2:
-        return _special(g, z0, mult2, max_steps + 1, on_cap)
-
-    # K.(Z_0 - Y) = 0 reads K.Y = K.Z_0, with K.E_v = -w_v - 2.
-    k0 = canonical_degree(g, z0)
-
-    def accept(ys: dict[int, int]) -> bool:
-        return sum(a * (-g.weights[v] - 2) for v, a in ys.items()) == k0
-
-    best = _chain_enumerate(g, z0, accept, max_steps, on_cap)
-
-    out = []
-    for z in sorted(set(best) | {z0}):
-        point = _pointwise(g, z, z0)
-        if point.u != 0:
-            raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
-        kind = "both" if point.indices else "ulrich"
-        out.append(_entry(z0, z, best[z][0] if z in best else (), point, kind))
-    return out
-
-
-def _enumerate_both(g: DualGraph, max_colength: int, max_steps: int | None = None):
-    """(enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)),
-    errors and their order included, from one walk on multiplicity 2.
-
-    A step Y is the fundamental cycle of a connected piece of Z's zero
-    locus, so p_a(Y) = 0 (Laufer) and Z.Y = 0, whence p_a(Z + Y) =
-    p_a(Z) - 1: every chain to Z has colength(Z) - 1 steps.  On
-    multiplicity 2, where special and Ulrich coincide, the Ulrich walk is
-    thus the special walk at the larger cap, and the special list is its
-    colength <= max_colength part: the same list object when that is all
-    of it.  Other graphs take both walks, as their accept rules differ.
-    """
-    z0, mult2 = _rational(g)
-    if max_colength >= 1 and mult2:
-        ulrich = _ulrich(g, z0, mult2, max_steps)
-        special = [e for e in ulrich if e.colength <= max_colength]
-        return (ulrich if len(special) == len(ulrich) else special), ulrich
-    return _special(g, z0, mult2, max_colength), _ulrich(g, z0, mult2, max_steps)
+    return _classify(g, None, 10 * g.vertex_count if max_steps is None else max_steps)[1]
 
 
 def _elimination_order(g: DualGraph) -> list[int]:
@@ -424,19 +399,14 @@ def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:
     takes the staircase cycles plus the three exceptional members on the
     fork; E_6/E_7/E_8 are fixed lists.  Sorted lexicographically.
     """
-    family = family.upper()
-    n = int(index)
+    family, n = _ade_type(family, index)
     entries: list[tuple[Cycle, int]] = []
     if family == "A":
-        if n < 1:
-            raise ValueError(f"A_n requires n >= 1, got {n}")
         top = (n - 1) // 2 if n % 2 else n // 2 - 1
         for k in range(top + 1):
             z = tuple(min(i, k + 1, n + 1 - i) for i in range(1, n + 1))
             entries.append((z, k + 1))
     elif family == "D":
-        if n < 4:
-            raise ValueError(f"D_n requires n >= 4, got {n}")
         m = n // 2
         for k in range(m - 1):
             chain = tuple(min(i, 2 * k + 2) for i in range(1, n - 1))
@@ -448,8 +418,8 @@ def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:
         else:
             entries.append((stair + (m, m), m))
         entries.append(((2,) * (n - 2) + (1, 1), 2))
-    elif family == "E":
-        fixed = {
+    else:
+        entries = {
             6: [
                 ((1, 2, 3, 2, 1, 2), 1),
                 ((2, 3, 4, 3, 2, 2), 2),
@@ -463,29 +433,19 @@ def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:
                 ((2, 4, 6, 5, 4, 3, 2, 3), 1),
                 ((4, 7, 10, 8, 6, 4, 2, 5), 2),
             ],
-        }
-        if n not in fixed:
-            raise ValueError(f"E_n requires n in {{6, 7, 8}}, got {n}")
-        entries = fixed[n]
-    else:
-        raise ValueError(f"unknown family {family!r}, expected one of {ADE_FAMILIES}")
+        }[n]
     return sorted(entries)
 
 
 def expected_ulrich_count(family: str, index: int) -> int:
     """Number of Ulrich cycles of an ADE graph: m / m+1 / m+2 / m+1 for
     A_2m / A_2m+1 / D_2m / D_2m+1, and 2 / 3 / 2 for E_6 / E_7 / E_8."""
-    family = family.upper()
-    n = int(index)
+    family, n = _ade_type(family, index)
     if family == "A":
         return n // 2 if n % 2 == 0 else (n - 1) // 2 + 1
     if family == "D":
-        if n < 4:
-            raise ValueError(f"D_n requires n >= 4, got {n}")
         return n // 2 + 2 if n % 2 == 0 else (n - 1) // 2 + 1
-    if family == "E":
-        return {6: 2, 7: 3, 8: 2}[n]
-    raise ValueError(f"unknown family {family!r}")
+    return {6: 2, 7: 3, 8: 2}[n]
 
 
 @dataclass

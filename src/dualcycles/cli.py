@@ -22,7 +22,6 @@ from .builders import (
     GraphFormatError,
     build_ade,
     build_cyclic,
-    is_negative_definite,
     parse_graph,
     validate,
 )
@@ -30,13 +29,11 @@ from .classify import (
     ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
-    _enumerate_both,
-    enumerate_special,
-    enumerate_ulrich,
+    _classify,
     oracle_classify,
     verify_rdp,
 )
-from .invariants import Filtration, _invariants_of, filtration, fundamental_cycle
+from .invariants import Filtration, _graph_record, _invariants_of, filtration, fundamental_cycle
 from .lattice import Cycle, CycleError, DualGraph, is_anti_nef
 
 EXIT_OK = 0
@@ -324,7 +321,7 @@ def _cmd_fundamental(args, out) -> int:
     supp = None
     if args.support:
         supp = frozenset(int(p) - 1 for p in args.support.split(","))
-    if not is_negative_definite(g):
+    if not _graph_record(g).negative_definite:
         print("error: intersection matrix is not negative definite", file=sys.stderr)
         return EXIT_VALIDATION
     z = fundamental_cycle(g, supp)
@@ -367,16 +364,12 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     g = _resolve_graph(args)
-    max_colength = args.max_colength
-    if max_colength is None:
-        max_colength = 10 * g.vertex_count
-    special = ulrich = None
-    if args.special:
-        special = enumerate_special(g, max_colength)
-    elif args.ulrich:
-        ulrich = enumerate_ulrich(g, args.max_steps)
-    else:
-        special, ulrich = _enumerate_both(g, max_colength, args.max_steps)
+    r10 = 10 * g.vertex_count  # the default caps
+    max_colength = r10 if args.max_colength is None else args.max_colength
+    max_steps = r10 if args.max_steps is None else args.max_steps
+    special, ulrich = _classify(
+        g, None if args.ulrich else max_colength, None if args.special else max_steps
+    )
     if args.format == "json":
         results = {}
         if special is not None:

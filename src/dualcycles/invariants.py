@@ -126,13 +126,16 @@ def _graph_record(g: DualGraph) -> GraphRecord:
 
 def _rational(g: DualGraph) -> tuple[Cycle, bool]:
     """(Z_0, multiplicity == 2) of a connected, negative definite, rational
-    graph; InvalidGraphError on any other graph."""
+    graph with every weight <= -2, the graphs ``validate`` accepts;
+    InvalidGraphError on any other graph."""
     record = _graph_record(g)
     if record.genus != 0:
         raise InvalidGraphError(
             "graph is not a valid rational singularity resolution graph "
             "(must be connected, negative definite, with p_a(Z0) = 0)"
         )
+    if max(g.weights) > -2:
+        raise InvalidGraphError("graph is not a minimal resolution: a weight is > -2")
     return record.z0, record.multiplicity == 2
 
 

@@ -18,8 +18,8 @@ from dualcycles.builders import build_ade, build_cyclic, is_negative_definite, v
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
-    _chain_enumerate,
-    _enumerate_both,
+    _classify,
+    _walk,
     brute_force_anti_nef,
     enumerate_special,
     enumerate_ulrich,
@@ -62,6 +62,22 @@ class TestGuards:
             enumerate_ulrich(g)
         with pytest.raises(InvalidGraphError):
             oracle_classify(g, 2)
+
+    def test_rejects_non_minimal_graph(self):
+        # validate refuses a weight > -2, and so do the classifiers: the
+        # chain criteria need K.E_v >= 0 at every vertex.
+        g = DualGraph((-3, -1), [(0, 1)])
+        assert not validate(g).ok
+        for call in (
+            lambda: enumerate_special(g, 3),
+            lambda: enumerate_ulrich(g),
+            lambda: oracle_classify(g, 2),
+            lambda: is_special_cycle(g, (1, 1)),
+            lambda: is_ulrich_cycle(g, (1, 1)),
+        ):
+            with pytest.raises(InvalidGraphError, match="not a minimal resolution"):
+                call()
+        assert brute_force_anti_nef(g, 1) == [(1, 1)]  # needs definiteness only
 
     def test_graph_memo_keeps_a_bounded_set_of_graphs(self):
         # Classifying many distinct graphs keeps at most the memo's bound
@@ -281,20 +297,31 @@ class TestEnumerators:
     )
     def test_one_walk_gives_both_lists(self, g):
         longest = max(e.chain.length for e in enumerate_ulrich(g))
-        for max_steps in (longest, longest + 1, None):
+        for max_steps in (longest, longest + 1, 10 * g.vertex_count):
             for max_colength in (1, longest, longest + 1, longest + 2, 10 * g.vertex_count):
-                special, ulrich = _enumerate_both(g, max_colength, max_steps)
+                special, ulrich = _classify(g, max_colength, max_steps)
                 assert special == enumerate_special(g, max_colength)
                 assert ulrich == enumerate_ulrich(g, max_steps)
-                if g is not STAR and len(special) == len(ulrich):
-                    assert special is ulrich
+                assert (special is ulrich) == (special == ulrich)
         with pytest.raises(ChainDepthError):
-            _enumerate_both(g, 1, longest - 1)
+            _classify(g, 1, longest - 1)
 
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)
         for cap in (1, 2, 3):
             assert all(e.colength <= cap for e in enumerate_special(g, cap))
+
+
+@pytest.mark.parametrize(
+    "family, index", [("A", 0), ("A", -3), ("D", 3), ("E", 5), ("E", 9), ("F", 4)]
+)
+def test_bad_ade_type_is_refused_alike(family, index):
+    messages = set()
+    for fn in (build_ade, golden_table, expected_ulrich_count):
+        with pytest.raises(ValueError) as info:
+            fn(family, index)
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 class TestOracleAgreement:
@@ -433,10 +460,19 @@ def test_random_graph_chain_route_equals_oracle(g):
 @given(random_trees())
 def test_every_walked_chain_has_colength_minus_one_steps(g):
     # Each step Y is the fundamental cycle of a piece of Z's zero locus,
-    # so p_a(Y) = 0 and Z.Y = 0: p_a drops by one per step.  The one-walk
-    # classify (``_enumerate_both``) rests on this.
+    # so p_a(Y) = 0 and Z.Y = 0: p_a drops by one per step.  With every
+    # Y <= Z_0 and K.E_v >= 0, a chain keeps K.Y = K.Z_0 exactly when the
+    # vertices of weight <= -3 survive, which is then a property of Z
+    # alone.  The one walk of ``_classify`` rests on both facts.
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
-    best = _chain_enumerate(g, fundamental_cycle(g), lambda ys: True, 10 * g.vertex_count)
-    for z, (chain, _) in best.items():
+    z0 = fundamental_cycle(g)
+    k0 = canonical_degree(g, z0)
+    heavy = {v for v, w in enumerate(g.weights) if w <= -3}
+    best = _walk(g, z0, 10 * g.vertex_count, None)
+    for z, (chain, surviving, keeps) in best.items():
         assert len(chain) == colength(g, z) - 1
+        indices = special_module_indices(g, z)
+        assert surviving == indices
+        assert keeps == all(canonical_degree(g, y) == k0 for y, _ in chain)
+        assert keeps == (heavy <= indices)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dualcycles
 import dualcycles.cli as cli
+from dualcycles import builders, classify, invariants
 from dualcycles.builders import build_ade, build_cyclic, parse_graph
 from dualcycles.classify import enumerate_special, enumerate_ulrich
 from dualcycles.cli import (
@@ -149,6 +150,20 @@ class TestFundamentalCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_one_bareiss_pass(self, monkeypatch):
+        passes = []
+        real = builders._leading_minors
+
+        def spy(m):
+            passes.append(m)
+            return real(m)
+
+        monkeypatch.setattr(builders, "_leading_minors", spy)
+        invariants._graph_record.cache_clear()  # a fresh graph
+        code, out = run("fundamental", "--n", "97", "--q", "13")
+        assert (code, len(passes)) == (EXIT_OK, 1)
+        assert out == "1 1 1\n"
+
     def test_indefinite_graph_exits_one_in_time(self, tmp_path):
         # Laufer's loop never ends on this graph; the command must refuse it.
         src = tmp_path / "star.txt"
@@ -236,9 +251,11 @@ class TestInvariantsCommand:
         assert out == "".join(f"  {k}: {doc['results'][k]}\n" for k in keys)
 
 
-def two_walk_classify(g, max_colength, max_steps=None):
-    """Reference for plain ``classify``: the special walk, then the Ulrich walk."""
-    return enumerate_special(g, max_colength), enumerate_ulrich(g, max_steps)
+def two_walk_classify(g, max_colength, max_steps):
+    """Reference for ``cli._classify``: the special walk, then the Ulrich
+    walk, each list None when its cap is."""
+    special = None if max_colength is None else enumerate_special(g, max_colength)
+    return special, None if max_steps is None else enumerate_ulrich(g, max_steps)
 
 
 class TestClassifyCommand:
@@ -290,7 +307,7 @@ class TestClassifyCommand:
         "source", [["--family", "A", "--index", "3"], ["--n", "5", "--q", "2"]], ids=["A3", "cyclic5_2"]
     )
     def test_negative_max_steps_exits_two(self, capsys, source):
-        # A_3 takes the multiplicity-2 branch, (1/5)(1,2) the multiplicity-3 one
+        # A_3 has multiplicity 2, (1/5)(1,2) multiplicity 3
         code, out = run("classify", *source, "--ulrich", "--max-steps", "-1")
         assert code == EXIT_USAGE
         assert out == ""
@@ -299,8 +316,8 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("source", ["A9", "D8", "star"])
     def test_one_walk_matches_two_walks(self, tmp_path, capsys, monkeypatch, source):
-        # A_9 and D_8 have multiplicity 2 and take one walk; the star has
-        # multiplicity 3 and still takes two.
+        # A_9 and D_8 have multiplicity 2, the star multiplicity 3; all
+        # three take one walk for both lists.
         if source == "star":
             g = STAR
             path = tmp_path / "star.txt"
@@ -310,7 +327,7 @@ class TestClassifyCommand:
             g = build_ade(source[0], int(source[1:]))
             argv = ["classify", "--family", source[0], "--index", source[1:]]
         longest = max(e.chain.length for e in enumerate_ulrich(g))
-        # Bad caps first: each walk checks its own cap before walking.
+        # Bad caps first: both caps are checked before the walk.
         caps = [(0, None), (0, -1), (1, -1), (None, None), (1, None), (2, None)]
         for steps in (longest - 1, longest, longest + 1):  # the first one raises
             caps += [(colength, steps) for colength in (None, 1, steps, steps + 1, steps + 2)]
@@ -326,12 +343,31 @@ class TestClassifyCommand:
             return got
 
         shared = outputs()
-        monkeypatch.setattr(cli, "_enumerate_both", two_walk_classify)
+        monkeypatch.setattr(cli, "_classify", two_walk_classify)
         reference = outputs()
         assert shared == reference
         raised = [r for r in reference if r[2] == longest - 1]
         assert raised and all(r[3:5] == (EXIT_VALIDATION, "") for r in raised)
         assert all(r[5].startswith("error: chain through ") for r in raised)
+
+    def test_plain_classify_walks_once(self, tmp_path, monkeypatch):
+        # Both lists of the -3 star cost no more Laufer loops than the
+        # special list alone at the same cap: one walk, not two.
+        loops = []
+        real = classify._laufer
+
+        def spy(g, verts):
+            loops.append(verts)
+            return real(g, verts)
+
+        monkeypatch.setattr(classify, "_laufer", spy)
+        path = tmp_path / "star.txt"
+        path.write_text(serialize_graph(STAR))
+        enumerate_special(STAR, 10 * STAR.vertex_count)
+        alone = len(loops)
+        code, _ = run("classify", "--graph", str(path))
+        assert code == EXIT_OK
+        assert 0 < len(loops) - alone <= alone
 
     def test_table_form_builds_no_entry_dicts(self, monkeypatch):
         calls = []

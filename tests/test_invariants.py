@@ -58,6 +58,8 @@ INVALID_GRAPHS = {
     "disconnected": (DualGraph((-2, -2), []), (1, 1)),
     "affine-D4": (DualGraph((-2,) * 5, [(0, i) for i in range(1, 5)]), (2, 1, 1, 1, 1)),
     "indefinite-star": (DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)]), (1,) * 6),
+    # Rational and definite, but a -1 curve: not a minimal resolution.
+    "non-minimal": (DualGraph((-3, -1), [(0, 1)]), (1, 1)),
 }
 
 
