@@ -168,6 +168,17 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     return best
 
 
+def _check_caps(g: DualGraph, max_colength: int | None, max_steps: int | None) -> Cycle:
+    """Z_0, after InvalidGraphError, then ValueError on a bad max_colength,
+    then on a bad max_steps (None: not checked)."""
+    z0 = _rational(g)[0]
+    if max_colength is not None and max_colength < 1:
+        raise ValueError("max_colength must be >= 1")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    return z0
+
+
 def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
     """(special cycles of colength <= max_colength, Ulrich cycles) from one
     ``_walk``, with None in place of a list whose cap is None.
@@ -175,15 +186,10 @@ def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
     One ``_pointwise`` record per walked cycle checks the chain criteria
     against the pointwise tests; each cycle that is special or Ulrich
     gets one entry, shared by both lists.  Equal lists are returned as
-    one list object.  Errors come in this order: InvalidGraphError,
-    ValueError on a bad ``max_colength``, then on a bad ``max_steps``,
+    one list object.  Errors come in this order: those of ``_check_caps``,
     then ChainDepthError from the walk.
     """
-    z0 = _rational(g)[0]
-    if max_colength is not None and max_colength < 1:
-        raise ValueError("max_colength must be >= 1")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    z0 = _check_caps(g, max_colength, max_steps)
     max_depth = 0 if max_colength is None else max_colength - 1
     best = _walk(g, z0, max_depth, max_steps)
 
@@ -300,12 +306,12 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
         raise ValueError("bound must be >= 1")
     if not _graph_record(g).negative_definite:
         raise InvalidGraphError("graph is not negative definite")
-    return _box_search(g, scale(bound, fundamental_cycle(g)))
+    return [z for z, _ in _box_search(g, scale(bound, fundamental_cycle(g)))]
 
 
-def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
-    """All anti-nef cycles 0 < Z <= ``box`` on a negative definite graph,
-    by pruned enumeration.
+def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
+    """(Z, M.Z) for every anti-nef cycle 0 < Z <= ``box`` on a negative
+    definite graph, sorted by Z, by pruned enumeration.
 
     Coefficients are assigned in the breadth-first order of
     ``_elimination_order``, depth first with an explicit stack.  The
@@ -324,7 +330,8 @@ def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
       ceil(adj(-M_U) b / det(-M_U)) from ``_lower_bound_plans``.
 
     Every vertex's pairing is final, and checked, once it and its
-    neighbours are assigned, so every leaf of the search is a result.
+    neighbours are assigned, so every leaf of the search is a result, and
+    the running pairing at a leaf is M.Z, returned with Z.
     Cost: O(r^3) set-up plus O(r) per value tried.  On E_8 the search
     tries 503 values for the 61 cycles at bound 6 and 1,708 for the 255 at
     bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
@@ -335,7 +342,7 @@ def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
     rank = {v: k for k, v in enumerate(order)}
     caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]
 
-    results: list[Cycle] = []
+    results: list[tuple[Cycle, Cycle]] = []
     coeffs = [0] * g.vertex_count
     pairing = [0] * g.vertex_count  # over the assigned coefficients only
     tops = [0] * len(order)
@@ -369,7 +376,7 @@ def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
             continue
         if k == len(order) - 1:
             if any(coeffs):
-                results.append(tuple(coeffs))
+                results.append((tuple(coeffs), tuple(pairing)))
             fresh = False
         else:
             k, fresh = k + 1, True
@@ -378,13 +385,14 @@ def _box_search(g: DualGraph, box: Cycle) -> list[Cycle]:
 
 def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]:
     """Reference classification with no chain reasoning: filter the brute
-    force anti-nef list by the pointwise special and Ulrich tests."""
+    force anti-nef list by the pointwise special and Ulrich tests, each
+    cycle's invariants read off the pairing M.Z the box search holds."""
     z0, mult2 = _rational(g)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     special, ulrich = [], []
-    for z in _box_search(g, scale(bound, z0)):
-        point = _pointwise(g, z, z0)
+    for z, pairing in _box_search(g, scale(bound, z0)):
+        point = _pointwise(g, z, z0, pairing)
         if point.indices:
             special.append(z)
         if _is_ulrich(point, mult2):

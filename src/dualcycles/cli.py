@@ -29,12 +29,13 @@ from .classify import (
     ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
+    _check_caps,
     _classify,
     oracle_classify,
     verify_rdp,
 )
-from .invariants import Filtration, _graph_record, _invariants_of, filtration, fundamental_cycle
-from .lattice import Cycle, CycleError, DualGraph, is_anti_nef
+from .invariants import Filtration, _filtration, _graph_record, _pointwise, fundamental_cycle
+from .lattice import Cycle, CycleError, DualGraph, pairing_vector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -339,10 +340,12 @@ def _cmd_invariants(args, out) -> int:
     if not rep.ok:
         print(f"error: invalid graph: {rep.failures[0]}", file=sys.stderr)
         return EXIT_VALIDATION
-    if any(a < 0 for a in z) or not is_anti_nef(g, z):
+    pairing = pairing_vector(g, z)
+    if min(z) < 0 or max(pairing) > 0:
         print("error: cycle is not anti-nef (represents no ideal)", file=sys.stderr)
         return EXIT_VALIDATION
-    inv = _invariants_of(g, z)
+    z0 = _graph_record(g).z0
+    inv = _pointwise(g, z, z0, pairing)
     results = {
         "cycle": list(z),
         "virtual_genus": inv.genus,
@@ -354,7 +357,7 @@ def _cmd_invariants(args, out) -> int:
     }
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
-        results["filtration"] = _filtration_dict(filtration(g, z))
+        results["filtration"] = _filtration_dict(_filtration(z, z0))
         _emit(args, "invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle
@@ -367,6 +370,7 @@ def _cmd_classify(args, out) -> int:
     r10 = 10 * g.vertex_count  # the default caps
     max_colength = r10 if args.max_colength is None else args.max_colength
     max_steps = r10 if args.max_steps is None else args.max_steps
+    _check_caps(g, max_colength, max_steps)  # both caps, whichever list is printed
     special, ulrich = _classify(
         g, None if args.ulrich else max_colength, None if args.special else max_steps
     )
@@ -381,12 +385,10 @@ def _cmd_classify(args, out) -> int:
         _emit(args, "classify", g, results, out)
     else:
         _render_graph(g, out)
-        if special is not None:
-            print(f"special cycles ({len(special)}):", file=out)
-            _render_entries(special, out)
-        if ulrich is not None:
-            print(f"ulrich cycles ({len(ulrich)}):", file=out)
-            _render_entries(ulrich, out)
+        for name, entries in (("special", special), ("ulrich", ulrich)):
+            if entries is not None:
+                print(f"{name} cycles ({len(entries)}):", file=out)
+                _render_entries(entries, out)
     return EXIT_OK
 
 
@@ -402,12 +404,10 @@ def _cmd_oracle(args, out) -> int:
         _emit(args, "oracle", g, results, out)
     else:
         _render_graph(g, out)
-        print(f"special cycles ({len(special)}):", file=out)
-        for z in special:
-            print(f"  {_render_cycle(z)}", file=out)
-        print(f"ulrich cycles ({len(ulrich)}):", file=out)
-        for z in ulrich:
-            print(f"  {_render_cycle(z)}", file=out)
+        for name, cycles in (("special", special), ("ulrich", ulrich)):
+            print(f"{name} cycles ({len(cycles)}):", file=out)
+            for z in cycles:
+                print(f"  {_render_cycle(z)}", file=out)
     return EXIT_OK
 
 
@@ -473,16 +473,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args, out)
-    except (GraphFormatError, ValueError) as e:
-        if isinstance(e, (CycleError, InvalidGraphError)):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ChainDepthError as e:
+    except (CycleError, InvalidGraphError, ChainDepthError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as e:
+    except (GraphFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -151,7 +152,7 @@ class CycleInvariants(NamedTuple):
     indices: frozenset[int]
 
 
-def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> CycleInvariants:
+def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) -> CycleInvariants:
     """The invariants of a positive anti-nef Z on a rational graph with
     fundamental cycle Z_0 = sum n_i E_i, read off one pairing vector P = M.Z:
 
@@ -161,26 +162,31 @@ def _pointwise(g: DualGraph, z: Cycle, z0: Cycle) -> CycleInvariants:
     - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2;
     - the indices i with a_i = n_i * colength(Z).
 
+    ``pairing`` is P when the caller holds it (the box search does), trusted
+    to equal M.Z; it is built when None.  Every pass runs at C speed.
+
     Raises DimensionError on a cycle of the wrong length, CycleError on
-    one that is not positive and anti-nef, and AssertionError on odd
-    Z^2 + K.Z or a coefficient above n_i * colength(Z) (impossible on a
-    rational graph).
+    one that is not positive and anti-nef (read off P), and AssertionError
+    on odd Z^2 + K.Z or a coefficient above n_i * colength(Z) (impossible
+    on a rational graph).
     """
     z = g.check_cycle(z)
-    if not any(a > 0 for a in z):
+    if max(z) <= 0:
         raise CycleError("expected a positive cycle")
-    if any(a < 0 for a in z):
+    if min(z) < 0:
         raise CycleError("anti-nef test requires a nonnegative cycle")
-    pairing = pairing_vector(g, z)
-    if any(v > 0 for v in pairing):
+    if pairing is None:
+        pairing = pairing_vector(g, z)
+    if max(pairing) > 0:
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
     zz = sum(map(operator.mul, z, pairing))
     genus = _genus(g, z, zz)
     ell = 1 - genus
-    if any(a > n * ell for a, n in zip(z, z0)):
+    bounds = [n * ell for n in z0]
+    if any(map(operator.gt, z, bounds)):
         raise AssertionError("coefficient bound violated: input graph is not rational")
     z0z = sum(map(operator.mul, z0, pairing))
-    indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
+    indices = frozenset(itertools.compress(itertools.count(), map(operator.eq, z, bounds)))
     return CycleInvariants(genus, ell, -zz, 1 - z0z, z0z * (genus - 1) + zz, indices)
 
 
@@ -247,16 +253,14 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     z0 = _rational(g)[0]
     z = g.check_cycle(z)
     _pointwise(g, z, z0)  # Z must be positive and anti-nef
-    s = 0
-    while any(a > (s + 1) * b for a, b in zip(z, z0)):
-        s += 1
-    steps = []
-    prev = z0
-    for k in range(1, s + 1):
-        zk = inf_cycles(z, scale(k + 1, z0))
-        steps.append((sub(zk, prev), zk))
-        prev = zk
-    return Filtration(base=z0, steps=tuple(steps))
+    return _filtration(z, z0)
+
+
+def _filtration(z: Cycle, z0: Cycle) -> Filtration:
+    """``filtration`` of a Z that ``_pointwise`` has already accepted."""
+    top = max(-(-a // n) for a, n in zip(z, z0))  # the least k with Z <= k Z_0
+    zs = [z0] + [inf_cycles(z, scale(k, z0)) for k in range(2, top + 1)]
+    return Filtration(base=z0, steps=tuple((sub(b, a), b) for a, b in zip(zs, zs[1:])))
 
 
 def special_module_indices(g: DualGraph, z: Cycle) -> frozenset[int]:

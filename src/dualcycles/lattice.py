@@ -11,6 +11,7 @@ need it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 Cycle = tuple[int, ...]
@@ -79,19 +80,10 @@ class DualGraph:
             )
         return z
 
-    def unit(self, i: int) -> Cycle:
-        z = [0] * self.vertex_count
-        z[i] = 1
-        return tuple(z)
-
 
 def support(z: Cycle) -> frozenset[int]:
     """Vertices with strictly positive coefficient."""
     return frozenset(i for i, a in enumerate(z) if a > 0)
-
-
-def add(z: Cycle, w: Cycle) -> Cycle:
-    return tuple(a + b for a, b in zip(z, w, strict=True))
 
 
 def sub(z: Cycle, w: Cycle) -> Cycle:
@@ -112,13 +104,8 @@ def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
 
 
 def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
-    """Intersection number Z.W of two cycles (symmetric, bilinear)."""
-    z = g.check_cycle(z)
-    w = g.check_cycle(w)
-    s = sum(g.weights[i] * z[i] * w[i] for i in range(g.vertex_count))
-    for i, j in g.edges:
-        s += z[i] * w[j] + z[j] * w[i]
-    return s
+    """Intersection number Z.W = Z.(M.W) of two cycles (symmetric, bilinear)."""
+    return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
 
 
 def canonical_degree(g: DualGraph, z: Cycle) -> int:
@@ -127,13 +114,17 @@ def canonical_degree(g: DualGraph, z: Cycle) -> int:
     Zero whenever every weight is -2, so this measures exactly the
     contribution of the (-3)-or-worse vertices.
     """
-    z = g.check_cycle(z)
-    return sum(a * (-w - 2) for a, w in zip(z, g.weights))
+    return _canonical(g, g.check_cycle(z))
+
+
+def _canonical(g: DualGraph, z: Cycle) -> int:
+    """K.Z = sum a_i (-w_i - 2) of a checked Z, as two sums at C speed."""
+    return -sum(map(operator.mul, g.weights, z)) - 2 * sum(z)
 
 
 def _genus(g: DualGraph, z: Cycle, square: int) -> int:
     """p_a(Z) = (Z^2 + K.Z)/2 + 1 of a checked Z with Z^2 = ``square``."""
-    q = square + canonical_degree(g, z)
+    q = square + _canonical(g, z)
     if q % 2 != 0:
         raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
     return q // 2 + 1

@@ -30,13 +30,13 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import (
     DualGraph,
-    add,
     inf_cycles,
     intersection,
     is_anti_nef,
     scale,
     virtual_genus,
 )
+from test_lattice import add
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),

@@ -18,6 +18,7 @@ from dualcycles.builders import build_ade, build_cyclic, is_negative_definite, v
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
+    _box_search,
     _classify,
     _walk,
     brute_force_anti_nef,
@@ -31,6 +32,7 @@ from dualcycles.classify import (
     verify_rdp,
 )
 from dualcycles.invariants import (
+    _pointwise,
     colength,
     fundamental_cycle,
     min_gens,
@@ -43,6 +45,7 @@ from dualcycles.lattice import (
     canonical_degree,
     intersection,
     is_anti_nef,
+    pairing_vector,
     scale,
     virtual_genus,
 )
@@ -373,6 +376,22 @@ class TestOracleAgreement:
         elapsed = time.monotonic() - start
         assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
+    def test_oracle_reuses_the_box_search_pairing(self, monkeypatch):
+        # Each boxed cycle's invariants are read off the pairing the box
+        # search already holds; no pairing vector is built per cycle.
+        g = build_ade("E", 8)
+        expected = oracle_classify(g, 6)  # the graph record is built here
+        real, calls = pairing_vector, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (dualcycles.invariants, dualcycles.classify):
+            monkeypatch.setattr(module, "pairing_vector", counting)
+        assert oracle_classify(g, 6) == expected
+        assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
+
 
 class TestGoldenTables:
     @pytest.mark.parametrize(
@@ -454,6 +473,20 @@ def test_random_graph_chain_route_equals_oracle(g):
     chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
     assert chain_special == oracle_special
     assert chain_ulrich == sorted(z for z in oracle_ulrich if inbox(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees())
+def test_box_search_pairs_each_cycle_with_its_pairing(g):
+    # The oracle trusts the pairing the box search returns to be M.Z.
+    rep = validate(g)
+    assume(rep.connected and rep.negative_definite and rep.rational)
+    z0 = fundamental_cycle(g)
+    found = _box_search(g, scale(3, z0))
+    assert [z for z, _ in found] == brute_force_anti_nef(g, 3)
+    for z, p in found:
+        assert p == pairing_vector(g, z)
+        assert _pointwise(g, z, z0, p) == _pointwise(g, z, z0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dualcycles
 import dualcycles.cli as cli
-from dualcycles import builders, classify, invariants
+from dualcycles import builders, classify, invariants, lattice
 from dualcycles.builders import build_ade, build_cyclic, parse_graph
 from dualcycles.classify import enumerate_special, enumerate_ulrich
 from dualcycles.cli import (
@@ -242,6 +242,30 @@ class TestInvariantsCommand:
         assert capsys.readouterr().err == ""
         assert elapsed < 2.0
 
+    def test_json_form_checks_the_cycle_once(self, monkeypatch):
+        # The filtration is built from the cycle the invariants already
+        # checked: one pointwise record and one pairing vector.
+        argv = ["--format", "json", "invariants", "--family", "E", "--index", "6",
+                "--cycle", "2,3,4,3,2,2"]
+        expected = run(*argv)  # the graph record is built here
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        pointwise = counting(invariants._pointwise)
+        pairing = counting(invariants.pairing_vector)
+        monkeypatch.setattr(invariants, "_pointwise", pointwise)
+        monkeypatch.setattr(cli, "_pointwise", pointwise, raising=False)
+        for module in (invariants, cli, lattice):
+            monkeypatch.setattr(module, "pairing_vector", pairing, raising=False)
+        assert run(*argv) == expected
+        assert calls.count("_pointwise") == 1
+        assert calls.count("pairing_vector") == 1
+
     def test_table_form_prints_the_json_values(self):
         argv = ["invariants", "--family", "E", "--index", "6", "--cycle", "2,3,4,3,2,2"]
         code, out = run(*argv)
@@ -312,6 +336,35 @@ class TestClassifyCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
+
+    @pytest.mark.parametrize("kind", [[], ["--special"], ["--ulrich"]], ids=["both", "special", "ulrich"])
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            (["--max-colength", "0"], "max_colength must be >= 1"),
+            (["--max-steps", "-1"], "max_steps must be >= 0"),
+            (["--max-steps", "-1", "--max-colength", "0"], "max_colength must be >= 1"),
+            (["--max-steps", "0", "--max-colength", "0"], "max_colength must be >= 1"),
+        ],
+        ids=["colength", "steps", "colength-first", "caps-before-walk"],
+    )
+    def test_bad_cap_exits_two_on_every_form(self, capsys, kind, caps, message):
+        # A cap is checked whether or not its list is printed, and before
+        # the walk: with max_steps 0 the Ulrich walk would raise
+        # ChainDepthError on A_3.
+        code, out = run("classify", "--family", "A", "--index", "3", *kind, *caps)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", [[], ["--special"], ["--ulrich"]], ids=["both", "special", "ulrich"])
+    def test_graph_is_checked_before_the_caps(self, tmp_path, capsys, kind):
+        src = tmp_path / "tree.txt"
+        src.write_text(serialize_graph(NON_RATIONAL_TREE))
+        code, out = run(
+            "classify", "--graph", str(src), *kind, "--max-colength", "0", "--max-steps", "-1"
+        )
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err.startswith("error: graph is not a valid rational")
 
 
     @pytest.mark.parametrize("source", ["A9", "D8", "star"])

@@ -18,6 +18,7 @@ from dualcycles.builders import (
     validate,
 )
 from dualcycles.invariants import (
+    _pointwise,
     InvalidGraphError,
     colength,
     filtration,
@@ -29,8 +30,8 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import (
     CycleError,
+    DimensionError,
     DualGraph,
-    add,
     intersection,
     is_anti_nef,
     pairing_vector,
@@ -39,6 +40,7 @@ from dualcycles.lattice import (
     support,
     virtual_genus,
 )
+from test_lattice import add
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
@@ -246,6 +248,45 @@ class TestIdealInvariants:
                 assert u_invariant(g, z) == -multiplicity(g, z) + (mu - 1) * colength(
                     g, z
                 )
+
+
+class TestPointwiseErrors:
+    """``_pointwise`` raises the same errors in the same order whether it
+    builds the pairing M.Z or is given one."""
+
+    @pytest.mark.parametrize(
+        "z, error, match",
+        [
+            ((1, 1), DimensionError, "coefficients"),
+            ((1, 1, 1, 1), DimensionError, "coefficients"),
+            ((0, 0, 0), CycleError, "expected a positive cycle"),
+            ((0, -1, 0), CycleError, "expected a positive cycle"),
+            ((1, -1, 1), CycleError, "nonnegative"),
+            ((1, 3, 1), CycleError, "not anti-nef"),
+        ],
+    )
+    def test_errors_in_order(self, z, error, match):
+        # The given pairing is positive: every earlier check must fire first.
+        g = build_ade("A", 3)
+        z0 = fundamental_cycle(g)
+        for pairing in (None, (1,) * len(z)):
+            with pytest.raises(error, match=match):
+                _pointwise(g, z, z0, pairing)
+
+    def test_non_anti_nef_pairing_is_refused(self):
+        g = build_ade("A", 3)
+        z0 = fundamental_cycle(g)
+        with pytest.raises(CycleError, match="not anti-nef"):
+            _pointwise(g, z0, z0, (0, 1, 0))
+
+    def test_assertions_are_reachable_through_a_pairing(self):
+        # Only a pairing that is not M.Z reaches them: Z^2 = -1 is odd, and
+        # Z^2 = 0 makes the colength 0, below the coefficient 2.
+        g = build_ade("A", 1)
+        with pytest.raises(AssertionError, match="parity"):
+            _pointwise(g, (1,), (1,), (-1,))
+        with pytest.raises(AssertionError, match="coefficient bound"):
+            _pointwise(g, (2,), (1,), (0,))
 
 
 class TestFiltration:

@@ -10,7 +10,8 @@ from dualcycles.lattice import (
     CycleError,
     DimensionError,
     DualGraph,
-    add,
+    _canonical,
+    _genus,
     canonical_degree,
     inf_cycles,
     intersection,
@@ -21,6 +22,17 @@ from dualcycles.lattice import (
     support,
     virtual_genus,
 )
+
+
+def add(z: Cycle, w: Cycle) -> Cycle:
+    return tuple(a + b for a, b in zip(z, w, strict=True))
+
+
+def unit(g: DualGraph, i: int) -> Cycle:
+    """The cycle E_i."""
+    z = [0] * g.vertex_count
+    z[i] = 1
+    return tuple(z)
 
 
 def path_graph(n: int, weights=None) -> DualGraph:
@@ -72,7 +84,7 @@ class TestDualGraph:
     def test_intersection_matrix(self):
         # column i of M is the pairing vector of E_i
         g = path_graph(3, (-2, -3, -2))
-        assert [pairing_vector(g, g.unit(i)) for i in range(3)] == [
+        assert [pairing_vector(g, unit(g, i)) for i in range(3)] == [
             (-2, 1, 0),
             (1, -3, 1),
             (0, 1, -2),
@@ -112,9 +124,9 @@ class TestPairing:
 
     def test_intersection_via_units(self):
         g = path_graph(3)
-        assert intersection(g, g.unit(0), g.unit(1)) == 1
-        assert intersection(g, g.unit(0), g.unit(2)) == 0
-        assert intersection(g, g.unit(1), g.unit(1)) == -2
+        assert intersection(g, unit(g, 0), unit(g, 1)) == 1
+        assert intersection(g, unit(g, 0), unit(g, 2)) == 0
+        assert intersection(g, unit(g, 1), unit(g, 1)) == -2
 
     @given(graph_and_cycles(k=2))
     def test_intersection_symmetric(self, gzw):
@@ -133,7 +145,7 @@ class TestPairing:
         g, z = gz
         pv = pairing_vector(g, z)
         for i in range(g.vertex_count):
-            assert pv[i] == intersection(g, z, g.unit(i))
+            assert pv[i] == intersection(g, z, unit(g, i))
 
 
 class TestGenus:
@@ -145,11 +157,26 @@ class TestGenus:
         g = path_graph(3, (-3, -2, -4))
         assert canonical_degree(g, (2, 7, 3)) == 2 * 1 + 0 + 3 * 2
 
+    @given(graph_and_cycles(k=1))
+    def test_canonical_degree_matches_its_definition(self, gz):
+        # K.E_i = -w_i - 2, summed with the coefficients of Z
+        g, z = gz
+        expected = sum(a * (-w - 2) for a, w in zip(z, g.weights))
+        assert _canonical(g, z) == canonical_degree(g, z) == expected
+
+    def test_parity_violation_is_reported(self):
+        # Z^2 + K.Z is even for every true Z^2; an odd one is refused.
+        g = path_graph(3, (-2, -3, -2))
+        z = (1, 2, 1)
+        _genus(g, z, intersection(g, z, z))
+        with pytest.raises(AssertionError, match="parity"):
+            _genus(g, z, intersection(g, z, z) + 1)
+
     def test_virtual_genus_of_unit(self):
         # a single smooth rational curve has genus 0
         g = path_graph(3, (-2, -3, -2))
         for i in range(3):
-            assert virtual_genus(g, g.unit(i)) == 0
+            assert virtual_genus(g, unit(g, i)) == 0
 
     @given(graph_and_cycles(k=1))
     def test_virtual_genus_is_an_integer(self, gz):
