@@ -209,21 +209,20 @@ def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
 def _leading_minors(m) -> Iterator[int]:
     """Leading principal minors D_k = det(m[:k][:k]) for k=1..r of a symmetric m.
 
-    ``m`` is a list of rows, each a list or a {column: entry} dict; only
-    the upper triangle is read.  One Bareiss fraction-free elimination
-    without row exchanges (Bareiss 1968): pivot k is D_{k+1}, and every
-    entry is an integer minor, so each division is exact.  Rows are kept
-    sparse.  Step k rewrites only the rows i with m[k][i] != 0; any other
-    row would just be multiplied by D_{k+1}/D_k, so it is rescaled once,
-    by D_k/D_s since its last rewrite at step s, when next read.  Yields
-    the minors in order and stops after the first one <= 0.  Cost:
-    O(r + fill-in) entry updates, so O(r) on a path and at most the O(r^3)
-    of a dense pass.
+    ``m`` is a list of rows, each a {column: entry} dict; only the upper
+    triangle is read.  One Bareiss fraction-free elimination without row
+    exchanges (Bareiss 1968): pivot k is D_{k+1}, and every entry is an
+    integer minor, so each division is exact.  Rows are kept sparse.
+    Step k rewrites only the rows i with m[k][i] != 0; any other row would
+    just be multiplied by D_{k+1}/D_k, so it is rescaled once, by D_k/D_s
+    since its last rewrite at step s, when next read.  Yields the minors
+    in order and stops after the first one <= 0.  Cost: O(r + fill-in)
+    entry updates, so O(r) on a path and at most the O(r^3) of a dense
+    pass.
     """
     rows = []
     for i, row in enumerate(m):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        rows.append({j: x for j, x in items if j >= i and x})
+        rows.append({j: x for j, x in row.items() if j >= i and x})
     minors = [1]  # D_0, D_1, ...
     level = [0] * len(rows)  # rows[i] holds its entries as of step level[i]
 

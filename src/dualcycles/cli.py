@@ -57,21 +57,21 @@ def serialize_graph(g: DualGraph) -> str:
 def _graph_dict(g: DualGraph) -> dict:
     return {
         "vertices": g.vertex_count,
-        "weights": list(g.weights),
+        "weights": g.weights,
         "edges": [[i + 1, j + 1] for i, j in sorted(g.edges)],
     }
 
 
 def _filtration_dict(f: Filtration) -> dict:
     return {
-        "base": list(f.base),
-        "steps": [{"increment": list(y), "cycle": list(z)} for y, z in f.steps],
+        "base": f.base,
+        "steps": [{"increment": y, "cycle": z} for y, z in f.steps],
     }
 
 
 def _entry_dict(e: ClassificationEntry) -> dict:
     return {
-        "cycle": list(e.cycle),
+        "cycle": e.cycle,
         "colength": e.colength,
         "multiplicity": e.multiplicity,
         "min_gens": e.min_gens,
@@ -202,26 +202,22 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
     """The text of ``json.dumps(v, indent=2)`` as a list of pieces.
 
     ``pad`` is a newline plus the indentation of the enclosing level.  A
-    list holding only ints is joined in one step, and only once per
-    distinct value and indentation: a memo keyed on (pad, values) hands
-    later equal lists the same piece, so witness chains that share steps
-    are formatted once.  Any other list object met again at the same
-    indentation, such as one entry list under both "special" and
-    "ulrich", copies its earlier pieces: a memo keyed on (pad, id(list)),
-    sound because ``v`` keeps every list alive.  Dicts and int lists skip
-    it.  Keys and strings go through the C string encoder and other
-    scalars through json.dumps.  Dict keys must be strings.
+    non-empty list or tuple met again at the same indentation copies its
+    earlier pieces: one memo keyed on (pad, id(list)), sound because ``v``
+    keeps every list alive.  Document builders pass the library's own
+    tuples through, so the Z_0 and the steps that the witness chains
+    share are formatted once per depth.  Dicts skip the memo: documents
+    share none, and an insert per dict slowed small documents.  A list
+    holding only ints (not bools) is joined in one step.  Keys and strings
+    go through the C string encoder and other scalars through json.dumps.
+    Dict keys must be strings.
     """
     pieces: list[str] = []
     put = pieces.append
-    memo: dict[tuple, str] = {}
     spans: dict[tuple[str, int], tuple[int, int]] = {}
 
     def walk(v, pad: str) -> None:
-        if isinstance(v, dict):
-            if not v:
-                put("{}")
-                return
+        if isinstance(v, dict) and v:
             inner = pad + "  "
             sep = "{" + inner
             for k, x in v.items():
@@ -229,31 +225,22 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
                 walk(x, inner)
                 sep = "," + inner
             put(pad + "}")
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                put("[]")
-                return
-            inner = pad + "  "
-            # The type test comes first: True == 1, so a list with bools
-            # would otherwise hit the memo entry of an int list.
-            if set(map(type, v)) == {int}:
-                key = (pad, tuple(v))
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = "[" + inner + ("," + inner).join(map(str, v)) + pad + "]"
-                put(text)
-                return
+        elif isinstance(v, (list, tuple)) and v:
             key = (pad, id(v))
             if key in spans:
                 pieces.extend(pieces[slice(*spans[key])])
                 return
             start = len(pieces)
-            sep = "[" + inner
-            for x in v:
-                put(sep)
-                walk(x, inner)
-                sep = "," + inner
-            put(pad + "]")
+            inner = pad + "  "
+            if set(map(type, v)) == {int}:
+                put("[" + inner + ("," + inner).join(map(str, v)) + pad + "]")
+            else:
+                sep = "[" + inner
+                for x in v:
+                    put(sep)
+                    walk(x, inner)
+                    sep = "," + inner
+                put(pad + "]")
             spans[key] = (start, len(pieces))
         elif isinstance(v, str):
             put(encode_basestring_ascii(v))
@@ -264,23 +251,21 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
     return pieces
 
 
-def _emit(args, command: str, g: DualGraph | None, results: dict, out) -> None:
-    """Write the JSON document of a command when ``--format json`` is set.
+def _emit(command: str, g: DualGraph | None, results: dict, out) -> None:
+    """Write the JSON document of a command.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
     byte.  It is written to ``out`` in pieces and never joined whole; each
-    distinct int list and each other list object is formatted once per
-    depth (``_json_chunks``).
+    list or tuple object is formatted once per depth (``_json_chunks``).
     """
-    if args.format == "json":
-        doc = {
-            "tool": {"name": "dualcycles", "version": __version__},
-            "command": command,
-            "graph": _graph_dict(g) if g is not None else None,
-            "results": results,
-        }
-        out.writelines(_json_chunks(doc))
-        out.write("\n")
+    doc = {
+        "tool": {"name": "dualcycles", "version": __version__},
+        "command": command,
+        "graph": _graph_dict(g) if g is not None else None,
+        "results": results,
+    }
+    out.writelines(_json_chunks(doc))
+    out.write("\n")
 
 
 def _cmd_graph(args, out) -> int:
@@ -292,12 +277,12 @@ def _cmd_graph(args, out) -> int:
         with open(args.file, encoding="utf-8") as fh:
             g = parse_graph(fh.read())
     text = serialize_graph(g)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.format == "json":
-        _emit(args, "graph", g, {"text": text}, out)
-    elif not args.out:
+        _emit("graph", g, {"text": text}, out)
+    elif args.out is None:
         out.write(text)
     return EXIT_OK
 
@@ -306,7 +291,7 @@ def _cmd_validate(args, out) -> int:
     g = _resolve_graph(args)
     rep = validate(g)
     if args.format == "json":
-        _emit(args, "validate", g, asdict(rep), out)
+        _emit("validate", g, asdict(rep), out)
     else:
         _render_graph(g, out)
         for name in ("connected", "negative_definite", "tree", "rational", "gorenstein"):
@@ -320,14 +305,14 @@ def _cmd_validate(args, out) -> int:
 def _cmd_fundamental(args, out) -> int:
     g = _resolve_graph(args)
     supp = None
-    if args.support:
+    if args.support is not None:
         supp = frozenset(int(p) - 1 for p in args.support.split(","))
     if not _graph_record(g).negative_definite:
         print("error: intersection matrix is not negative definite", file=sys.stderr)
         return EXIT_VALIDATION
     z = fundamental_cycle(g, supp)
     if args.format == "json":
-        _emit(args, "fundamental", g, {"cycle": list(z)}, out)
+        _emit("fundamental", g, {"cycle": z}, out)
     else:
         print(_render_cycle(z), file=out)
     return EXIT_OK
@@ -347,7 +332,7 @@ def _cmd_invariants(args, out) -> int:
     z0 = _graph_record(g).z0
     inv = _pointwise(g, z, z0, pairing)
     results = {
-        "cycle": list(z),
+        "cycle": z,
         "virtual_genus": inv.genus,
         "colength": inv.colength,
         "multiplicity": inv.multiplicity,
@@ -358,7 +343,7 @@ def _cmd_invariants(args, out) -> int:
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
         results["filtration"] = _filtration_dict(_filtration(z, z0))
-        _emit(args, "invariants", g, results, out)
+        _emit("invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle
             print(f"  {key}: {results[key]}", file=out)
@@ -382,7 +367,7 @@ def _cmd_classify(args, out) -> int:
             results["ulrich"] = (
                 results["special"] if ulrich is special else [_entry_dict(e) for e in ulrich]
             )
-        _emit(args, "classify", g, results, out)
+        _emit("classify", g, results, out)
     else:
         _render_graph(g, out)
         for name, entries in (("special", special), ("ulrich", ulrich)):
@@ -397,11 +382,11 @@ def _cmd_oracle(args, out) -> int:
     special, ulrich = oracle_classify(g, args.bound)
     results = {
         "bound": args.bound,
-        "special": [list(z) for z in special],
-        "ulrich": [list(z) for z in ulrich],
+        "special": special,
+        "ulrich": ulrich,
     }
     if args.format == "json":
-        _emit(args, "oracle", g, results, out)
+        _emit("oracle", g, results, out)
     else:
         _render_graph(g, out)
         for name, cycles in (("special", special), ("ulrich", ulrich)):
@@ -420,17 +405,17 @@ def _cmd_verify_rdp(args, out) -> int:
         "matched": rep.matched,
         "expected_count": rep.expected_count,
         "actual_count": len(rep.actual),
-        "expected": [{"cycle": list(z), "colength": c} for z, c in rep.expected],
-        "actual": [{"cycle": list(z), "colength": c} for z, c in rep.actual],
-        "missing": [list(z) for z in rep.missing],
-        "extra": [list(z) for z in rep.extra],
+        "expected": [{"cycle": z, "colength": c} for z, c in rep.expected],
+        "actual": [{"cycle": z, "colength": c} for z, c in rep.actual],
+        "missing": rep.missing,
+        "extra": rep.extra,
         "colength_mismatches": [
-            {"cycle": list(z), "expected": a, "actual": b}
+            {"cycle": z, "expected": a, "actual": b}
             for z, a, b in rep.colength_mismatches
         ],
     }
     if args.format == "json":
-        _emit(args, "verify-rdp", g, results, out)
+        _emit("verify-rdp", g, results, out)
     else:
         verdict = "match" if rep.matched else "MISMATCH"
         print(

@@ -32,6 +32,11 @@ def minus_m(g: DualGraph) -> list[list[int]]:
     return m
 
 
+def dict_rows(m: list[list[int]]) -> list[dict[int, int]]:
+    """Dense rows as the {column: entry} rows that ``_leading_minors`` reads."""
+    return [dict(enumerate(row)) for row in m]
+
+
 def _det(m: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination with row
     exchanges: the dense reference for the sparse pass."""
@@ -58,7 +63,7 @@ def _det(m: list[list[int]]) -> int:
 def last_pivot(g: DualGraph) -> int:
     """The last pivot of one sparse Bareiss pass over -M: det(-M) on a
     negative definite graph, the order of its discriminant group."""
-    return list(_leading_minors(minus_m(g)))[-1]
+    return list(_leading_minors(dict_rows(minus_m(g))))[-1]
 
 
 def continued_fraction_value(bs):
@@ -343,7 +348,7 @@ class TestLeadingMinors:
         m = minus_m(g)
         minors = block_minors(m)
         stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
-        assert list(_leading_minors(m)) == minors[: stop + 1]
+        assert list(_leading_minors(dict_rows(m))) == minors[: stop + 1]
         sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
         assert list(_leading_minors(sparse)) == minors[: stop + 1]
         assert is_negative_definite(g) == all(d > 0 for d in minors)
@@ -353,7 +358,7 @@ class TestLeadingMinors:
     def test_pivots_equal_block_determinants(self, m):
         minors = block_minors(m)
         stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
-        assert list(_leading_minors(m)) == minors[: stop + 1]
+        assert list(_leading_minors(dict_rows(m))) == minors[: stop + 1]
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs())

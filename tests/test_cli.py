@@ -94,6 +94,15 @@ class TestGraphCommand:
         assert code == EXIT_OK
         assert parse_graph(dst.read_text()) == build_cyclic(7, 3)
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_unopenable_out_file_exits_two(self, tmp_path, capsys, fmt):
+        # --out "" once printed the graph to stdout and exited 0.
+        for dst in ("", str(tmp_path)):
+            code, out = run(*fmt, "graph", "ade", "--family", "A", "--index", "3", "--out", dst)
+            err = capsys.readouterr().err
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json_document_shape(self):
         code, doc = run_json("graph", "ade", "--family", "E", "--index", "6")
         assert code == EXIT_OK
@@ -141,9 +150,10 @@ class TestFundamentalCommand:
         code, _ = run("fundamental", "--family", "A", "--index", "4", "--support", "1,3")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("support", ["0", "99"])
+    @pytest.mark.parametrize("support", ["0", "99", ""])
     def test_support_out_of_range_exits_two(self, capsys, support):
-        # "0" once printed 0 0 0 and exited 0; "99" ended in a traceback.
+        # "0" once printed 0 0 0 and exited 0; "99" ended in a traceback;
+        # "" printed Z_0 and exited 0.
         code, out = run("fundamental", "--family", "A", "--index", "3", "--support", support)
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
@@ -640,14 +650,34 @@ class TestJsonEmitter:
 
     def test_list_objects_met_twice_match_json_dumps(self):
         shared = [{"cycle": [1, 2], "kind": "both"}, [[3, 4], "x"], []]
+        ints = (1, 2, 3)
+        step = {"increment": ints, "cycle": (2, 4, 6)}
+        flags = (True, 1)
         cases = [
             {"a": shared, "b": {"c": shared}, "d": [shared, {"e": [shared]}]},  # depths
             {"special": shared, "ulrich": shared},  # sibling keys
             [shared, shared],  # sibling items
             {"special": [{"c": [1]}, [["s"]]], "ulrich": [{"c": [1]}, [["s"]]]},  # equal, distinct
+            {"base": ints, "steps": [{"y": ints, "z": ints}], "also": ints},  # depths, siblings
+            {"first": step, "second": step, "steps": [step, step]},  # one dict, two keys
+            [(1, 2), (1, 2), [(1, 2)], [(1, 2)]],  # equal, distinct tuples
+            [flags, (1, 1), [flags, (1, 1)], flags],  # True == 1, yet no shared text
         ]
         for v in cases:
             assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
+
+    def test_documents_carry_the_library_tuples(self, emitted_docs):
+        # Z_0 and the walk's shared steps reach the emitter as one object
+        # each, so its identity memo formats them once per depth.
+        code, _ = run("--format", "json", "classify", "--family", "D", "--index", "30")
+        assert code == EXIT_OK
+        entries = emitted_docs[0]["results"]["special"]
+        assert len({id(e["chain"]["base"]) for e in entries}) == 1
+        assert entries[0]["chain"]["base"] is invariants._graph_record(build_ade("D", 30)).z0
+        steps = [s for e in entries for s in e["chain"]["steps"]]
+        assert all(type(s[k]) is tuple for s in steps for k in ("increment", "cycle"))
+        for k in ("increment", "cycle"):  # every repeat is the walk's one object
+            assert len({id(s[k]) for s in steps}) == len({s[k] for s in steps}) < len(steps) / 2
 
     def test_document_with_shared_steps_round_trips(self):
         # D_30's witness chains share most of their steps
