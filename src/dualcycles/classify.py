@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builders import _ade_type, _components, build_ade
+from .builders import _ade_type, build_ade
 from .invariants import (
     CycleInvariants,
     Filtration,
@@ -80,6 +80,25 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     return _is_ulrich(_pointwise(g, z, z0), mult2)
 
 
+def _zero_components(g: DualGraph, pairing: Cycle, inside):
+    """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
+    by least vertex, in one pass: ``inside`` (iterated in vertex order, O(1)
+    membership) is walked, and a search over the neighbour tuples starts at
+    each zero vertex that no earlier search reached."""
+    nbrs, seen = g._neighbors, set()
+    for s in inside:
+        if pairing[s] == 0 and s not in seen:
+            seen.add(s)
+            comp = [s]
+            for v in comp:  # the list grows while it is walked
+                for u in nbrs[v]:
+                    if pairing[u] == 0 and u not in seen and u in inside:
+                        seen.add(u)
+                        comp.append(u)
+            comp.sort()
+            yield comp
+
+
 def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     """The admissible filtration chains from Z_0, walked once for both lists.
 
@@ -87,10 +106,12 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     connected components of the zero-pairing locus inside the previous
     increment's support; a candidate extends the chain when it is below
     the previous increment and keeps Z anti-nef.  Returns {cycle:
-    (lexicographically least witness chain, its surviving set, K bit)},
-    Z_0 included: the chain is a tuple of (Y_k, Z_k) pairs, the surviving
-    set the vertices i with coeff(Y_k) = n_i at every step, and the K bit
-    whether every step keeps K.(Z_0 - Y_k) = 0, the Ulrich condition.
+    (lexicographically least witness chain, its surviving set, K bit,
+    pairing M.Z)}, Z_0 included: the chain is a tuple of (Y_k, Z_k) pairs,
+    each pair one object shared by every chain through its node, the
+    surviving set the vertices i with coeff(Y_k) = n_i at every step, and
+    the K bit whether every step keeps K.(Z_0 - Y_k) = 0, the Ulrich
+    condition.
 
     A step past ``max_depth`` is dropped unless it keeps K and
     ``max_steps`` is set; a K step past ``max_steps`` raises
@@ -107,28 +128,25 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     whence p_a(Z + Y) = p_a(Z) - 1: every chain to Z has colength(Z) - 1
     steps, and a vertex survives exactly when a_v = n_v * colength(Z).
 
-    A step Y on a component C does O(|C| + boundary) Python work: Laufer's
-    loop runs on C alone (connected by construction, definite inside a
-    definite graph), and the frame's pairing P moves by M.Y only on C and
-    its neighbours, which is also all that the steps below it read.  The
-    anti-nef test reads the moved entries only: the parent is anti-nef,
-    so every other entry stays <= 0.  Y and Z + Y are then built as
-    length-r tuples, at C speed.
+    A step Y on a component C does O(|C| + boundary) Python work and O(r)
+    at C speed.  Laufer's loop runs on C alone (connected by construction,
+    definite inside a definite graph).  P = M.Z moves by M.Y only on C and
+    its neighbours, and the anti-nef test reads those entries only: the
+    parent is anti-nef, so every other entry stays <= 0.  The children's
+    components come from one pass over C, already sorted.  Y, Z + Y and
+    the child's full P are length-r tuples built from the parent's, so
+    Z_0's is the one pairing vector computed.
     """
     weights, nbrs = g.weights, g._neighbors
     heavy = frozenset(v for v, w in enumerate(weights) if w < -2)
     everything = frozenset(range(g.vertex_count))
-    best = {z0: ((), everything, True)}
-
-    def children(pairing, inside):  # the components of Z's zero locus in `inside`
-        zeros = [v for v in inside if pairing[v] == 0]
-        return iter(sorted(_components(g, zeros), key=sorted))
+    root = pairing_vector(g, z0)
+    best = {z0: ((), everything, True, root)}
 
     # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
     # chain, surviving set) frames, so chain length is not bounded by the
     # interpreter's recursion.
-    root = pairing_vector(g, z0)
-    stack = [(children(root, range(g.vertex_count)), z0, z0, root, (), everything)]
+    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, z0, root, (), everything)]
     while stack:
         comps, z_prev, y_prev, pairing, chain, surv_prev = stack[-1]
         comp = next(comps, None)
@@ -150,11 +168,13 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
         counted = keeps and max_steps is not None  # max_steps caps it, not max_depth
         if not counted and len(chain) >= max_depth:
             continue
-        y, z_new = [0] * len(z0), list(z_prev)
+        y, z_new, p_new = [0] * len(z0), list(z_prev), list(pairing)
         for v, a in ys.items():
             y[v] = a
             z_new[v] += a
-        y, z_new = tuple(y), tuple(z_new)
+        for v, p in moved.items():
+            p_new[v] = p
+        y, z_new, p_new = tuple(y), tuple(z_new), tuple(p_new)
         new_chain = chain + ((y, z_new),)
         if counted and len(new_chain) > max_steps:
             raise ChainDepthError(
@@ -163,8 +183,9 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
         old = best.get(z_new)
         # Equal increments give equal cycles: pairs compare as increments.
         if old is None or new_chain < old[0]:
-            best[z_new] = (new_chain, surviving, keeps)
-        stack.append((children(moved, comp), z_new, y, moved, new_chain, surviving))
+            best[z_new] = (new_chain, surviving, keeps, p_new)
+        # ys holds C in vertex order: the child's search range.
+        stack.append((_zero_components(g, p_new, ys), z_new, y, p_new, new_chain, surviving))
     return best
 
 
@@ -195,8 +216,8 @@ def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
 
     special, ulrich = [], []
     for z in sorted(best):
-        chain, surviving, keeps = best[z]
-        point = _pointwise(g, z, z0)
+        chain, surviving, keeps, pairing = best[z]
+        point = _pointwise(g, z, z0, pairing)
         if surviving and not point.indices:
             raise AssertionError("chain criterion disagrees with pointwise test")
         if keeps and point.u != 0:

@@ -62,21 +62,26 @@ def _graph_dict(g: DualGraph) -> dict:
     }
 
 
-def _filtration_dict(f: Filtration) -> dict:
-    return {
-        "base": f.base,
-        "steps": [{"increment": y, "cycle": z} for y, z in f.steps],
-    }
+def _filtration_dict(f: Filtration, shared: dict) -> dict:
+    """``shared`` maps id(step pair) to the pair's dict, so a step that
+    several chains hold is one dict; the pairs must outlive the map."""
+    steps = []
+    for pair in f.steps:
+        step = shared.get(id(pair))
+        if step is None:
+            step = shared[id(pair)] = {"increment": pair[0], "cycle": pair[1]}
+        steps.append(step)
+    return {"base": f.base, "steps": steps}
 
 
-def _entry_dict(e: ClassificationEntry) -> dict:
+def _entry_dict(e: ClassificationEntry, shared: dict) -> dict:
     return {
         "cycle": e.cycle,
         "colength": e.colength,
         "multiplicity": e.multiplicity,
         "min_gens": e.min_gens,
         "module_indices": sorted(i + 1 for i in e.module_indices),
-        "chain": _filtration_dict(e.chain),
+        "chain": _filtration_dict(e.chain, shared),
         "kind": e.kind,
     }
 
@@ -89,27 +94,28 @@ def _render_graph(g: DualGraph, out) -> None:
 
 
 def _render_cycle(z: Cycle, marked: frozenset[int] = frozenset()) -> str:
-    return " ".join(
-        f"{a}*" if i in marked else str(a) for i, a in enumerate(z)
+    parts = list(map(str, z))
+    for i in marked:
+        parts[i] += "*"
+    return " ".join(parts)
+
+
+def _render_entries(entries: list[ClassificationEntry]) -> str:
+    """The table lines of ``entries``, one string."""
+    return "".join(
+        f"  {_render_cycle(e.cycle, e.module_indices):<30}"
+        f" colength={e.colength} mult={e.multiplicity}"
+        f" min_gens={e.min_gens} kind={e.kind}\n"
+        for e in entries
     )
 
 
-def _render_entries(entries: list[ClassificationEntry], out) -> None:
-    for e in entries:
-        print(
-            f"  {_render_cycle(e.cycle, e.module_indices):<30}"
-            f" colength={e.colength} mult={e.multiplicity}"
-            f" min_gens={e.min_gens} kind={e.kind}",
-            file=out,
-        )
-
-
-def _parse_cycle_arg(text: str, g: DualGraph) -> Cycle:
+def _int_list(text: str, name: str) -> tuple[int, ...]:
+    """The integers of the comma-separated option ``name``."""
     try:
-        z = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise GraphFormatError(f"cycle {text!r} is not a comma-separated integer list")
-    return g.check_cycle(z)
+        raise GraphFormatError(f"{name} {text!r} is not a comma-separated integer list")
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -202,12 +208,11 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
     """The text of ``json.dumps(v, indent=2)`` as a list of pieces.
 
     ``pad`` is a newline plus the indentation of the enclosing level.  A
-    non-empty list or tuple met again at the same indentation copies its
-    earlier pieces: one memo keyed on (pad, id(list)), sound because ``v``
-    keeps every list alive.  Document builders pass the library's own
-    tuples through, so the Z_0 and the steps that the witness chains
-    share are formatted once per depth.  Dicts skip the memo: documents
-    share none, and an insert per dict slowed small documents.  A list
+    non-empty dict, list or tuple met again at the same indentation copies
+    its earlier pieces: one memo keyed on (pad, id(v)), sound because ``v``
+    keeps every container alive.  Document builders pass the library's own
+    tuples through and share one dict per chain step, so Z_0 and the steps
+    that the witness chains share are formatted once per depth.  A list
     holding only ints (not bools) is joined in one step.  Keys and strings
     go through the C string encoder and other scalars through json.dumps.
     Dict keys must be strings.
@@ -217,22 +222,21 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
     spans: dict[tuple[str, int], tuple[int, int]] = {}
 
     def walk(v, pad: str) -> None:
-        if isinstance(v, dict) and v:
-            inner = pad + "  "
-            sep = "{" + inner
-            for k, x in v.items():
-                put(sep + encode_basestring_ascii(k) + ": ")
-                walk(x, inner)
-                sep = "," + inner
-            put(pad + "}")
-        elif isinstance(v, (list, tuple)) and v:
+        if isinstance(v, (dict, list, tuple)) and v:
             key = (pad, id(v))
             if key in spans:
                 pieces.extend(pieces[slice(*spans[key])])
                 return
             start = len(pieces)
             inner = pad + "  "
-            if set(map(type, v)) == {int}:
+            if isinstance(v, dict):
+                sep = "{" + inner
+                for k, x in v.items():
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                    walk(x, inner)
+                    sep = "," + inner
+                put(pad + "}")
+            elif set(map(type, v)) == {int}:
                 put("[" + inner + ("," + inner).join(map(str, v)) + pad + "]")
             else:
                 sep = "[" + inner
@@ -306,7 +310,7 @@ def _cmd_fundamental(args, out) -> int:
     g = _resolve_graph(args)
     supp = None
     if args.support is not None:
-        supp = frozenset(int(p) - 1 for p in args.support.split(","))
+        supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
     if not _graph_record(g).negative_definite:
         print("error: intersection matrix is not negative definite", file=sys.stderr)
         return EXIT_VALIDATION
@@ -320,7 +324,7 @@ def _cmd_fundamental(args, out) -> int:
 
 def _cmd_invariants(args, out) -> int:
     g = _resolve_graph(args)
-    z = _parse_cycle_arg(args.cycle, g)
+    z = g.check_cycle(_int_list(args.cycle, "cycle"))
     rep = validate(g)
     if not rep.ok:
         print(f"error: invalid graph: {rep.failures[0]}", file=sys.stderr)
@@ -342,7 +346,7 @@ def _cmd_invariants(args, out) -> int:
     }
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
-        results["filtration"] = _filtration_dict(_filtration(z, z0))
+        results["filtration"] = _filtration_dict(_filtration(z, z0), {})
         _emit("invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle
@@ -360,20 +364,22 @@ def _cmd_classify(args, out) -> int:
         g, None if args.ulrich else max_colength, None if args.special else max_steps
     )
     if args.format == "json":
-        results = {}
+        results, shared = {}, {}  # one dict per distinct chain step
         if special is not None:
-            results["special"] = [_entry_dict(e) for e in special]
+            results["special"] = [_entry_dict(e, shared) for e in special]
         if ulrich is not None:
             results["ulrich"] = (
-                results["special"] if ulrich is special else [_entry_dict(e) for e in ulrich]
+                results["special"] if ulrich is special else [_entry_dict(e, shared) for e in ulrich]
             )
         _emit("classify", g, results, out)
     else:
         _render_graph(g, out)
+        lines = "" if special is None else _render_entries(special)
         for name, entries in (("special", special), ("ulrich", ulrich)):
             if entries is not None:
                 print(f"{name} cycles ({len(entries)}):", file=out)
-                _render_entries(entries, out)
+                # Equal lists are one object: its lines are written again.
+                out.write(lines if entries is special else _render_entries(entries))
     return EXIT_OK
 
 

@@ -162,8 +162,8 @@ def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) 
     - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2;
     - the indices i with a_i = n_i * colength(Z).
 
-    ``pairing`` is P when the caller holds it (the box search does), trusted
-    to equal M.Z; it is built when None.  Every pass runs at C speed.
+    ``pairing`` is P when the caller holds it (the chain walk and the box
+    search do), trusted to equal M.Z; it is built when None.  Every pass runs at C speed.
 
     Raises DimensionError on a cycle of the wrong length, CycleError on
     one that is not positive and anti-nef (read off P), and AssertionError

@@ -14,13 +14,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
-from dualcycles.builders import build_ade, build_cyclic, is_negative_definite, validate
+from dualcycles import classify, invariants
+from dualcycles.builders import _components, build_ade, build_cyclic, is_negative_definite, validate
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
     _box_search,
     _classify,
     _walk,
+    _zero_components,
     brute_force_anti_nef,
     enumerate_special,
     enumerate_ulrich,
@@ -503,9 +505,49 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     k0 = canonical_degree(g, z0)
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
     best = _walk(g, z0, 10 * g.vertex_count, None)
-    for z, (chain, surviving, keeps) in best.items():
+    for z, (chain, surviving, keeps, pairing) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
         assert surviving == indices
         assert keeps == all(canonical_degree(g, y) == k0 for y, _ in chain)
         assert keeps == (heavy <= indices)
+        # The walk carries M.Z from node to node; _classify trusts it.
+        assert pairing == pairing_vector(g, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_trees(), st.data())
+def test_zero_components_come_in_least_vertex_order(g, data):
+    # The walk's one-pass search gives the components of the zero locus in
+    # the order sorting them as sorted lists gives: disjoint sets differ
+    # in their least vertices.
+    rep = validate(g)
+    assume(rep.connected and rep.negative_definite and rep.rational)
+    r = g.vertex_count
+    pairing = tuple(data.draw(st.lists(st.integers(-2, 0), min_size=r, max_size=r)))
+    if data.draw(st.booleans()):
+        inside = range(r)
+    else:  # a child's range: its component, in vertex order
+        inside = dict.fromkeys(sorted(data.draw(st.sets(st.integers(0, r - 1)))))
+    zeros = [v for v in inside if pairing[v] == 0]
+    expected = [sorted(c) for c in sorted(_components(g, zeros), key=sorted)]
+    assert list(_zero_components(g, pairing, inside)) == expected
+
+
+def test_classify_builds_one_pairing_vector(monkeypatch):
+    # Each walked cycle's pairing is built from its parent's: only Z_0's
+    # is computed from scratch.
+    g = build_ade("D", 30)
+    invariants._graph_record(g)  # warm the graph record
+    calls = []
+    real = pairing_vector
+
+    def spy(graph, z):
+        calls.append(z)
+        return real(graph, z)
+
+    monkeypatch.setattr(classify, "pairing_vector", spy)
+    monkeypatch.setattr(invariants, "pairing_vector", spy)
+    special, ulrich = _classify(g, 300, 300)
+    assert len(special) > 1 and ulrich is special
+    assert len(calls) <= 1

@@ -160,6 +160,15 @@ class TestFundamentalCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("support", ["1,x", ",", ""])
+    def test_malformed_support_names_the_option(self, capsys, support):
+        # These once passed int()'s own message through.
+        code, out = run("fundamental", "--family", "A", "--index", "3", "--support", support)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: support {support!r} is not a comma-separated integer list\n"
+
     def test_one_bareiss_pass(self, monkeypatch):
         passes = []
         real = builders._leading_minors
@@ -436,9 +445,9 @@ class TestClassifyCommand:
         calls = []
         real = cli._entry_dict
 
-        def spy(e):
+        def spy(e, shared):
             calls.append(e)
-            return real(e)
+            return real(e, shared)
 
         monkeypatch.setattr(cli, "_entry_dict", spy)
         code, out = run("classify", "--family", "A", "--index", "9")
@@ -660,6 +669,8 @@ class TestJsonEmitter:
             {"special": [{"c": [1]}, [["s"]]], "ulrich": [{"c": [1]}, [["s"]]]},  # equal, distinct
             {"base": ints, "steps": [{"y": ints, "z": ints}], "also": ints},  # depths, siblings
             {"first": step, "second": step, "steps": [step, step]},  # one dict, two keys
+            {"a": step, "b": [step, {"c": step}], "d": step},  # one dict, two depths
+            {"s": [step, {"increment": ints, "cycle": ints}], "t": [step]},  # dicts share a tuple
             [(1, 2), (1, 2), [(1, 2)], [(1, 2)]],  # equal, distinct tuples
             [flags, (1, 1), [flags, (1, 1)], flags],  # True == 1, yet no shared text
         ]
@@ -678,6 +689,9 @@ class TestJsonEmitter:
         assert all(type(s[k]) is tuple for s in steps for k in ("increment", "cycle"))
         for k in ("increment", "cycle"):  # every repeat is the walk's one object
             assert len({id(s[k]) for s in steps}) == len({s[k] for s in steps}) < len(steps) / 2
+        # ... and so is every repeated step, one dict each.
+        distinct = {(s["increment"], s["cycle"]) for s in steps}
+        assert len({id(s) for s in steps}) == len(distinct) < len(steps) / 2
 
     def test_document_with_shared_steps_round_trips(self):
         # D_30's witness chains share most of their steps
