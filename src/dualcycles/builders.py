@@ -1,18 +1,18 @@
-"""Construction and validation of dual graphs.
+"""Construction and structural tests of dual graphs.
 
 Provides the ADE families, cyclic quotient chains via Hirzebruch-Jung
 continued fractions, a line-oriented text format for user-supplied graphs,
-and a structural validator (connectedness, negative definiteness, tree
-shape, rationality, Gorenstein-ness).
+and the connectedness and negative-definiteness tests that the validator
+(``invariants.validate``) reads through the graph record.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .lattice import DualGraph
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text (carries a 1-based line number when known)."""
@@ -160,29 +160,6 @@ def _int_arg(args: list[str], pos: int, want: int, directive: str, lineno: int) 
         ) from None
 
 
-@dataclass
-class ValidationReport:
-    """Structural verdicts on a dual graph.
-
-    ``rational`` and ``gorenstein`` are only meaningful when the graph is
-    connected and negative definite; otherwise they are False and a
-    finding explains why they are undetermined.  ``multiplicity`` is
-    -Z_0^2 whenever the fundamental cycle is computable, else None.
-    """
-
-    connected: bool = False
-    negative_definite: bool = False
-    tree: bool = False
-    rational: bool = False
-    gorenstein: bool = False
-    multiplicity: int | None = None
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _components(g: DualGraph, verts: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced on ``verts``."""
     verts = set(verts)
@@ -269,41 +246,3 @@ def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -
             if u in pos:
                 rows[k][pos[u]] = -1
     return all(d > 0 for d in _leading_minors(rows))
-
-
-def validate(g: DualGraph) -> ValidationReport:
-    """Full structural report; never raises, all findings are collected.
-    Read from the graph record that the classifiers share."""
-    from .invariants import _graph_record  # cycle-level layer
-
-    record = _graph_record(g)
-    rep = ValidationReport(record.connected, record.negative_definite)
-    if not rep.connected:
-        rep.failures.append("graph is not connected")
-    if not rep.negative_definite:
-        rep.failures.append("intersection matrix is not negative definite")
-    rep.tree = rep.connected and len(g.edges) == g.vertex_count - 1
-    bad_weights = [i + 1 for i, w in enumerate(g.weights) if w > -2]
-    if bad_weights:
-        rep.failures.append(
-            f"weights > -2 at vertices {bad_weights} (not a minimal resolution)"
-        )
-
-    if record.z0 is not None:
-        rep.multiplicity = record.multiplicity
-        rep.rational = record.genus == 0
-        if not rep.rational:
-            rep.failures.append(
-                f"not rational: fundamental cycle has virtual genus {record.genus}"
-            )
-        rep.gorenstein = rep.multiplicity == 2
-        if rep.gorenstein and not rep.rational:
-            rep.failures.append(
-                "multiplicity 2 but not rational: outside this tool's scope"
-            )
-    else:
-        rep.failures.append(
-            "rationality/Gorenstein-ness undetermined (needs a connected, "
-            "negative definite graph)"
-        )
-    return rep

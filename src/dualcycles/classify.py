@@ -17,7 +17,7 @@ invariants come from ``invariants._pointwise``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .builders import _ade_type, build_ade
 from .invariants import (
@@ -44,8 +44,7 @@ class ChainDepthError(RuntimeError):
     """A chain enumeration exceeded its step cap without terminating."""
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     """One classified cycle together with its invariants and a witness chain."""
 
     cycle: Cycle
@@ -477,8 +476,7 @@ def expected_ulrich_count(family: str, index: int) -> int:
     return {6: 2, 7: 3, 8: 2}[n]
 
 
-@dataclass
-class RdpVerification:
+class RdpVerification(NamedTuple):
     """Diff between the enumerated and the expected ADE Ulrich table."""
 
     family: str
@@ -487,9 +485,9 @@ class RdpVerification:
     expected: list[tuple[Cycle, int]]
     actual: list[tuple[Cycle, int]]
     expected_count: int
-    missing: list[Cycle] = field(default_factory=list)
-    extra: list[Cycle] = field(default_factory=list)
-    colength_mismatches: list[tuple[Cycle, int, int]] = field(default_factory=list)
+    missing: list[Cycle]
+    extra: list[Cycle]
+    colength_mismatches: list[tuple[Cycle, int, int]]
 
 
 def verify_rdp(family: str, index: int) -> RdpVerification:

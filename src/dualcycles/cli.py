@@ -4,8 +4,8 @@ Subcommands build or load a dual graph, validate it, compute invariants
 of a cycle, classify special/Ulrich cycles, run the brute-force oracle,
 and verify the ADE golden tables.  Output is a plain table by default or
 a schema-stable JSON document with ``--format json``.  Exit codes:
-0 success, 1 validation failure, 2 parse/usage error, 3 verification
-mismatch.
+0 success, 1 validation failure (or a request that runs out of memory
+or recursion depth), 2 parse/usage error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .builders import (
-    GraphFormatError,
-    build_ade,
-    build_cyclic,
-    parse_graph,
-    validate,
-)
+from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph
 from .classify import (
     ChainDepthError,
     ClassificationEntry,
@@ -34,7 +27,14 @@ from .classify import (
     oracle_classify,
     verify_rdp,
 )
-from .invariants import Filtration, _filtration, _graph_record, _pointwise, fundamental_cycle
+from .invariants import (
+    Filtration,
+    _filtration,
+    _graph_record,
+    _pointwise,
+    fundamental_cycle,
+    validate,
+)
 from .lattice import Cycle, CycleError, DualGraph, pairing_vector
 
 EXIT_OK = 0
@@ -295,7 +295,7 @@ def _cmd_validate(args, out) -> int:
     g = _resolve_graph(args)
     rep = validate(g)
     if args.format == "json":
-        _emit("validate", g, asdict(rep), out)
+        _emit("validate", g, rep._asdict(), out)
     else:
         _render_graph(g, out)
         for name in ("connected", "negative_definite", "tree", "rational", "gorenstein"):
@@ -404,7 +404,6 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_verify_rdp(args, out) -> int:
     rep = verify_rdp(args.family, args.index)
-    g = build_ade(args.family, args.index)
     results = {
         "family": rep.family,
         "index": rep.index,
@@ -421,7 +420,7 @@ def _cmd_verify_rdp(args, out) -> int:
         ],
     }
     if args.format == "json":
-        _emit("verify-rdp", g, results, out)
+        _emit("verify-rdp", build_ade(args.family, args.index), results, out)
     else:
         verdict = "match" if rep.matched else "MISMATCH"
         print(
@@ -470,6 +469,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (GraphFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as e:  # the last resort, no traceback
+        name = type(e).__name__
+        print(f"error: {name}: the request is too large for this process", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 in one place.
 
 ``_graph_record`` holds Z_0 and the validity of a graph, memoised and
-shared by the validator and the classifiers.  ``_pointwise`` reads every
-invariant of an anti-nef cycle off one pairing vector; the public
-functions read it, after raising InvalidGraphError unless the graph is
-connected, negative definite and rational.  Also: fundamental cycles on
-sub-supports and canonical filtrations.
+shared by the validator (``validate``) and the classifiers.
+``_pointwise`` reads every invariant of an anti-nef cycle off one
+pairing vector; the public functions read it, after raising
+InvalidGraphError unless the graph is connected, negative definite and
+rational.  Also: fundamental cycles on sub-supports and canonical
+filtrations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import heapq
 import itertools
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .builders import is_connected, is_negative_definite
@@ -125,6 +125,54 @@ def _graph_record(g: DualGraph) -> GraphRecord:
     return GraphRecord(True, True, z0, -zz, _genus(g, z0, zz))
 
 
+class ValidationReport(NamedTuple):
+    """Structural verdicts on a dual graph.
+
+    ``rational`` and ``gorenstein`` are only meaningful when the graph is
+    connected and negative definite; otherwise they are False and a
+    finding explains why they are undetermined.  ``multiplicity`` is
+    -Z_0^2 whenever the fundamental cycle is computable, else None.
+    """
+
+    connected: bool
+    negative_definite: bool
+    tree: bool
+    rational: bool
+    gorenstein: bool
+    multiplicity: int | None
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def validate(g: DualGraph) -> ValidationReport:
+    """Full structural report; never raises, all findings are collected.
+    Read from the graph record that the classifiers share."""
+    connected, definite, z0, mult, genus = _graph_record(g)
+    failures = []
+    if not connected:
+        failures.append("graph is not connected")
+    if not definite:
+        failures.append("intersection matrix is not negative definite")
+    bad_weights = [i + 1 for i, w in enumerate(g.weights) if w > -2]
+    if bad_weights:
+        failures.append(f"weights > -2 at vertices {bad_weights} (not a minimal resolution)")
+    rational, gorenstein = genus == 0, mult == 2
+    if z0 is None:
+        failures.append(
+            "rationality/Gorenstein-ness undetermined (needs a connected, "
+            "negative definite graph)"
+        )
+    elif not rational:
+        failures.append(f"not rational: fundamental cycle has virtual genus {genus}")
+        if gorenstein:
+            failures.append("multiplicity 2 but not rational: outside this tool's scope")
+    tree = connected and len(g.edges) == g.vertex_count - 1
+    return ValidationReport(connected, definite, tree, rational, gorenstein, mult, failures)
+
+
 def _rational(g: DualGraph) -> tuple[Cycle, bool]:
     """(Z_0, multiplicity == 2) of a connected, negative definite, rational
     graph with every weight <= -2, the graphs ``validate`` accepts;
@@ -221,8 +269,7 @@ def u_invariant(g: DualGraph, z: Cycle) -> int:
     return _invariants_of(g, z).u
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Chain Z_0 <= Z_1 <= ... <= Z_s with increments Y_k = Z_k - Z_{k-1}.
 
     ``steps[k-1] == (Y_k, Z_k)``; every Z_k is anti-nef and the Y_k
@@ -231,17 +278,6 @@ class Filtration:
 
     base: Cycle
     steps: tuple[tuple[Cycle, Cycle], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def top(self) -> Cycle:
-        return self.steps[-1][1] if self.steps else self.base
-
-    def increments(self) -> list[Cycle]:
-        return [y for y, _ in self.steps]
 
 
 def filtration(g: DualGraph, z: Cycle) -> Filtration:

@@ -12,7 +12,6 @@ need it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 Cycle = tuple[int, ...]
 
@@ -25,7 +24,6 @@ class CycleError(ValueError):
     """A cycle violates a precondition (negativity, not anti-nef, ...)."""
 
 
-@dataclass(frozen=True)
 class DualGraph:
     """Weighted simple graph carrying the intersection form.
 
@@ -33,14 +31,11 @@ class DualGraph:
     a minimal resolution; the constructor does not enforce that, the
     validator reports it).  ``edges`` holds unordered pairs (i, j) with
     i < j, each meaning intersection number 1.  Vertices are 0-based here;
-    all I/O uses 1-based labels.
+    all I/O uses 1-based labels.  A graph is immutable, and equality and
+    hash read ``(weights, edges)`` only: graphs key the memoised records.
     """
 
-    weights: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    _neighbors: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("weights", "edges", "_neighbors", "__weakref__")
 
     def __init__(self, weights, edges):
         weights = tuple(int(w) for w in weights)
@@ -65,6 +60,25 @@ class DualGraph:
             nbrs[j].append(i)
         object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in nbrs))
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DualGraph is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not DualGraph:
+            return NotImplemented
+        return (self.weights, self.edges) == (other.weights, other.edges)
+
+    def __hash__(self):
+        return hash((self.weights, self.edges))
+
+    def __repr__(self):
+        return f"DualGraph(weights={self.weights!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return DualGraph, (self.weights, self.edges)
+
     @property
     def vertex_count(self) -> int:
         return len(self.weights)
@@ -79,11 +93,6 @@ class DualGraph:
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"
             )
         return z
-
-
-def support(z: Cycle) -> frozenset[int]:
-    """Vertices with strictly positive coefficient."""
-    return frozenset(i for i, a in enumerate(z) if a > 0)
 
 
 def sub(z: Cycle, w: Cycle) -> Cycle:
@@ -108,17 +117,9 @@ def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
     return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
 
 
-def canonical_degree(g: DualGraph, z: Cycle) -> int:
-    """K.Z where K is the canonical divisor, using K.E_i = -E_i^2 - 2.
-
-    Zero whenever every weight is -2, so this measures exactly the
-    contribution of the (-3)-or-worse vertices.
-    """
-    return _canonical(g, g.check_cycle(z))
-
-
 def _canonical(g: DualGraph, z: Cycle) -> int:
-    """K.Z = sum a_i (-w_i - 2) of a checked Z, as two sums at C speed."""
+    """K.Z = sum a_i (-w_i - 2) of a checked Z, K the canonical divisor
+    (K.E_i = -E_i^2 - 2, so zero on an all -2 graph), as two sums at C speed."""
     return -sum(map(operator.mul, g.weights, z)) - 2 * sum(z)
 
 

@@ -16,8 +16,8 @@ from dualcycles.builders import (
     is_connected,
     is_negative_definite,
     parse_graph,
-    validate,
 )
+from dualcycles.invariants import validate
 from dualcycles.lattice import DualGraph
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
 from dualcycles import classify, invariants
-from dualcycles.builders import _components, build_ade, build_cyclic, is_negative_definite, validate
+from dualcycles.builders import _components, build_ade, build_cyclic, is_negative_definite
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
@@ -41,10 +41,11 @@ from dualcycles.invariants import (
     multiplicity,
     special_module_indices,
     u_invariant,
+    validate,
 )
 from dualcycles.lattice import (
     DualGraph,
-    canonical_degree,
+    _canonical,
     intersection,
     is_anti_nef,
     pairing_vector,
@@ -212,7 +213,7 @@ class TestEnumerators:
         for e in enumerate_ulrich(g):
             assert e.colength == colength(g, e.cycle)
             assert u_invariant(g, e.cycle) == 0
-            assert e.chain.top == e.cycle
+            assert [e.chain.base, *(zk for _, zk in e.chain.steps)][-1] == e.cycle
             assert e.kind in ("ulrich", "both")
 
     def test_chain_witnesses_rebuild_the_cycle(self):
@@ -233,7 +234,7 @@ class TestEnumerators:
             enumerate_ulrich(g, max_steps=longest - 1)
         entries = enumerate_ulrich(g, max_steps=longest)
         assert len(entries) == count
-        assert max(e.chain.length for e in entries) == longest
+        assert max(len(e.chain.steps) for e in entries) == longest
 
     @pytest.mark.parametrize(
         "g", [build_ade("A", 3), build_cyclic(5, 2), STAR], ids=["A3", "cyclic5_2", "star"]
@@ -253,7 +254,7 @@ class TestEnumerators:
         finally:
             sys.setrecursionlimit(limit)
         assert len(entries) == expected_ulrich_count("A", 301)
-        assert max(e.chain.length for e in entries) == 150
+        assert max(len(e.chain.steps) for e in entries) == 150
 
     ENTRY_CORPUS = {
         "ade": [
@@ -283,7 +284,7 @@ class TestEnumerators:
             for e in enumerate_special(g, 10 * g.vertex_count) + enumerate_ulrich(g):
                 z = e.cycle
                 zz, z0z = intersection(g, z, z), intersection(g, z0, z)
-                genus = (zz + canonical_degree(g, z)) // 2 + 1
+                genus = (zz + _canonical(g, z)) // 2 + 1
                 assert genus == virtual_genus(g, z)
                 ell = 1 - genus
                 indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
@@ -301,7 +302,7 @@ class TestEnumerators:
         "g", [build_ade("A", 9), build_ade("D", 8), STAR], ids=["A9", "D8", "star"]
     )
     def test_one_walk_gives_both_lists(self, g):
-        longest = max(e.chain.length for e in enumerate_ulrich(g))
+        longest = max(len(e.chain.steps) for e in enumerate_ulrich(g))
         for max_steps in (longest, longest + 1, 10 * g.vertex_count):
             for max_colength in (1, longest, longest + 1, longest + 2, 10 * g.vertex_count):
                 special, ulrich = _classify(g, max_colength, max_steps)
@@ -502,14 +503,14 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
     z0 = fundamental_cycle(g)
-    k0 = canonical_degree(g, z0)
+    k0 = _canonical(g, z0)
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
     best = _walk(g, z0, 10 * g.vertex_count, None)
     for z, (chain, surviving, keeps, pairing) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
         assert surviving == indices
-        assert keeps == all(canonical_degree(g, y) == k0 for y, _ in chain)
+        assert keeps == all(_canonical(g, y) == k0 for y, _ in chain)
         assert keeps == (heavy <= indices)
         # The walk carries M.Z from node to node; _classify trusts it.
         assert pairing == pairing_vector(g, z)

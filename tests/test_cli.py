@@ -398,7 +398,7 @@ class TestClassifyCommand:
         else:
             g = build_ade(source[0], int(source[1:]))
             argv = ["classify", "--family", source[0], "--index", source[1:]]
-        longest = max(e.chain.length for e in enumerate_ulrich(g))
+        longest = max(len(e.chain.steps) for e in enumerate_ulrich(g))
         # Bad caps first: both caps are checked before the walk.
         caps = [(0, None), (0, -1), (1, -1), (None, None), (1, None), (2, None)]
         for steps in (longest - 1, longest, longest + 1):  # the first one raises
@@ -496,6 +496,8 @@ class TestVerifyRdpCommand:
                 actual=[],
                 expected_count=1,
                 missing=[(1, 1)],
+                extra=[],
+                colength_mismatches=[],
             )
 
         monkeypatch.setattr(cli, "verify_rdp", fake_verify)
@@ -523,6 +525,140 @@ class TestUsageErrors:
     def test_version_flag(self):
         code, _ = run("--version")
         assert code == EXIT_OK
+
+
+class TestLastResort:
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhaustion_exits_one_with_one_error_line(self, capsys, monkeypatch, error):
+        def exhausted(g, bound):
+            raise error()
+
+        monkeypatch.setattr(cli, "oracle_classify", exhausted)
+        code, out = run("oracle", "--family", "E", "--index", "8", "--bound", "1000")
+        assert code == EXIT_VALIDATION and out == ""
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0][len("error: "):].strip()
+
+    def test_import_leaves_dataclasses_unloaded(self):
+        code = "import sys, dualcycles.cli\nprint('dataclasses' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
+# Whole documents, byte for byte: the key order of the records' fields.
+TRIANGLE_VALIDATE = """\
+{
+  "tool": {
+    "name": "dualcycles",
+    "version": "0.1.0"
+  },
+  "command": "validate",
+  "graph": {
+    "vertices": 3,
+    "weights": [
+      -3,
+      -3,
+      -3
+    ],
+    "edges": [
+      [
+        1,
+        2
+      ],
+      [
+        1,
+        3
+      ],
+      [
+        2,
+        3
+      ]
+    ]
+  },
+  "results": {
+    "connected": true,
+    "negative_definite": true,
+    "tree": false,
+    "rational": false,
+    "gorenstein": false,
+    "multiplicity": 3,
+    "failures": [
+      "not rational: fundamental cycle has virtual genus 1"
+    ]
+  }
+}
+"""
+
+A2_VERIFY_RDP = """\
+{
+  "tool": {
+    "name": "dualcycles",
+    "version": "0.1.0"
+  },
+  "command": "verify-rdp",
+  "graph": {
+    "vertices": 2,
+    "weights": [
+      -2,
+      -2
+    ],
+    "edges": [
+      [
+        1,
+        2
+      ]
+    ]
+  },
+  "results": {
+    "family": "A",
+    "index": 2,
+    "matched": true,
+    "expected_count": 1,
+    "actual_count": 1,
+    "expected": [
+      {
+        "cycle": [
+          1,
+          1
+        ],
+        "colength": 1
+      }
+    ],
+    "actual": [
+      {
+        "cycle": [
+          1,
+          1
+        ],
+        "colength": 1
+      }
+    ],
+    "missing": [],
+    "extra": [],
+    "colength_mismatches": []
+  }
+}
+"""
+
+
+class TestGoldenDocuments:
+    def test_validate_of_a_failing_graph(self, tmp_path):
+        # Three -3 curves meeting pairwise: definite, not a tree, p_a(Z_0) = 1.
+        src = tmp_path / "triangle.txt"
+        src.write_text(serialize_graph(DualGraph((-3, -3, -3), [(0, 1), (1, 2), (0, 2)])))
+        assert run("--format", "json", "validate", "--graph", str(src)) == (
+            EXIT_VALIDATION, TRIANGLE_VALIDATE
+        )
+
+    def test_verify_rdp_a2(self):
+        assert run("--format", "json", "verify-rdp", "--family", "A", "--index", "2") == (
+            EXIT_OK, A2_VERIFY_RDP
+        )
 
 
 class TestParserReuse:
@@ -626,7 +762,8 @@ class TestJsonEmitter:
             "verify_rdp",
             lambda family, index: RdpVerification(
                 family="A", index=2, matched=False, expected=[((1, 1), 1)],
-                actual=[], expected_count=1, missing=[(1, 1)],
+                actual=[], expected_count=1, missing=[(1, 1)], extra=[],
+                colength_mismatches=[],
             ),
         )
         code, out = run("--format", "json", "verify-rdp", "--family", "A", "--index", "2")
