@@ -9,7 +9,7 @@ and the connectedness and negative-definiteness tests that the validator
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .lattice import DualGraph
 
@@ -160,27 +160,24 @@ def _int_arg(args: list[str], pos: int, want: int, directive: str, lineno: int) 
         ) from None
 
 
-def _components(g: DualGraph, verts: Iterable[int]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced on ``verts``."""
-    verts = set(verts)
-    comps = []
-    while verts:
-        stack = [verts.pop()]
-        comp = set(stack)
-        while stack:
-            for u in g.neighbors(stack.pop()):
-                if u in verts:
-                    verts.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(frozenset(comp))
-    return comps
+def _reach(g: DualGraph, start: int, inside) -> list[int]:
+    """The vertices of ``inside`` (O(1) membership) reachable from
+    ``start`` inside it, in breadth-first order with neighbours in index
+    order."""
+    order, seen = [start], {start}
+    for v in order:  # the list grows while it is walked: a queue
+        for u in g._neighbors[v]:
+            if u in inside and u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
 
 
 def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
-    """Graph search on the induced subgraph (whole graph by default)."""
+    """One ``_reach`` from the least vertex of the induced subgraph (the
+    whole graph by default)."""
     verts = range(g.vertex_count) if vertices is None else vertices
-    return len(_components(g, verts)) == 1
+    return bool(verts) and len(_reach(g, min(verts), verts)) == len(verts)
 
 
 def _leading_minors(m) -> Iterator[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .builders import _ade_type, build_ade
+from .builders import _ade_type, _reach, build_ade
 from .invariants import (
     CycleInvariants,
     Filtration,
@@ -29,7 +29,6 @@ from .invariants import (
     _laufer,
     _pointwise,
     _rational,
-    fundamental_cycle,
 )
 from .lattice import (
     Cycle,
@@ -267,21 +266,6 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     return _classify(g, None, 10 * g.vertex_count if max_steps is None else max_steps)[1]
 
 
-def _elimination_order(g: DualGraph) -> list[int]:
-    """Breadth-first order from the lowest-index leaf (vertex 0 when there
-    is none), neighbours in index order; unreached vertices follow in index
-    order."""
-    r = g.vertex_count
-    start = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
-    order, seen = [start], {start}
-    for v in order:  # the list grows while it is walked: a queue
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    return order + [v for v in range(r) if v not in seen]
-
-
 def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]]:
     """For each position k: (terms, det) with a_p >= ceil(sum c_v a_v / det).
 
@@ -321,23 +305,27 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1.
-    InvalidGraphError on a graph that is not negative definite."""
+    InvalidGraphError on a graph that is not negative definite, then on
+    one that is not connected (Z_0 needs both)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if not _graph_record(g).negative_definite:
-        raise InvalidGraphError("graph is not negative definite")
-    return [z for z, _ in _box_search(g, scale(bound, fundamental_cycle(g)))]
+    definite, z0 = _graph_record(g)[1:3]
+    if z0 is None:  # Z_0 needs a connected, negative definite graph
+        raise InvalidGraphError("graph is not " + ("connected" if definite else "negative definite"))
+    return [z for z, _ in _box_search(g, scale(bound, z0))]
 
 
 def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
-    """(Z, M.Z) for every anti-nef cycle 0 < Z <= ``box`` on a negative
-    definite graph, sorted by Z, by pruned enumeration.
+    """(Z, M.Z) for every anti-nef cycle 0 < Z <= ``box`` on a connected,
+    negative definite graph (unchecked: both callers read Z_0 first, which
+    needs both), sorted by Z, by pruned enumeration.
 
     Coefficients are assigned in the breadth-first order of
-    ``_elimination_order``, depth first with an explicit stack.  The
-    interval of the vertex p being assigned is cut from both sides by the
-    pointwise definition Z.E_i <= 0 alone, so nothing here uses the chain
-    results or the theorem Z >= Z_0:
+    ``builders._reach`` from the lowest-index leaf (vertex 0 when there is
+    none), which reaches every vertex of a connected graph, depth first
+    with an explicit stack.  The interval of the vertex p being assigned
+    is cut from both sides by the pointwise definition Z.E_i <= 0 alone,
+    so nothing here uses the chain results or the theorem Z >= Z_0:
 
     - upper: unassigned coefficients are nonnegative, so each assigned
       neighbour u of p must keep its pairing over the assigned vertices,
@@ -357,15 +345,17 @@ def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
     bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
     bound it tried 226,667 and 2,189,834.
     """
-    order = _elimination_order(g)
+    r = g.vertex_count
+    leaf = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
+    order = _reach(g, leaf, range(r))
     plans = _lower_bound_plans(g, order)
     rank = {v: k for k, v in enumerate(order)}
     caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]
 
     results: list[tuple[Cycle, Cycle]] = []
-    coeffs = [0] * g.vertex_count
-    pairing = [0] * g.vertex_count  # over the assigned coefficients only
-    tops = [0] * len(order)
+    coeffs = [0] * r
+    pairing = [0] * r  # over the assigned coefficients only
+    tops = [0] * r
 
     def shift(k: int, step: int) -> None:
         p = order[k]
@@ -394,7 +384,7 @@ def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
             shift(k, -coeffs[p])
             k -= 1
             continue
-        if k == len(order) - 1:
+        if k == r - 1:
             if any(coeffs):
                 results.append((tuple(coeffs), tuple(pairing)))
             fresh = False

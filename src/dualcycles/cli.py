@@ -161,6 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     graph = sub.add_parser("graph", help="build or load a graph and print it")
+    # Each subcommand sets its own source; _resolve_graph reads them all.
+    graph.set_defaults(graph=None, family=None, index=None, n=None, q=None)
     gsub = graph.add_subparsers(dest="graph_command", required=True)
     g_ade = gsub.add_parser("ade")
     g_ade.add_argument("--family", choices=list("ADEade"), required=True)
@@ -171,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g_cyc.add_argument("--q", type=int, required=True)
     g_cyc.add_argument("--out", metavar="FILE")
     g_load = gsub.add_parser("load")
-    g_load.add_argument("file", metavar="FILE")
+    g_load.add_argument("graph", metavar="FILE")
     g_load.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("validate", help="structural report on a graph")
@@ -204,18 +206,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _json_chunks(v, pad: str = "\n") -> list[str]:
+def _json_chunks(v) -> list[str]:
     """The text of ``json.dumps(v, indent=2)`` as a list of pieces.
 
-    ``pad`` is a newline plus the indentation of the enclosing level.  A
-    non-empty dict, list or tuple met again at the same indentation copies
-    its earlier pieces: one memo keyed on (pad, id(v)), sound because ``v``
-    keeps every container alive.  Document builders pass the library's own
-    tuples through and share one dict per chain step, so Z_0 and the steps
-    that the witness chains share are formatted once per depth.  A list
-    holding only ints (not bools) is joined in one step.  Keys and strings
-    go through the C string encoder and other scalars through json.dumps.
-    Dict keys must be strings.
+    ``walk``'s ``pad`` is a newline plus the indentation of the enclosing
+    level.  A non-empty dict, list or tuple met again at the same
+    indentation copies its earlier pieces: one memo keyed on (pad, id(v)),
+    sound because ``v`` keeps every container alive.  Document builders
+    pass the library's own tuples through and share one dict per chain
+    step, so Z_0 and the steps that the witness chains share are
+    formatted once per depth.  A list holding only ints (not bools) is
+    joined in one step.  Keys and strings go through the C string encoder
+    and other scalars through json.dumps.  Dict keys must be strings.
     """
     pieces: list[str] = []
     put = pieces.append
@@ -251,7 +253,7 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
         else:
             put(json.dumps(v))
 
-    walk(v, pad)
+    walk(v, "\n")
     return pieces
 
 
@@ -273,13 +275,7 @@ def _emit(command: str, g: DualGraph | None, results: dict, out) -> None:
 
 
 def _cmd_graph(args, out) -> int:
-    if args.graph_command == "ade":
-        g = build_ade(args.family, args.index)
-    elif args.graph_command == "cyclic":
-        g = build_cyclic(args.n, args.q)
-    else:
-        with open(args.file, encoding="utf-8") as fh:
-            g = parse_graph(fh.read())
+    g = _resolve_graph(args)
     text = serialize_graph(g)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -311,9 +307,11 @@ def _cmd_fundamental(args, out) -> int:
     supp = None
     if args.support is not None:
         supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
-    if not _graph_record(g).negative_definite:
-        print("error: intersection matrix is not negative definite", file=sys.stderr)
-        return EXIT_VALIDATION
+    record = _graph_record(g)
+    if not record.negative_definite:
+        raise InvalidGraphError("intersection matrix is not negative definite")
+    if supp is None and not record.connected:
+        raise InvalidGraphError("graph is not connected")
     z = fundamental_cycle(g, supp)
     if args.format == "json":
         _emit("fundamental", g, {"cycle": z}, out)
@@ -327,12 +325,10 @@ def _cmd_invariants(args, out) -> int:
     z = g.check_cycle(_int_list(args.cycle, "cycle"))
     rep = validate(g)
     if not rep.ok:
-        print(f"error: invalid graph: {rep.failures[0]}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise InvalidGraphError(f"invalid graph: {rep.failures[0]}")
     pairing = pairing_vector(g, z)
     if min(z) < 0 or max(pairing) > 0:
-        print("error: cycle is not anti-nef (represents no ideal)", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CycleError("cycle is not anti-nef (represents no ideal)")
     z0 = _graph_record(g).z0
     inv = _pointwise(g, z, z0, pairing)
     results = {
@@ -455,6 +451,8 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
+    """Run one request and return its exit code.  Handlers raise typed
+    errors; every ``error:`` line and failure exit code is chosen here."""
     out = out or sys.stdout
     parser = _build_parser()
     try:

@@ -13,7 +13,6 @@ filtrations.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import operator
 from collections.abc import Iterable
@@ -40,29 +39,32 @@ def _laufer(g: DualGraph, verts: Iterable[int]) -> dict[int, int]:
     """{vertex: coefficient} of the fundamental cycle on ``verts``, in the
     order of ``verts``.
 
-    Laufer's loop: start from 1 everywhere and bump the lowest-index vertex
-    whose pairing over ``verts`` is positive (the fixed point is order
-    independent; the rule makes traces reproducible).  The pairing is
-    updated per bump and its positive vertices kept in a heap: a bump
-    costs O(deg log |verts|), nothing costs O(r).  ``verts`` must be
-    connected and negative definite, unchecked, or the loop never ends.
+    Laufer's loop: start from 1 everywhere and bump any vertex whose
+    pairing over ``verts`` is positive.  A bump below the fundamental
+    cycle stays below it, so the loop ends at that cycle whatever the
+    order, after sum(Z) - |verts| bumps: no order is observable, and no
+    heap is needed to pick the vertex.  The pairing is updated per bump
+    and its positive vertices kept on a stack, the last pushed bumped
+    first (deterministic, so traces are reproducible): a bump costs
+    O(deg), nothing costs O(r).  ``verts`` must be connected and negative
+    definite, unchecked, or the loop never ends.
     """
     z = dict.fromkeys(verts, 1)
     weights, nbrs = g.weights, g._neighbors
     pairing = {v: weights[v] + sum(map(z.__contains__, nbrs[v])) for v in z}
-    # Exactly the vertices with positive pairing; a sorted list is a heap.
-    positive = sorted(v for v, p in pairing.items() if p > 0)
+    # Exactly the vertices with positive pairing, each once.
+    positive = [v for v, p in pairing.items() if p > 0]
     while positive:
-        i = positive[0]
+        i = positive[-1]
         z[i] += 1
         pairing[i] += weights[i]
         if pairing[i] <= 0:
-            heapq.heappop(positive)
+            positive.pop()
         for j in nbrs[i]:
             if j in z:
                 pairing[j] += 1
                 if pairing[j] == 1:
-                    heapq.heappush(positive, j)
+                    positive.append(j)
     return z
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
 from dualcycles import classify, invariants
-from dualcycles.builders import _components, build_ade, build_cyclic, is_negative_definite
+from dualcycles.builders import build_ade, build_cyclic, is_negative_definite
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
@@ -84,6 +84,13 @@ class TestGuards:
             with pytest.raises(InvalidGraphError, match="not a minimal resolution"):
                 call()
         assert brute_force_anti_nef(g, 1) == [(1, 1)]  # needs definiteness only
+
+    def test_brute_force_refuses_disconnected_graph(self):
+        # Definite, so it once reached Laufer's loop and raised a bare
+        # ValueError about a support that was never given.
+        g = DualGraph((-2,) * 4, [(0, 1), (2, 3)])
+        with pytest.raises(InvalidGraphError, match="^graph is not connected$"):
+            brute_force_anti_nef(g, 1)
 
     def test_graph_memo_keeps_a_bounded_set_of_graphs(self):
         # Classifying many distinct graphs keeps at most the memo's bound
@@ -516,6 +523,19 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
         assert pairing == pairing_vector(g, z)
 
 
+def flood_components(g, verts):
+    """Components of the subgraph induced on ``verts``, one flood fill each."""
+    left, comps = set(verts), []
+    while left:
+        comp = grown = {left.pop()}
+        while grown:
+            grown = {u for v in grown for u in g.neighbors(v)} & left
+            left -= grown
+            comp |= grown
+        comps.append(comp)
+    return comps
+
+
 @settings(max_examples=100, deadline=None)
 @given(random_trees(), st.data())
 def test_zero_components_come_in_least_vertex_order(g, data):
@@ -531,7 +551,7 @@ def test_zero_components_come_in_least_vertex_order(g, data):
     else:  # a child's range: its component, in vertex order
         inside = dict.fromkeys(sorted(data.draw(st.sets(st.integers(0, r - 1)))))
     zeros = [v for v in inside if pairing[v] == 0]
-    expected = [sorted(c) for c in sorted(_components(g, zeros), key=sorted)]
+    expected = [sorted(c) for c in sorted(flood_components(g, zeros), key=sorted)]
     assert list(_zero_components(g, pairing, inside)) == expected
 
 

@@ -150,6 +150,25 @@ class TestFundamentalCommand:
         code, _ = run("fundamental", "--family", "A", "--index", "4", "--support", "1,3")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "g, err",
+        [
+            # Definite: it once exited 2, naming a support never given.
+            (DualGraph((-2,) * 4, [(0, 1), (2, 3)]), "error: graph is not connected\n"),
+            # Definiteness is checked first.
+            (
+                DualGraph((-2,) * 7, INDEFINITE_STAR.edges),
+                "error: intersection matrix is not negative definite\n",
+            ),
+        ],
+        ids=["definite", "indefinite"],
+    )
+    def test_disconnected_graph_exits_one(self, tmp_path, capsys, g, err):
+        src = tmp_path / "g.txt"
+        src.write_text(serialize_graph(g))
+        assert run("fundamental", "--graph", str(src)) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("support", ["0", "99", ""])
     def test_support_out_of_range_exits_two(self, capsys, support):
         # "0" once printed 0 0 0 and exited 0; "99" ended in a traceback;
@@ -646,6 +665,39 @@ A2_VERIFY_RDP = """\
 """
 
 
+# (1/7)(1,3): the chain -3 -2 -2.
+C73_GRAPH = """\
+{
+  "tool": {
+    "name": "dualcycles",
+    "version": "0.1.0"
+  },
+  "command": "graph",
+  "graph": {
+    "vertices": 3,
+    "weights": [
+      -3,
+      -2,
+      -2
+    ],
+    "edges": [
+      [
+        1,
+        2
+      ],
+      [
+        2,
+        3
+      ]
+    ]
+  },
+  "results": {
+    "text": "vertices 3\\nweight 1 -3\\nedge 1 2\\nedge 2 3\\n"
+  }
+}
+"""
+
+
 class TestGoldenDocuments:
     def test_validate_of_a_failing_graph(self, tmp_path):
         # Three -3 curves meeting pairwise: definite, not a tree, p_a(Z_0) = 1.
@@ -659,6 +711,72 @@ class TestGoldenDocuments:
         assert run("--format", "json", "verify-rdp", "--family", "A", "--index", "2") == (
             EXIT_OK, A2_VERIFY_RDP
         )
+
+    def test_graph_load(self, tmp_path):
+        src = tmp_path / "c73.txt"
+        src.write_text(serialize_graph(build_cyclic(7, 3)))
+        assert run("--format", "json", "graph", "load", str(src)) == (EXIT_OK, C73_GRAPH)
+
+
+class TestGoldenFailures:
+    """Exit code, stdout and stderr of failing requests, byte for byte:
+    every handler raises, and ``main`` writes the one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (
+                ["graph", "ade", "--family", "A", "--index", "0"],
+                EXIT_USAGE,
+                "error: A_n requires n >= 1, got 0\n",
+            ),
+            (
+                ["graph", "cyclic", "--n", "6", "--q", "4"],
+                EXIT_USAGE,
+                "error: n=6 and q=4 are not coprime\n",
+            ),
+            (
+                ["graph", "load"],
+                EXIT_USAGE,
+                "usage: dualcycles graph load [-h] [--out FILE] FILE\n"
+                "dualcycles graph load: error: the following arguments are required: FILE\n",
+            ),
+            (
+                ["invariants", "--family", "A", "--index", "3", "--cycle", "1,0,1"],
+                EXIT_VALIDATION,
+                "error: cycle is not anti-nef (represents no ideal)\n",
+            ),
+        ],
+        ids=["ade-index", "cyclic-coprime", "load-no-file", "invariants-anti-nef"],
+    )
+    def test_request(self, capsys, monkeypatch, argv, code, err):
+        monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+        assert run(*argv) == (code, "")
+        assert capsys.readouterr().err == err
+
+    def test_graph_load_of_a_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert run("graph", "load", missing) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["fundamental"], "error: intersection matrix is not negative definite\n"),
+            (
+                ["invariants", "--cycle", "1,1,1,1,1,1"],
+                "error: invalid graph: intersection matrix is not negative definite\n",
+            ),
+        ],
+        ids=["fundamental", "invariants"],
+    )
+    def test_indefinite_graph(self, tmp_path, capsys, argv, err):
+        src = tmp_path / "star.txt"
+        src.write_text(serialize_graph(INDEFINITE_STAR))
+        assert run(argv[0], "--graph", str(src), *argv[1:]) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == err
 
 
 class TestParserReuse:
@@ -733,10 +851,9 @@ class TestJsonEmitter:
         docs = []
         real = cli._json_chunks
 
-        def spy(v, pad="\n"):
-            if pad == "\n":
-                docs.append(v)
-            return real(v, pad)
+        def spy(v):
+            docs.append(v)
+            return real(v)
 
         monkeypatch.setattr(cli, "_json_chunks", spy)
         return docs

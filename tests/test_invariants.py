@@ -17,6 +17,7 @@ from dualcycles.builders import (
     is_negative_definite,
 )
 from dualcycles.invariants import (
+    _laufer,
     _pointwise,
     InvalidGraphError,
     colength,
@@ -401,4 +402,8 @@ def test_incremental_laufer_matches_recomputation(g, data):
         data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
     )
     assume(is_connected(g, verts))
-    assert fundamental_cycle(g, verts) == laufer_by_recomputation(g, verts)
+    expected = laufer_by_recomputation(g, verts)
+    assert fundamental_cycle(g, verts) == expected
+    # The fixed point does not depend on the order the loop visits.
+    shuffled = data.draw(st.permutations(sorted(verts)))
+    assert list(_laufer(g, shuffled).items()) == [(v, expected[v]) for v in shuffled]
