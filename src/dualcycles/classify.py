@@ -11,32 +11,28 @@ and applies the pointwise tests (coefficient saturation for special,
 vanishing U invariant for Ulrich).  The two routes are compared by the
 differential tests and must never disagree.  Each public entry point
 reads the graph's memoised record once (InvalidGraphError unless
-``validate`` accepts the graph) and passes Z_0 down; the cycle
-invariants come from ``invariants._pointwise``.
+``validate`` accepts the graph) and passes Z_0 down.  The cycle
+invariants and verdicts come from one ``invariants._columns`` call over
+every boxed or walked cycle.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .builders import _ade_type, _reach, build_ade
 from .invariants import (
-    CycleInvariants,
     Filtration,
     InvalidGraphError,
+    _columns,
     _graph_record,
+    _indices,
     _invariants_of,
     _laufer,
-    _pointwise,
     _rational,
 )
-from .lattice import (
-    Cycle,
-    CycleError,
-    DualGraph,
-    pairing_vector,
-    scale,
-)
+from .lattice import Cycle, DualGraph, _rows, pairing_vector, scale
 
 
 class ChainDepthError(RuntimeError):
@@ -55,27 +51,15 @@ class ClassificationEntry(NamedTuple):
     kind: str  # "special" | "ulrich" | "both"
 
 
-def _is_ulrich(point: CycleInvariants, mult2: bool) -> bool:
-    if mult2:
-        return bool(point.indices)
-    if point.min_gens <= 2:
-        raise CycleError(
-            "U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
-            "on a multiplicity >= 3 graph"
-        )
-    return point.u == 0
-
-
 def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
     """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
-    return bool(_invariants_of(g, z).indices)
+    return _invariants_of(g, z).special
 
 
 def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     """Ulrich test: on multiplicity-2 graphs this coincides with the special
     test; otherwise U(Z) = 0 decides (valid since mu(I_Z) > 2 there)."""
-    z0, mult2 = _rational(g)
-    return _is_ulrich(_pointwise(g, z, z0), mult2)
+    return _invariants_of(g, z).ulrich
 
 
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
@@ -190,7 +174,7 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
 def _check_caps(g: DualGraph, max_colength: int | None, max_steps: int | None) -> Cycle:
     """Z_0, after InvalidGraphError, then ValueError on a bad max_colength,
     then on a bad max_steps (None: not checked)."""
-    z0 = _rational(g)[0]
+    z0 = _rational(g)
     if max_colength is not None and max_colength < 1:
         raise ValueError("max_colength must be >= 1")
     if max_steps is not None and max_steps < 0:
@@ -202,36 +186,39 @@ def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
     """(special cycles of colength <= max_colength, Ulrich cycles) from one
     ``_walk``, with None in place of a list whose cap is None.
 
-    One ``_pointwise`` record per walked cycle checks the chain criteria
-    against the pointwise tests; each cycle that is special or Ulrich
-    gets one entry, shared by both lists.  Equal lists are returned as
-    one list object.  Errors come in this order: those of ``_check_caps``,
-    then ChainDepthError from the walk.
+    One ``_columns`` call over every walked cycle and the pairing the
+    walk carries to it gives the pointwise tests, which the chain criteria
+    are checked against; each cycle that is special or Ulrich gets one
+    entry, shared by both lists.  Equal lists are returned as one list
+    object.  Errors come in this order: those of ``_check_caps``, then
+    ChainDepthError from the walk, then those of ``_columns``.
     """
     z0 = _check_caps(g, max_colength, max_steps)
     max_depth = 0 if max_colength is None else max_colength - 1
     best = _walk(g, z0, max_depth, max_steps)
+    cycles = sorted(best)
+    flat = itertools.chain.from_iterable
+    cols = _columns(g, list(flat(cycles)), list(flat(best[z][3] for z in cycles)), z0)
 
     special, ulrich = [], []
-    for z in sorted(best):
-        chain, surviving, keeps, pairing = best[z]
-        point = _pointwise(g, z, z0, pairing)
-        if surviving and not point.indices:
+    for z, mult, ell, mu, u, saturated, _ in zip(cycles, *cols):
+        chain, surviving, keeps, _ = best[z]
+        if surviving and not saturated:
             raise AssertionError("chain criterion disagrees with pointwise test")
-        if keeps and point.u != 0:
+        if keeps and u != 0:
             raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
-        in_special = bool(point.indices) and len(chain) <= max_depth
+        in_special = saturated and len(chain) <= max_depth
         in_ulrich = keeps and max_steps is not None
         if not (in_special or in_ulrich):
             continue
         entry = ClassificationEntry(
             cycle=z,
-            colength=point.colength,
-            multiplicity=point.multiplicity,
-            min_gens=point.min_gens,
-            module_indices=point.indices,
+            colength=ell,
+            multiplicity=mult,
+            min_gens=mu,
+            module_indices=_indices(z, z0, ell),
             chain=Filtration(base=z0, steps=chain),
-            kind=("both" if keeps else "special") if point.indices else "ulrich",
+            kind=("both" if keeps else "special") if saturated else "ulrich",
         )
         if in_special:
             special.append(entry)
@@ -304,21 +291,24 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
 
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
-    """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1.
-    InvalidGraphError on a graph that is not negative definite, then on
-    one that is not connected (Z_0 needs both)."""
+    """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
+    sorted.  InvalidGraphError on a graph that is not negative definite,
+    then on one that is not connected (Z_0 needs both)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     definite, z0 = _graph_record(g)[1:3]
     if z0 is None:  # Z_0 needs a connected, negative definite graph
         raise InvalidGraphError("graph is not " + ("connected" if definite else "negative definite"))
-    return [z for z, _ in _box_search(g, scale(bound, z0))]
+    return sorted(_rows(_box_search(g, scale(bound, z0))[0], len(z0)))
 
 
-def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
-    """(Z, M.Z) for every anti-nef cycle 0 < Z <= ``box`` on a connected,
-    negative definite graph (unchecked: both callers read Z_0 first, which
-    needs both), sorted by Z, by pruned enumeration.
+def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
+    """Every anti-nef cycle 0 < Z <= ``box`` on a connected, negative
+    definite graph (unchecked: both callers read Z_0 first, which needs
+    both), by pruned enumeration, as two flat lists: each cycle found
+    appends its r coefficients to the first and its pairing M.Z to the
+    second, in the order of the search (not sorted), so no tuple is built
+    per cycle.
 
     Coefficients are assigned in the breadth-first order of
     ``builders._reach`` from the lowest-index leaf (vertex 0 when there is
@@ -339,11 +329,11 @@ def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
 
     Every vertex's pairing is final, and checked, once it and its
     neighbours are assigned, so every leaf of the search is a result, and
-    the running pairing at a leaf is M.Z, returned with Z.
-    Cost: O(r^3) set-up plus O(r) per value tried.  On E_8 the search
-    tries 503 values for the 61 cycles at bound 6 and 1,708 for the 255 at
-    bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
-    bound it tried 226,667 and 2,189,834.
+    the running pairing at a leaf is M.Z, appended with Z.
+    Cost: O(r^3) set-up plus O(r) per value tried; a cycle found costs two
+    list extends.  On E_8 the search tries 503 values for the 61 cycles at
+    bound 6 and 1,708 for the 255 at bound 9; with the neighbour bound
+    ceil(S / -w_p) as the only lower bound it tried 226,667 and 2,189,834.
     """
     r = g.vertex_count
     leaf = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
@@ -352,7 +342,8 @@ def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
     rank = {v: k for k, v in enumerate(order)}
     caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]
 
-    results: list[tuple[Cycle, Cycle]] = []
+    zs: list[int] = []
+    ps: list[int] = []
     coeffs = [0] * r
     pairing = [0] * r  # over the assigned coefficients only
     tops = [0] * r
@@ -386,28 +377,27 @@ def _box_search(g: DualGraph, box: Cycle) -> list[tuple[Cycle, Cycle]]:
             continue
         if k == r - 1:
             if any(coeffs):
-                results.append((tuple(coeffs), tuple(pairing)))
+                zs += coeffs
+                ps += pairing
             fresh = False
         else:
             k, fresh = k + 1, True
-    return sorted(results)
+    return zs, ps
 
 
 def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]:
-    """Reference classification with no chain reasoning: filter the brute
-    force anti-nef list by the pointwise special and Ulrich tests, each
-    cycle's invariants read off the pairing M.Z the box search holds."""
-    z0, mult2 = _rational(g)
+    """Reference classification with no chain reasoning: the sorted special
+    and Ulrich cycles among the brute-force anti-nef cycles, by the
+    pointwise tests.  One ``_columns`` call reads every boxed cycle's
+    verdicts off the flat lists of ``_box_search``, pairings included;
+    only the special and Ulrich rows become tuples."""
+    z0 = _rational(g)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    special, ulrich = [], []
-    for z, pairing in _box_search(g, scale(bound, z0)):
-        point = _pointwise(g, z, z0, pairing)
-        if point.indices:
-            special.append(z)
-        if _is_ulrich(point, mult2):
-            ulrich.append(z)
-    return special, ulrich
+    zs, ps = _box_search(g, scale(bound, z0))
+    special, ulrich = _columns(g, zs, ps, z0)[4:]
+    rows = lambda verdicts: sorted(itertools.compress(_rows(zs, len(z0)), verdicts))
+    return rows(special), rows(ulrich)
 
 
 def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:

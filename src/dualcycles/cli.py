@@ -310,8 +310,6 @@ def _cmd_fundamental(args, out) -> int:
     record = _graph_record(g)
     if not record.negative_definite:
         raise InvalidGraphError("intersection matrix is not negative definite")
-    if supp is None and not record.connected:
-        raise InvalidGraphError("graph is not connected")
     z = fundamental_cycle(g, supp)
     if args.format == "json":
         _emit("fundamental", g, {"cycle": z}, out)

@@ -3,8 +3,9 @@ in one place.
 
 ``_graph_record`` holds Z_0 and the validity of a graph, memoised and
 shared by the validator (``validate``) and the classifiers.
-``_pointwise`` reads every invariant of an anti-nef cycle off one
-pairing vector; the public functions read it, after raising
+``_columns`` reads every invariant of many anti-nef cycles off their
+pairing vectors, one columnar pass per invariant; ``_pointwise`` is its
+one-cycle case, which the public functions read after raising
 InvalidGraphError unless the graph is connected, negative definite and
 rational.  Also: fundamental cycles on sub-supports and canonical
 filtrations.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -23,7 +25,10 @@ from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
+    _canonicals,
+    _genera,
     _genus,
+    _rows,
     inf_cycles,
     pairing_vector,
     scale,
@@ -73,16 +78,19 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
 
     Laufer's algorithm (``_laufer``).  Requires the support to be
     nonempty, inside 0..r-1, connected (guaranteed on full vertex sets of
-    connected graphs) and negative definite, else ValueError.  The
+    connected graphs) and negative definite, else ValueError; with no
+    support given, InvalidGraphError when the graph is not connected.  The
     definiteness test is one sparse Bareiss pass over the support's
     induced subgraph, O(|support| + fill-in); on the full support of a
     valid graph Z_0 is read from the graph record.
     """
     everything = frozenset(range(g.vertex_count))
     if vertices is None or vertices == everything:
-        z0 = _graph_record(g).z0
-        if z0 is not None:
-            return z0
+        record = _graph_record(g)
+        if record.z0 is not None:
+            return record.z0
+        if vertices is None and not record.connected:
+            raise InvalidGraphError("graph is not connected")
         vertices = everything  # the checks below say what is wrong
     verts = frozenset(vertices)
     if not verts:
@@ -175,10 +183,10 @@ def validate(g: DualGraph) -> ValidationReport:
     return ValidationReport(connected, definite, tree, rational, gorenstein, mult, failures)
 
 
-def _rational(g: DualGraph) -> tuple[Cycle, bool]:
-    """(Z_0, multiplicity == 2) of a connected, negative definite, rational
-    graph with every weight <= -2, the graphs ``validate`` accepts;
-    InvalidGraphError on any other graph."""
+def _rational(g: DualGraph) -> Cycle:
+    """Z_0 of a connected, negative definite, rational graph with every
+    weight <= -2, the graphs ``validate`` accepts; InvalidGraphError on any
+    other graph."""
     record = _graph_record(g)
     if record.genus != 0:
         raise InvalidGraphError(
@@ -187,12 +195,11 @@ def _rational(g: DualGraph) -> tuple[Cycle, bool]:
         )
     if max(g.weights) > -2:
         raise InvalidGraphError("graph is not a minimal resolution: a weight is > -2")
-    return record.z0, record.multiplicity == 2
+    return record.z0
 
 
 class CycleInvariants(NamedTuple):
-    """The invariants of one anti-nef cycle (a tuple: one is built per
-    walked cycle)."""
+    """The invariants of one anti-nef cycle (``_pointwise``)."""
 
     genus: int
     colength: int
@@ -200,25 +207,72 @@ class CycleInvariants(NamedTuple):
     min_gens: int
     u: int
     indices: frozenset[int]
+    special: bool
+    ulrich: bool
+
+
+def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
+    """The columns (multiplicity, colength, min_gens, U, special, Ulrich),
+    one entry per cycle, of positive anti-nef cycles on a rational graph
+    with fundamental cycle Z_0 = sum n_i E_i, given as two flat lists:
+    ``zs`` holds the cycles Z and ``ps`` their pairings P = M.Z, one row of
+    r entries per cycle (both trusted: ``_pointwise`` checks the one cycle
+    it is given).  Every formula of a cycle lives here:
+
+    - multiplicity -Z^2, with Z^2 = Z.P;
+    - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch), with
+      p_a(Z) = (Z^2 + K.Z)/2 + 1 (``lattice._genera``);
+    - min_gens 1 - Z.Z_0, with Z.Z_0 = Z_0.P;
+    - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2 = (min_gens - 1) colength + Z^2;
+    - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
+      colength(Z) (asserted) and L = lcm(n), that is max_i a_i L/n_i = L *
+      colength(Z): one value per cycle, no list of bounds;
+    - Ulrich: special on a multiplicity-2 graph, else U(Z) = 0 (valid as
+      mu(I_Z) > 2 there).  A rational graph has multiplicity 2 exactly
+      when K = 0, every weight -2, as p_a(Z_0) = 0 gives -Z_0^2 = K.Z_0 + 2.
+
+    The per-vertex work is ``map`` and ``zip`` at C speed over the flat
+    lists, with per-row sums over ``lattice._rows``, and each per-cycle
+    column is one list pass: no Python frame per cycle.  Only the returned
+    columns and the saturation test's -1/0 column (cached small ints) are
+    held.  Each check runs over every row
+    before the next one: AssertionError on odd Z^2 + K.Z, then on a
+    coefficient above n_i * colength(Z) (both impossible on a rational
+    graph), then CycleError on mu(I_Z) <= 2 at multiplicity >= 3
+    (impossible for anti-nef cycles).
+    """
+    r, repeat = len(z0), itertools.repeat
+    mult = list(map(operator.neg, map(sum, _rows(map(operator.mul, zs, ps), r))))
+    ell = [1 - genus for genus in _genera(map(operator.neg, mult), _canonicals(g, zs))]
+    lcm = math.lcm(*z0)
+    top = map(max, _rows(map(operator.mul, zs, itertools.cycle([lcm // n for n in z0])), r))
+    # L max_i a_i/n_i - L colength(Z), clamped at -1: -1 below, 0 special.
+    excess = list(map(max, map(operator.sub, top, map(operator.mul, ell, repeat(lcm))), repeat(-1)))
+    if max(excess) > 0:
+        raise AssertionError("coefficient bound violated: input graph is not rational")
+    special = list(map(operator.not_, excess))
+    min_gens = [1 - x for x in map(sum, _rows(map(operator.mul, ps, itertools.cycle(z0)), r))]
+    u = [(mu - 1) * e - m for mu, e, m in zip(min_gens, ell, mult)]
+    if set(g.weights) == {-2}:  # K = 0: multiplicity 2
+        return mult, ell, min_gens, u, special, special
+    if min(min_gens) <= 2:
+        raise CycleError("U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
+                         "on a multiplicity >= 3 graph")
+    return mult, ell, min_gens, u, special, list(map(operator.not_, u))
+
+
+def _indices(z: Cycle, z0: Cycle, ell: int) -> frozenset[int]:
+    """The vertices i with a_i = n_i * colength(Z), for Z of colength ``ell``."""
+    saturated = map(operator.eq, z, map(operator.mul, z0, itertools.repeat(ell)))
+    return frozenset(itertools.compress(itertools.count(), saturated))
 
 
 def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) -> CycleInvariants:
-    """The invariants of a positive anti-nef Z on a rational graph with
-    fundamental cycle Z_0 = sum n_i E_i, read off one pairing vector P = M.Z:
-
-    - p_a(Z) = (Z^2 + K.Z)/2 + 1, with Z^2 = Z.P and Z.Z_0 = Z_0.P;
-    - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch);
-    - multiplicity -Z^2 and min_gens 1 - Z.Z_0;
-    - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2;
-    - the indices i with a_i = n_i * colength(Z).
-
-    ``pairing`` is P when the caller holds it (the chain walk and the box
-    search do), trusted to equal M.Z; it is built when None.  Every pass runs at C speed.
-
+    """``_columns`` on the one cycle Z, with its ``_indices``.  ``pairing``
+    is P = M.Z when the caller holds it, trusted; it is built when None.
     Raises DimensionError on a cycle of the wrong length, CycleError on
-    one that is not positive and anti-nef (read off P), and AssertionError
-    on odd Z^2 + K.Z or a coefficient above n_i * colength(Z) (impossible
-    on a rational graph).
+    one that is not positive, has a negative coefficient or is not
+    anti-nef (read off P), in that order, then the errors of ``_columns``.
     """
     z = g.check_cycle(z)
     if max(z) <= 0:
@@ -229,20 +283,13 @@ def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) 
         pairing = pairing_vector(g, z)
     if max(pairing) > 0:
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
-    zz = sum(map(operator.mul, z, pairing))
-    genus = _genus(g, z, zz)
-    ell = 1 - genus
-    bounds = [n * ell for n in z0]
-    if any(map(operator.gt, z, bounds)):
-        raise AssertionError("coefficient bound violated: input graph is not rational")
-    z0z = sum(map(operator.mul, z0, pairing))
-    indices = frozenset(itertools.compress(itertools.count(), map(operator.eq, z, bounds)))
-    return CycleInvariants(genus, ell, -zz, 1 - z0z, z0z * (genus - 1) + zz, indices)
+    mult, ell, min_gens, u, special, ulrich = (c[0] for c in _columns(g, z, pairing, z0))
+    return CycleInvariants(1 - ell, ell, mult, min_gens, u, _indices(z, z0, ell), special, ulrich)
 
 
 def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:
     """``_pointwise`` after the graph check: InvalidGraphError first."""
-    return _pointwise(g, z, _rational(g)[0])
+    return _pointwise(g, z, _rational(g))
 
 
 def colength(g: DualGraph, z: Cycle) -> int:
@@ -288,7 +335,7 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     Every positive anti-nef Z on a connected graph dominates Z_0, so the
     chain starts at Z_0 and ends at Z.
     """
-    z0 = _rational(g)[0]
+    z0 = _rational(g)
     z = g.check_cycle(z)
     _pointwise(g, z, z0)  # Z must be positive and anti-nef
     return _filtration(z, z0)

@@ -11,6 +11,7 @@ need it.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 Cycle = tuple[int, ...]
@@ -117,18 +118,35 @@ def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
     return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
 
 
+def _rows(flat, r: int):
+    """The consecutive length-r rows of a flat sequence, as tuples, at C speed."""
+    return zip(*[iter(flat)] * r)
+
+
+def _canonicals(g: DualGraph, zs):
+    """K.Z = sum a_i (-w_i - 2) of each row Z of the flat list ``zs``, K the
+    canonical divisor (K.E_i = -E_i^2 - 2, so zero on an all -2 graph),
+    one pass at C speed."""
+    k = itertools.cycle(map(operator.sub, itertools.repeat(-2), g.weights))
+    return map(sum, _rows(map(operator.mul, zs, k), len(g.weights)))
+
+
 def _canonical(g: DualGraph, z: Cycle) -> int:
-    """K.Z = sum a_i (-w_i - 2) of a checked Z, K the canonical divisor
-    (K.E_i = -E_i^2 - 2, so zero on an all -2 graph), as two sums at C speed."""
-    return -sum(map(operator.mul, g.weights, z)) - 2 * sum(z)
+    """K.Z of one checked Z."""
+    return next(_canonicals(g, z))
+
+
+def _genera(squares, canonicals) -> list[int]:
+    """p_a(Z) = (Z^2 + K.Z)/2 + 1 of each cycle, given its Z^2 and K.Z."""
+    q = list(map(operator.add, squares, canonicals))
+    if any(map(operator.mod, q, itertools.repeat(2))):
+        raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
+    return [x // 2 + 1 for x in q]
 
 
 def _genus(g: DualGraph, z: Cycle, square: int) -> int:
-    """p_a(Z) = (Z^2 + K.Z)/2 + 1 of a checked Z with Z^2 = ``square``."""
-    q = square + _canonical(g, z)
-    if q % 2 != 0:
-        raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
-    return q // 2 + 1
+    """p_a(Z) of a checked Z with Z^2 = ``square``."""
+    return _genera((square,), _canonicals(g, z))[0]
 
 
 def virtual_genus(g: DualGraph, z: Cycle) -> int:

@@ -11,7 +11,7 @@ import time
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dualcycles
 from dualcycles import classify, invariants
@@ -402,6 +402,28 @@ class TestOracleAgreement:
         assert oracle_classify(g, 6) == expected
         assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
 
+    def test_oracle_evaluates_invariants_once_per_request(self, monkeypatch):
+        # One columnar call reads the verdicts of all 61 boxed cycles; no
+        # cycle gets a pointwise call of its own.
+        g = build_ade("E", 8)
+        expected = oracle_classify(g, 6)
+        assert len(brute_force_anti_nef(g, 6)) == 61
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_pointwise", "_columns"):
+            wrapper = counting(name, getattr(invariants, name, None))
+            for module in (invariants, classify):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        assert oracle_classify(g, 6) == expected
+        assert calls.count("_pointwise") == 0  # 61 when evaluated per cycle
+        assert calls.count("_columns") == 1
+
 
 class TestGoldenTables:
     @pytest.mark.parametrize(
@@ -486,13 +508,50 @@ def test_random_graph_chain_route_equals_oracle(g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(random_trees(), st.integers(1, 3))
+@example(build_ade("E", 6), 3)  # multiplicity 2: Ulrich is special
+@example(build_cyclic(7, 3), 4)  # multiplicity 3, with an Ulrich cycle
+@example(STAR, 2)  # multiplicity 3
+def test_oracle_equals_a_naive_filter_of_the_box(g, bound):
+    # The oracle's verdicts, read in one columnar pass, against the
+    # definitions evaluated cycle by cycle with the lattice's public
+    # functions: special when some a_i = n_i * colength(Z); Ulrich when
+    # special at multiplicity 2, else when U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2
+    # vanishes.  Most random trees have a vertex of weight <= -3, so the
+    # U(Z) path runs.
+    rep = validate(g)
+    assume(rep.connected and rep.negative_definite and rep.rational)
+    z0 = fundamental_cycle(g)
+    special, ulrich = [], []
+    for z in brute_force_anti_nef(g, bound):
+        genus = virtual_genus(g, z)
+        saturated = any(a == n * (1 - genus) for a, n in zip(z, z0))
+        u = intersection(g, z, z0) * (genus - 1) + intersection(g, z, z)
+        if saturated:
+            special.append(z)
+        if saturated if rep.multiplicity == 2 else u == 0:
+            ulrich.append(z)
+    assert oracle_classify(g, bound) == (special, ulrich)
+
+
+def test_naive_filter_examples_reach_both_ulrich_paths():
+    # The explicit examples above are not vacuous: each has Ulrich cycles
+    # in its box, by the multiplicity-2 rule and by U(Z) = 0.
+    for g, bound, mult in ((build_ade("E", 6), 3, 2), (build_cyclic(7, 3), 4, 3)):
+        assert validate(g).multiplicity == mult
+        assert oracle_classify(g, bound)[1]
+
+
+@settings(max_examples=60, deadline=None)
 @given(random_trees())
 def test_box_search_pairs_each_cycle_with_its_pairing(g):
     # The oracle trusts the pairing the box search returns to be M.Z.
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
     z0 = fundamental_cycle(g)
-    found = _box_search(g, scale(3, z0))
+    zs, ps = _box_search(g, scale(3, z0))  # flat, one row per cycle
+    rows = lambda flat: zip(*[iter(flat)] * g.vertex_count)
+    found = sorted(zip(rows(zs), rows(ps)))
     assert [z for z, _ in found] == brute_force_anti_nef(g, 3)
     for z, p in found:
         assert p == pairing_vector(g, z)

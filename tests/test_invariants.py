@@ -152,6 +152,14 @@ class TestFundamentalCycle:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "fundamental cycle needs a negative definite support\n" * 2
 
+    def test_disconnected_graph_without_support_is_invalid(self):
+        # Once a bare ValueError naming a support the caller never gave.
+        g = DualGraph((-2,) * 4, [(0, 1), (2, 3)])
+        with pytest.raises(InvalidGraphError, match="^graph is not connected$"):
+            fundamental_cycle(g)
+        with pytest.raises(ValueError, match="^fundamental cycle needs a connected support$"):
+            fundamental_cycle(g, frozenset(range(4)))  # a support given: named as such
+
     def test_result_is_anti_nef_with_full_support(self):
         for g in (build_ade("E", 7), build_cyclic(19, 7), STAR):
             z0 = fundamental_cycle(g)
