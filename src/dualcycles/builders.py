@@ -13,6 +13,13 @@ from collections.abc import Iterator
 
 from .lattice import DualGraph
 
+# The most vertices a graph may have.  Every way of making a graph
+# (``build_ade``, ``hj_expansion`` and so ``build_cyclic``, and
+# ``parse_graph``) refuses a larger one before allocating it, so an
+# oversized request fails at once instead of running out of time or memory.
+# It is far above any graph this tool can classify in reasonable time.
+MAX_VERTICES = 10**6
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text (carries a 1-based line number when known)."""
@@ -42,8 +49,11 @@ def build_ade(family: str, index: int) -> DualGraph:
     All weights are -2.  A_n is the path E_1 - ... - E_n; D_n is the path
     E_1 - ... - E_{n-2} with E_{n-1} and E_n both joined to E_{n-2}; E_n
     (n in {6,7,8}) is the path E_1 - ... - E_{n-1} with E_n joined to E_3.
+    ValueError on an n above MAX_VERTICES, before any edge is built.
     """
     family, n = _ade_type(family, index)
+    if n > MAX_VERTICES:
+        raise ValueError(f"{family}_{n} has more than {MAX_VERTICES} vertices")
     if family == "A":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "D":
@@ -60,7 +70,8 @@ def hj_expansion(n: int, q: int) -> list[int]:
 
     Returns the unique [b_1, ..., b_r] with every b_i >= 2 and
     n/q = b_1 - 1/(b_2 - 1/(... - 1/b_r)).  Each step takes the ceiling
-    b = ceil(n/q) and recurses on (q, b*q - n).
+    b = ceil(n/q) and recurses on (q, b*q - n).  ValueError once the
+    expansion would pass MAX_VERTICES terms.
     """
     n, q = int(n), int(q)
     if not 1 <= q < n:
@@ -69,6 +80,8 @@ def hj_expansion(n: int, q: int) -> list[int]:
         raise ValueError(f"n={n} and q={q} are not coprime")
     out = []
     while q > 0:
+        if len(out) == MAX_VERTICES:
+            raise ValueError(f"the chain of n/q has more than {MAX_VERTICES} vertices")
         b = -(-n // q)
         out.append(b)
         n, q = q, b * q - n
@@ -88,7 +101,7 @@ def parse_graph(text: str) -> DualGraph:
     """Parse the line-oriented graph format.
 
     '#' starts a comment, blank lines are ignored.  Directives:
-      vertices <r>        required first, r >= 1
+      vertices <r>        required first, 1 <= r <= MAX_VERTICES
       weight <i> <w>      optional, 1-based i, integer w <= -2 (default -2)
       edge <i> <j>        1-based, i != j, at most once per unordered pair
     """
@@ -110,6 +123,8 @@ def parse_graph(text: str) -> DualGraph:
             r = _int_arg(args, 0, 1, "vertices", lineno)
             if r < 1:
                 raise GraphFormatError(f"vertex count must be >= 1, got {r}", lineno)
+            if r > MAX_VERTICES:
+                raise GraphFormatError(f"vertex count must be <= {MAX_VERTICES}, got {r}", lineno)
             weights = [-2] * r
             continue
         if r is None:

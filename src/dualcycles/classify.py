@@ -11,9 +11,9 @@ and applies the pointwise tests (coefficient saturation for special,
 vanishing U invariant for Ulrich).  The two routes are compared by the
 differential tests and must never disagree.  Each public entry point
 reads the graph's memoised record once (InvalidGraphError unless
-``validate`` accepts the graph) and passes Z_0 down.  The cycle
-invariants and verdicts come from one ``invariants._columns`` call over
-every boxed or walked cycle.
+``validate`` accepts the graph) and passes that record down, with Z_0,
+M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
+``invariants._columns`` call over every boxed or walked cycle.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .builders import _ade_type, _reach, build_ade
 from .invariants import (
     Filtration,
+    GraphRecord,
     InvalidGraphError,
     _columns,
     _graph_record,
@@ -32,7 +33,7 @@ from .invariants import (
     _laufer,
     _rational,
 )
-from .lattice import Cycle, DualGraph, _rows, pairing_vector, scale
+from .lattice import Cycle, DualGraph, _rows, scale
 
 
 class ChainDepthError(RuntimeError):
@@ -64,24 +65,18 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
 
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
     """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
-    by least vertex, in one pass: ``inside`` (iterated in vertex order, O(1)
-    membership) is walked, and a search over the neighbour tuples starts at
-    each zero vertex that no earlier search reached."""
-    nbrs, seen = g._neighbors, set()
+    by least vertex: ``inside`` is iterated in vertex order, and one
+    ``builders._reach`` over the zero vertices starts at each one that no
+    earlier search reached (its component then leaves the set)."""
+    zeros = {v for v in inside if pairing[v] == 0}
     for s in inside:
-        if pairing[s] == 0 and s not in seen:
-            seen.add(s)
-            comp = [s]
-            for v in comp:  # the list grows while it is walked
-                for u in nbrs[v]:
-                    if pairing[u] == 0 and u not in seen and u in inside:
-                        seen.add(u)
-                        comp.append(u)
-            comp.sort()
-            yield comp
+        if s in zeros:
+            comp = _reach(g, s, zeros)
+            zeros.difference_update(comp)
+            yield sorted(comp)
 
 
-def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
+def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | None):
     """The admissible filtration chains from Z_0, walked once for both lists.
 
     Candidate increments at each node are the fundamental cycles of the
@@ -116,13 +111,13 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     its neighbours, and the anti-nef test reads those entries only: the
     parent is anti-nef, so every other entry stays <= 0.  The children's
     components come from one pass over C, already sorted.  Y, Z + Y and
-    the child's full P are length-r tuples built from the parent's, so
-    Z_0's is the one pairing vector computed.
+    the child's full P are length-r tuples built from the parent's, and
+    Z_0's comes from the graph's record: the walk builds no pairing vector.
     """
     weights, nbrs = g.weights, g._neighbors
     heavy = frozenset(v for v, w in enumerate(weights) if w < -2)
     everything = frozenset(range(g.vertex_count))
-    root = pairing_vector(g, z0)
+    z0, root = record.z0, record.pairing
     best = {z0: ((), everything, True, root)}
 
     # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
@@ -171,36 +166,36 @@ def _walk(g: DualGraph, z0: Cycle, max_depth: int, max_steps: int | None):
     return best
 
 
-def _check_caps(g: DualGraph, max_colength: int | None, max_steps: int | None) -> Cycle:
-    """Z_0, after InvalidGraphError, then ValueError on a bad max_colength,
-    then on a bad max_steps (None: not checked)."""
-    z0 = _rational(g)
-    if max_colength is not None and max_colength < 1:
-        raise ValueError("max_colength must be >= 1")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    return z0
-
-
-def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
+def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | None = None,
+              special: bool = True, ulrich: bool = True):
     """(special cycles of colength <= max_colength, Ulrich cycles) from one
-    ``_walk``, with None in place of a list whose cap is None.
+    ``_walk``, with None in place of a list that is not asked for.
 
-    One ``_columns`` call over every walked cycle and the pairing the
-    walk carries to it gives the pointwise tests, which the chain criteria
-    are checked against; each cycle that is special or Ulrich gets one
-    entry, shared by both lists.  Equal lists are returned as one list
-    object.  Errors come in this order: those of ``_check_caps``, then
-    ChainDepthError from the walk, then those of ``_columns``.
+    Both caps default to 10 r, and both are checked whichever lists are
+    asked for.  One ``_columns`` call over every walked cycle and the
+    pairing the walk carries to it gives the pointwise tests, which the
+    chain criteria are checked against; each cycle that is special or
+    Ulrich gets one entry, shared by both lists.  Equal lists are returned
+    as one list object.  Errors come in this order: InvalidGraphError,
+    ValueError on a max_colength below 1, then on a negative max_steps,
+    then ChainDepthError from the walk (only when the Ulrich list is asked
+    for), then those of ``_columns``.
     """
-    z0 = _check_caps(g, max_colength, max_steps)
-    max_depth = 0 if max_colength is None else max_colength - 1
-    best = _walk(g, z0, max_depth, max_steps)
+    r10 = 10 * g.vertex_count  # the default of both caps
+    max_colength = r10 if max_colength is None else max_colength
+    max_steps = r10 if max_steps is None else max_steps
+    record = _rational(g)
+    if max_colength < 1:
+        raise ValueError("max_colength must be >= 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    max_depth = max_colength - 1 if special else 0
+    best = _walk(g, record, max_depth, max_steps if ulrich else None)
     cycles = sorted(best)
     flat = itertools.chain.from_iterable
-    cols = _columns(g, list(flat(cycles)), list(flat(best[z][3] for z in cycles)), z0)
+    cols = _columns(g, list(flat(cycles)), list(flat(best[z][3] for z in cycles)), record)
 
-    special, ulrich = [], []
+    specials, ulrichs = [], []
     for z, mult, ell, mu, u, saturated, _ in zip(cycles, *cols):
         chain, surviving, keeps, _ = best[z]
         if surviving and not saturated:
@@ -208,7 +203,7 @@ def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
         if keeps and u != 0:
             raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
         in_special = saturated and len(chain) <= max_depth
-        in_ulrich = keeps and max_steps is not None
+        in_ulrich = keeps and ulrich
         if not (in_special or in_ulrich):
             continue
         entry = ClassificationEntry(
@@ -216,17 +211,17 @@ def _classify(g: DualGraph, max_colength: int | None, max_steps: int | None):
             colength=ell,
             multiplicity=mult,
             min_gens=mu,
-            module_indices=_indices(z, z0, ell),
-            chain=Filtration(base=z0, steps=chain),
+            module_indices=_indices(z, record, ell),
+            chain=Filtration(base=record.z0, steps=chain),
             kind=("both" if keeps else "special") if saturated else "ulrich",
         )
         if in_special:
-            special.append(entry)
+            specials.append(entry)
         if in_ulrich:
-            ulrich.append(entry)
-    if special == ulrich:
-        ulrich = special
-    return None if max_colength is None else special, None if max_steps is None else ulrich
+            ulrichs.append(entry)
+    if specials == ulrichs:
+        ulrichs = specials
+    return specials if special else None, ulrichs if ulrich else None
 
 
 def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEntry]:
@@ -236,7 +231,7 @@ def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEnt
     has coeff(Y_k) = n_i at every step; the surviving index set is tracked
     per chain and the cycle is emitted once it stays nonempty.
     """
-    return _classify(g, max_colength, None)[0]
+    return _classify(g, max_colength, ulrich=False)[0]
 
 
 def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[ClassificationEntry]:
@@ -250,7 +245,7 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     make a chain longer than ``max_steps`` (default 10 r), and ValueError
     when ``max_steps`` is negative.
     """
-    return _classify(g, None, 10 * g.vertex_count if max_steps is None else max_steps)[1]
+    return _classify(g, max_steps=max_steps, special=False)[1]
 
 
 def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]]:
@@ -391,12 +386,12 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     pointwise tests.  One ``_columns`` call reads every boxed cycle's
     verdicts off the flat lists of ``_box_search``, pairings included;
     only the special and Ulrich rows become tuples."""
-    z0 = _rational(g)
+    record = _rational(g)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    zs, ps = _box_search(g, scale(bound, z0))
-    special, ulrich = _columns(g, zs, ps, z0)[4:]
-    rows = lambda verdicts: sorted(itertools.compress(_rows(zs, len(z0)), verdicts))
+    zs, ps = _box_search(g, scale(bound, record.z0))
+    special, ulrich = _columns(g, zs, ps, record)[4:]
+    rows = lambda verdicts: sorted(itertools.compress(_rows(zs, g.vertex_count), verdicts))
     return rows(special), rows(ulrich)
 
 

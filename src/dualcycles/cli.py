@@ -22,7 +22,6 @@ from .classify import (
     ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
-    _check_caps,
     _classify,
     oracle_classify,
     verify_rdp,
@@ -327,8 +326,8 @@ def _cmd_invariants(args, out) -> int:
     pairing = pairing_vector(g, z)
     if min(z) < 0 or max(pairing) > 0:
         raise CycleError("cycle is not anti-nef (represents no ideal)")
-    z0 = _graph_record(g).z0
-    inv = _pointwise(g, z, z0, pairing)
+    record = _graph_record(g)
+    inv = _pointwise(g, z, record, pairing)
     results = {
         "cycle": z,
         "virtual_genus": inv.genus,
@@ -340,7 +339,7 @@ def _cmd_invariants(args, out) -> int:
     }
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
-        results["filtration"] = _filtration_dict(_filtration(z, z0), {})
+        results["filtration"] = _filtration_dict(_filtration(z, record.z0), {})
         _emit("invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle
@@ -350,13 +349,8 @@ def _cmd_invariants(args, out) -> int:
 
 def _cmd_classify(args, out) -> int:
     g = _resolve_graph(args)
-    r10 = 10 * g.vertex_count  # the default caps
-    max_colength = r10 if args.max_colength is None else args.max_colength
-    max_steps = r10 if args.max_steps is None else args.max_steps
-    _check_caps(g, max_colength, max_steps)  # both caps, whichever list is printed
-    special, ulrich = _classify(
-        g, None if args.ulrich else max_colength, None if args.special else max_steps
-    )
+    special, ulrich = _classify(g, args.max_colength, args.max_steps,
+                                not args.ulrich, not args.special)
     if args.format == "json":
         results, shared = {}, {}  # one dict per distinct chain step
         if special is not None:

@@ -1,8 +1,9 @@
 """Numerical invariants of graphs and of anti-nef cycles, each formula
 in one place.
 
-``_graph_record`` holds Z_0 and the validity of a graph, memoised and
-shared by the validator (``validate``) and the classifiers.
+``_graph_record`` holds Z_0, its pairing M.Z_0 and the validity of a
+graph, memoised and shared by the validator (``validate``) and the
+classifiers, which hand the record to the functions below.
 ``_columns`` reads every invariant of many anti-nef cycles off their
 pairing vectors, one columnar pass per invariant; ``_pointwise`` is its
 one-cycle case, which the public functions read after raising
@@ -34,6 +35,13 @@ from .lattice import (
     scale,
     sub,
 )
+
+
+# The most coefficients a filtration may hold, steps times r.  Its step
+# count, ceil(max_i a_i/n_i) - 1, is known before any step is built, so a
+# longer filtration is refused up front with CycleError.  A_1 at this
+# limit builds in about 2 s.
+MAX_FILTRATION = 100_000
 
 
 class InvalidGraphError(ValueError):
@@ -111,13 +119,15 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
 
 
 class GraphRecord(NamedTuple):
-    """What is known of a graph.  ``z0``, ``multiplicity`` (-Z_0^2) and
-    ``genus`` (p_a(Z_0)) are None unless the graph is connected and
-    negative definite; it is rational exactly when ``genus == 0``."""
+    """What is known of a graph.  ``z0``, its pairing M.Z_0 (``pairing``),
+    ``multiplicity`` (-Z_0^2) and ``genus`` (p_a(Z_0)) are None unless the
+    graph is connected and negative definite; it is rational exactly when
+    ``genus == 0``."""
 
     connected: bool
     negative_definite: bool
     z0: Cycle | None = None
+    pairing: Cycle | None = None
     multiplicity: int | None = None
     genus: int | None = None
 
@@ -131,8 +141,9 @@ def _graph_record(g: DualGraph) -> GraphRecord:
     if not (connected and definite):
         return GraphRecord(connected, definite)
     z0 = tuple(_laufer(g, range(g.vertex_count)).values())
-    zz = sum(map(operator.mul, z0, pairing_vector(g, z0)))
-    return GraphRecord(True, True, z0, -zz, _genus(g, z0, zz))
+    pairing = pairing_vector(g, z0)
+    zz = sum(map(operator.mul, z0, pairing))
+    return GraphRecord(True, True, z0, pairing, -zz, _genus(g, z0, zz))
 
 
 class ValidationReport(NamedTuple):
@@ -160,7 +171,7 @@ class ValidationReport(NamedTuple):
 def validate(g: DualGraph) -> ValidationReport:
     """Full structural report; never raises, all findings are collected.
     Read from the graph record that the classifiers share."""
-    connected, definite, z0, mult, genus = _graph_record(g)
+    connected, definite, z0, _, mult, genus = _graph_record(g)
     failures = []
     if not connected:
         failures.append("graph is not connected")
@@ -183,10 +194,10 @@ def validate(g: DualGraph) -> ValidationReport:
     return ValidationReport(connected, definite, tree, rational, gorenstein, mult, failures)
 
 
-def _rational(g: DualGraph) -> Cycle:
-    """Z_0 of a connected, negative definite, rational graph with every
-    weight <= -2, the graphs ``validate`` accepts; InvalidGraphError on any
-    other graph."""
+def _rational(g: DualGraph) -> GraphRecord:
+    """The record of a connected, negative definite, rational graph with
+    every weight <= -2, the graphs ``validate`` accepts; InvalidGraphError
+    on any other graph."""
     record = _graph_record(g)
     if record.genus != 0:
         raise InvalidGraphError(
@@ -195,7 +206,7 @@ def _rational(g: DualGraph) -> Cycle:
         )
     if max(g.weights) > -2:
         raise InvalidGraphError("graph is not a minimal resolution: a weight is > -2")
-    return record.z0
+    return record
 
 
 class CycleInvariants(NamedTuple):
@@ -211,10 +222,11 @@ class CycleInvariants(NamedTuple):
     ulrich: bool
 
 
-def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
+def _columns(g: DualGraph, zs, ps, record: GraphRecord) -> tuple[list, ...]:
     """The columns (multiplicity, colength, min_gens, U, special, Ulrich),
     one entry per cycle, of positive anti-nef cycles on a rational graph
-    with fundamental cycle Z_0 = sum n_i E_i, given as two flat lists:
+    whose record holds Z_0 = sum n_i E_i and -Z_0^2, given as two flat
+    lists:
     ``zs`` holds the cycles Z and ``ps`` their pairings P = M.Z, one row of
     r entries per cycle (both trusted: ``_pointwise`` checks the one cycle
     it is given).  Every formula of a cycle lives here:
@@ -227,9 +239,10 @@ def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
     - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
       colength(Z) (asserted) and L = lcm(n), that is max_i a_i L/n_i = L *
       colength(Z): one value per cycle, no list of bounds;
-    - Ulrich: special on a multiplicity-2 graph, else U(Z) = 0 (valid as
-      mu(I_Z) > 2 there).  A rational graph has multiplicity 2 exactly
-      when K = 0, every weight -2, as p_a(Z_0) = 0 gives -Z_0^2 = K.Z_0 + 2.
+    - Ulrich: special on a multiplicity-2 graph (the record's -Z_0^2),
+      else U(Z) = 0 (valid as mu(I_Z) > 2 there).  On a rational, minimal
+      graph that is every weight -2, K = 0, as p_a(Z_0) = 0 gives
+      -Z_0^2 = K.Z_0 + 2.
 
     The per-vertex work is ``map`` and ``zip`` at C speed over the flat
     lists, with per-row sums over ``lattice._rows``, and each per-cycle
@@ -241,7 +254,7 @@ def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
     graph), then CycleError on mu(I_Z) <= 2 at multiplicity >= 3
     (impossible for anti-nef cycles).
     """
-    r, repeat = len(z0), itertools.repeat
+    z0, r, repeat = record.z0, g.vertex_count, itertools.repeat
     mult = list(map(operator.neg, map(sum, _rows(map(operator.mul, zs, ps), r))))
     ell = [1 - genus for genus in _genera(map(operator.neg, mult), _canonicals(g, zs))]
     lcm = math.lcm(*z0)
@@ -253,7 +266,7 @@ def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
     special = list(map(operator.not_, excess))
     min_gens = [1 - x for x in map(sum, _rows(map(operator.mul, ps, itertools.cycle(z0)), r))]
     u = [(mu - 1) * e - m for mu, e, m in zip(min_gens, ell, mult)]
-    if set(g.weights) == {-2}:  # K = 0: multiplicity 2
+    if record.multiplicity == 2:
         return mult, ell, min_gens, u, special, special
     if min(min_gens) <= 2:
         raise CycleError("U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
@@ -261,15 +274,18 @@ def _columns(g: DualGraph, zs, ps, z0: Cycle) -> tuple[list, ...]:
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _indices(z: Cycle, z0: Cycle, ell: int) -> frozenset[int]:
-    """The vertices i with a_i = n_i * colength(Z), for Z of colength ``ell``."""
-    saturated = map(operator.eq, z, map(operator.mul, z0, itertools.repeat(ell)))
+def _indices(z: Cycle, record: GraphRecord, ell: int) -> frozenset[int]:
+    """The vertices i with a_i = n_i * colength(Z), for Z of colength ``ell``
+    and Z_0 = sum n_i E_i the record's."""
+    saturated = map(operator.eq, z, map(operator.mul, record.z0, itertools.repeat(ell)))
     return frozenset(itertools.compress(itertools.count(), saturated))
 
 
-def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) -> CycleInvariants:
-    """``_columns`` on the one cycle Z, with its ``_indices``.  ``pairing``
-    is P = M.Z when the caller holds it, trusted; it is built when None.
+def _pointwise(g: DualGraph, z: Cycle, record: GraphRecord,
+               pairing: Cycle | None = None) -> CycleInvariants:
+    """``_columns`` on the one cycle Z, with its ``_indices``, given the
+    graph's record.  ``pairing`` is P = M.Z when the caller holds it,
+    trusted; it is built when None.
     Raises DimensionError on a cycle of the wrong length, CycleError on
     one that is not positive, has a negative coefficient or is not
     anti-nef (read off P), in that order, then the errors of ``_columns``.
@@ -283,8 +299,8 @@ def _pointwise(g: DualGraph, z: Cycle, z0: Cycle, pairing: Cycle | None = None) 
         pairing = pairing_vector(g, z)
     if max(pairing) > 0:
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
-    mult, ell, min_gens, u, special, ulrich = (c[0] for c in _columns(g, z, pairing, z0))
-    return CycleInvariants(1 - ell, ell, mult, min_gens, u, _indices(z, z0, ell), special, ulrich)
+    mult, ell, mu, u, special, ulrich = (c[0] for c in _columns(g, z, pairing, record))
+    return CycleInvariants(1 - ell, ell, mult, mu, u, _indices(z, record, ell), special, ulrich)
 
 
 def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:
@@ -333,17 +349,19 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     """Canonical filtration of an anti-nef Z: Z_k = inf(Z, (k+1)Z_0).
 
     Every positive anti-nef Z on a connected graph dominates Z_0, so the
-    chain starts at Z_0 and ends at Z.
+    chain starts at Z_0 and ends at Z.  CycleError when the chain would
+    hold more than MAX_FILTRATION coefficients (steps times r).
     """
-    z0 = _rational(g)
-    z = g.check_cycle(z)
-    _pointwise(g, z, z0)  # Z must be positive and anti-nef
-    return _filtration(z, z0)
+    _invariants_of(g, z)  # a valid graph, and Z positive and anti-nef
+    return _filtration(g.check_cycle(z), _graph_record(g).z0)
 
 
 def _filtration(z: Cycle, z0: Cycle) -> Filtration:
-    """``filtration`` of a Z that ``_pointwise`` has already accepted."""
+    """``filtration`` of a Z that ``_pointwise`` has already accepted;
+    CycleError when it would hold more than MAX_FILTRATION coefficients."""
     top = max(-(-a // n) for a, n in zip(z, z0))  # the least k with Z <= k Z_0
+    if (top - 1) * len(z) > MAX_FILTRATION:
+        raise CycleError(f"the filtration has more than {MAX_FILTRATION} coefficients")
     zs = [z0] + [inf_cycles(z, scale(k, z0)) for k in range(2, top + 1)]
     return Filtration(base=z0, steps=tuple((sub(b, a), b) for a, b in zip(zs, zs[1:])))
 

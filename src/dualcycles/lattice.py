@@ -131,11 +131,6 @@ def _canonicals(g: DualGraph, zs):
     return map(sum, _rows(map(operator.mul, zs, k), len(g.weights)))
 
 
-def _canonical(g: DualGraph, z: Cycle) -> int:
-    """K.Z of one checked Z."""
-    return next(_canonicals(g, z))
-
-
 def _genera(squares, canonicals) -> list[int]:
     """p_a(Z) = (Z^2 + K.Z)/2 + 1 of each cycle, given its Z^2 and K.Z."""
     q = list(map(operator.add, squares, canonicals))

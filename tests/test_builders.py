@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcycles.builders import (
+    MAX_VERTICES,
     GraphFormatError,
     _leading_minors,
     build_ade,
@@ -94,6 +95,12 @@ class TestAde:
     def test_lowercase_family(self):
         assert build_ade("a", 3) == build_ade("A", 3)
 
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_vertex_limit_is_checked_before_allocating(self, family):
+        for n in (MAX_VERTICES + 1, 10**9, 10**30):
+            with pytest.raises(ValueError, match=f"{family}_{n} has more than {MAX_VERTICES}"):
+                build_ade(family, n)
+
     @pytest.mark.parametrize(
         "family, index", [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)]
     )
@@ -153,6 +160,15 @@ class TestHjExpansion:
         assert all(b >= 2 for b in bs)
         assert continued_fraction_value(bs) == Fraction(n, q)
 
+    def test_vertex_limit(self):
+        # (q+1)/q expands to q terms of 2.
+        assert hj_expansion(MAX_VERTICES + 1, MAX_VERTICES) == [2] * MAX_VERTICES
+        for q in (MAX_VERTICES + 1, 10**9 - 1, 10**30 - 1):
+            start = time.monotonic()
+            with pytest.raises(ValueError, match=f"more than {MAX_VERTICES} vertices"):
+                hj_expansion(q + 1, q)
+            assert time.monotonic() - start < 2.0
+
 
 class TestCyclic:
     def test_chain_shape(self):
@@ -211,6 +227,12 @@ class TestParse:
     def test_rejects_malformed_text(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             parse_graph(text)
+
+    def test_vertex_limit_is_checked_before_allocating(self):
+        for r in (MAX_VERTICES + 1, 10**9, 10**30):
+            with pytest.raises(GraphFormatError, match=f"must be <= {MAX_VERTICES}") as err:
+                parse_graph(f"# huge\nvertices {r}\n")
+            assert err.value.line == 2
 
     def test_error_carries_line_number(self):
         err = None

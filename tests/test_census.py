@@ -1,0 +1,178 @@
+"""Exhaustive census of small rational trees: the chain walk against the
+oracle on every vertex-weighted tree up to isomorphism.
+
+Trees are grown one leaf at a time and kept once per isomorphism class,
+keyed by a canonical encoding: the tree rooted at a centre, each vertex
+written as "(" + its -weight + its children's encodings in sorted order
++ ")", and the least such string over the one or two centres.  Every
+class is built from its encoding, vertices numbered in the encoding's
+preorder, so the census does not depend on how the classes were found.
+
+On every rational class the special and Ulrich cycles of ``_classify``
+below 2 Z_0 must equal ``oracle_classify(g, 2)``, and one seeded random
+relabelling must give the relabelled entries.  Run the 7-vertex census
+with ``PYTHONPATH=src:tests python -c "import test_census;
+print(test_census.census(7))"``.
+"""
+
+import collections
+import operator
+import random
+import time
+from typing import NamedTuple
+
+from dualcycles.classify import _classify, oracle_classify
+from dualcycles.invariants import fundamental_cycle, validate
+from dualcycles.lattice import DualGraph
+
+WEIGHTS = (-2, -3, -4)
+
+
+def canonical(weights, edges) -> str:
+    """The least rooted encoding of the tree over its centres."""
+    nbrs = collections.defaultdict(list)
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    centres = set(range(len(weights)))
+    while len(centres) > 2:  # strip the leaves until one or two vertices stay
+        centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) == 1}
+
+    def encode(v, parent):
+        kids = sorted(encode(u, v) for u in nbrs[v] if u != parent)
+        return f"({-weights[v]}{''.join(kids)})"
+
+    return min(encode(c, None) for c in centres)
+
+
+def graph_of(code: str) -> DualGraph:
+    """The tree of an encoding, vertices numbered in preorder."""
+    weights, edges, path = [], [], []
+    for ch in code:
+        if ch == "(":
+            continue
+        if ch == ")":
+            path.pop()
+            continue
+        v = len(weights)
+        weights.append(-int(ch))
+        if path:
+            edges.append((path[-1], v))
+        path.append(v)
+    return DualGraph(weights, edges)
+
+
+def tree_classes(max_vertices: int) -> list[str]:
+    """The encodings of every tree with weights in WEIGHTS and at most
+    ``max_vertices`` vertices, one per isomorphism class, sorted."""
+    level = {canonical((w,), ()) for w in WEIGHTS}
+    found = set(level)
+    for _ in range(max_vertices - 1):
+        grown = set()
+        for code in level:
+            g = graph_of(code)
+            r = g.vertex_count
+            for v in range(r):
+                for w in WEIGHTS:
+                    grown.add(canonical(g.weights + (w,), sorted(g.edges) + [(v, r)]))
+        found |= grown
+        level = grown
+    return sorted(found)
+
+
+def entries(special, ulrich, label=lambda v: v) -> list:
+    """The entries of both lists with vertices renamed by ``label``, chains
+    left out: the least chain depends on the labelling."""
+    def key(e):
+        cycle = [0] * len(e.cycle)
+        for v, a in enumerate(e.cycle):
+            cycle[label(v)] = a
+        indices = frozenset(map(label, e.module_indices))
+        return tuple(cycle), e.colength, e.multiplicity, e.min_gens, indices, e.kind
+
+    return [sorted(map(key, special)), sorted(map(key, ulrich))]
+
+
+class Census(NamedTuple):
+    classes: int
+    rational: int
+    ulrich_counts: dict[int, int]  # number of Ulrich cycles -> classes
+    multi_ulrich_non_gorenstein: list[str]  # encodings
+
+
+def census(max_vertices: int, seed: int = 1) -> Census:
+    """Both routes on every rational tree class with at most
+    ``max_vertices`` vertices, and a relabelling of each; AssertionError
+    on the first class where they disagree."""
+    rng = random.Random(seed)
+    codes = tree_classes(max_vertices)
+    rational, counts, multi = 0, collections.Counter(), []
+    for code in codes:
+        g = graph_of(code)
+        rep = validate(g)
+        if not rep.rational:
+            continue
+        rational += 1
+        z0 = fundamental_cycle(g)
+        cap = 2 * sum(z0) + 1  # every cycle below 2 Z_0 has colength <= sum(Z_0) + 1
+        special, ulrich = _classify(g, cap)
+        box = [2 * n for n in z0]
+        below = lambda es: sorted(e.cycle for e in es if all(map(operator.le, e.cycle, box)))
+        assert (below(special), below(ulrich)) == oracle_classify(g, 2), code
+
+        r = g.vertex_count
+        perm = rng.sample(range(r), r)  # vertex v becomes perm[v]
+        inverse = sorted(range(r), key=perm.__getitem__)
+        h = DualGraph([g.weights[v] for v in inverse], [(perm[i], perm[j]) for i, j in g.edges])
+        assert entries(*_classify(h, cap)) == entries(special, ulrich, perm.__getitem__), code
+
+        counts[len(ulrich)] += 1
+        if len(ulrich) > 1 and not rep.gorenstein:
+            multi.append(code)
+    return Census(len(codes), rational, dict(counts), multi)
+
+
+# The non-Gorenstein classes with more than one Ulrich cycle, up to six
+# vertices: a unique Ulrich cycle is a cyclic-quotient fact, not a
+# non-Gorenstein one.
+MULTI_ULRICH_NON_GORENSTEIN_6 = [
+    "(2(2(2)(2))(3(2)))",
+    "(2(2(2))(2(2))(3))",
+    "(2(2(2))(2)(3(2)))",
+    "(2(2(2))(3(2)(2)))",
+    "(2(2)(2)(3(2)))",
+    "(2(2)(2)(4(2)(2)))",
+    "(2(2)(3(2)(2)))",
+    "(2(2)(4(2)(2)(2)))",
+    "(3(2(2)(2))(2(2)))",
+    "(3(2(2))(2(2))(2))",
+    "(3(2)(2)(2))",
+    "(3(2)(2)(3(2)(2)))",
+    "(4(2)(2)(2)(2))",
+]
+
+
+def test_encoding_is_canonical():
+    # Decoding and encoding again gives the same string, and a tree
+    # numbered another way gets the same encoding.
+    for code in tree_classes(5):
+        g = graph_of(code)
+        assert canonical(g.weights, g.edges) == code
+    star = canonical((-3, -2, -2, -2, -2), [(0, 1), (0, 3), (1, 2), (1, 4)])
+    assert star == canonical((-2, -2, -2, -3, -2), [(3, 4), (3, 0), (4, 1), (4, 2)])
+    assert star == "(2(2)(2)(3(2)))"
+
+
+def test_census_of_trees_up_to_six_vertices():
+    start = time.monotonic()
+    got = census(6)
+    elapsed = time.monotonic() - start
+    histogram = {1: 2028, 2: 16, 3: 3, 4: 1, 5: 1}
+    assert got == Census(2217, 2049, histogram, MULTI_ULRICH_NON_GORENSTEIN_6)
+    # Two Ulrich cycles on weights (-3, -2, -2, -2, -2), edges 1-2, 1-4,
+    # 2-3, 2-5: not Gorenstein, not a cyclic quotient.
+    g = DualGraph((-3, -2, -2, -2, -2), [(0, 1), (0, 3), (1, 2), (1, 4)])
+    assert validate(g).multiplicity == 3
+    assert len(_classify(g)[1]) == 2
+    print(f"PASS census: {got.classes} classes, {got.rational} rational, {elapsed:.2f}s")
+    assert elapsed < 3.0, f"took {elapsed:.2f}s"

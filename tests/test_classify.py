@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dualcycles
-from dualcycles import classify, invariants
+from dualcycles import classify, cli, invariants, lattice
 from dualcycles.builders import build_ade, build_cyclic, is_negative_definite
 from dualcycles.classify import (
     ChainDepthError,
@@ -45,7 +45,7 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import (
     DualGraph,
-    _canonical,
+    _canonicals,
     intersection,
     is_anti_nef,
     pairing_vector,
@@ -291,7 +291,7 @@ class TestEnumerators:
             for e in enumerate_special(g, 10 * g.vertex_count) + enumerate_ulrich(g):
                 z = e.cycle
                 zz, z0z = intersection(g, z, z), intersection(g, z0, z)
-                genus = (zz + _canonical(g, z)) // 2 + 1
+                genus = (zz + next(_canonicals(g, z))) // 2 + 1
                 assert genus == virtual_genus(g, z)
                 ell = 1 - genus
                 indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
@@ -397,7 +397,7 @@ class TestOracleAgreement:
             calls.append(args)
             return real(*args)
 
-        for module in (dualcycles.invariants, dualcycles.classify):
+        for module in (invariants, cli, lattice):  # every module holding the name
             monkeypatch.setattr(module, "pairing_vector", counting)
         assert oracle_classify(g, 6) == expected
         assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
@@ -553,9 +553,10 @@ def test_box_search_pairs_each_cycle_with_its_pairing(g):
     rows = lambda flat: zip(*[iter(flat)] * g.vertex_count)
     found = sorted(zip(rows(zs), rows(ps)))
     assert [z for z, _ in found] == brute_force_anti_nef(g, 3)
+    record = invariants._graph_record(g)
     for z, p in found:
         assert p == pairing_vector(g, z)
-        assert _pointwise(g, z, z0, p) == _pointwise(g, z, z0)
+        assert _pointwise(g, z, record, p) == _pointwise(g, z, record)
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,14 +570,14 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
     z0 = fundamental_cycle(g)
-    k0 = _canonical(g, z0)
+    k0 = next(_canonicals(g, z0))
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
-    best = _walk(g, z0, 10 * g.vertex_count, None)
+    best = _walk(g, invariants._graph_record(g), 10 * g.vertex_count, None)
     for z, (chain, surviving, keeps, pairing) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
         assert surviving == indices
-        assert keeps == all(_canonical(g, y) == k0 for y, _ in chain)
+        assert keeps == all(next(_canonicals(g, y)) == k0 for y, _ in chain)
         assert keeps == (heavy <= indices)
         # The walk carries M.Z from node to node; _classify trusts it.
         assert pairing == pairing_vector(g, z)
@@ -614,9 +615,9 @@ def test_zero_components_come_in_least_vertex_order(g, data):
     assert list(_zero_components(g, pairing, inside)) == expected
 
 
-def test_classify_builds_one_pairing_vector(monkeypatch):
-    # Each walked cycle's pairing is built from its parent's: only Z_0's
-    # is computed from scratch.
+def test_classify_builds_no_pairing_vector(monkeypatch):
+    # Each walked cycle's pairing is built from its parent's, and Z_0's
+    # comes from the warm graph record: none is computed from scratch.
     g = build_ade("D", 30)
     invariants._graph_record(g)  # warm the graph record
     calls = []
@@ -626,8 +627,8 @@ def test_classify_builds_one_pairing_vector(monkeypatch):
         calls.append(z)
         return real(graph, z)
 
-    monkeypatch.setattr(classify, "pairing_vector", spy)
-    monkeypatch.setattr(invariants, "pairing_vector", spy)
+    for module in (invariants, cli, lattice):  # every module holding the name
+        monkeypatch.setattr(module, "pairing_vector", spy)
     special, ulrich = _classify(g, 300, 300)
     assert len(special) > 1 and ulrich is special
-    assert len(calls) <= 1
+    assert calls == []

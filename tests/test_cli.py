@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -299,7 +300,7 @@ class TestInvariantsCommand:
         monkeypatch.setattr(invariants, "_pointwise", pointwise)
         monkeypatch.setattr(cli, "_pointwise", pointwise, raising=False)
         for module in (invariants, cli, lattice):
-            monkeypatch.setattr(module, "pairing_vector", pairing, raising=False)
+            monkeypatch.setattr(module, "pairing_vector", pairing)
         assert run(*argv) == expected
         assert calls.count("_pointwise") == 1
         assert calls.count("pairing_vector") == 1
@@ -313,11 +314,16 @@ class TestInvariantsCommand:
         assert out == "".join(f"  {k}: {doc['results'][k]}\n" for k in keys)
 
 
-def two_walk_classify(g, max_colength, max_steps):
+def two_walk_classify(g, max_colength=None, max_steps=None, special=True, ulrich=True):
     """Reference for ``cli._classify``: the special walk, then the Ulrich
-    walk, each list None when its cap is."""
-    special = None if max_colength is None else enumerate_special(g, max_colength)
-    return special, None if max_steps is None else enumerate_ulrich(g, max_steps)
+    walk, each list None when it is not asked for.  Both caps default to
+    10 r and are checked after the graph, max_colength first, whichever
+    lists are asked for."""
+    r10 = 10 * g.vertex_count
+    specials = enumerate_special(g, r10 if max_colength is None else max_colength)
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    return specials if special else None, enumerate_ulrich(g, max_steps) if ulrich else None
 
 
 class TestClassifyCommand:
@@ -567,6 +573,77 @@ class TestLastResort:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+def run_capped(*argv):
+    """One request in a child process whose address space is capped at
+    1.5 GB, in that child only, with a 20 s timeout: a request that
+    allocates or loops without end cannot exhaust the machine.  Returns
+    (exit code, stdout, stderr, seconds)."""
+    cap = 1536 * 2**20  # 1.5 GB
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualcycles.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+        preexec_fn=limit,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.monotonic() - start
+
+
+class TestSizeLimits:
+    """Requests too large to answer are refused up front, each in time with
+    its documented exit code and one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ["classify", "--n", "1000000000", "--q", "999999999"],
+                EXIT_USAGE,
+                "the chain of n/q has more than 1000000 vertices",
+            ),
+            (
+                ["classify", "--family", "A", "--index", "1000000000"],
+                EXIT_USAGE,
+                "A_1000000000 has more than 1000000 vertices",
+            ),
+            (
+                ["validate", "--graph", "{file}"],
+                EXIT_USAGE,
+                "line 1: vertex count must be <= 1000000, got 1000000000",
+            ),
+            (
+                ["--format", "json", "invariants", "--family", "A", "--index", "1",
+                 "--cycle", "100000000000000000000"],
+                EXIT_VALIDATION,
+                "the filtration has more than 100000 coefficients",
+            ),
+        ],
+        ids=["cyclic", "ade", "file", "filtration"],
+    )
+    def test_oversized_request_is_refused_in_time(self, tmp_path, argv, code, message):
+        path = tmp_path / "huge.txt"
+        path.write_text("vertices 1000000000\n")
+        got = run_capped(*(str(path) if a == "{file}" else a for a in argv))
+        assert got[:3] == (code, "", f"error: {message}\n")
+        assert got[3] < 2.0, f"took {got[3]:.2f}s"
+
+    def test_library_and_cli_refuse_a_filtration_alike(self, capsys):
+        g = build_ade("A", 1)
+        with pytest.raises(lattice.CycleError) as err:
+            invariants.filtration(g, (10**20,))
+        code, out = run("--format", "json", "invariants", "--family", "A", "--index", "1",
+                        "--cycle", str(10**20))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 # Whole documents, byte for byte: the key order of the records' fields.

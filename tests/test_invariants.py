@@ -17,6 +17,7 @@ from dualcycles.builders import (
     is_negative_definite,
 )
 from dualcycles.invariants import (
+    MAX_FILTRATION,
     _laufer,
     _pointwise,
     InvalidGraphError,
@@ -276,25 +277,26 @@ class TestPointwiseErrors:
     def test_errors_in_order(self, z, error, match):
         # The given pairing is positive: every earlier check must fire first.
         g = build_ade("A", 3)
-        z0 = fundamental_cycle(g)
+        record = invariants._graph_record(g)
         for pairing in (None, (1,) * len(z)):
             with pytest.raises(error, match=match):
-                _pointwise(g, z, z0, pairing)
+                _pointwise(g, z, record, pairing)
 
     def test_non_anti_nef_pairing_is_refused(self):
         g = build_ade("A", 3)
-        z0 = fundamental_cycle(g)
+        record = invariants._graph_record(g)
         with pytest.raises(CycleError, match="not anti-nef"):
-            _pointwise(g, z0, z0, (0, 1, 0))
+            _pointwise(g, record.z0, record, (0, 1, 0))
 
     def test_assertions_are_reachable_through_a_pairing(self):
         # Only a pairing that is not M.Z reaches them: Z^2 = -1 is odd, and
         # Z^2 = 0 makes the colength 0, below the coefficient 2.
         g = build_ade("A", 1)
+        record = invariants._graph_record(g)  # Z_0 = (1,)
         with pytest.raises(AssertionError, match="parity"):
-            _pointwise(g, (1,), (1,), (-1,))
+            _pointwise(g, (1,), record, (-1,))
         with pytest.raises(AssertionError, match="coefficient bound"):
-            _pointwise(g, (2,), (1,), (0,))
+            _pointwise(g, (2,), record, (0,))
 
 
 class TestFiltration:
@@ -340,6 +342,18 @@ class TestFiltration:
         g = build_cyclic(7, 3)
         with pytest.raises(CycleError):
             filtration(g, (1, 0, 1))
+
+    @pytest.mark.parametrize("g", [build_ade("A", 1), build_ade("D", 5)], ids=["A1", "D5"])
+    def test_oversized_filtration_is_refused_before_it_is_built(self, g):
+        # The step count ceil(max_i a_i/n_i) - 1 is known up front: Z = k Z_0
+        # has k - 1 steps of r coefficients each.
+        r = g.vertex_count
+        z0 = fundamental_cycle(g)
+        k = MAX_FILTRATION // r + 2  # just past the limit
+        for z in (scale(k, z0), scale(10**20, z0)):
+            with pytest.raises(CycleError, match=f"more than {MAX_FILTRATION} coefficients"):
+                filtration(g, z)
+        assert len(filtration(g, scale(1000, z0)).steps) == 999
 
 
 class TestSpecialModuleIndices:
