@@ -81,14 +81,32 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
 
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
-    increment's support; a candidate extends the chain when it is below
-    the previous increment and keeps Z anti-nef.  Returns {cycle:
-    (lexicographically least witness chain, its surviving set, K bit,
-    pairing M.Z)}, Z_0 included: the chain is a tuple of (Y_k, Z_k) pairs,
-    each pair one object shared by every chain through its node, the
-    surviving set the vertices i with coeff(Y_k) = n_i at every step, and
-    the K bit whether every step keeps K.(Z_0 - Y_k) = 0, the Ulrich
-    condition.
+    increment's support (all of Z_0's at the root); a candidate extends
+    the chain when it keeps Z anti-nef.  Returns {cycle: (its chain, its
+    surviving set, K bit, pairing M.Z)}, Z_0 included: the chain is a
+    tuple of (Y_k, Z_k) pairs, each pair one object shared by every chain
+    through its node, the surviving set the vertices i with coeff(Y_k) =
+    n_i at every step, and the K bit whether every step keeps
+    K.(Z_0 - Y_k) = 0, the Ulrich condition.
+
+    The chains form a tree, by three lemmas on a child's increment Y',
+    the fundamental cycle of a connected component C' of the zero locus
+    inside supp(Y):
+
+    - the increments decrease, Y' <= Y (and Y_1 <= Z_0).  Y is positive
+      and anti-nef on its support (a fundamental cycle; Z_0 everywhere);
+      dropping its coefficients off C' only lowers the pairings on C', so
+      its restriction to C' is positive and anti-nef on C', and Laufer's
+      minimality puts Y' below it;
+    - no cycle is reached twice.  Siblings add increments on disjoint
+      components, and every later increment stays inside its parent's
+      support, so two chains that part at a node add nonzero cycles on
+      disjoint supports from there on, and a chain's extension adds a
+      nonzero one.  So the walk's nodes are its cycles, and each cycle
+      has exactly one chain;
+    - the surviving set is {v in C': coeff(Y') = n_v}.  With
+      Y' <= Y_{k-1} <= ... <= Y_1 <= Z_0, a coefficient n_v at Y' forces
+      n_v at every earlier step.
 
     A step past ``max_depth`` is dropped unless it keeps K and
     ``max_steps`` is set; a K step past ``max_steps`` raises
@@ -96,14 +114,13 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
     sorted children, so the first such step in preorder is the first one
     a walk of K steps alone meets.
 
-    The K bit is a function of the cycle, so the least chain to Z is also
-    its least K chain.  With K.E_v = -w_v - 2 >= 0 on a minimal graph and
-    every Y_k <= Z_0, K.Y_k = K.Z_0 holds exactly when Y_k takes the full
-    coefficient n_v at every vertex of weight <= -3, that is when those
-    vertices all survive.  A step Y is the fundamental cycle of a
-    connected piece of Z's zero locus, so p_a(Y) = 0 (Laufer) and Z.Y = 0,
-    whence p_a(Z + Y) = p_a(Z) - 1: every chain to Z has colength(Z) - 1
-    steps, and a vertex survives exactly when a_v = n_v * colength(Z).
+    With K.E_v = -w_v - 2 >= 0 on a minimal graph and every Y_k <= Z_0,
+    K.Y_k = K.Z_0 holds exactly when Y_k takes the full coefficient n_v
+    at every vertex of weight <= -3, that is when those vertices all
+    survive.  A step Y is the fundamental cycle of a connected piece of
+    Z's zero locus, so p_a(Y) = 0 (Laufer) and Z.Y = 0, whence
+    p_a(Z + Y) = p_a(Z) - 1: every chain to Z has colength(Z) - 1 steps,
+    and a vertex survives exactly when a_v = n_v * colength(Z).
 
     A step Y on a component C does O(|C| + boundary) Python work and O(r)
     at C speed.  Laufer's loop runs on C alone (connected by construction,
@@ -116,23 +133,20 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
     """
     weights, nbrs = g.weights, g._neighbors
     heavy = frozenset(v for v, w in enumerate(weights) if w < -2)
-    everything = frozenset(range(g.vertex_count))
     z0, root = record.z0, record.pairing
-    best = {z0: ((), everything, True, root)}
+    best = {z0: ((), frozenset(range(g.vertex_count)), True, root)}
 
-    # Preorder with an explicit stack of (candidates left, Z, Y, pairing,
-    # chain, surviving set) frames, so chain length is not bounded by the
-    # interpreter's recursion.
-    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, z0, root, (), everything)]
+    # Preorder with an explicit stack of (candidates left, Z, pairing,
+    # chain) frames, so chain length is not bounded by the interpreter's
+    # recursion.
+    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, root, ())]
     while stack:
-        comps, z_prev, y_prev, pairing, chain, surv_prev = stack[-1]
+        comps, z_prev, pairing, chain = stack[-1]
         comp = next(comps, None)
         if comp is None:
             stack.pop()
             continue
         ys = _laufer(g, comp)
-        if any(a > y_prev[v] for v, a in ys.items()):
-            continue  # increments must decrease componentwise
         moved = {}
         for v, a in ys.items():
             moved[v] = moved.get(v, pairing[v]) + weights[v] * a
@@ -140,7 +154,7 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
                 moved[u] = moved.get(u, pairing[u]) + a
         if any(p > 0 for p in moved.values()):
             continue  # not anti-nef
-        surviving = frozenset(v for v, a in ys.items() if a == z0[v] and v in surv_prev)
+        surviving = frozenset(v for v, a in ys.items() if a == z0[v])
         keeps = heavy <= surviving
         counted = keeps and max_steps is not None  # max_steps caps it, not max_depth
         if not counted and len(chain) >= max_depth:
@@ -157,12 +171,9 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
             raise ChainDepthError(
                 f"chain through {[s[1] for s in new_chain]} exceeded {max_steps} steps"
             )
-        old = best.get(z_new)
-        # Equal increments give equal cycles: pairs compare as increments.
-        if old is None or new_chain < old[0]:
-            best[z_new] = (new_chain, surviving, keeps, p_new)
+        best[z_new] = (new_chain, surviving, keeps, p_new)
         # ys holds C in vertex order: the child's search range.
-        stack.append((_zero_components(g, p_new, ys), z_new, y, p_new, new_chain, surviving))
+        stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain))
     return best
 
 
@@ -173,9 +184,11 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
 
     Both caps default to 10 r, and both are checked whichever lists are
     asked for.  One ``_columns`` call over every walked cycle and the
-    pairing the walk carries to it gives the pointwise tests, which the
-    chain criteria are checked against; each cycle that is special or
-    Ulrich gets one entry, shared by both lists.  Equal lists are returned
+    pairing the walk carries to it gives the pointwise tests, and both
+    chain criteria must agree with them both ways (AssertionError else):
+    a nonempty surviving set with the special verdict, the K bit with the
+    Ulrich one.  Each cycle that is special or Ulrich gets one entry, with
+    its one chain, shared by both lists.  Equal lists are returned
     as one list object.  Errors come in this order: InvalidGraphError,
     ValueError on a max_colength below 1, then on a negative max_steps,
     then ChainDepthError from the walk (only when the Ulrich list is asked
@@ -196,12 +209,12 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     cols = _columns(g, list(flat(cycles)), list(flat(best[z][3] for z in cycles)), record)
 
     specials, ulrichs = [], []
-    for z, mult, ell, mu, u, saturated, _ in zip(cycles, *cols):
+    for z, mult, ell, mu, _, saturated, is_ulrich in zip(cycles, *cols):
         chain, surviving, keeps, _ = best[z]
-        if surviving and not saturated:
-            raise AssertionError("chain criterion disagrees with pointwise test")
-        if keeps and u != 0:
-            raise AssertionError(f"chain-enumerated cycle {z} has U(Z) != 0")
+        if bool(surviving) != saturated:
+            raise AssertionError(f"special chain criterion disagrees with pointwise test at {z}")
+        if keeps != is_ulrich:
+            raise AssertionError(f"Ulrich chain criterion disagrees with pointwise test at {z}")
         in_special = saturated and len(chain) <= max_depth
         in_ulrich = keeps and ulrich
         if not (in_special or in_ulrich):
@@ -228,8 +241,9 @@ def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEnt
     """All special cycles of colength <= max_colength, by the chain criterion.
 
     A chain witnesses specialness of its endpoint when some vertex index
-    has coeff(Y_k) = n_i at every step; the surviving index set is tracked
-    per chain and the cycle is emitted once it stays nonempty.
+    has coeff(Y_k) = n_i at every step; as the increments decrease, that
+    is the last step's coefficient, and the cycle is emitted when some
+    vertex keeps it.
     """
     return _classify(g, max_colength, ulrich=False)[0]
 

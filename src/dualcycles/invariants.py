@@ -87,7 +87,8 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     Laufer's algorithm (``_laufer``).  Requires the support to be
     nonempty, inside 0..r-1, connected (guaranteed on full vertex sets of
     connected graphs) and negative definite, else ValueError; with no
-    support given, InvalidGraphError when the graph is not connected.  The
+    support given, InvalidGraphError when the graph is not connected, then
+    when it is not negative definite (``validate``'s wording).  The
     definiteness test is one sparse Bareiss pass over the support's
     induced subgraph, O(|support| + fill-in); on the full support of a
     valid graph Z_0 is read from the graph record.
@@ -97,8 +98,9 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
         record = _graph_record(g)
         if record.z0 is not None:
             return record.z0
-        if vertices is None and not record.connected:
-            raise InvalidGraphError("graph is not connected")
+        if vertices is None:  # Z_0 needs a connected, negative definite graph
+            raise InvalidGraphError("graph is not connected" if not record.connected
+                                    else "intersection matrix is not negative definite")
         vertices = everything  # the checks below say what is wrong
     verts = frozenset(vertices)
     if not verts:

@@ -10,9 +10,9 @@ preorder, so the census does not depend on how the classes were found.
 
 On every rational class the special and Ulrich cycles of ``_classify``
 below 2 Z_0 must equal ``oracle_classify(g, 2)``, and one seeded random
-relabelling must give the relabelled entries.  Run the 7-vertex census
-with ``PYTHONPATH=src:tests python -c "import test_census;
-print(test_census.census(7))"``.
+relabelling must give the relabelled entries, witness chains included.
+Run the 7-vertex census with ``PYTHONPATH=src:tests python -c "import
+test_census; print(test_census.census(7))"``.
 """
 
 import collections
@@ -82,13 +82,18 @@ def tree_classes(max_vertices: int) -> list[str]:
 
 def entries(special, ulrich, label=lambda v: v) -> list:
     """The entries of both lists with vertices renamed by ``label``, chains
-    left out: the least chain depends on the labelling."""
+    included: each cycle has one chain, so it does not depend on the
+    labelling."""
+    def relabel(z):
+        out = [0] * len(z)
+        for v, a in enumerate(z):
+            out[label(v)] = a
+        return tuple(out)
+
     def key(e):
-        cycle = [0] * len(e.cycle)
-        for v, a in enumerate(e.cycle):
-            cycle[label(v)] = a
         indices = frozenset(map(label, e.module_indices))
-        return tuple(cycle), e.colength, e.multiplicity, e.min_gens, indices, e.kind
+        chain = relabel(e.chain.base), tuple((relabel(y), relabel(z)) for y, z in e.chain.steps)
+        return relabel(e.cycle), e.colength, e.multiplicity, e.min_gens, indices, e.kind, chain
 
     return [sorted(map(key, special)), sorted(map(key, ulrich))]
 

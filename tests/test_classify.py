@@ -459,6 +459,19 @@ class TestGoldenTables:
         assert rep.expected_count == 3 == len(rep.actual)
         assert rep.family == "E" and rep.index == 7
 
+    def test_verify_rdp_reports_a_disagreeing_table(self, monkeypatch):
+        # A_4's Ulrich cycles are (1,1,1,1) of colength 1 and (1,2,2,1) of
+        # colength 2; this table misses one, adds one and misstates one.
+        monkeypatch.setattr(
+            classify, "golden_table", lambda family, index: [((1, 1, 1, 1), 2), ((2, 2, 2, 2), 1)]
+        )
+        rep = verify_rdp("A", 4)
+        assert not rep.matched
+        assert rep.missing == [(2, 2, 2, 2)]
+        assert rep.extra == [(1, 2, 2, 1)]
+        assert rep.colength_mismatches == [((1, 1, 1, 1), 2, 1)]
+        assert rep.actual == [((1, 1, 1, 1), 1), ((1, 2, 2, 1), 2)]
+
 
 def naive_anti_nef(g: DualGraph, bound: int) -> list:
     """Every point of the box 0..bound * Z_0, filtered by the definition."""
@@ -581,6 +594,14 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
         assert keeps == (heavy <= indices)
         # The walk carries M.Z from node to node; _classify trusts it.
         assert pairing == pairing_vector(g, z)
+        # The increments decrease (from Z_0 down), and the chains form a
+        # tree: a chain without its last step is its parent's, which a
+        # second chain to the parent would have overwritten.
+        ys = [z0] + [y for y, _ in chain]
+        assert all(all(map(int.__le__, y, prev)) for prev, y in zip(ys, ys[1:]))
+        if chain:
+            parent = chain[-2][1] if len(chain) > 1 else z0
+            assert best[parent][0] == chain[:-1]
 
 
 def flood_components(g, verts):
@@ -632,3 +653,27 @@ def test_classify_builds_no_pairing_vector(monkeypatch):
     special, ulrich = _classify(g, 300, 300)
     assert len(special) > 1 and ulrich is special
     assert calls == []
+
+
+# Walked to (1,1,1,1,1) (special and Ulrich), (2,2,1,1,1) (special, not
+# Ulrich) and (3,2,1,1,1) (neither).
+FORK = DualGraph((-2, -2, -2, -3, -3), [(0, 1), (1, 2), (0, 3), (0, 4)])
+
+
+@pytest.mark.parametrize("column, name", [(4, "special"), (5, "Ulrich")])
+@pytest.mark.parametrize("verdict", [True, False])
+def test_chain_criteria_meet_the_pointwise_tests_both_ways(monkeypatch, column, name, verdict):
+    # One pointwise verdict of either column flipped, either way: the
+    # chain criterion of that column disagrees with it.
+    real = classify._columns
+
+    def flipped(*args):
+        cols = list(real(*args))
+        k = cols[column].index(verdict)
+        cols[column] = cols[column][:k] + [not verdict] + cols[column][k + 1:]
+        return tuple(cols)
+
+    _classify(FORK)
+    monkeypatch.setattr(classify, "_columns", flipped)
+    with pytest.raises(AssertionError, match=f"^{name} chain criterion disagrees"):
+        _classify(FORK)

@@ -529,6 +529,45 @@ class TestVerifyRdpCommand:
         code, _ = run("verify-rdp", "--family", "A", "--index", "2")
         assert code == EXIT_MISMATCH
 
+    @staticmethod
+    def full_mismatch(family, index):
+        # One missing cycle, one extra cycle and one colength mismatch.
+        from dualcycles.classify import RdpVerification
+
+        return RdpVerification(
+            family="A",
+            index=3,
+            matched=False,
+            expected=[((1, 1, 1), 1), ((1, 2, 1), 2)],
+            actual=[((1, 1, 1), 2), ((2, 2, 2), 1)],
+            expected_count=2,
+            missing=[(1, 2, 1)],
+            extra=[(2, 2, 2)],
+            colength_mismatches=[((1, 1, 1), 1, 2)],
+        )
+
+    def test_mismatch_report_in_table_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_rdp", self.full_mismatch)
+        code, out = run("verify-rdp", "--family", "A", "--index", "3")
+        assert code == EXIT_MISMATCH
+        assert out == "A3: MISMATCH, 2 cycles (expected 2)\n  1 1 1  colength=2\n  2 2 2  colength=1\n"
+        assert capsys.readouterr().err == (
+            "missing: 1 2 1\n"
+            "extra: 2 2 2\n"
+            "colength mismatch at 1 1 1: expected 1, got 2\n"
+        )
+
+    def test_mismatch_report_in_json_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_rdp", self.full_mismatch)
+        code, doc = run_json("verify-rdp", "--family", "A", "--index", "3")
+        assert code == EXIT_MISMATCH
+        assert capsys.readouterr().err == ""
+        results = doc["results"]
+        assert results["matched"] is False
+        assert results["missing"] == [[1, 2, 1]]
+        assert results["extra"] == [[2, 2, 2]]
+        assert results["colength_mismatches"] == [{"cycle": [1, 1, 1], "expected": 1, "actual": 2}]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -542,6 +581,12 @@ class TestUsageErrors:
     def test_incomplete_graph_source(self):
         code, _ = run("validate", "--family", "A")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("source", [["--n", "7"], ["--q", "3"]], ids=["n-alone", "q-alone"])
+    def test_half_given_cyclic_source(self, capsys, source):
+        code, out = run("validate", *source)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == "error: --n and --q go together\n"
 
     def test_missing_file(self):
         code, _ = run("validate", "--graph", "/nonexistent/g.txt")

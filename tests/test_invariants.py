@@ -151,7 +151,10 @@ class TestFundamentalCycle:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "fundamental cycle needs a negative definite support\n" * 2
+        assert proc.stdout == (
+            "intersection matrix is not negative definite\n"
+            "fundamental cycle needs a negative definite support\n"
+        )
 
     def test_disconnected_graph_without_support_is_invalid(self):
         # Once a bare ValueError naming a support the caller never gave.
@@ -160,6 +163,16 @@ class TestFundamentalCycle:
             fundamental_cycle(g)
         with pytest.raises(ValueError, match="^fundamental cycle needs a connected support$"):
             fundamental_cycle(g, frozenset(range(4)))  # a support given: named as such
+
+    def test_indefinite_graph_without_support_is_invalid(self):
+        # Once a bare ValueError naming a support the caller never gave;
+        # the full support, given, keeps its ValueError.
+        g = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
+        with pytest.raises(InvalidGraphError, match="^intersection matrix is not negative definite$"):
+            fundamental_cycle(g)
+        with pytest.raises(ValueError, match="^fundamental cycle needs a negative definite support$") as e:
+            fundamental_cycle(g, frozenset(range(6)))
+        assert type(e.value) is ValueError
 
     def test_result_is_anti_nef_with_full_support(self):
         for g in (build_ade("E", 7), build_cyclic(19, 7), STAR):
