@@ -27,11 +27,11 @@ from .invariants import (
     GraphRecord,
     InvalidGraphError,
     _columns,
-    _graph_record,
     _indices,
     _invariants_of,
     _laufer,
     _rational,
+    fundamental_cycle,
 )
 from .lattice import Cycle, DualGraph, _rows, scale
 
@@ -301,13 +301,12 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
-    sorted.  InvalidGraphError on a graph that is not negative definite,
-    then on one that is not connected (Z_0 needs both)."""
+    sorted.  Z_0 is ``fundamental_cycle(g)``, so a graph that is not
+    connected, then one that is not negative definite, raises its
+    InvalidGraphError."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    definite, z0 = _graph_record(g)[1:3]
-    if z0 is None:  # Z_0 needs a connected, negative definite graph
-        raise InvalidGraphError("graph is not " + ("connected" if definite else "negative definite"))
+    z0 = fundamental_cycle(g)
     return sorted(_rows(_box_search(g, scale(bound, z0))[0], len(z0)))
 
 

@@ -53,14 +53,6 @@ def serialize_graph(g: DualGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _graph_dict(g: DualGraph) -> dict:
-    return {
-        "vertices": g.vertex_count,
-        "weights": g.weights,
-        "edges": [[i + 1, j + 1] for i, j in sorted(g.edges)],
-    }
-
-
 def _filtration_dict(f: Filtration, shared: dict) -> dict:
     """``shared`` maps id(step pair) to the pair's dict, so a step that
     several chains hold is one dict; the pairs must outlive the map."""
@@ -127,14 +119,18 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_graph(args) -> DualGraph:
+    ade = args.family is not None or args.index is not None
+    cyclic = args.n is not None or args.q is not None
+    if (args.graph is not None) + ade + cyclic > 1:
+        raise GraphFormatError("choose one graph source: --graph, --family/--index or --n/--q")
     if args.graph is not None:
         with open(args.graph, encoding="utf-8") as fh:
             return parse_graph(fh.read())
-    if args.family is not None or args.index is not None:
+    if ade:
         if args.family is None or args.index is None:
             raise GraphFormatError("--family and --index go together")
         return build_ade(args.family, args.index)
-    if args.n is not None or args.q is not None:
+    if cyclic:
         if args.n is None or args.q is None:
             raise GraphFormatError("--n and --q go together")
         return build_cyclic(args.n, args.q)
@@ -142,8 +138,9 @@ def _resolve_graph(args) -> DualGraph:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``main`` call and reused.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommand parsers by name, built on
+    the first ``main`` call and reused.
 
     Building it costs far more than parsing a small request, so each
     process builds it once.  Reuse is safe: ``parse_args`` returns a fresh
@@ -202,28 +199,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list("ADEade"), required=True)
     p.add_argument("--index", type=int, required=True)
 
-    return top
+    return top, sub.choices
 
 
-def _json_chunks(v) -> list[str]:
-    """The text of ``json.dumps(v, indent=2)`` as a list of pieces.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top parser's ``parse_args`` parses it.
 
-    ``walk``'s ``pad`` is a newline plus the indentation of the enclosing
-    level.  A non-empty dict, list or tuple met again at the same
-    indentation copies its earlier pieces: one memo keyed on (pad, id(v)),
-    sound because ``v`` keeps every container alive.  Document builders
-    pass the library's own tuples through and share one dict per chain
-    step, so Z_0 and the steps that the witness chains share are
-    formatted once per depth.  A list holding only ints (not bools) is
-    joined in one step.  Keys and strings go through the C string encoder
-    and other scalars through json.dumps.  Dict keys must be strings.
+    The top parser hands every argument after the subcommand to that
+    subcommand's parser, so an argv ``[--format table|json] <subcommand>
+    ...`` is parsed by the subcommand's parser alone, into a namespace
+    that already holds ``format`` and ``command``: one scan of the argv,
+    not two.  When that leaves an argument unparsed, or the argv has any
+    other shape, the top parser parses it again, so every conversion,
+    choice check, usage line, help text and exit status is argparse's own.
+    """
+    top, subs = _build_parser()
+    head = 2 if argv[:1] == ["--format"] and argv[1:2] in (["table"], ["json"]) else 0
+    sub = subs.get(argv[head]) if len(argv) > head else None
+    if sub is not None:
+        known = argparse.Namespace(format=argv[1] if head else "table", command=argv[head])
+        args, unparsed = sub.parse_known_args(argv[head + 1:], known)
+        if not unparsed:
+            return args
+    return top.parse_args(argv)
+
+
+def _json_chunks(v, pad: str = "\n") -> list[str]:
+    """The text of ``json.dumps(v, indent=2)`` as a list of pieces, for a
+    value whose enclosing level is indented by ``pad`` (a newline plus
+    spaces).
+
+    A scalar is one piece with the separator and key before it; a
+    non-empty container's pieces follow the piece of its separator and
+    key.  A non-empty dict, list or tuple met again at the same
+    indentation copies its earlier pieces, the same string objects: one
+    memo keyed on (pad, id(v)), sound because ``v`` keeps every container
+    alive.  Document builders pass the library's own tuples through and
+    share one dict per chain step, so Z_0 and the steps that the witness
+    chains share are formatted once per depth.  A list holding only ints
+    (not bools) is one piece, its digits formatted once per object: at
+    another depth its first text is re-indented by ``str.replace`` of the
+    old pad with the new one, which is sound because JSON text holds no
+    raw newline, so every newline in it starts a pad.  Keys and strings go
+    through the C string encoder, ints through ``str`` and other scalars
+    through json.dumps.  Dict keys must be strings.
     """
     pieces: list[str] = []
     put = pieces.append
     spans: dict[tuple[str, int], tuple[int, int]] = {}
+    lists: dict[int, tuple[int, str]] = {}  # id -> its first piece and pad
 
-    def walk(v, pad: str) -> None:
+    def walk(lead: str, v, pad: str) -> None:
         if isinstance(v, (dict, list, tuple)) and v:
+            put(lead)
             key = (pad, id(v))
             if key in spans:
                 pieces.extend(pieces[slice(*spans[key])])
@@ -233,44 +261,68 @@ def _json_chunks(v) -> list[str]:
             if isinstance(v, dict):
                 sep = "{" + inner
                 for k, x in v.items():
-                    put(sep + encode_basestring_ascii(k) + ": ")
-                    walk(x, inner)
+                    walk(sep + encode_basestring_ascii(k) + ": ", x, inner)
                     sep = "," + inner
                 put(pad + "}")
             elif set(map(type, v)) == {int}:
-                put("[" + inner + ("," + inner).join(map(str, v)) + pad + "]")
+                if id(v) in lists:
+                    first, was = lists[id(v)]
+                    put(pieces[first].replace(was, pad))
+                else:
+                    lists[id(v)] = (start, pad)
+                    put(f"[{inner}{(',' + inner).join(map(str, v))}{pad}]")
             else:
                 sep = "[" + inner
                 for x in v:
-                    put(sep)
-                    walk(x, inner)
+                    walk(sep, x, inner)
                     sep = "," + inner
                 put(pad + "]")
             spans[key] = (start, len(pieces))
         elif isinstance(v, str):
-            put(encode_basestring_ascii(v))
+            put(lead + encode_basestring_ascii(v))
+        elif type(v) is int:  # json.dumps writes int.__repr__
+            put(lead + str(v))
         else:
-            put(json.dumps(v))
+            put(lead + json.dumps(v))
 
-    walk(v, "\n")
+    walk("", v, pad)
     return pieces
 
 
-def _emit(command: str, g: DualGraph | None, results: dict, out) -> None:
-    """Write the JSON document of a command.
+# json.dumps(doc, indent=2) of a document up to its results, for the
+# command, the vertex count, the weights' digits and the edges.
+_HEAD = """{
+  "tool": {
+    "name": "dualcycles",
+    "version": %s
+  },
+  "command": "%s",
+  "graph": {
+    "vertices": %d,
+    "weights": [
+      %s
+    ],
+    "edges": %s
+  },
+  "results": """
+_EDGE = "[\n        %d,\n        %d\n      ]"
+
+
+def _emit(command: str, g: DualGraph, results: dict, out) -> None:
+    """Write the JSON document of a command: ``tool``, ``command``, the
+    ``graph`` (vertex count, weights, sorted 1-based edges) and
+    ``results``.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
-    byte.  It is written to ``out`` in pieces and never joined whole; each
-    list or tuple object is formatted once per depth (``_json_chunks``).
+    byte.  The head comes from one template; ``results`` is written to
+    ``out`` in pieces (``_json_chunks``) and never joined whole.
     """
-    doc = {
-        "tool": {"name": "dualcycles", "version": __version__},
-        "command": command,
-        "graph": _graph_dict(g) if g is not None else None,
-        "results": results,
-    }
-    out.writelines(_json_chunks(doc))
-    out.write("\n")
+    edges = ",\n      ".join(_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges))
+    out.write(_HEAD % (encode_basestring_ascii(__version__), command, g.vertex_count,
+                       ",\n      ".join(map(str, g.weights)),
+                       "[\n      " + edges + "\n    ]" if edges else "[]"))
+    out.writelines(_json_chunks(results, "\n  "))
+    out.write("\n}\n")
 
 
 def _cmd_graph(args, out) -> int:
@@ -446,9 +498,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """Run one request and return its exit code.  Handlers raise typed
     errors; every ``error:`` line and failure exit code is chosen here."""
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

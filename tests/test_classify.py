@@ -92,6 +92,21 @@ class TestGuards:
         with pytest.raises(InvalidGraphError, match="^graph is not connected$"):
             brute_force_anti_nef(g, 1)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)]),  # indefinite star
+            DualGraph((-2, -2, -1, -1), [(0, 1), (2, 3)]),  # disconnected and indefinite
+        ],
+        ids=["indefinite", "disconnected-indefinite"],
+    )
+    def test_brute_force_fails_as_the_fundamental_cycle_does(self, g):
+        with pytest.raises(InvalidGraphError) as fundamental:
+            fundamental_cycle(g)
+        with pytest.raises(InvalidGraphError) as brute:
+            brute_force_anti_nef(g, 1)
+        assert str(brute.value) == str(fundamental.value)
+
     def test_graph_memo_keeps_a_bounded_set_of_graphs(self):
         # Classifying many distinct graphs keeps at most the memo's bound
         # of them alive; unbounded per-graph caches kept every one.

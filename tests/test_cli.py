@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -588,6 +590,28 @@ class TestUsageErrors:
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == "error: --n and --q go together\n"
 
+    @pytest.mark.parametrize(
+        "sources",
+        [
+            ["--graph", "A2", "--family", "E", "--index", "8", "--n", "7", "--q", "3"],
+            ["--graph", "A2", "--n", "7"],
+            ["--family", "A", "--index", "3", "--n", "7", "--q", "3"],
+            ["--index", "3", "--q", "3"],
+            ["--graph", "/nonexistent/g.txt", "--family", "A"],  # refused before it is read
+        ],
+        ids=["all-three", "file-and-n", "ade-and-cyclic", "halves", "missing-file"],
+    )
+    def test_two_graph_sources(self, tmp_path, capsys, sources):
+        (tmp_path / "A2").write_text("vertices 2\nedge 1 2\n")
+        sources = [str(tmp_path / a) if a == "A2" else a for a in sources]
+        for sub in ("validate", "fundamental", "classify", "oracle", "invariants"):
+            extra = {"oracle": ["--bound", "2"], "invariants": ["--cycle", "1,1"]}.get(sub, [])
+            code, out = run(sub, *sources, *extra)
+            assert (code, out) == (EXIT_USAGE, ""), sub
+            assert capsys.readouterr().err == (
+                "error: choose one graph source: --graph, --family/--index or --n/--q\n"
+            )
+
     def test_missing_file(self):
         code, _ = run("validate", "--graph", "/nonexistent/g.txt")
         assert code == EXIT_USAGE
@@ -912,6 +936,9 @@ class TestParserReuse:
         ["--format", "json", "classify", "--n", "7", "--q", "3", "--special"],
         ["frobnicate"],
         ["classify", "--n", "7", "--q", "3"],
+        ["classify", "--version"],
+        ["--format=json", "classify", "--n", "7", "--q", "3"],
+        ["classify", "--fam", "A", "--index", "3"],
     ]
 
     def test_calls_in_one_process_match_calls_alone(self, capsys, monkeypatch):
@@ -955,6 +982,84 @@ JSON_REQUESTS = [
     ["verify-rdp", "--family", "E", "--index", "7"],
 ]
 
+# Tokens of the argv grammar below: every option of every subcommand,
+# abbreviations, good and bad values, and the strings argparse treats
+# specially.
+ARGV_HEADS = [[], [], [], ["--format", "json"], ["--format", "table"], ["--format=json"],
+              ["--format", "xml"], ["--format"], ["--fo", "json"], ["--version"], ["-h"], ["--"]]
+SUBCOMMANDS = ["graph", "validate", "fundamental", "invariants", "classify", "oracle",
+               "verify-rdp", "frobnicate", "classif", "", "--format"]
+GRAPH_SUBCOMMANDS = ["ade", "cyclic", "load", "x", "-h"]
+OPTIONS = ["--graph", "--family", "--fam", "--index", "--n", "--q", "--support", "--cycle",
+           "--special", "--ulrich", "--max-colength", "--max-steps", "--max", "--bound", "--out",
+           "--family=E", "--index=6", "--cycle=1,2,1", "--n=7", "-h", "--help", "--version",
+           "--format", "--", ""]
+VALUES = ["A", "D", "E", "a", "x", "3", "6", "7", "-1", "0", "1,2,1", "1,x", "", "g.txt",
+          "json", "--n", "-3"]
+
+
+def sample_argv(rng: random.Random) -> list[str]:
+    """One argv of the grammar: a head, a subcommand and up to five options,
+    each followed by zero, one or two values."""
+    argv = list(rng.choice(ARGV_HEADS)) + [rng.choice(SUBCOMMANDS)]
+    if argv[-1] == "graph" and rng.random() < 0.9:
+        argv.append(rng.choice(GRAPH_SUBCOMMANDS))
+    for _ in range(rng.randrange(6)):
+        argv.append(rng.choice(OPTIONS))
+        argv += rng.choices(VALUES, k=rng.choice([0, 1, 1, 1, 2]))
+    return argv
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """The namespace of ``parse(argv)`` or its exit code, with what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int]:
+    """The argvs of a seeded sample on which ``cli._parse`` and the top
+    parser's ``parse_args`` differ, and how many the split parse answered
+    without the top parser."""
+    top = cli._build_parser()[0]
+    rng = random.Random(seed)
+    differ, split = [], 0
+    for _ in range(count):
+        argv = sample_argv(rng)
+        calls = []
+        parse_args = top.parse_args
+        top.parse_args = lambda a: calls.append(a) or parse_args(a)
+        try:
+            mine = parse_outcome(cli._parse, argv)
+        finally:
+            del top.parse_args
+        split += not calls
+        if mine != parse_outcome(top.parse_args, argv):
+            differ.append(argv)
+    return differ, split
+
+
+class TestSplitParse:
+    def test_matches_the_top_parser(self, monkeypatch):
+        # Usage text wraps at the terminal width; fix it.
+        monkeypatch.setenv("COLUMNS", "80")
+        differ, split = split_parse_differences(2000, seed=1)
+        assert differ == []
+        assert 200 < split < 1800  # both paths are taken
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["table", "json"])
+    def test_well_formed_requests_skip_the_top_parser(self, monkeypatch, fmt):
+        top = cli._build_parser()[0]
+        seen = []
+        monkeypatch.setattr(top, "parse_args", seen.append)
+        for argv in JSON_REQUESTS:
+            assert main([*fmt, *argv], out=io.StringIO()) == EXIT_OK
+        assert seen == []
+
 
 def json_values():
     scalars = st.none() | st.booleans() | st.integers() | st.text()
@@ -969,15 +1074,22 @@ def json_values():
 class TestJsonEmitter:
     @pytest.fixture
     def emitted_docs(self, monkeypatch):
-        """Record every document ``_emit`` hands to the chunk writer."""
+        """Record the whole document of every ``_emit`` call, rebuilt from
+        its arguments: the tool, the command, the graph and the results."""
         docs = []
-        real = cli._json_chunks
+        real = cli._emit
 
-        def spy(v):
-            docs.append(v)
-            return real(v)
+        def spy(command, g, results, out):
+            edges = [[i + 1, j + 1] for i, j in sorted(g.edges)]
+            docs.append({
+                "tool": {"name": "dualcycles", "version": dualcycles.__version__},
+                "command": command,
+                "graph": {"vertices": g.vertex_count, "weights": g.weights, "edges": edges},
+                "results": results,
+            })
+            return real(command, g, results, out)
 
-        monkeypatch.setattr(cli, "_json_chunks", spy)
+        monkeypatch.setattr(cli, "_emit", spy)
         return docs
 
     @pytest.mark.parametrize("argv", JSON_REQUESTS, ids=lambda a: "-".join(a[:2]))
@@ -1008,6 +1120,24 @@ class TestJsonEmitter:
         code, out = run("--format", "json", "verify-rdp", "--family", "A", "--index", "2")
         assert code == EXIT_MISMATCH
         assert out == json.dumps(emitted_docs[-1], indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, argv, code",
+        [
+            ("vertices 1\n", ["classify"], EXIT_OK),  # "edges": []
+            ("vertices 3\nedge 1 2\n", ["validate"], EXIT_VALIDATION),  # disconnected
+            ("vertices 3\nweight 1 -5\nweight 3 -3\nedge 1 2\nedge 3 2\n", ["oracle", "--bound", "2"],
+             EXIT_OK),
+        ],
+        ids=["one-vertex", "disconnected", "weights"],
+    )
+    def test_document_heads(self, tmp_path, emitted_docs, text, argv, code):
+        src = tmp_path / "g.txt"
+        src.write_text(text)
+        assert run("--format", "json", *argv, "--graph", str(src)) == (
+            code, json.dumps(emitted_docs[0], indent=2) + "\n"
+        )
+        assert len(emitted_docs) == 1
 
     def test_streams_in_pieces(self):
         class Pieces(io.StringIO):
