@@ -36,8 +36,19 @@ from .invariants import (
 from .lattice import Cycle, DualGraph, _rows, scale
 
 
+# The most coefficients (cycles times r) the oracle's box search may hold.
+# It is checked as each cycle is found, so a box with more is refused with
+# BoxLimitError before its cycles exhaust time or memory, whatever its
+# bound.  E_8 at bound 25, 33,723 cycles, holds 269,784.
+MAX_BOX = 1_000_000
+
+
 class ChainDepthError(RuntimeError):
     """A chain enumeration exceeded its step cap without terminating."""
+
+
+class BoxLimitError(RuntimeError):
+    """The oracle's box holds more than MAX_BOX coefficients."""
 
 
 class ClassificationEntry(NamedTuple):
@@ -125,14 +136,16 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
     A step Y on a component C does O(|C| + boundary) Python work and O(r)
     at C speed.  Laufer's loop runs on C alone (connected by construction,
     definite inside a definite graph).  P = M.Z moves by M.Y only on C and
-    its neighbours, and the anti-nef test reads those entries only: the
-    parent is anti-nef, so every other entry stays <= 0.  The children's
+    its boundary.  On C the parent's P is zero, so the child's is the
+    pairing of Y over C that Laufer's loop returns, <= 0; the anti-nef
+    test reads the boundary only, as every other entry stays as the
+    anti-nef parent's.  The children's
     components come from one pass over C, already sorted.  Y, Z + Y and
     the child's full P are length-r tuples built from the parent's, and
     Z_0's comes from the graph's record: the walk builds no pairing vector.
     """
-    weights, nbrs = g.weights, g._neighbors
-    heavy = frozenset(v for v, w in enumerate(weights) if w < -2)
+    nbrs = g._neighbors
+    heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)
     z0, root = record.z0, record.pairing
     best = {z0: ((), frozenset(range(g.vertex_count)), True, root)}
 
@@ -146,13 +159,13 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
         if comp is None:
             stack.pop()
             continue
-        ys = _laufer(g, comp)
-        moved = {}
+        ys, on_c = _laufer(g, comp)
+        boundary = {}
         for v, a in ys.items():
-            moved[v] = moved.get(v, pairing[v]) + weights[v] * a
             for u in nbrs[v]:
-                moved[u] = moved.get(u, pairing[u]) + a
-        if any(p > 0 for p in moved.values()):
+                if u not in ys:
+                    boundary[u] = boundary.get(u, pairing[u]) + a
+        if any(p > 0 for p in boundary.values()):
             continue  # not anti-nef
         surviving = frozenset(v for v, a in ys.items() if a == z0[v])
         keeps = heavy <= surviving
@@ -163,7 +176,7 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
         for v, a in ys.items():
             y[v] = a
             z_new[v] += a
-        for v, p in moved.items():
+        for v, p in itertools.chain(on_c.items(), boundary.items()):
             p_new[v] = p
         y, z_new, p_new = tuple(y), tuple(z_new), tuple(p_new)
         new_chain = chain + ((y, z_new),)
@@ -303,7 +316,8 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
     sorted.  Z_0 is ``fundamental_cycle(g)``, so a graph that is not
     connected, then one that is not negative definite, raises its
-    InvalidGraphError."""
+    InvalidGraphError; BoxLimitError when the cycles would hold more than
+    MAX_BOX coefficients."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     z0 = fundamental_cycle(g)
@@ -339,9 +353,11 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
     neighbours are assigned, so every leaf of the search is a result, and
     the running pairing at a leaf is M.Z, appended with Z.
     Cost: O(r^3) set-up plus O(r) per value tried; a cycle found costs two
-    list extends.  On E_8 the search tries 503 values for the 61 cycles at
-    bound 6 and 1,708 for the 255 at bound 9; with the neighbour bound
-    ceil(S / -w_p) as the only lower bound it tried 226,667 and 2,189,834.
+    list extends and one length check: BoxLimitError once the cycles
+    would hold more than MAX_BOX coefficients.  On E_8 the search tries
+    503 values for the 61 cycles at bound 6 and 1,708 for the 255 at
+    bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
+    bound it tried 226,667 and 2,189,834.
     """
     r = g.vertex_count
     leaf = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
@@ -385,6 +401,9 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
             continue
         if k == r - 1:
             if any(coeffs):
+                if len(zs) > MAX_BOX - r:  # one more cycle would pass the limit
+                    raise BoxLimitError(f"the box holds more than {MAX_BOX} coefficients "
+                                        "of anti-nef cycles (cycles times vertices)")
                 zs += coeffs
                 ps += pairing
             fresh = False
@@ -398,7 +417,8 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     and Ulrich cycles among the brute-force anti-nef cycles, by the
     pointwise tests.  One ``_columns`` call reads every boxed cycle's
     verdicts off the flat lists of ``_box_search``, pairings included;
-    only the special and Ulrich rows become tuples."""
+    only the special and Ulrich rows become tuples.  BoxLimitError as in
+    ``brute_force_anti_nef``."""
     record = _rational(g)
     if bound < 1:
         raise ValueError("bound must be >= 1")

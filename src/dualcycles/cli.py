@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph
 from .classify import (
+    BoxLimitError,
     ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
@@ -53,28 +54,8 @@ def serialize_graph(g: DualGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _filtration_dict(f: Filtration, shared: dict) -> dict:
-    """``shared`` maps id(step pair) to the pair's dict, so a step that
-    several chains hold is one dict; the pairs must outlive the map."""
-    steps = []
-    for pair in f.steps:
-        step = shared.get(id(pair))
-        if step is None:
-            step = shared[id(pair)] = {"increment": pair[0], "cycle": pair[1]}
-        steps.append(step)
-    return {"base": f.base, "steps": steps}
-
-
-def _entry_dict(e: ClassificationEntry, shared: dict) -> dict:
-    return {
-        "cycle": e.cycle,
-        "colength": e.colength,
-        "multiplicity": e.multiplicity,
-        "min_gens": e.min_gens,
-        "module_indices": sorted(i + 1 for i in e.module_indices),
-        "chain": _filtration_dict(e.chain, shared),
-        "kind": e.kind,
-    }
+def _filtration_dict(f: Filtration) -> dict:
+    return {"base": f.base, "steps": [{"increment": y, "cycle": z} for y, z in f.steps]}
 
 
 def _render_graph(g: DualGraph, out) -> None:
@@ -231,32 +212,17 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
 
     A scalar is one piece with the separator and key before it; a
     non-empty container's pieces follow the piece of its separator and
-    key.  A non-empty dict, list or tuple met again at the same
-    indentation copies its earlier pieces, the same string objects: one
-    memo keyed on (pad, id(v)), sound because ``v`` keeps every container
-    alive.  Document builders pass the library's own tuples through and
-    share one dict per chain step, so Z_0 and the steps that the witness
-    chains share are formatted once per depth.  A list holding only ints
-    (not bools) is one piece, its digits formatted once per object: at
-    another depth its first text is re-indented by ``str.replace`` of the
-    old pad with the new one, which is sound because JSON text holds no
-    raw newline, so every newline in it starts a pad.  Keys and strings go
-    through the C string encoder, ints through ``str`` and other scalars
-    through json.dumps.  Dict keys must be strings.
+    key.  A list holding only ints (not bools) is one piece (``_ints``).
+    Keys and strings go through the C string encoder, ints through
+    ``str`` and other scalars through json.dumps.  Dict keys must be
+    strings.
     """
     pieces: list[str] = []
     put = pieces.append
-    spans: dict[tuple[str, int], tuple[int, int]] = {}
-    lists: dict[int, tuple[int, str]] = {}  # id -> its first piece and pad
 
     def walk(lead: str, v, pad: str) -> None:
         if isinstance(v, (dict, list, tuple)) and v:
             put(lead)
-            key = (pad, id(v))
-            if key in spans:
-                pieces.extend(pieces[slice(*spans[key])])
-                return
-            start = len(pieces)
             inner = pad + "  "
             if isinstance(v, dict):
                 sep = "{" + inner
@@ -265,19 +231,13 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
                     sep = "," + inner
                 put(pad + "}")
             elif set(map(type, v)) == {int}:
-                if id(v) in lists:
-                    first, was = lists[id(v)]
-                    put(pieces[first].replace(was, pad))
-                else:
-                    lists[id(v)] = (start, pad)
-                    put(f"[{inner}{(',' + inner).join(map(str, v))}{pad}]")
+                put(_ints(v, pad))
             else:
                 sep = "[" + inner
                 for x in v:
                     walk(sep, x, inner)
                     sep = "," + inner
                 put(pad + "]")
-            spans[key] = (start, len(pieces))
         elif isinstance(v, str):
             put(lead + encode_basestring_ascii(v))
         elif type(v) is int:  # json.dumps writes int.__repr__
@@ -287,6 +247,68 @@ def _json_chunks(v, pad: str = "\n") -> list[str]:
 
     walk("", v, pad)
     return pieces
+
+
+def _ints(v, pad: str) -> str:
+    """``json.dumps`` of a sequence of ints indented at ``pad``."""
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(map(str, v))}{pad}]" if v else "[]"
+
+
+# json.dumps(doc, indent=2) of one ClassificationEntry in a classify
+# document, after its separator, up to its chain's first step and after
+# its last one; and of one chain step.
+_ENTRY = """%s{
+        "cycle": %s,
+        "colength": %d,
+        "multiplicity": %d,
+        "min_gens": %d,
+        "module_indices": %s,
+        "chain": {
+          "base": %s,
+          "steps": %s"""
+_ENTRY_END = """%s
+        },
+        "kind": "%s"
+      }"""
+_STEP = """{
+              "increment": %s,
+              "cycle": %s
+            }"""
+
+
+def _classify_chunks(special, ulrich) -> list[str]:
+    """The pieces of a classify document's ``results`` at depth 1: a key
+    for each list that is not None, and in it each entry from the
+    ``_ENTRY`` template.  Each distinct chain step's text is built once
+    from ``_STEP`` (keyed on the identity of the walk's step pair, which
+    every chain through it shares and which outlives this call) and is
+    its own piece wherever a chain holds it.  A ``ulrich`` list that is
+    the ``special`` list repeats its pieces."""
+    steps: dict[int, str] = {}
+
+    def listing(entries) -> list[str]:
+        pieces = []
+        base = entries and _ints(entries[0].chain.base, "\n          ")  # every chain's Z_0
+        for k, e in enumerate(entries):
+            chain = e.chain.steps
+            pieces.append(_ENTRY % (",\n      " if k else "[\n      ", _ints(e.cycle, "\n        "),
+                                    e.colength, e.multiplicity, e.min_gens,
+                                    _ints(sorted(i + 1 for i in e.module_indices), "\n        "),
+                                    base, "[\n            " if chain else "[]"))
+            for j, pair in enumerate(chain):
+                if id(pair) not in steps:
+                    steps[id(pair)] = _STEP % (_ints(pair[0], "\n              "),
+                                               _ints(pair[1], "\n              "))
+                pieces += (",\n            ", steps[id(pair)]) if j else (steps[id(pair)],)
+            pieces.append(_ENTRY_END % ("\n          ]" if chain else "", e.kind))
+        return pieces + ["\n    ]"] if entries else ["[]"]
+
+    pieces = ['{\n    "special": ', *listing(special)] if special is not None else []
+    if ulrich is not None:
+        key = ("," if pieces else "{") + '\n    "ulrich": '
+        pieces += [key, *(pieces[1:] if ulrich is special else listing(ulrich))]
+    return pieces + ["\n  }"]
 
 
 # json.dumps(doc, indent=2) of a document up to its results, for the
@@ -308,20 +330,23 @@ _HEAD = """{
 _EDGE = "[\n        %d,\n        %d\n      ]"
 
 
-def _emit(command: str, g: DualGraph, results: dict, out) -> None:
+def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     """Write the JSON document of a command: ``tool``, ``command``, the
     ``graph`` (vertex count, weights, sorted 1-based edges) and
     ``results``.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
-    byte.  The head comes from one template; ``results`` is written to
-    ``out`` in pieces (``_json_chunks``) and never joined whole.
+    byte.  The head comes from one template; ``results``, a dict
+    (``_json_chunks``) or classify's pair of entry lists
+    (``_classify_chunks``), is written to ``out`` in pieces and never
+    joined whole.
     """
     edges = ",\n      ".join(_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges))
     out.write(_HEAD % (encode_basestring_ascii(__version__), command, g.vertex_count,
                        ",\n      ".join(map(str, g.weights)),
                        "[\n      " + edges + "\n    ]" if edges else "[]"))
-    out.writelines(_json_chunks(results, "\n  "))
+    out.writelines(_json_chunks(results, "\n  ") if isinstance(results, dict)
+                   else _classify_chunks(*results))
     out.write("\n}\n")
 
 
@@ -391,7 +416,7 @@ def _cmd_invariants(args, out) -> int:
     }
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
-        results["filtration"] = _filtration_dict(_filtration(z, record.z0), {})
+        results["filtration"] = _filtration_dict(_filtration(z, record.z0))
         _emit("invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle
@@ -404,14 +429,7 @@ def _cmd_classify(args, out) -> int:
     special, ulrich = _classify(g, args.max_colength, args.max_steps,
                                 not args.ulrich, not args.special)
     if args.format == "json":
-        results, shared = {}, {}  # one dict per distinct chain step
-        if special is not None:
-            results["special"] = [_entry_dict(e, shared) for e in special]
-        if ulrich is not None:
-            results["ulrich"] = (
-                results["special"] if ulrich is special else [_entry_dict(e, shared) for e in ulrich]
-            )
-        _emit("classify", g, results, out)
+        _emit("classify", g, (special, ulrich), out)
     else:
         _render_graph(g, out)
         lines = "" if special is None else _render_entries(special)
@@ -504,7 +522,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args, out)
-    except (CycleError, InvalidGraphError, ChainDepthError) as e:
+    except (CycleError, InvalidGraphError, ChainDepthError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GraphFormatError, ValueError, OSError) as e:

@@ -48,9 +48,9 @@ class InvalidGraphError(ValueError):
     """The graph fails validation (classification is undefined on it)."""
 
 
-def _laufer(g: DualGraph, verts: Iterable[int]) -> dict[int, int]:
-    """{vertex: coefficient} of the fundamental cycle on ``verts``, in the
-    order of ``verts``.
+def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
+    """({vertex: coefficient}, {vertex: pairing}) of the fundamental cycle
+    on ``verts``, both in the order of ``verts``: Z and M.Z over ``verts``.
 
     Laufer's loop: start from 1 everywhere and bump any vertex whose
     pairing over ``verts`` is positive.  A bump below the fundamental
@@ -59,15 +59,19 @@ def _laufer(g: DualGraph, verts: Iterable[int]) -> dict[int, int]:
     heap is needed to pick the vertex.  The pairing is updated per bump
     and its positive vertices kept on a stack, the last pushed bumped
     first (deterministic, so traces are reproducible): a bump costs
-    O(deg), nothing costs O(r).  ``verts`` must be connected and negative
-    definite, unchecked, or the loop never ends.
+    O(deg), nothing costs O(r).  ``verts`` must be connected, unchecked.
+    On a set that is not negative definite the loop may never end, so
+    past ``budget`` bumps it gives up and returns None (no budget: the
+    set must be definite).
     """
     z = dict.fromkeys(verts, 1)
     weights, nbrs = g.weights, g._neighbors
     pairing = {v: weights[v] + sum(map(z.__contains__, nbrs[v])) for v in z}
     # Exactly the vertices with positive pairing, each once.
     positive = [v for v, p in pairing.items() if p > 0]
-    while positive:
+    for _ in itertools.repeat(None) if budget is None else itertools.repeat(None, budget + 1):
+        if not positive:
+            return z, pairing
         i = positive[-1]
         z[i] += 1
         pairing[i] += weights[i]
@@ -78,7 +82,25 @@ def _laufer(g: DualGraph, verts: Iterable[int]) -> dict[int, int]:
                 pairing[j] += 1
                 if pairing[j] == 1:
                     positive.append(j)
-    return z
+    return None
+
+
+def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int]] | None:
+    """``_laufer`` on a connected ``verts`` when it is negative definite,
+    else None.
+
+    Laufer's loop is the certificate: if it stops, at Z > 0 with M.Z <= 0,
+    then -M over ``verts`` is an irreducible Z-matrix, and it is a
+    nonsingular M-matrix, so positive definite being symmetric, exactly
+    when M.Z != 0 (Berman and Plemmons); M.Z = 0 makes Z^2 = 0.  Past a
+    budget of 8 bumps a vertex plus 64, one sparse Bareiss pass
+    (``is_negative_definite``) decides instead, and the loop then runs
+    unbounded on a definite set.
+    """
+    found = _laufer(g, verts, 8 * len(verts) + 64)
+    if found is None:
+        return _laufer(g, verts) if is_negative_definite(g, frozenset(verts)) else None
+    return found if any(found[1].values()) else None
 
 
 def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> Cycle:
@@ -89,9 +111,10 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     connected graphs) and negative definite, else ValueError; with no
     support given, InvalidGraphError when the graph is not connected, then
     when it is not negative definite (``validate``'s wording).  The
-    definiteness test is one sparse Bareiss pass over the support's
-    induced subgraph, O(|support| + fill-in); on the full support of a
-    valid graph Z_0 is read from the graph record.
+    definiteness test is Laufer's loop itself (``_certified``), with one
+    sparse Bareiss pass over the support's induced subgraph only past its
+    bump budget; on the full support of a valid graph Z_0 is read from
+    the graph record.
     """
     everything = frozenset(range(g.vertex_count))
     if vertices is None or vertices == everything:
@@ -111,11 +134,12 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
         )
     if not is_connected(g, verts):
         raise ValueError("fundamental cycle needs a connected support")
-    if not is_negative_definite(g, verts):
+    found = _certified(g, verts)
+    if found is None:
         raise ValueError("fundamental cycle needs a negative definite support")
 
     z = [0] * g.vertex_count
-    for v, a in _laufer(g, verts).items():
+    for v, a in found[0].items():
         z[v] = a
     return tuple(z)
 
@@ -136,14 +160,17 @@ class GraphRecord(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _graph_record(g: DualGraph) -> GraphRecord:
-    """One graph search, one sparse Bareiss pass, one Laufer loop and one
-    pairing vector, memoised on graph equality: requests on one graph
-    share them, and a long-running process holds a bounded set of graphs."""
-    connected, definite = is_connected(g), is_negative_definite(g)
-    if not (connected and definite):
-        return GraphRecord(connected, definite)
-    z0 = tuple(_laufer(g, range(g.vertex_count)).values())
-    pairing = pairing_vector(g, z0)
+    """One graph search and one Laufer loop, which certifies definiteness
+    and gives Z_0 and M.Z_0 (``_certified``), memoised on graph equality:
+    requests on one graph share them, and a long-running process holds a
+    bounded set of graphs.  A disconnected graph gets one sparse Bareiss
+    pass instead."""
+    if not is_connected(g):
+        return GraphRecord(False, is_negative_definite(g))
+    found = _certified(g, range(g.vertex_count))
+    if found is None:
+        return GraphRecord(True, False)
+    z0, pairing = tuple(found[0].values()), tuple(found[1].values())
     zz = sum(map(operator.mul, z0, pairing))
     return GraphRecord(True, True, z0, pairing, -zz, _genus(g, z0, zz))
 

@@ -129,6 +129,21 @@ class TestGuards:
         with pytest.raises(ValueError):
             brute_force_anti_nef(g, 0)
 
+    def test_box_limit_counts_coefficients(self, monkeypatch):
+        # A box of exactly MAX_BOX coefficients is searched; one fewer is
+        # refused, whatever the bound.
+        g = build_ade("E", 6)
+        held = len(brute_force_anti_nef(g, 3)) * g.vertex_count
+        monkeypatch.setattr(classify, "MAX_BOX", held)
+        assert len(brute_force_anti_nef(g, 3)) * g.vertex_count == held
+        assert oracle_classify(g, 3)[0]
+        monkeypatch.setattr(classify, "MAX_BOX", held - 1)
+        for search in (brute_force_anti_nef, oracle_classify):
+            with pytest.raises(classify.BoxLimitError, match=f"more than {held - 1} coefficients"):
+                search(g, 3)
+        with pytest.raises(classify.BoxLimitError):
+            oracle_classify(g, 10**9)
+
     def test_box_search_refuses_indefinite_graph_in_time(self):
         # A -2 centre with five -2 leaves: Laufer's loop never ends on it.
         code = (

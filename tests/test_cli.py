@@ -27,6 +27,8 @@ from dualcycles.cli import (
     serialize_graph,
 )
 from dualcycles.lattice import DualGraph
+from test_census import graph_of, tree_classes
+from test_invariants import CATERPILLAR, CATERPILLAR_Z0
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
@@ -191,7 +193,9 @@ class TestFundamentalCommand:
         assert out == ""
         assert err == f"error: support {support!r} is not a comma-separated integer list\n"
 
-    def test_one_bareiss_pass(self, monkeypatch):
+    def test_one_bareiss_pass(self, tmp_path, monkeypatch):
+        # None on a connected definite graph, whose Laufer loop certifies
+        # it; one on a graph whose loop runs past its bump budget.
         passes = []
         real = builders._leading_minors
 
@@ -200,10 +204,15 @@ class TestFundamentalCommand:
             return real(m)
 
         monkeypatch.setattr(builders, "_leading_minors", spy)
-        invariants._graph_record.cache_clear()  # a fresh graph
+        invariants._graph_record.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")
-        assert (code, len(passes)) == (EXIT_OK, 1)
+        assert (code, len(passes)) == (EXIT_OK, 0)
         assert out == "1 1 1\n"
+        src = tmp_path / "caterpillar.txt"
+        src.write_text(serialize_graph(CATERPILLAR))
+        code, out = run("fundamental", "--graph", str(src))
+        assert (code, len(passes)) == (EXIT_OK, 1)
+        assert out == " ".join(map(str, CATERPILLAR_Z0)) + "\n"
 
     def test_indefinite_graph_exits_one_in_time(self, tmp_path):
         # Laufer's loop never ends on this graph; the command must refuse it.
@@ -468,22 +477,19 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert 0 < len(loops) - alone <= alone
 
-    def test_table_form_builds_no_entry_dicts(self, monkeypatch):
+    def test_table_form_builds_no_json_text(self, monkeypatch):
         calls = []
-        real = cli._entry_dict
-
-        def spy(e, shared):
-            calls.append(e)
-            return real(e, shared)
-
-        monkeypatch.setattr(cli, "_entry_dict", spy)
+        for name in ("_json_chunks", "_classify_chunks", "_ints"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real: (
+                calls.append(_name) or _real(*a)))
         code, out = run("classify", "--family", "A", "--index", "9")
         assert code == EXIT_OK and "ulrich cycles (5):" in out
         assert calls == []
-        # JSON form builds one dict per entry: the two lists share them.
+        # JSON form writes the results from the entries once.
         code, doc = run_json("classify", "--family", "A", "--index", "9")
-        assert code == EXIT_OK
-        assert len(calls) == len(doc["results"]["ulrich"]) == 5
+        assert code == EXIT_OK and len(doc["results"]["ulrich"]) == 5
+        assert calls.count("_classify_chunks") == 1 and "_json_chunks" not in calls
 
 
 class TestOracleCommand:
@@ -704,6 +710,35 @@ class TestSizeLimits:
         got = run_capped(*(str(path) if a == "{file}" else a for a in argv))
         assert got[:3] == (code, "", f"error: {message}\n")
         assert got[3] < 2.0, f"took {got[3]:.2f}s"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # An A_1 box of 10^8 cycles: once still running after 10 s.
+            ["oracle", "--n", "2", "--q", "1", "--bound", "99999999"],
+            # Once allocated until MemoryError under a 1.5 GB cap (16.6 s).
+            ["oracle", "--family", "E", "--index", "8", "--bound", "1000"],
+        ],
+        ids=["A1", "E8"],
+    )
+    def test_oversized_oracle_box_is_refused_in_time(self, argv):
+        got = run_capped(*argv)
+        message = (f"the box holds more than {classify.MAX_BOX} coefficients "
+                   "of anti-nef cycles (cycles times vertices)")
+        assert got[:3] == (EXIT_VALIDATION, "", f"error: {message}\n")
+        assert got[3] < 10.0, f"took {got[3]:.2f}s"
+
+    def test_library_and_cli_refuse_an_oracle_box_alike(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "MAX_BOX", 100)
+        g = build_ade("E", 6)
+        with pytest.raises(classify.BoxLimitError) as err:
+            classify.oracle_classify(g, 4)
+        with pytest.raises(classify.BoxLimitError) as again:
+            classify.brute_force_anti_nef(g, 4)
+        assert str(again.value) == str(err.value)
+        code, out = run("oracle", "--family", "E", "--index", "6", "--bound", "4")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_library_and_cli_refuse_a_filtration_alike(self, capsys):
         g = build_ade("A", 1)
@@ -1071,24 +1106,52 @@ def json_values():
     )
 
 
+def entry_doc(e) -> dict:
+    """The JSON value of a ClassificationEntry in a classify document."""
+    steps = [{"increment": y, "cycle": z} for y, z in e.chain.steps]
+    return {
+        "cycle": e.cycle,
+        "colength": e.colength,
+        "multiplicity": e.multiplicity,
+        "min_gens": e.min_gens,
+        "module_indices": sorted(i + 1 for i in e.module_indices),
+        "chain": {"base": e.chain.base, "steps": steps},
+        "kind": e.kind,
+    }
+
+
 class TestJsonEmitter:
     @pytest.fixture
     def emitted_docs(self, monkeypatch):
         """Record the whole document of every ``_emit`` call, rebuilt from
-        its arguments: the tool, the command, the graph and the results."""
-        docs = []
-        real = cli._emit
+        its arguments: the tool, the command, the graph and the results,
+        which for classify are rebuilt from the entries ``_classify``
+        returned."""
+        docs, classified = [], []
+        real_emit, real_classify = cli._emit, cli._classify
+
+        def classify_spy(*args):
+            classified.append(real_classify(*args))
+            return classified[-1]
 
         def spy(command, g, results, out):
+            doc_results = results
+            if command == "classify":
+                special, ulrich = classified.pop()
+                assert results[0] is special and results[1] is ulrich
+                doc_results = {name: [entry_doc(e) for e in entries]
+                               for name, entries in (("special", special), ("ulrich", ulrich))
+                               if entries is not None}
             edges = [[i + 1, j + 1] for i, j in sorted(g.edges)]
             docs.append({
                 "tool": {"name": "dualcycles", "version": dualcycles.__version__},
                 "command": command,
                 "graph": {"vertices": g.vertex_count, "weights": g.weights, "edges": edges},
-                "results": results,
+                "results": doc_results,
             })
-            return real(command, g, results, out)
+            return real_emit(command, g, results, out)
 
+        monkeypatch.setattr(cli, "_classify", classify_spy)
         monkeypatch.setattr(cli, "_emit", spy)
         return docs
 
@@ -1098,6 +1161,22 @@ class TestJsonEmitter:
         assert code == EXIT_OK
         assert len(emitted_docs) == 1
         assert out == json.dumps(emitted_docs[0], indent=2) + "\n"
+
+    def test_census_documents_match_json_dumps(self, tmp_path, emitted_docs):
+        # Every rational tree class up to five vertices, in all three
+        # forms: equal lists, differing lists and one list.
+        src = tmp_path / "g.txt"
+        documents = 0
+        for code in tree_classes(5):
+            g = graph_of(code)
+            if not dualcycles.validate(g).rational:
+                continue
+            src.write_text(serialize_graph(g))
+            for kind in ([], ["--special"], ["--ulrich"]):
+                got = run("--format", "json", "classify", *kind, "--graph", str(src))
+                assert got == (EXIT_OK, json.dumps(emitted_docs[-1], indent=2) + "\n"), (code, kind)
+                documents += 1
+        assert documents == len(emitted_docs) > 500
 
     def test_failed_validation_and_mismatch_documents(self, tmp_path, monkeypatch, emitted_docs):
         from dualcycles.classify import RdpVerification
@@ -1183,21 +1262,38 @@ class TestJsonEmitter:
         for v in cases:
             assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
 
-    def test_documents_carry_the_library_tuples(self, emitted_docs):
-        # Z_0 and the walk's shared steps reach the emitter as one object
-        # each, so its identity memo formats them once per depth.
-        code, _ = run("--format", "json", "classify", "--family", "D", "--index", "30")
-        assert code == EXIT_OK
-        entries = emitted_docs[0]["results"]["special"]
-        assert len({id(e["chain"]["base"]) for e in entries}) == 1
-        assert entries[0]["chain"]["base"] is invariants._graph_record(build_ade("D", 30)).z0
-        steps = [s for e in entries for s in e["chain"]["steps"]]
-        assert all(type(s[k]) is tuple for s in steps for k in ("increment", "cycle"))
-        for k in ("increment", "cycle"):  # every repeat is the walk's one object
-            assert len({id(s[k]) for s in steps}) == len({s[k] for s in steps}) < len(steps) / 2
-        # ... and so is every repeated step, one dict each.
-        distinct = {(s["increment"], s["cycle"]) for s in steps}
-        assert len({id(s) for s in steps}) == len(distinct) < len(steps) / 2
+    def test_each_step_text_is_built_once(self, monkeypatch):
+        # Every distinct chain step of D_30's witness chains is formatted
+        # once per request, and its text is one piece wherever a chain
+        # holds it.
+        formatted, classified = [], []
+        real, real_classify = cli._ints, cli._classify
+        monkeypatch.setattr(cli, "_ints", lambda v, pad: formatted.append((id(v), pad)) or real(v, pad))
+        monkeypatch.setattr(cli, "_classify", lambda *a: classified.append(real_classify(*a))
+                            or classified[-1])
+
+        class Pieces(io.StringIO):
+            def write(self, s):
+                pieces.append(s)
+                return super().write(s)
+
+        pieces = []
+        out = Pieces()
+        assert main(["--format", "json", "classify", "--family", "D", "--index", "30"], out) == EXIT_OK
+        [(special, ulrich)] = classified
+        assert ulrich is special
+        held = [pair for e in special for pair in e.chain.steps]
+        distinct = {id(pair): pair for pair in held}
+        assert len(distinct) < len(held) / 2  # chains share most of their steps
+        at_steps = [key for key, pad in formatted if pad == "\n" + " " * 14]
+        assert sorted(at_steps) == sorted(id(v) for pair in distinct.values() for v in pair)
+        # Z_0 once, each entry's cycle and module indices once: the ulrich
+        # list, being the special list, repeats the special list's pieces.
+        assert len(formatted) == 1 + 2 * len(special) + 2 * len(distinct)
+        for y, z in distinct.values():
+            text = json.dumps({"increment": y, "cycle": z}, indent=2).replace("\n", "\n" + " " * 12)
+            # both lists are one object: the special list's pieces repeat
+            assert pieces.count(text) == 2 * sum(pair == (y, z) for pair in held)
 
     def test_document_with_shared_steps_round_trips(self):
         # D_30's witness chains share most of their steps

@@ -18,6 +18,7 @@ from dualcycles.builders import (
 )
 from dualcycles.invariants import (
     MAX_FILTRATION,
+    _certified,
     _laufer,
     _pointwise,
     InvalidGraphError,
@@ -31,6 +32,7 @@ from dualcycles.invariants import (
     validate,
 )
 from dualcycles.lattice import (
+    Cycle,
     CycleError,
     DimensionError,
     DualGraph,
@@ -41,12 +43,21 @@ from dualcycles.lattice import (
     sub,
     virtual_genus,
 )
+from test_census import graph_of, tree_classes
 from test_lattice import add
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
     [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
 )
+
+# A definite caterpillar: a spine of nine -2 vertices, each with a -11
+# leaf.  Laufer's loop needs 360 bumps to reach Z_0, past its budget of
+# 8 * 18 + 64, so a Bareiss pass decides definiteness.
+CATERPILLAR = DualGraph(
+    (-2,) * 9 + (-11,) * 9, [(i, i + 1) for i in range(8)] + [(i, 9 + i) for i in range(9)]
+)
+CATERPILLAR_Z0 = (17, 32, 44, 52, 55, 52, 44, 32, 17, 2, 3, 4, 5, 5, 5, 4, 3, 2)
 
 # Graphs outside the library's domain, each with a cycle that is anti-nef
 # on it where possible: every invariant function must refuse them.
@@ -196,8 +207,10 @@ class TestGraphChecks:
         assert InvalidGraphError is classify.InvalidGraphError is dualcycles.InvalidGraphError
 
     def test_validation_does_its_work_once(self, monkeypatch):
-        # One Bareiss pass and one graph search per fresh graph, shared by
-        # the validator, Z_0 and the classifiers.
+        # One graph search per fresh graph and no Bareiss pass on a
+        # connected definite graph, whose Laufer loop certifies it; one
+        # pass on a graph whose loop runs past its budget.  Shared by the
+        # validator, Z_0 and the classifiers.
         calls = {"minors": 0, "search": 0}
 
         def counting(key, fn):
@@ -214,11 +227,116 @@ class TestGraphChecks:
         invariants._graph_record.cache_clear()  # every graph is fresh
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
         assert validate(g).ok
-        assert calls == {"minors": 1, "search": 1}
+        assert calls == {"minors": 0, "search": 1}
         fundamental_cycle(g)
         validate(g)
         classify.enumerate_ulrich(g)
-        assert calls == {"minors": 1, "search": 1}
+        assert calls == {"minors": 0, "search": 1}
+        assert validate(CATERPILLAR).negative_definite
+        assert calls == {"minors": 1, "search": 2}
+        assert fundamental_cycle(CATERPILLAR) == CATERPILLAR_Z0
+        assert calls == {"minors": 1, "search": 2}
+
+
+def budget(verts) -> int:
+    """The bump budget ``_certified`` gives Laufer's loop."""
+    return 8 * len(verts) + 64
+
+
+def star_tree(centre: int, arms: list[list[int]]) -> tuple[DualGraph, Cycle]:
+    """A -2 tree of paths from one centre, with the cycle that takes
+    ``centre`` there and each arm's coefficients along its path."""
+    edges, z = [], [centre]
+    for arm in arms:
+        for k, a in enumerate(arm):
+            edges.append((0 if k == 0 else len(z) - 1, len(z)))
+            z.append(a)
+    return DualGraph((-2,) * len(z), edges), tuple(z)
+
+
+def affine_dynkin() -> dict[str, tuple[DualGraph, Cycle]]:
+    """The affine Dynkin graphs that are simple graphs, all weights -2,
+    each with its null root: the positive Z with M.Z = 0 and gcd 1."""
+    graphs = {}
+    for n in range(2, 9):  # a cycle of n + 1 vertices
+        cycle = [(i, (i + 1) % (n + 1)) for i in range(n + 1)]
+        graphs[f"A~{n}"] = (DualGraph((-2,) * (n + 1), cycle), (1,) * (n + 1))
+    for n in range(4, 10):  # two forks joined by a path of n - 3 vertices
+        edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
+        graphs[f"D~{n}"] = (DualGraph((-2,) * (n + 1), edges), (1, 1) + (2,) * (n - 3) + (1, 1))
+    graphs["E~6"] = star_tree(3, [[2, 1], [2, 1], [2, 1]])
+    graphs["E~7"] = star_tree(4, [[3, 2, 1], [3, 2, 1], [2]])
+    graphs["E~8"] = star_tree(6, [[5, 4, 3, 2, 1], [4, 2], [3]])
+    return graphs
+
+
+@st.composite
+def connected_graphs(draw) -> DualGraph:
+    """Connected graphs up to 8 vertices with weights in -4..-1: a random
+    tree plus up to three more edges, so cycles are common."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    weights = draw(st.lists(st.integers(-4, -1), min_size=n, max_size=n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    return DualGraph(weights, edges)
+
+
+class TestDefinitenessCertificate:
+    """``_certified`` decides definiteness as the Bareiss pass does."""
+
+    def test_every_six_vertex_tree_class(self):
+        outcomes = {"certified": 0, "null": 0, "budget": 0}
+        for code in tree_classes(6):
+            g = graph_of(code)
+            verts = range(g.vertex_count)
+            definite = is_negative_definite(g)
+            assert (_certified(g, verts) is not None) == definite, code
+            loop = _laufer(g, verts, budget(verts))
+            outcome = "budget" if loop is None else "certified" if any(loop[1].values()) else "null"
+            assert (outcome == "certified") == definite, code
+            outcomes[outcome] += 1
+        # Every definite class is certified by the loop; five classes are
+        # affine (M.Z = 0) and eight run past the budget.
+        assert outcomes == {"certified": 2204, "null": 5, "budget": 8}
+
+    def test_affine_dynkin_graphs_stop_at_the_null_root(self):
+        for name, (g, root) in affine_dynkin().items():
+            assert pairing_vector(g, root) == (0,) * g.vertex_count, name
+            verts = range(g.vertex_count)
+            z, pairing = _laufer(g, verts, budget(verts))
+            assert (tuple(z.values()), any(pairing.values())) == (root, False), name
+            assert _certified(g, verts) is None and not is_negative_definite(g), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_random_graphs_with_cycles(self, g, data):
+        verts = range(g.vertex_count)
+        found = _certified(g, verts)
+        assert (found is not None) == is_negative_definite(g)
+        if found is not None:
+            assert tuple(found[0].values()) == laufer_by_recomputation(g, frozenset(verts))
+        # ... and on a connected sub-support, as fundamental_cycle reads it.
+        sub_verts = frozenset(data.draw(st.sets(st.sampled_from(list(verts)), min_size=1)))
+        assume(is_connected(g, sub_verts))
+        assert (_certified(g, sub_verts) is not None) == is_negative_definite(g, sub_verts)
+
+    def test_budget_fallback(self, monkeypatch):
+        passes = []
+        real = builders._leading_minors
+        monkeypatch.setattr(builders, "_leading_minors", lambda m: passes.append(m) or real(m))
+        verts = range(CATERPILLAR.vertex_count)
+        assert _laufer(CATERPILLAR, verts, budget(verts)) is None  # 360 bumps needed
+        z, pairing = _certified(CATERPILLAR, verts)
+        assert len(passes) == 1
+        assert tuple(z.values()) == CATERPILLAR_Z0
+        assert tuple(pairing.values()) == pairing_vector(CATERPILLAR, CATERPILLAR_Z0)
+        assert _laufer(CATERPILLAR, verts, 360) is not None
+        # An indefinite graph runs past the budget too; Bareiss refuses it.
+        star = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
+        assert _certified(star, range(6)) is None
+        assert len(passes) == 2
 
 
 class TestIdealInvariants:
@@ -441,4 +559,8 @@ def test_incremental_laufer_matches_recomputation(g, data):
     assert fundamental_cycle(g, verts) == expected
     # The fixed point does not depend on the order the loop visits.
     shuffled = data.draw(st.permutations(sorted(verts)))
-    assert list(_laufer(g, shuffled).items()) == [(v, expected[v]) for v in shuffled]
+    z, pairing = _laufer(g, shuffled)
+    assert list(z.items()) == [(v, expected[v]) for v in shuffled]
+    # ... and its pairing over verts is M.Z there, Z being supported on verts.
+    full = pairing_vector(g, expected)
+    assert list(pairing.items()) == [(v, full[v]) for v in shuffled]
