@@ -59,10 +59,11 @@ def _filtration_dict(f: Filtration) -> dict:
 
 
 def _render_graph(g: DualGraph, out) -> None:
-    print("graph:", file=out)
-    for i in range(g.vertex_count):
+    rows = ["graph:\n"]
+    for i, w in enumerate(g.weights):
         nbrs = " ".join(f"E{j + 1}" for j in g.neighbors(i)) or "-"
-        print(f"  E{i + 1} ({g.weights[i]}): {nbrs}", file=out)
+        rows.append(f"  E{i + 1} ({w}): {nbrs}\n")
+    out.write("".join(rows))
 
 
 def _render_cycle(z: Cycle, marked: frozenset[int] = frozenset()) -> str:
@@ -205,54 +206,15 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return top.parse_args(argv)
 
 
-def _json_chunks(v, pad: str = "\n") -> list[str]:
-    """The text of ``json.dumps(v, indent=2)`` as a list of pieces, for a
-    value whose enclosing level is indented by ``pad`` (a newline plus
-    spaces).
-
-    A scalar is one piece with the separator and key before it; a
-    non-empty container's pieces follow the piece of its separator and
-    key.  A list holding only ints (not bools) is one piece (``_ints``).
-    Keys and strings go through the C string encoder, ints through
-    ``str`` and other scalars through json.dumps.  Dict keys must be
-    strings.
-    """
-    pieces: list[str] = []
-    put = pieces.append
-
-    def walk(lead: str, v, pad: str) -> None:
-        if isinstance(v, (dict, list, tuple)) and v:
-            put(lead)
-            inner = pad + "  "
-            if isinstance(v, dict):
-                sep = "{" + inner
-                for k, x in v.items():
-                    walk(sep + encode_basestring_ascii(k) + ": ", x, inner)
-                    sep = "," + inner
-                put(pad + "}")
-            elif set(map(type, v)) == {int}:
-                put(_ints(v, pad))
-            else:
-                sep = "[" + inner
-                for x in v:
-                    walk(sep, x, inner)
-                    sep = "," + inner
-                put(pad + "]")
-        elif isinstance(v, str):
-            put(lead + encode_basestring_ascii(v))
-        elif type(v) is int:  # json.dumps writes int.__repr__
-            put(lead + str(v))
-        else:
-            put(lead + json.dumps(v))
-
-    walk("", v, pad)
-    return pieces
-
-
 def _ints(v, pad: str) -> str:
     """``json.dumps`` of a sequence of ints indented at ``pad``."""
     inner = pad + "  "
     return f"[{inner}{(',' + inner).join(map(str, v))}{pad}]" if v else "[]"
+
+
+def _int_rows(rows, pad: str) -> str:
+    """``json.dumps`` of a list of int sequences indented at ``pad``."""
+    return _ints([_ints(r, pad + "  ") for r in rows], pad)  # str() keeps each row's text
 
 
 # json.dumps(doc, indent=2) of one ClassificationEntry in a classify
@@ -329,6 +291,14 @@ _HEAD = """{
   "results": """
 _EDGE = "[\n        %d,\n        %d\n      ]"
 
+# json.dumps(doc, indent=2) of an oracle document's results, for the bound
+# and the two cycle lists.
+_ORACLE = """{
+    "bound": %d,
+    "special": %s,
+    "ulrich": %s
+  }"""
+
 
 def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     """Write the JSON document of a command: ``tool``, ``command``, the
@@ -336,17 +306,24 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     ``results``.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
-    byte.  The head comes from one template; ``results``, a dict
-    (``_json_chunks``) or classify's pair of entry lists
-    (``_classify_chunks``), is written to ``out`` in pieces and never
-    joined whole.
+    byte.  The head and the documents whose size grows with their output
+    come from templates: classify's pair of entry lists is written in
+    pieces (``_classify_chunks``) and the oracle's ``results`` from
+    ``_ORACLE``.  Every other ``results`` dict is ``json.dumps``'s own
+    text, indented one level: json.dumps escapes every newline inside a
+    string, so each newline it writes is a line break.
     """
     edges = ",\n      ".join(_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges))
     out.write(_HEAD % (encode_basestring_ascii(__version__), command, g.vertex_count,
                        ",\n      ".join(map(str, g.weights)),
                        "[\n      " + edges + "\n    ]" if edges else "[]"))
-    out.writelines(_json_chunks(results, "\n  ") if isinstance(results, dict)
-                   else _classify_chunks(*results))
+    if command == "classify":
+        out.writelines(_classify_chunks(*results))
+    elif command == "oracle":
+        out.write(_ORACLE % (results["bound"], _int_rows(results["special"], "\n    "),
+                             _int_rows(results["ulrich"], "\n    ")))
+    else:
+        out.write(json.dumps(results, indent=2).replace("\n", "\n  "))
     out.write("\n}\n")
 
 

@@ -479,17 +479,25 @@ class TestClassifyCommand:
 
     def test_table_form_builds_no_json_text(self, monkeypatch):
         calls = []
-        for name in ("_json_chunks", "_classify_chunks", "_ints"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real: (
-                calls.append(_name) or _real(*a)))
+        for owner, name in ((cli, "_classify_chunks"), (cli, "_ints"), (cli, "_int_rows"),
+                            (json, "dumps")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, _real=real, **kw: (
+                calls.append(_name) or _real(*a, **kw)))
         code, out = run("classify", "--family", "A", "--index", "9")
+        assert code == EXIT_OK and "ulrich cycles (5):" in out
+        code, out = run("oracle", "--family", "A", "--index", "9", "--bound", "5")
         assert code == EXIT_OK and "ulrich cycles (5):" in out
         assert calls == []
         # JSON form writes the results from the entries once.
         code, doc = run_json("classify", "--family", "A", "--index", "9")
         assert code == EXIT_OK and len(doc["results"]["ulrich"]) == 5
-        assert calls.count("_classify_chunks") == 1 and "_json_chunks" not in calls
+        assert calls.count("_classify_chunks") == 1 and "dumps" not in calls
+        # The oracle's two cycle lists come from _int_rows, not json.dumps.
+        calls.clear()
+        code, doc = run_json("oracle", "--family", "A", "--index", "9", "--bound", "5")
+        assert code == EXIT_OK and len(doc["results"]["ulrich"]) == 5
+        assert calls.count("_int_rows") == 2 and "dumps" not in calls
 
 
 class TestOracleCommand:
@@ -1096,14 +1104,7 @@ class TestSplitParse:
         assert seen == []
 
 
-def json_values():
-    scalars = st.none() | st.booleans() | st.integers() | st.text()
-    int_lists = st.lists(st.integers() | st.booleans()) | st.lists(st.integers()).map(tuple)
-    return st.recursive(
-        scalars | int_lists,
-        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
-        max_leaves=20,
-    )
+INT_SEQS = st.lists(st.integers()) | st.lists(st.integers()).map(tuple)
 
 
 def entry_doc(e) -> dict:
@@ -1163,8 +1164,9 @@ class TestJsonEmitter:
         assert out == json.dumps(emitted_docs[0], indent=2) + "\n"
 
     def test_census_documents_match_json_dumps(self, tmp_path, emitted_docs):
-        # Every rational tree class up to five vertices, in all three
-        # forms: equal lists, differing lists and one list.
+        # Every rational tree class up to five vertices: classify in all
+        # three forms (equal lists, differing lists and one list) and the
+        # oracle.
         src = tmp_path / "g.txt"
         documents = 0
         for code in tree_classes(5):
@@ -1172,11 +1174,12 @@ class TestJsonEmitter:
             if not dualcycles.validate(g).rational:
                 continue
             src.write_text(serialize_graph(g))
-            for kind in ([], ["--special"], ["--ulrich"]):
-                got = run("--format", "json", "classify", *kind, "--graph", str(src))
-                assert got == (EXIT_OK, json.dumps(emitted_docs[-1], indent=2) + "\n"), (code, kind)
+            for argv in (["classify"], ["classify", "--special"], ["classify", "--ulrich"],
+                         ["oracle", "--bound", "2"]):
+                got = run("--format", "json", *argv, "--graph", str(src))
+                assert got == (EXIT_OK, json.dumps(emitted_docs[-1], indent=2) + "\n"), (code, argv)
                 documents += 1
-        assert documents == len(emitted_docs) > 500
+        assert documents == len(emitted_docs) > 1500
 
     def test_failed_validation_and_mismatch_documents(self, tmp_path, monkeypatch, emitted_docs):
         from dualcycles.classify import RdpVerification
@@ -1231,36 +1234,17 @@ class TestJsonEmitter:
         assert 0 < out.largest < len(out.getvalue()) / 100
 
     @settings(max_examples=200, deadline=None)
-    @given(json_values())
-    @example({"": [], "k": {}, "t": [1, True, None], "f": [False]})
-    @example(["caf\u00e9 \u2028 \U0001f600", "\"quoted\" \\ \n\t\x00", "\ud800"])
-    @example((-1, 0, 10**30))
-    @example({"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2]]}})  # one list, three depths
-    @example([(3, 4), [3, 4], {"t": (3, 4)}, {"l": [3, 4]}])  # tuple and list of one value
-    @example([[1, 1], [True, 1], [1, True], [1, 1]])  # True == 1, yet no shared memo entry
-    @example([[True, 1], [1, 1]])
-    def test_any_value_matches_json_dumps(self, v):
-        assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
-
-    def test_list_objects_met_twice_match_json_dumps(self):
-        shared = [{"cycle": [1, 2], "kind": "both"}, [[3, 4], "x"], []]
-        ints = (1, 2, 3)
-        step = {"increment": ints, "cycle": (2, 4, 6)}
-        flags = (True, 1)
-        cases = [
-            {"a": shared, "b": {"c": shared}, "d": [shared, {"e": [shared]}]},  # depths
-            {"special": shared, "ulrich": shared},  # sibling keys
-            [shared, shared],  # sibling items
-            {"special": [{"c": [1]}, [["s"]]], "ulrich": [{"c": [1]}, [["s"]]]},  # equal, distinct
-            {"base": ints, "steps": [{"y": ints, "z": ints}], "also": ints},  # depths, siblings
-            {"first": step, "second": step, "steps": [step, step]},  # one dict, two keys
-            {"a": step, "b": [step, {"c": step}], "d": step},  # one dict, two depths
-            {"s": [step, {"increment": ints, "cycle": ints}], "t": [step]},  # dicts share a tuple
-            [(1, 2), (1, 2), [(1, 2)], [(1, 2)]],  # equal, distinct tuples
-            [flags, (1, 1), [flags, (1, 1)], flags],  # True == 1, yet no shared text
-        ]
-        for v in cases:
-            assert "".join(cli._json_chunks(v)) == json.dumps(v, indent=2)
+    @given(st.lists(INT_SEQS) | st.lists(INT_SEQS).map(tuple), st.integers(0, 16))
+    @example([(-1, 0, 10**30), [], ()], 2)
+    @example([], 14)
+    @example((), 4)
+    def test_int_writers_match_json_dumps(self, rows, depth):
+        # The writers give json.dumps's text for a value whose enclosing
+        # level is indented by pad.
+        pad = "\n" + " " * depth
+        assert cli._int_rows(rows, pad) == json.dumps(rows, indent=2).replace("\n", pad)
+        for r in rows:
+            assert cli._ints(r, pad) == json.dumps(r, indent=2).replace("\n", pad)
 
     def test_each_step_text_is_built_once(self, monkeypatch):
         # Every distinct chain step of D_30's witness chains is formatted
