@@ -129,33 +129,36 @@ def parse_graph(text: str) -> DualGraph:
             continue
         if r is None:
             raise GraphFormatError("'vertices' must be the first directive", lineno)
+        if directive != "weight" and directive != "edge":
+            raise GraphFormatError(f"unknown directive {directive!r}", lineno)
+        # A vertex and its weight, or an edge's two vertices: the unpacking
+        # is the one arity check.  On either fault _int_arg words it and raises.
+        try:
+            i, j = map(int, args)
+        except ValueError:
+            _int_arg(args, 0, 2, directive, lineno)
+            _int_arg(args, 1, 2, directive, lineno)
         if directive == "weight":
-            i = _int_arg(args, 0, 2, "weight", lineno)
-            w = _int_arg(args, 1, 2, "weight", lineno)
             if not 1 <= i <= r:
                 raise GraphFormatError(f"vertex {i} out of range 1..{r}", lineno)
             if i in weight_seen:
                 raise GraphFormatError(f"duplicate weight for vertex {i}", lineno)
-            if w > -2:
+            if j > -2:
                 raise GraphFormatError(
-                    f"weight must be <= -2 on a minimal resolution, got {w}", lineno
+                    f"weight must be <= -2 on a minimal resolution, got {j}", lineno
                 )
             weight_seen.add(i)
-            weights[i - 1] = w
-        elif directive == "edge":
-            i = _int_arg(args, 0, 2, "edge", lineno)
-            j = _int_arg(args, 1, 2, "edge", lineno)
+            weights[i - 1] = j
+        else:
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}", lineno)
             if not (1 <= i <= r and 1 <= j <= r):
                 raise GraphFormatError(f"edge {i} {j} out of range 1..{r}", lineno)
-            pair = (min(i, j) - 1, max(i, j) - 1)
+            pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
             if pair in edge_seen:
                 raise GraphFormatError(f"duplicate edge {i} {j}", lineno)
             edge_seen.add(pair)
             edges.append(pair)
-        else:
-            raise GraphFormatError(f"unknown directive {directive!r}", lineno)
 
     if r is None:
         raise GraphFormatError("missing 'vertices' directive")

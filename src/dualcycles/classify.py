@@ -76,14 +76,21 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
 
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
     """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
-    by least vertex: ``inside`` is iterated in vertex order, and one
-    ``builders._reach`` over the zero vertices starts at each one that no
-    earlier search reached (its component then leaves the set)."""
+    by least vertex: ``inside`` is iterated in vertex order, and a
+    breadth-first search starts at each zero vertex that no earlier search
+    reached.  A search takes each vertex it reaches out of the zero set, so
+    that set is also the record of what is left to reach."""
+    nbrs = g._neighbors
     zeros = {v for v in inside if pairing[v] == 0}
     for s in inside:
         if s in zeros:
-            comp = _reach(g, s, zeros)
-            zeros.difference_update(comp)
+            zeros.remove(s)
+            comp = [s]
+            for v in comp:  # the list grows while it is walked: a queue
+                for u in nbrs[v]:
+                    if u in zeros:
+                        zeros.remove(u)
+                        comp.append(u)
             yield sorted(comp)
 
 

@@ -91,13 +91,15 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
         raise GraphFormatError(f"{name} {text!r} is not a comma-separated integer list")
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
+def _add_graph_source(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``p`` with the options that name a graph."""
     src = p.add_argument_group("graph source (choose one)")
     src.add_argument("--graph", metavar="FILE", help="load graph from a text file")
     src.add_argument("--family", choices=list("ADEade"), help="ADE family")
     src.add_argument("--index", type=int, help="ADE index n")
     src.add_argument("--n", type=int, help="cyclic quotient order n")
     src.add_argument("--q", type=int, help="cyclic quotient parameter q")
+    return p
 
 
 def _resolve_graph(args) -> DualGraph:
@@ -119,69 +121,79 @@ def _resolve_graph(args) -> DualGraph:
     raise GraphFormatError("no graph given: use --graph, --family/--index or --n/--q")
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its subcommand parsers by name, built on
-    the first ``main`` call and reused.
+# The arguments of each subcommand's parser, added by one function each
+# (``_SUBCOMMANDS``).
+def _ade_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=list("ADEade"), required=True)
+    p.add_argument("--index", type=int, required=True)
 
-    Building it costs far more than parsing a small request, so each
-    process builds it once.  Reuse is safe: ``parse_args`` returns a fresh
-    namespace each call, no default is mutable, and usage errors and
-    ``--version`` write to whatever ``sys.stderr``/``sys.stdout`` is
-    current at call time.
+
+def _graph_args(p: argparse.ArgumentParser) -> None:
+    # Each subcommand sets its own source; _resolve_graph reads them all.
+    p.set_defaults(graph=None, family=None, index=None, n=None, q=None)
+    gsub = p.add_subparsers(dest="graph_command", required=True)
+    ade, cyclic, load = (gsub.add_parser(name) for name in ("ade", "cyclic", "load"))
+    _ade_args(ade)
+    cyclic.add_argument("--n", type=int, required=True)
+    cyclic.add_argument("--q", type=int, required=True)
+    load.add_argument("graph", metavar="FILE")
+    for q in (ade, cyclic, load):
+        q.add_argument("--out", metavar="FILE")
+
+
+def _fundamental_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p).add_argument("--support", metavar="i,j,...", help="1-based vertex list")
+
+
+def _invariants_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p).add_argument("--cycle", metavar="a1,a2,...", required=True)
+
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
+    kind = _add_graph_source(p).add_mutually_exclusive_group()
+    kind.add_argument("--special", action="store_true")
+    kind.add_argument("--ulrich", action="store_true")
+    p.add_argument("--max-colength", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=None)
+
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    _add_graph_source(p).add_argument("--bound", type=int, required=True)
+
+
+@functools.cache
+def _sub_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, built the first time it is named
+    and reused: the parser the top parser's ``add_parser`` would build.
+
+    Building a parser costs far more than parsing a small request, and a
+    request names one subcommand.  Reuse is safe: ``parse_known_args``
+    returns a fresh namespace or fills the one it is given, no default is
+    mutable, and usage errors and help write to whatever
+    ``sys.stderr``/``sys.stdout`` is current at call time.
     """
+    p = argparse.ArgumentParser(prog=f"dualcycles {name}")
+    _SUBCOMMANDS[name][1](p)
+    return p
+
+
+@functools.cache
+def _top_parser() -> argparse.ArgumentParser:
+    """The whole argument parser, built only for an argv that no
+    subcommand parser parses alone.  Its subcommand parsers are
+    ``_sub_parser``'s own objects, so none is built twice in a process."""
     top = argparse.ArgumentParser(
         prog="dualcycles",
         description="classify Ulrich and special cycles on resolution dual graphs",
     )
     top.add_argument("--format", choices=["table", "json"], default="table")
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="build or load a graph and print it")
-    # Each subcommand sets its own source; _resolve_graph reads them all.
-    graph.set_defaults(graph=None, family=None, index=None, n=None, q=None)
-    gsub = graph.add_subparsers(dest="graph_command", required=True)
-    g_ade = gsub.add_parser("ade")
-    g_ade.add_argument("--family", choices=list("ADEade"), required=True)
-    g_ade.add_argument("--index", type=int, required=True)
-    g_ade.add_argument("--out", metavar="FILE")
-    g_cyc = gsub.add_parser("cyclic")
-    g_cyc.add_argument("--n", type=int, required=True)
-    g_cyc.add_argument("--q", type=int, required=True)
-    g_cyc.add_argument("--out", metavar="FILE")
-    g_load = gsub.add_parser("load")
-    g_load.add_argument("graph", metavar="FILE")
-    g_load.add_argument("--out", metavar="FILE")
-
-    p = sub.add_parser("validate", help="structural report on a graph")
-    _add_graph_source(p)
-
-    p = sub.add_parser("fundamental", help="fundamental cycle (optionally on a sub-support)")
-    _add_graph_source(p)
-    p.add_argument("--support", metavar="i,j,...", help="1-based vertex list")
-
-    p = sub.add_parser("invariants", help="invariants of one anti-nef cycle")
-    _add_graph_source(p)
-    p.add_argument("--cycle", metavar="a1,a2,...", required=True)
-
-    p = sub.add_parser("classify", help="enumerate special and/or Ulrich cycles")
-    _add_graph_source(p)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--special", action="store_true")
-    kind.add_argument("--ulrich", action="store_true")
-    p.add_argument("--max-colength", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-
-    p = sub.add_parser("oracle", help="brute-force classification up to bound * Z0")
-    _add_graph_source(p)
-    p.add_argument("--bound", type=int, required=True)
-
-    p = sub.add_parser("verify-rdp", help="diff enumerated Ulrich cycles against the ADE table")
-    p.add_argument("--family", choices=list("ADEade"), required=True)
-    p.add_argument("--index", type=int, required=True)
-
-    return top, sub.choices
+    # add_parser asks its parser_class for a parser with prog "dualcycles <name>".
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=lambda prog, **_: _sub_parser(prog.rpartition(" ")[2]))
+    for name, (text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text)
+    return top
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -189,32 +201,43 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     The top parser hands every argument after the subcommand to that
     subcommand's parser, so an argv ``[--format table|json] <subcommand>
-    ...`` is parsed by the subcommand's parser alone, into a namespace
-    that already holds ``format`` and ``command``: one scan of the argv,
-    not two.  When that leaves an argument unparsed, or the argv has any
-    other shape, the top parser parses it again, so every conversion,
-    choice check, usage line, help text and exit status is argparse's own.
+    ...`` is parsed by the subcommand's parser alone (``_sub_parser``),
+    into a namespace that already holds ``format`` and ``command``: one
+    scan of the argv, not two, and no other parser built.  When that
+    leaves an argument unparsed, or the argv has any other shape, the top
+    parser (``_top_parser``) parses it again, so every conversion, choice
+    check, usage line, help text and exit status is argparse's own.
     """
-    top, subs = _build_parser()
     head = 2 if argv[:1] == ["--format"] and argv[1:2] in (["table"], ["json"]) else 0
-    sub = subs.get(argv[head]) if len(argv) > head else None
-    if sub is not None:
-        known = argparse.Namespace(format=argv[1] if head else "table", command=argv[head])
-        args, unparsed = sub.parse_known_args(argv[head + 1:], known)
+    name = argv[head] if len(argv) > head else None
+    if name in _SUBCOMMANDS:
+        known = argparse.Namespace(format=argv[1] if head else "table", command=name)
+        args, unparsed = _sub_parser(name).parse_known_args(argv[head + 1:], known)
         if not unparsed:
             return args
-    return top.parse_args(argv)
+    return _top_parser().parse_args(argv)
 
 
-def _ints(v, pad: str) -> str:
-    """``json.dumps`` of a sequence of ints indented at ``pad``."""
+class _IntText(dict):
+    """``str(k)`` of each int k, built the first time k is looked up.  A
+    table lives for one document, whose many integers take few values."""
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = str(k)
+        return text
+
+
+def _ints(v, pad: str, fmt) -> str:
+    """``json.dumps`` of a sequence of ints indented at ``pad``, each item's
+    text ``fmt(item)``: an ``_IntText`` table's ``__getitem__``, or ``str``
+    for items that are text already."""
     inner = pad + "  "
-    return f"[{inner}{(',' + inner).join(map(str, v))}{pad}]" if v else "[]"
+    return f"[{inner}{(',' + inner).join(map(fmt, v))}{pad}]" if v else "[]"
 
 
-def _int_rows(rows, pad: str) -> str:
+def _int_rows(rows, pad: str, fmt) -> str:
     """``json.dumps`` of a list of int sequences indented at ``pad``."""
-    return _ints([_ints(r, pad + "  ") for r in rows], pad)  # str() keeps each row's text
+    return _ints([_ints(r, pad + "  ", fmt) for r in rows], pad, str)  # str() keeps each row's text
 
 
 # json.dumps(doc, indent=2) of one ClassificationEntry in a classify
@@ -246,22 +269,26 @@ def _classify_chunks(special, ulrich) -> list[str]:
     from ``_STEP`` (keyed on the identity of the walk's step pair, which
     every chain through it shares and which outlives this call) and is
     its own piece wherever a chain holds it.  A ``ulrich`` list that is
-    the ``special`` list repeats its pieces."""
+    the ``special`` list repeats its pieces.  Every integer's text comes
+    from one ``_IntText`` table."""
     steps: dict[int, str] = {}
+    fmt = _IntText().__getitem__
 
     def listing(entries) -> list[str]:
         pieces = []
-        base = entries and _ints(entries[0].chain.base, "\n          ")  # every chain's Z_0
+        base = entries and _ints(entries[0].chain.base, "\n          ", fmt)  # every chain's Z_0
         for k, e in enumerate(entries):
             chain = e.chain.steps
-            pieces.append(_ENTRY % (",\n      " if k else "[\n      ", _ints(e.cycle, "\n        "),
+            pieces.append(_ENTRY % (",\n      " if k else "[\n      ",
+                                    _ints(e.cycle, "\n        ", fmt),
                                     e.colength, e.multiplicity, e.min_gens,
-                                    _ints(sorted(i + 1 for i in e.module_indices), "\n        "),
+                                    _ints(sorted(i + 1 for i in e.module_indices),
+                                          "\n        ", fmt),
                                     base, "[\n            " if chain else "[]"))
             for j, pair in enumerate(chain):
                 if id(pair) not in steps:
-                    steps[id(pair)] = _STEP % (_ints(pair[0], "\n              "),
-                                               _ints(pair[1], "\n              "))
+                    steps[id(pair)] = _STEP % (_ints(pair[0], "\n              ", fmt),
+                                               _ints(pair[1], "\n              ", fmt))
                 pieces += (",\n            ", steps[id(pair)]) if j else (steps[id(pair)],)
             pieces.append(_ENTRY_END % ("\n          ]" if chain else "", e.kind))
         return pieces + ["\n    ]"] if entries else ["[]"]
@@ -320,8 +347,9 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     if command == "classify":
         out.writelines(_classify_chunks(*results))
     elif command == "oracle":
-        out.write(_ORACLE % (results["bound"], _int_rows(results["special"], "\n    "),
-                             _int_rows(results["ulrich"], "\n    ")))
+        fmt = _IntText().__getitem__
+        out.write(_ORACLE % (results["bound"], _int_rows(results["special"], "\n    ", fmt),
+                             _int_rows(results["ulrich"], "\n    ", fmt)))
     else:
         out.write(json.dumps(results, indent=2).replace("\n", "\n  "))
     out.write("\n}\n")
@@ -421,13 +449,8 @@ def _cmd_classify(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     g = _resolve_graph(args)
     special, ulrich = oracle_classify(g, args.bound)
-    results = {
-        "bound": args.bound,
-        "special": special,
-        "ulrich": ulrich,
-    }
     if args.format == "json":
-        _emit("oracle", g, results, out)
+        _emit("oracle", g, {"bound": args.bound, "special": special, "ulrich": ulrich}, out)
     else:
         _render_graph(g, out)
         for name, cycles in (("special", special), ("ulrich", ulrich)):
@@ -458,11 +481,8 @@ def _cmd_verify_rdp(args, out) -> int:
         _emit("verify-rdp", build_ade(args.family, args.index), results, out)
     else:
         verdict = "match" if rep.matched else "MISMATCH"
-        print(
-            f"{rep.family}{rep.index}: {verdict}, "
-            f"{len(rep.actual)} cycles (expected {rep.expected_count})",
-            file=out,
-        )
+        print(f"{rep.family}{rep.index}: {verdict}, "
+              f"{len(rep.actual)} cycles (expected {rep.expected_count})", file=out)
         for z, c in rep.actual:
             print(f"  {_render_cycle(z)}  colength={c}", file=out)
         if not rep.matched:
@@ -478,14 +498,18 @@ def _cmd_verify_rdp(args, out) -> int:
     return EXIT_OK if rep.matched else EXIT_MISMATCH
 
 
-_DISPATCH = {
-    "graph": _cmd_graph,
-    "validate": _cmd_validate,
-    "fundamental": _cmd_fundamental,
-    "invariants": _cmd_invariants,
-    "classify": _cmd_classify,
-    "oracle": _cmd_oracle,
-    "verify-rdp": _cmd_verify_rdp,
+# Each subcommand's help line, the function that adds its arguments to its
+# parser, and its handler, in the order of the usage text.
+_SUBCOMMANDS = {
+    "graph": ("build or load a graph and print it", _graph_args, _cmd_graph),
+    "validate": ("structural report on a graph", _add_graph_source, _cmd_validate),
+    "fundamental": ("fundamental cycle (optionally on a sub-support)", _fundamental_args,
+                    _cmd_fundamental),
+    "invariants": ("invariants of one anti-nef cycle", _invariants_args, _cmd_invariants),
+    "classify": ("enumerate special and/or Ulrich cycles", _classify_args, _cmd_classify),
+    "oracle": ("brute-force classification up to bound * Z0", _oracle_args, _cmd_oracle),
+    "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", _ade_args,
+                   _cmd_verify_rdp),
 }
 
 
@@ -498,7 +522,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args, out)
+        return _SUBCOMMANDS[args.command][2](args, out)
     except (CycleError, InvalidGraphError, ChainDepthError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

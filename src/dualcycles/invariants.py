@@ -59,16 +59,25 @@ def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
     heap is needed to pick the vertex.  The pairing is updated per bump
     and its positive vertices kept on a stack, the last pushed bumped
     first (deterministic, so traces are reproducible): a bump costs
-    O(deg), nothing costs O(r).  ``verts`` must be connected, unchecked.
+    O(deg), nothing costs O(r).  The starting pairing is one plain loop
+    over each vertex's neighbours, with no iterator object per vertex.
+    ``verts`` must be connected, unchecked.
     On a set that is not negative definite the loop may never end, so
     past ``budget`` bumps it gives up and returns None (no budget: the
     set must be definite).
     """
     z = dict.fromkeys(verts, 1)
     weights, nbrs = g.weights, g._neighbors
-    pairing = {v: weights[v] + sum(map(z.__contains__, nbrs[v])) for v in z}
-    # Exactly the vertices with positive pairing, each once.
-    positive = [v for v, p in pairing.items() if p > 0]
+    # The pairing of all ones, and exactly the vertices where it is positive.
+    pairing, positive = {}, []
+    for v in z:
+        p = weights[v]
+        for u in nbrs[v]:
+            if u in z:
+                p += 1
+        pairing[v] = p
+        if p > 0:
+            positive.append(v)
     for _ in itertools.repeat(None) if budget is None else itertools.repeat(None, budget + 1):
         if not positive:
             return z, pairing

@@ -56,10 +56,12 @@ class DualGraph:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", frozenset(norm))
         nbrs: list[list[int]] = [[] for _ in range(r)]
+        # In sorted order v's neighbours i < v arrive first, from the pairs
+        # (i, v) by i, then its j > v from (v, j) by j: each list ascends.
         for i, j in sorted(norm):
             nbrs[i].append(j)
             nbrs[j].append(i)
-        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(n)) for n in nbrs))
+        object.__setattr__(self, "_neighbors", tuple(map(tuple, nbrs)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"DualGraph is immutable: {name!r} cannot change")

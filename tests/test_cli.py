@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -968,6 +969,19 @@ class TestGoldenFailures:
         assert capsys.readouterr().err == err
 
 
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """With both parser caches cleared, the prog of every ArgumentParser
+    constructed from then on, in order."""
+    cli._sub_parser.cache_clear()
+    cli._top_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: (
+        built.append(kw.get("prog")) or init(self, *a, **kw)))
+    return built
+
+
 class TestParserReuse:
     SEQUENCE = [
         ["classify", "--family", "A"],
@@ -992,7 +1006,8 @@ class TestParserReuse:
             COLUMNS="80",
             PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)),
         )
-        cli._build_parser.cache_clear()
+        cli._sub_parser.cache_clear()
+        cli._top_parser.cache_clear()
         for argv in self.SEQUENCE:
             code = main(list(argv))
             captured = capsys.readouterr()
@@ -1008,8 +1023,34 @@ class TestParserReuse:
                 alone.stdout,
                 alone.stderr,
             ), argv
-        info = cli._build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
+        # Each parser is built once and reused: the sequence reaches the
+        # top parser, which holds every subcommand parser.
+        assert cli._top_parser.cache_info().misses == 1
+        assert cli._sub_parser.cache_info().misses == len(cli._SUBCOMMANDS)
+
+    def test_one_request_builds_its_own_parser_alone(self, built_parsers):
+        argv = ["--format", "json", "classify", "--family", "A", "--index", "5"]
+        assert main(argv, out=io.StringIO()) == EXIT_OK
+        assert built_parsers == ["dualcycles classify"]
+        assert cli._top_parser.cache_info().currsize == 0
+        # The same request again builds nothing.
+        assert main(argv, out=io.StringIO()) == EXIT_OK
+        assert built_parsers == ["dualcycles classify"]
+
+    def test_top_parser_holds_the_cached_subcommand_parsers(self, built_parsers):
+        first = cli._sub_parser("classify")  # built before the top parser
+        top = cli._top_parser()
+        [action] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == list(cli._SUBCOMMANDS)
+        assert action.choices["classify"] is first
+        for name, parser in action.choices.items():
+            assert parser is cli._sub_parser(name)
+        # Then the top parser, the six other subcommand parsers and graph's
+        # three, each once.
+        assert built_parsers[0] == "dualcycles classify"
+        others = [f"dualcycles {name}" for name in cli._SUBCOMMANDS if name != "classify"]
+        graph = [f"dualcycles graph {name}" for name in ("ade", "cyclic", "load")]
+        assert sorted(built_parsers[1:]) == sorted(["dualcycles", *others, *graph])
 
 
 JSON_REQUESTS = [
@@ -1064,25 +1105,33 @@ def parse_outcome(parse, argv: list[str]) -> tuple:
     return result, out.getvalue(), err.getvalue()
 
 
-def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int]:
+def split_parse_differences(count: int, seed: int, top_first: bool = True
+                            ) -> tuple[list[list[str]], int]:
     """The argvs of a seeded sample on which ``cli._parse`` and the top
     parser's ``parse_args`` differ, and how many the split parse answered
-    without the top parser."""
-    top = cli._build_parser()[0]
+    without the top parser.
+
+    Both parser caches are cleared first.  With ``top_first`` the top
+    parser is built before any ``_parse``, so it builds every subcommand
+    parser.  Without, ``_parse`` first reads ``<subcommand> -h`` for each
+    subcommand, which its parser answers alone, so the top parser is built
+    later and reuses them all; those argvs are compared too.
+    """
+    cli._sub_parser.cache_clear()
+    cli._top_parser.cache_clear()
     rng = random.Random(seed)
-    differ, split = [], 0
-    for _ in range(count):
-        argv = sample_argv(rng)
-        calls = []
-        parse_args = top.parse_args
-        top.parse_args = lambda a: calls.append(a) or parse_args(a)
-        try:
-            mine = parse_outcome(cli._parse, argv)
-        finally:
-            del top.parse_args
-        split += not calls
-        if mine != parse_outcome(top.parse_args, argv):
-            differ.append(argv)
+    argvs = [sample_argv(rng) for _ in range(count)]
+    if top_first:
+        cli._top_parser()
+    else:
+        argvs[:0] = [[name, "-h"] for name in cli._SUBCOMMANDS]
+    mine, split = [], 0
+    for argv in argvs:
+        calls = cli._top_parser.cache_info()
+        mine.append(parse_outcome(cli._parse, argv))
+        split += cli._top_parser.cache_info() == calls
+    top = cli._top_parser()
+    differ = [argv for argv, m in zip(argvs, mine) if m != parse_outcome(top.parse_args, argv)]
     return differ, split
 
 
@@ -1094,9 +1143,18 @@ class TestSplitParse:
         assert differ == []
         assert 200 < split < 1800  # both paths are taken
 
+    def test_matches_the_top_parser_built_after_parse(self, monkeypatch, built_parsers):
+        monkeypatch.setenv("COLUMNS", "80")
+        differ, split = split_parse_differences(2000, seed=1, top_first=False)
+        assert differ == []
+        assert 200 < split < 1800
+        # Every parser was built once, the top parser last.
+        built = built_parsers
+        assert built.index("dualcycles") == len(built) - 1 == len(set(built)) - 1
+
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["table", "json"])
     def test_well_formed_requests_skip_the_top_parser(self, monkeypatch, fmt):
-        top = cli._build_parser()[0]
+        top = cli._top_parser()
         seen = []
         monkeypatch.setattr(top, "parse_args", seen.append)
         for argv in JSON_REQUESTS:
@@ -1236,15 +1294,22 @@ class TestJsonEmitter:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(INT_SEQS) | st.lists(INT_SEQS).map(tuple), st.integers(0, 16))
     @example([(-1, 0, 10**30), [], ()], 2)
+    @example([(0, -1, -1, 10**30, 0), [10**30, -(10**30), 0, 0], (-1,)], 6)
     @example([], 14)
     @example((), 4)
     def test_int_writers_match_json_dumps(self, rows, depth):
         # The writers give json.dumps's text for a value whose enclosing
-        # level is indented by pad.
+        # level is indented by pad, with one integer table shared by every
+        # call at every pad, as in one document.
+        table = cli._IntText()
         pad = "\n" + " " * depth
-        assert cli._int_rows(rows, pad) == json.dumps(rows, indent=2).replace("\n", pad)
-        for r in rows:
-            assert cli._ints(r, pad) == json.dumps(r, indent=2).replace("\n", pad)
+        for p in (pad, pad + "  ", "\n"):
+            assert cli._int_rows(rows, p, table.__getitem__) == (
+                json.dumps(rows, indent=2).replace("\n", p))
+            for r in rows:
+                assert cli._ints(r, p, table.__getitem__) == json.dumps(r, indent=2).replace("\n", p)
+        # It holds each distinct integer's text, once.
+        assert table == {k: str(k) for r in rows for k in r}
 
     def test_each_step_text_is_built_once(self, monkeypatch):
         # Every distinct chain step of D_30's witness chains is formatted
@@ -1252,7 +1317,8 @@ class TestJsonEmitter:
         # holds it.
         formatted, classified = [], []
         real, real_classify = cli._ints, cli._classify
-        monkeypatch.setattr(cli, "_ints", lambda v, pad: formatted.append((id(v), pad)) or real(v, pad))
+        monkeypatch.setattr(cli, "_ints", lambda v, pad, fmt: (
+            formatted.append((id(v), pad)) or real(v, pad, fmt)))
         monkeypatch.setattr(cli, "_classify", lambda *a: classified.append(real_classify(*a))
                             or classified[-1])
 

@@ -81,6 +81,16 @@ class TestDualGraph:
         assert g.edges == frozenset({(0, 2), (1, 2)})
         assert g.neighbors(2) == (0, 1)
 
+    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] < e[1])),
+           st.randoms())
+    def test_neighbours_ascend(self, pairs, rnd):
+        # Whatever the order and orientation of the edges given.
+        edges = [(j, i) if rnd.random() < 0.5 else (i, j) for i, j in pairs]
+        rnd.shuffle(edges)
+        g = DualGraph((-2,) * 8, edges)
+        for v in range(8):
+            assert g.neighbors(v) == tuple(sorted({a + b - v for a, b in pairs if v in (a, b)}))
+
     def test_intersection_matrix(self):
         # column i of M is the pairing vector of E_i
         g = path_graph(3, (-2, -3, -2))
