@@ -129,36 +129,33 @@ def parse_graph(text: str) -> DualGraph:
             continue
         if r is None:
             raise GraphFormatError("'vertices' must be the first directive", lineno)
-        if directive != "weight" and directive != "edge":
-            raise GraphFormatError(f"unknown directive {directive!r}", lineno)
-        # A vertex and its weight, or an edge's two vertices: the unpacking
-        # is the one arity check.  On either fault _int_arg words it and raises.
-        try:
-            i, j = map(int, args)
-        except ValueError:
-            _int_arg(args, 0, 2, directive, lineno)
-            _int_arg(args, 1, 2, directive, lineno)
         if directive == "weight":
+            i = _int_arg(args, 0, 2, "weight", lineno)
+            w = _int_arg(args, 1, 2, "weight", lineno)
             if not 1 <= i <= r:
                 raise GraphFormatError(f"vertex {i} out of range 1..{r}", lineno)
             if i in weight_seen:
                 raise GraphFormatError(f"duplicate weight for vertex {i}", lineno)
-            if j > -2:
+            if w > -2:
                 raise GraphFormatError(
-                    f"weight must be <= -2 on a minimal resolution, got {j}", lineno
+                    f"weight must be <= -2 on a minimal resolution, got {w}", lineno
                 )
             weight_seen.add(i)
-            weights[i - 1] = j
-        else:
+            weights[i - 1] = w
+        elif directive == "edge":
+            i = _int_arg(args, 0, 2, "edge", lineno)
+            j = _int_arg(args, 1, 2, "edge", lineno)
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}", lineno)
             if not (1 <= i <= r and 1 <= j <= r):
                 raise GraphFormatError(f"edge {i} {j} out of range 1..{r}", lineno)
-            pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+            pair = (min(i, j) - 1, max(i, j) - 1)
             if pair in edge_seen:
                 raise GraphFormatError(f"duplicate edge {i} {j}", lineno)
             edge_seen.add(pair)
             edges.append(pair)
+        else:
+            raise GraphFormatError(f"unknown directive {directive!r}", lineno)
 
     if r is None:
         raise GraphFormatError("missing 'vertices' directive")
@@ -178,15 +175,17 @@ def _int_arg(args: list[str], pos: int, want: int, directive: str, lineno: int) 
         ) from None
 
 
-def _reach(g: DualGraph, start: int, inside) -> list[int]:
-    """The vertices of ``inside`` (O(1) membership) reachable from
-    ``start`` inside it, in breadth-first order with neighbours in index
-    order."""
-    order, seen = [start], {start}
+def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
+    """``start`` and the vertices of the set ``inside`` reachable from it
+    inside it, in breadth-first order with neighbours in index order.
+    Each vertex reached is taken out of ``inside``, which the caller owns:
+    the set is also the record of what is left to reach."""
+    inside.discard(start)
+    order = [start]
     for v in order:  # the list grows while it is walked: a queue
         for u in g._neighbors[v]:
-            if u in inside and u not in seen:
-                seen.add(u)
+            if u in inside:
+                inside.remove(u)
                 order.append(u)
     return order
 
@@ -195,7 +194,7 @@ def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     """One ``_reach`` from the least vertex of the induced subgraph (the
     whole graph by default)."""
     verts = range(g.vertex_count) if vertices is None else vertices
-    return bool(verts) and len(_reach(g, min(verts), verts)) == len(verts)
+    return bool(verts) and len(_reach(g, min(verts), set(verts))) == len(verts)
 
 
 def _leading_minors(m) -> Iterator[int]:

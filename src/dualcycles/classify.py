@@ -76,22 +76,13 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
 
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
     """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
-    by least vertex: ``inside`` is iterated in vertex order, and a
-    breadth-first search starts at each zero vertex that no earlier search
-    reached.  A search takes each vertex it reaches out of the zero set, so
-    that set is also the record of what is left to reach."""
-    nbrs = g._neighbors
+    by least vertex: ``inside`` is iterated in vertex order, and one
+    ``builders._reach`` over the zero vertices starts at each one that no
+    earlier search reached (``_reach`` takes its component out of the set)."""
     zeros = {v for v in inside if pairing[v] == 0}
     for s in inside:
         if s in zeros:
-            zeros.remove(s)
-            comp = [s]
-            for v in comp:  # the list grows while it is walked: a queue
-                for u in nbrs[v]:
-                    if u in zeros:
-                        zeros.remove(u)
-                        comp.append(u)
-            yield sorted(comp)
+            yield sorted(_reach(g, s, zeros))
 
 
 def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | None):
@@ -368,7 +359,7 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
     """
     r = g.vertex_count
     leaf = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
-    order = _reach(g, leaf, range(r))
+    order = _reach(g, leaf, set(range(r)))
     plans = _lower_bound_plans(g, order)
     rank = {v: k for k, v in enumerate(order)}
     caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]

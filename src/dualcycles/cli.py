@@ -180,19 +180,17 @@ def _sub_parser(name: str) -> argparse.ArgumentParser:
 @functools.cache
 def _top_parser() -> argparse.ArgumentParser:
     """The whole argument parser, built only for an argv that no
-    subcommand parser parses alone.  Its subcommand parsers are
-    ``_sub_parser``'s own objects, so none is built twice in a process."""
+    subcommand parser parses alone; its subcommand parsers are built from
+    the same ``_SUBCOMMANDS`` functions as ``_sub_parser``'s."""
     top = argparse.ArgumentParser(
         prog="dualcycles",
         description="classify Ulrich and special cycles on resolution dual graphs",
     )
     top.add_argument("--format", choices=["table", "json"], default="table")
     top.add_argument("--version", action="version", version=__version__)
-    # add_parser asks its parser_class for a parser with prog "dualcycles <name>".
-    sub = top.add_subparsers(dest="command", required=True,
-                             parser_class=lambda prog, **_: _sub_parser(prog.rpartition(" ")[2]))
-    for name, (text, _, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=text)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, add, _) in _SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=text))
     return top
 
 

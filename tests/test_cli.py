@@ -1023,10 +1023,11 @@ class TestParserReuse:
                 alone.stdout,
                 alone.stderr,
             ), argv
-        # Each parser is built once and reused: the sequence reaches the
-        # top parser, which holds every subcommand parser.
+        # Each parser is built once and reused: the top parser, and the
+        # parsers of the two subcommands that head an argv, classify and
+        # fundamental.
         assert cli._top_parser.cache_info().misses == 1
-        assert cli._sub_parser.cache_info().misses == len(cli._SUBCOMMANDS)
+        assert cli._sub_parser.cache_info().misses == 2
 
     def test_one_request_builds_its_own_parser_alone(self, built_parsers):
         argv = ["--format", "json", "classify", "--family", "A", "--index", "5"]
@@ -1036,21 +1037,6 @@ class TestParserReuse:
         # The same request again builds nothing.
         assert main(argv, out=io.StringIO()) == EXIT_OK
         assert built_parsers == ["dualcycles classify"]
-
-    def test_top_parser_holds_the_cached_subcommand_parsers(self, built_parsers):
-        first = cli._sub_parser("classify")  # built before the top parser
-        top = cli._top_parser()
-        [action] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(action.choices) == list(cli._SUBCOMMANDS)
-        assert action.choices["classify"] is first
-        for name, parser in action.choices.items():
-            assert parser is cli._sub_parser(name)
-        # Then the top parser, the six other subcommand parsers and graph's
-        # three, each once.
-        assert built_parsers[0] == "dualcycles classify"
-        others = [f"dualcycles {name}" for name in cli._SUBCOMMANDS if name != "classify"]
-        graph = [f"dualcycles graph {name}" for name in ("ade", "cyclic", "load")]
-        assert sorted(built_parsers[1:]) == sorted(["dualcycles", *others, *graph])
 
 
 JSON_REQUESTS = [
@@ -1105,32 +1091,25 @@ def parse_outcome(parse, argv: list[str]) -> tuple:
     return result, out.getvalue(), err.getvalue()
 
 
-def split_parse_differences(count: int, seed: int, top_first: bool = True
-                            ) -> tuple[list[list[str]], int]:
+def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int]:
     """The argvs of a seeded sample on which ``cli._parse`` and the top
     parser's ``parse_args`` differ, and how many the split parse answered
     without the top parser.
 
-    Both parser caches are cleared first.  With ``top_first`` the top
-    parser is built before any ``_parse``, so it builds every subcommand
-    parser.  Without, ``_parse`` first reads ``<subcommand> -h`` for each
-    subcommand, which its parser answers alone, so the top parser is built
-    later and reuses them all; those argvs are compared too.
+    Both parser caches are cleared and the top parser is built first; an
+    argv that ``_parse`` answers without calling it again leaves its cache
+    statistics as they were.
     """
     cli._sub_parser.cache_clear()
     cli._top_parser.cache_clear()
     rng = random.Random(seed)
     argvs = [sample_argv(rng) for _ in range(count)]
-    if top_first:
-        cli._top_parser()
-    else:
-        argvs[:0] = [[name, "-h"] for name in cli._SUBCOMMANDS]
+    top = cli._top_parser()
     mine, split = [], 0
     for argv in argvs:
         calls = cli._top_parser.cache_info()
         mine.append(parse_outcome(cli._parse, argv))
         split += cli._top_parser.cache_info() == calls
-    top = cli._top_parser()
     differ = [argv for argv, m in zip(argvs, mine) if m != parse_outcome(top.parse_args, argv)]
     return differ, split
 
@@ -1143,23 +1122,15 @@ class TestSplitParse:
         assert differ == []
         assert 200 < split < 1800  # both paths are taken
 
-    def test_matches_the_top_parser_built_after_parse(self, monkeypatch, built_parsers):
-        monkeypatch.setenv("COLUMNS", "80")
-        differ, split = split_parse_differences(2000, seed=1, top_first=False)
-        assert differ == []
-        assert 200 < split < 1800
-        # Every parser was built once, the top parser last.
-        built = built_parsers
-        assert built.index("dualcycles") == len(built) - 1 == len(set(built)) - 1
-
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["table", "json"])
-    def test_well_formed_requests_skip_the_top_parser(self, monkeypatch, fmt):
-        top = cli._top_parser()
-        seen = []
-        monkeypatch.setattr(top, "parse_args", seen.append)
+    def test_well_formed_requests_skip_the_top_parser(self, fmt):
+        # With the caches cleared, any call to _top_parser would show.
+        cli._sub_parser.cache_clear()
+        cli._top_parser.cache_clear()
+        calls = cli._top_parser.cache_info()
         for argv in JSON_REQUESTS:
             assert main([*fmt, *argv], out=io.StringIO()) == EXIT_OK
-        assert seen == []
+        assert cli._top_parser.cache_info() == calls
 
 
 INT_SEQS = st.lists(st.integers()) | st.lists(st.integers()).map(tuple)
