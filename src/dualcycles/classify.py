@@ -27,7 +27,6 @@ from .invariants import (
     GraphRecord,
     InvalidGraphError,
     _columns,
-    _indices,
     _invariants_of,
     _laufer,
     _rational,
@@ -60,7 +59,7 @@ class ClassificationEntry(NamedTuple):
     min_gens: int
     module_indices: frozenset[int]
     chain: Filtration
-    kind: str  # "special" | "ulrich" | "both"
+    kind: str  # "special" | "both" (Ulrich too; an Ulrich cycle is special)
 
 
 def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
@@ -121,7 +120,18 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
     ``max_steps`` is set; a K step past ``max_steps`` raises
     ChainDepthError.  K steps are a prefix-closed subtree of the same
     sorted children, so the first such step in preorder is the first one
-    a walk of K steps alone meets.
+    a walk of K steps alone meets.  The surviving set lies inside C, so a
+    component that misses a heavy vertex (weight <= -3) cannot keep K:
+    past ``max_depth`` such a component, and every component when
+    ``max_steps`` is None, is dropped before Laufer's loop runs.
+
+    Checked, not proved: every chain that ends at a special or Ulrich
+    cycle Z is Z's canonical filtration Z_k = inf(Z, (k+1) Z_0)
+    (``invariants._filtration``).  Tier-1 checks it on every entry of the
+    tree census up to 6 vertices, A_1-A_30, D_4-D_30, E_6-E_8 and every
+    (1/n)(1, q) with n < 30, and CI on the 7-vertex census.  It fails on
+    walked cycles that are not entries, whose canonical filtration can be
+    shorter.
 
     With K.E_v = -w_v - 2 >= 0 on a minimal graph and every Y_k <= Z_0,
     K.Y_k = K.Z_0 holds exactly when Y_k takes the full coefficient n_v
@@ -157,6 +167,8 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
         if comp is None:
             stack.pop()
             continue
+        if len(chain) >= max_depth and (max_steps is None or not heavy.issubset(comp)):
+            continue  # only a K step enters past max_depth, and K needs every heavy vertex in C
         ys, on_c = _laufer(g, comp)
         boundary = {}
         for v, a in ys.items():
@@ -199,7 +211,11 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     chain criteria must agree with them both ways (AssertionError else):
     a nonempty surviving set with the special verdict, the K bit with the
     Ulrich one.  Each cycle that is special or Ulrich gets one entry, with
-    its one chain, shared by both lists.  Equal lists are returned
+    its one chain, shared by both lists, read off its walk node: the
+    module indices are the surviving set ({i: a_i = n_i colength(Z)}, as
+    ``_walk`` shows) and the kind is "both" when the K bit holds,
+    else "special" (the K bit puts every heavy vertex in the surviving
+    set, so an Ulrich cycle is special).  Equal lists are returned
     as one list object.  Errors come in this order: InvalidGraphError,
     ValueError on a max_colength below 1, then on a negative max_steps,
     then ChainDepthError from the walk (only when the Ulrich list is asked
@@ -235,9 +251,9 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
             colength=ell,
             multiplicity=mult,
             min_gens=mu,
-            module_indices=_indices(z, record, ell),
+            module_indices=surviving,
             chain=Filtration(base=record.z0, steps=chain),
-            kind=("both" if keeps else "special") if saturated else "ulrich",
+            kind="both" if keeps else "special",
         )
         if in_special:
             specials.append(entry)

@@ -312,18 +312,12 @@ def _columns(g: DualGraph, zs, ps, record: GraphRecord) -> tuple[list, ...]:
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _indices(z: Cycle, record: GraphRecord, ell: int) -> frozenset[int]:
-    """The vertices i with a_i = n_i * colength(Z), for Z of colength ``ell``
-    and Z_0 = sum n_i E_i the record's."""
-    saturated = map(operator.eq, z, map(operator.mul, record.z0, itertools.repeat(ell)))
-    return frozenset(itertools.compress(itertools.count(), saturated))
-
-
 def _pointwise(g: DualGraph, z: Cycle, record: GraphRecord,
                pairing: Cycle | None = None) -> CycleInvariants:
-    """``_columns`` on the one cycle Z, with its ``_indices``, given the
-    graph's record.  ``pairing`` is P = M.Z when the caller holds it,
-    trusted; it is built when None.
+    """``_columns`` on the one cycle Z, with the vertices i where a_i =
+    n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's record.
+    ``pairing`` is P = M.Z when the caller holds it, trusted; it is built
+    when None.
     Raises DimensionError on a cycle of the wrong length, CycleError on
     one that is not positive, has a negative coefficient or is not
     anti-nef (read off P), in that order, then the errors of ``_columns``.
@@ -338,7 +332,8 @@ def _pointwise(g: DualGraph, z: Cycle, record: GraphRecord,
     if max(pairing) > 0:
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
     mult, ell, mu, u, special, ulrich = (c[0] for c in _columns(g, z, pairing, record))
-    return CycleInvariants(1 - ell, ell, mult, mu, u, _indices(z, record, ell), special, ulrich)
+    indices = frozenset(i for i, (a, n) in enumerate(zip(z, record.z0)) if a == n * ell)
+    return CycleInvariants(1 - ell, ell, mult, mu, u, indices, special, ulrich)
 
 
 def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualcycles import builders
 from dualcycles.builders import (
     MAX_VERTICES,
     GraphFormatError,
@@ -100,6 +101,13 @@ class TestAde:
         for n in (MAX_VERTICES + 1, 10**9, 10**30):
             with pytest.raises(ValueError, match=f"{family}_{n} has more than {MAX_VERTICES}"):
                 build_ade(family, n)
+
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_vertex_limit_admits_the_limit_itself(self, family, monkeypatch):
+        monkeypatch.setattr(builders, "MAX_VERTICES", 6)
+        assert build_ade(family, 6).vertex_count == 6
+        with pytest.raises(ValueError, match=f"^{family}_7 has more than 6 vertices$"):
+            build_ade(family, 7)
 
     @pytest.mark.parametrize(
         "family, index", [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 4)]
@@ -233,6 +241,12 @@ class TestParse:
             with pytest.raises(GraphFormatError, match=f"must be <= {MAX_VERTICES}") as err:
                 parse_graph(f"# huge\nvertices {r}\n")
             assert err.value.line == 2
+
+    def test_vertex_limit_admits_the_limit_itself(self, monkeypatch):
+        monkeypatch.setattr(builders, "MAX_VERTICES", 3)
+        assert parse_graph("vertices 3\n").vertex_count == 3
+        with pytest.raises(GraphFormatError, match="vertex count must be <= 3, got 4"):
+            parse_graph("vertices 4\n")
 
     def test_error_carries_line_number(self):
         err = None

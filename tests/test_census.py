@@ -9,14 +9,16 @@ class is built from its encoding, vertices numbered in the encoding's
 preorder, so the census does not depend on how the classes were found.
 
 On every rational class the special and Ulrich cycles of ``_classify``
-below 2 Z_0 must equal ``oracle_classify(g, 2)``, and one seeded random
-relabelling must give the relabelled entries, witness chains included.
+must equal ``oracle_classify(g, b)`` at b = max(2, the largest colength
+listed): a special cycle of colength l has every a_i <= n_i l, so it lies
+in l Z_0's box, and every cycle listed meets the oracle.  One seeded
+random relabelling must give the relabelled entries, witness chains
+included.
 Run the 7-vertex census with ``PYTHONPATH=src:tests python -c "import
 test_census; print(test_census.census(7))"``.
 """
 
 import collections
-import operator
 import random
 import time
 from typing import NamedTuple
@@ -119,11 +121,13 @@ def census(max_vertices: int, seed: int = 1) -> Census:
             continue
         rational += 1
         z0 = fundamental_cycle(g)
-        cap = 2 * sum(z0) + 1  # every cycle below 2 Z_0 has colength <= sum(Z_0) + 1
+        cap = 2 * sum(z0) + 1
         special, ulrich = _classify(g, cap)
-        box = [2 * n for n in z0]
-        below = lambda es: sorted(e.cycle for e in es if all(map(operator.le, e.cycle, box)))
-        assert (below(special), below(ulrich)) == oracle_classify(g, 2), code
+        # A special cycle in b Z_0's box has colength <= b <= cap, so the
+        # oracle finds no special cycle that the cap left out.
+        bound = max(2, *(e.colength for e in special))
+        cycles = lambda es: sorted(e.cycle for e in es)
+        assert (cycles(special), cycles(ulrich)) == oracle_classify(g, bound), code
 
         r = g.vertex_count
         perm = rng.sample(range(r), r)  # vertex v becomes perm[v]

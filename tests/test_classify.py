@@ -251,7 +251,7 @@ class TestEnumerators:
             assert e.colength == colength(g, e.cycle)
             assert u_invariant(g, e.cycle) == 0
             assert [e.chain.base, *(zk for _, zk in e.chain.steps)][-1] == e.cycle
-            assert e.kind in ("ulrich", "both")
+            assert e.kind == "both"
 
     def test_chain_witnesses_rebuild_the_cycle(self):
         for e in enumerate_special(build_ade("D", 8), 6):
@@ -293,6 +293,24 @@ class TestEnumerators:
         assert len(entries) == expected_ulrich_count("A", 301)
         assert max(len(e.chain.steps) for e in entries) == 150
 
+    def test_ulrich_walk_skips_components_without_every_heavy_vertex(self, monkeypatch):
+        # A 100-vertex chain with one -3, at vertex 41: Z_0's zero locus is
+        # two components, of 39 and 58 vertices, and neither holds the -3,
+        # so neither can start an Ulrich chain and no Laufer loop runs.
+        g = DualGraph(tuple(-3 if i == 40 else -2 for i in range(100)),
+                      [(i, i + 1) for i in range(99)])
+        real, sizes = classify._laufer, []
+
+        def spy(g, verts, *args):
+            sizes.append(len(verts))
+            return real(g, verts, *args)
+
+        monkeypatch.setattr(classify, "_laufer", spy)
+        assert [e.cycle for e in enumerate_ulrich(g)] == [(1,) * 100]
+        assert sizes == []
+        assert len(enumerate_special(g, 2)) == 3  # depth 1 walks both components
+        assert sizes == [39, 58]
+
     ENTRY_CORPUS = {
         "ade": [
             build_ade(f, n)
@@ -332,8 +350,8 @@ class TestEnumerators:
                 assert tuple(f(g, z) for f in public) == expected
                 assert u_invariant(g, z) == u
                 special, ulrich = bool(indices), bool(indices) if mult2 else u == 0
-                assert (e.kind != "ulrich") == special == is_special_cycle(g, z)
-                assert (e.kind != "special") == ulrich == is_ulrich_cycle(g, z)
+                assert special and is_special_cycle(g, z)  # an Ulrich cycle is special
+                assert (e.kind == "both") == ulrich == is_ulrich_cycle(g, z)
 
     @pytest.mark.parametrize(
         "g", [build_ade("A", 9), build_ade("D", 8), STAR], ids=["A9", "D8", "star"]
@@ -374,14 +392,16 @@ class TestOracleAgreement:
         + [("star", 0, 0)]
     )
 
+    @staticmethod
+    def graph(kind, a, b) -> DualGraph:
+        """The graph of one CORPUS entry."""
+        if kind == "ade":
+            return build_ade(a, b)
+        return build_cyclic(a, b) if kind == "cyclic" else STAR
+
     @pytest.mark.parametrize("kind, a, b", CORPUS)
     def test_chain_route_equals_oracle(self, kind, a, b):
-        if kind == "ade":
-            g = build_ade(a, b)
-        elif kind == "cyclic":
-            g = build_cyclic(a, b)
-        else:
-            g = STAR
+        g = self.graph(kind, a, b)
         bound = 4
         z0 = fundamental_cycle(g)
         box = scale(bound, z0)

@@ -486,6 +486,16 @@ class TestFiltration:
                 filtration(g, z)
         assert len(filtration(g, scale(1000, z0)).steps) == 999
 
+    @pytest.mark.parametrize("g", [build_ade("A", 1), build_ade("D", 5)], ids=["A1", "D5"])
+    def test_filtration_limit_admits_the_limit_itself(self, g, monkeypatch):
+        # 5 Z_0 has 4 steps of r coefficients: exactly the limit.
+        r = g.vertex_count
+        monkeypatch.setattr(invariants, "MAX_FILTRATION", 4 * r)
+        z0 = fundamental_cycle(g)
+        assert len(filtration(g, scale(5, z0)).steps) == 4
+        with pytest.raises(CycleError, match=f"more than {4 * r} coefficients"):
+            filtration(g, scale(6, z0))
+
 
 class TestSpecialModuleIndices:
     def test_fundamental_cycle_saturates_everywhere(self):
