@@ -10,11 +10,11 @@ or recursion depth), 2 parse/usage error, 3 verification mismatch.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph
@@ -46,11 +46,8 @@ EXIT_MISMATCH = 3
 def serialize_graph(g: DualGraph) -> str:
     """Emit the graph text format (round-trips through parse_graph)."""
     lines = [f"vertices {g.vertex_count}"]
-    for i, w in enumerate(g.weights):
-        if w != -2:
-            lines.append(f"weight {i + 1} {w}")
-    for i, j in sorted(g.edges):
-        lines.append(f"edge {i + 1} {j + 1}")
+    lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights) if w != -2]
+    lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
     return "\n".join(lines) + "\n"
 
 
@@ -91,129 +88,112 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
         raise GraphFormatError(f"{name} {text!r} is not a comma-separated integer list")
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """``p`` with the options that name a graph."""
-    src = p.add_argument_group("graph source (choose one)")
-    src.add_argument("--graph", metavar="FILE", help="load graph from a text file")
-    src.add_argument("--family", choices=list("ADEade"), help="ADE family")
-    src.add_argument("--index", type=int, help="ADE index n")
-    src.add_argument("--n", type=int, help="cyclic quotient order n")
-    src.add_argument("--q", type=int, help="cyclic quotient parameter q")
-    return p
-
-
 def _resolve_graph(args) -> DualGraph:
-    ade = args.family is not None or args.index is not None
-    cyclic = args.n is not None or args.q is not None
-    if (args.graph is not None) + ade + cyclic > 1:
+    # graph ade|cyclic|load set one source
+    graph, family, index, n, q = map(vars(args).get, ("graph", "family", "index", "n", "q"))
+    ade = family is not None or index is not None
+    cyclic = n is not None or q is not None
+    if (graph is not None) + ade + cyclic > 1:
         raise GraphFormatError("choose one graph source: --graph, --family/--index or --n/--q")
-    if args.graph is not None:
-        with open(args.graph, encoding="utf-8") as fh:
+    if graph is not None:
+        with open(graph, encoding="utf-8") as fh:
             return parse_graph(fh.read())
     if ade:
-        if args.family is None or args.index is None:
+        if family is None or index is None:
             raise GraphFormatError("--family and --index go together")
-        return build_ade(args.family, args.index)
+        return build_ade(family, index)
     if cyclic:
-        if args.n is None or args.q is None:
+        if n is None or q is None:
             raise GraphFormatError("--n and --q go together")
-        return build_cyclic(args.n, args.q)
+        return build_cyclic(n, q)
     raise GraphFormatError("no graph given: use --graph, --family/--index or --n/--q")
 
 
-# The arguments of each subcommand's parser, added by one function each
-# (``_SUBCOMMANDS``).
-def _ade_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=list("ADEade"), required=True)
-    p.add_argument("--index", type=int, required=True)
+def _opt(flag: str, group=None, dest=None, **kw) -> tuple:
+    """A row of an option table: flag ('' for a positional), dest, group
+    (None, a title or ``_EXCLUSIVE``) and ``add_argument``'s keywords."""
+    return flag, dest or flag[2:].replace("-", "_"), group, kw
 
 
-def _graph_args(p: argparse.ArgumentParser) -> None:
-    # Each subcommand sets its own source; _resolve_graph reads them all.
-    p.set_defaults(graph=None, family=None, index=None, n=None, q=None)
-    gsub = p.add_subparsers(dest="graph_command", required=True)
-    ade, cyclic, load = (gsub.add_parser(name) for name in ("ade", "cyclic", "load"))
-    _ade_args(ade)
-    cyclic.add_argument("--n", type=int, required=True)
-    cyclic.add_argument("--q", type=int, required=True)
-    load.add_argument("graph", metavar="FILE")
-    for q in (ade, cyclic, load):
-        q.add_argument("--out", metavar="FILE")
+_EXCLUSIVE = "exclusive"  # the mutually exclusive group
+_SOURCE = "graph source (choose one)"
+_GRAPH_SOURCE = [
+    _opt("--graph", _SOURCE, metavar="FILE", help="load graph from a text file"),
+    _opt("--family", _SOURCE, choices=list("ADEade"), help="ADE family"),
+    _opt("--index", _SOURCE, type=int, help="ADE index n"),
+    _opt("--n", _SOURCE, type=int, help="cyclic quotient order n"),
+    _opt("--q", _SOURCE, type=int, help="cyclic quotient parameter q"),
+]
 
 
-def _fundamental_args(p: argparse.ArgumentParser) -> None:
-    _add_graph_source(p).add_argument("--support", metavar="i,j,...", help="1-based vertex list")
-
-
-def _invariants_args(p: argparse.ArgumentParser) -> None:
-    _add_graph_source(p).add_argument("--cycle", metavar="a1,a2,...", required=True)
-
-
-def _classify_args(p: argparse.ArgumentParser) -> None:
-    kind = _add_graph_source(p).add_mutually_exclusive_group()
-    kind.add_argument("--special", action="store_true")
-    kind.add_argument("--ulrich", action="store_true")
-    p.add_argument("--max-colength", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-
-
-def _oracle_args(p: argparse.ArgumentParser) -> None:
-    _add_graph_source(p).add_argument("--bound", type=int, required=True)
-
-
-@functools.cache
-def _sub_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name``, built the first time it is named
-    and reused: the parser the top parser's ``add_parser`` would build.
-
-    Building a parser costs far more than parsing a small request, and a
-    request names one subcommand.  Reuse is safe: ``parse_known_args``
-    returns a fresh namespace or fills the one it is given, no default is
-    mutable, and usage errors and help write to whatever
-    ``sys.stderr``/``sys.stdout`` is current at call time.
-    """
-    p = argparse.ArgumentParser(prog=f"dualcycles {name}")
-    _SUBCOMMANDS[name][1](p)
-    return p
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``_top_parser().parse_args(argv)`` gives a well-formed
+    argv, read off the option tables: ``[--format table|json] <subcommand>
+    ...``, exact options each given once as ``--opt value`` or
+    ``--opt=value``, values that ``type`` converts or ``choices`` holds,
+    and the required options.  None for any other argv."""
+    head = 2 if argv[:1] == ["--format"] and argv[1:2] in (["table"], ["json"]) else 0
+    try:
+        ns = {"format": argv[1] if head else "table", "command": argv[head]}
+        rows, rest = _SUBCOMMANDS[argv[head]][1], argv[head + 1:]
+        if type(rows) is dict:  # graph, then one of its own subcommands
+            ns["graph_command"], rows, rest = rest[0], rows[rest[0]], rest[1:]
+        ns.update((dest, False if "action" in kw else None) for _, dest, _, kw in rows)
+        table, tokens = {row[0]: row for row in rows}, iter(rest)
+        for tok in tokens:
+            flag, eq, value = tok.partition("=") if tok[:1] == "-" else ("", "=", tok)
+            _, dest, group, kw = table.pop(flag)  # a repeat is not found
+            if group == _EXCLUSIVE:  # nor the rest of its group
+                table = {f: row for f, row in table.items() if row[2] != _EXCLUSIVE}
+            if "action" in kw:  # store_true
+                value = None if eq else True
+            elif not eq:  # argparse may read a "-" token as an option
+                value = next(tokens, "-")
+                value = None if value[:1] == "-" else value
+            if value in (None, "--") or "choices" in kw and value not in kw["choices"]:
+                return None  # argparse drops "--" from "--opt=--"
+            ns[dest] = kw["type"](value) if "type" in kw else value
+    except (IndexError, KeyError, ValueError):
+        return None
+    missing = any(not flag or "required" in kw for flag, _, _, kw in table.values())
+    return None if missing else SimpleNamespace(**ns)
 
 
 @functools.cache
-def _top_parser() -> argparse.ArgumentParser:
-    """The whole argument parser, built only for an argv that no
-    subcommand parser parses alone; its subcommand parsers are built from
-    the same ``_SUBCOMMANDS`` functions as ``_sub_parser``'s."""
-    top = argparse.ArgumentParser(
-        prog="dualcycles",
-        description="classify Ulrich and special cycles on resolution dual graphs",
-    )
+def _top_parser():
+    """The whole parser, built from the option tables for the argvs that
+    ``_scan`` does not read (help, errors, abbreviations, ``--`` and the
+    like): the one place argparse is imported."""
+    import argparse
+
+    def add(p, rows) -> None:
+        if type(rows) is dict:  # graph's own subcommands
+            sub = p.add_subparsers(dest="graph_command", required=True)
+            for name, sub_rows in rows.items():
+                add(sub.add_parser(name), sub_rows)
+            return
+        groups = {None: p, _SOURCE: p.add_argument_group(_SOURCE)}  # hidden when empty
+        for flag, dest, group, kw in rows:
+            if group not in groups:  # an empty exclusive group breaks usage
+                groups[group] = p.add_mutually_exclusive_group()
+            groups[group].add_argument(flag or dest, **kw)
+
+    top = argparse.ArgumentParser(prog="dualcycles", description=(
+        "classify Ulrich and special cycles on resolution dual graphs"))
     top.add_argument("--format", choices=["table", "json"], default="table")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, add, _) in _SUBCOMMANDS.items():
-        add(sub.add_parser(name, help=text))
+    for name, (text, rows, _) in _SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=text), rows)
     return top
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as the top parser's ``parse_args`` parses it.
-
-    The top parser hands every argument after the subcommand to that
-    subcommand's parser, so an argv ``[--format table|json] <subcommand>
-    ...`` is parsed by the subcommand's parser alone (``_sub_parser``),
-    into a namespace that already holds ``format`` and ``command``: one
-    scan of the argv, not two, and no other parser built.  When that
-    leaves an argument unparsed, or the argv has any other shape, the top
-    parser (``_top_parser``) parses it again, so every conversion, choice
-    check, usage line, help text and exit status is argparse's own.
-    """
-    head = 2 if argv[:1] == ["--format"] and argv[1:2] in (["table"], ["json"]) else 0
-    name = argv[head] if len(argv) > head else None
-    if name in _SUBCOMMANDS:
-        known = argparse.Namespace(format=argv[1] if head else "table", command=name)
-        args, unparsed = _sub_parser(name).parse_known_args(argv[head + 1:], known)
-        if not unparsed:
-            return args
-    return _top_parser().parse_args(argv)
+def _parse(argv: list[str]):
+    """``argv`` parsed as ``_top_parser().parse_args`` parses it.  A
+    well-formed argv is read by ``_scan`` and builds no parser; any other
+    goes to the top parser, so usage, help, errors and exit statuses are
+    argparse's own."""
+    return _scan(argv) or _top_parser().parse_args(argv)
 
 
 class _IntText(dict):
@@ -353,8 +333,7 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     out.write("\n}\n")
 
 
-def _cmd_graph(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_graph(args, g, out) -> int:
     text = serialize_graph(g)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -366,8 +345,7 @@ def _cmd_graph(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_validate(args, g, out) -> int:
     rep = validate(g)
     if args.format == "json":
         _emit("validate", g, rep._asdict(), out)
@@ -381,8 +359,7 @@ def _cmd_validate(args, out) -> int:
     return EXIT_OK if rep.ok else EXIT_VALIDATION
 
 
-def _cmd_fundamental(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_fundamental(args, g, out) -> int:
     supp = None
     if args.support is not None:
         supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
@@ -397,8 +374,7 @@ def _cmd_fundamental(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_invariants(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_invariants(args, g, out) -> int:
     z = g.check_cycle(_int_list(args.cycle, "cycle"))
     rep = validate(g)
     if not rep.ok:
@@ -408,15 +384,11 @@ def _cmd_invariants(args, out) -> int:
         raise CycleError("cycle is not anti-nef (represents no ideal)")
     record = _graph_record(g)
     inv = _pointwise(g, z, record, pairing)
-    results = {
-        "cycle": z,
-        "virtual_genus": inv.genus,
-        "colength": inv.colength,
-        "multiplicity": inv.multiplicity,
-        "min_gens": inv.min_gens,
-        "u_invariant": inv.u,
-        "special_module_indices": sorted(i + 1 for i in inv.indices),
-    }
+    results = dict(
+        cycle=z, virtual_genus=inv.genus, colength=inv.colength, multiplicity=inv.multiplicity,
+        min_gens=inv.min_gens, u_invariant=inv.u,
+        special_module_indices=sorted(i + 1 for i in inv.indices),
+    )
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
         results["filtration"] = _filtration_dict(_filtration(z, record.z0))
@@ -427,8 +399,7 @@ def _cmd_invariants(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_classify(args, g, out) -> int:
     special, ulrich = _classify(g, args.max_colength, args.max_steps,
                                 not args.ulrich, not args.special)
     if args.format == "json":
@@ -444,8 +415,7 @@ def _cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args, out) -> int:
-    g = _resolve_graph(args)
+def _cmd_oracle(args, g, out) -> int:
     special, ulrich = oracle_classify(g, args.bound)
     if args.format == "json":
         _emit("oracle", g, {"bound": args.bound, "special": special, "ulrich": ulrich}, out)
@@ -458,55 +428,55 @@ def _cmd_oracle(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_rdp(args, out) -> int:
+def _cmd_verify_rdp(args, g, out) -> int:
     rep = verify_rdp(args.family, args.index)
-    results = {
-        "family": rep.family,
-        "index": rep.index,
-        "matched": rep.matched,
-        "expected_count": rep.expected_count,
-        "actual_count": len(rep.actual),
-        "expected": [{"cycle": z, "colength": c} for z, c in rep.expected],
-        "actual": [{"cycle": z, "colength": c} for z, c in rep.actual],
-        "missing": rep.missing,
-        "extra": rep.extra,
-        "colength_mismatches": [
-            {"cycle": z, "expected": a, "actual": b}
-            for z, a, b in rep.colength_mismatches
-        ],
-    }
+    results = dict(
+        family=rep.family, index=rep.index, matched=rep.matched,
+        expected_count=rep.expected_count, actual_count=len(rep.actual),
+        expected=[{"cycle": z, "colength": c} for z, c in rep.expected],
+        actual=[{"cycle": z, "colength": c} for z, c in rep.actual],
+        missing=rep.missing, extra=rep.extra, colength_mismatches=[
+            {"cycle": z, "expected": a, "actual": b} for z, a, b in rep.colength_mismatches],
+    )
     if args.format == "json":
-        _emit("verify-rdp", build_ade(args.family, args.index), results, out)
+        _emit("verify-rdp", g, results, out)
     else:
         verdict = "match" if rep.matched else "MISMATCH"
         print(f"{rep.family}{rep.index}: {verdict}, "
               f"{len(rep.actual)} cycles (expected {rep.expected_count})", file=out)
         for z, c in rep.actual:
             print(f"  {_render_cycle(z)}  colength={c}", file=out)
-        if not rep.matched:
-            for z in rep.missing:
-                print(f"missing: {_render_cycle(z)}", file=sys.stderr)
-            for z in rep.extra:
-                print(f"extra: {_render_cycle(z)}", file=sys.stderr)
-            for z, a, b in rep.colength_mismatches:
-                print(
-                    f"colength mismatch at {_render_cycle(z)}: expected {a}, got {b}",
-                    file=sys.stderr,
-                )
+        for z in rep.missing:  # empty when the tables match
+            print(f"missing: {_render_cycle(z)}", file=sys.stderr)
+        for z in rep.extra:
+            print(f"extra: {_render_cycle(z)}", file=sys.stderr)
+        for z, a, b in rep.colength_mismatches:
+            print(f"colength mismatch at {_render_cycle(z)}: expected {a}, got {b}",
+                  file=sys.stderr)
     return EXIT_OK if rep.matched else EXIT_MISMATCH
 
 
-# Each subcommand's help line, the function that adds its arguments to its
-# parser, and its handler, in the order of the usage text.
+# Each subcommand's help line, option table (graph: one per subcommand of
+# its own) and handler, in the order of the usage text.
+_FAMILY = _opt("--family", choices=list("ADEade"), required=True)
+_INDEX, _OUT = _opt("--index", type=int, required=True), _opt("--out", metavar="FILE")
 _SUBCOMMANDS = {
-    "graph": ("build or load a graph and print it", _graph_args, _cmd_graph),
-    "validate": ("structural report on a graph", _add_graph_source, _cmd_validate),
-    "fundamental": ("fundamental cycle (optionally on a sub-support)", _fundamental_args,
-                    _cmd_fundamental),
-    "invariants": ("invariants of one anti-nef cycle", _invariants_args, _cmd_invariants),
-    "classify": ("enumerate special and/or Ulrich cycles", _classify_args, _cmd_classify),
-    "oracle": ("brute-force classification up to bound * Z0", _oracle_args, _cmd_oracle),
-    "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", _ade_args,
+    "graph": ("build or load a graph and print it", {
+        "ade": [_FAMILY, _INDEX, _OUT],
+        "cyclic": [*(_opt(flag, type=int, required=True) for flag in ("--n", "--q")), _OUT],
+        "load": [_opt("", dest="graph", metavar="FILE"), _OUT]}, _cmd_graph),
+    "validate": ("structural report on a graph", _GRAPH_SOURCE, _cmd_validate),
+    "fundamental": ("fundamental cycle (optionally on a sub-support)", _GRAPH_SOURCE + [
+        _opt("--support", metavar="i,j,...", help="1-based vertex list")], _cmd_fundamental),
+    "invariants": ("invariants of one anti-nef cycle", _GRAPH_SOURCE + [
+        _opt("--cycle", metavar="a1,a2,...", required=True)], _cmd_invariants),
+    "classify": ("enumerate special and/or Ulrich cycles", _GRAPH_SOURCE + [
+        _opt("--special", _EXCLUSIVE, action="store_true"),
+        _opt("--ulrich", _EXCLUSIVE, action="store_true"),
+        _opt("--max-colength", type=int), _opt("--max-steps", type=int)], _cmd_classify),
+    "oracle": ("brute-force classification up to bound * Z0", _GRAPH_SOURCE + [
+        _opt("--bound", type=int, required=True)], _cmd_oracle),
+    "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", [_FAMILY, _INDEX],
                    _cmd_verify_rdp),
 }
 
@@ -520,7 +490,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _SUBCOMMANDS[args.command][2](args, out)
+        return _SUBCOMMANDS[args.command][2](args, _resolve_graph(args), out)
     except (CycleError, InvalidGraphError, ChainDepthError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -658,6 +658,26 @@ class TestLastResort:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_well_formed_request_leaves_argparse_unloaded(self):
+        # argparse (and gettext, which it imports) load with the first argv
+        # that needs the top parser, and not before.
+        code = (
+            "import io, sys\n"
+            "def loaded(): print([m for m in ('argparse', 'gettext') if m in sys.modules])\n"
+            "import dualcycles.cli as cli\n"
+            "loaded()\n"
+            "cli.main(['--format', 'json', 'classify', '--n', '7', '--q', '3'], io.StringIO())\n"
+            "loaded()\n"
+            "cli.main(['frobnicate'])\n"
+            "loaded()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n[]\n['argparse', 'gettext']\n"
+
 
 def run_capped(*argv):
     """One request in a child process whose address space is capped at
@@ -971,9 +991,8 @@ class TestGoldenFailures:
 
 @pytest.fixture
 def built_parsers(monkeypatch):
-    """With both parser caches cleared, the prog of every ArgumentParser
-    constructed from then on, in order."""
-    cli._sub_parser.cache_clear()
+    """With the top parser's cache cleared, the prog of every
+    ArgumentParser constructed from then on, in order."""
     cli._top_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
@@ -1006,7 +1025,6 @@ class TestParserReuse:
             COLUMNS="80",
             PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)),
         )
-        cli._sub_parser.cache_clear()
         cli._top_parser.cache_clear()
         for argv in self.SEQUENCE:
             code = main(list(argv))
@@ -1023,20 +1041,15 @@ class TestParserReuse:
                 alone.stdout,
                 alone.stderr,
             ), argv
-        # Each parser is built once and reused: the top parser, and the
-        # parsers of the two subcommands that head an argv, classify and
-        # fundamental.
+        # The top parser is built once, for the first argv that needs it,
+        # and reused.
         assert cli._top_parser.cache_info().misses == 1
-        assert cli._sub_parser.cache_info().misses == 2
 
-    def test_one_request_builds_its_own_parser_alone(self, built_parsers):
-        argv = ["--format", "json", "classify", "--family", "A", "--index", "5"]
-        assert main(argv, out=io.StringIO()) == EXIT_OK
-        assert built_parsers == ["dualcycles classify"]
-        assert cli._top_parser.cache_info().currsize == 0
-        # The same request again builds nothing.
-        assert main(argv, out=io.StringIO()) == EXIT_OK
-        assert built_parsers == ["dualcycles classify"]
+    def test_well_formed_requests_build_no_parser(self, built_parsers):
+        for argv in JSON_REQUESTS:
+            for fmt in ([], ["--format", "json"]):
+                assert main([*fmt, *argv], out=io.StringIO()) == EXIT_OK
+        assert built_parsers == []
 
 
 JSON_REQUESTS = [
@@ -1063,14 +1076,60 @@ GRAPH_SUBCOMMANDS = ["ade", "cyclic", "load", "x", "-h"]
 OPTIONS = ["--graph", "--family", "--fam", "--index", "--n", "--q", "--support", "--cycle",
            "--special", "--ulrich", "--max-colength", "--max-steps", "--max", "--bound", "--out",
            "--family=E", "--index=6", "--cycle=1,2,1", "--n=7", "-h", "--help", "--version",
-           "--format", "--", ""]
+           "--format", "--", "", "--out=x", "--special=1", "--graph=g.txt", "--max-colength=3",
+           "--bound=-2"]
+# "9" * 5000 is past int's default digit limit.
 VALUES = ["A", "D", "E", "a", "x", "3", "6", "7", "-1", "0", "1,2,1", "1,x", "", "g.txt",
-          "json", "--n", "-3"]
+          "json", "--n", "-3", "+7", " 7", "7_0", "\u0663", "-0", "1e3", "9" * 5000]
+
+
+# Each subcommand's own options, with the values drawn for each (None for
+# a flag, "" for graph load's FILE), for the half of the sample that is
+# near well-formed: the other half seldom gets past the top parser's
+# checks, so it would seldom test what the scan reads.
+INTS = ["3", "7", "+7", " 7", "7_0", "\u0663", "0", "-2", "1e3", "9" * 5000]
+TEXTS = ["g.txt", "1,2,1", "", "x y", "-", "--"]
+FAMILIES = ["A", "D", "E", "e", "", "ADE", "F"]
+SOURCE = {"--graph": TEXTS, "--family": FAMILIES, "--index": INTS, "--n": INTS, "--q": INTS}
+OWN_OPTIONS = {
+    "graph ade": {"--family": FAMILIES, "--index": INTS, "--out": TEXTS},
+    "graph cyclic": {"--n": INTS, "--q": INTS, "--out": TEXTS},
+    "graph load": {"": TEXTS, "--out": TEXTS},
+    "validate": SOURCE,
+    "fundamental": {**SOURCE, "--support": TEXTS},
+    "invariants": {**SOURCE, "--cycle": TEXTS},
+    "classify": {**SOURCE, "--special": None, "--ulrich": None, "--max-colength": INTS,
+                 "--max-steps": INTS},
+    "oracle": {**SOURCE, "--bound": INTS},
+    "verify-rdp": {"--family": FAMILIES, "--index": INTS},
+}
+
+
+def near_argv(rng: random.Random) -> list[str]:
+    """A head, a subcommand and a random subset of its own options in a
+    random order, each value given as ``--opt value`` or ``--opt=value``."""
+    command = rng.choice(list(OWN_OPTIONS))
+    options = OWN_OPTIONS[command]
+    argv = rng.choice([[], ["--format", "json"], ["--format", "table"]]) + command.split()
+    for flag in rng.sample(list(options), rng.randint(0, len(options))):
+        values = options[flag]
+        if values is None:  # a flag
+            argv.append(flag)
+        elif not flag:  # graph load's FILE
+            argv.append(rng.choice(values))
+        elif rng.random() < 0.5:
+            argv.append(f"{flag}={rng.choice(values)}")
+        else:
+            argv += [flag, rng.choice(values)]
+    return argv
 
 
 def sample_argv(rng: random.Random) -> list[str]:
-    """One argv of the grammar: a head, a subcommand and up to five options,
-    each followed by zero, one or two values."""
+    """One argv of the grammar: half of them near well-formed; the others a
+    head, a subcommand and up to five options, each followed by zero, one
+    or two values."""
+    if rng.random() < 0.5:
+        return near_argv(rng)
     argv = list(rng.choice(ARGV_HEADS)) + [rng.choice(SUBCOMMANDS)]
     if argv[-1] == "graph" and rng.random() < 0.9:
         argv.append(rng.choice(GRAPH_SUBCOMMANDS))
@@ -1093,14 +1152,13 @@ def parse_outcome(parse, argv: list[str]) -> tuple:
 
 def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int]:
     """The argvs of a seeded sample on which ``cli._parse`` and the top
-    parser's ``parse_args`` differ, and how many the split parse answered
-    without the top parser.
+    parser's ``parse_args`` differ, and how many of them ``cli._scan``
+    read without the top parser.
 
-    Both parser caches are cleared and the top parser is built first; an
-    argv that ``_parse`` answers without calling it again leaves its cache
+    The top parser's cache is cleared and the parser built first; an argv
+    that ``_parse`` answers without calling it again leaves its cache
     statistics as they were.
     """
-    cli._sub_parser.cache_clear()
     cli._top_parser.cache_clear()
     rng = random.Random(seed)
     argvs = [sample_argv(rng) for _ in range(count)]
@@ -1114,6 +1172,81 @@ def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int
     return differ, split
 
 
+class TestScan:
+    # Argvs the scan reads, each into the top parser's namespace.
+    READ = [
+        ["--format", "json", "classify", "--n", "37", "--q", "10", "--ulrich"],
+        ["classify", "--family=E", "--index", "+7", "--special", "--max-steps=0"],
+        ["oracle", "--bound=-2", "--n", " 7", "--q", "7_0"],
+        ["invariants", "--graph", "", "--cycle=1,2=3"],
+        ["--format", "table", "fundamental", "--support", "x y", "--family", "d", "--index", "4"],
+        ["verify-rdp", "--index", "\u0663", "--family", "D"],
+        ["validate"],
+        ["graph", "ade", "--family", "e", "--index", "6", "--out=x"],
+        ["graph", "cyclic", "--q=3", "--n", "7"],
+        ["graph", "load", "--out", "x", "g.txt"],
+        ["graph", "load", "g.txt"],
+    ]
+    # Argvs the scan leaves to the top parser, each for one reason.
+    LEFT = [
+        ["classify", "--family", "F", "--index", "3"],  # not a choice
+        ["classify", "--family=", "--index", "3"],  # '' is in "ADEade", not in the list
+        ["oracle", "--n", "7", "--q", "3"],  # --bound is required
+        ["graph", "load", "--out", "x"],  # so is FILE
+        ["graph", "ade", "--family", "E"],  # --index is required too
+        ["classify", "--n", "7", "--q", "3", "--special", "--ulrich"],  # exclusive
+        ["oracle", "--n", "7", "--q", "3", "--bound", "-2"],  # a separate value with "-"
+        ["classify", "--n", "7", "--q", "3", "--n", "8"],  # repeated
+        ["classify", "--special", "--special"],
+        ["classify", "--n", "x", "--q", "3"],  # not an int
+        ["classify", "--n", "9" * 5000, "--q", "3"],  # past int's digit limit
+        ["classify", "--n", "7", "--q", "3", "--special=1"],  # a flag takes no value
+        ["invariants", "--n", "7", "--q", "3", "--cycle=--"],  # argparse drops "--"
+        ["classify", "--", "--n", "7"],
+        ["classify", "--fam", "A", "--index", "3"],  # an abbreviation
+        ["classify", "-h"], ["classify", "--help"], ["--version"], ["-h"],
+        ["classify", "--bound", "3"],  # another subcommand's option
+        ["classify", "--n"],  # no value
+        ["frobnicate"], [], ["--format", "xml", "validate"], ["--format", "json"],
+        ["graph"], ["graph", "x"], ["graph", "load", "a", "b"], ["validate", "g.txt"],
+    ]
+
+    @pytest.mark.parametrize("argv", READ, ids=" ".join)
+    def test_reads_the_top_parsers_namespace(self, argv):
+        ns = cli._scan(argv)
+        assert ns is not None
+        assert vars(ns) == vars(cli._top_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", LEFT, ids=lambda a: " ".join(a)[:40])
+    def test_leaves_every_other_argv_to_the_top_parser(self, argv):
+        assert cli._scan(argv) is None
+
+
+HELP_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "help")
+
+
+class TestHelpText:
+    """Help texts at 80 columns, byte for byte as the per-subcommand
+    argparse builder functions printed them before the option tables
+    replaced them (on Python 3.10-3.12).  From 3.13 argparse breaks long
+    usage lines elsewhere, so there only the words are compared."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["graph"], ["validate"], ["fundamental"], ["invariants"], ["classify"], ["oracle"],
+        ["verify-rdp"], ["graph", "ade"], ["graph", "cyclic"], ["graph", "load"],
+    ], ids=lambda a: "-".join(a) or "dualcycles")
+    def test_matches_the_golden_text(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([*argv, "-h"]) == EXIT_OK
+        with open(os.path.join(HELP_DIR, ("-".join(argv) or "dualcycles") + ".txt"),
+                  encoding="utf-8") as fh:
+            golden = fh.read()
+        text = capsys.readouterr().out
+        if sys.version_info >= (3, 13):
+            text, golden = " ".join(text.split()), " ".join(golden.split())
+        assert text == golden
+
+
 class TestSplitParse:
     def test_matches_the_top_parser(self, monkeypatch):
         # Usage text wraps at the terminal width; fix it.
@@ -1124,8 +1257,7 @@ class TestSplitParse:
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["table", "json"])
     def test_well_formed_requests_skip_the_top_parser(self, fmt):
-        # With the caches cleared, any call to _top_parser would show.
-        cli._sub_parser.cache_clear()
+        # With the cache cleared, any call to _top_parser would show.
         cli._top_parser.cache_clear()
         calls = cli._top_parser.cache_info()
         for argv in JSON_REQUESTS:
