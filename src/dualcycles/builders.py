@@ -3,7 +3,7 @@
 Provides the ADE families, cyclic quotient chains via Hirzebruch-Jung
 continued fractions, a line-oriented text format for user-supplied graphs,
 and the connectedness and negative-definiteness tests that the validator
-(``invariants.validate``) reads through the graph record.
+(``invariants.validate``) runs once per graph.
 """
 
 from __future__ import annotations

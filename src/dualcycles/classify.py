@@ -10,8 +10,8 @@ K.(Z_0 - Y) = 0.  The oracle brute-forces all anti-nef cycles in a box
 and applies the pointwise tests (coefficient saturation for special,
 vanishing U invariant for Ulrich).  The two routes are compared by the
 differential tests and must never disagree.  Each public entry point
-reads the graph's memoised record once (InvalidGraphError unless
-``validate`` accepts the graph) and passes that record down, with Z_0,
+reads the graph's memoised ``validate`` report once (InvalidGraphError
+unless it accepts the graph) and passes that report down, with Z_0,
 M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
 ``invariants._columns`` call over every boxed or walked cycle.
 """
@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .builders import _ade_type, _reach, build_ade
 from .invariants import (
     Filtration,
-    GraphRecord,
     InvalidGraphError,
+    ValidationReport,
     _columns,
     _invariants_of,
     _laufer,
@@ -84,7 +84,7 @@ def _zero_components(g: DualGraph, pairing: Cycle, inside):
             yield sorted(_reach(g, s, zeros))
 
 
-def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | None):
+def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int | None):
     """The admissible filtration chains from Z_0, walked once for both lists.
 
     Candidate increments at each node are the fundamental cycles of the
@@ -150,7 +150,7 @@ def _walk(g: DualGraph, record: GraphRecord, max_depth: int, max_steps: int | No
     anti-nef parent's.  The children's
     components come from one pass over C, already sorted.  Y, Z + Y and
     the child's full P are length-r tuples built from the parent's, and
-    Z_0's comes from the graph's record: the walk builds no pairing vector.
+    Z_0's comes from the graph's report: the walk builds no pairing vector.
     """
     nbrs = g._neighbors
     heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)

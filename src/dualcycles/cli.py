@@ -30,7 +30,6 @@ from .classify import (
 from .invariants import (
     Filtration,
     _filtration,
-    _graph_record,
     _pointwise,
     fundamental_cycle,
     validate,
@@ -192,8 +191,15 @@ def _parse(argv: list[str]):
     """``argv`` parsed as ``_top_parser().parse_args`` parses it.  A
     well-formed argv is read by ``_scan`` and builds no parser; any other
     goes to the top parser, so usage, help, errors and exit statuses are
-    argparse's own."""
-    return _scan(argv) or _top_parser().parse_args(argv)
+    argparse's own.  An option whose value argparse reads as a list, as
+    3.10-3.12.1 read ``--opt=--`` (3.13 hands over the string ``--``), is
+    refused here through the top parser's ``error``, naming the option."""
+    ns = _scan(argv)
+    if ns is None:
+        ns = _top_parser().parse_args(argv)
+        for dest in (d for d, value in vars(ns).items() if type(value) is list):
+            _top_parser().error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return ns
 
 
 class _IntText(dict):
@@ -348,7 +354,7 @@ def _cmd_graph(args, g, out) -> int:
 def _cmd_validate(args, g, out) -> int:
     rep = validate(g)
     if args.format == "json":
-        _emit("validate", g, rep._asdict(), out)
+        _emit("validate", g, dict(zip(rep._fields, rep[:7])), out)  # no z0 or pairing key
     else:
         _render_graph(g, out)
         for name in ("connected", "negative_definite", "tree", "rational", "gorenstein"):
@@ -363,8 +369,7 @@ def _cmd_fundamental(args, g, out) -> int:
     supp = None
     if args.support is not None:
         supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
-    record = _graph_record(g)
-    if not record.negative_definite:
+    if not validate(g).negative_definite:
         raise InvalidGraphError("intersection matrix is not negative definite")
     z = fundamental_cycle(g, supp)
     if args.format == "json":
@@ -382,8 +387,7 @@ def _cmd_invariants(args, g, out) -> int:
     pairing = pairing_vector(g, z)
     if min(z) < 0 or max(pairing) > 0:
         raise CycleError("cycle is not anti-nef (represents no ideal)")
-    record = _graph_record(g)
-    inv = _pointwise(g, z, record, pairing)
+    inv = _pointwise(g, z, rep, pairing)
     results = dict(
         cycle=z, virtual_genus=inv.genus, colength=inv.colength, multiplicity=inv.multiplicity,
         min_gens=inv.min_gens, u_invariant=inv.u,
@@ -391,7 +395,7 @@ def _cmd_invariants(args, g, out) -> int:
     )
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
-        results["filtration"] = _filtration_dict(_filtration(z, record.z0))
+        results["filtration"] = _filtration_dict(_filtration(z, rep.z0))
         _emit("invariants", g, results, out)
     else:
         for key in list(results)[1:]:  # all but the cycle

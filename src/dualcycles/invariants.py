@@ -1,9 +1,9 @@
 """Numerical invariants of graphs and of anti-nef cycles, each formula
 in one place.
 
-``_graph_record`` holds Z_0, its pairing M.Z_0 and the validity of a
-graph, memoised and shared by the validator (``validate``) and the
-classifiers, which hand the record to the functions below.
+``validate`` returns one memoised report per graph: its verdicts and
+findings, with Z_0 and its pairing M.Z_0 when they exist.  The
+classifiers read that report and hand it to the functions below.
 ``_columns`` reads every invariant of many anti-nef cycles off their
 pairing vectors, one columnar pass per invariant; ``_pointwise`` is its
 one-cycle case, which the public functions read after raising
@@ -30,7 +30,6 @@ from .lattice import (
     _genera,
     _genus,
     _rows,
-    inf_cycles,
     pairing_vector,
     scale,
     sub,
@@ -123,16 +122,15 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     definiteness test is Laufer's loop itself (``_certified``), with one
     sparse Bareiss pass over the support's induced subgraph only past its
     bump budget; on the full support of a valid graph Z_0 is read from
-    the graph record.
+    ``validate``'s report.
     """
     everything = frozenset(range(g.vertex_count))
     if vertices is None or vertices == everything:
-        record = _graph_record(g)
+        record = validate(g)
         if record.z0 is not None:
             return record.z0
         if vertices is None:  # Z_0 needs a connected, negative definite graph
-            raise InvalidGraphError("graph is not connected" if not record.connected
-                                    else "intersection matrix is not negative definite")
+            raise InvalidGraphError(record.failures[0])
         vertices = everything  # the checks below say what is wrong
     verts = frozenset(vertices)
     if not verts:
@@ -146,42 +144,7 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     found = _certified(g, verts)
     if found is None:
         raise ValueError("fundamental cycle needs a negative definite support")
-
-    z = [0] * g.vertex_count
-    for v, a in found[0].items():
-        z[v] = a
-    return tuple(z)
-
-
-class GraphRecord(NamedTuple):
-    """What is known of a graph.  ``z0``, its pairing M.Z_0 (``pairing``),
-    ``multiplicity`` (-Z_0^2) and ``genus`` (p_a(Z_0)) are None unless the
-    graph is connected and negative definite; it is rational exactly when
-    ``genus == 0``."""
-
-    connected: bool
-    negative_definite: bool
-    z0: Cycle | None = None
-    pairing: Cycle | None = None
-    multiplicity: int | None = None
-    genus: int | None = None
-
-
-@functools.lru_cache(maxsize=256)
-def _graph_record(g: DualGraph) -> GraphRecord:
-    """One graph search and one Laufer loop, which certifies definiteness
-    and gives Z_0 and M.Z_0 (``_certified``), memoised on graph equality:
-    requests on one graph share them, and a long-running process holds a
-    bounded set of graphs.  A disconnected graph gets one sparse Bareiss
-    pass instead."""
-    if not is_connected(g):
-        return GraphRecord(False, is_negative_definite(g))
-    found = _certified(g, range(g.vertex_count))
-    if found is None:
-        return GraphRecord(True, False)
-    z0, pairing = tuple(found[0].values()), tuple(found[1].values())
-    zz = sum(map(operator.mul, z0, pairing))
-    return GraphRecord(True, True, z0, pairing, -zz, _genus(g, z0, zz))
+    return tuple(found[0].get(v, 0) for v in range(g.vertex_count))
 
 
 class ValidationReport(NamedTuple):
@@ -190,7 +153,8 @@ class ValidationReport(NamedTuple):
     ``rational`` and ``gorenstein`` are only meaningful when the graph is
     connected and negative definite; otherwise they are False and a
     finding explains why they are undetermined.  ``multiplicity`` is
-    -Z_0^2 whenever the fundamental cycle is computable, else None.
+    -Z_0^2, ``z0`` the fundamental cycle Z_0 and ``pairing`` M.Z_0
+    whenever Z_0 is computable, else None.
     """
 
     connected: bool
@@ -199,17 +163,30 @@ class ValidationReport(NamedTuple):
     rational: bool
     gorenstein: bool
     multiplicity: int | None
-    failures: list[str]
+    failures: tuple[str, ...]
+    z0: Cycle | None = None
+    pairing: Cycle | None = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
+@functools.lru_cache(maxsize=256)
 def validate(g: DualGraph) -> ValidationReport:
-    """Full structural report; never raises, all findings are collected.
-    Read from the graph record that the classifiers share."""
-    connected, definite, z0, _, mult, genus = _graph_record(g)
+    """Full structural report; never raises, all findings are collected,
+    the first of them "graph is not connected" or "intersection matrix is
+    not negative definite" when Z_0 is not computable.
+
+    One graph search and one Laufer loop, which certifies definiteness
+    and gives Z_0 and M.Z_0 (``_certified``); a disconnected graph gets
+    one sparse Bareiss pass instead.  Memoised on graph equality, so
+    every caller on one graph shares one report, and a long-running
+    process holds a bounded set of graphs.
+    """
+    connected = is_connected(g)
+    found = _certified(g, range(g.vertex_count)) if connected else None
+    definite = found is not None if connected else is_negative_definite(g)
     failures = []
     if not connected:
         failures.append("graph is not connected")
@@ -218,26 +195,30 @@ def validate(g: DualGraph) -> ValidationReport:
     bad_weights = [i + 1 for i, w in enumerate(g.weights) if w > -2]
     if bad_weights:
         failures.append(f"weights > -2 at vertices {bad_weights} (not a minimal resolution)")
-    rational, gorenstein = genus == 0, mult == 2
-    if z0 is None:
+    tree = connected and len(g.edges) == g.vertex_count - 1
+    if found is None:
         failures.append(
             "rationality/Gorenstein-ness undetermined (needs a connected, "
             "negative definite graph)"
         )
-    elif not rational:
+        return ValidationReport(connected, definite, tree, False, False, None, tuple(failures))
+    z0, pairing = tuple(found[0].values()), tuple(found[1].values())
+    zz = sum(map(operator.mul, z0, pairing))
+    genus = _genus(g, z0, zz)
+    if genus:
         failures.append(f"not rational: fundamental cycle has virtual genus {genus}")
-        if gorenstein:
+        if zz == -2:
             failures.append("multiplicity 2 but not rational: outside this tool's scope")
-    tree = connected and len(g.edges) == g.vertex_count - 1
-    return ValidationReport(connected, definite, tree, rational, gorenstein, mult, failures)
+    return ValidationReport(connected, True, tree, genus == 0, zz == -2, -zz,
+                            tuple(failures), z0, pairing)
 
 
-def _rational(g: DualGraph) -> GraphRecord:
-    """The record of a connected, negative definite, rational graph with
-    every weight <= -2, the graphs ``validate`` accepts; InvalidGraphError
-    on any other graph."""
-    record = _graph_record(g)
-    if record.genus != 0:
+def _rational(g: DualGraph) -> ValidationReport:
+    """``validate``'s report on a connected, negative definite, rational
+    graph with every weight <= -2, the graphs it accepts;
+    InvalidGraphError on any other graph."""
+    record = validate(g)
+    if not record.rational:
         raise InvalidGraphError(
             "graph is not a valid rational singularity resolution graph "
             "(must be connected, negative definite, with p_a(Z0) = 0)"
@@ -260,10 +241,10 @@ class CycleInvariants(NamedTuple):
     ulrich: bool
 
 
-def _columns(g: DualGraph, zs, ps, record: GraphRecord) -> tuple[list, ...]:
+def _columns(g: DualGraph, zs, ps, record: ValidationReport) -> tuple[list, ...]:
     """The columns (multiplicity, colength, min_gens, U, special, Ulrich),
     one entry per cycle, of positive anti-nef cycles on a rational graph
-    whose record holds Z_0 = sum n_i E_i and -Z_0^2, given as two flat
+    whose report holds Z_0 = sum n_i E_i and -Z_0^2, given as two flat
     lists:
     ``zs`` holds the cycles Z and ``ps`` their pairings P = M.Z, one row of
     r entries per cycle (both trusted: ``_pointwise`` checks the one cycle
@@ -277,7 +258,7 @@ def _columns(g: DualGraph, zs, ps, record: GraphRecord) -> tuple[list, ...]:
     - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
       colength(Z) (asserted) and L = lcm(n), that is max_i a_i L/n_i = L *
       colength(Z): one value per cycle, no list of bounds;
-    - Ulrich: special on a multiplicity-2 graph (the record's -Z_0^2),
+    - Ulrich: special on a multiplicity-2 graph (the report's -Z_0^2),
       else U(Z) = 0 (valid as mu(I_Z) > 2 there).  On a rational, minimal
       graph that is every weight -2, K = 0, as p_a(Z_0) = 0 gives
       -Z_0^2 = K.Z_0 + 2.
@@ -312,10 +293,10 @@ def _columns(g: DualGraph, zs, ps, record: GraphRecord) -> tuple[list, ...]:
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _pointwise(g: DualGraph, z: Cycle, record: GraphRecord,
+def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,
                pairing: Cycle | None = None) -> CycleInvariants:
     """``_columns`` on the one cycle Z, with the vertices i where a_i =
-    n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's record.
+    n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's report.
     ``pairing`` is P = M.Z when the caller holds it, trusted; it is built
     when None.
     Raises DimensionError on a cycle of the wrong length, CycleError on
@@ -386,7 +367,7 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     hold more than MAX_FILTRATION coefficients (steps times r).
     """
     _invariants_of(g, z)  # a valid graph, and Z positive and anti-nef
-    return _filtration(g.check_cycle(z), _graph_record(g).z0)
+    return _filtration(g.check_cycle(z), validate(g).z0)
 
 
 def _filtration(z: Cycle, z0: Cycle) -> Filtration:
@@ -395,7 +376,7 @@ def _filtration(z: Cycle, z0: Cycle) -> Filtration:
     top = max(-(-a // n) for a, n in zip(z, z0))  # the least k with Z <= k Z_0
     if (top - 1) * len(z) > MAX_FILTRATION:
         raise CycleError(f"the filtration has more than {MAX_FILTRATION} coefficients")
-    zs = [z0] + [inf_cycles(z, scale(k, z0)) for k in range(2, top + 1)]
+    zs = [z0] + [tuple(map(min, z, scale(k, z0))) for k in range(2, top + 1)]
     return Filtration(base=z0, steps=tuple((sub(b, a), b) for a, b in zip(zs, zs[1:])))
 
 

@@ -33,7 +33,7 @@ class DualGraph:
     validator reports it).  ``edges`` holds unordered pairs (i, j) with
     i < j, each meaning intersection number 1.  Vertices are 0-based here;
     all I/O uses 1-based labels.  A graph is immutable, and equality and
-    hash read ``(weights, edges)`` only: graphs key the memoised records.
+    hash read ``(weights, edges)`` only: graphs key ``validate``'s memo.
     """
 
     __slots__ = ("weights", "edges", "_neighbors", "__weakref__")
@@ -115,11 +115,6 @@ def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
     ])
 
 
-def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
-    """Intersection number Z.W = Z.(M.W) of two cycles (symmetric, bilinear)."""
-    return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
-
-
 def _rows(flat, r: int):
     """The consecutive length-r rows of a flat sequence, as tuples, at C speed."""
     return zip(*[iter(flat)] * r)
@@ -149,7 +144,7 @@ def _genus(g: DualGraph, z: Cycle, square: int) -> int:
 def virtual_genus(g: DualGraph, z: Cycle) -> int:
     """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer."""
     z = g.check_cycle(z)
-    return _genus(g, z, intersection(g, z, z))
+    return _genus(g, z, sum(map(operator.mul, z, pairing_vector(g, z))))
 
 
 def is_anti_nef(g: DualGraph, z: Cycle) -> bool:
@@ -158,9 +153,3 @@ def is_anti_nef(g: DualGraph, z: Cycle) -> bool:
     if any(a < 0 for a in z):
         raise CycleError("anti-nef test requires a nonnegative cycle")
     return all(v <= 0 for v in pairing_vector(g, z))
-
-
-def inf_cycles(z: Cycle, w: Cycle) -> Cycle:
-    """Componentwise minimum.  Preserves anti-nefness of anti-nef inputs."""
-    return tuple(min(a, b) for a, b in zip(z, w, strict=True))
-

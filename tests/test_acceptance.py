@@ -31,13 +31,11 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import (
     DualGraph,
-    inf_cycles,
-    intersection,
     is_anti_nef,
     scale,
     virtual_genus,
 )
-from test_lattice import add
+from test_lattice import add, inf_cycles, intersection
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),

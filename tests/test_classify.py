@@ -46,12 +46,12 @@ from dualcycles.invariants import (
 from dualcycles.lattice import (
     DualGraph,
     _canonicals,
-    intersection,
     is_anti_nef,
     pairing_vector,
     scale,
     virtual_genus,
 )
+from test_lattice import intersection
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
@@ -119,7 +119,7 @@ class TestGuards:
             refs.append(weakref.ref(g))
         del g
         gc.collect()
-        bound = dualcycles.invariants._graph_record.cache_parameters()["maxsize"]
+        bound = dualcycles.invariants.validate.cache_parameters()["maxsize"]
         assert sum(r() is not None for r in refs) <= bound
 
     def test_rejects_bad_bounds(self):
@@ -440,7 +440,7 @@ class TestOracleAgreement:
         # Each boxed cycle's invariants are read off the pairing the box
         # search already holds; no pairing vector is built per cycle.
         g = build_ade("E", 8)
-        expected = oracle_classify(g, 6)  # the graph record is built here
+        expected = oracle_classify(g, 6)  # the validate report is built here
         real, calls = pairing_vector, []
 
         def counting(*args):
@@ -616,10 +616,21 @@ def test_box_search_pairs_each_cycle_with_its_pairing(g):
     rows = lambda flat: zip(*[iter(flat)] * g.vertex_count)
     found = sorted(zip(rows(zs), rows(ps)))
     assert [z for z, _ in found] == brute_force_anti_nef(g, 3)
-    record = invariants._graph_record(g)
+    record = invariants.validate(g)
     for z, p in found:
         assert p == pairing_vector(g, z)
         assert _pointwise(g, z, record, p) == _pointwise(g, z, record)
+
+
+def test_walk_keeps_only_k_steps_past_max_depth():
+    # Past max_depth a step enters only when it keeps K.  Here the step
+    # Y = E_0 + E_1 + E_5 from Z_0 = (1, 2, 2, 1, 2, 1, 1) holds the one
+    # heavy vertex, 1, and keeps Z anti-nef, yet drops K, as Y takes 1
+    # there where Z_0 takes 2: only the check after Laufer's loop stops it.
+    g = DualGraph((-2, -3, -2, -2, -2, -2, -2), [(0, 1), (1, 2), (2, 3), (1, 4), (4, 6), (1, 5)])
+    for depth in range(3):
+        best = _walk(g, validate(g), depth, 10 * g.vertex_count)
+        assert all(keeps for chain, _, keeps, _ in best.values() if len(chain) > depth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -635,7 +646,7 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     z0 = fundamental_cycle(g)
     k0 = next(_canonicals(g, z0))
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
-    best = _walk(g, invariants._graph_record(g), 10 * g.vertex_count, None)
+    best = _walk(g, invariants.validate(g), 10 * g.vertex_count, None)
     for z, (chain, surviving, keeps, pairing) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
@@ -688,9 +699,9 @@ def test_zero_components_come_in_least_vertex_order(g, data):
 
 def test_classify_builds_no_pairing_vector(monkeypatch):
     # Each walked cycle's pairing is built from its parent's, and Z_0's
-    # comes from the warm graph record: none is computed from scratch.
+    # comes from the warm validate report: none is computed from scratch.
     g = build_ade("D", 30)
-    invariants._graph_record(g)  # warm the graph record
+    invariants.validate(g)  # warm the report
     calls = []
     real = pairing_vector
 

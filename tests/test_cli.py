@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -205,7 +206,7 @@ class TestFundamentalCommand:
             return real(m)
 
         monkeypatch.setattr(builders, "_leading_minors", spy)
-        invariants._graph_record.cache_clear()  # fresh graphs
+        invariants.validate.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")
         assert (code, len(passes)) == (EXIT_OK, 0)
         assert out == "1 1 1\n"
@@ -298,7 +299,7 @@ class TestInvariantsCommand:
         # checked: one pointwise record and one pairing vector.
         argv = ["--format", "json", "invariants", "--family", "E", "--index", "6",
                 "--cycle", "2,3,4,3,2,2"]
-        expected = run(*argv)  # the graph record is built here
+        expected = run(*argv)  # the validate report is built here
         calls = []
 
         def counting(fn):
@@ -631,6 +632,24 @@ class TestUsageErrors:
         code, _ = run("validate", "--graph", "/nonexistent/g.txt")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        "invariants --family A --index 3 --cycle=--",
+        "fundamental --family A --index 3 --support=--",
+        "classify --graph=--",
+        "classify --family A --index=--",
+        "classify --n=-- --q 2",
+        "classify --family A --index 3 --max-colength=--",
+        "oracle --family A --index 3 --bound=--",
+        "graph ade --family A --index=--",
+    ])
+    def test_dash_dash_value_is_a_usage_error(self, capsys, argv):
+        # Argparse 3.10-3.12.1 read "--opt=--" as an empty list, 3.13 as
+        # the string "--": both end in one usage error.
+        code, out = run(*argv.split())
+        err = capsys.readouterr().err
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "Traceback" not in err and "error:" in err.splitlines()[-1]
+
     def test_version_flag(self):
         code, _ = run("--version")
         assert code == EXIT_OK
@@ -784,7 +803,7 @@ TRIANGLE_VALIDATE = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.1.0"
+    "version": "0.2.0"
   },
   "command": "validate",
   "graph": {
@@ -827,7 +846,7 @@ A2_VERIFY_RDP = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.1.0"
+    "version": "0.2.0"
   },
   "command": "verify-rdp",
   "graph": {
@@ -880,7 +899,7 @@ C73_GRAPH = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.1.0"
+    "version": "0.2.0"
   },
   "command": "graph",
   "graph": {
@@ -1151,9 +1170,12 @@ def parse_outcome(parse, argv: list[str]) -> tuple:
 
 
 def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int]:
-    """The argvs of a seeded sample on which ``cli._parse`` and the top
-    parser's ``parse_args`` differ, and how many of them ``cli._scan``
-    read without the top parser.
+    """The argvs of a seeded sample on which ``cli._parse`` and its top
+    parser path (``cli._parse`` with ``_scan`` reading nothing) differ, and
+    how many of them ``cli._scan`` read without the top parser.  Off the
+    argvs the scan leaves to it, that path is the top parser's
+    ``parse_args`` as it stands, except that it refuses an option whose
+    value argparse 3.10-3.12.1 reads as a list (``--opt=--``).
 
     The top parser's cache is cleared and the parser built first; an argv
     that ``_parse`` answers without calling it again leaves its cache
@@ -1162,13 +1184,14 @@ def split_parse_differences(count: int, seed: int) -> tuple[list[list[str]], int
     cli._top_parser.cache_clear()
     rng = random.Random(seed)
     argvs = [sample_argv(rng) for _ in range(count)]
-    top = cli._top_parser()
+    cli._top_parser()
     mine, split = [], 0
     for argv in argvs:
         calls = cli._top_parser.cache_info()
         mine.append(parse_outcome(cli._parse, argv))
         split += cli._top_parser.cache_info() == calls
-    differ = [argv for argv, m in zip(argvs, mine) if m != parse_outcome(top.parse_args, argv)]
+    with mock.patch.object(cli, "_scan", lambda argv: None):
+        differ = [argv for argv, m in zip(argvs, mine) if m != parse_outcome(cli._parse, argv)]
     return differ, split
 
 
@@ -1254,15 +1277,6 @@ class TestSplitParse:
         differ, split = split_parse_differences(2000, seed=1)
         assert differ == []
         assert 200 < split < 1800  # both paths are taken
-
-    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["table", "json"])
-    def test_well_formed_requests_skip_the_top_parser(self, fmt):
-        # With the cache cleared, any call to _top_parser would show.
-        cli._top_parser.cache_clear()
-        calls = cli._top_parser.cache_info()
-        for argv in JSON_REQUESTS:
-            assert main([*fmt, *argv], out=io.StringIO()) == EXIT_OK
-        assert cli._top_parser.cache_info() == calls
 
 
 INT_SEQS = st.lists(st.integers()) | st.lists(st.integers()).map(tuple)

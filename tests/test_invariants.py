@@ -36,7 +36,6 @@ from dualcycles.lattice import (
     CycleError,
     DimensionError,
     DualGraph,
-    intersection,
     is_anti_nef,
     pairing_vector,
     scale,
@@ -44,7 +43,7 @@ from dualcycles.lattice import (
     virtual_genus,
 )
 from test_census import graph_of, tree_classes
-from test_lattice import add
+from test_lattice import add, intersection
 
 STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
@@ -224,9 +223,9 @@ class TestGraphChecks:
         monkeypatch.setattr(builders, "_leading_minors", minors)
         monkeypatch.setattr(builders, "is_connected", search)
         monkeypatch.setattr(invariants, "is_connected", search)
-        invariants._graph_record.cache_clear()  # every graph is fresh
+        invariants.validate.cache_clear()  # every graph is fresh
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
-        assert validate(g).ok
+        assert validate(g).ok and validate(g) is validate(g)
         assert calls == {"minors": 0, "search": 1}
         fundamental_cycle(g)
         validate(g)
@@ -408,14 +407,14 @@ class TestPointwiseErrors:
     def test_errors_in_order(self, z, error, match):
         # The given pairing is positive: every earlier check must fire first.
         g = build_ade("A", 3)
-        record = invariants._graph_record(g)
+        record = invariants.validate(g)
         for pairing in (None, (1,) * len(z)):
             with pytest.raises(error, match=match):
                 _pointwise(g, z, record, pairing)
 
     def test_non_anti_nef_pairing_is_refused(self):
         g = build_ade("A", 3)
-        record = invariants._graph_record(g)
+        record = invariants.validate(g)
         with pytest.raises(CycleError, match="not anti-nef"):
             _pointwise(g, record.z0, record, (0, 1, 0))
 
@@ -423,7 +422,7 @@ class TestPointwiseErrors:
         # Only a pairing that is not M.Z reaches them: Z^2 = -1 is odd, and
         # Z^2 = 0 makes the colength 0, below the coefficient 2.
         g = build_ade("A", 1)
-        record = invariants._graph_record(g)  # Z_0 = (1,)
+        record = invariants.validate(g)  # Z_0 = (1,)
         with pytest.raises(AssertionError, match="parity"):
             _pointwise(g, (1,), record, (-1,))
         with pytest.raises(AssertionError, match="coefficient bound"):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import weakref
 
 import pytest
@@ -14,8 +15,6 @@ from dualcycles.lattice import (
     DualGraph,
     _canonicals,
     _genus,
-    inf_cycles,
-    intersection,
     is_anti_nef,
     pairing_vector,
     scale,
@@ -26,6 +25,16 @@ from dualcycles.lattice import (
 
 def add(z: Cycle, w: Cycle) -> Cycle:
     return tuple(a + b for a, b in zip(z, w, strict=True))
+
+
+def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
+    """Intersection number Z.W = Z.(M.W) of two cycles."""
+    return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
+
+
+def inf_cycles(z: Cycle, w: Cycle) -> Cycle:
+    """Componentwise minimum."""
+    return tuple(map(min, z, w))
 
 
 def unit(g: DualGraph, i: int) -> Cycle:
@@ -110,7 +119,8 @@ class TestDualGraph:
         b = DualGraph((-2, -2), [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != DualGraph((-2, -3), [(0, 1)]) and a != DualGraph((-2, -2), [])
-        # Graphs key the memoised records: no field can change after
+        assert (a == object()) is False and a != (a.weights, a.edges)
+        # Graphs key validate's memo: no field can change after
         # construction, and weak references to a graph work.
         with pytest.raises(AttributeError):
             a.weights = (-3, -2)
