@@ -19,6 +19,7 @@ M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import NamedTuple
 
 from .builders import _ade_type, _reach, build_ade
@@ -289,12 +290,14 @@ def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[Classif
     return _classify(g, max_steps=max_steps, special=False)[1]
 
 
-def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]]:
-    """For each position k: (terms, det) with a_p >= ceil(sum c_v a_v / det).
+def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[list, list, int]]:
+    """For each position k: (vertices, coefficients, det) with a_p >=
+    ceil(sum c_v a_v / det).
 
-    With p = order[k], U = order[k:] and det = det(-M_U), the terms pair
-    each assigned vertex v with c_v = sum of adj(-M_U)[p][u] over the
-    neighbours u of v in U, so that sum c_v a_v = (adj(-M_U) b)_p.  The
+    With p = order[k], U = order[k:] and det = det(-M_U), the vertices are
+    the assigned vertices v with a nonzero c_v = sum of adj(-M_U)[p][u]
+    over the neighbours u of v in U, in order, and the coefficients their
+    c_v, so that sum c_v a_v = (adj(-M_U) b)_p.  The
     adjugates are grown from the last position backwards by the bordering
     (Schur complement) update, all in exact integers: O(r^3) in all.  The
     dets are leading minors of -M, positive as the graph must be negative
@@ -317,12 +320,13 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[tuple, int]
         pos[p] = len(adj) - 1
         d = det
         row = adj[-1]
-        terms = []
+        vs, cs = [], []
         for v in order[:k]:
             c = sum(row[pos[u]] for u in g.neighbors(v) if u in pos)
             if c:
-                terms.append((v, c))
-        plans[k] = (tuple(terms), det)
+                vs.append(v)
+                cs.append(c)
+        plans[k] = (vs, cs, det)
     return plans
 
 
@@ -347,11 +351,14 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
     per cycle.
 
     Coefficients are assigned in the breadth-first order of
-    ``builders._reach`` from the lowest-index leaf (vertex 0 when there is
-    none), which reaches every vertex of a connected graph, depth first
-    with an explicit stack.  The interval of the vertex p being assigned
-    is cut from both sides by the pointwise definition Z.E_i <= 0 alone,
-    so nothing here uses the chain results or the theorem Z >= Z_0:
+    ``builders._reach``, which reaches every vertex of a connected graph,
+    depth first with an explicit stack.  The order starts at the first
+    leaf that a ``_reach`` from the lowest-index branch vertex (degree
+    > 2) meets, so that the fork and its short arms are assigned early and
+    their bounds cut the long arms; a chain starts at its lowest-index
+    leaf (vertex 0 when there is none).  The interval of the vertex p being
+    assigned is cut from both sides by the pointwise definition Z.E_i <= 0
+    alone, so nothing here uses the chain results or the theorem Z >= Z_0:
 
     - upper: unassigned coefficients are nonnegative, so each assigned
       neighbour u of p must keep its pairing over the assigned vertices,
@@ -363,66 +370,83 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
       and Plemmons), so a_p >= ((-M_U)^-1 b)_p, computed exactly as
       ceil(adj(-M_U) b / det(-M_U)) from ``_lower_bound_plans``.
 
+    Each position k has one step tuple, built once: p, its weight, its
+    neighbours, its assigned neighbours (the upper bound's), the lower
+    bound's vertices, coefficients and det, and box[p].  One update moves
+    a_p and the running pairings of p and its neighbours.
     Every vertex's pairing is final, and checked, once it and its
-    neighbours are assigned, so every leaf of the search is a result, and
-    the running pairing at a leaf is M.Z, appended with Z.
-    Cost: O(r^3) set-up plus O(r) per value tried; a cycle found costs two
-    list extends and one length check: BoxLimitError once the cycles
-    would hold more than MAX_BOX coefficients.  On E_8 the search tries
-    503 values for the 61 cycles at bound 6 and 1,708 for the 255 at
-    bound 9; with the neighbour bound ceil(S / -w_p) as the only lower
-    bound it tried 226,667 and 2,189,834.
+    neighbours are assigned, so every value in the last position's
+    interval is a leaf of the search and a result (the zero cycle
+    excepted).  That interval is appended in one inner loop, not one trip
+    through the main loop per value: each row is Z and the running
+    pairing, with a_p added to p's neighbours and w_p a_p to p, which
+    gives M.Z.  The MAX_BOX check runs once per interval, before its n
+    cycles are appended: BoxLimitError when the cycles would then hold
+    more than MAX_BOX coefficients, which refuses exactly the boxes whose
+    cycles hold more.
+    Cost: O(r^3) set-up plus O(r) per value tried, and two list extends
+    per cycle.  On E_8 the search tries 474 values for the 61 cycles at
+    bound 6 and 1,435 for the 255 at bound 9 (510 and 1,715 from the
+    lowest-index leaf); with the neighbour bound ceil(S / -w_p) as the
+    only lower bound it tried 226,667 and 2,189,834.  On D_12 at bound 12
+    the main loop runs 6,929 times for 3,543 cycles, against 80,239 from
+    the lowest-index leaf with one trip per cycle.
     """
     r = g.vertex_count
-    leaf = next((v for v in range(r) if len(g.neighbors(v)) == 1), 0)
-    order = _reach(g, leaf, set(range(r)))
-    plans = _lower_bound_plans(g, order)
+    nbrs = g._neighbors
+    branch = next((v for v in range(r) if len(nbrs[v]) > 2), None)
+    seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
+    order = _reach(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))
     rank = {v: k for k, v in enumerate(order)}
-    caps = [[u for u in g.neighbors(p) if rank[u] < k] for k, p in enumerate(order)]
+    steps = [
+        (p, g.weights[p], nbrs[p], [u for u in nbrs[p] if rank[u] < k], *plan, box[p])
+        for k, (p, plan) in enumerate(zip(order, _lower_bound_plans(g, order)))
+    ]
 
     zs: list[int] = []
     ps: list[int] = []
     coeffs = [0] * r
     pairing = [0] * r  # over the assigned coefficients only
     tops = [0] * r
-
-    def shift(k: int, step: int) -> None:
-        p = order[k]
-        coeffs[p] += step
-        pairing[p] += g.weights[p] * step
-        for q in g.neighbors(p):
-            pairing[q] += step
-
-    k, fresh = 0, True
+    k, fresh, last = 0, True, r - 1
+    get = coeffs.__getitem__
     while k >= 0:
-        p = order[k]
+        p, w, near, caps, vs, cs, det, hi = steps[k]
         if fresh:
-            terms, det = plans[k]
-            lo = -(-sum(c * coeffs[v] for v, c in terms) // det)
-            hi = box[p]
-            for u in caps[k]:
-                hi = min(hi, -pairing[u])
-            if lo > hi:
+            lo = -(-sum(map(mul, cs, map(get, vs))) // det)
+            for u in caps:
+                if -pairing[u] < hi:
+                    hi = -pairing[u]
+            if k == last:
+                if not (lo or any(coeffs)):  # only the first prefix is all zero, a_p still 0
+                    lo = 1  # not the zero cycle
+                if len(zs) + (hi - lo + 1) * r > MAX_BOX:
+                    raise BoxLimitError(f"the box holds more than {MAX_BOX} coefficients "
+                                        "of anti-nef cycles (cycles times vertices)")
+                for a in range(lo, hi + 1):  # p's pairing and its neighbours' lack a
+                    coeffs[p] = a
+                    zs += coeffs
+                    ps += pairing
+                    ps[p - r] += w * a
+                    for q in near:
+                        ps[q - r] += a
+            if k == last or lo > hi:
                 k, fresh = k - 1, False
                 continue
             tops[k] = hi
-            shift(k, lo)
+            step = lo
         elif coeffs[p] < tops[k]:
-            shift(k, 1)
+            step = 1
         else:
-            shift(k, -coeffs[p])
-            k -= 1
-            continue
-        if k == r - 1:
-            if any(coeffs):
-                if len(zs) > MAX_BOX - r:  # one more cycle would pass the limit
-                    raise BoxLimitError(f"the box holds more than {MAX_BOX} coefficients "
-                                        "of anti-nef cycles (cycles times vertices)")
-                zs += coeffs
-                ps += pairing
-            fresh = False
-        else:
+            step = -coeffs[p]
+        coeffs[p] += step
+        pairing[p] += w * step
+        for q in near:
+            pairing[q] += step
+        if fresh or step > 0:
             k, fresh = k + 1, True
+        else:
+            k -= 1
     return zs, ps
 
 

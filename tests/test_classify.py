@@ -57,6 +57,12 @@ STAR = DualGraph(
     (-2, -2, -3, -2, -2, -2, -2),
     [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
 )
+# A chain 0-1-2-3 into a -3 fork at 4 with arms 5-6 and 7: the branch
+# vertex is far from vertex 0, and its nearest leaf is 7.
+FAR_BRANCH = DualGraph(
+    (-2, -2, -2, -2, -3, -2, -2, -2),
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
+)
 
 
 class TestGuards:
@@ -144,6 +150,21 @@ class TestGuards:
         with pytest.raises(classify.BoxLimitError):
             oracle_classify(g, 10**9)
 
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_box_limit_at_its_edge_on_one_leaf_interval(self, monkeypatch, bound):
+        # On one vertex the whole box is the last position's interval: bound
+        # cycles of one coefficient each, checked before they are appended.
+        g = build_ade("A", 1)
+        monkeypatch.setattr(classify, "MAX_BOX", bound)
+        assert brute_force_anti_nef(g, bound) == [(a,) for a in range(1, bound + 1)]
+        monkeypatch.setattr(classify, "MAX_BOX", bound - 1)
+        with pytest.raises(classify.BoxLimitError) as refused:
+            brute_force_anti_nef(g, bound)
+        assert refused.value.args == (
+            f"the box holds more than {bound - 1} coefficients "
+            "of anti-nef cycles (cycles times vertices)",
+        )
+
     def test_box_search_refuses_indefinite_graph_in_time(self):
         # A -2 centre with five -2 leaves: Laufer's loop never ends on it.
         code = (
@@ -166,7 +187,11 @@ class TestGuards:
 class TestBruteForce:
     @pytest.mark.parametrize(
         "family, index, bound",
-        [("A", 3, 4), ("A", 5, 3), ("D", 4, 3), ("E", 6, 2), ("E", 7, 1), ("E", 8, 1)],
+        [
+            *(("A", 1, bound) for bound in (1, 2, 3)),  # one vertex: the box is one leaf interval
+            ("A", 3, 4), ("A", 5, 3), ("D", 4, 3), ("D", 6, 2),
+            ("E", 6, 2), ("E", 7, 1), ("E", 8, 1),
+        ],
     )
     def test_matches_naive_enumeration(self, family, index, bound):
         g = build_ade(family, index)
@@ -186,6 +211,50 @@ class TestBruteForce:
             bound -= 1
         assume(math.prod(bound * n + 1 for n in z0) <= 5000)
         assert brute_force_anti_nef(g, bound) == naive_anti_nef(g, bound)
+
+    @pytest.mark.parametrize(
+        "g, bounds",
+        [
+            (build_cyclic(5, 1), (1, 2, 3)),  # one vertex
+            (build_cyclic(13, 5), (1, 2, 3)),  # a chain
+            (FAR_BRANCH, (1, 2)),
+        ],
+    )
+    def test_matches_naive_enumeration_beyond_ade(self, g, bounds):
+        for bound in bounds:
+            assert brute_force_anti_nef(g, bound) == naive_anti_nef(g, bound)
+
+    @pytest.mark.parametrize(
+        "g, start",
+        [
+            *((build_ade("D", n), n - 2) for n in (5, 6, 12)),
+            (build_ade("E", 6), 5),
+            (build_ade("E", 7), 6),
+            (build_ade("E", 8), 7),
+            (  # a star: arms 2-1-0, 4 and 5-6 round a -3 centre, 3
+                DualGraph(
+                    (-2, -2, -2, -3, -2, -2, -2), [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (5, 6)]
+                ),
+                4,
+            ),
+            (FAR_BRANCH, 7),
+            *((build_ade("A", n), 0) for n in (1, 2, 5)),
+            (DualGraph((-2, -2, -2), [(0, 1), (0, 2)]), 1),  # a chain: its lowest-index leaf
+        ],
+    )
+    def test_search_starts_at_the_leaf_nearest_a_branch_vertex(self, monkeypatch, g, start):
+        # The order is seen through the plans it is handed; the results
+        # are sorted, so they cannot show it.
+        orders = []
+        plans = classify._lower_bound_plans
+
+        def spy(g, order):
+            orders.append(order)
+            return plans(g, order)
+
+        monkeypatch.setattr(classify, "_lower_bound_plans", spy)
+        brute_force_anti_nef(g, 1)
+        assert [order[0] for order in orders] == [start]
 
     def test_every_result_is_anti_nef_and_in_box(self):
         g = STAR
@@ -620,6 +689,20 @@ def test_box_search_pairs_each_cycle_with_its_pairing(g):
     for z, p in found:
         assert p == pairing_vector(g, z)
         assert _pointwise(g, z, record, p) == _pointwise(g, z, record)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(), st.integers(1, 3), st.data())
+def test_box_search_order_cannot_be_seen(g, bound, data):
+    # Relabelling moves the search's start leaf and its order, but the
+    # cycles come out relabelled and sorted all the same.
+    rep = validate(g)
+    assume(rep.connected and rep.negative_definite and rep.rational)
+    perm = data.draw(st.permutations(range(g.vertex_count)))  # vertex i becomes perm[i]
+    back = sorted(range(g.vertex_count), key=perm.__getitem__)  # perm[back[j]] == j
+    h = DualGraph([g.weights[i] for i in back], [(perm[i], perm[j]) for i, j in g.edges])
+    relabel = lambda z: tuple(z[i] for i in back)
+    assert brute_force_anti_nef(h, bound) == sorted(map(relabel, brute_force_anti_nef(g, bound)))
 
 
 def test_walk_keeps_only_k_steps_past_max_depth():
