@@ -2,14 +2,17 @@
 
 Provides the ADE families, cyclic quotient chains via Hirzebruch-Jung
 continued fractions, a line-oriented text format for user-supplied graphs,
-and the connectedness and negative-definiteness tests that the validator
-(``invariants.validate``) runs once per graph.
+the breadth-first search that splits a graph into components, and the
+connectedness and negative-definiteness tests.  The validator
+(``invariants.validate``) certifies each component with Laufer's loop and
+runs the exact elimination of ``is_negative_definite`` only on a
+component whose loop passes its bump budget.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import operator
 
 from .lattice import DualGraph
 
@@ -34,7 +37,7 @@ class GraphFormatError(ValueError):
 def _ade_type(family: str, index: int) -> tuple[str, int]:
     """(upper-cased family, n) of an ADE type; ValueError unless the family
     is A, D or E and n >= 1, n >= 4 or n in {6, 7, 8} respectively."""
-    family, n = family.upper(), int(index)
+    family, n = family.upper(), operator.index(index)
     need = {"A": "n >= 1", "D": "n >= 4", "E": "n in {6, 7, 8}"}.get(family)
     if need is None:
         raise ValueError(f"unknown family {family!r}, expected one of A, D, E")
@@ -73,7 +76,7 @@ def hj_expansion(n: int, q: int) -> list[int]:
     b = ceil(n/q) and recurses on (q, b*q - n).  ValueError once the
     expansion would pass MAX_VERTICES terms.
     """
-    n, q = int(n), int(q)
+    n, q = operator.index(n), operator.index(q)
     if not 1 <= q < n:
         raise ValueError(f"need 1 <= q < n, got q={q}, n={n}")
     if math.gcd(n, q) != 1:
@@ -120,7 +123,7 @@ def parse_graph(text: str) -> DualGraph:
         if directive == "vertices":
             if r is not None:
                 raise GraphFormatError("duplicate 'vertices' directive", lineno)
-            r = _int_arg(args, 0, 1, "vertices", lineno)
+            (r,) = _int_args(args, 1, "vertices", lineno)
             if r < 1:
                 raise GraphFormatError(f"vertex count must be >= 1, got {r}", lineno)
             if r > MAX_VERTICES:
@@ -130,8 +133,7 @@ def parse_graph(text: str) -> DualGraph:
         if r is None:
             raise GraphFormatError("'vertices' must be the first directive", lineno)
         if directive == "weight":
-            i = _int_arg(args, 0, 2, "weight", lineno)
-            w = _int_arg(args, 1, 2, "weight", lineno)
+            i, w = _int_args(args, 2, "weight", lineno)
             if not 1 <= i <= r:
                 raise GraphFormatError(f"vertex {i} out of range 1..{r}", lineno)
             if i in weight_seen:
@@ -143,8 +145,7 @@ def parse_graph(text: str) -> DualGraph:
             weight_seen.add(i)
             weights[i - 1] = w
         elif directive == "edge":
-            i = _int_arg(args, 0, 2, "edge", lineno)
-            j = _int_arg(args, 1, 2, "edge", lineno)
+            i, j = _int_args(args, 2, "edge", lineno)
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}", lineno)
             if not (1 <= i <= r and 1 <= j <= r):
@@ -162,17 +163,21 @@ def parse_graph(text: str) -> DualGraph:
     return DualGraph(weights, edges)
 
 
-def _int_arg(args: list[str], pos: int, want: int, directive: str, lineno: int) -> int:
+def _int_args(args: list[str], want: int, directive: str, lineno: int) -> list[int]:
+    """The ``want`` integers of a directive, in order; GraphFormatError on
+    any other argument count, else naming the first argument that is not
+    an integer."""
     if len(args) != want:
         raise GraphFormatError(
             f"'{directive}' takes {want} argument(s), got {len(args)}", lineno
         )
+    out = []
     try:
-        return int(args[pos])
+        for a in args:
+            out.append(int(a))
     except ValueError:
-        raise GraphFormatError(
-            f"'{directive}' argument {args[pos]!r} is not an integer", lineno
-        ) from None
+        raise GraphFormatError(f"'{directive}' argument {a!r} is not an integer", lineno) from None
+    return out
 
 
 def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
@@ -197,66 +202,41 @@ def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     return bool(verts) and len(_reach(g, min(verts), set(verts))) == len(verts)
 
 
-def _leading_minors(m) -> Iterator[int]:
-    """Leading principal minors D_k = det(m[:k][:k]) for k=1..r of a symmetric m.
-
-    ``m`` is a list of rows, each a {column: entry} dict; only the upper
-    triangle is read.  One Bareiss fraction-free elimination without row
-    exchanges (Bareiss 1968): pivot k is D_{k+1}, and every entry is an
-    integer minor, so each division is exact.  Rows are kept sparse.
-    Step k rewrites only the rows i with m[k][i] != 0; any other row would
-    just be multiplied by D_{k+1}/D_k, so it is rescaled once, by D_k/D_s
-    since its last rewrite at step s, when next read.  Yields the minors
-    in order and stops after the first one <= 0.  Cost: O(r + fill-in)
-    entry updates, so O(r) on a path and at most the O(r^3) of a dense
-    pass.
-    """
-    rows = []
-    for i, row in enumerate(m):
-        rows.append({j: x for j, x in row.items() if j >= i and x})
-    minors = [1]  # D_0, D_1, ...
-    level = [0] * len(rows)  # rows[i] holds its entries as of step level[i]
-
-    def read(i: int, k: int) -> dict[int, int]:
-        s = level[i]
-        if s != k:
-            d, ds = minors[k], minors[s]
-            rows[i] = {j: x * d // ds for j, x in rows[i].items()}
-            level[i] = k
-        return rows[i]
-
-    for k in range(len(rows)):
-        pivot_row = read(k, k)
-        p = pivot_row.get(k, 0)
-        yield p
-        if p <= 0:
-            return
-        prev = minors[k]
-        for i, f in pivot_row.items():
-            if i == k:
-                continue
-            upd = {j: x * p for j, x in read(i, k).items()}
-            for j, y in pivot_row.items():
-                if j >= i:
-                    upd[j] = upd.get(j, 0) - f * y
-            rows[i] = {j: x // prev for j, x in upd.items() if x}
-            level[i] = k + 1
-        minors.append(p)
-
-
 def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
     """Sylvester's criterion on -M, or on its block over ``vertices`` (the
-    induced subgraph): all leading principal minors positive.
+    induced subgraph): every pivot of its symmetric elimination without
+    row exchanges is positive (pivot k is D_k/D_{k-1}, a ratio of leading
+    principal minors).
 
-    The minors are the pivots of one sparse Bareiss pass over -M, which
-    stops at the first pivot <= 0: O(r + fill-in) for r vertices, O(r) on
-    a chain.
+    Exact over the integers, on the sparse upper triangle of -M: row i
+    holds c_i > 0 times its row of the current Schur complement.  Step k
+    rewrites only the rows i with an entry f at (k, i), as c_k p row_i -
+    c_i f row_k with p the pivot entry of row k, and divides that row and
+    its c_i by their gcd.  It stops at the first pivot <= 0.  Cost: O(r +
+    fill-in) entry updates, so O(r) on a path and at most O(r^3) on a
+    dense block.
     """
     verts = range(g.vertex_count) if vertices is None else sorted(vertices)
     pos = {v: k for k, v in enumerate(verts)}
     rows = [{k: -g.weights[v]} for k, v in enumerate(verts)]
     for v, k in pos.items():
-        for u in g.neighbors(v):
-            if u in pos:
+        for u in g._neighbors[v]:
+            if pos.get(u, -1) > k:
                 rows[k][pos[u]] = -1
-    return all(d > 0 for d in _leading_minors(rows))
+    scales = [1] * len(rows)
+    for k, row in enumerate(rows):
+        p = row.pop(k, 0)  # the rest of row k lies right of the diagonal
+        if p <= 0:
+            return False
+        cp = scales[k] * p
+        for i, f in row.items():
+            ci = scales[i]
+            cf = ci * f
+            upd = {j: cp * x for j, x in rows[i].items()}
+            for j, y in row.items():
+                if j >= i:
+                    upd[j] = upd.get(j, 0) - cf * y
+            d = math.gcd(ci * cp, *upd.values())
+            rows[i] = {j: x // d for j, x in upd.items() if x}
+            scales[i] = ci * cp // d
+    return True

@@ -19,6 +19,7 @@ M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
 from __future__ import annotations
 
 import itertools
+import operator
 from operator import mul
 from typing import NamedTuple
 
@@ -37,7 +38,8 @@ from .lattice import Cycle, DualGraph, _rows, scale
 
 
 # The most coefficients (cycles times r) the oracle's box search may hold.
-# It is checked as each cycle is found, so a box with more is refused with
+# It is checked once per interval of the last vertex's values, before that
+# interval's cycles are appended, so a box with more is refused with
 # BoxLimitError before its cycles exhaust time or memory, whatever its
 # bound.  E_8 at bound 25, 33,723 cycles, holds 269,784.
 MAX_BOX = 1_000_000
@@ -555,7 +557,7 @@ def verify_rdp(family: str, index: int) -> RdpVerification:
     matched = not missing and not extra and not mismatches and len(actual) == count
     return RdpVerification(
         family=family.upper(),
-        index=int(index),
+        index=operator.index(index),
         matched=matched,
         expected=expected,
         actual=actual,

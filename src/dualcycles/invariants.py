@@ -21,7 +21,7 @@ import operator
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .builders import is_connected, is_negative_definite
+from .builders import _reach, is_connected, is_negative_definite
 from .lattice import (
     Cycle,
     CycleError,
@@ -101,9 +101,9 @@ def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int]] | N
     then -M over ``verts`` is an irreducible Z-matrix, and it is a
     nonsingular M-matrix, so positive definite being symmetric, exactly
     when M.Z != 0 (Berman and Plemmons); M.Z = 0 makes Z^2 = 0.  Past a
-    budget of 8 bumps a vertex plus 64, one sparse Bareiss pass
-    (``is_negative_definite``) decides instead, and the loop then runs
-    unbounded on a definite set.
+    budget of 8 bumps a vertex plus 64, one exact integer elimination over
+    ``verts`` alone (``is_negative_definite``) decides instead, and the
+    loop then runs unbounded on a definite set.
     """
     found = _laufer(g, verts, 8 * len(verts) + 64)
     if found is None:
@@ -120,7 +120,7 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     support given, InvalidGraphError when the graph is not connected, then
     when it is not negative definite (``validate``'s wording).  The
     definiteness test is Laufer's loop itself (``_certified``), with one
-    sparse Bareiss pass over the support's induced subgraph only past its
+    integer elimination over the support's induced subgraph only past its
     bump budget; on the full support of a valid graph Z_0 is read from
     ``validate``'s report.
     """
@@ -178,15 +178,21 @@ def validate(g: DualGraph) -> ValidationReport:
     the first of them "graph is not connected" or "intersection matrix is
     not negative definite" when Z_0 is not computable.
 
-    One graph search and one Laufer loop, which certifies definiteness
-    and gives Z_0 and M.Z_0 (``_certified``); a disconnected graph gets
-    one sparse Bareiss pass instead.  Memoised on graph equality, so
-    every caller on one graph shares one report, and a long-running
-    process holds a bounded set of graphs.
+    One breadth-first search per component (``builders._reach``), and
+    Laufer's loop on each component (``_certified``), which certifies its
+    definiteness; on a connected graph the loop runs over the vertices in
+    index order and gives Z_0 and M.Z_0.  No elimination runs over more
+    than one component, and the first component that is not definite
+    ends the check.  Memoised on graph equality, so every caller on one
+    graph shares one report, and a long-running process holds a bounded
+    set of graphs.
     """
-    connected = is_connected(g)
-    found = _certified(g, range(g.vertex_count)) if connected else None
-    definite = found is not None if connected else is_negative_definite(g)
+    left = set(range(g.vertex_count))
+    parts = (_reach(g, v, left) for v in range(g.vertex_count) if v in left)
+    first = next(parts)
+    connected = not left  # the first search reached every vertex
+    found = _certified(g, range(g.vertex_count) if connected else first)
+    definite = found is not None and all(_certified(g, c) for c in parts)
     failures = []
     if not connected:
         failures.append("graph is not connected")
@@ -196,7 +202,7 @@ def validate(g: DualGraph) -> ValidationReport:
     if bad_weights:
         failures.append(f"weights > -2 at vertices {bad_weights} (not a minimal resolution)")
     tree = connected and len(g.edges) == g.vertex_count - 1
-    if found is None:
+    if not (connected and definite):
         failures.append(
             "rationality/Gorenstein-ness undetermined (needs a connected, "
             "negative definite graph)"

@@ -39,12 +39,13 @@ class DualGraph:
     __slots__ = ("weights", "edges", "_neighbors", "__weakref__")
 
     def __init__(self, weights, edges):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(operator.index, weights))
         if not weights:
             raise ValueError("a dual graph needs at least one vertex")
         r = len(weights)
         norm = set()
         for i, j in edges:
+            i, j = operator.index(i), operator.index(j)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i + 1}")
             if not (0 <= i < r and 0 <= j < r):
@@ -90,7 +91,7 @@ class DualGraph:
         return self._neighbors[i]
 
     def check_cycle(self, z: Cycle) -> Cycle:
-        z = tuple(map(int, z))
+        z = tuple(map(operator.index, z))
         if len(z) != self.vertex_count:
             raise DimensionError(
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"

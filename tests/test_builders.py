@@ -11,7 +11,6 @@ from dualcycles import builders
 from dualcycles.builders import (
     MAX_VERTICES,
     GraphFormatError,
-    _leading_minors,
     build_ade,
     build_cyclic,
     hj_expansion,
@@ -34,14 +33,9 @@ def minus_m(g: DualGraph) -> list[list[int]]:
     return m
 
 
-def dict_rows(m: list[list[int]]) -> list[dict[int, int]]:
-    """Dense rows as the {column: entry} rows that ``_leading_minors`` reads."""
-    return [dict(enumerate(row)) for row in m]
-
-
 def _det(m: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination with row
-    exchanges: the dense reference for the sparse pass."""
+    exchanges: the dense reference for the sparse elimination."""
     n = len(m)
     a = [row[:] for row in m]
     sign = 1
@@ -63,9 +57,9 @@ def _det(m: list[list[int]]) -> int:
 
 
 def last_pivot(g: DualGraph) -> int:
-    """The last pivot of one sparse Bareiss pass over -M: det(-M) on a
-    negative definite graph, the order of its discriminant group."""
-    return list(_leading_minors(dict_rows(minus_m(g))))[-1]
+    """det(-M), the last leading principal minor of -M: on a negative
+    definite graph, the order of its discriminant group."""
+    return _det(minus_m(g))
 
 
 def continued_fraction_value(bs):
@@ -229,6 +223,12 @@ class TestParse:
             ("vertices 2\nfrobnicate 1\n", "unknown directive"),
             ("vertices 2\nedge 1\n", "argument"),
             ("vertices two\n", "not an integer"),
+            # The count first, then the first argument that is not an
+            # integer, then the range.
+            ("vertices 2\nweight x\n", "'weight' takes 2 argument"),
+            ("vertices 2\nweight 9 x\n", "'weight' argument 'x' is not an integer"),
+            ("vertices 2\nedge x y\n", "'edge' argument 'x' is not an integer"),
+            ("vertices 2\nedge 1 1.0\n", "'edge' argument '1.0' is not an integer"),
             ("", "missing 'vertices'"),
         ],
     )
@@ -319,22 +319,10 @@ class TestNegativeDefinite:
 
 
 @st.composite
-def symmetric_matrices(draw) -> list[list[int]]:
-    """Symmetric integer matrices up to 6x6; small entries make zero and
-    negative leading minors common."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = draw(st.integers(-3, 4))
-    return m
-
-
-@st.composite
 def random_graphs(draw) -> DualGraph:
-    """Graphs up to 7 vertices with weights in -4..1 and arbitrary edges."""
+    """Graphs up to 7 vertices with weights in -12..1 and arbitrary edges."""
     n = draw(st.integers(min_value=1, max_value=7))
-    weights = draw(st.lists(st.integers(-4, 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(-12, 1), min_size=n, max_size=n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return DualGraph(weights, edges)
@@ -361,8 +349,8 @@ def relabel(g: DualGraph, order: list[int]) -> DualGraph:
 
 
 # Graphs whose elimination leaves rows untouched for many steps before
-# reading them, or fills rows in: the lazy rescaling and the sparse
-# updates must give the dense pass's pivots.
+# reading them, or fills rows in: each row's own scale and the sparse
+# updates must give the dense minors' verdict.
 SKIPPED_ROW_GRAPHS = {
     "star-centre-last": star(8, -5, centre_last=True),
     "star-centre-last-indefinite": star(8, -3, centre_last=True),
@@ -381,25 +369,17 @@ SKIPPED_ROW_GRAPHS = {
 class TestLeadingMinors:
     @pytest.mark.parametrize("g", SKIPPED_ROW_GRAPHS.values(), ids=SKIPPED_ROW_GRAPHS)
     def test_skipped_rows_match_block_determinants(self, g):
-        m = minus_m(g)
-        minors = block_minors(m)
-        stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
-        assert list(_leading_minors(dict_rows(m))) == minors[: stop + 1]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
-        assert list(_leading_minors(sparse)) == minors[: stop + 1]
-        assert is_negative_definite(g) == all(d > 0 for d in minors)
-
-    @settings(max_examples=300, deadline=None)
-    @given(symmetric_matrices())
-    def test_pivots_equal_block_determinants(self, m):
-        minors = block_minors(m)
-        stop = next((k for k, d in enumerate(minors) if d <= 0), len(m) - 1)
-        assert list(_leading_minors(dict_rows(m))) == minors[: stop + 1]
-
-    @settings(max_examples=300, deadline=None)
-    @given(random_graphs())
-    def test_sylvester_verdict(self, g):
         assert is_negative_definite(g) == all(d > 0 for d in block_minors(minus_m(g)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(), st.data())
+    def test_sylvester_verdict(self, g, data):
+        m = minus_m(g)
+        assert is_negative_definite(g) == all(d > 0 for d in block_minors(m))
+        # ... and on the block of any sub-support, connected or not.
+        verts = sorted(data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1)))
+        block = [[m[i][j] for j in verts] for i in verts]
+        assert is_negative_definite(g, frozenset(verts)) == all(d > 0 for d in block_minors(block))
 
     def test_validate_scales_to_rank_300(self):
         # one elimination pass takes about a second on a 2-vCPU machine;

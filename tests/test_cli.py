@@ -196,16 +196,16 @@ class TestFundamentalCommand:
         assert err == f"error: support {support!r} is not a comma-separated integer list\n"
 
     def test_one_bareiss_pass(self, tmp_path, monkeypatch):
-        # None on a connected definite graph, whose Laufer loop certifies
-        # it; one on a graph whose loop runs past its bump budget.
+        # No elimination on a connected definite graph, whose Laufer loop
+        # certifies it; one on a graph whose loop runs past its bump budget.
         passes = []
-        real = builders._leading_minors
+        real = builders.is_negative_definite
 
-        def spy(m):
-            passes.append(m)
-            return real(m)
+        def spy(g, vertices=None):
+            passes.append(vertices)
+            return real(g, vertices)
 
-        monkeypatch.setattr(builders, "_leading_minors", spy)
+        monkeypatch.setattr(invariants, "is_negative_definite", spy)
         invariants.validate.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")
         assert (code, len(passes)) == (EXIT_OK, 0)

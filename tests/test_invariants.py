@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +14,7 @@ from dualcycles import builders, classify, invariants
 from dualcycles.builders import (
     build_ade,
     build_cyclic,
+    hj_expansion,
     is_connected,
     is_negative_definite,
 )
@@ -42,6 +44,7 @@ from dualcycles.lattice import (
     sub,
     virtual_genus,
 )
+from test_builders import block_minors, minus_m, random_graphs
 from test_census import graph_of, tree_classes
 from test_lattice import add, intersection
 
@@ -52,7 +55,8 @@ STAR = DualGraph(
 
 # A definite caterpillar: a spine of nine -2 vertices, each with a -11
 # leaf.  Laufer's loop needs 360 bumps to reach Z_0, past its budget of
-# 8 * 18 + 64, so a Bareiss pass decides definiteness.
+# 8 * 18 + 64, so an elimination (``is_negative_definite``) decides
+# definiteness.
 CATERPILLAR = DualGraph(
     (-2,) * 9 + (-11,) * 9, [(i, i + 1) for i in range(8)] + [(i, 9 + i) for i in range(9)]
 )
@@ -206,11 +210,11 @@ class TestGraphChecks:
         assert InvalidGraphError is classify.InvalidGraphError is dualcycles.InvalidGraphError
 
     def test_validation_does_its_work_once(self, monkeypatch):
-        # One graph search per fresh graph and no Bareiss pass on a
-        # connected definite graph, whose Laufer loop certifies it; one
-        # pass on a graph whose loop runs past its budget.  Shared by the
-        # validator, Z_0 and the classifiers.
-        calls = {"minors": 0, "search": 0}
+        # One component search per fresh connected graph and no
+        # elimination on a definite one, whose Laufer loop certifies it;
+        # one elimination on a graph whose loop runs past its budget.
+        # Shared by the validator, Z_0 and the classifiers.
+        calls = {"eliminations": 0, "search": 0}
 
         def counting(key, fn):
             def wrapper(*args):
@@ -218,23 +222,22 @@ class TestGraphChecks:
                 return fn(*args)
             return wrapper
 
-        minors = counting("minors", builders._leading_minors)
-        search = counting("search", builders.is_connected)
-        monkeypatch.setattr(builders, "_leading_minors", minors)
-        monkeypatch.setattr(builders, "is_connected", search)
-        monkeypatch.setattr(invariants, "is_connected", search)
+        eliminate = counting("eliminations", builders.is_negative_definite)
+        monkeypatch.setattr(invariants, "is_negative_definite", eliminate)
+        monkeypatch.setattr(invariants, "_reach", counting("search", builders._reach))
+        monkeypatch.setattr(invariants, "is_connected", counting("search", builders.is_connected))
         invariants.validate.cache_clear()  # every graph is fresh
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
         assert validate(g).ok and validate(g) is validate(g)
-        assert calls == {"minors": 0, "search": 1}
+        assert calls == {"eliminations": 0, "search": 1}
         fundamental_cycle(g)
         validate(g)
         classify.enumerate_ulrich(g)
-        assert calls == {"minors": 0, "search": 1}
+        assert calls == {"eliminations": 0, "search": 1}
         assert validate(CATERPILLAR).negative_definite
-        assert calls == {"minors": 1, "search": 2}
+        assert calls == {"eliminations": 1, "search": 2}
         assert fundamental_cycle(CATERPILLAR) == CATERPILLAR_Z0
-        assert calls == {"minors": 1, "search": 2}
+        assert calls == {"eliminations": 1, "search": 2}
 
 
 def budget(verts) -> int:
@@ -283,7 +286,7 @@ def connected_graphs(draw) -> DualGraph:
 
 
 class TestDefinitenessCertificate:
-    """``_certified`` decides definiteness as the Bareiss pass does."""
+    """``_certified`` decides definiteness as the elimination does."""
 
     def test_every_six_vertex_tree_class(self):
         outcomes = {"certified": 0, "null": 0, "budget": 0}
@@ -323,8 +326,9 @@ class TestDefinitenessCertificate:
 
     def test_budget_fallback(self, monkeypatch):
         passes = []
-        real = builders._leading_minors
-        monkeypatch.setattr(builders, "_leading_minors", lambda m: passes.append(m) or real(m))
+        real = builders.is_negative_definite
+        monkeypatch.setattr(invariants, "is_negative_definite",
+                            lambda g, verts: passes.append(verts) or real(g, verts))
         verts = range(CATERPILLAR.vertex_count)
         assert _laufer(CATERPILLAR, verts, budget(verts)) is None  # 360 bumps needed
         z, pairing = _certified(CATERPILLAR, verts)
@@ -332,10 +336,60 @@ class TestDefinitenessCertificate:
         assert tuple(z.values()) == CATERPILLAR_Z0
         assert tuple(pairing.values()) == pairing_vector(CATERPILLAR, CATERPILLAR_Z0)
         assert _laufer(CATERPILLAR, verts, 360) is not None
-        # An indefinite graph runs past the budget too; Bareiss refuses it.
+        # An indefinite graph runs past the budget too; the elimination
+        # refuses it.
         star = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
         assert _certified(star, range(6)) is None
         assert len(passes) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.one_of(random_graphs(), connected_graphs(), st.sampled_from(
+            [CATERPILLAR, INVALID_GRAPHS["indefinite-star"][0], build_ade("E", 8)])),
+        min_size=2, max_size=4))
+    def test_disjoint_unions(self, parts):
+        # validate certifies each component on its own: its verdict is the
+        # dense one, and no elimination runs when every component's loop
+        # stops within its budget.  E_8's loop takes 21 bumps on 8
+        # vertices, so a budget cut to a bump a vertex fails here.
+        weights, edges, comps = [], [], []
+        for part in parts:
+            base = len(weights)
+            weights += part.weights
+            edges += [(base + i, base + j) for i, j in part.edges]
+            left = set(range(part.vertex_count))
+            comps += [[base + v for v in builders._reach(part, s, left)]
+                      for s in range(part.vertex_count) if s in left]
+        g = DualGraph(weights, edges)
+        invariants.validate.cache_clear()
+        with mock.patch.object(invariants, "is_negative_definite",
+                               wraps=builders.is_negative_definite) as eliminate:
+            report = validate(g)
+        assert report.negative_definite == all(d > 0 for d in block_minors(minus_m(g)))
+        assert not report.connected
+        stopped = [_laufer(g, c, budget(c)) is not None for c in comps]
+        if all(stopped):
+            assert eliminate.call_count == 0
+        assert eliminate.call_count <= stopped.count(False)
+
+
+# Numbers that are not integers, at the public entry points.  int() once
+# truncated each of them but the edge end to a neighbouring integer.
+NON_INTEGRAL = {
+    "weight": lambda: DualGraph((-2.7, -2), [(0, 1)]),
+    "edge-end": lambda: DualGraph((-2, -2), [(0, 1.0)]),
+    "cycle": lambda: colength(build_ade("A", 3), (1.9, 1.2, 1.0)),
+    "ade-index": lambda: build_ade("A", 3.5),
+    "hj-n": lambda: hj_expansion(7.5, 3),
+    "hj-q": lambda: hj_expansion(7, 3.0),
+    "rdp-index": lambda: classify.verify_rdp("E", 6.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGRAL.values(), ids=list(NON_INTEGRAL))
+def test_non_integral_numbers_are_refused(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestIdealInvariants:
