@@ -36,13 +36,16 @@ class GraphFormatError(ValueError):
 
 def _ade_type(family: str, index: int) -> tuple[str, int]:
     """(upper-cased family, n) of an ADE type; ValueError unless the family
-    is A, D or E and n >= 1, n >= 4 or n in {6, 7, 8} respectively."""
+    is A, D or E and n >= 1, n >= 4 or n in {6, 7, 8} respectively, and
+    unless n <= MAX_VERTICES."""
     family, n = family.upper(), operator.index(index)
     need = {"A": "n >= 1", "D": "n >= 4", "E": "n in {6, 7, 8}"}.get(family)
     if need is None:
         raise ValueError(f"unknown family {family!r}, expected one of A, D, E")
     if not (n >= 1 if family == "A" else n >= 4 if family == "D" else n in (6, 7, 8)):
         raise ValueError(f"{family}_n requires {need}, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{family}_{n} has more than {MAX_VERTICES} vertices")
     return family, n
 
 
@@ -55,8 +58,6 @@ def build_ade(family: str, index: int) -> DualGraph:
     ValueError on an n above MAX_VERTICES, before any edge is built.
     """
     family, n = _ade_type(family, index)
-    if n > MAX_VERTICES:
-        raise ValueError(f"{family}_{n} has more than {MAX_VERTICES} vertices")
     if family == "A":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "D":

@@ -220,14 +220,15 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     else "special" (the K bit puts every heavy vertex in the surviving
     set, so an Ulrich cycle is special).  Equal lists are returned
     as one list object.  Errors come in this order: InvalidGraphError,
-    ValueError on a max_colength below 1, then on a negative max_steps,
-    then ChainDepthError from the walk (only when the Ulrich list is asked
+    TypeError on a cap that is not an integer, ValueError on a
+    max_colength below 1, then on a negative max_steps, then
+    ChainDepthError from the walk (only when the Ulrich list is asked
     for), then those of ``_columns``.
     """
-    r10 = 10 * g.vertex_count  # the default of both caps
-    max_colength = r10 if max_colength is None else max_colength
-    max_steps = r10 if max_steps is None else max_steps
     record = _rational(g)
+    r10 = 10 * g.vertex_count  # the default of both caps
+    max_colength = r10 if max_colength is None else operator.index(max_colength)
+    max_steps = r10 if max_steps is None else operator.index(max_steps)
     if max_colength < 1:
         raise ValueError("max_colength must be >= 1")
     if max_steps < 0:
@@ -337,8 +338,8 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     sorted.  Z_0 is ``fundamental_cycle(g)``, so a graph that is not
     connected, then one that is not negative definite, raises its
     InvalidGraphError; BoxLimitError when the cycles would hold more than
-    MAX_BOX coefficients."""
-    if bound < 1:
+    MAX_BOX coefficients; TypeError on a bound that is not an integer."""
+    if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
     z0 = fundamental_cycle(g)
     return sorted(_rows(_box_search(g, scale(bound, z0))[0], len(z0)))
@@ -458,9 +459,10 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     pointwise tests.  One ``_columns`` call reads every boxed cycle's
     verdicts off the flat lists of ``_box_search``, pairings included;
     only the special and Ulrich rows become tuples.  BoxLimitError as in
-    ``brute_force_anti_nef``."""
+    ``brute_force_anti_nef``, and TypeError on a bound that is not an
+    integer."""
     record = _rational(g)
-    if bound < 1:
+    if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
     zs, ps = _box_search(g, scale(bound, record.z0))
     special, ulrich = _columns(g, zs, ps, record)[4:]

@@ -122,17 +122,18 @@ def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> C
     definiteness test is Laufer's loop itself (``_certified``), with one
     integer elimination over the support's induced subgraph only past its
     bump budget; on the full support of a valid graph Z_0 is read from
-    ``validate``'s report.
+    ``validate``'s report.  TypeError, first, on a support vertex that is
+    not an integer.
     """
     everything = frozenset(range(g.vertex_count))
-    if vertices is None or vertices == everything:
+    verts = None if vertices is None else frozenset(map(operator.index, vertices))
+    if verts is None or verts == everything:
         record = validate(g)
         if record.z0 is not None:
             return record.z0
-        if vertices is None:  # Z_0 needs a connected, negative definite graph
+        if verts is None:  # Z_0 needs a connected, negative definite graph
             raise InvalidGraphError(record.failures[0])
-        vertices = everything  # the checks below say what is wrong
-    verts = frozenset(vertices)
+        verts = everything  # the checks below say what is wrong
     if not verts:
         raise ValueError("fundamental cycle needs a nonempty support")
     if not verts <= everything:

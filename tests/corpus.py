@@ -1,0 +1,262 @@
+"""The shared test corpus: every graph, Hypothesis strategy, reference
+search and helper that more than one test module uses, defined once.
+
+This is not a test module, so pytest does not collect it; the test
+modules import it as ``corpus`` (the CI drivers run with
+``PYTHONPATH=src:tests``), and no test module imports another.  Its
+references (the census encoding, intersection numbers, dense
+determinants and flood-fill components) use only the public
+constructors of ``dualcycles`` and ``DualGraph.neighbors``, never the
+code they check; ``chain_cycles_in_box`` is the chain route itself, as
+the oracle comparisons read it.
+"""
+
+import collections
+import functools
+import math
+import os
+import subprocess
+import sys
+
+from hypothesis import strategies as st
+
+import dualcycles
+from dualcycles import (
+    DualGraph,
+    build_ade,
+    build_cyclic,
+    enumerate_special,
+    enumerate_ulrich,
+    fundamental_cycle,
+)
+
+# A -3 centre with arms 1-0, 3-4 and 5-6: rational, not Gorenstein,
+# multiplicity 3, and its special cycles are its three Ulrich cycles.
+STAR = DualGraph(
+    (-2, -2, -3, -2, -2, -2, -2),
+    [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
+)
+
+# A -2 centre with five -2 leaves: not negative definite, and Laufer's loop
+# never ends on it.
+INDEFINITE_STAR = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
+
+# Negative definite but not rational: p_a(Z_0) = 1.
+NON_RATIONAL_TREE = DualGraph(
+    (-3, -2, -2, -2, -3, -2, -2, -2, -3),
+    [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 7), (5, 6), (5, 8)],
+)
+
+# A definite caterpillar: a spine of nine -2 vertices, each with a -11
+# leaf.  Laufer's loop needs 360 bumps to reach Z_0, past its budget of
+# 8 * 18 + 64, so an elimination (``is_negative_definite``) decides
+# definiteness.
+CATERPILLAR = DualGraph(
+    (-2,) * 9 + (-11,) * 9, [(i, i + 1) for i in range(8)] + [(i, 9 + i) for i in range(9)]
+)
+CATERPILLAR_Z0 = (17, 32, 44, 52, 55, 52, 44, 32, 17, 2, 3, 4, 5, 5, 5, 4, 3, 2)
+
+# Small ADE graphs, cyclic quotients and STAR, where the chain route must
+# equal the oracle at bound 4; each entry names its graph for oracle_graph.
+ORACLE_CORPUS = (
+    [("ade", f, n) for f, rng in (("A", range(1, 7)), ("D", range(4, 7)), ("E", (6,))) for n in rng]
+    + [("cyclic", n, q) for n in range(3, 9) for q in range(2, n) if math.gcd(n, q) == 1]
+    + [("star", 0, 0)]
+)
+
+
+def oracle_graph(kind, a, b) -> DualGraph:
+    """The graph of one ORACLE_CORPUS entry."""
+    if kind == "ade":
+        return build_ade(a, b)
+    return build_cyclic(a, b) if kind == "cyclic" else STAR
+
+
+# The tree census: every tree with weights in WEIGHTS up to isomorphism,
+# one encoding per class.  A tree rooted at a centre is written with each
+# vertex as "(" + its -weight + its children's encodings in sorted order
+# + ")", and a class's encoding is the least such string over its one or
+# two centres.
+WEIGHTS = (-2, -3, -4)
+
+
+def canonical(weights, edges) -> str:
+    """The least rooted encoding of the tree over its centres."""
+    nbrs = collections.defaultdict(list)
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    centres = set(range(len(weights)))
+    while len(centres) > 2:  # strip the leaves until one or two vertices stay
+        centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) == 1}
+
+    def encode(v, parent):
+        kids = sorted(encode(u, v) for u in nbrs[v] if u != parent)
+        return f"({-weights[v]}{''.join(kids)})"
+
+    return min(encode(c, None) for c in centres)
+
+
+def graph_of(code: str) -> DualGraph:
+    """The tree of an encoding, vertices numbered in preorder."""
+    weights, edges, path = [], [], []
+    for ch in code:
+        if ch == "(":
+            continue
+        if ch == ")":
+            path.pop()
+            continue
+        v = len(weights)
+        weights.append(-int(ch))
+        if path:
+            edges.append((path[-1], v))
+        path.append(v)
+    return DualGraph(weights, edges)
+
+
+@functools.cache
+def _level(vertices: int) -> frozenset[str]:
+    """The encodings of the classes with exactly ``vertices`` vertices,
+    each grown from the level below by one leaf; computed once a process."""
+    if vertices == 1:
+        return frozenset(canonical((w,), ()) for w in WEIGHTS)
+    grown = set()
+    for code in _level(vertices - 1):
+        g = graph_of(code)
+        r = g.vertex_count
+        for v in range(r):
+            for w in WEIGHTS:
+                grown.add(canonical(g.weights + (w,), sorted(g.edges) + [(v, r)]))
+    return frozenset(grown)
+
+
+def tree_classes(max_vertices: int) -> list[str]:
+    """The encodings of every class with at most ``max_vertices``
+    vertices, sorted."""
+    return sorted(set().union(*map(_level, range(1, max_vertices + 1))))
+
+
+def add(z, w) -> tuple:
+    return tuple(a + b for a, b in zip(z, w, strict=True))
+
+
+def inf_cycles(z, w) -> tuple:
+    """Componentwise minimum."""
+    return tuple(map(min, z, w))
+
+
+def intersection(g: DualGraph, z, w) -> int:
+    """Intersection number Z.W: the sum over vertices i of z_i (M.W)_i,
+    where (M.W)_i is w_i times the weight of i plus w over i's neighbours."""
+    return sum(a * (e * b + sum(w[u] for u in g.neighbors(i)))
+               for i, (a, e, b) in enumerate(zip(z, g.weights, w, strict=True)))
+
+
+def minus_m(g: DualGraph) -> list[list[int]]:
+    """-M as a dense list of rows."""
+    r = g.vertex_count
+    m = [[0] * r for _ in range(r)]
+    for i, w in enumerate(g.weights):
+        m[i][i] = -w
+    for i, j in g.edges:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
+def det(m: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free elimination with row
+    exchanges: the dense reference for the sparse elimination."""
+    n = len(m)
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def block_minors(m: list[list[int]]) -> list[int]:
+    """det of every leading block, each by its own elimination."""
+    return [det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def components(g: DualGraph, verts) -> list[set[int]]:
+    """Components of the subgraph induced on ``verts``, one flood fill each."""
+    left, comps = set(verts), []
+    while left:
+        comp = grown = {left.pop()}
+        while grown:
+            grown = {u for v in grown for u in g.neighbors(v)} & left
+            left -= grown
+            comp |= grown
+        comps.append(comp)
+    return comps
+
+
+def chain_cycles_in_box(g: DualGraph, bound: int) -> tuple[list, list]:
+    """The chain route's special and Ulrich cycles inside ``bound`` Z_0's
+    box, each list sorted: what ``oracle_classify(g, bound)`` must return."""
+    z0 = fundamental_cycle(g)
+    box = [bound * n for n in z0]
+    inbox = lambda es: sorted(e.cycle for e in es if all(map(int.__le__, e.cycle, box)))
+    return inbox(enumerate_special(g, bound * sum(z0) + 1)), inbox(enumerate_ulrich(g))
+
+
+@st.composite
+def random_trees(draw, max_vertices: int) -> DualGraph:
+    """Random trees on at most ``max_vertices`` vertices, weights in -5..-2."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    weights = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return DualGraph(weights, edges)
+
+
+@st.composite
+def connected_graphs(draw, max_vertices: int, least_weight: int) -> DualGraph:
+    """Connected graphs on at most ``max_vertices`` vertices with weights in
+    ``least_weight``..-1: a random tree plus up to three more edges, so
+    cycles are common."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    weights = draw(st.lists(st.integers(least_weight, -1), min_size=n, max_size=n))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    return DualGraph(weights, edges)
+
+
+@st.composite
+def random_graphs(draw) -> DualGraph:
+    """Graphs up to 7 vertices with weights in -12..1 and arbitrary edges."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    weights = draw(st.lists(st.integers(-12, 1), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return DualGraph(weights, edges)
+
+
+def counting(calls: list, key, fn):
+    """``fn``, appending ``key`` to ``calls`` on every call."""
+    def wrapper(*args):
+        calls.append(key)
+        return fn(*args)
+    return wrapper
+
+
+def run_child(*args: str, timeout: float = 30, preexec_fn=None, **env: str):
+    """``python *args`` in a child process with ``dualcycles`` on its path
+    and ``env`` added to its environment; its output captured as text."""
+    path = os.path.dirname(os.path.dirname(dualcycles.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path, **env), preexec_fn=preexec_fn)

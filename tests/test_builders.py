@@ -20,46 +20,13 @@ from dualcycles.builders import (
 )
 from dualcycles.invariants import validate
 from dualcycles.lattice import DualGraph
-
-
-def minus_m(g: DualGraph) -> list[list[int]]:
-    """-M as a dense list of rows."""
-    r = g.vertex_count
-    m = [[0] * r for _ in range(r)]
-    for i, w in enumerate(g.weights):
-        m[i][i] = -w
-    for i, j in g.edges:
-        m[i][j] = m[j][i] = -1
-    return m
-
-
-def _det(m: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination with row
-    exchanges: the dense reference for the sparse elimination."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+from corpus import STAR, block_minors, det, minus_m, random_graphs
 
 
 def last_pivot(g: DualGraph) -> int:
     """det(-M), the last leading principal minor of -M: on a negative
     definite graph, the order of its discriminant group."""
-    return _det(minus_m(g))
+    return det(minus_m(g))
 
 
 def continued_fraction_value(bs):
@@ -282,11 +249,7 @@ class TestValidate:
         assert not rep.negative_definite and not rep.ok
 
     def test_star_graph_is_rational_not_gorenstein(self):
-        g = DualGraph(
-            (-2, -2, -3, -2, -2, -2, -2),
-            [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
-        )
-        rep = validate(g)
+        rep = validate(STAR)
         assert rep.ok and rep.rational and not rep.gorenstein
         assert rep.multiplicity == 3
 
@@ -295,42 +258,6 @@ class TestValidate:
         assert is_connected(g, frozenset({1, 2, 3}))
         assert not is_connected(g, frozenset({0, 2}))
         assert not is_connected(g, frozenset())
-
-
-class TestNegativeDefinite:
-    @pytest.mark.parametrize("family, index", [("A", 7), ("D", 7), ("E", 8)])
-    def test_ade_is_negative_definite(self, family, index):
-        assert is_negative_definite(build_ade(family, index))
-
-    def test_affine_e8_shape_is_not(self):
-        # appending one more -2 vertex to the E_8 chain end gives the
-        # affine diagram, whose form is only semidefinite
-        g = DualGraph(
-            (-2,) * 9,
-            [(i, i + 1) for i in range(7)] + [(2, 8)],
-        )
-        assert not is_negative_definite(g)
-
-    def test_determinant_sign_alternation(self):
-        # -M is positive definite, so every pivot is positive and the last
-        # one is det(-M), the order n of the group of (1/n)(1, q)
-        g = build_cyclic(11, 4)
-        assert last_pivot(g) == 11
-
-
-@st.composite
-def random_graphs(draw) -> DualGraph:
-    """Graphs up to 7 vertices with weights in -12..1 and arbitrary edges."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    weights = draw(st.lists(st.integers(-12, 1), min_size=n, max_size=n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return DualGraph(weights, edges)
-
-
-def block_minors(m: list[list[int]]) -> list[int]:
-    """det of every leading block, each by its own elimination."""
-    return [_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
 
 
 def star(leaves: int, centre_weight: int, centre_last: bool) -> DualGraph:
@@ -366,7 +293,26 @@ SKIPPED_ROW_GRAPHS = {
 }
 
 
-class TestLeadingMinors:
+class TestNegativeDefinite:
+    @pytest.mark.parametrize("family, index", [("A", 7), ("D", 7), ("E", 8)])
+    def test_ade_is_negative_definite(self, family, index):
+        assert is_negative_definite(build_ade(family, index))
+
+    def test_affine_e8_shape_is_not(self):
+        # appending one more -2 vertex to the E_8 chain end gives the
+        # affine diagram, whose form is only semidefinite
+        g = DualGraph(
+            (-2,) * 9,
+            [(i, i + 1) for i in range(7)] + [(2, 8)],
+        )
+        assert not is_negative_definite(g)
+
+    def test_determinant_sign_alternation(self):
+        # -M is positive definite, so every pivot is positive and the last
+        # one is det(-M), the order n of the group of (1/n)(1, q)
+        g = build_cyclic(11, 4)
+        assert last_pivot(g) == 11
+
     @pytest.mark.parametrize("g", SKIPPED_ROW_GRAPHS.values(), ids=SKIPPED_ROW_GRAPHS)
     def test_skipped_rows_match_block_determinants(self, g):
         assert is_negative_definite(g) == all(d > 0 for d in block_minors(minus_m(g)))

@@ -1,12 +1,13 @@
 """Exhaustive census of small rational trees: the chain walk against the
 oracle on every vertex-weighted tree up to isomorphism.
 
-Trees are grown one leaf at a time and kept once per isomorphism class,
-keyed by a canonical encoding: the tree rooted at a centre, each vertex
-written as "(" + its -weight + its children's encodings in sorted order
-+ ")", and the least such string over the one or two centres.  Every
-class is built from its encoding, vertices numbered in the encoding's
-preorder, so the census does not depend on how the classes were found.
+Trees are grown one leaf at a time (``corpus.tree_classes``) and kept
+once per isomorphism class, keyed by a canonical encoding: the tree
+rooted at a centre, each vertex written as "(" + its -weight + its
+children's encodings in sorted order + ")", and the least such string
+over the one or two centres.  Every class is built from its encoding,
+vertices numbered in the encoding's preorder, so the census does not
+depend on how the classes were found.
 
 On every rational class the special and Ulrich cycles of ``_classify``
 must equal ``oracle_classify(g, b)`` at b = max(2, the largest colength
@@ -26,60 +27,7 @@ from typing import NamedTuple
 from dualcycles.classify import _classify, oracle_classify
 from dualcycles.invariants import fundamental_cycle, validate
 from dualcycles.lattice import DualGraph
-
-WEIGHTS = (-2, -3, -4)
-
-
-def canonical(weights, edges) -> str:
-    """The least rooted encoding of the tree over its centres."""
-    nbrs = collections.defaultdict(list)
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    centres = set(range(len(weights)))
-    while len(centres) > 2:  # strip the leaves until one or two vertices stay
-        centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) == 1}
-
-    def encode(v, parent):
-        kids = sorted(encode(u, v) for u in nbrs[v] if u != parent)
-        return f"({-weights[v]}{''.join(kids)})"
-
-    return min(encode(c, None) for c in centres)
-
-
-def graph_of(code: str) -> DualGraph:
-    """The tree of an encoding, vertices numbered in preorder."""
-    weights, edges, path = [], [], []
-    for ch in code:
-        if ch == "(":
-            continue
-        if ch == ")":
-            path.pop()
-            continue
-        v = len(weights)
-        weights.append(-int(ch))
-        if path:
-            edges.append((path[-1], v))
-        path.append(v)
-    return DualGraph(weights, edges)
-
-
-def tree_classes(max_vertices: int) -> list[str]:
-    """The encodings of every tree with weights in WEIGHTS and at most
-    ``max_vertices`` vertices, one per isomorphism class, sorted."""
-    level = {canonical((w,), ()) for w in WEIGHTS}
-    found = set(level)
-    for _ in range(max_vertices - 1):
-        grown = set()
-        for code in level:
-            g = graph_of(code)
-            r = g.vertex_count
-            for v in range(r):
-                for w in WEIGHTS:
-                    grown.add(canonical(g.weights + (w,), sorted(g.edges) + [(v, r)]))
-        found |= grown
-        level = grown
-    return sorted(found)
+from corpus import canonical, graph_of, tree_classes
 
 
 def entries(special, ulrich, label=lambda v: v) -> list:

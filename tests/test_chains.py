@@ -24,13 +24,12 @@ from dualcycles.builders import build_ade, build_cyclic
 from dualcycles.classify import _box_search, _classify
 from dualcycles.invariants import _columns, _filtration, _rational, special_module_indices, validate
 from dualcycles.lattice import DualGraph, _rows, pairing_vector, scale
-import test_classify
-from test_census import graph_of, tree_classes
+from corpus import ORACLE_CORPUS, components, graph_of, oracle_graph, tree_classes
 
 
 @functools.cache
 def census_graphs(max_vertices: int) -> list[DualGraph]:
-    """The rational tree classes of ``test_census`` with at most
+    """The rational tree classes of the census with at most
     ``max_vertices`` vertices."""
     graphs = map(graph_of, tree_classes(max_vertices))
     return [g for g in graphs if validate(g).rational]
@@ -48,17 +47,6 @@ def check_entries(g: DualGraph) -> int:
         assert e.kind in ("special", "both"), z
     assert all(e.kind == "both" for e in ulrich)
     return len(entries)
-
-
-def _component(g: DualGraph, start: int, inside: set) -> set:
-    """The connected component of ``start`` in the subgraph on ``inside``."""
-    seen, todo = {start}, [start]
-    while todo:
-        for u in g.neighbors(todo.pop()):
-            if u in inside and u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return seen
 
 
 def _fundamental(g: DualGraph, support: frozenset) -> tuple:
@@ -92,7 +80,7 @@ def chain_verdicts(g: DualGraph, z: tuple, z0: tuple, fundamental) -> tuple[bool
         support = {v for v, a in enumerate(y) if a}
         p = pairing_vector(g, prev)
         zeros = {v for v in inside if p[v] == 0}
-        if not support <= zeros or _component(g, min(support), zeros) != support:
+        if support not in components(g, zeros):
             return False, False
         if y != fundamental(frozenset(support)) or max(pairing_vector(g, zk)) > 0:
             return False, False
@@ -146,8 +134,7 @@ def test_chain_criterion_matches_the_pointwise_verdicts():
     start = time.monotonic()
     cycles = sum(check_criterion(g, 2) for g in census_graphs(6))
     assert cycles == 50368
-    oracle = test_classify.TestOracleAgreement  # its corpus at its bound
-    assert sum(check_criterion(oracle.graph(*c), 4) for c in oracle.CORPUS) == 732
+    assert sum(check_criterion(oracle_graph(*c), 4) for c in ORACLE_CORPUS) == 732
     elapsed = time.monotonic() - start
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
 

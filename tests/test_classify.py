@@ -4,8 +4,6 @@ import gc
 import inspect
 import itertools
 import math
-import os
-import subprocess
 import sys
 import time
 import weakref
@@ -15,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import dualcycles
 from dualcycles import classify, cli, invariants, lattice
-from dualcycles.builders import build_ade, build_cyclic, is_negative_definite
+from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic, is_negative_definite
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
@@ -51,12 +49,20 @@ from dualcycles.lattice import (
     scale,
     virtual_genus,
 )
-from test_lattice import intersection
-
-STAR = DualGraph(
-    (-2, -2, -3, -2, -2, -2, -2),
-    [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
+from corpus import (
+    INDEFINITE_STAR,
+    ORACLE_CORPUS,
+    STAR,
+    chain_cycles_in_box,
+    components,
+    connected_graphs,
+    counting,
+    intersection,
+    oracle_graph,
+    random_trees,
+    run_child,
 )
+
 # A chain 0-1-2-3 into a -3 fork at 4 with arms 5-6 and 7: the branch
 # vertex is far from vertex 0, and its nearest leaf is 7.
 FAR_BRANCH = DualGraph(
@@ -101,7 +107,7 @@ class TestGuards:
     @pytest.mark.parametrize(
         "g",
         [
-            DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)]),  # indefinite star
+            INDEFINITE_STAR,
             DualGraph((-2, -2, -1, -1), [(0, 1), (2, 3)]),  # disconnected and indefinite
         ],
         ids=["indefinite", "disconnected-indefinite"],
@@ -176,10 +182,7 @@ class TestGuards:
             "except InvalidGraphError:\n"
             "    print('refused')\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
-        )
+        proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "refused\n"
 
@@ -200,7 +203,7 @@ class TestBruteForce:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_naive_enumeration_on_random_graphs(self, data):
-        g = data.draw(connected_graphs())
+        g = data.draw(connected_graphs(6, -6))
         bound = data.draw(st.integers(1, 4))
         if not is_negative_definite(g):
             with pytest.raises(InvalidGraphError):
@@ -443,7 +446,9 @@ class TestEnumerators:
 
 
 @pytest.mark.parametrize(
-    "family, index", [("A", 0), ("A", -3), ("D", 3), ("E", 5), ("E", 9), ("F", 4)]
+    "family, index",
+    [("A", 0), ("A", -3), ("D", 3), ("E", 5), ("E", 9), ("F", 4),
+     ("A", MAX_VERTICES + 1), ("D", 10**30)],
 )
 def test_bad_ade_type_is_refused_alike(family, index):
     messages = set()
@@ -455,53 +460,20 @@ def test_bad_ade_type_is_refused_alike(family, index):
 
 
 class TestOracleAgreement:
-    CORPUS = (
-        [("ade", f, n) for f, rng in (("A", range(1, 7)), ("D", range(4, 7)), ("E", (6,))) for n in rng]
-        + [("cyclic", n, q) for n in range(3, 9) for q in range(2, n) if math.gcd(n, q) == 1]
-        + [("star", 0, 0)]
-    )
-
-    @staticmethod
-    def graph(kind, a, b) -> DualGraph:
-        """The graph of one CORPUS entry."""
-        if kind == "ade":
-            return build_ade(a, b)
-        return build_cyclic(a, b) if kind == "cyclic" else STAR
-
-    @pytest.mark.parametrize("kind, a, b", CORPUS)
+    @pytest.mark.parametrize("kind, a, b", ORACLE_CORPUS)
     def test_chain_route_equals_oracle(self, kind, a, b):
-        g = self.graph(kind, a, b)
-        bound = 4
-        z0 = fundamental_cycle(g)
-        box = scale(bound, z0)
-        inbox = lambda z: all(x <= y for x, y in zip(z, box))
-        oracle_special, oracle_ulrich = oracle_classify(g, bound)
-        chain_special = sorted(
-            e.cycle
-            for e in enumerate_special(g, bound * sum(z0) + 1)
-            if inbox(e.cycle)
-        )
-        chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
-        assert chain_special == oracle_special
-        assert chain_ulrich == sorted(z for z in oracle_ulrich if inbox(z))
-
+        g = oracle_graph(kind, a, b)
+        assert chain_cycles_in_box(g, 4) == oracle_classify(g, 4)
 
     @pytest.mark.parametrize("index", [7, 8])
     def test_large_bounds_match_golden_table_and_chain_route(self, index):
         g = build_ade("E", index)
         golden = [z for z, _ in golden_table("E", index)]
-        z0 = fundamental_cycle(g)
         start = time.monotonic()
         for bound in (7, 8, 9):
-            box = scale(bound, z0)
-            inbox = lambda z: all(x <= y for x, y in zip(z, box))
-            oracle_special, oracle_ulrich = oracle_classify(g, bound)
-            chain_special = sorted(
-                e.cycle for e in enumerate_special(g, bound * sum(z0) + 1) if inbox(e.cycle)
-            )
-            chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
-            assert oracle_ulrich == golden == chain_ulrich
-            assert oracle_special == chain_special
+            special, ulrich = chain_cycles_in_box(g, bound)
+            assert ulrich == golden
+            assert oracle_classify(g, bound) == (special, golden)
         elapsed = time.monotonic() - start
         assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
@@ -510,14 +482,10 @@ class TestOracleAgreement:
         # search already holds; no pairing vector is built per cycle.
         g = build_ade("E", 8)
         expected = oracle_classify(g, 6)  # the validate report is built here
-        real, calls = pairing_vector, []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
+        calls = []
+        spy = counting(calls, "pairing_vector", pairing_vector)
         for module in (invariants, cli, lattice):  # every module holding the name
-            monkeypatch.setattr(module, "pairing_vector", counting)
+            monkeypatch.setattr(module, "pairing_vector", spy)
         assert oracle_classify(g, 6) == expected
         assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
 
@@ -528,15 +496,8 @@ class TestOracleAgreement:
         expected = oracle_classify(g, 6)
         assert len(brute_force_anti_nef(g, 6)) == 61
         calls = []
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
-
         for name in ("_pointwise", "_columns"):
-            wrapper = counting(name, getattr(invariants, name, None))
+            wrapper = counting(calls, name, getattr(invariants, name, None))
             for module in (invariants, classify):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
         assert oracle_classify(g, 6) == expected
@@ -602,45 +563,16 @@ def naive_anti_nef(g: DualGraph, bound: int) -> list:
     )
 
 
-@st.composite
-def connected_graphs(draw) -> DualGraph:
-    """A random tree on at most 6 vertices plus up to three extra edges."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    weights = draw(st.lists(st.integers(-6, -1), min_size=n, max_size=n))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    for _ in range(draw(st.integers(0, 3)) if n > 2 else 0):
-        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
-        edges.add((i, j))
-    return DualGraph(weights, edges)
-
-
-@st.composite
-def random_trees(draw) -> DualGraph:
-    n = draw(st.integers(min_value=1, max_value=7))
-    weights = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    return DualGraph(weights, edges)
-
-
 @settings(max_examples=40, deadline=None)
-@given(random_trees())
+@given(random_trees(7))
 def test_random_graph_chain_route_equals_oracle(g):
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
-    z0 = fundamental_cycle(g)
-    box = scale(3, z0)
-    inbox = lambda z: all(x <= y for x, y in zip(z, box))
-    oracle_special, oracle_ulrich = oracle_classify(g, 3)
-    chain_special = sorted(
-        e.cycle for e in enumerate_special(g, 3 * sum(z0) + 1) if inbox(e.cycle)
-    )
-    chain_ulrich = sorted(e.cycle for e in enumerate_ulrich(g) if inbox(e.cycle))
-    assert chain_special == oracle_special
-    assert chain_ulrich == sorted(z for z in oracle_ulrich if inbox(z))
+    assert chain_cycles_in_box(g, 3) == oracle_classify(g, 3)
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees(), st.integers(1, 3))
+@given(random_trees(7), st.integers(1, 3))
 @example(build_ade("E", 6), 3)  # multiplicity 2: Ulrich is special
 @example(build_cyclic(7, 3), 4)  # multiplicity 3, with an Ulrich cycle
 @example(STAR, 2)  # multiplicity 3
@@ -675,7 +607,7 @@ def test_naive_filter_examples_reach_both_ulrich_paths():
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees())
+@given(random_trees(7))
 def test_box_search_pairs_each_cycle_with_its_pairing(g):
     # The oracle trusts the pairing the box search returns to be M.Z.
     rep = validate(g)
@@ -692,7 +624,7 @@ def test_box_search_pairs_each_cycle_with_its_pairing(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees(), st.integers(1, 3), st.data())
+@given(random_trees(7), st.integers(1, 3), st.data())
 def test_box_search_order_cannot_be_seen(g, bound, data):
     # Relabelling moves the search's start leaf and its order, but the
     # cycles come out relabelled and sorted all the same.
@@ -717,7 +649,7 @@ def test_walk_keeps_only_k_steps_past_max_depth():
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees())
+@given(random_trees(7))
 def test_every_walked_chain_has_colength_minus_one_steps(g):
     # Each step Y is the fundamental cycle of a piece of Z's zero locus,
     # so p_a(Y) = 0 and Z.Y = 0: p_a drops by one per step.  With every
@@ -748,21 +680,8 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
             assert best[parent][0] == chain[:-1]
 
 
-def flood_components(g, verts):
-    """Components of the subgraph induced on ``verts``, one flood fill each."""
-    left, comps = set(verts), []
-    while left:
-        comp = grown = {left.pop()}
-        while grown:
-            grown = {u for v in grown for u in g.neighbors(v)} & left
-            left -= grown
-            comp |= grown
-        comps.append(comp)
-    return comps
-
-
 @settings(max_examples=100, deadline=None)
-@given(random_trees(), st.data())
+@given(random_trees(7), st.data())
 def test_zero_components_come_in_least_vertex_order(g, data):
     # The walk's one-pass search gives the components of the zero locus in
     # the order sorting them as sorted lists gives: disjoint sets differ
@@ -776,7 +695,7 @@ def test_zero_components_come_in_least_vertex_order(g, data):
     else:  # a child's range: its component, in vertex order
         inside = dict.fromkeys(sorted(data.draw(st.sets(st.integers(0, r - 1)))))
     zeros = [v for v in inside if pairing[v] == 0]
-    expected = [sorted(c) for c in sorted(flood_components(g, zeros), key=sorted)]
+    expected = [sorted(c) for c in sorted(components(g, zeros), key=sorted)]
     assert list(_zero_components(g, pairing, inside)) == expected
 
 
@@ -786,12 +705,7 @@ def test_classify_builds_no_pairing_vector(monkeypatch):
     g = build_ade("D", 30)
     invariants.validate(g)  # warm the report
     calls = []
-    real = pairing_vector
-
-    def spy(graph, z):
-        calls.append(z)
-        return real(graph, z)
-
+    spy = counting(calls, "pairing_vector", pairing_vector)
     for module in (invariants, cli, lattice):  # every module holding the name
         monkeypatch.setattr(module, "pairing_vector", spy)
     special, ulrich = _classify(g, 300, 300)

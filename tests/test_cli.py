@@ -6,8 +6,8 @@ import io
 import json
 import os
 import random
+import re
 import resource
-import subprocess
 import sys
 import time
 from unittest import mock
@@ -29,21 +29,16 @@ from dualcycles.cli import (
     serialize_graph,
 )
 from dualcycles.lattice import DualGraph
-from test_census import graph_of, tree_classes
-from test_invariants import CATERPILLAR, CATERPILLAR_Z0
-
-STAR = DualGraph(
-    (-2, -2, -3, -2, -2, -2, -2),
-    [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)],
-)
-
-# A -2 centre with five -2 leaves: not negative definite.
-INDEFINITE_STAR = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])
-
-# Negative definite but not rational: p_a(Z_0) = 1.
-NON_RATIONAL_TREE = DualGraph(
-    (-3, -2, -2, -2, -3, -2, -2, -2, -3),
-    [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 7), (5, 6), (5, 8)],
+from corpus import (
+    CATERPILLAR,
+    CATERPILLAR_Z0,
+    INDEFINITE_STAR,
+    NON_RATIONAL_TREE,
+    STAR,
+    counting,
+    graph_of,
+    run_child,
+    tree_classes,
 )
 
 
@@ -199,12 +194,7 @@ class TestFundamentalCommand:
         # No elimination on a connected definite graph, whose Laufer loop
         # certifies it; one on a graph whose loop runs past its bump budget.
         passes = []
-        real = builders.is_negative_definite
-
-        def spy(g, vertices=None):
-            passes.append(vertices)
-            return real(g, vertices)
-
+        spy = counting(passes, "elimination", builders.is_negative_definite)
         monkeypatch.setattr(invariants, "is_negative_definite", spy)
         invariants.validate.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")
@@ -220,14 +210,7 @@ class TestFundamentalCommand:
         # Laufer's loop never ends on this graph; the command must refuse it.
         src = tmp_path / "star.txt"
         src.write_text(serialize_graph(INDEFINITE_STAR))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualcycles.cli", "fundamental", "--graph", str(src)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=30,
-        )
+        proc = run_child("-m", "dualcycles.cli", "fundamental", "--graph", str(src))
         assert proc.returncode == EXIT_VALIDATION
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
@@ -301,15 +284,8 @@ class TestInvariantsCommand:
                 "--cycle", "2,3,4,3,2,2"]
         expected = run(*argv)  # the validate report is built here
         calls = []
-
-        def counting(fn):
-            def wrapper(*args):
-                calls.append(fn.__name__)
-                return fn(*args)
-            return wrapper
-
-        pointwise = counting(invariants._pointwise)
-        pairing = counting(invariants.pairing_vector)
+        pointwise = counting(calls, "_pointwise", invariants._pointwise)
+        pairing = counting(calls, "pairing_vector", invariants.pairing_vector)
         monkeypatch.setattr(invariants, "_pointwise", pointwise)
         monkeypatch.setattr(cli, "_pointwise", pointwise, raising=False)
         for module in (invariants, cli, lattice):
@@ -654,6 +630,14 @@ class TestUsageErrors:
         code, _ = run("--version")
         assert code == EXIT_OK
 
+    def test_version_is_the_project_version(self):
+        # --version and every JSON document's tool.version read __version__.
+        # A regular expression, not tomllib, which Python 3.10 lacks.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            declared = re.search(r'^version = "(.*)"$', fh.read(), re.MULTILINE)
+        assert declared and declared.group(1) == dualcycles.__version__
+
 
 class TestLastResort:
     @pytest.mark.parametrize("error", [MemoryError, RecursionError])
@@ -669,11 +653,7 @@ class TestLastResort:
         assert lines[0][len("error: "):].strip()
 
     def test_import_leaves_dataclasses_unloaded(self):
-        code = "import sys, dualcycles.cli\nprint('dataclasses' in sys.modules)\n"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
-        )
+        proc = run_child("-c", "import sys, dualcycles.cli\nprint('dataclasses' in sys.modules)\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
@@ -690,10 +670,7 @@ class TestLastResort:
             "cli.main(['frobnicate'])\n"
             "loaded()\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
-        )
+        proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n[]\n['argparse', 'gettext']\n"
 
@@ -708,16 +685,8 @@ def run_capped(*argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)))
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "dualcycles.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=20,
-        preexec_fn=limit,
-    )
+    proc = run_child("-m", "dualcycles.cli", *argv, timeout=20, preexec_fn=limit)
     return proc.returncode, proc.stdout, proc.stderr, time.monotonic() - start
 
 
@@ -1039,22 +1008,11 @@ class TestParserReuse:
     def test_calls_in_one_process_match_calls_alone(self, capsys, monkeypatch):
         # Usage text wraps at the terminal width; fix it on both sides.
         monkeypatch.setenv("COLUMNS", "80")
-        env = dict(
-            os.environ,
-            COLUMNS="80",
-            PYTHONPATH=os.path.dirname(os.path.dirname(dualcycles.__file__)),
-        )
         cli._top_parser.cache_clear()
         for argv in self.SEQUENCE:
             code = main(list(argv))
             captured = capsys.readouterr()
-            alone = subprocess.run(
-                [sys.executable, "-m", "dualcycles.cli", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=30,
-            )
+            alone = run_child("-m", "dualcycles.cli", *argv, COLUMNS="80")
             assert (code, captured.out, captured.err) == (
                 alone.returncode,
                 alone.stdout,

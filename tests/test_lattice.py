@@ -2,7 +2,6 @@
 
 import copy
 import itertools
-import operator
 import weakref
 
 import pytest
@@ -21,20 +20,7 @@ from dualcycles.lattice import (
     sub,
     virtual_genus,
 )
-
-
-def add(z: Cycle, w: Cycle) -> Cycle:
-    return tuple(a + b for a, b in zip(z, w, strict=True))
-
-
-def intersection(g: DualGraph, z: Cycle, w: Cycle) -> int:
-    """Intersection number Z.W = Z.(M.W) of two cycles."""
-    return sum(map(operator.mul, g.check_cycle(z), pairing_vector(g, w)))
-
-
-def inf_cycles(z: Cycle, w: Cycle) -> Cycle:
-    """Componentwise minimum."""
-    return tuple(map(min, z, w))
+from corpus import add, inf_cycles, intersection, random_trees
 
 
 def unit(g: DualGraph, i: int) -> Cycle:
@@ -48,22 +34,13 @@ def path_graph(n: int, weights=None) -> DualGraph:
     return DualGraph(weights or (-2,) * n, [(i, i + 1) for i in range(n - 1)])
 
 
-@st.composite
-def graphs(draw) -> DualGraph:
-    """Random trees with weights in -5..-2, up to 8 vertices."""
-    n = draw(st.integers(min_value=1, max_value=8))
-    weights = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    return DualGraph(weights, edges)
-
-
 def cycles_for(g: DualGraph, lo=-4, hi=6):
     return st.tuples(*(st.integers(lo, hi) for _ in range(g.vertex_count)))
 
 
 @st.composite
 def graph_and_cycles(draw, k=1, lo=-4, hi=6):
-    g = draw(graphs())
+    g = draw(random_trees(8))
     zs = [draw(cycles_for(g, lo, hi)) for _ in range(k)]
     return (g, *zs)
 
