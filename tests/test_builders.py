@@ -280,7 +280,7 @@ def relabel(g: DualGraph, order: list[int]) -> DualGraph:
 # updates must give the dense minors' verdict.
 SKIPPED_ROW_GRAPHS = {
     "star-centre-last": star(8, -5, centre_last=True),
-    "star-centre-last-indefinite": star(8, -3, centre_last=True),
+    "indefinite-star-centre-last": star(8, -3, centre_last=True),
     "star-centre-first": star(8, -5, centre_last=False),  # full fill-in
     "path-reversed": relabel(build_cyclic(1009, 390), list(range(8))[::-1]),
     "path-ends-inwards": relabel(build_ade("A", 11), [0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5]),
