@@ -13,12 +13,16 @@ differential tests and must never disagree.  Each public entry point
 reads the graph's memoised ``validate`` report once (InvalidGraphError
 unless it accepts the graph) and passes that report down, with Z_0,
 M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
-``invariants._columns`` call over every boxed or walked cycle.
+``invariants._formulas`` call per request: over four sums per cycle that
+the oracle's box search keeps as it goes, or, through
+``invariants._columns``, over the rows of every walked cycle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from operator import mul
 from typing import NamedTuple
@@ -29,12 +33,14 @@ from .invariants import (
     InvalidGraphError,
     ValidationReport,
     _columns,
+    _formulas,
     _invariants_of,
     _laufer,
     _rational,
     fundamental_cycle,
+    validate,
 )
-from .lattice import Cycle, DualGraph, _rows, scale
+from .lattice import Cycle, DualGraph, _rows
 
 
 # The most coefficients (cycles times r) the oracle's box search may hold.
@@ -302,9 +308,10 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[list, list,
     over the neighbours u of v in U, in order, and the coefficients their
     c_v, so that sum c_v a_v = (adj(-M_U) b)_p.  The
     adjugates are grown from the last position backwards by the bordering
-    (Schur complement) update, all in exact integers: O(r^3) in all.  The
-    dets are leading minors of -M, positive as the graph must be negative
-    definite (Sylvester's criterion).
+    (Schur complement) update, all in exact integers: O(r^3) in all, run
+    once per graph by the memoised ``_search_plan``.  The dets are leading
+    minors of -M, positive as the graph must be negative definite
+    (Sylvester's criterion).
     """
     pos: dict[int, int] = {}  # vertex -> row of `adj`, for the vertices of U
     adj: list[list[int]] = []
@@ -337,31 +344,73 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
     sorted.  Z_0 is ``fundamental_cycle(g)``, so a graph that is not
     connected, then one that is not negative definite, raises its
-    InvalidGraphError; BoxLimitError when the cycles would hold more than
-    MAX_BOX coefficients; TypeError on a bound that is not an integer."""
+    InvalidGraphError; any other graph is searched, rational or not.
+    BoxLimitError when the cycles would hold more than MAX_BOX
+    coefficients; TypeError on a bound that is not an integer."""
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
     z0 = fundamental_cycle(g)
-    return sorted(_rows(_box_search(g, scale(bound, z0))[0], len(z0)))
+    return sorted(_rows(_box_search(g, operator.index(bound))[0], len(z0)))
 
 
-def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
-    """Every anti-nef cycle 0 < Z <= ``box`` on a connected, negative
+@functools.lru_cache(maxsize=32)
+def _search_plan(g: DualGraph) -> tuple:
+    """What ``_box_search`` needs of a graph apart from the box, memoised
+    on graph equality as ``validate``'s report is, for the 32 most
+    recently used graphs: (the step tuples of the main loop's positions,
+    the second-to-last position's step tuple, the last position's tuple).
+
+    The search order starts at the first leaf that a ``builders._reach``
+    from the lowest-index branch vertex (degree > 2) meets, so that the
+    fork and its short arms are assigned early and their bounds cut the
+    long arms; a chain starts at its lowest-index leaf (vertex 0 when there
+    is none).  The order is that leaf's breadth-first ``_reach``, which
+    meets every vertex of a connected graph.  A step tuple holds the
+    vertex p, w_p, p's neighbours, those assigned before it (the upper
+    bound's), the lower bound's vertices, coefficients and det
+    (``_lower_bound_plans``), n_p, K.E_p = -w_p - 2, (M.Z_0)_p and L/n_p
+    with L = lcm(n).  The last vertex x's tuple holds x, w_x, n_x, K.E_x,
+    (M.Z_0)_x, L/n_x, then how far x's own pairing moves per unit of a_q
+    (q the second-to-last vertex), the neighbours of x whose pairing a_q
+    does not move, and (u, d) for each one whose pairing it moves by d.  A
+    one-vertex graph has no q: its place holds a step whose interval is
+    {0} and which moves nothing.  Z_0 and M.Z_0 come from ``validate``, so
+    every connected, negative definite graph is planned, rational or not.
+    """
+    record = validate(g)
+    r, nbrs, weights, z0 = g.vertex_count, g._neighbors, g.weights, record.z0
+    branch = next((v for v in range(r) if len(nbrs[v]) > 2), None)
+    seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
+    order = _reach(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))
+    rank = {v: k for k, v in enumerate(order)}
+    lcm = math.lcm(*z0)
+    steps = [
+        (p, weights[p], nbrs[p], [u for u in nbrs[p] if rank[u] < k], *plan, z0[p],
+         -2 - weights[p], record.pairing[p], lcm // z0[p])
+        for k, (p, plan) in enumerate(zip(order[:-1], _lower_bound_plans(g, order)))
+    ]
+    x = order[-1]
+    inner = steps.pop() if r > 1 else (x, 0, (), (), (), (), 1, 0, 0, 0, 0)  # q's interval is {0}
+    moves = dict.fromkeys(inner[2], 1) | {inner[0]: inner[1]}  # pairings moved per unit of a_q
+    last = (x, weights[x], z0[x], -2 - weights[x], record.pairing[x], lcm // z0[x],
+            moves.get(x, 0), [u for u in nbrs[x] if not moves.get(u)],
+            [(u, moves[u]) for u in nbrs[x] if moves.get(u)])
+    return steps, inner, last
+
+
+def _box_search(g: DualGraph, bound: int) -> tuple[list[int], ...]:
+    """Every anti-nef cycle 0 < Z <= bound * Z_0 on a connected, negative
     definite graph (unchecked: both callers read Z_0 first, which needs
-    both), by pruned enumeration, as two flat lists: each cycle found
-    appends its r coefficients to the first and its pairing M.Z to the
-    second, in the order of the search (not sorted), so no tuple is built
-    per cycle.
+    both), by pruned enumeration, as five flat lists in the order of the
+    search (not sorted): the coefficients of each cycle found, r per
+    cycle, and four sums per cycle, Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i
+    with L = lcm(n), the input of ``invariants._formulas``.  No tuple and
+    no pairing row is built per cycle.
 
-    Coefficients are assigned in the breadth-first order of
-    ``builders._reach``, which reaches every vertex of a connected graph,
-    depth first with an explicit stack.  The order starts at the first
-    leaf that a ``_reach`` from the lowest-index branch vertex (degree
-    > 2) meets, so that the fork and its short arms are assigned early and
-    their bounds cut the long arms; a chain starts at its lowest-index
-    leaf (vertex 0 when there is none).  The interval of the vertex p being
-    assigned is cut from both sides by the pointwise definition Z.E_i <= 0
-    alone, so nothing here uses the chain results or the theorem Z >= Z_0:
+    Coefficients are assigned in the order of ``_search_plan``.  The
+    interval of the vertex p being assigned is cut from both sides by the
+    pointwise definition Z.E_i <= 0 alone, so nothing here uses the chain
+    results or the theorem Z >= Z_0:
 
     - upper: unassigned coefficients are nonnegative, so each assigned
       neighbour u of p must keep its pairing over the assigned vertices,
@@ -373,101 +422,136 @@ def _box_search(g: DualGraph, box: Cycle) -> tuple[list[int], list[int]]:
       and Plemmons), so a_p >= ((-M_U)^-1 b)_p, computed exactly as
       ceil(adj(-M_U) b / det(-M_U)) from ``_lower_bound_plans``.
 
-    Each position k has one step tuple, built once: p, its weight, its
-    neighbours, its assigned neighbours (the upper bound's), the lower
-    bound's vertices, coefficients and det, and box[p].  One update moves
-    a_p and the running pairings of p and its neighbours.
+    A main-loop step moves a_p by s, with the running pairing M.Z over the
+    assigned vertices and the sums, exactly: with P_p the pairing of p
+    before the step, Z^2 gains s (2 P_p + s w_p), K.Z gains s K.E_p and
+    Z.Z_0 gains s (M.Z_0)_p; the maximum is one prefix value per depth.
     Every vertex's pairing is final, and checked, once it and its
-    neighbours are assigned, so every value in the last position's
-    interval is a leaf of the search and a result (the zero cycle
-    excepted).  That interval is appended in one inner loop, not one trip
-    through the main loop per value: each row is Z and the running
-    pairing, with a_p added to p's neighbours and w_p a_p to p, which
-    gives M.Z.  The MAX_BOX check runs once per interval, before its n
-    cycles are appended: BoxLimitError when the cycles would then hold
-    more than MAX_BOX coefficients, which refuses exactly the boxes whose
-    cycles hold more.
-    Cost: O(r^3) set-up plus O(r) per value tried, and two list extends
-    per cycle.  On E_8 the search tries 474 values for the 61 cycles at
-    bound 6 and 1,435 for the 255 at bound 9 (510 and 1,715 from the
-    lowest-index leaf); with the neighbour bound ceil(S / -w_p) as the
-    only lower bound it tried 226,667 and 2,189,834.  On D_12 at bound 12
-    the main loop runs 6,929 times for 3,543 cycles, against 80,239 from
-    the lowest-index leaf with one trip per cycle.
-    """
-    r = g.vertex_count
-    nbrs = g._neighbors
-    branch = next((v for v in range(r) if len(nbrs[v]) > 2), None)
-    seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
-    order = _reach(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))
-    rank = {v: k for k, v in enumerate(order)}
-    steps = [
-        (p, g.weights[p], nbrs[p], [u for u in nbrs[p] if rank[u] < k], *plan, box[p])
-        for k, (p, plan) in enumerate(zip(order, _lower_bound_plans(g, order)))
-    ]
+    neighbours are assigned, so every value in the last vertex x's
+    interval is a result, the zero cycle excepted: a lower end of 0 is
+    raised to 1, as a_x = 0 is a result only in the zero cycle (a nonzero
+    anti-nef cycle on a connected graph has full support, since a vertex
+    off the support but next to it would pair positively with it).  The
+    last two positions, q then x, run as one nested loop, not as trips
+    through the main loop: for each a_q in q's interval, x's interval is
+    [ceil(P_x / -w_x), the least of its box and -P_u over x's neighbours
+    u], where P_x and the P_u move with a_q as the plan says.  Each a in
+    it is a cycle
+    Z = Z' + a E_x with a_x = 0 in Z', appended with its sums in closed
+    form: Z^2 = Z'^2 + 2a P'_x + a^2 w_x, K.Z = K.Z' + a K.E_x, Z.Z_0 =
+    Z'.Z_0 + a (M.Z_0)_x and max(top(Z'), a L/n_x).  The MAX_BOX check
+    runs once per interval of x, before its n cycles are appended:
+    BoxLimitError when the cycles would then hold more than MAX_BOX
+    coefficients, which refuses exactly the boxes whose cycles hold more.
 
-    zs: list[int] = []
-    ps: list[int] = []
-    coeffs = [0] * r
-    pairing = [0] * r  # over the assigned coefficients only
-    tops = [0] * r
-    k, fresh, last = 0, True, r - 1
+    Cost: the memoised plan, O(r^3) once per graph, then O(r) per
+    main-loop step, O(deg) per value of q, and per cycle O(1) plus one
+    extend of r coefficients.  On E_8 the search tries 474 values for the
+    61 cycles at bound 6 and 1,435 for the 255 at bound 9 (510 and 1,715
+    from the lowest-index leaf); with the neighbour bound ceil(S / -w_p)
+    as the only lower bound it tried 226,667 and 2,189,834.  Its main
+    loop runs 709 and 1,941 times there, and 38,929 times for the 33,723
+    cycles at bound 25, against 827, 2,361 and 69,855 with only the last
+    vertex in an inner loop.  On D_12 at bound 12 the main loop runs 3,313
+    times for 3,543 cycles, against 6,929 then and 80,239 from the
+    lowest-index leaf with one trip per cycle.
+    """
+    steps, (q, wq, _, qcaps, qvs, qcs, qdet, nq, kcq, mq, lnq), last = _search_plan(g)
+    x, wx, nx, kcx, mx, lnx, dx, fixed, varying = last
+    r = g.vertex_count
+    zs, squares, canonicals, pairings, tops = [], [], [], [], []
+    coeffs, pairing = [0] * r, [0] * r  # the pairing over the assigned coefficients only
+    his, prefix = [0] * r, [0] * r  # prefix[k]: max a_v L/n_v over the positions before k
     get = coeffs.__getitem__
+    sq = kz = zz = 0
+    k, fresh, nest = 0, True, len(steps)
     while k >= 0:
-        p, w, near, caps, vs, cs, det, hi = steps[k]
-        if fresh:
-            lo = -(-sum(map(mul, cs, map(get, vs))) // det)
-            for u in caps:
-                if -pairing[u] < hi:
-                    hi = -pairing[u]
-            if k == last:
-                if not (lo or any(coeffs)):  # only the first prefix is all zero, a_p still 0
-                    lo = 1  # not the zero cycle
+        if k == nest:  # q and x, the last two positions, in one nested loop
+            lo1 = -(-sum(map(mul, qcs, map(get, qvs))) // qdet)
+            hi1 = nq * bound
+            for u in qcaps:
+                if -pairing[u] < hi1:
+                    hi1 = -pairing[u]
+            cap = nx * bound
+            for u in fixed:
+                if -pairing[u] < cap:
+                    cap = -pairing[u]
+            pq, px, top0 = pairing[q], pairing[x], prefix[k]
+            for a1 in range(lo1, hi1 + 1):
+                s = px + dx * a1  # x's pairing, a_x still 0
+                lo, hi = -(s // wx) or 1, cap  # not the zero cycle
+                for u, d in varying:
+                    if -pairing[u] - d * a1 < hi:
+                        hi = -pairing[u] - d * a1
+                if lo > hi:
+                    continue
                 if len(zs) + (hi - lo + 1) * r > MAX_BOX:
                     raise BoxLimitError(f"the box holds more than {MAX_BOX} coefficients "
                                         "of anti-nef cycles (cycles times vertices)")
-                for a in range(lo, hi + 1):  # p's pairing and its neighbours' lack a
-                    coeffs[p] = a
+                coeffs[q] = a1
+                sq1, kz1, zz1 = sq + a1 * (2 * pq + a1 * wq), kz + a1 * kcq, zz + a1 * mq
+                top1 = max(top0, a1 * lnq)
+                for a in range(lo, hi + 1):
+                    coeffs[x] = a
                     zs += coeffs
-                    ps += pairing
-                    ps[p - r] += w * a
-                    for q in near:
-                        ps[q - r] += a
-            if k == last or lo > hi:
+                    squares.append(sq1 + a * (2 * s + a * wx))
+                    canonicals.append(kz1 + a * kcx)
+                    pairings.append(zz1 + a * mx)
+                    t = a * lnx
+                    tops.append(t if t > top1 else top1)
+            coeffs[q] = coeffs[x] = 0
+            k, fresh = k - 1, False
+            continue
+        p, w, near, caps, vs, cs, det, n, kc, m, ln = steps[k]
+        if fresh:
+            lo = -(-sum(map(mul, cs, map(get, vs))) // det)
+            hi = n * bound
+            for u in caps:
+                if -pairing[u] < hi:
+                    hi = -pairing[u]
+            if lo > hi:
                 k, fresh = k - 1, False
                 continue
-            tops[k] = hi
+            his[k] = hi
             step = lo
-        elif coeffs[p] < tops[k]:
+        elif coeffs[p] < his[k]:
             step = 1
         else:
             step = -coeffs[p]
+        sq += step * (2 * pairing[p] + step * w)
+        kz += step * kc
+        zz += step * m
         coeffs[p] += step
         pairing[p] += w * step
-        for q in near:
-            pairing[q] += step
+        for u in near:
+            pairing[u] += step
         if fresh or step > 0:
+            t, top = coeffs[p] * ln, prefix[k]
+            prefix[k + 1] = t if t > top else top
             k, fresh = k + 1, True
         else:
             k -= 1
-    return zs, ps
+    return zs, squares, canonicals, pairings, tops
 
 
 def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]:
     """Reference classification with no chain reasoning: the sorted special
     and Ulrich cycles among the brute-force anti-nef cycles, by the
-    pointwise tests.  One ``_columns`` call reads every boxed cycle's
-    verdicts off the flat lists of ``_box_search``, pairings included;
-    only the special and Ulrich rows become tuples.  BoxLimitError as in
+    pointwise tests.  One ``_formulas`` call reads every boxed cycle's
+    verdicts off the four sums that ``_box_search`` keeps; only the
+    special and Ulrich rows become tuples.  On a multiplicity-2 graph,
+    where the two verdicts are one, they are sorted once and returned as
+    one list object, as ``_classify`` does.  BoxLimitError as in
     ``brute_force_anti_nef``, and TypeError on a bound that is not an
     integer."""
     record = _rational(g)
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
-    zs, ps = _box_search(g, scale(bound, record.z0))
-    special, ulrich = _columns(g, zs, ps, record)[4:]
+    zs, *sums = _box_search(g, operator.index(bound))
+    special, ulrich = _formulas(*sums, record)[4:]
     rows = lambda verdicts: sorted(itertools.compress(_rows(zs, g.vertex_count), verdicts))
-    return rows(special), rows(ulrich)
+    found = rows(special)
+    return found, found if ulrich is special else rows(ulrich)
 
 
 def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:

@@ -320,7 +320,8 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     byte.  The head and the documents whose size grows with their output
     come from templates: classify's pair of entry lists is written in
     pieces (``_classify_chunks``) and the oracle's ``results`` from
-    ``_ORACLE``.  Every other ``results`` dict is ``json.dumps``'s own
+    ``_ORACLE``, with one text for its two lists when they are one
+    object.  Every other ``results`` dict is ``json.dumps``'s own
     text, indented one level: json.dumps escapes every newline inside a
     string, so each newline it writes is a line break.
     """
@@ -331,9 +332,10 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     if command == "classify":
         out.writelines(_classify_chunks(*results))
     elif command == "oracle":
-        fmt = _IntText().__getitem__
-        out.write(_ORACLE % (results["bound"], _int_rows(results["special"], "\n    ", fmt),
-                             _int_rows(results["ulrich"], "\n    ", fmt)))
+        fmt, special, ulrich = _IntText().__getitem__, results["special"], results["ulrich"]
+        text = _int_rows(special, "\n    ", fmt)
+        out.write(_ORACLE % (results["bound"], text,
+                             text if ulrich is special else _int_rows(ulrich, "\n    ", fmt)))
     else:
         out.write(json.dumps(results, indent=2).replace("\n", "\n  "))
     out.write("\n}\n")

@@ -4,12 +4,13 @@ in one place.
 ``validate`` returns one memoised report per graph: its verdicts and
 findings, with Z_0 and its pairing M.Z_0 when they exist.  The
 classifiers read that report and hand it to the functions below.
-``_columns`` reads every invariant of many anti-nef cycles off their
-pairing vectors, one columnar pass per invariant; ``_pointwise`` is its
-one-cycle case, which the public functions read after raising
-InvalidGraphError unless the graph is connected, negative definite and
-rational.  Also: fundamental cycles on sub-supports and canonical
-filtrations.
+``_formulas`` reads every invariant of many anti-nef cycles off four sums
+per cycle, one columnar pass per invariant; the oracle's box search
+keeps those sums as it goes, and ``_columns`` reduces them from the rows
+of cycles and their pairing vectors.  ``_pointwise`` is the one-cycle
+case, which the public functions read after raising InvalidGraphError
+unless the graph is connected, negative definite and rational.  Also:
+fundamental cycles on sub-supports and canonical filtrations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .lattice import (
     CycleError,
     DualGraph,
     _canonicals,
-    _genera,
+    _co_genera,
     _genus,
     _rows,
     pairing_vector,
@@ -248,56 +249,62 @@ class CycleInvariants(NamedTuple):
     ulrich: bool
 
 
-def _columns(g: DualGraph, zs, ps, record: ValidationReport) -> tuple[list, ...]:
+def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
+              record: ValidationReport) -> tuple[list, ...]:
     """The columns (multiplicity, colength, min_gens, U, special, Ulrich),
     one entry per cycle, of positive anti-nef cycles on a rational graph
-    whose report holds Z_0 = sum n_i E_i and -Z_0^2, given as two flat
-    lists:
-    ``zs`` holds the cycles Z and ``ps`` their pairings P = M.Z, one row of
-    r entries per cycle (both trusted: ``_pointwise`` checks the one cycle
-    it is given).  Every formula of a cycle lives here:
+    whose report holds Z_0 = sum n_i E_i and -Z_0^2, read off four sums
+    per cycle (trusted): Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i, with L =
+    lcm(n).  Every formula of a cycle lives here:
 
-    - multiplicity -Z^2, with Z^2 = Z.P;
+    - multiplicity -Z^2;
     - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch), with
-      p_a(Z) = (Z^2 + K.Z)/2 + 1 (``lattice._genera``);
-    - min_gens 1 - Z.Z_0, with Z.Z_0 = Z_0.P;
+      p_a(Z) = (Z^2 + K.Z)/2 + 1 (``lattice._co_genera``);
+    - min_gens 1 - Z.Z_0;
     - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2 = (min_gens - 1) colength + Z^2;
     - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
-      colength(Z) (asserted) and L = lcm(n), that is max_i a_i L/n_i = L *
-      colength(Z): one value per cycle, no list of bounds;
-    - Ulrich: special on a multiplicity-2 graph (the report's -Z_0^2),
-      else U(Z) = 0 (valid as mu(I_Z) > 2 there).  On a rational, minimal
-      graph that is every weight -2, K = 0, as p_a(Z_0) = 0 gives
-      -Z_0^2 = K.Z_0 + 2.
+      colength(Z) (asserted), that is L max_i a_i/n_i = L * colength(Z):
+      one comparison per cycle, not one per vertex;
+    - Ulrich: special on a multiplicity-2 graph (the report's -Z_0^2;
+      the two columns are then one list object), else U(Z) = 0 (valid as
+      mu(I_Z) > 2 there).  On a rational, minimal graph that is every
+      weight -2, K = 0, as p_a(Z_0) = 0 gives -Z_0^2 = K.Z_0 + 2.
 
-    The per-vertex work is ``map`` and ``zip`` at C speed over the flat
-    lists, with per-row sums over ``lattice._rows``, and each per-cycle
-    column is one list pass: no Python frame per cycle.  Only the returned
-    columns and the saturation test's -1/0 column (cached small ints) are
-    held.  Each check runs over every row
-    before the next one: AssertionError on odd Z^2 + K.Z, then on a
-    coefficient above n_i * colength(Z) (both impossible on a rational
-    graph), then CycleError on mu(I_Z) <= 2 at multiplicity >= 3
-    (impossible for anti-nef cycles).
+    Each column is one pass at C speed: no Python frame per cycle.  Each
+    check runs over every cycle before the next one: AssertionError on
+    odd Z^2 + K.Z, then on a coefficient above n_i * colength(Z) (both
+    impossible on a rational graph), then CycleError on mu(I_Z) <= 2 at
+    multiplicity >= 3 (impossible for anti-nef cycles).
     """
-    z0, r, repeat = record.z0, g.vertex_count, itertools.repeat
-    mult = list(map(operator.neg, map(sum, _rows(map(operator.mul, zs, ps), r))))
-    ell = [1 - genus for genus in _genera(map(operator.neg, mult), _canonicals(g, zs))]
-    lcm = math.lcm(*z0)
-    top = map(max, _rows(map(operator.mul, zs, itertools.cycle([lcm // n for n in z0])), r))
-    # L max_i a_i/n_i - L colength(Z), clamped at -1: -1 below, 0 special.
-    excess = list(map(max, map(operator.sub, top, map(operator.mul, ell, repeat(lcm))), repeat(-1)))
-    if max(excess) > 0:
+    repeat = itertools.repeat
+    ell = _co_genera(squares, canonicals)
+    bounds = list(map(operator.mul, ell, repeat(math.lcm(*record.z0))))  # L colength(Z)
+    if any(map(operator.gt, tops, bounds)):
         raise AssertionError("coefficient bound violated: input graph is not rational")
-    special = list(map(operator.not_, excess))
-    min_gens = [1 - x for x in map(sum, _rows(map(operator.mul, ps, itertools.cycle(z0)), r))]
-    u = [(mu - 1) * e - m for mu, e, m in zip(min_gens, ell, mult)]
+    special = list(map(operator.eq, tops, bounds))
+    mult = list(map(operator.neg, squares))
+    min_gens = list(map(operator.sub, repeat(1), pairings))
+    u = list(map(operator.sub, squares, map(operator.mul, pairings, ell)))  # Z^2 - Z.Z_0 colength
     if record.multiplicity == 2:
         return mult, ell, min_gens, u, special, special
     if min(min_gens) <= 2:
         raise CycleError("U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
                          "on a multiplicity >= 3 graph")
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
+
+
+def _columns(g: DualGraph, zs, ps, record: ValidationReport) -> tuple[list, ...]:
+    """``_formulas`` of cycles given as two flat lists: ``zs`` holds the
+    cycles Z and ``ps`` their pairings P = M.Z, one row of r entries per
+    cycle (both trusted: ``_pointwise`` checks the one cycle it is given).
+    The four sums are row reductions at C speed over ``lattice._rows``:
+    Z^2 = Z.P, K.Z (``lattice._canonicals``), Z.Z_0 = Z_0.P and
+    max_i a_i L/n_i."""
+    z0, r, cycle = record.z0, g.vertex_count, itertools.cycle
+    lcm = math.lcm(*z0)
+    rows = lambda reduce, flat, other: list(map(reduce, _rows(map(operator.mul, flat, other), r)))
+    return _formulas(rows(sum, zs, ps), list(_canonicals(g, zs)), rows(sum, ps, cycle(z0)),
+                     rows(max, zs, cycle([lcm // n for n in z0])), record)
 
 
 def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,

@@ -129,17 +129,18 @@ def _canonicals(g: DualGraph, zs):
     return map(sum, _rows(map(operator.mul, zs, k), len(g.weights)))
 
 
-def _genera(squares, canonicals) -> list[int]:
-    """p_a(Z) = (Z^2 + K.Z)/2 + 1 of each cycle, given its Z^2 and K.Z."""
+def _co_genera(squares, canonicals) -> list[int]:
+    """1 - p_a(Z) = -(Z^2 + K.Z)/2 of each cycle, given its Z^2 and K.Z,
+    with p_a(Z) = (Z^2 + K.Z)/2 + 1; passes at C speed."""
     q = list(map(operator.add, squares, canonicals))
     if any(map(operator.mod, q, itertools.repeat(2))):
         raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
-    return [x // 2 + 1 for x in q]
+    return list(map(operator.floordiv, q, itertools.repeat(-2)))
 
 
 def _genus(g: DualGraph, z: Cycle, square: int) -> int:
     """p_a(Z) of a checked Z with Z^2 = ``square``."""
-    return _genera((square,), _canonicals(g, z))[0]
+    return 1 - _co_genera((square,), _canonicals(g, z))[0]
 
 
 def virtual_genus(g: DualGraph, z: Cycle) -> int:

@@ -8,8 +8,9 @@ vertices with a_i = n_i colength(Z), and its kind is "special" or "both"
 
 ``chain_verdicts`` is a pointwise chain criterion written from the
 definitions alone, with no walk code: it tests Z's canonical filtration
-step by step, and its verdicts must equal the special and Ulrich columns
-of ``invariants._columns`` on every anti-nef cycle of a box.
+step by step, and its verdicts must equal the oracle's own on every
+anti-nef cycle of a box: the special and Ulrich columns that
+``invariants._formulas`` reads off the four sums ``_box_search`` keeps.
 
 Run both checks over the 7-vertex tree census with ``PYTHONPATH=src:tests
 python -c "import test_chains; print(test_chains.check_census(7))"``.
@@ -22,8 +23,10 @@ import time
 
 from dualcycles.builders import build_ade, build_cyclic
 from dualcycles.classify import _box_search, _classify
-from dualcycles.invariants import _columns, _filtration, _rational, special_module_indices, validate
-from dualcycles.lattice import DualGraph, _rows, pairing_vector, scale
+from dualcycles.invariants import (
+    _filtration, _formulas, _rational, special_module_indices, validate,
+)
+from dualcycles.lattice import DualGraph, _rows, pairing_vector
 from corpus import ORACLE_CORPUS, components, graph_of, oracle_graph, tree_classes
 
 
@@ -91,12 +94,13 @@ def chain_verdicts(g: DualGraph, z: tuple, z0: tuple, fundamental) -> tuple[bool
 
 
 def check_criterion(g: DualGraph, bound: int) -> int:
-    """Assert that ``chain_verdicts`` equals the special and Ulrich columns
-    of ``_columns`` on every anti-nef cycle of ``bound`` Z_0's box; the
-    number of boxed cycles."""
+    """Assert that ``chain_verdicts`` equals the oracle's special and
+    Ulrich verdicts, which ``_formulas`` reads off the sums of the box
+    search, on every anti-nef cycle of ``bound`` Z_0's box; the number of
+    boxed cycles."""
     record = _rational(g)
-    zs, ps = _box_search(g, scale(bound, record.z0))
-    special, ulrich = _columns(g, zs, ps, record)[4:]
+    zs, *sums = _box_search(g, bound)
+    special, ulrich = _formulas(*sums, record)[4:]
     fundamental = functools.lru_cache(maxsize=None)(functools.partial(_fundamental, g))
     for z, s, u in zip(_rows(zs, g.vertex_count), special, ulrich):
         assert chain_verdicts(g, z, record.z0, fundamental) == (s, u), z

@@ -32,7 +32,6 @@ from dualcycles.classify import (
     verify_rdp,
 )
 from dualcycles.invariants import (
-    _pointwise,
     colength,
     fundamental_cycle,
     min_gens,
@@ -221,6 +220,9 @@ class TestBruteForce:
             (build_cyclic(5, 1), (1, 2, 3)),  # one vertex
             (build_cyclic(13, 5), (1, 2, 3)),  # a chain
             (FAR_BRANCH, (1, 2)),
+            # two vertices: the last two positions' nested loop and no main loop
+            (build_cyclic(5, 2), (1, 2, 3)),
+            (build_cyclic(7, 4), (1, 2, 3)),
         ],
     )
     def test_matches_naive_enumeration_beyond_ade(self, g, bounds):
@@ -247,7 +249,9 @@ class TestBruteForce:
     )
     def test_search_starts_at_the_leaf_nearest_a_branch_vertex(self, monkeypatch, g, start):
         # The order is seen through the plans it is handed; the results
-        # are sorted, so they cannot show it.
+        # are sorted, so they cannot show it.  A graph searched before has
+        # its plan memoised, so the memo is cleared first.
+        classify._search_plan.cache_clear()
         orders = []
         plans = classify._lower_bound_plans
 
@@ -258,6 +262,21 @@ class TestBruteForce:
         monkeypatch.setattr(classify, "_lower_bound_plans", spy)
         brute_force_anti_nef(g, 1)
         assert [order[0] for order in orders] == [start]
+
+    def test_search_is_planned_once_per_graph(self, monkeypatch):
+        # The order, the step tuples and the lower-bound plans do not
+        # depend on the box: three bounds on E_8 plan its search once.
+        classify._search_plan.cache_clear()
+        calls = []
+        monkeypatch.setattr(classify, "_lower_bound_plans",
+                            counting(calls, "plans", classify._lower_bound_plans))
+        g = build_ade("E", 8)
+        for bound in (4, 5, 6):
+            special, ulrich = oracle_classify(g, bound)
+            assert ulrich == [z for z, _ in golden_table("E", 8)]
+            assert ulrich is special  # multiplicity 2: one sorted list for both
+        assert calls == ["plans"]
+        assert classify._search_plan.cache_info().maxsize == 32
 
     def test_every_result_is_anti_nef_and_in_box(self):
         g = STAR
@@ -478,8 +497,8 @@ class TestOracleAgreement:
         assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
     def test_oracle_reuses_the_box_search_pairing(self, monkeypatch):
-        # Each boxed cycle's invariants are read off the pairing the box
-        # search already holds; no pairing vector is built per cycle.
+        # Each boxed cycle's invariants are read off the sums the box
+        # search keeps; no pairing vector is built per cycle.
         g = build_ade("E", 8)
         expected = oracle_classify(g, 6)  # the validate report is built here
         calls = []
@@ -490,19 +509,19 @@ class TestOracleAgreement:
         assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
 
     def test_oracle_evaluates_invariants_once_per_request(self, monkeypatch):
-        # One columnar call reads the verdicts of all 61 boxed cycles; no
-        # cycle gets a pointwise call of its own.
+        # One formula-site call reads the verdicts of all 61 boxed cycles
+        # off the search's sums; no cycle gets a pointwise call of its own,
+        # and no row is reduced.
         g = build_ade("E", 8)
         expected = oracle_classify(g, 6)
         assert len(brute_force_anti_nef(g, 6)) == 61
         calls = []
-        for name in ("_pointwise", "_columns"):
+        for name in ("_pointwise", "_columns", "_formulas"):
             wrapper = counting(calls, name, getattr(invariants, name, None))
             for module in (invariants, classify):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
         assert oracle_classify(g, 6) == expected
-        assert calls.count("_pointwise") == 0  # 61 when evaluated per cycle
-        assert calls.count("_columns") == 1
+        assert calls == ["_formulas"]  # 61 _pointwise calls when evaluated per cycle
 
 
 class TestGoldenTables:
@@ -606,21 +625,28 @@ def test_naive_filter_examples_reach_both_ulrich_paths():
         assert oracle_classify(g, bound)[1]
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_trees(7))
-def test_box_search_pairs_each_cycle_with_its_pairing(g):
-    # The oracle trusts the pairing the box search returns to be M.Z.
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(random_trees(7), connected_graphs(6, -6)), st.integers(1, 3))
+@example(build_cyclic(7, 4), 3)  # two vertices: no main-loop position
+@example(build_ade("A", 1), 2)  # one vertex
+def test_box_search_keeps_each_cycles_sums(g, bound):
+    # The oracle trusts the four running sums the box search keeps for
+    # each cycle to be Z^2, K.Z, Z.Z_0 and max_i a_i L/n_i (L = lcm(n)):
+    # each is checked against its own reduction of the row.  The search
+    # takes any connected, negative definite graph, rational or not.
     rep = validate(g)
-    assume(rep.connected and rep.negative_definite and rep.rational)
-    z0 = fundamental_cycle(g)
-    zs, ps = _box_search(g, scale(3, z0))  # flat, one row per cycle
-    rows = lambda flat: zip(*[iter(flat)] * g.vertex_count)
-    found = sorted(zip(rows(zs), rows(ps)))
-    assert [z for z, _ in found] == brute_force_anti_nef(g, 3)
-    record = invariants.validate(g)
-    for z, p in found:
-        assert p == pairing_vector(g, z)
-        assert _pointwise(g, z, record, p) == _pointwise(g, z, record)
+    assume(rep.connected and rep.negative_definite)
+    z0, r = rep.z0, g.vertex_count
+    assume(math.prod(bound * n + 1 for n in z0) <= 20000)
+    lcm = math.lcm(*z0)
+    zs, *sums = _box_search(g, bound)
+    cycles = list(zip(*[iter(zs)] * r))  # flat, one row per cycle
+    assert sorted(cycles) == brute_force_anti_nef(g, bound)
+    for z, square, canonical, pairing, top in zip(cycles, *sums, strict=True):
+        assert square == sum(map(int.__mul__, z, pairing_vector(g, z)))
+        assert canonical == sum(a * (-w - 2) for a, w in zip(z, g.weights))
+        assert pairing == sum(map(int.__mul__, z, rep.pairing))
+        assert top == max(a * lcm // n for a, n in zip(z, z0))
 
 
 @settings(max_examples=60, deadline=None)

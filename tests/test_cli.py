@@ -471,10 +471,15 @@ class TestClassifyCommand:
         code, doc = run_json("classify", "--family", "A", "--index", "9")
         assert code == EXIT_OK and len(doc["results"]["ulrich"]) == 5
         assert calls.count("_classify_chunks") == 1 and "dumps" not in calls
-        # The oracle's two cycle lists come from _int_rows, not json.dumps.
+        # The oracle's two cycle lists come from _int_rows, not json.dumps;
+        # on a multiplicity-2 graph they are one list, written from one text.
         calls.clear()
         code, doc = run_json("oracle", "--family", "A", "--index", "9", "--bound", "5")
         assert code == EXIT_OK and len(doc["results"]["ulrich"]) == 5
+        assert calls.count("_int_rows") == 1 and "dumps" not in calls
+        calls.clear()
+        code, doc = run_json("oracle", "--n", "7", "--q", "3", "--bound", "4")
+        assert code == EXIT_OK and doc["results"]["ulrich"] != doc["results"]["special"]
         assert calls.count("_int_rows") == 2 and "dumps" not in calls
 
 

@@ -445,13 +445,15 @@ class TestPointwiseErrors:
 
     def test_assertions_are_reachable_through_a_pairing(self):
         # Only a pairing that is not M.Z reaches them: Z^2 = -1 is odd, and
-        # Z^2 = 0 makes the colength 0, below the coefficient 2.
+        # Z^2 = 0 makes the colength 0, below the coefficient 2, and Z^2 = -2
+        # makes it 1, just below.
         g = build_ade("A", 1)
         record = invariants.validate(g)  # Z_0 = (1,)
         with pytest.raises(AssertionError, match="parity"):
             _pointwise(g, (1,), record, (-1,))
-        with pytest.raises(AssertionError, match="coefficient bound"):
-            _pointwise(g, (2,), record, (0,))
+        for pairing in ((0,), (-1,)):
+            with pytest.raises(AssertionError, match="coefficient bound"):
+                _pointwise(g, (2,), record, pairing)
 
 
 class TestFiltration:
