@@ -13,6 +13,7 @@ the oracle comparisons read it.
 
 import collections
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -260,3 +261,75 @@ def run_child(*args: str, timeout: float = 30, preexec_fn=None, **env: str):
     path = os.path.dirname(os.path.dirname(dualcycles.__file__))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path, **env), preexec_fn=preexec_fn)
+
+
+# The output digest corpus (tests/test_digests.py and its golden file):
+# every subcommand, in both forms, on these graphs.  The files of the
+# graphs given by name are written under a directory that the argvs name
+# as DIGEST_DIR.
+DIGEST_DIR = "{tmp}"
+DIGEST_FILES = {
+    "star": STAR,
+    "caterpillar": CATERPILLAR,
+    "non-rational-tree": NON_RATIONAL_TREE,
+    "indefinite-star": INDEFINITE_STAR,
+}
+
+
+def write_digest_graphs(directory) -> None:
+    """Write each graph of DIGEST_FILES to ``directory``/<name>.txt."""
+    for name, g in DIGEST_FILES.items():
+        lines = [f"vertices {g.vertex_count}"]
+        lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights)]
+        lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
+        with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+def digest_argvs() -> list[list[str]]:
+    """The argvs of the output digest corpus, DIGEST_DIR standing for the
+    directory of ``write_digest_graphs``:
+
+    - on A_1-A_30, D_4-D_30, E_6-E_8, every (1/n)(1, q) with n < 20 and
+      the graphs of DIGEST_FILES, in table and JSON form: ``graph``,
+      ``validate``, ``fundamental``, ``invariants`` at Z_0 and 2 Z_0 (the
+      all-ones cycle where Z_0 is not computable), ``classify``,
+      ``oracle`` at bounds 1-4 and, on the ADE graphs, ``verify-rdp``;
+    - ``classify`` in both forms, for each list choice, with
+      --max-colength in {none, 1, 2, 3, 10} against --max-steps in
+      {none, 0, 1, 2, 9}, on A_9, D_8, E_7, A_20, STAR and (1/19)(1, 7).
+    """
+    ade = [(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8)))
+           for n in ns]
+    cyclic = [(n, q) for n in range(2, 20) for q in range(1, n) if math.gcd(n, q) == 1]
+    sources = (
+        [(build_ade(f, n), ["ade"], ["--family", f, "--index", str(n)]) for f, n in ade]
+        + [(build_cyclic(n, q), ["cyclic"], ["--n", str(n), "--q", str(q)]) for n, q in cyclic]
+        + [(g, ["load"], ["--graph", f"{DIGEST_DIR}/{name}.txt"]) for name, g in DIGEST_FILES.items()]
+    )
+    argvs = []
+    for g, kind, source in sources:
+        try:
+            z0 = fundamental_cycle(g)
+        except ValueError:
+            z0 = (1,) * g.vertex_count
+        cycles = [",".join(str(k * a) for a in z0) for k in (1, 2)]
+        load = source[1:] if kind == ["load"] else source  # graph load takes a positional FILE
+        for form in ([], ["--format", "json"]):
+            argvs.append(form + ["graph"] + kind + load)
+            argvs += [form + [cmd] + source for cmd in ("validate", "fundamental", "classify")]
+            argvs += [form + ["invariants"] + source + ["--cycle", z] for z in cycles]
+            argvs += [form + ["oracle"] + source + ["--bound", str(b)] for b in range(1, 5)]
+            if kind == ["ade"]:
+                argvs.append(form + ["verify-rdp"] + source)
+    capped = (["--family", "A", "--index", "9"], ["--family", "D", "--index", "8"],
+              ["--family", "E", "--index", "7"], ["--family", "A", "--index", "20"],
+              ["--graph", f"{DIGEST_DIR}/star.txt"], ["--n", "19", "--q", "7"])
+    for source, form in itertools.product(capped, ([], ["--format", "json"])):
+        for lists in ([], ["--special"], ["--ulrich"]):
+            for colength in (None, 1, 2, 3, 10):
+                for steps in (None, 0, 1, 2, 9):
+                    argvs.append(form + ["classify"] + source + lists
+                                 + ([] if colength is None else ["--max-colength", str(colength)])
+                                 + ([] if steps is None else ["--max-steps", str(steps)]))
+    return argvs
