@@ -11,18 +11,16 @@ and applies the pointwise tests (coefficient saturation for special,
 vanishing U invariant for Ulrich).  The two routes are compared by the
 differential tests and must never disagree.  Each public entry point
 reads the graph's memoised ``validate`` report once (InvalidGraphError
-unless it accepts the graph) and passes that report down, with Z_0,
-M.Z_0 and -Z_0^2 in it.  The cycle invariants and verdicts come from one
-``invariants._formulas`` call per request: over four sums per cycle that
-the oracle's box search keeps as it goes, or, through
-``invariants._columns``, over the rows of every walked cycle.
+unless it accepts the graph) and passes that report down.  The cycle
+invariants and verdicts come from one ``invariants._formulas`` call per
+request, over the four sums per cycle that the chain walk and the
+oracle's box search each keep as they go.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from operator import mul
 from typing import NamedTuple
@@ -32,7 +30,6 @@ from .invariants import (
     Filtration,
     InvalidGraphError,
     ValidationReport,
-    _columns,
     _formulas,
     _invariants_of,
     _laufer,
@@ -100,11 +97,12 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     connected components of the zero-pairing locus inside the previous
     increment's support (all of Z_0's at the root); a candidate extends
     the chain when it keeps Z anti-nef.  Returns {cycle: (its chain, its
-    surviving set, K bit, pairing M.Z)}, Z_0 included: the chain is a
+    surviving set, K bit, its sums)}, Z_0 included: the chain is a
     tuple of (Y_k, Z_k) pairs, each pair one object shared by every chain
     through its node, the surviving set the vertices i with coeff(Y_k) =
-    n_i at every step, and the K bit whether every step keeps
-    K.(Z_0 - Y_k) = 0, the Ulrich condition.
+    n_i at every step, the K bit whether every step keeps
+    K.(Z_0 - Y_k) = 0, the Ulrich condition, and the sums the four of
+    ``invariants._formulas``.
 
     The chains form a tree, by three lemmas on a child's increment Y',
     the fundamental cycle of a connected component C' of the zero locus
@@ -160,18 +158,25 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     components come from one pass over C, already sorted.  Y, Z + Y and
     the child's full P are length-r tuples built from the parent's, and
     Z_0's comes from the graph's report: the walk builds no pairing vector.
+    P lives only in the stack frame; a node keeps its four sums, moved
+    exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v
+    (one pass at C speed), and the loop that builds Z + Y adds y_v K.E_v
+    to K.Z and y_v (M.Z_0)_v to Z.Z_0 and takes the new a_v L/n_v into
+    the maximum (cheaper there than passes that index the report by C).
+    Z_0's are -Z_0^2, K.Z_0 = -Z_0^2 - 2 (p_a(Z_0) = 0) and L.
     """
-    nbrs = g._neighbors
+    nbrs, canonical, scales = g._neighbors, record.canonical, record.scales
     heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)
-    z0, root = record.z0, record.pairing
-    best = {z0: ((), frozenset(range(g.vertex_count)), True, root)}
+    z0, root, mult = record.z0, record.pairing, record.multiplicity
+    sums = (-mult, mult - 2, -mult, record.lcm)
+    best = {z0: ((), frozenset(range(g.vertex_count)), True, sums)}
 
     # Preorder with an explicit stack of (candidates left, Z, pairing,
-    # chain) frames, so chain length is not bounded by the interpreter's
-    # recursion.
-    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, root, ())]
+    # chain, sums) frames, so chain length is not bounded by the
+    # interpreter's recursion.
+    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, root, (), sums)]
     while stack:
-        comps, z_prev, pairing, chain = stack[-1]
+        comps, z_prev, pairing, chain, (sq, kz, zz, top) = stack[-1]
         comp = next(comps, None)
         if comp is None:
             stack.pop()
@@ -192,9 +197,13 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
         if not counted and len(chain) >= max_depth:
             continue
         y, z_new, p_new = [0] * len(z0), list(z_prev), list(pairing)
-        for v, a in ys.items():
+        for v, a in ys.items():  # kz, zz and top become the child's; each pass re-reads its frame
             y[v] = a
             z_new[v] += a
+            kz += a * canonical[v]
+            zz += a * root[v]
+            if z_new[v] * scales[v] > top:
+                top = z_new[v] * scales[v]
         for v, p in itertools.chain(on_c.items(), boundary.items()):
             p_new[v] = p
         y, z_new, p_new = tuple(y), tuple(z_new), tuple(p_new)
@@ -203,9 +212,10 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
             raise ChainDepthError(
                 f"chain through {[s[1] for s in new_chain]} exceeded {max_steps} steps"
             )
-        best[z_new] = (new_chain, surviving, keeps, p_new)
+        sums = (sq + sum(map(mul, ys.values(), on_c.values())), kz, zz, top)
+        best[z_new] = (new_chain, surviving, keeps, sums)
         # ys holds C in vertex order: the child's search range.
-        stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain))
+        stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain, sums))
     return best
 
 
@@ -215,8 +225,8 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     ``_walk``, with None in place of a list that is not asked for.
 
     Both caps default to 10 r, and both are checked whichever lists are
-    asked for.  One ``_columns`` call over every walked cycle and the
-    pairing the walk carries to it gives the pointwise tests, and both
+    asked for.  One ``_formulas`` call over the sums the walk keeps for
+    every walked cycle gives the pointwise tests, and both
     chain criteria must agree with them both ways (AssertionError else):
     a nonempty surviving set with the special verdict, the K bit with the
     Ulrich one.  Each cycle that is special or Ulrich gets one entry, with
@@ -229,7 +239,7 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     TypeError on a cap that is not an integer, ValueError on a
     max_colength below 1, then on a negative max_steps, then
     ChainDepthError from the walk (only when the Ulrich list is asked
-    for), then those of ``_columns``.
+    for), then those of ``_formulas``.
     """
     record = _rational(g)
     r10 = 10 * g.vertex_count  # the default of both caps
@@ -242,8 +252,7 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
     max_depth = max_colength - 1 if special else 0
     best = _walk(g, record, max_depth, max_steps if ulrich else None)
     cycles = sorted(best)
-    flat = itertools.chain.from_iterable
-    cols = _columns(g, list(flat(cycles)), list(flat(best[z][3] for z in cycles)), record)
+    cols = _formulas(*zip(*(best[z][3] for z in cycles)), record)
 
     specials, ulrichs = [], []
     for z, mult, ell, mu, _, saturated, is_ulrich in zip(cycles, *cols):
@@ -368,14 +377,15 @@ def _search_plan(g: DualGraph) -> tuple:
     meets every vertex of a connected graph.  A step tuple holds the
     vertex p, w_p, p's neighbours, those assigned before it (the upper
     bound's), the lower bound's vertices, coefficients and det
-    (``_lower_bound_plans``), n_p, K.E_p = -w_p - 2, (M.Z_0)_p and L/n_p
-    with L = lcm(n).  The last vertex x's tuple holds x, w_x, n_x, K.E_x,
+    (``_lower_bound_plans``), n_p, K.E_p, (M.Z_0)_p and L/n_p with L =
+    lcm(n).  The last vertex x's tuple holds x, w_x, n_x, K.E_x,
     (M.Z_0)_x, L/n_x, then how far x's own pairing moves per unit of a_q
     (q the second-to-last vertex), the neighbours of x whose pairing a_q
     does not move, and (u, d) for each one whose pairing it moves by d.  A
     one-vertex graph has no q: its place holds a step whose interval is
-    {0} and which moves nothing.  Z_0 and M.Z_0 come from ``validate``, so
-    every connected, negative definite graph is planned, rational or not.
+    {0} and which moves nothing.  Z_0, M.Z_0, K.E_p and L/n_p come from
+    ``validate``, so every connected, negative definite graph is planned,
+    rational or not.
     """
     record = validate(g)
     r, nbrs, weights, z0 = g.vertex_count, g._neighbors, g.weights, record.z0
@@ -383,16 +393,15 @@ def _search_plan(g: DualGraph) -> tuple:
     seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
     order = _reach(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))
     rank = {v: k for k, v in enumerate(order)}
-    lcm = math.lcm(*z0)
     steps = [
         (p, weights[p], nbrs[p], [u for u in nbrs[p] if rank[u] < k], *plan, z0[p],
-         -2 - weights[p], record.pairing[p], lcm // z0[p])
+         record.canonical[p], record.pairing[p], record.scales[p])
         for k, (p, plan) in enumerate(zip(order[:-1], _lower_bound_plans(g, order)))
     ]
     x = order[-1]
     inner = steps.pop() if r > 1 else (x, 0, (), (), (), (), 1, 0, 0, 0, 0)  # q's interval is {0}
     moves = dict.fromkeys(inner[2], 1) | {inner[0]: inner[1]}  # pairings moved per unit of a_q
-    last = (x, weights[x], z0[x], -2 - weights[x], record.pairing[x], lcm // z0[x],
+    last = (x, weights[x], z0[x], record.canonical[x], record.pairing[x], record.scales[x],
             moves.get(x, 0), [u for u in nbrs[x] if not moves.get(u)],
             [(u, moves[u]) for u in nbrs[x] if moves.get(u)])
     return steps, inner, last

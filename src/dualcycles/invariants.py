@@ -2,15 +2,15 @@
 in one place.
 
 ``validate`` returns one memoised report per graph: its verdicts and
-findings, with Z_0 and its pairing M.Z_0 when they exist.  The
-classifiers read that report and hand it to the functions below.
-``_formulas`` reads every invariant of many anti-nef cycles off four sums
-per cycle, one columnar pass per invariant; the oracle's box search
-keeps those sums as it goes, and ``_columns`` reduces them from the rows
-of cycles and their pairing vectors.  ``_pointwise`` is the one-cycle
-case, which the public functions read after raising InvalidGraphError
-unless the graph is connected, negative definite and rational.  Also:
-fundamental cycles on sub-supports and canonical filtrations.
+findings, with Z_0, M.Z_0, K.E_i, L = lcm(n_i) and L/n_i when Z_0
+exists.  The classifiers read that report and hand it to the functions
+below.  ``_formulas`` reads every invariant of many anti-nef cycles off
+four sums per cycle, one columnar pass per invariant; the oracle's box
+search and the chain walk keep those sums as they go.  ``_pointwise`` is
+the one-cycle case, which the public functions read after raising
+InvalidGraphError unless the graph is connected, negative definite and
+rational.  Also: fundamental cycles on sub-supports and canonical
+filtrations.
 """
 
 from __future__ import annotations
@@ -27,10 +27,7 @@ from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
-    _canonicals,
     _co_genera,
-    _genus,
-    _rows,
     pairing_vector,
     scale,
     sub,
@@ -154,9 +151,10 @@ class ValidationReport(NamedTuple):
 
     ``rational`` and ``gorenstein`` are only meaningful when the graph is
     connected and negative definite; otherwise they are False and a
-    finding explains why they are undetermined.  ``multiplicity`` is
-    -Z_0^2, ``z0`` the fundamental cycle Z_0 and ``pairing`` M.Z_0
-    whenever Z_0 is computable, else None.
+    finding explains why they are undetermined.  When Z_0 = sum n_i E_i
+    is computable, ``multiplicity`` is -Z_0^2, ``z0`` Z_0, ``pairing``
+    M.Z_0, ``canonical`` K.E_i = -w_i - 2, ``lcm`` L = lcm(n_i) and
+    ``scales`` L/n_i; else all six are None.
     """
 
     connected: bool
@@ -168,6 +166,9 @@ class ValidationReport(NamedTuple):
     failures: tuple[str, ...]
     z0: Cycle | None = None
     pairing: Cycle | None = None
+    canonical: Cycle | None = None
+    lcm: int | None = None
+    scales: Cycle | None = None
 
     @property
     def ok(self) -> bool:
@@ -183,11 +184,11 @@ def validate(g: DualGraph) -> ValidationReport:
     One breadth-first search per component (``builders._reach``), and
     Laufer's loop on each component (``_certified``), which certifies its
     definiteness; on a connected graph the loop runs over the vertices in
-    index order and gives Z_0 and M.Z_0.  No elimination runs over more
-    than one component, and the first component that is not definite
-    ends the check.  Memoised on graph equality, so every caller on one
-    graph shares one report, and a long-running process holds a bounded
-    set of graphs.
+    index order and gives Z_0 and M.Z_0, whence p_a(Z_0).  No elimination
+    runs over more than one component, and the first component that is
+    not definite ends the check.  Memoised on graph equality, so every
+    caller on one graph shares one report, and a long-running process
+    holds a bounded set of graphs.
     """
     left = set(range(g.vertex_count))
     parts = (_reach(g, v, left) for v in range(g.vertex_count) if v in left)
@@ -211,14 +212,16 @@ def validate(g: DualGraph) -> ValidationReport:
         )
         return ValidationReport(connected, definite, tree, False, False, None, tuple(failures))
     z0, pairing = tuple(found[0].values()), tuple(found[1].values())
+    canonical = tuple([-2 - w for w in g.weights])
+    lcm = math.lcm(*z0)
     zz = sum(map(operator.mul, z0, pairing))
-    genus = _genus(g, z0, zz)
+    genus = 1 - _co_genera((zz,), (sum(map(operator.mul, z0, canonical)),))[0]
     if genus:
         failures.append(f"not rational: fundamental cycle has virtual genus {genus}")
         if zz == -2:
             failures.append("multiplicity 2 but not rational: outside this tool's scope")
-    return ValidationReport(connected, True, tree, genus == 0, zz == -2, -zz,
-                            tuple(failures), z0, pairing)
+    return ValidationReport(connected, True, tree, genus == 0, zz == -2, -zz, tuple(failures),
+                            z0, pairing, canonical, lcm, tuple([lcm // n for n in z0]))
 
 
 def _rational(g: DualGraph) -> ValidationReport:
@@ -253,9 +256,9 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
               record: ValidationReport) -> tuple[list, ...]:
     """The columns (multiplicity, colength, min_gens, U, special, Ulrich),
     one entry per cycle, of positive anti-nef cycles on a rational graph
-    whose report holds Z_0 = sum n_i E_i and -Z_0^2, read off four sums
-    per cycle (trusted): Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i, with L =
-    lcm(n).  Every formula of a cycle lives here:
+    whose report holds Z_0 = sum n_i E_i, -Z_0^2 and L = lcm(n), read off
+    four sums per cycle (trusted): Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i.
+    Every formula of a cycle lives here:
 
     - multiplicity -Z^2;
     - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch), with
@@ -278,7 +281,7 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
     """
     repeat = itertools.repeat
     ell = _co_genera(squares, canonicals)
-    bounds = list(map(operator.mul, ell, repeat(math.lcm(*record.z0))))  # L colength(Z)
+    bounds = list(map(operator.mul, ell, repeat(record.lcm)))  # L colength(Z)
     if any(map(operator.gt, tops, bounds)):
         raise AssertionError("coefficient bound violated: input graph is not rational")
     special = list(map(operator.eq, tops, bounds))
@@ -293,29 +296,15 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _columns(g: DualGraph, zs, ps, record: ValidationReport) -> tuple[list, ...]:
-    """``_formulas`` of cycles given as two flat lists: ``zs`` holds the
-    cycles Z and ``ps`` their pairings P = M.Z, one row of r entries per
-    cycle (both trusted: ``_pointwise`` checks the one cycle it is given).
-    The four sums are row reductions at C speed over ``lattice._rows``:
-    Z^2 = Z.P, K.Z (``lattice._canonicals``), Z.Z_0 = Z_0.P and
-    max_i a_i L/n_i."""
-    z0, r, cycle = record.z0, g.vertex_count, itertools.cycle
-    lcm = math.lcm(*z0)
-    rows = lambda reduce, flat, other: list(map(reduce, _rows(map(operator.mul, flat, other), r)))
-    return _formulas(rows(sum, zs, ps), list(_canonicals(g, zs)), rows(sum, ps, cycle(z0)),
-                     rows(max, zs, cycle([lcm // n for n in z0])), record)
-
-
 def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,
                pairing: Cycle | None = None) -> CycleInvariants:
-    """``_columns`` on the one cycle Z, with the vertices i where a_i =
+    """``_formulas`` on the one cycle Z, with the vertices i where a_i =
     n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's report.
     ``pairing`` is P = M.Z when the caller holds it, trusted; it is built
     when None.
     Raises DimensionError on a cycle of the wrong length, CycleError on
     one that is not positive, has a negative coefficient or is not
-    anti-nef (read off P), in that order, then the errors of ``_columns``.
+    anti-nef (read off P), in that order, then the errors of ``_formulas``.
     """
     z = g.check_cycle(z)
     if max(z) <= 0:
@@ -326,7 +315,9 @@ def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,
         pairing = pairing_vector(g, z)
     if max(pairing) > 0:
         raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
-    mult, ell, mu, u, special, ulrich = (c[0] for c in _columns(g, z, pairing, record))
+    sums = ([sum(map(operator.mul, z, v))] for v in (pairing, record.canonical, record.pairing))
+    cols = _formulas(*sums, [max(map(operator.mul, z, record.scales))], record)
+    mult, ell, mu, u, special, ulrich = (c[0] for c in cols)
     indices = frozenset(i for i, (a, n) in enumerate(zip(z, record.z0)) if a == n * ell)
     return CycleInvariants(1 - ell, ell, mult, mu, u, indices, special, ulrich)
 

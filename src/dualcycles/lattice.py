@@ -121,14 +121,6 @@ def _rows(flat, r: int):
     return zip(*[iter(flat)] * r)
 
 
-def _canonicals(g: DualGraph, zs):
-    """K.Z = sum a_i (-w_i - 2) of each row Z of the flat list ``zs``, K the
-    canonical divisor (K.E_i = -E_i^2 - 2, so zero on an all -2 graph),
-    one pass at C speed."""
-    k = itertools.cycle(map(operator.sub, itertools.repeat(-2), g.weights))
-    return map(sum, _rows(map(operator.mul, zs, k), len(g.weights)))
-
-
 def _co_genera(squares, canonicals) -> list[int]:
     """1 - p_a(Z) = -(Z^2 + K.Z)/2 of each cycle, given its Z^2 and K.Z,
     with p_a(Z) = (Z^2 + K.Z)/2 + 1; passes at C speed."""
@@ -138,15 +130,12 @@ def _co_genera(squares, canonicals) -> list[int]:
     return list(map(operator.floordiv, q, itertools.repeat(-2)))
 
 
-def _genus(g: DualGraph, z: Cycle, square: int) -> int:
-    """p_a(Z) of a checked Z with Z^2 = ``square``."""
-    return 1 - _co_genera((square,), _canonicals(g, z))[0]
-
-
 def virtual_genus(g: DualGraph, z: Cycle) -> int:
-    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer."""
+    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer; K.E_i = -w_i - 2."""
     z = g.check_cycle(z)
-    return _genus(g, z, sum(map(operator.mul, z, pairing_vector(g, z))))
+    zz = sum(map(operator.mul, z, pairing_vector(g, z)))
+    kz = -2 * sum(z) - sum(map(operator.mul, z, g.weights))
+    return 1 - _co_genera((zz,), (kz,))[0]
 
 
 def is_anti_nef(g: DualGraph, z: Cycle) -> bool:

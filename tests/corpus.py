@@ -4,11 +4,12 @@ search and helper that more than one test module uses, defined once.
 This is not a test module, so pytest does not collect it; the test
 modules import it as ``corpus`` (the CI drivers run with
 ``PYTHONPATH=src:tests``), and no test module imports another.  Its
-references (the census encoding, intersection numbers, dense
-determinants and flood-fill components) use only the public
-constructors of ``dualcycles`` and ``DualGraph.neighbors``, never the
-code they check; ``chain_cycles_in_box`` is the chain route itself, as
-the oracle comparisons read it.
+references (the census encoding, intersection numbers, canonical
+degrees and the formula site's four sums, dense determinants and
+flood-fill components) use only the public constructors of
+``dualcycles`` and ``DualGraph.neighbors``, never the code they check;
+``chain_cycles_in_box`` is the chain route itself, as the oracle
+comparisons read it.
 """
 
 import collections
@@ -151,6 +152,19 @@ def intersection(g: DualGraph, z, w) -> int:
     where (M.W)_i is w_i times the weight of i plus w over i's neighbours."""
     return sum(a * (e * b + sum(w[u] for u in g.neighbors(i)))
                for i, (a, e, b) in enumerate(zip(z, g.weights, w, strict=True)))
+
+
+def canonical_degree(g: DualGraph, z) -> int:
+    """K.Z = sum a_i (-w_i - 2), K the canonical divisor: K.E_i = -E_i^2 - 2."""
+    return sum(a * (-w - 2) for a, w in zip(z, g.weights, strict=True))
+
+
+def cycle_sums(g: DualGraph, z, z0) -> tuple[int, int, int, int]:
+    """The four sums of the formula site for a cycle Z given Z_0 = sum n_i
+    E_i: Z^2, K.Z, Z.Z_0 and max_i a_i L/n_i with L = lcm(n)."""
+    lcm = math.lcm(*z0)
+    return (intersection(g, z, z), canonical_degree(g, z), intersection(g, z0, z),
+            max(a * lcm // n for a, n in zip(z, z0)))
 
 
 def minus_m(g: DualGraph) -> list[list[int]]:

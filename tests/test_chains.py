@@ -12,8 +12,12 @@ step by step, and its verdicts must equal the oracle's own on every
 anti-nef cycle of a box: the special and Ulrich columns that
 ``invariants._formulas`` reads off the four sums ``_box_search`` keeps.
 
-Run both checks over the 7-vertex tree census with ``PYTHONPATH=src:tests
-python -c "import test_chains; print(test_chains.check_census(7))"``.
+``check_walk`` checks the four sums the walk keeps for every node, Z^2,
+K.Z, Z.Z_0 and max_i a_i L/n_i, against their reductions from the
+lattice definitions.
+
+Run the three checks over the 7-vertex tree census with
+``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.check_census(7))"``.
 """
 
 import functools
@@ -22,12 +26,14 @@ import math
 import time
 
 from dualcycles.builders import build_ade, build_cyclic
-from dualcycles.classify import _box_search, _classify
+from dualcycles.classify import _box_search, _classify, _walk
 from dualcycles.invariants import (
     _filtration, _formulas, _rational, special_module_indices, validate,
 )
 from dualcycles.lattice import DualGraph, _rows, pairing_vector
-from corpus import ORACLE_CORPUS, components, graph_of, oracle_graph, tree_classes
+from corpus import (
+    ORACLE_CORPUS, components, cycle_sums, graph_of, oracle_graph, tree_classes,
+)
 
 
 @functools.cache
@@ -50,6 +56,17 @@ def check_entries(g: DualGraph) -> int:
         assert e.kind in ("special", "both"), z
     assert all(e.kind == "both" for e in ulrich)
     return len(entries)
+
+
+def check_walk(g: DualGraph) -> int:
+    """Assert that each node of ``_classify(g)``'s walk keeps its cycle's
+    four sums (``corpus.cycle_sums``); the number of nodes."""
+    record = _rational(g)
+    r10 = 10 * g.vertex_count
+    best = _walk(g, record, r10 - 1, r10)
+    for z, (_, _, _, sums) in best.items():
+        assert sums == cycle_sums(g, z, record.z0), z
+    return len(best)
 
 
 def _fundamental(g: DualGraph, support: frozenset) -> tuple:
@@ -108,11 +125,13 @@ def check_criterion(g: DualGraph, bound: int) -> int:
 
 
 def check_census(max_vertices: int) -> tuple[int, int, int]:
-    """Both checks on every rational tree class with at most
+    """The three checks on every rational tree class with at most
     ``max_vertices`` vertices, the criterion at bound 2: (classes,
     entries, boxed cycles)."""
     graphs = census_graphs(max_vertices)
     entries = sum(map(check_entries, graphs))
+    for g in graphs:
+        check_walk(g)
     cycles = sum(check_criterion(g, 2) for g in graphs)
     return len(graphs), entries, cycles
 
@@ -132,6 +151,10 @@ def test_entries_are_read_off_the_walk():
     elapsed = time.monotonic() - start
     assert (len(graphs), entries) == (2378, 5310)
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+def test_walk_keeps_each_nodes_sums():
+    assert sum(map(check_walk, census_graphs(6))) == 4174
 
 
 def test_chain_criterion_matches_the_pointwise_verdicts():

@@ -42,7 +42,6 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import (
     DualGraph,
-    _canonicals,
     is_anti_nef,
     pairing_vector,
     scale,
@@ -52,10 +51,12 @@ from corpus import (
     INDEFINITE_STAR,
     ORACLE_CORPUS,
     STAR,
+    canonical_degree,
     chain_cycles_in_box,
     components,
     connected_graphs,
     counting,
+    cycle_sums,
     intersection,
     oracle_graph,
     random_trees,
@@ -430,7 +431,7 @@ class TestEnumerators:
             for e in enumerate_special(g, 10 * g.vertex_count) + enumerate_ulrich(g):
                 z = e.cycle
                 zz, z0z = intersection(g, z, z), intersection(g, z0, z)
-                genus = (zz + next(_canonicals(g, z))) // 2 + 1
+                genus = (zz + canonical_degree(g, z)) // 2 + 1
                 assert genus == virtual_genus(g, z)
                 ell = 1 - genus
                 indices = frozenset(i for i, (a, n) in enumerate(zip(z, z0)) if a == n * ell)
@@ -516,7 +517,7 @@ class TestOracleAgreement:
         expected = oracle_classify(g, 6)
         assert len(brute_force_anti_nef(g, 6)) == 61
         calls = []
-        for name in ("_pointwise", "_columns", "_formulas"):
+        for name in ("_pointwise", "_formulas"):
             wrapper = counting(calls, name, getattr(invariants, name, None))
             for module in (invariants, classify):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
@@ -685,17 +686,18 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     rep = validate(g)
     assume(rep.connected and rep.negative_definite and rep.rational)
     z0 = fundamental_cycle(g)
-    k0 = next(_canonicals(g, z0))
+    k0 = canonical_degree(g, z0)
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
     best = _walk(g, invariants.validate(g), 10 * g.vertex_count, None)
-    for z, (chain, surviving, keeps, pairing) in best.items():
+    for z, (chain, surviving, keeps, sums) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
         assert surviving == indices
-        assert keeps == all(next(_canonicals(g, y)) == k0 for y, _ in chain)
+        assert keeps == all(canonical_degree(g, y) == k0 for y, _ in chain)
         assert keeps == (heavy <= indices)
-        # The walk carries M.Z from node to node; _classify trusts it.
-        assert pairing == pairing_vector(g, z)
+        # The walk carries Z^2, K.Z, Z.Z_0 and max_i a_i L/n_i from node
+        # to node; _classify trusts them.
+        assert sums == cycle_sums(g, z, z0)
         # The increments decrease (from Z_0 down), and the chains form a
         # tree: a chain without its last step is its parent's, which a
         # second chain to the parent would have overwritten.
@@ -749,7 +751,7 @@ FORK = DualGraph((-2, -2, -2, -3, -3), [(0, 1), (1, 2), (0, 3), (0, 4)])
 def test_chain_criteria_meet_the_pointwise_tests_both_ways(monkeypatch, column, name, verdict):
     # One pointwise verdict of either column flipped, either way: the
     # chain criterion of that column disagrees with it.
-    real = classify._columns
+    real = classify._formulas
 
     def flipped(*args):
         cols = list(real(*args))
@@ -758,6 +760,6 @@ def test_chain_criteria_meet_the_pointwise_tests_both_ways(monkeypatch, column, 
         return tuple(cols)
 
     _classify(FORK)
-    monkeypatch.setattr(classify, "_columns", flipped)
+    monkeypatch.setattr(classify, "_formulas", flipped)
     with pytest.raises(AssertionError, match=f"^{name} chain criterion disagrees"):
         _classify(FORK)

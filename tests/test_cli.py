@@ -133,6 +133,10 @@ class TestValidateCommand:
         assert res["gorenstein"] is False
         assert res["multiplicity"] == 3
         assert res["failures"] == []
+        # The report's trailing fields (Z_0, its pairing and the formula
+        # site's constants) stay out of the document.
+        assert list(res) == ["connected", "negative_definite", "tree", "rational",
+                             "gorenstein", "multiplicity", "failures"]
 
 
 class TestFundamentalCommand:

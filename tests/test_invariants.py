@@ -48,6 +48,7 @@ from corpus import (
     STAR,
     add,
     block_minors,
+    canonical_degree,
     connected_graphs,
     counting,
     graph_of,
@@ -217,6 +218,30 @@ class TestGraphChecks:
         assert sorted(calls) == ["eliminations", "search", "search"]
         assert fundamental_cycle(CATERPILLAR) == CATERPILLAR_Z0
         assert sorted(calls) == ["eliminations", "search", "search"]
+
+
+class TestReportConstants:
+    # The per-graph constants of the formula site: K.E_i, L = lcm(n_i)
+    # and L/n_i, with Z_0 = sum n_i E_i.
+    @pytest.mark.parametrize("g", [DualGraph((-2, -3), []), INDEFINITE_STAR],
+                             ids=["disconnected", "indefinite"])
+    def test_none_without_z0(self, g):
+        rep = validate(g)
+        assert rep.z0 is None
+        assert (rep.canonical, rep.lcm, rep.scales) == (None, None, None)
+
+    @pytest.mark.parametrize("g", [
+        build_ade("A", 5), build_ade("D", 7), build_ade("E", 8), build_cyclic(19, 7),
+        STAR, CATERPILLAR, NON_RATIONAL_TREE,
+    ])
+    def test_constants_of_definite_graphs(self, g):
+        rep = validate(g)
+        z0 = fundamental_cycle(g)
+        lcm = next(m for m in itertools.count(max(z0), max(z0)) if all(m % n == 0 for n in z0))
+        assert rep.canonical == tuple(-w - 2 for w in g.weights)
+        assert (rep.lcm, rep.scales) == (lcm, tuple(lcm // n for n in z0))
+        genus = (intersection(g, z0, z0) + canonical_degree(g, z0)) // 2 + 1
+        assert rep.rational == (genus == 0)
 
 
 def budget(verts) -> int:
