@@ -290,14 +290,38 @@ DIGEST_FILES = {
 }
 
 
+# One malformed graph text for each error of ``parse_graph``, each written
+# next to the DIGEST_FILES graphs as <name>.txt.
+MALFORMED_FILES = {
+    "bad-duplicate-vertices": "vertices 2\nvertices 2\n",
+    "bad-argument-count": "vertices 2 3\n",
+    "bad-not-an-integer": "vertices 2\nedge 1 x\n",
+    "bad-no-vertices": "vertices 0\n",
+    "bad-too-many-vertices": "vertices 1000001\n",
+    "bad-vertices-not-first": "edge 1 2\nvertices 2\n",
+    "bad-weight-vertex": "vertices 2\nweight 3 -2\n",
+    "bad-duplicate-weight": "vertices 2\nweight 1 -3\nweight 1 -4\n",
+    "bad-weight-above-minus-two": "vertices 2\nweight 1 -1\n",
+    "bad-self-loop": "vertices 2\nedge 2 2\n",
+    "bad-edge-range": "vertices 2\nedge 1 3\n",
+    "bad-duplicate-edge": "vertices 2\nedge 1 2\nedge 2 1\n",
+    "bad-unknown-directive": "vertices 2\nvertex 1\n",
+    "bad-missing-vertices": "# only a comment\n\n",
+}
+
+
 def write_digest_graphs(directory) -> None:
-    """Write each graph of DIGEST_FILES to ``directory``/<name>.txt."""
+    """Write each graph of DIGEST_FILES and each text of MALFORMED_FILES
+    to ``directory``/<name>.txt."""
+    texts = dict(MALFORMED_FILES)
     for name, g in DIGEST_FILES.items():
         lines = [f"vertices {g.vertex_count}"]
         lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights)]
         lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
+        texts[name] = "\n".join(lines) + "\n"
+    for name, text in texts.items():
         with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
 
 
 def digest_argvs() -> list[list[str]]:
@@ -311,7 +335,23 @@ def digest_argvs() -> list[list[str]]:
       ``oracle`` at bounds 1-4 and, on the ADE graphs, ``verify-rdp``;
     - ``classify`` in both forms, for each list choice, with
       --max-colength in {none, 1, 2, 3, 10} against --max-steps in
-      {none, 0, 1, 2, 9}, on A_9, D_8, E_7, A_20, STAR and (1/19)(1, 7).
+      {none, 0, 1, 2, 9}, on A_9, D_8, E_7, A_20, STAR and (1/19)(1, 7);
+
+    then, after those rows, in both forms:
+
+    - on every graph above, ``fundamental --support`` on its first,
+      middle and last vertex alone, on the full vertex list, on "1,1",
+      "0" and r + 1, and on its first pair of vertices that are not
+      adjacent, if any; ``invariants`` at the zero cycle, at -E_1, at E_1
+      (not anti-nef unless vertex 1 is isolated) and at a cycle of r + 1
+      ones; ``oracle`` at bounds 0 and -1;
+    - ``classify`` on the six capped graphs with --max-colength in
+      {none, 0-7, 10, 13} against --max-steps in {none, -1..6, 9, 12},
+      each pair not above;
+    - ``validate`` on two graph sources at once, on half-given sources,
+      and on each file of MALFORMED_FILES;
+    - the small CI tripwires: a 1,999-vertex support of D_2000, A_1 at
+      the cycle 2,000,000, and two oracle boxes past the box limit.
     """
     ade = [(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8)))
            for n in ns]
@@ -346,4 +386,39 @@ def digest_argvs() -> list[list[str]]:
                     argvs.append(form + ["classify"] + source + lists
                                  + ([] if colength is None else ["--max-colength", str(colength)])
                                  + ([] if steps is None else ["--max-steps", str(steps)]))
+    forms = ([], ["--format", "json"])
+    for (g, _, source), form in itertools.product(sources, forms):
+        r = g.vertex_count
+        apart = [f"{i + 1},{j + 1}" for i in range(r) for j in range(i + 1, r)
+                 if j not in g.neighbors(i)][:1]
+        supports = [*map(str, dict.fromkeys((1, (r + 1) // 2, r))),
+                    ",".join(map(str, range(1, r + 1))), "1,1", "0", str(r + 1), *apart]
+        argvs += [form + ["fundamental"] + source + ["--support", s] for s in supports]
+        zeros = ["0"] * r
+        cycles = (zeros, ["-1"] + zeros[1:], ["1"] + zeros[1:], ["1"] * (r + 1))
+        argvs += [form + ["invariants"] + source + ["--cycle=" + ",".join(z)] for z in cycles]
+        argvs += [form + ["oracle"] + source + ["--bound", b] for b in ("0", "-1")]
+    for source, form in itertools.product(capped, forms):
+        for colength in (None, *range(8), 10, 13):
+            for steps in (None, *range(-1, 7), 9, 12):
+                if colength in (None, 1, 2, 3, 10) and steps in (None, 0, 1, 2, 9):
+                    continue  # in the grid above
+                argvs.append(form + ["classify"] + source
+                             + ([] if colength is None else ["--max-colength", str(colength)])
+                             + ([] if steps is None else ["--max-steps", str(steps)]))
+    star = ["--graph", f"{DIGEST_DIR}/star.txt"]
+    bad_sources = (["--family", "A", "--index", "3", "--n", "5", "--q", "2"],
+                   star + ["--family", "A", "--index", "3"], ["--family", "A"], ["--q", "2"])
+    tripwires = (
+        ["fundamental", "--family", "D", "--index", "2000",
+         "--support", ",".join(map(str, range(1, 2000)))],
+        ["invariants", "--family", "A", "--index", "1", "--cycle", "2000000"],
+        ["oracle", "--n", "2", "--q", "1", "--bound", "99999999"],
+        ["oracle", "--family", "E", "--index", "8", "--bound", "1000"],
+    )
+    for form in forms:
+        argvs += [form + ["validate"] + source for source in bad_sources]
+        argvs += [form + ["validate", "--graph", f"{DIGEST_DIR}/{name}.txt"]
+                  for name in MALFORMED_FILES]
+        argvs += [form + argv for argv in tripwires]
     return argvs
