@@ -1,12 +1,10 @@
-"""Construction and structural tests of dual graphs.
+"""Making dual graphs, and their text format both ways.
 
 Provides the ADE families, cyclic quotient chains via Hirzebruch-Jung
-continued fractions, a line-oriented text format for user-supplied graphs,
-the breadth-first search that splits a graph into components, and the
-connectedness and negative-definiteness tests.  The validator
-(``invariants.validate``) certifies each component with Laufer's loop and
-runs the exact elimination of ``is_negative_definite`` only on a
-component whose loop passes its bump budget.
+continued fractions, and a line-oriented text format for user-supplied
+graphs: ``parse_graph`` reads it and ``serialize_graph`` writes it.
+Whether a graph is connected, negative definite or rational is judged by
+``invariants.validate``.
 """
 
 from __future__ import annotations
@@ -181,63 +179,9 @@ def _int_args(args: list[str], want: int, directive: str, lineno: int) -> list[i
     return out
 
 
-def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
-    """``start`` and the vertices of the set ``inside`` reachable from it
-    inside it, in breadth-first order with neighbours in index order.
-    Each vertex reached is taken out of ``inside``, which the caller owns:
-    the set is also the record of what is left to reach."""
-    inside.discard(start)
-    order = [start]
-    for v in order:  # the list grows while it is walked: a queue
-        for u in g._neighbors[v]:
-            if u in inside:
-                inside.remove(u)
-                order.append(u)
-    return order
-
-
-def is_connected(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
-    """One ``_reach`` from the least vertex of the induced subgraph (the
-    whole graph by default)."""
-    verts = range(g.vertex_count) if vertices is None else vertices
-    return bool(verts) and len(_reach(g, min(verts), set(verts))) == len(verts)
-
-
-def is_negative_definite(g: DualGraph, vertices: frozenset[int] | None = None) -> bool:
-    """Sylvester's criterion on -M, or on its block over ``vertices`` (the
-    induced subgraph): every pivot of its symmetric elimination without
-    row exchanges is positive (pivot k is D_k/D_{k-1}, a ratio of leading
-    principal minors).
-
-    Exact over the integers, on the sparse upper triangle of -M: row i
-    holds c_i > 0 times its row of the current Schur complement.  Step k
-    rewrites only the rows i with an entry f at (k, i), as c_k p row_i -
-    c_i f row_k with p the pivot entry of row k, and divides that row and
-    its c_i by their gcd.  It stops at the first pivot <= 0.  Cost: O(r +
-    fill-in) entry updates, so O(r) on a path and at most O(r^3) on a
-    dense block.
-    """
-    verts = range(g.vertex_count) if vertices is None else sorted(vertices)
-    pos = {v: k for k, v in enumerate(verts)}
-    rows = [{k: -g.weights[v]} for k, v in enumerate(verts)]
-    for v, k in pos.items():
-        for u in g._neighbors[v]:
-            if pos.get(u, -1) > k:
-                rows[k][pos[u]] = -1
-    scales = [1] * len(rows)
-    for k, row in enumerate(rows):
-        p = row.pop(k, 0)  # the rest of row k lies right of the diagonal
-        if p <= 0:
-            return False
-        cp = scales[k] * p
-        for i, f in row.items():
-            ci = scales[i]
-            cf = ci * f
-            upd = {j: cp * x for j, x in rows[i].items()}
-            for j, y in row.items():
-                if j >= i:
-                    upd[j] = upd.get(j, 0) - cf * y
-            d = math.gcd(ci * cp, *upd.values())
-            rows[i] = {j: x // d for j, x in upd.items() if x}
-            scales[i] = ci * cp // d
-    return True
+def serialize_graph(g: DualGraph) -> str:
+    """Emit the graph text format (round-trips through parse_graph)."""
+    lines = [f"vertices {g.vertex_count}"]
+    lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights) if w != -2]
+    lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ import operator
 from operator import mul
 from typing import NamedTuple
 
-from .builders import _ade_type, _reach, build_ade
+from .builders import _ade_type, build_ade
 from .invariants import (
     Filtration,
     InvalidGraphError,
@@ -37,7 +37,7 @@ from .invariants import (
     fundamental_cycle,
     validate,
 )
-from .lattice import Cycle, DualGraph, _rows
+from .lattice import Cycle, DualGraph, _reach, _rows
 
 
 # The most coefficients (cycles times r) the oracle's box search may hold.
@@ -82,7 +82,7 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
     """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
     by least vertex: ``inside`` is iterated in vertex order, and one
-    ``builders._reach`` over the zero vertices starts at each one that no
+    ``lattice._reach`` over the zero vertices starts at each one that no
     earlier search reached (``_reach`` takes its component out of the set)."""
     zeros = {v for v in inside if pairing[v] == 0}
     for s in inside:
@@ -369,7 +369,7 @@ def _search_plan(g: DualGraph) -> tuple:
     recently used graphs: (the step tuples of the main loop's positions,
     the second-to-last position's step tuple, the last position's tuple).
 
-    The search order starts at the first leaf that a ``builders._reach``
+    The search order starts at the first leaf that a ``lattice._reach``
     from the lowest-index branch vertex (degree > 2) meets, so that the
     fork and its short arms are assigned early and their bounds cut the
     long arms; a chain starts at its lowest-index leaf (vertex 0 when there

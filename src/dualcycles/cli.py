@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
-from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph
+from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph, serialize_graph
 from .classify import (
     BoxLimitError,
     ChainDepthError,
@@ -40,14 +40,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
-
-
-def serialize_graph(g: DualGraph) -> str:
-    """Emit the graph text format (round-trips through parse_graph)."""
-    lines = [f"vertices {g.vertex_count}"]
-    lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights) if w != -2]
-    lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
 
 
 def _filtration_dict(f: Filtration) -> dict:

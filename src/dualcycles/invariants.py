@@ -1,16 +1,20 @@
-"""Numerical invariants of graphs and of anti-nef cycles, each formula
-in one place.
+"""Judging graphs and cycles: the structural verdicts on a graph and the
+numerical invariants of its anti-nef cycles, each formula in one place.
 
 ``validate`` returns one memoised report per graph: its verdicts and
 findings, with Z_0, M.Z_0, K.E_i, L = lcm(n_i) and L/n_i when Z_0
-exists.  The classifiers read that report and hand it to the functions
-below.  ``_formulas`` reads every invariant of many anti-nef cycles off
-four sums per cycle, one columnar pass per invariant; the oracle's box
-search and the chain walk keep those sums as they go.  ``_pointwise`` is
-the one-cycle case, which the public functions read after raising
+exists.  Connectedness is one ``lattice._reach`` per component, and
+negative definiteness is Laufer's loop (``_certified``), with the exact
+elimination of ``is_negative_definite`` only on a set whose loop passes
+its bump budget.  ``fundamental_cycle`` reads Z_0 off the report, or
+decides a given support with one search and one certificate.  The
+classifiers read the report and hand it to the functions below.
+``_formulas`` reads every invariant of many anti-nef cycles off four
+sums per cycle, one columnar pass per invariant; the oracle's box search
+and the chain walk keep those sums as they go.  ``_pointwise`` is the
+one-cycle case, which the public functions read after raising
 InvalidGraphError unless the graph is connected, negative definite and
-rational.  Also: fundamental cycles on sub-supports and canonical
-filtrations.
+rational.  Also: canonical filtrations.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import operator
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .builders import _reach, is_connected, is_negative_definite
 from .lattice import (
     Cycle,
     CycleError,
     DualGraph,
     _co_genera,
+    _reach,
     pairing_vector,
     scale,
     sub,
@@ -91,6 +95,46 @@ def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
     return None
 
 
+def is_negative_definite(g: DualGraph, vertices: Iterable[int] | None = None) -> bool:
+    """Sylvester's criterion on -M, or on its block over ``vertices`` (the
+    induced subgraph): every pivot of its symmetric elimination without
+    row exchanges is positive (pivot k is D_k/D_{k-1}, a ratio of leading
+    principal minors).
+
+    Exact over the integers, on the sparse upper triangle of -M: row i
+    holds c_i > 0 times its row of the current Schur complement.  Step k
+    rewrites only the rows i with an entry f at (k, i), as c_k p row_i -
+    c_i f row_k with p the pivot entry of row k, and divides that row and
+    its c_i by their gcd.  It stops at the first pivot <= 0.  Cost: O(r +
+    fill-in) entry updates, so O(r) on a path and at most O(r^3) on a
+    dense block.
+    """
+    verts = range(g.vertex_count) if vertices is None else sorted(vertices)
+    pos = {v: k for k, v in enumerate(verts)}
+    rows = [{k: -g.weights[v]} for k, v in enumerate(verts)]
+    for v, k in pos.items():
+        for u in g._neighbors[v]:
+            if pos.get(u, -1) > k:
+                rows[k][pos[u]] = -1
+    scales = [1] * len(rows)
+    for k, row in enumerate(rows):
+        p = row.pop(k, 0)  # the rest of row k lies right of the diagonal
+        if p <= 0:
+            return False
+        cp = scales[k] * p
+        for i, f in row.items():
+            ci = scales[i]
+            cf = ci * f
+            upd = {j: cp * x for j, x in rows[i].items()}
+            for j, y in row.items():
+                if j >= i:
+                    upd[j] = upd.get(j, 0) - cf * y
+            d = math.gcd(ci * cp, *upd.values())
+            rows[i] = {j: x // d for j, x in upd.items() if x}
+            scales[i] = ci * cp // d
+    return True
+
+
 def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int]] | None:
     """``_laufer`` on a connected ``verts`` when it is negative definite,
     else None.
@@ -105,40 +149,35 @@ def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int]] | N
     """
     found = _laufer(g, verts, 8 * len(verts) + 64)
     if found is None:
-        return _laufer(g, verts) if is_negative_definite(g, frozenset(verts)) else None
+        return _laufer(g, verts) if is_negative_definite(g, verts) else None
     return found if any(found[1].values()) else None
 
 
-def fundamental_cycle(g: DualGraph, vertices: frozenset[int] | None = None) -> Cycle:
+def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cycle:
     """Minimal nonzero cycle Z with Supp(Z) = vertices and Z.E_i <= 0 there.
 
-    Laufer's algorithm (``_laufer``).  Requires the support to be
-    nonempty, inside 0..r-1, connected (guaranteed on full vertex sets of
-    connected graphs) and negative definite, else ValueError; with no
-    support given, InvalidGraphError when the graph is not connected, then
-    when it is not negative definite (``validate``'s wording).  The
-    definiteness test is Laufer's loop itself (``_certified``), with one
-    integer elimination over the support's induced subgraph only past its
-    bump budget; on the full support of a valid graph Z_0 is read from
-    ``validate``'s report.  TypeError, first, on a support vertex that is
-    not an integer.
+    With no support, Z_0 from ``validate``'s report, or InvalidGraphError
+    with its first finding: the graph is not connected, or not negative
+    definite.  A support, full or not, is deduplicated and sorted (TypeError
+    first on a vertex that is not an integer), then decided in this order,
+    each failure a ValueError: it is nonempty, inside 0..r-1, covered by one
+    ``_reach`` from its least vertex, and certified by one ``_certified``
+    (Laufer's loop, with one integer elimination over the support only past
+    its bump budget), whose loop gives Z.
     """
-    everything = frozenset(range(g.vertex_count))
-    verts = None if vertices is None else frozenset(map(operator.index, vertices))
-    if verts is None or verts == everything:
+    if vertices is None:
         record = validate(g)
-        if record.z0 is not None:
-            return record.z0
-        if verts is None:  # Z_0 needs a connected, negative definite graph
+        if record.z0 is None:
             raise InvalidGraphError(record.failures[0])
-        verts = everything  # the checks below say what is wrong
+        return record.z0
+    verts = sorted(set(map(operator.index, vertices)))
     if not verts:
         raise ValueError("fundamental cycle needs a nonempty support")
-    if not verts <= everything:
+    if verts[0] < 0 or verts[-1] >= g.vertex_count:
         raise ValueError(
             f"support has vertices outside the graph's {g.vertex_count} vertices"
         )
-    if not is_connected(g, verts):
+    if len(_reach(g, verts[0], set(verts))) != len(verts):
         raise ValueError("fundamental cycle needs a connected support")
     found = _certified(g, verts)
     if found is None:
@@ -181,7 +220,7 @@ def validate(g: DualGraph) -> ValidationReport:
     the first of them "graph is not connected" or "intersection matrix is
     not negative definite" when Z_0 is not computable.
 
-    One breadth-first search per component (``builders._reach``), and
+    One breadth-first search per component (``lattice._reach``), and
     Laufer's loop on each component (``_certified``), which certifies its
     definiteness; on a connected graph the loop runs over the vertices in
     index order and gives Z_0 and M.Z_0, whence p_a(Z_0).  No elimination

@@ -1,12 +1,14 @@
-"""Exact integer arithmetic on cycles over a fixed dual graph.
+"""The dual graph type, its one graph search, and exact integer
+arithmetic on cycles over a fixed graph.
 
 A dual graph is a weighted simple graph: vertices are exceptional curves,
 the weight of a vertex is its self-intersection number, and an edge means
-the two curves meet transversally in one point.  A cycle is an integer
-coefficient vector over the vertices.  Everything here is exact integer
-arithmetic; coefficients may be negative (differences of cycles are
-legitimate lattice elements), positivity is enforced by callers that
-need it.
+the two curves meet transversally in one point.  ``_reach`` is the
+breadth-first search that every component and connectedness question
+runs.  A cycle is an integer coefficient vector over the vertices.
+Everything here is exact integer arithmetic; coefficients may be
+negative (differences of cycles are legitimate lattice elements),
+positivity is enforced by callers that need it.
 """
 
 from __future__ import annotations
@@ -97,6 +99,21 @@ class DualGraph:
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"
             )
         return z
+
+
+def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
+    """``start`` and the vertices of the set ``inside`` reachable from it
+    inside it, in breadth-first order with neighbours in index order.
+    Each vertex reached is taken out of ``inside``, which the caller owns:
+    the set is also the record of what is left to reach."""
+    inside.discard(start)
+    order = [start]
+    for v in order:  # the list grows while it is walked: a queue
+        for u in g._neighbors[v]:
+            if u in inside:
+                inside.remove(u)
+                order.append(u)
+    return order
 
 
 def sub(z: Cycle, w: Cycle) -> Cycle:

@@ -361,7 +361,7 @@ def digest_argvs() -> list[list[str]]:
         + [(build_cyclic(n, q), ["cyclic"], ["--n", str(n), "--q", str(q)]) for n, q in cyclic]
         + [(g, ["load"], ["--graph", f"{DIGEST_DIR}/{name}.txt"]) for name, g in DIGEST_FILES.items()]
     )
-    argvs = []
+    forms, argvs = ([], ["--format", "json"]), []
     for g, kind, source in sources:
         try:
             z0 = fundamental_cycle(g)
@@ -369,7 +369,7 @@ def digest_argvs() -> list[list[str]]:
             z0 = (1,) * g.vertex_count
         cycles = [",".join(str(k * a) for a in z0) for k in (1, 2)]
         load = source[1:] if kind == ["load"] else source  # graph load takes a positional FILE
-        for form in ([], ["--format", "json"]):
+        for form in forms:
             argvs.append(form + ["graph"] + kind + load)
             argvs += [form + [cmd] + source for cmd in ("validate", "fundamental", "classify")]
             argvs += [form + ["invariants"] + source + ["--cycle", z] for z in cycles]
@@ -379,14 +379,14 @@ def digest_argvs() -> list[list[str]]:
     capped = (["--family", "A", "--index", "9"], ["--family", "D", "--index", "8"],
               ["--family", "E", "--index", "7"], ["--family", "A", "--index", "20"],
               ["--graph", f"{DIGEST_DIR}/star.txt"], ["--n", "19", "--q", "7"])
-    for source, form in itertools.product(capped, ([], ["--format", "json"])):
+    colengths, steps_grid = (None, 1, 2, 3, 10), (None, 0, 1, 2, 9)
+    for source, form in itertools.product(capped, forms):
         for lists in ([], ["--special"], ["--ulrich"]):
-            for colength in (None, 1, 2, 3, 10):
-                for steps in (None, 0, 1, 2, 9):
+            for colength in colengths:
+                for steps in steps_grid:
                     argvs.append(form + ["classify"] + source + lists
                                  + ([] if colength is None else ["--max-colength", str(colength)])
                                  + ([] if steps is None else ["--max-steps", str(steps)]))
-    forms = ([], ["--format", "json"])
     for (g, _, source), form in itertools.product(sources, forms):
         r = g.vertex_count
         apart = [f"{i + 1},{j + 1}" for i in range(r) for j in range(i + 1, r)
@@ -401,14 +401,14 @@ def digest_argvs() -> list[list[str]]:
     for source, form in itertools.product(capped, forms):
         for colength in (None, *range(8), 10, 13):
             for steps in (None, *range(-1, 7), 9, 12):
-                if colength in (None, 1, 2, 3, 10) and steps in (None, 0, 1, 2, 9):
+                if colength in colengths and steps in steps_grid:
                     continue  # in the grid above
                 argvs.append(form + ["classify"] + source
                              + ([] if colength is None else ["--max-colength", str(colength)])
                              + ([] if steps is None else ["--max-steps", str(steps)]))
-    star = ["--graph", f"{DIGEST_DIR}/star.txt"]
     bad_sources = (["--family", "A", "--index", "3", "--n", "5", "--q", "2"],
-                   star + ["--family", "A", "--index", "3"], ["--family", "A"], ["--q", "2"])
+                   ["--graph", f"{DIGEST_DIR}/star.txt", "--family", "A", "--index", "3"],
+                   ["--family", "A"], ["--q", "2"])
     tripwires = (
         ["fundamental", "--family", "D", "--index", "2000",
          "--support", ",".join(map(str, range(1, 2000)))],

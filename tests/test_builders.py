@@ -14,11 +14,9 @@ from dualcycles.builders import (
     build_ade,
     build_cyclic,
     hj_expansion,
-    is_connected,
-    is_negative_definite,
     parse_graph,
 )
-from dualcycles.invariants import validate
+from dualcycles.invariants import is_negative_definite, validate
 from dualcycles.lattice import DualGraph
 from corpus import STAR, block_minors, det, minus_m, random_graphs
 
@@ -252,12 +250,6 @@ class TestValidate:
         rep = validate(STAR)
         assert rep.ok and rep.rational and not rep.gorenstein
         assert rep.multiplicity == 3
-
-    def test_is_connected_on_sub_support(self):
-        g = build_ade("A", 5)
-        assert is_connected(g, frozenset({1, 2, 3}))
-        assert not is_connected(g, frozenset({0, 2}))
-        assert not is_connected(g, frozenset())
 
 
 def star(leaves: int, centre_weight: int, centre_last: bool) -> DualGraph:

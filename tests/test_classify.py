@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import dualcycles
 from dualcycles import classify, cli, invariants, lattice
-from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic, is_negative_definite
+from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic
 from dualcycles.classify import (
     ChainDepthError,
     InvalidGraphError,
@@ -34,6 +34,7 @@ from dualcycles.classify import (
 from dualcycles.invariants import (
     colength,
     fundamental_cycle,
+    is_negative_definite,
     min_gens,
     multiplicity,
     special_module_indices,

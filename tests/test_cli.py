@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import dualcycles
 import dualcycles.cli as cli
-from dualcycles import builders, classify, invariants, lattice
-from dualcycles.builders import build_ade, build_cyclic, parse_graph
+from dualcycles import classify, invariants, lattice
+from dualcycles.builders import build_ade, build_cyclic, parse_graph, serialize_graph
 from dualcycles.classify import enumerate_special, enumerate_ulrich
 from dualcycles.cli import (
     EXIT_MISMATCH,
@@ -26,7 +26,6 @@ from dualcycles.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
-    serialize_graph,
 )
 from dualcycles.lattice import DualGraph
 from corpus import (
@@ -198,7 +197,7 @@ class TestFundamentalCommand:
         # No elimination on a connected definite graph, whose Laufer loop
         # certifies it; one on a graph whose loop runs past its bump budget.
         passes = []
-        spy = counting(passes, "elimination", builders.is_negative_definite)
+        spy = counting(passes, "elimination", invariants.is_negative_definite)
         monkeypatch.setattr(invariants, "is_negative_definite", spy)
         invariants.validate.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")

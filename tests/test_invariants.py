@@ -1,19 +1,18 @@
 """Tests for fundamental cycles, ideal invariants and filtrations."""
 
 import itertools
+import math
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
-from dualcycles import builders, classify, invariants
+from dualcycles import classify, invariants, lattice
 from dualcycles.builders import (
     build_ade,
     build_cyclic,
     hj_expansion,
-    is_connected,
-    is_negative_definite,
 )
 from dualcycles.invariants import (
     MAX_FILTRATION,
@@ -24,6 +23,7 @@ from dualcycles.invariants import (
     colength,
     filtration,
     fundamental_cycle,
+    is_negative_definite,
     min_gens,
     multiplicity,
     special_module_indices,
@@ -49,6 +49,7 @@ from corpus import (
     add,
     block_minors,
     canonical_degree,
+    components,
     connected_graphs,
     counting,
     graph_of,
@@ -123,13 +124,38 @@ class TestFundamentalCycle:
         g = build_ade("D", 5)
         assert fundamental_cycle(g, frozenset({0, 1})) == (1, 1, 0, 0, 0)
         assert fundamental_cycle(g, frozenset({1, 2, 3, 4})) == (0, 1, 2, 1, 1)
+        assert fundamental_cycle(build_ade("A", 5), frozenset({1, 2, 3})) == (0, 1, 1, 1, 0)
 
     def test_rejects_empty_or_disconnected_support(self):
-        g = build_ade("A", 4)
-        with pytest.raises(ValueError, match="nonempty"):
-            fundamental_cycle(g, frozenset())
-        with pytest.raises(ValueError, match="connected"):
-            fundamental_cycle(g, frozenset({0, 2}))
+        for g in (build_ade("A", 4), build_ade("A", 5)):
+            with pytest.raises(ValueError, match="nonempty"):
+                fundamental_cycle(g, frozenset())
+            with pytest.raises(ValueError, match="connected"):
+                fundamental_cycle(g, frozenset({0, 2}))
+
+    def test_full_support_gives_z0(self):
+        # An explicit full support takes the support path (one search and
+        # one certificate), not a read of validate's report; the
+        # caterpillar's loop passes its budget, so its elimination runs.
+        graphs = [g for g in map(graph_of, tree_classes(6)) if validate(g).rational]
+        graphs += [build_ade(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)),
+                                                 ("E", (6, 7, 8))) for n in ns]
+        graphs += [build_cyclic(n, q) for n in range(2, 30) for q in range(1, n)
+                   if math.gcd(n, q) == 1]
+        for g in graphs + [CATERPILLAR]:
+            assert fundamental_cycle(g, range(g.vertex_count)) == fundamental_cycle(g), g
+
+    def test_support_runs_one_search_and_one_certificate(self, monkeypatch):
+        g = build_ade("E", 8)
+        validate(g)  # warm: the spies see fundamental_cycle's own calls only
+        calls = []
+        for name in ("_reach", "_certified", "validate"):
+            monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
+        assert fundamental_cycle(g) == (2, 4, 6, 5, 4, 3, 2, 3)
+        assert calls == ["validate"]
+        calls.clear()
+        assert fundamental_cycle(g, range(8)) == (2, 4, 6, 5, 4, 3, 2, 3)
+        assert calls == ["_reach", "_certified"]
 
     @pytest.mark.parametrize("verts", [{-1}, {98}, {0, 1, 3}], ids=["-1", "98", "0,1,3"])
     def test_rejects_support_outside_the_graph(self, verts):
@@ -203,9 +229,8 @@ class TestGraphChecks:
         # one elimination on a graph whose loop runs past its budget.
         # Shared by the validator, Z_0 and the classifiers.
         calls = []
-        for name, key in (("is_negative_definite", "eliminations"), ("_reach", "search"),
-                          ("is_connected", "search")):
-            monkeypatch.setattr(invariants, name, counting(calls, key, getattr(builders, name)))
+        for name, key in (("is_negative_definite", "eliminations"), ("_reach", "search")):
+            monkeypatch.setattr(invariants, name, counting(calls, key, getattr(invariants, name)))
         invariants.validate.cache_clear()  # every graph is fresh
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
         assert validate(g).ok and validate(g) is validate(g)
@@ -312,13 +337,13 @@ class TestDefinitenessCertificate:
             assert tuple(found[0].values()) == laufer_by_recomputation(g, frozenset(verts))
         # ... and on a connected sub-support, as fundamental_cycle reads it.
         sub_verts = frozenset(data.draw(st.sets(st.sampled_from(list(verts)), min_size=1)))
-        assume(is_connected(g, sub_verts))
+        assume(len(components(g, sub_verts)) == 1)
         assert (_certified(g, sub_verts) is not None) == is_negative_definite(g, sub_verts)
 
     def test_budget_fallback(self, monkeypatch):
         passes = []
         monkeypatch.setattr(invariants, "is_negative_definite",
-                            counting(passes, "elimination", builders.is_negative_definite))
+                            counting(passes, "elimination", invariants.is_negative_definite))
         verts = range(CATERPILLAR.vertex_count)
         assert _laufer(CATERPILLAR, verts, budget(verts)) is None  # 360 bumps needed
         z, pairing = _certified(CATERPILLAR, verts)
@@ -347,12 +372,12 @@ class TestDefinitenessCertificate:
             weights += part.weights
             edges += [(base + i, base + j) for i, j in part.edges]
             left = set(range(part.vertex_count))
-            comps += [[base + v for v in builders._reach(part, s, left)]
+            comps += [[base + v for v in lattice._reach(part, s, left)]
                       for s in range(part.vertex_count) if s in left]
         g = DualGraph(weights, edges)
         invariants.validate.cache_clear()
         with mock.patch.object(invariants, "is_negative_definite",
-                               wraps=builders.is_negative_definite) as eliminate:
+                               wraps=invariants.is_negative_definite) as eliminate:
             report = validate(g)
         assert report.negative_definite == all(d > 0 for d in block_minors(minus_m(g)))
         assert not report.connected
@@ -606,7 +631,7 @@ def test_incremental_laufer_matches_recomputation(g, data):
     verts = frozenset(
         data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
     )
-    assume(is_connected(g, verts))
+    assume(len(components(g, verts)) == 1)
     expected = laufer_by_recomputation(g, verts)
     assert fundamental_cycle(g, verts) == expected
     # The fixed point does not depend on the order the loop visits.
