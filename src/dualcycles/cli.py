@@ -360,10 +360,11 @@ def _cmd_validate(args, g, out) -> int:
 
 
 def _cmd_fundamental(args, g, out) -> int:
+    # A support is decided by fundamental_cycle alone; only Z_0 reads the report.
     supp = None
     if args.support is not None:
         supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
-    if not validate(g).negative_definite:
+    elif not validate(g).negative_definite:
         raise InvalidGraphError("intersection matrix is not negative definite")
     z = fundamental_cycle(g, supp)
     if args.format == "json":

@@ -218,6 +218,21 @@ class TestFundamentalCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("support, code, out, err", [
+        # A definite sub-support of an indefinite graph: once refused with
+        # exit 1 before fundamental_cycle saw the support.
+        ("2", EXIT_OK, "0 1 0 0 0 0\n", ""),
+        ("1,2,3,4,5,6", EXIT_USAGE, "",
+         "error: fundamental cycle needs a negative definite support\n"),
+        ("2,3", EXIT_USAGE, "", "error: fundamental cycle needs a connected support\n"),
+        ("0", EXIT_USAGE, "", "error: support has vertices outside the graph's 6 vertices\n"),
+    ], ids=["definite", "full", "disconnected", "outside"])
+    def test_support_on_indefinite_graph(self, tmp_path, capsys, support, code, out, err):
+        src = tmp_path / "star.txt"
+        src.write_text(serialize_graph(INDEFINITE_STAR))
+        assert run("fundamental", "--graph", str(src), "--support", support) == (code, out)
+        assert capsys.readouterr().err == err
+
 
 class TestInvariantsCommand:
     def test_values(self):
