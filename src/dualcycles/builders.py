@@ -95,8 +95,8 @@ def build_cyclic(n: int, q: int) -> DualGraph:
     a chain with weights (-b_1, ..., -b_r) from the expansion of n/q.
     """
     bs = hj_expansion(n, q)
-    edges = [(i, i + 1) for i in range(len(bs) - 1)]
-    return DualGraph(tuple(-b for b in bs), edges)
+    r = len(bs)
+    return DualGraph(map(operator.neg, bs), zip(range(r - 1), range(1, r)))
 
 
 def parse_graph(text: str) -> DualGraph:

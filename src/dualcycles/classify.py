@@ -130,7 +130,15 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     a walk of K steps alone meets.  The surviving set lies inside C, so a
     component that misses a heavy vertex (weight <= -3) cannot keep K:
     past ``max_depth`` such a component, and every component when
-    ``max_steps`` is None, is dropped before Laufer's loop runs.
+    ``max_steps`` is None, is dropped before Laufer's loop runs.  A node
+    whose children all fall past ``max_depth`` gets no zero-locus search
+    at all (no ``_zero_components``, no ``_reach``) when none of them can
+    keep K: when ``max_steps`` is None, when the node's own step does not
+    keep K (the increments decrease, so no later step gets back a heavy
+    vertex's full coefficient), or when its pairing is nonzero at a heavy
+    vertex, which then lies in no component.  So ``classify --ulrich`` on
+    a graph whose Z_0 pairs nonzero with a heavy vertex, such as every
+    non-Gorenstein chain, walks Z_0 alone.
 
     Checked, not proved: every chain that ends at a special or Ulrich
     cycle Z is Z's canonical filtration Z_k = inf(Z, (k+1) Z_0)
@@ -174,7 +182,9 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     # Preorder with an explicit stack of (candidates left, Z, pairing,
     # chain, sums) frames, so chain length is not bounded by the
     # interpreter's recursion.
-    stack = [(_zero_components(g, root, range(g.vertex_count)), z0, root, (), sums)]
+    stack = []
+    if max_depth > 0 or max_steps is not None and not any(root[v] for v in heavy):
+        stack.append((_zero_components(g, root, range(g.vertex_count)), z0, root, (), sums))
     while stack:
         comps, z_prev, pairing, chain, (sq, kz, zz, top) = stack[-1]
         comp = next(comps, None)
@@ -214,8 +224,9 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
             )
         sums = (sq + sum(map(mul, ys.values(), on_c.values())), kz, zz, top)
         best[z_new] = (new_chain, surviving, keeps, sums)
-        # ys holds C in vertex order: the child's search range.
-        stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain, sums))
+        if len(new_chain) < max_depth or counted and not any(p_new[v] for v in heavy):
+            # ys holds C in vertex order: the child's search range.
+            stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain, sums))
     return best
 
 
@@ -265,15 +276,8 @@ def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | No
         in_ulrich = keeps and ulrich
         if not (in_special or in_ulrich):
             continue
-        entry = ClassificationEntry(
-            cycle=z,
-            colength=ell,
-            multiplicity=mult,
-            min_gens=mu,
-            module_indices=surviving,
-            chain=Filtration(base=record.z0, steps=chain),
-            kind="both" if keeps else "special",
-        )
+        entry = ClassificationEntry(z, ell, mult, mu, surviving, Filtration(record.z0, chain),
+                                    "both" if keeps else "special")
         if in_special:
             specials.append(entry)
         if in_ulrich:

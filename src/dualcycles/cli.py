@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
@@ -126,11 +125,12 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     head = 2 if argv[:1] == ["--format"] and argv[1:2] in (["table"], ["json"]) else 0
     try:
         ns = {"format": argv[1] if head else "table", "command": argv[head]}
-        rows, rest = _SUBCOMMANDS[argv[head]][1], argv[head + 1:]
-        if type(rows) is dict:  # graph, then one of its own subcommands
-            ns["graph_command"], rows, rest = rest[0], rows[rest[0]], rest[1:]
-        ns.update((dest, False if "action" in kw else None) for _, dest, _, kw in rows)
-        table, tokens = {row[0]: row for row in rows}, iter(rest)
+        scan, rest = _SCAN[argv[head]], argv[head + 1:]
+        if type(scan) is dict:  # graph, then one of its own subcommands
+            ns["graph_command"], scan, rest = rest[0], scan[rest[0]], rest[1:]
+        defaults, table, required = scan
+        ns.update(defaults)
+        table, tokens = table.copy(), iter(rest)
         for tok in tokens:
             flag, eq, value = tok.partition("=") if tok[:1] == "-" else ("", "=", tok)
             _, dest, group, kw = table.pop(flag)  # a repeat is not found
@@ -146,8 +146,15 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
             ns[dest] = kw["type"](value) if "type" in kw else value
     except (IndexError, KeyError, ValueError):
         return None
-    missing = any(not flag or "required" in kw for flag, _, _, kw in table.values())
-    return None if missing else SimpleNamespace(**ns)
+    return None if not required.isdisjoint(table) else SimpleNamespace(**ns)
+
+
+def _scan_table(rows) -> tuple:
+    """What ``_scan`` reads of an option table, built once: its defaults,
+    its rows by flag, and its required flags ('' for a positional)."""
+    return ({dest: False if "action" in kw else None for _, dest, _, kw in rows},
+            {row[0]: row for row in rows},
+            frozenset(flag for flag, _, _, kw in rows if not flag or "required" in kw))
 
 
 @functools.cache
@@ -195,12 +202,20 @@ def _parse(argv: list[str]):
 
 
 class _IntText(dict):
-    """``str(k)`` of each int k, built the first time k is looked up.  A
-    table lives for one document, whose many integers take few values."""
+    """``str(k)`` of each int k.  One table serves every document of the
+    process (``_INT_TEXT``), whose many integers take few values: the text
+    of an int in -1024..1023 is built the first time it is looked up and
+    kept, so the table holds at most 2,048 texts; any other int is
+    formatted on each lookup and not kept."""
 
     def __missing__(self, k: int) -> str:
-        text = self[k] = str(k)
+        text = str(k)
+        if -1024 <= k < 1024:
+            self[k] = text
         return text
+
+
+_INT_TEXT = _IntText()
 
 
 def _ints(v, pad: str, fmt) -> str:
@@ -238,6 +253,27 @@ _STEP = """{
             }"""
 
 
+def _listing(entries, steps: dict[int, str]) -> list[str]:
+    """The pieces of one entry list of ``_classify_chunks``, each chain
+    step's text looked up in, or added to, ``steps``."""
+    fmt, pieces = _INT_TEXT.__getitem__, []
+    base = entries and _ints(entries[0].chain.base, "\n          ", fmt)  # every chain's Z_0
+    for k, e in enumerate(entries):
+        chain = e.chain.steps
+        pieces.append(_ENTRY % (",\n      " if k else "[\n      ",
+                                _ints(e.cycle, "\n        ", fmt),
+                                e.colength, e.multiplicity, e.min_gens,
+                                _ints(sorted(i + 1 for i in e.module_indices), "\n        ", fmt),
+                                base, "[\n            " if chain else "[]"))
+        for j, pair in enumerate(chain):
+            if id(pair) not in steps:
+                steps[id(pair)] = _STEP % (_ints(pair[0], "\n              ", fmt),
+                                           _ints(pair[1], "\n              ", fmt))
+            pieces += (",\n            ", steps[id(pair)]) if j else (steps[id(pair)],)
+        pieces.append(_ENTRY_END % ("\n          ]" if chain else "", e.kind))
+    return pieces + ["\n    ]"] if entries else ["[]"]
+
+
 def _classify_chunks(special, ulrich) -> list[str]:
     """The pieces of a classify document's ``results`` at depth 1: a key
     for each list that is not None, and in it each entry from the
@@ -246,33 +282,12 @@ def _classify_chunks(special, ulrich) -> list[str]:
     every chain through it shares and which outlives this call) and is
     its own piece wherever a chain holds it.  A ``ulrich`` list that is
     the ``special`` list repeats its pieces.  Every integer's text comes
-    from one ``_IntText`` table."""
+    from the process's ``_IntText`` table."""
     steps: dict[int, str] = {}
-    fmt = _IntText().__getitem__
-
-    def listing(entries) -> list[str]:
-        pieces = []
-        base = entries and _ints(entries[0].chain.base, "\n          ", fmt)  # every chain's Z_0
-        for k, e in enumerate(entries):
-            chain = e.chain.steps
-            pieces.append(_ENTRY % (",\n      " if k else "[\n      ",
-                                    _ints(e.cycle, "\n        ", fmt),
-                                    e.colength, e.multiplicity, e.min_gens,
-                                    _ints(sorted(i + 1 for i in e.module_indices),
-                                          "\n        ", fmt),
-                                    base, "[\n            " if chain else "[]"))
-            for j, pair in enumerate(chain):
-                if id(pair) not in steps:
-                    steps[id(pair)] = _STEP % (_ints(pair[0], "\n              ", fmt),
-                                               _ints(pair[1], "\n              ", fmt))
-                pieces += (",\n            ", steps[id(pair)]) if j else (steps[id(pair)],)
-            pieces.append(_ENTRY_END % ("\n          ]" if chain else "", e.kind))
-        return pieces + ["\n    ]"] if entries else ["[]"]
-
-    pieces = ['{\n    "special": ', *listing(special)] if special is not None else []
+    pieces = ['{\n    "special": ', *_listing(special, steps)] if special is not None else []
     if ulrich is not None:
         key = ("," if pieces else "{") + '\n    "ulrich": '
-        pieces += [key, *(pieces[1:] if ulrich is special else listing(ulrich))]
+        pieces += [key, *(pieces[1:] if ulrich is special else _listing(ulrich, steps))]
     return pieces + ["\n  }"]
 
 
@@ -281,7 +296,7 @@ def _classify_chunks(special, ulrich) -> list[str]:
 _HEAD = """{
   "tool": {
     "name": "dualcycles",
-    "version": %s
+    "version": """ + json.dumps(__version__) + """
   },
   "command": "%s",
   "graph": {
@@ -317,14 +332,14 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     text, indented one level: json.dumps escapes every newline inside a
     string, so each newline it writes is a line break.
     """
-    edges = ",\n      ".join(_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges))
-    out.write(_HEAD % (encode_basestring_ascii(__version__), command, g.vertex_count,
+    edges = ",\n      ".join([_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges)])
+    out.write(_HEAD % (command, g.vertex_count,
                        ",\n      ".join(map(str, g.weights)),
                        "[\n      " + edges + "\n    ]" if edges else "[]"))
     if command == "classify":
         out.writelines(_classify_chunks(*results))
     elif command == "oracle":
-        fmt, special, ulrich = _IntText().__getitem__, results["special"], results["ulrich"]
+        fmt, special, ulrich = _INT_TEXT.__getitem__, results["special"], results["ulrich"]
         text = _int_rows(special, "\n    ", fmt)
         out.write(_ORACLE % (results["bound"], text,
                              text if ulrich is special else _int_rows(ulrich, "\n    ", fmt)))
@@ -478,6 +493,8 @@ _SUBCOMMANDS = {
     "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", [_FAMILY, _INDEX],
                    _cmd_verify_rdp),
 }
+_SCAN = {name: {sub: _scan_table(r) for sub, r in rows.items()} if type(rows) is dict
+         else _scan_table(rows) for name, (_, rows, _) in _SUBCOMMANDS.items()}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

@@ -222,19 +222,22 @@ def validate(g: DualGraph) -> ValidationReport:
 
     One breadth-first search per component (``lattice._reach``), and
     Laufer's loop on each component (``_certified``), which certifies its
-    definiteness; on a connected graph the loop runs over the vertices in
-    index order and gives Z_0 and M.Z_0, whence p_a(Z_0).  No elimination
-    runs over more than one component, and the first component that is
-    not definite ends the check.  Memoised on graph equality, so every
-    caller on one graph shares one report, and a long-running process
-    holds a bounded set of graphs.
+    definiteness.  A connected graph takes one search, from vertex 0, and
+    one loop, over the vertices in index order, which gives Z_0 and M.Z_0,
+    whence p_a(Z_0).  On a disconnected graph the components after vertex
+    0's are searched lazily, by least vertex, each certified before the
+    next is searched.  No elimination runs over more than one component,
+    and the first component that is not definite ends the check.
+    Memoised on graph equality, so every caller on one graph shares one
+    report, and a long-running process holds a bounded set of graphs.
     """
-    left = set(range(g.vertex_count))
-    parts = (_reach(g, v, left) for v in range(g.vertex_count) if v in left)
-    first = next(parts)
+    r = len(g.weights)
+    left = set(range(r))
+    first = _reach(g, 0, left)
     connected = not left  # the first search reached every vertex
-    found = _certified(g, range(g.vertex_count) if connected else first)
-    definite = found is not None and all(_certified(g, c) for c in parts)
+    found = _certified(g, range(r) if connected else first)
+    definite = found is not None and (connected or all(
+        _certified(g, _reach(g, v, left)) for v in range(r) if v in left))
     failures = []
     if not connected:
         failures.append("graph is not connected")
@@ -243,7 +246,7 @@ def validate(g: DualGraph) -> ValidationReport:
     bad_weights = [i + 1 for i, w in enumerate(g.weights) if w > -2]
     if bad_weights:
         failures.append(f"weights > -2 at vertices {bad_weights} (not a minimal resolution)")
-    tree = connected and len(g.edges) == g.vertex_count - 1
+    tree = connected and len(g.edges) == r - 1
     if not (connected and definite):
         failures.append(
             "rationality/Gorenstein-ness undetermined (needs a connected, "

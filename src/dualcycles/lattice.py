@@ -45,9 +45,9 @@ class DualGraph:
         if not weights:
             raise ValueError("a dual graph needs at least one vertex")
         r = len(weights)
-        norm = set()
+        index, norm = operator.index, set()
         for i, j in edges:
-            i, j = operator.index(i), operator.index(j)
+            i, j = index(i), index(j)
             if i == j:
                 raise ValueError(f"self-loop at vertex {i + 1}")
             if not (0 <= i < r and 0 <= j < r):
@@ -56,15 +56,16 @@ class DualGraph:
             if pair in norm:
                 raise ValueError(f"duplicate edge ({pair[0] + 1},{pair[1] + 1})")
             norm.add(pair)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "edges", frozenset(norm))
+        setattr = object.__setattr__
+        setattr(self, "weights", weights)
+        setattr(self, "edges", frozenset(norm))
         nbrs: list[list[int]] = [[] for _ in range(r)]
         # In sorted order v's neighbours i < v arrive first, from the pairs
         # (i, v) by i, then its j > v from (v, j) by j: each list ascends.
         for i, j in sorted(norm):
             nbrs[i].append(j)
             nbrs[j].append(i)
-        object.__setattr__(self, "_neighbors", tuple(map(tuple, nbrs)))
+        setattr(self, "_neighbors", tuple(map(tuple, nbrs)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"DualGraph is immutable: {name!r} cannot change")
@@ -127,7 +128,7 @@ def scale(k: int, z: Cycle) -> Cycle:
 def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
     """The vector (Z.E_1, ..., Z.E_r), i.e. the intersection matrix applied to Z."""
     z = g.check_cycle(z)
-    at = z.__getitem__
+    at = list(z).__getitem__  # a list's method indexes faster than a tuple's
     return tuple([
         w * a + sum(map(at, nbrs)) for w, a, nbrs in zip(g.weights, z, g._neighbors)
     ])

@@ -404,6 +404,23 @@ class TestEnumerators:
         assert len(enumerate_special(g, 2)) == 3  # depth 1 walks both components
         assert sizes == [39, 58]
 
+    @pytest.mark.parametrize("n, q", [(37, 10), (395, 296)], ids=["37-10", "395-296"])
+    def test_ulrich_walk_searches_no_zero_locus_that_yields_no_step(self, monkeypatch, n, q):
+        # Z_0 = (1, ..., 1) pairs to w + 2 <= -1 with each -3 or lower vertex
+        # of these chains ((1/37)(1,10) is -4 -4 -2 -2; (1/395)(1,296) has
+        # 100 vertices and one -3), which then lies in no zero-locus
+        # component: no step past Z_0 can keep K, so the walk searches none.
+        g = build_cyclic(n, q)
+        reference = _classify(g)[1]  # both lists: the search runs to depth 10 r
+        calls = []
+        for name in ("_zero_components", "_reach"):
+            real = getattr(classify, name)
+            monkeypatch.setattr(classify, name, lambda *a, real=real, name=name: (
+                calls.append(name) or real(*a)))
+        assert enumerate_ulrich(g) == reference
+        assert [e.cycle for e in reference] == [(1,) * g.vertex_count]
+        assert calls == []
+
     ENTRY_CORPUS = {
         "ade": [
             build_ade(f, n)

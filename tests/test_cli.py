@@ -1395,19 +1395,24 @@ class TestJsonEmitter:
     @example([(0, -1, -1, 10**30, 0), [10**30, -(10**30), 0, 0], (-1,)], 6)
     @example([], 14)
     @example((), 4)
+    @example([(-1025, -1024, 1023, 1024)], 0)
     def test_int_writers_match_json_dumps(self, rows, depth):
         # The writers give json.dumps's text for a value whose enclosing
-        # level is indented by pad, with one integer table shared by every
-        # call at every pad, as in one document.
-        table = cli._IntText()
+        # level is indented by pad, with the process's one integer table
+        # shared by every call at every pad, as by every document.
+        table = cli._INT_TEXT
         pad = "\n" + " " * depth
         for p in (pad, pad + "  ", "\n"):
             assert cli._int_rows(rows, p, table.__getitem__) == (
                 json.dumps(rows, indent=2).replace("\n", p))
             for r in rows:
                 assert cli._ints(r, p, table.__getitem__) == json.dumps(r, indent=2).replace("\n", p)
-        # It holds each distinct integer's text, once.
-        assert table == {k: str(k) for r in rows for k in r}
+        # It holds each in-range integer's text, once: every lookup
+        # returns the one string kept.
+        for k in {k for r in rows for k in r if -1024 <= k < 1024}:
+            assert dict.get(table, k) == str(k) and table[k] is dict.get(table, k)
+        # It keeps no integer outside -1024..1023, 10**30 included.
+        assert all(-1024 <= k < 1024 for k in table)
 
     def test_each_step_text_is_built_once(self, monkeypatch):
         # Every distinct chain step of D_30's witness chains is formatted
