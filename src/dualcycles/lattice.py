@@ -56,16 +56,16 @@ class DualGraph:
             if pair in norm:
                 raise ValueError(f"duplicate edge ({pair[0] + 1},{pair[1] + 1})")
             norm.add(pair)
-        setattr = object.__setattr__
-        setattr(self, "weights", weights)
-        setattr(self, "edges", frozenset(norm))
+        setslot = object.__setattr__
+        setslot(self, "weights", weights)
+        setslot(self, "edges", frozenset(norm))
         nbrs: list[list[int]] = [[] for _ in range(r)]
         # In sorted order v's neighbours i < v arrive first, from the pairs
         # (i, v) by i, then its j > v from (v, j) by j: each list ascends.
         for i, j in sorted(norm):
             nbrs[i].append(j)
             nbrs[j].append(i)
-        setattr(self, "_neighbors", tuple(map(tuple, nbrs)))
+        setslot(self, "_neighbors", tuple(map(tuple, nbrs)))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"DualGraph is immutable: {name!r} cannot change")
