@@ -14,7 +14,7 @@ reads the graph's memoised ``validate`` report once (InvalidGraphError
 unless it accepts the graph) and passes that report down.  The cycle
 invariants and verdicts come from one ``invariants._formulas`` call per
 request, over the four sums per cycle that the chain walk and the
-oracle's box search each keep as they go.
+oracle's box search each keep as they go.  Also: the ADE golden tables.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from .invariants import (
     InvalidGraphError,
     ValidationReport,
     _formulas,
-    _invariants_of,
     _laufer,
     _rational,
     fundamental_cycle,
     validate,
 )
-from .lattice import Cycle, DualGraph, _reach, _rows
+from .lattice import Cycle, DualGraph, _reach
 
 
 # The most coefficients (cycles times r) the oracle's box search may hold.
@@ -66,17 +65,6 @@ class ClassificationEntry(NamedTuple):
     module_indices: frozenset[int]
     chain: Filtration
     kind: str  # "special" | "both" (Ulrich too; an Ulrich cycle is special)
-
-
-def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
-    """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
-    return _invariants_of(g, z).special
-
-
-def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
-    """Ulrich test: on multiplicity-2 graphs this coincides with the special
-    test; otherwise U(Z) = 0 decides (valid since mu(I_Z) > 2 there)."""
-    return _invariants_of(g, z).ulrich
 
 
 def _zero_components(g: DualGraph, pairing: Cycle, inside):
@@ -351,6 +339,11 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[list, list,
                 cs.append(c)
         plans[k] = (vs, cs, det)
     return plans
+
+
+def _rows(flat, r: int):
+    """The consecutive length-r rows of a flat sequence, as tuples, at C speed."""
+    return zip(*[iter(flat)] * r)
 
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:

@@ -27,13 +27,14 @@ from .classify import (
     verify_rdp,
 )
 from .invariants import (
+    CycleError,
     Filtration,
     _filtration,
     _pointwise,
     fundamental_cycle,
     validate,
 )
-from .lattice import Cycle, CycleError, DualGraph, pairing_vector
+from .lattice import Cycle, DualGraph, pairing_vector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,7 +87,7 @@ def _resolve_graph(args) -> DualGraph:
     if (graph is not None) + ade + cyclic > 1:
         raise GraphFormatError("choose one graph source: --graph, --family/--index or --n/--q")
     if graph is not None:
-        with open(graph, encoding="utf-8") as fh:
+        with open(graph, encoding="utf-8-sig") as fh:
             return parse_graph(fh.read())
     if ade:
         if family is None or index is None:
@@ -128,14 +129,15 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
         scan, rest = _SCAN[argv[head]], argv[head + 1:]
         if type(scan) is dict:  # graph, then one of its own subcommands
             ns["graph_command"], scan, rest = rest[0], scan[rest[0]], rest[1:]
-        defaults, table, required = scan
+        defaults, table, required, exclusive = scan
         ns.update(defaults)
         table, tokens = table.copy(), iter(rest)
         for tok in tokens:
             flag, eq, value = tok.partition("=") if tok[:1] == "-" else ("", "=", tok)
             _, dest, group, kw = table.pop(flag)  # a repeat is not found
             if group == _EXCLUSIVE:  # nor the rest of its group
-                table = {f: row for f, row in table.items() if row[2] != _EXCLUSIVE}
+                for f in exclusive:
+                    table.pop(f, None)
             if "action" in kw:  # store_true
                 value = None if eq else True
             elif not eq:  # argparse may read a "-" token as an option
@@ -151,10 +153,12 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
 
 def _scan_table(rows) -> tuple:
     """What ``_scan`` reads of an option table, built once: its defaults,
-    its rows by flag, and its required flags ('' for a positional)."""
+    its rows by flag, its required flags ('' for a positional) and its
+    exclusive flags."""
     return ({dest: False if "action" in kw else None for _, dest, _, kw in rows},
             {row[0]: row for row in rows},
-            frozenset(flag for flag, _, _, kw in rows if not flag or "required" in kw))
+            frozenset(flag for flag, _, _, kw in rows if not flag or "required" in kw),
+            tuple(flag for flag, _, group, _ in rows if group == _EXCLUSIVE))
 
 
 @functools.cache
@@ -362,13 +366,13 @@ def _cmd_graph(args, g, out) -> int:
 
 def _cmd_validate(args, g, out) -> int:
     rep = validate(g)
+    results = dict(zip(rep._fields, rep[:7]))  # the verdicts, then the failures
     if args.format == "json":
-        _emit("validate", g, dict(zip(rep._fields, rep[:7])), out)  # no z0 or pairing key
+        _emit("validate", g, results, out)
     else:
         _render_graph(g, out)
-        for name in ("connected", "negative_definite", "tree", "rational", "gorenstein"):
-            print(f"  {name}: {getattr(rep, name)}", file=out)
-        print(f"  multiplicity: {rep.multiplicity}", file=out)
+        for key in list(results)[:-1]:
+            print(f"  {key}: {results[key]}", file=out)
         for f in rep.failures:
             print(f"finding: {f}", file=sys.stderr)
     return EXIT_OK if rep.ok else EXIT_VALIDATION
@@ -399,8 +403,8 @@ def _cmd_invariants(args, g, out) -> int:
         raise CycleError("cycle is not anti-nef (represents no ideal)")
     inv = _pointwise(g, z, rep, pairing)
     results = dict(
-        cycle=z, virtual_genus=inv.genus, colength=inv.colength, multiplicity=inv.multiplicity,
-        min_gens=inv.min_gens, u_invariant=inv.u,
+        cycle=z, virtual_genus=1 - inv.colength, colength=inv.colength,
+        multiplicity=inv.multiplicity, min_gens=inv.min_gens, u_invariant=inv.u,
         special_module_indices=sorted(i + 1 for i in inv.indices),
     )
     if args.format == "json":

@@ -12,9 +12,10 @@ classifiers read the report and hand it to the functions below.
 ``_formulas`` reads every invariant of many anti-nef cycles off four
 sums per cycle, one columnar pass per invariant; the oracle's box search
 and the chain walk keep those sums as they go.  ``_pointwise`` is the
-one-cycle case, which the public functions read after raising
-InvalidGraphError unless the graph is connected, negative definite and
-rational.  Also: canonical filtrations.
+one-cycle case, which the invariant functions and the special and
+Ulrich tests read after raising InvalidGraphError unless the graph is
+connected, negative definite and rational.  Also: filtrations, and the
+virtual genus and anti-nef test of any cycle.
 """
 
 from __future__ import annotations
@@ -26,16 +27,7 @@ import operator
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .lattice import (
-    Cycle,
-    CycleError,
-    DualGraph,
-    _co_genera,
-    _reach,
-    pairing_vector,
-    scale,
-    sub,
-)
+from .lattice import Cycle, DualGraph, _reach, pairing_vector, scale, sub
 
 
 # The most coefficients a filtration may hold, steps times r.  Its step
@@ -47,6 +39,10 @@ MAX_FILTRATION = 100_000
 
 class InvalidGraphError(ValueError):
     """The graph fails validation (classification is undefined on it)."""
+
+
+class CycleError(ValueError):
+    """A cycle violates a precondition (negativity, not anti-nef, ...)."""
 
 
 def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
@@ -284,7 +280,6 @@ def _rational(g: DualGraph) -> ValidationReport:
 class CycleInvariants(NamedTuple):
     """The invariants of one anti-nef cycle (``_pointwise``)."""
 
-    genus: int
     colength: int
     multiplicity: int
     min_gens: int
@@ -292,6 +287,15 @@ class CycleInvariants(NamedTuple):
     indices: frozenset[int]
     special: bool
     ulrich: bool
+
+
+def _co_genera(squares, canonicals) -> list[int]:
+    """1 - p_a(Z) = -(Z^2 + K.Z)/2 of each cycle, given its Z^2 and K.Z,
+    with p_a(Z) = (Z^2 + K.Z)/2 + 1; passes at C speed."""
+    q = list(map(operator.add, squares, canonicals))
+    if any(map(operator.mod, q, itertools.repeat(2))):
+        raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
+    return list(map(operator.floordiv, q, itertools.repeat(-2)))
 
 
 def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
@@ -304,7 +308,7 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
 
     - multiplicity -Z^2;
     - colength 1 - p_a(Z), the length of A/I_Z (Riemann-Roch), with
-      p_a(Z) = (Z^2 + K.Z)/2 + 1 (``lattice._co_genera``);
+      p_a(Z) = (Z^2 + K.Z)/2 + 1 (``_co_genera``);
     - min_gens 1 - Z.Z_0;
     - U(Z) = (Z.Z_0)(p_a(Z) - 1) + Z^2 = (min_gens - 1) colength + Z^2;
     - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
@@ -361,12 +365,28 @@ def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,
     cols = _formulas(*sums, [max(map(operator.mul, z, record.scales))], record)
     mult, ell, mu, u, special, ulrich = (c[0] for c in cols)
     indices = frozenset(i for i, (a, n) in enumerate(zip(z, record.z0)) if a == n * ell)
-    return CycleInvariants(1 - ell, ell, mult, mu, u, indices, special, ulrich)
+    return CycleInvariants(ell, mult, mu, u, indices, special, ulrich)
 
 
 def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:
     """``_pointwise`` after the graph check: InvalidGraphError first."""
     return _pointwise(g, z, _rational(g))
+
+
+def virtual_genus(g: DualGraph, z: Cycle) -> int:
+    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer; K.E_i = -w_i - 2."""
+    z = g.check_cycle(z)
+    zz = sum(map(operator.mul, z, pairing_vector(g, z)))
+    kz = -2 * sum(z) - sum(map(operator.mul, z, g.weights))
+    return 1 - _co_genera((zz,), (kz,))[0]
+
+
+def is_anti_nef(g: DualGraph, z: Cycle) -> bool:
+    """True iff Z.E_i <= 0 for every vertex.  Requires Z >= 0."""
+    z = g.check_cycle(z)
+    if min(z) < 0:
+        raise CycleError("anti-nef test requires a nonnegative cycle")
+    return max(pairing_vector(g, z)) <= 0
 
 
 def colength(g: DualGraph, z: Cycle) -> int:
@@ -436,3 +456,14 @@ def special_module_indices(g: DualGraph, z: Cycle) -> frozenset[int]:
     and is asserted.
     """
     return _invariants_of(g, z).indices
+
+
+def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
+    """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
+    return _invariants_of(g, z).special
+
+
+def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
+    """Ulrich test: on multiplicity-2 graphs this coincides with the special
+    test; otherwise U(Z) = 0 decides (valid since mu(I_Z) > 2 there)."""
+    return _invariants_of(g, z).ulrich

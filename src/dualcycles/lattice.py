@@ -8,12 +8,12 @@ breadth-first search that every component and connectedness question
 runs.  A cycle is an integer coefficient vector over the vertices.
 Everything here is exact integer arithmetic; coefficients may be
 negative (differences of cycles are legitimate lattice elements),
-positivity is enforced by callers that need it.
+positivity is enforced by callers that need it.  ``invariants`` judges
+cycles.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 Cycle = tuple[int, ...]
@@ -21,10 +21,6 @@ Cycle = tuple[int, ...]
 
 class DimensionError(ValueError):
     """A cycle's length does not match the graph's vertex count."""
-
-
-class CycleError(ValueError):
-    """A cycle violates a precondition (negativity, not anti-nef, ...)."""
 
 
 class DualGraph:
@@ -132,33 +128,3 @@ def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
     return tuple([
         w * a + sum(map(at, nbrs)) for w, a, nbrs in zip(g.weights, z, g._neighbors)
     ])
-
-
-def _rows(flat, r: int):
-    """The consecutive length-r rows of a flat sequence, as tuples, at C speed."""
-    return zip(*[iter(flat)] * r)
-
-
-def _co_genera(squares, canonicals) -> list[int]:
-    """1 - p_a(Z) = -(Z^2 + K.Z)/2 of each cycle, given its Z^2 and K.Z,
-    with p_a(Z) = (Z^2 + K.Z)/2 + 1; passes at C speed."""
-    q = list(map(operator.add, squares, canonicals))
-    if any(map(operator.mod, q, itertools.repeat(2))):
-        raise AssertionError("parity violation: Z^2 + K.Z is odd (malformed graph)")
-    return list(map(operator.floordiv, q, itertools.repeat(-2)))
-
-
-def virtual_genus(g: DualGraph, z: Cycle) -> int:
-    """p_a(Z) = (Z^2 + K.Z)/2 + 1, always an exact integer; K.E_i = -w_i - 2."""
-    z = g.check_cycle(z)
-    zz = sum(map(operator.mul, z, pairing_vector(g, z)))
-    kz = -2 * sum(z) - sum(map(operator.mul, z, g.weights))
-    return 1 - _co_genera((zz,), (kz,))[0]
-
-
-def is_anti_nef(g: DualGraph, z: Cycle) -> bool:
-    """True iff Z.E_i <= 0 for every vertex.  Requires Z >= 0."""
-    z = g.check_cycle(z)
-    if any(a < 0 for a in z):
-        raise CycleError("anti-nef test requires a nonnegative cycle")
-    return all(v <= 0 for v in pairing_vector(g, z))

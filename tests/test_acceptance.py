@@ -15,8 +15,6 @@ from dualcycles.classify import (
     enumerate_special,
     enumerate_ulrich,
     expected_ulrich_count,
-    is_special_cycle,
-    is_ulrich_cycle,
     oracle_classify,
     verify_rdp,
 )
@@ -24,16 +22,16 @@ from dualcycles.invariants import (
     colength,
     filtration,
     fundamental_cycle,
+    is_anti_nef,
+    is_special_cycle,
+    is_ulrich_cycle,
     min_gens,
     multiplicity,
     u_invariant,
     validate,
-)
-from dualcycles.lattice import (
-    DualGraph,
-    is_anti_nef,
     virtual_genus,
 )
+from dualcycles.lattice import DualGraph
 from corpus import STAR, add, chain_cycles_in_box, inf_cycles, intersection
 
 ADE_ALL = (

@@ -26,11 +26,11 @@ import math
 import time
 
 from dualcycles.builders import build_ade, build_cyclic
-from dualcycles.classify import _box_search, _classify, _walk
+from dualcycles.classify import _box_search, _classify, _rows, _walk
 from dualcycles.invariants import (
     _filtration, _formulas, _rational, special_module_indices, validate,
 )
-from dualcycles.lattice import DualGraph, _rows, pairing_vector
+from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
     ORACLE_CORPUS, components, cycle_sums, graph_of, oracle_graph, tree_classes,
 )

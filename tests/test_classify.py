@@ -26,28 +26,24 @@ from dualcycles.classify import (
     enumerate_ulrich,
     expected_ulrich_count,
     golden_table,
-    is_special_cycle,
-    is_ulrich_cycle,
     oracle_classify,
     verify_rdp,
 )
 from dualcycles.invariants import (
     colength,
     fundamental_cycle,
+    is_anti_nef,
     is_negative_definite,
+    is_special_cycle,
+    is_ulrich_cycle,
     min_gens,
     multiplicity,
     special_module_indices,
     u_invariant,
     validate,
-)
-from dualcycles.lattice import (
-    DualGraph,
-    is_anti_nef,
-    pairing_vector,
-    scale,
     virtual_genus,
 )
+from dualcycles.lattice import DualGraph, pairing_vector, scale
 from corpus import (
     INDEFINITE_STAR,
     ORACLE_CORPUS,

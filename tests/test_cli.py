@@ -31,6 +31,7 @@ from dualcycles.lattice import DualGraph
 from corpus import (
     CATERPILLAR,
     CATERPILLAR_Z0,
+    DIGEST_FILES,
     INDEFINITE_STAR,
     NON_RATIONAL_TREE,
     STAR,
@@ -38,6 +39,7 @@ from corpus import (
     graph_of,
     run_child,
     tree_classes,
+    write_digest_graphs,
 )
 
 
@@ -88,6 +90,30 @@ class TestGraphCommand:
         code, out = run("graph", "load", str(src))
         assert code == EXIT_OK
         assert parse_graph(out) == STAR
+
+    @pytest.mark.parametrize("name", DIGEST_FILES)
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path, capsys, name):
+        # A file saved with a UTF-8 byte-order mark once failed with "line 1:
+        # 'vertices' must be the first directive", exit 2.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        write_digest_graphs(plain)
+        text = (plain / f"{name}.txt").read_bytes()
+        (marked / f"{name}.txt").write_bytes(b"\xef\xbb\xbf" + text)
+        seen = {}
+        for where in (plain, marked):
+            graph = str(where / f"{name}.txt")
+            ones = ",".join(["1"] * DIGEST_FILES[name].vertex_count)
+            for form in ([], ["--format", "json"]):
+                for argv in (["graph", "load", graph], ["validate", "--graph", graph],
+                             ["fundamental", "--graph", graph], ["classify", "--graph", graph],
+                             ["invariants", "--graph", graph, "--cycle", ones],
+                             ["oracle", "--graph", graph, "--bound", "2"]):
+                    code, out = run(*form, *argv)
+                    seen.setdefault(where, []).append((code, out, capsys.readouterr().err))
+        assert seen[marked] == seen[plain]
+        assert seen[plain][0][0] == EXIT_OK  # graph load reads every one of these files
 
     def test_out_file(self, tmp_path):
         dst = tmp_path / "out.txt"
@@ -782,7 +808,7 @@ class TestSizeLimits:
 
     def test_library_and_cli_refuse_a_filtration_alike(self, capsys):
         g = build_ade("A", 1)
-        with pytest.raises(lattice.CycleError) as err:
+        with pytest.raises(invariants.CycleError) as err:
             invariants.filtration(g, (10**20,))
         code, out = run("--format", "json", "invariants", "--family", "A", "--index", "1",
                         "--cycle", str(10**20))

@@ -16,6 +16,7 @@ from dualcycles.builders import (
 )
 from dualcycles.invariants import (
     MAX_FILTRATION,
+    CycleError,
     _certified,
     _laufer,
     _pointwise,
@@ -23,23 +24,16 @@ from dualcycles.invariants import (
     colength,
     filtration,
     fundamental_cycle,
+    is_anti_nef,
     is_negative_definite,
     min_gens,
     multiplicity,
     special_module_indices,
     u_invariant,
     validate,
-)
-from dualcycles.lattice import (
-    Cycle,
-    CycleError,
-    DimensionError,
-    DualGraph,
-    is_anti_nef,
-    pairing_vector,
-    scale,
     virtual_genus,
 )
+from dualcycles.lattice import Cycle, DimensionError, DualGraph, pairing_vector, scale
 from corpus import (
     CATERPILLAR,
     CATERPILLAR_Z0,

@@ -7,18 +7,8 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcycles.lattice import (
-    Cycle,
-    CycleError,
-    DimensionError,
-    DualGraph,
-    _co_genera,
-    is_anti_nef,
-    pairing_vector,
-    scale,
-    sub,
-    virtual_genus,
-)
+from dualcycles.invariants import CycleError, _co_genera, is_anti_nef, virtual_genus
+from dualcycles.lattice import Cycle, DimensionError, DualGraph, pairing_vector, scale, sub
 from corpus import add, canonical_degree, inf_cycles, intersection, random_trees
 
 

@@ -1,9 +1,11 @@
 """The module boundary of ``src/dualcycles``, read off the source.
 
-``lattice`` holds the graph type and its search, ``builders`` makes
-graphs and writes the text format both ways, and ``invariants`` judges
-graphs and cycles.  Each module's sibling imports and the home of each
-name below are read with ``ast``, without importing the package.
+``lattice`` holds the graph type, its search and cycle arithmetic,
+``builders`` makes graphs and writes the text format both ways,
+``invariants`` judges graphs and cycles, and ``classify`` runs the two
+routes.  Each module's sibling imports, the home of each name below and
+the private names that cross between modules are read with ``ast``,
+without importing the package.
 """
 
 import ast
@@ -28,6 +30,35 @@ HOMES = {
     "is_negative_definite": "invariants",
     "_certified": "invariants",
     "_reach": "lattice",
+    "CycleError": "invariants",
+    "_co_genera": "invariants",
+    "virtual_genus": "invariants",
+    "is_anti_nef": "invariants",
+    "is_special_cycle": "invariants",
+    "is_ulrich_cycle": "invariants",
+    "_rows": "classify",
+}
+
+# The modules that once held a name and must not hold it again, not even
+# as an import: the package namespace is the one other place it resolves.
+FORMER_HOMES = {
+    "lattice": {"CycleError", "_co_genera", "virtual_genus", "is_anti_nef", "_rows"},
+    "classify": {"is_special_cycle", "is_ulrich_cycle"},
+}
+
+# Every private name that one module imports from a sibling, exactly, as
+# (importer, sibling, name).  A new crossing fails here: move the name
+# to its one caller, or make it public.
+CROSSINGS = {
+    ("classify", "builders", "_ade_type"),
+    ("classify", "invariants", "_formulas"),
+    ("classify", "invariants", "_laufer"),
+    ("classify", "invariants", "_rational"),
+    ("classify", "lattice", "_reach"),
+    ("cli", "classify", "_classify"),
+    ("cli", "invariants", "_filtration"),
+    ("cli", "invariants", "_pointwise"),
+    ("invariants", "lattice", "_reach"),
 }
 
 
@@ -56,6 +87,14 @@ def siblings(tree: ast.Module) -> set[str]:
     return found
 
 
+def private_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(sibling, name) of each private name, dunders aside, that ``tree``
+    imports from a sibling module."""
+    return {(node.module, a.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for a in node.names if a.name.startswith("_") and not a.name.startswith("__")}
+
+
 def test_each_module_imports_only_its_layers():
     parsed = modules()
     assert {name: siblings(parsed[name]) for name in IMPORTS} == IMPORTS
@@ -68,3 +107,19 @@ def test_each_name_is_defined_in_one_module():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in HOMES:
                 homes.setdefault(node.name, []).append(module)
     assert homes == {name: [module] for name, module in HOMES.items()}
+
+
+def test_no_former_home_holds_a_moved_name():
+    parsed = modules()
+    for module, names in FORMER_HOMES.items():
+        bound = {a.asname or a.name for node in ast.walk(parsed[module])
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        bound |= {node.name for node in parsed[module].body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert bound.isdisjoint(names), (module, bound & names)
+
+
+def test_private_names_cross_modules_only_as_listed():
+    found = {(module, *pair) for module, tree in modules().items()
+             for pair in private_imports(tree)}
+    assert found == CROSSINGS
