@@ -101,10 +101,9 @@ class TestGraphCommand:
         write_digest_graphs(plain)
         text = (plain / f"{name}.txt").read_bytes()
         (marked / f"{name}.txt").write_bytes(b"\xef\xbb\xbf" + text)
-        seen = {}
+        ones, seen = ",".join(["1"] * DIGEST_FILES[name].vertex_count), {}
         for where in (plain, marked):
             graph = str(where / f"{name}.txt")
-            ones = ",".join(["1"] * DIGEST_FILES[name].vertex_count)
             for form in ([], ["--format", "json"]):
                 for argv in (["graph", "load", graph], ["validate", "--graph", graph],
                              ["fundamental", "--graph", graph], ["classify", "--graph", graph],
