@@ -4,7 +4,6 @@ graphs of two-dimensional rational surface singularities."""
 from .builders import GraphFormatError, build_ade, build_cyclic, hj_expansion, parse_graph
 from .classify import (
     BoxLimitError,
-    ChainDepthError,
     ClassificationEntry,
     RdpVerification,
     brute_force_anti_nef,
@@ -39,7 +38,6 @@ __version__ = "0.2.0"
 
 __all__ = [
     "BoxLimitError",
-    "ChainDepthError",
     "ClassificationEntry",
     "Cycle",
     "CycleError",

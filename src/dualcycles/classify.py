@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from operator import mul
 from typing import NamedTuple
@@ -45,10 +46,6 @@ from .lattice import Cycle, DualGraph, _reach
 # BoxLimitError before its cycles exhaust time or memory, whatever its
 # bound.  E_8 at bound 25, 33,723 cycles, holds 269,784.
 MAX_BOX = 1_000_000
-
-
-class ChainDepthError(RuntimeError):
-    """A chain enumeration exceeded its step cap without terminating."""
 
 
 class BoxLimitError(RuntimeError):
@@ -78,7 +75,7 @@ def _zero_components(g: DualGraph, pairing: Cycle, inside):
             yield sorted(_reach(g, s, zeros))
 
 
-def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int | None):
+def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     """The admissible filtration chains from Z_0, walked once for both lists.
 
     Candidate increments at each node are the fundamental cycles of the
@@ -92,15 +89,23 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     K.(Z_0 - Y_k) = 0, the Ulrich condition, and the sums the four of
     ``invariants._formulas``.
 
-    The chains form a tree, by three lemmas on a child's increment Y',
-    the fundamental cycle of a connected component C' of the zero locus
-    inside supp(Y):
+    The chains form a tree of bounded depth, by four lemmas on a child's
+    increment Y', the fundamental cycle of a connected component C' of
+    the zero locus inside supp(Y):
 
     - the increments decrease, Y' <= Y (and Y_1 <= Z_0).  Y is positive
       and anti-nef on its support (a fundamental cycle; Z_0 everywhere);
       dropping its coefficients off C' only lowers the pairings on C', so
       its restriction to C' is positive and anti-nef on C', and Laufer's
       minimality puts Y' below it;
+    - the supports shrink strictly, C' is a proper subset of supp(Y) = C
+      (and C_1 of all vertices).  The parent's pairing is zero on C, so
+      on C the node's pairing is M.Y, and Y^2 = sum over v in C of
+      y_v (M.Y)_v < 0 (the graph is negative definite): some vertex of C
+      pairs negatively and leaves the zero locus.  At the root Z_0^2 < 0
+      does the same.  So a chain has at most z = #{v: (M.Z_0)_v = 0}
+      <= r - 1 steps, every walked cycle has colength <= z + 1 <= r
+      (below), and the walk needs no step cap;
     - no cycle is reached twice.  Siblings add increments on disjoint
       components, and every later increment stays inside its parent's
       support, so two chains that part at a node add nonzero cycles on
@@ -111,21 +116,18 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
       Y' <= Y_{k-1} <= ... <= Y_1 <= Z_0, a coefficient n_v at Y' forces
       n_v at every earlier step.
 
-    A step past ``max_depth`` is dropped unless it keeps K and
-    ``max_steps`` is set; a K step past ``max_steps`` raises
-    ChainDepthError.  K steps are a prefix-closed subtree of the same
-    sorted children, so the first such step in preorder is the first one
-    a walk of K steps alone meets.  The surviving set lies inside C, so a
-    component that misses a heavy vertex (weight <= -3) cannot keep K:
-    past ``max_depth`` such a component, and every component when
-    ``max_steps`` is None, is dropped before Laufer's loop runs.  A node
-    whose children all fall past ``max_depth`` gets no zero-locus search
-    at all (no ``_zero_components``, no ``_reach``) when none of them can
-    keep K: when ``max_steps`` is None, when the node's own step does not
-    keep K (the increments decrease, so no later step gets back a heavy
-    vertex's full coefficient), or when its pairing is nonzero at a heavy
-    vertex, which then lies in no component.  So ``classify --ulrich`` on
-    a graph whose Z_0 pairs nonzero with a heavy vertex, such as every
+    A step past ``max_depth`` is dropped unless ``ulrich`` is set and the
+    step keeps K.  The surviving set lies inside C, so a component that
+    misses a heavy vertex (weight <= -3) cannot keep K: past
+    ``max_depth`` such a component, and every component when ``ulrich``
+    is false, is dropped before Laufer's loop runs.  A node whose
+    children all fall past ``max_depth`` gets no zero-locus search at all
+    (no ``_zero_components``, no ``_reach``) when none of them can keep
+    K: when ``ulrich`` is false, when the node's own step does not keep K
+    (the increments decrease, so no later step gets back a heavy vertex's
+    full coefficient), or when its pairing is nonzero at a heavy vertex,
+    which then lies in no component.  So ``classify --ulrich`` on a graph
+    whose Z_0 pairs nonzero with a heavy vertex, such as every
     non-Gorenstein chain, walks Z_0 alone.
 
     Checked, not proved: every chain that ends at a special or Ulrich
@@ -171,7 +173,7 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     # chain, sums) frames, so chain length is not bounded by the
     # interpreter's recursion.
     stack = []
-    if max_depth > 0 or max_steps is not None and not any(root[v] for v in heavy):
+    if max_depth > 0 or ulrich and not any(root[v] for v in heavy):
         stack.append((_zero_components(g, root, range(g.vertex_count)), z0, root, (), sums))
     while stack:
         comps, z_prev, pairing, chain, (sq, kz, zz, top) = stack[-1]
@@ -179,7 +181,7 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
         if comp is None:
             stack.pop()
             continue
-        if len(chain) >= max_depth and (max_steps is None or not heavy.issubset(comp)):
+        if len(chain) >= max_depth and not (ulrich and heavy.issubset(comp)):
             continue  # only a K step enters past max_depth, and K needs every heavy vertex in C
         ys, on_c = _laufer(g, comp)
         boundary = {}
@@ -191,7 +193,7 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
             continue  # not anti-nef
         surviving = frozenset(v for v, a in ys.items() if a == z0[v])
         keeps = heavy <= surviving
-        counted = keeps and max_steps is not None  # max_steps caps it, not max_depth
+        counted = keeps and ulrich  # an Ulrich step: walked past max_depth too
         if not counted and len(chain) >= max_depth:
             continue
         y, z_new, p_new = [0] * len(z0), list(z_prev), list(pairing)
@@ -206,10 +208,6 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
             p_new[v] = p
         y, z_new, p_new = tuple(y), tuple(z_new), tuple(p_new)
         new_chain = chain + ((y, z_new),)
-        if counted and len(new_chain) > max_steps:
-            raise ChainDepthError(
-                f"chain through {[s[1] for s in new_chain]} exceeded {max_steps} steps"
-            )
         sums = (sq + sum(map(mul, ys.values(), on_c.values())), kz, zz, top)
         best[z_new] = (new_chain, surviving, keeps, sums)
         if len(new_chain) < max_depth or counted and not any(p_new[v] for v in heavy):
@@ -218,38 +216,33 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, max_steps: int
     return best
 
 
-def _classify(g: DualGraph, max_colength: int | None = None, max_steps: int | None = None,
-              special: bool = True, ulrich: bool = True):
+def _classify(g: DualGraph, max_colength: int | None = None, special: bool = True,
+              ulrich: bool = True):
     """(special cycles of colength <= max_colength, Ulrich cycles) from one
     ``_walk``, with None in place of a list that is not asked for.
 
-    Both caps default to 10 r, and both are checked whichever lists are
-    asked for.  One ``_formulas`` call over the sums the walk keeps for
-    every walked cycle gives the pointwise tests, and both
-    chain criteria must agree with them both ways (AssertionError else):
-    a nonempty surviving set with the special verdict, the K bit with the
-    Ulrich one.  Each cycle that is special or Ulrich gets one entry, with
-    its one chain, shared by both lists, read off its walk node: the
-    module indices are the surviving set ({i: a_i = n_i colength(Z)}, as
-    ``_walk`` shows) and the kind is "both" when the K bit holds,
-    else "special" (the K bit puts every heavy vertex in the surviving
-    set, so an Ulrich cycle is special).  Equal lists are returned
-    as one list object.  Errors come in this order: InvalidGraphError,
-    TypeError on a cap that is not an integer, ValueError on a
-    max_colength below 1, then on a negative max_steps, then
-    ChainDepthError from the walk (only when the Ulrich list is asked
-    for), then those of ``_formulas``.
+    ``max_colength`` caps the special list only, and None, its default,
+    means no cap (``_walk``: no walked cycle has colength above r).  It
+    is checked whichever lists are asked for.  One ``_formulas`` call
+    over the sums the walk keeps for every walked cycle gives the
+    pointwise tests, and both chain criteria must agree with them both
+    ways (AssertionError else): a nonempty surviving set with the special
+    verdict, the K bit with the Ulrich one.  Each cycle that is special
+    or Ulrich gets one entry, with its one chain, shared by both lists,
+    read off its walk node: the module indices are the surviving set
+    ({i: a_i = n_i colength(Z)}, as ``_walk`` shows) and the kind is
+    "both" when the K bit holds, else "special" (the K bit puts every
+    heavy vertex in the surviving set, so an Ulrich cycle is special).
+    Equal lists are returned as one list object.  Errors come in this
+    order: InvalidGraphError, TypeError on a max_colength that is not an
+    integer, ValueError on one below 1, then those of ``_formulas``.
     """
     record = _rational(g)
-    r10 = 10 * g.vertex_count  # the default of both caps
-    max_colength = r10 if max_colength is None else operator.index(max_colength)
-    max_steps = r10 if max_steps is None else operator.index(max_steps)
+    max_colength = math.inf if max_colength is None else operator.index(max_colength)
     if max_colength < 1:
         raise ValueError("max_colength must be >= 1")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
     max_depth = max_colength - 1 if special else 0
-    best = _walk(g, record, max_depth, max_steps if ulrich else None)
+    best = _walk(g, record, max_depth, ulrich)
     cycles = sorted(best)
     cols = _formulas(*zip(*(best[z][3] for z in cycles)), record)
 
@@ -286,18 +279,17 @@ def enumerate_special(g: DualGraph, max_colength: int) -> list[ClassificationEnt
     return _classify(g, max_colength, ulrich=False)[0]
 
 
-def enumerate_ulrich(g: DualGraph, max_steps: int | None = None) -> list[ClassificationEntry]:
+def enumerate_ulrich(g: DualGraph) -> list[ClassificationEntry]:
     """All Ulrich cycles of the graph.
 
     These are the endpoints of the chains whose every increment leaves
     the canonical degree of Z_0 - Y_k at zero (every vertex with weight
     <= -3 keeps its full Z_0 coefficient).  On a multiplicity-2 graph
     every weight is -2, so every chain qualifies and Ulrich and special
-    cycles coincide.  ChainDepthError is raised when such a step would
-    make a chain longer than ``max_steps`` (default 10 r), and ValueError
-    when ``max_steps`` is negative.
+    cycles coincide.  No chain has more than r - 1 steps (``_walk``), so
+    the walk needs no cap.
     """
-    return _classify(g, max_steps=max_steps, special=False)[1]
+    return _classify(g, special=False)[1]
 
 
 def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[list, list, int]]:

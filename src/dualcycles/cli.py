@@ -19,7 +19,6 @@ from . import __version__
 from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph, serialize_graph
 from .classify import (
     BoxLimitError,
-    ChainDepthError,
     ClassificationEntry,
     InvalidGraphError,
     _classify,
@@ -418,8 +417,7 @@ def _cmd_invariants(args, g, out) -> int:
 
 
 def _cmd_classify(args, g, out) -> int:
-    special, ulrich = _classify(g, args.max_colength, args.max_steps,
-                                not args.ulrich, not args.special)
+    special, ulrich = _classify(g, args.max_colength, not args.ulrich, not args.special)
     if args.format == "json":
         _emit("classify", g, (special, ulrich), out)
     else:
@@ -491,7 +489,7 @@ _SUBCOMMANDS = {
     "classify": ("enumerate special and/or Ulrich cycles", _GRAPH_SOURCE + [
         _opt("--special", _EXCLUSIVE, action="store_true"),
         _opt("--ulrich", _EXCLUSIVE, action="store_true"),
-        _opt("--max-colength", type=int), _opt("--max-steps", type=int)], _cmd_classify),
+        _opt("--max-colength", type=int)], _cmd_classify),
     "oracle": ("brute-force classification up to bound * Z0", _GRAPH_SOURCE + [
         _opt("--bound", type=int, required=True)], _cmd_oracle),
     "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", [_FAMILY, _INDEX],
@@ -511,7 +509,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return _SUBCOMMANDS[args.command][2](args, _resolve_graph(args), out)
-    except (CycleError, InvalidGraphError, ChainDepthError, BoxLimitError) as e:
+    except (CycleError, InvalidGraphError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GraphFormatError, ValueError, OSError) as e:

@@ -334,8 +334,8 @@ def digest_argvs() -> list[list[str]]:
       all-ones cycle where Z_0 is not computable), ``classify``,
       ``oracle`` at bounds 1-4 and, on the ADE graphs, ``verify-rdp``;
     - ``classify`` in both forms, for each list choice, with
-      --max-colength in {none, 1, 2, 3, 10} against --max-steps in
-      {none, 0, 1, 2, 9}, on A_9, D_8, E_7, A_20, STAR and (1/19)(1, 7);
+      --max-colength in {none, 1, 2, 3, 10}, on A_9, D_8, E_7, A_20, STAR
+      and (1/19)(1, 7);
 
     then, after those rows, in both forms:
 
@@ -346,8 +346,10 @@ def digest_argvs() -> list[list[str]]:
       (not anti-nef unless vertex 1 is isolated) and at a cycle of r + 1
       ones; ``oracle`` at bounds 0 and -1;
     - ``classify`` on the six capped graphs with --max-colength in
-      {none, 0-7, 10, 13} against --max-steps in {none, -1..6, 9, 12},
-      each pair not above;
+      {0, 4-7, 13};
+    - ``classify`` on A_9 with the removed --max-steps, a usage error,
+      and (table form only) with --max, which argparse reads as
+      --max-colength;
     - ``validate`` on two graph sources at once, on half-given sources,
       and on each file of MALFORMED_FILES;
     - the small CI tripwires: a 1,999-vertex support of D_2000, A_1 at
@@ -379,14 +381,12 @@ def digest_argvs() -> list[list[str]]:
     capped = (["--family", "A", "--index", "9"], ["--family", "D", "--index", "8"],
               ["--family", "E", "--index", "7"], ["--family", "A", "--index", "20"],
               ["--graph", f"{DIGEST_DIR}/star.txt"], ["--n", "19", "--q", "7"])
-    colengths, steps_grid = (None, 1, 2, 3, 10), (None, 0, 1, 2, 9)
+    colengths = (None, 1, 2, 3, 10)
     for source, form in itertools.product(capped, forms):
         for lists in ([], ["--special"], ["--ulrich"]):
             for colength in colengths:
-                for steps in steps_grid:
-                    argvs.append(form + ["classify"] + source + lists
-                                 + ([] if colength is None else ["--max-colength", str(colength)])
-                                 + ([] if steps is None else ["--max-steps", str(steps)]))
+                argvs.append(form + ["classify"] + source + lists
+                             + ([] if colength is None else ["--max-colength", str(colength)]))
     for (g, _, source), form in itertools.product(sources, forms):
         r = g.vertex_count
         apart = [f"{i + 1},{j + 1}" for i in range(r) for j in range(i + 1, r)
@@ -399,13 +399,12 @@ def digest_argvs() -> list[list[str]]:
         argvs += [form + ["invariants"] + source + ["--cycle=" + ",".join(z)] for z in cycles]
         argvs += [form + ["oracle"] + source + ["--bound", b] for b in ("0", "-1")]
     for source, form in itertools.product(capped, forms):
-        for colength in (None, *range(8), 10, 13):
-            for steps in (None, *range(-1, 7), 9, 12):
-                if colength in colengths and steps in steps_grid:
-                    continue  # in the grid above
-                argvs.append(form + ["classify"] + source
-                             + ([] if colength is None else ["--max-colength", str(colength)])
-                             + ([] if steps is None else ["--max-steps", str(steps)]))
+        argvs += [form + ["classify"] + source + ["--max-colength", str(colength)]
+                  for colength in (0, 4, 5, 6, 7, 13)]
+    for form in forms:
+        argvs += [form + ["classify"] + capped[0] + extra
+                  for extra in (["--max-steps", "2"], ["--max-steps=-1"])]
+    argvs.append(["classify"] + capped[0] + ["--max", "1"])
     bad_sources = (["--family", "A", "--index", "3", "--n", "5", "--q", "2"],
                    ["--graph", f"{DIGEST_DIR}/star.txt", "--family", "A", "--index", "3"],
                    ["--family", "A"], ["--q", "2"])

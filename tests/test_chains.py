@@ -60,12 +60,22 @@ def check_entries(g: DualGraph) -> int:
 
 def check_walk(g: DualGraph) -> int:
     """Assert that each node of ``_classify(g)``'s walk keeps its cycle's
-    four sums (``corpus.cycle_sums``); the number of nodes."""
+    four sums (``corpus.cycle_sums``), and the depth lemma of ``_walk``:
+    each step's support lies strictly inside the previous step's (all
+    vertices at the root), so no chain has more than z = #{v: (M.Z_0)_v
+    = 0} steps; the number of nodes."""
     record = _rational(g)
-    r10 = 10 * g.vertex_count
-    best = _walk(g, record, r10 - 1, r10)
-    for z, (_, _, _, sums) in best.items():
-        assert sums == cycle_sums(g, z, record.z0), z
+    r = g.vertex_count
+    z = pairing_vector(g, record.z0).count(0)
+    best = _walk(g, record, r, True)
+    for cycle, (chain, _, _, sums) in best.items():
+        assert sums == cycle_sums(g, cycle, record.z0), cycle
+        assert len(chain) <= z, cycle
+        inside = set(range(r))
+        for y, _ in chain:
+            support = {v for v, a in enumerate(y) if a}
+            assert support < inside, cycle
+            inside = support
     return len(best)
 
 

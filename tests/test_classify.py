@@ -15,7 +15,6 @@ import dualcycles
 from dualcycles import classify, cli, invariants, lattice
 from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic
 from dualcycles.classify import (
-    ChainDepthError,
     InvalidGraphError,
     _box_search,
     _classify,
@@ -350,25 +349,6 @@ class TestEnumerators:
                 assert tuple(acc) == zk
             assert tuple(acc) == e.cycle
 
-    @pytest.mark.parametrize(
-        "g, longest, count",
-        [(STAR, 2, 3), (build_ade("A", 9), 4, 5)],
-        ids=["star", "A9"],
-    )
-    def test_max_steps_caps_the_longest_chain(self, g, longest, count):
-        with pytest.raises(ChainDepthError):
-            enumerate_ulrich(g, max_steps=longest - 1)
-        entries = enumerate_ulrich(g, max_steps=longest)
-        assert len(entries) == count
-        assert max(len(e.chain.steps) for e in entries) == longest
-
-    @pytest.mark.parametrize(
-        "g", [build_ade("A", 3), build_cyclic(5, 2), STAR], ids=["A3", "cyclic5_2", "star"]
-    )
-    def test_negative_max_steps_is_refused_on_both_branches(self, g):
-        with pytest.raises(ValueError, match=r"^max_steps must be >= 0$"):
-            enumerate_ulrich(g, max_steps=-1)
-
     def test_chain_walk_does_not_recurse_per_step(self):
         # A_301's Ulrich chains have 150 steps; a recursive walk needs a
         # frame per step.
@@ -407,7 +387,7 @@ class TestEnumerators:
         # 100 vertices and one -3), which then lies in no zero-locus
         # component: no step past Z_0 can keep K, so the walk searches none.
         g = build_cyclic(n, q)
-        reference = _classify(g)[1]  # both lists: the search runs to depth 10 r
+        reference = _classify(g)[1]  # both lists: the search runs to full depth
         calls = []
         for name in ("_zero_components", "_reach"):
             real = getattr(classify, name)
@@ -460,18 +440,20 @@ class TestEnumerators:
                 assert (e.kind == "both") == ulrich == is_ulrich_cycle(g, z)
 
     @pytest.mark.parametrize(
-        "g", [build_ade("A", 9), build_ade("D", 8), STAR], ids=["A9", "D8", "star"]
+        "g, longest, count",
+        [(build_ade("A", 9), 4, 5), (build_ade("D", 8), 3, 6), (STAR, 2, 3)],
+        ids=["A9", "D8", "star"],
     )
-    def test_one_walk_gives_both_lists(self, g):
-        longest = max(len(e.chain.steps) for e in enumerate_ulrich(g))
-        for max_steps in (longest, longest + 1, 10 * g.vertex_count):
-            for max_colength in (1, longest, longest + 1, longest + 2, 10 * g.vertex_count):
-                special, ulrich = _classify(g, max_colength, max_steps)
-                assert special == enumerate_special(g, max_colength)
-                assert ulrich == enumerate_ulrich(g, max_steps)
-                assert (special is ulrich) == (special == ulrich)
-        with pytest.raises(ChainDepthError):
-            _classify(g, 1, longest - 1)
+    def test_one_walk_gives_both_lists(self, g, longest, count):
+        entries = enumerate_ulrich(g)
+        assert len(entries) == count
+        assert max(len(e.chain.steps) for e in entries) == longest
+        for max_colength in (None, 1, longest, longest + 1, longest + 2, 10 * g.vertex_count):
+            special, ulrich = _classify(g, max_colength)
+            cap = 10 * g.vertex_count if max_colength is None else max_colength
+            assert special == enumerate_special(g, cap)
+            assert ulrich == entries
+            assert (special is ulrich) == (special == ulrich)
 
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)
@@ -685,7 +667,7 @@ def test_walk_keeps_only_k_steps_past_max_depth():
     # there where Z_0 takes 2: only the check after Laufer's loop stops it.
     g = DualGraph((-2, -3, -2, -2, -2, -2, -2), [(0, 1), (1, 2), (2, 3), (1, 4), (4, 6), (1, 5)])
     for depth in range(3):
-        best = _walk(g, validate(g), depth, 10 * g.vertex_count)
+        best = _walk(g, validate(g), depth, True)
         assert all(keeps for chain, _, keeps, _ in best.values() if len(chain) > depth)
 
 
@@ -702,7 +684,7 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     z0 = fundamental_cycle(g)
     k0 = canonical_degree(g, z0)
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
-    best = _walk(g, invariants.validate(g), 10 * g.vertex_count, None)
+    best = _walk(g, invariants.validate(g), 10 * g.vertex_count, False)
     for z, (chain, surviving, keeps, sums) in best.items():
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
@@ -750,7 +732,7 @@ def test_classify_builds_no_pairing_vector(monkeypatch):
     spy = counting(calls, "pairing_vector", pairing_vector)
     for module in (invariants, cli, lattice):  # every module holding the name
         monkeypatch.setattr(module, "pairing_vector", spy)
-    special, ulrich = _classify(g, 300, 300)
+    special, ulrich = _classify(g, 300)
     assert len(special) > 1 and ulrich is special
     assert calls == []
 

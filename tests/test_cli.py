@@ -346,16 +346,13 @@ class TestInvariantsCommand:
         assert out == "".join(f"  {k}: {doc['results'][k]}\n" for k in keys)
 
 
-def two_walk_classify(g, max_colength=None, max_steps=None, special=True, ulrich=True):
+def two_walk_classify(g, max_colength=None, special=True, ulrich=True):
     """Reference for ``cli._classify``: the special walk, then the Ulrich
-    walk, each list None when it is not asked for.  Both caps default to
-    10 r and are checked after the graph, max_colength first, whichever
-    lists are asked for."""
-    r10 = 10 * g.vertex_count
-    specials = enumerate_special(g, r10 if max_colength is None else max_colength)
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    return specials if special else None, enumerate_ulrich(g, max_steps) if ulrich else None
+    walk, each list None when it is not asked for.  The cap is checked
+    after the graph, whichever lists are asked for; None lets every
+    walked cycle through (10 r is past the longest chain)."""
+    specials = enumerate_special(g, 10 * g.vertex_count if max_colength is None else max_colength)
+    return specials if special else None, enumerate_ulrich(g) if ulrich else None
 
 
 class TestClassifyCommand:
@@ -407,27 +404,23 @@ class TestClassifyCommand:
         "source", [["--family", "A", "--index", "3"], ["--n", "5", "--q", "2"]], ids=["A3", "cyclic5_2"]
     )
     def test_negative_max_steps_exits_two(self, capsys, source):
-        # A_3 has multiplicity 2, (1/5)(1,2) multiplicity 3
+        # A_3 has multiplicity 2, (1/5)(1,2) multiplicity 3.  The walk's
+        # depth is bounded by a lemma, so --max-steps is gone and argparse
+        # refuses it as an unknown option.
         code, out = run("classify", *source, "--ulrich", "--max-steps", "-1")
         assert code == EXIT_USAGE
         assert out == ""
-        assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
+        err = capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: --max-steps -1\n")
 
     @pytest.mark.parametrize("kind", [[], ["--special"], ["--ulrich"]], ids=["both", "special", "ulrich"])
     @pytest.mark.parametrize(
         "caps, message",
-        [
-            (["--max-colength", "0"], "max_colength must be >= 1"),
-            (["--max-steps", "-1"], "max_steps must be >= 0"),
-            (["--max-steps", "-1", "--max-colength", "0"], "max_colength must be >= 1"),
-            (["--max-steps", "0", "--max-colength", "0"], "max_colength must be >= 1"),
-        ],
-        ids=["colength", "steps", "colength-first", "caps-before-walk"],
+        [(["--max-colength", "0"], "max_colength must be >= 1")],
+        ids=["colength"],
     )
     def test_bad_cap_exits_two_on_every_form(self, capsys, kind, caps, message):
-        # A cap is checked whether or not its list is printed, and before
-        # the walk: with max_steps 0 the Ulrich walk would raise
-        # ChainDepthError on A_3.
+        # The cap is checked whether or not its list is printed.
         code, out = run("classify", "--family", "A", "--index", "3", *kind, *caps)
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -437,7 +430,7 @@ class TestClassifyCommand:
         src = tmp_path / "tree.txt"
         src.write_text(serialize_graph(NON_RATIONAL_TREE))
         code, out = run(
-            "classify", "--graph", str(src), *kind, "--max-colength", "0", "--max-steps", "-1"
+            "classify", "--graph", str(src), *kind, "--max-colength", "0"
         )
         assert (code, out) == (EXIT_VALIDATION, "")
         assert capsys.readouterr().err.startswith("error: graph is not a valid rational")
@@ -456,28 +449,24 @@ class TestClassifyCommand:
             g = build_ade(source[0], int(source[1:]))
             argv = ["classify", "--family", source[0], "--index", source[1:]]
         longest = max(len(e.chain.steps) for e in enumerate_ulrich(g))
-        # Bad caps first: both caps are checked before the walk.
-        caps = [(0, None), (0, -1), (1, -1), (None, None), (1, None), (2, None)]
-        for steps in (longest - 1, longest, longest + 1):  # the first one raises
-            caps += [(colength, steps) for colength in (None, 1, steps, steps + 1, steps + 2)]
+        caps = [0, None, *range(1, longest + 4)]  # a bad cap first: it is checked before the walk
 
         def outputs():
             got = []
-            for colength, steps in caps:
+            for colength in caps:
                 extra = [] if colength is None else ["--max-colength", str(colength)]
-                extra += [] if steps is None else ["--max-steps", str(steps)]
                 for fmt in ("table", "json"):
                     code, out = run("--format", fmt, *argv, *extra)
-                    got.append((fmt, colength, steps, code, out, capsys.readouterr().err))
+                    got.append((fmt, colength, code, out, capsys.readouterr().err))
             return got
 
         shared = outputs()
         monkeypatch.setattr(cli, "_classify", two_walk_classify)
         reference = outputs()
         assert shared == reference
-        raised = [r for r in reference if r[2] == longest - 1]
-        assert raised and all(r[3:5] == (EXIT_VALIDATION, "") for r in raised)
-        assert all(r[5].startswith("error: chain through ") for r in raised)
+        refused = [r for r in reference if r[1] == 0]
+        assert refused and all(r[2:] == (EXIT_USAGE, "", "error: max_colength must be >= 1\n")
+                               for r in refused)
 
     def test_plain_classify_walks_once(self, tmp_path, monkeypatch):
         # Both lists of the -3 star cost no more Laufer loops than the
@@ -1091,8 +1080,8 @@ JSON_REQUESTS = [
 ]
 
 # Tokens of the argv grammar below: every option of every subcommand,
-# abbreviations, good and bad values, and the strings argparse treats
-# specially.
+# abbreviations, the removed --max-steps (both parsers must refuse it),
+# good and bad values, and the strings argparse treats specially.
 ARGV_HEADS = [[], [], [], ["--format", "json"], ["--format", "table"], ["--format=json"],
               ["--format", "xml"], ["--format"], ["--fo", "json"], ["--version"], ["-h"], ["--"]]
 SUBCOMMANDS = ["graph", "validate", "fundamental", "invariants", "classify", "oracle",
@@ -1123,8 +1112,7 @@ OWN_OPTIONS = {
     "validate": SOURCE,
     "fundamental": {**SOURCE, "--support": TEXTS},
     "invariants": {**SOURCE, "--cycle": TEXTS},
-    "classify": {**SOURCE, "--special": None, "--ulrich": None, "--max-colength": INTS,
-                 "--max-steps": INTS},
+    "classify": {**SOURCE, "--special": None, "--ulrich": None, "--max-colength": INTS},
     "oracle": {**SOURCE, "--bound": INTS},
     "verify-rdp": {"--family": FAMILIES, "--index": INTS},
 }
@@ -1205,7 +1193,7 @@ class TestScan:
     # Argvs the scan reads, each into the top parser's namespace.
     READ = [
         ["--format", "json", "classify", "--n", "37", "--q", "10", "--ulrich"],
-        ["classify", "--family=E", "--index", "+7", "--special", "--max-steps=0"],
+        ["classify", "--family=E", "--index", "+7", "--special", "--max-colength=0"],
         ["oracle", "--bound=-2", "--n", " 7", "--q", "7_0"],
         ["invariants", "--graph", "", "--cycle=1,2=3"],
         ["--format", "table", "fundamental", "--support", "x y", "--family", "d", "--index", "4"],
@@ -1257,8 +1245,9 @@ HELP_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "help")
 class TestHelpText:
     """Help texts at 80 columns, byte for byte as the per-subcommand
     argparse builder functions printed them before the option tables
-    replaced them (on Python 3.10-3.12).  From 3.13 argparse breaks long
-    usage lines elsewhere, so there only the words are compared."""
+    replaced them (on Python 3.10-3.12; classify's since --max-steps
+    went).  From 3.13 argparse breaks long usage lines elsewhere, so
+    there only the words are compared."""
 
     @pytest.mark.parametrize("argv", [
         [], ["graph"], ["validate"], ["fundamental"], ["invariants"], ["classify"], ["oracle"],
@@ -1558,7 +1547,7 @@ class TestFuzz:
             ["fundamental", *graph, "--support", support],
             ["invariants", *graph, "--cycle", cycle],
             ["classify", *graph, "--max-colength", str(cap + 1)],
-            ["classify", *graph, "--ulrich", "--max-steps", str(cap)],
+            ["classify", *graph, "--ulrich"],
             ["classify", *graph, "--special", "--max-colength", str(cap)],
             ["oracle", *graph, "--bound", str(bound)],
             ["verify-rdp", "--family", family, "--index", str(index)],
