@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import dualcycles
 from dualcycles import (
+    Cycle,
     DualGraph,
     build_ade,
     build_cyclic,
@@ -147,6 +148,18 @@ def inf_cycles(z, w) -> tuple:
     return tuple(map(min, z, w))
 
 
+def unit(g: DualGraph, i: int) -> Cycle:
+    """The cycle E_i."""
+    z = [0] * g.vertex_count
+    z[i] = 1
+    return tuple(z)
+
+
+def path_graph(n: int, weights=None) -> DualGraph:
+    """A chain of n vertices, all -2 unless ``weights`` are given."""
+    return DualGraph(weights or (-2,) * n, [(i, i + 1) for i in range(n - 1)])
+
+
 def intersection(g: DualGraph, z, w) -> int:
     """Intersection number Z.W: the sum over vertices i of z_i (M.W)_i,
     where (M.W)_i is w_i times the weight of i plus w over i's neighbours."""
@@ -235,6 +248,19 @@ def random_trees(draw, max_vertices: int) -> DualGraph:
     weights = draw(st.lists(st.integers(-5, -2), min_size=n, max_size=n))
     edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     return DualGraph(weights, edges)
+
+
+def cycles_for(g: DualGraph, lo=-4, hi=6):
+    """Cycles on ``g`` with coefficients in [lo, hi]."""
+    return st.tuples(*(st.integers(lo, hi) for _ in range(g.vertex_count)))
+
+
+@st.composite
+def graph_and_cycles(draw, k=1, lo=-4, hi=6):
+    """A random tree of at most 8 vertices and ``k`` cycles on it."""
+    g = draw(random_trees(8))
+    zs = [draw(cycles_for(g, lo, hi)) for _ in range(k)]
+    return (g, *zs)
 
 
 @st.composite

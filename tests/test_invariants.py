@@ -18,6 +18,7 @@ from dualcycles.invariants import (
     MAX_FILTRATION,
     CycleError,
     _certified,
+    _co_genera,
     _laufer,
     _pointwise,
     InvalidGraphError,
@@ -46,13 +47,17 @@ from corpus import (
     components,
     connected_graphs,
     counting,
+    graph_and_cycles,
     graph_of,
+    inf_cycles,
     intersection,
     minus_m,
+    path_graph,
     random_graphs,
     random_trees,
     run_child,
     tree_classes,
+    unit,
 )
 
 # Graphs outside the library's domain, each with a cycle that is anti-nef
@@ -405,6 +410,88 @@ NON_INTEGRAL = {
 def test_non_integral_numbers_are_refused(call):
     with pytest.raises(TypeError):
         call()
+
+
+def canonical_of(g: DualGraph, z: Cycle) -> int:
+    """K.Z as ``virtual_genus`` computes it: 2 p_a(Z) - 2 - Z^2."""
+    return 2 * virtual_genus(g, z) - 2 - intersection(g, z, z)
+
+
+class TestGenus:
+    def test_canonical_degree_zero_on_minus_two_graphs(self):
+        g = path_graph(5)
+        assert canonical_of(g, (3, 1, 4, 1, 5)) == 0
+
+    def test_canonical_degree_counts_heavy_vertices(self):
+        g = path_graph(3, (-3, -2, -4))
+        assert canonical_of(g, (2, 7, 3)) == 2 * 1 + 0 + 3 * 2
+
+    @given(graph_and_cycles(k=1))
+    def test_canonical_degree_matches_its_definition(self, gz):
+        # K.E_i = -w_i - 2, summed with the coefficients of Z
+        g, z = gz
+        assert canonical_of(g, z) == canonical_degree(g, z)
+
+    def test_parity_violation_is_reported(self):
+        # Z^2 + K.Z is even for every true Z^2; an odd one is refused.
+        g = path_graph(3, (-2, -3, -2))
+        z = (1, 2, 1)
+        zz, kz = intersection(g, z, z), canonical_degree(g, z)
+        assert _co_genera((zz,), (kz,)) == [1 - virtual_genus(g, z)]
+        with pytest.raises(AssertionError, match="parity"):
+            _co_genera((zz + 1,), (kz,))
+
+    def test_virtual_genus_of_unit(self):
+        # a single smooth rational curve has genus 0
+        g = path_graph(3, (-2, -3, -2))
+        for i in range(3):
+            assert virtual_genus(g, unit(g, i)) == 0
+
+    @given(graph_and_cycles(k=1))
+    def test_virtual_genus_is_an_integer(self, gz):
+        # the defining quotient never truncates: Z^2 + K.Z is always even
+        g, z = gz
+        assert isinstance(virtual_genus(g, z), int)
+
+    @given(graph_and_cycles(k=2))
+    def test_genus_additivity(self, gzw):
+        g, z, w = gzw
+        lhs = virtual_genus(g, add(z, w))
+        rhs = virtual_genus(g, z) + virtual_genus(g, w) + intersection(g, z, w) - 1
+        assert lhs == rhs
+
+
+class TestAntiNef:
+    def test_rejects_negative_coefficients(self):
+        g = path_graph(2)
+        with pytest.raises(CycleError):
+            is_anti_nef(g, (1, -1))
+
+    def test_small_cases(self):
+        g = path_graph(3)
+        assert is_anti_nef(g, (1, 1, 1))
+        assert is_anti_nef(g, (1, 2, 1))
+        assert not is_anti_nef(g, (2, 1, 2))  # middle vertex pairs positively
+        assert not is_anti_nef(g, (0, 1, 0))
+        assert is_anti_nef(g, (0, 0, 0))
+
+    def test_inf_preserves_anti_nef_exhaustively(self):
+        g = path_graph(3, (-2, -3, -2))
+        box = range(4)
+        anti = [
+            z
+            for z in itertools.product(box, box, box)
+            if is_anti_nef(g, z)
+        ]
+        for z in anti:
+            for w in anti:
+                assert is_anti_nef(g, inf_cycles(z, w))
+
+    @given(graph_and_cycles(k=2, lo=0, hi=5))
+    def test_sum_of_anti_nef_is_anti_nef(self, gzw):
+        g, z, w = gzw
+        if is_anti_nef(g, z) and is_anti_nef(g, w):
+            assert is_anti_nef(g, add(z, w))
 
 
 class TestIdealInvariants:

@@ -1,37 +1,13 @@
 """Unit and property tests for the cycle arithmetic layer."""
 
 import copy
-import itertools
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcycles.invariants import CycleError, _co_genera, is_anti_nef, virtual_genus
-from dualcycles.lattice import Cycle, DimensionError, DualGraph, pairing_vector, scale, sub
-from corpus import add, canonical_degree, inf_cycles, intersection, random_trees
-
-
-def unit(g: DualGraph, i: int) -> Cycle:
-    """The cycle E_i."""
-    z = [0] * g.vertex_count
-    z[i] = 1
-    return tuple(z)
-
-
-def path_graph(n: int, weights=None) -> DualGraph:
-    return DualGraph(weights or (-2,) * n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycles_for(g: DualGraph, lo=-4, hi=6):
-    return st.tuples(*(st.integers(lo, hi) for _ in range(g.vertex_count)))
-
-
-@st.composite
-def graph_and_cycles(draw, k=1, lo=-4, hi=6):
-    g = draw(random_trees(8))
-    zs = [draw(cycles_for(g, lo, hi)) for _ in range(k)]
-    return (g, *zs)
+from dualcycles.lattice import DimensionError, DualGraph, pairing_vector, scale, sub
+from corpus import add, graph_and_cycles, inf_cycles, intersection, path_graph, unit
 
 
 class TestDualGraph:
@@ -140,85 +116,3 @@ class TestPairing:
         pv = pairing_vector(g, z)
         for i in range(g.vertex_count):
             assert pv[i] == intersection(g, z, unit(g, i))
-
-
-def canonical_of(g: DualGraph, z: Cycle) -> int:
-    """K.Z as ``virtual_genus`` computes it: 2 p_a(Z) - 2 - Z^2."""
-    return 2 * virtual_genus(g, z) - 2 - intersection(g, z, z)
-
-
-class TestGenus:
-    def test_canonical_degree_zero_on_minus_two_graphs(self):
-        g = path_graph(5)
-        assert canonical_of(g, (3, 1, 4, 1, 5)) == 0
-
-    def test_canonical_degree_counts_heavy_vertices(self):
-        g = path_graph(3, (-3, -2, -4))
-        assert canonical_of(g, (2, 7, 3)) == 2 * 1 + 0 + 3 * 2
-
-    @given(graph_and_cycles(k=1))
-    def test_canonical_degree_matches_its_definition(self, gz):
-        # K.E_i = -w_i - 2, summed with the coefficients of Z
-        g, z = gz
-        assert canonical_of(g, z) == canonical_degree(g, z)
-
-    def test_parity_violation_is_reported(self):
-        # Z^2 + K.Z is even for every true Z^2; an odd one is refused.
-        g = path_graph(3, (-2, -3, -2))
-        z = (1, 2, 1)
-        zz, kz = intersection(g, z, z), canonical_degree(g, z)
-        assert _co_genera((zz,), (kz,)) == [1 - virtual_genus(g, z)]
-        with pytest.raises(AssertionError, match="parity"):
-            _co_genera((zz + 1,), (kz,))
-
-    def test_virtual_genus_of_unit(self):
-        # a single smooth rational curve has genus 0
-        g = path_graph(3, (-2, -3, -2))
-        for i in range(3):
-            assert virtual_genus(g, unit(g, i)) == 0
-
-    @given(graph_and_cycles(k=1))
-    def test_virtual_genus_is_an_integer(self, gz):
-        # the defining quotient never truncates: Z^2 + K.Z is always even
-        g, z = gz
-        assert isinstance(virtual_genus(g, z), int)
-
-    @given(graph_and_cycles(k=2))
-    def test_genus_additivity(self, gzw):
-        g, z, w = gzw
-        lhs = virtual_genus(g, add(z, w))
-        rhs = virtual_genus(g, z) + virtual_genus(g, w) + intersection(g, z, w) - 1
-        assert lhs == rhs
-
-
-class TestAntiNef:
-    def test_rejects_negative_coefficients(self):
-        g = path_graph(2)
-        with pytest.raises(CycleError):
-            is_anti_nef(g, (1, -1))
-
-    def test_small_cases(self):
-        g = path_graph(3)
-        assert is_anti_nef(g, (1, 1, 1))
-        assert is_anti_nef(g, (1, 2, 1))
-        assert not is_anti_nef(g, (2, 1, 2))  # middle vertex pairs positively
-        assert not is_anti_nef(g, (0, 1, 0))
-        assert is_anti_nef(g, (0, 0, 0))
-
-    def test_inf_preserves_anti_nef_exhaustively(self):
-        g = path_graph(3, (-2, -3, -2))
-        box = range(4)
-        anti = [
-            z
-            for z in itertools.product(box, box, box)
-            if is_anti_nef(g, z)
-        ]
-        for z in anti:
-            for w in anti:
-                assert is_anti_nef(g, inf_cycles(z, w))
-
-    @given(graph_and_cycles(k=2, lo=0, hi=5))
-    def test_sum_of_anti_nef_is_anti_nef(self, gzw):
-        g, z, w = gzw
-        if is_anti_nef(g, z) and is_anti_nef(g, w):
-            assert is_anti_nef(g, add(z, w))
