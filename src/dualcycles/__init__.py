@@ -34,7 +34,7 @@ from .invariants import (
 )
 from .lattice import Cycle, DimensionError, DualGraph
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoxLimitError",

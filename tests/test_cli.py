@@ -809,7 +809,7 @@ TRIANGLE_VALIDATE = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.2.0"
+    "version": "0.3.0"
   },
   "command": "validate",
   "graph": {
@@ -852,7 +852,7 @@ A2_VERIFY_RDP = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.2.0"
+    "version": "0.3.0"
   },
   "command": "verify-rdp",
   "graph": {
@@ -905,7 +905,7 @@ C73_GRAPH = """\
 {
   "tool": {
     "name": "dualcycles",
-    "version": "0.2.0"
+    "version": "0.3.0"
   },
   "command": "graph",
   "graph": {
