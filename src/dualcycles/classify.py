@@ -64,15 +64,13 @@ class ClassificationEntry(NamedTuple):
     kind: str  # "special" | "both" (Ulrich too; an Ulrich cycle is special)
 
 
-def _zero_components(g: DualGraph, pairing: Cycle, inside):
-    """The components of {v in ``inside``: pairing[v] == 0} as sorted lists,
-    by least vertex: ``inside`` is iterated in vertex order, and one
-    ``lattice._reach`` over the zero vertices starts at each one that no
-    earlier search reached (``_reach`` takes its component out of the set)."""
-    zeros = {v for v in inside if pairing[v] == 0}
-    for s in inside:
-        if s in zeros:
-            yield sorted(_reach(g, s, zeros))
+def _zero_components(g: DualGraph, zeros: list[int]):
+    """The components of the vertices ``zeros``, each in its search order:
+    one ``lattice._reach`` inside them starts at each vertex of ``zeros``
+    that no earlier search reached (``_reach`` takes its component out of
+    the set)."""
+    left = set(zeros)
+    return (_reach(g, s, left) for s in zeros if s in left)
 
 
 def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
@@ -147,26 +145,30 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     and a vertex survives exactly when a_v = n_v * colength(Z).
 
     A step Y on a component C does O(|C| + boundary) Python work and O(r)
-    at C speed.  Laufer's loop runs on C alone (connected by construction,
-    definite inside a definite graph).  P = M.Z moves by M.Y only on C and
-    its boundary.  On C the parent's P is zero, so the child's is the
-    pairing of Y over C that Laufer's loop returns, <= 0; the anti-nef
-    test reads the boundary only, as every other entry stays as the
-    anti-nef parent's.  The children's
-    components come from one pass over C, already sorted.  Y, Z + Y and
-    the child's full P are length-r tuples built from the parent's, and
-    Z_0's comes from the graph's report: the walk builds no pairing vector.
-    P lives only in the stack frame; a node keeps its four sums, moved
-    exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v
-    (one pass at C speed), and the loop that builds Z + Y adds y_v K.E_v
-    to K.Z and y_v (M.Z_0)_v to Z.Z_0 and takes the new a_v L/n_v into
-    the maximum (cheaper there than passes that index the report by C).
-    Z_0's are -Z_0^2, K.Z_0 = -Z_0^2 - 2 (p_a(Z_0) = 0) and L.
+    at C speed: Laufer's loop, then one pass over C.  Laufer's loop runs
+    on C alone (connected by construction, definite inside a definite
+    graph) and also returns the edges (v, u) that leave C.  P = M.Z moves
+    by M.Y only on C and its boundary.  On C the parent's P is zero, so
+    the child's is the pairing of Y over C that Laufer's loop returns,
+    <= 0.  Off C, y_v is added at the far end u of each leaving edge, and
+    the step is dropped at the first positive sum: the anti-nef test reads
+    the boundary only, as every other entry stays as the anti-nef
+    parent's.  The one pass over C writes Y, Z + Y and the child's P on C,
+    moves the four sums, and collects the surviving set and the child's
+    zero vertices, whose components ``_zero_components`` gives in search
+    order: ``_classify`` sorts the cycles and none is reached twice, so
+    the order the walk meets them in cannot be seen.  Y and Z + Y are
+    length-r tuples and P a length-r list, each built from the parent's,
+    and Z_0's P comes from the graph's report: the walk builds no pairing
+    vector.  P lives only in the stack frame; a node keeps its four sums,
+    moved exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v,
+    K.Z gains y_v K.E_v and Z.Z_0 gains y_v (M.Z_0)_v, and the new
+    a_v L/n_v enters the maximum.  Z_0's are -Z_0^2, K.Z_0 = -Z_0^2 - 2
+    (p_a(Z_0) = 0) and L.
     """
-    nbrs, canonical, scales = g._neighbors, record.canonical, record.scales
+    z0, root, canonical, scales = record.z0, record.pairing, record.canonical, record.scales
     heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)
-    z0, root, mult = record.z0, record.pairing, record.multiplicity
-    sums = (-mult, mult - 2, -mult, record.lcm)
+    sums = (-record.multiplicity, record.multiplicity - 2, -record.multiplicity, record.lcm)
     best = {z0: ((), frozenset(range(g.vertex_count)), True, sums)}
 
     # Preorder with an explicit stack of (candidates left, Z, pairing,
@@ -174,7 +176,8 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     # interpreter's recursion.
     stack = []
     if max_depth > 0 or ulrich and not any(root[v] for v in heavy):
-        stack.append((_zero_components(g, root, range(g.vertex_count)), z0, root, (), sums))
+        zeros = [v for v, p in enumerate(root) if not p]
+        stack.append((_zero_components(g, zeros), z0, root, (), sums))
     while stack:
         comps, z_prev, pairing, chain, (sq, kz, zz, top) = stack[-1]
         comp = next(comps, None)
@@ -183,36 +186,35 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
             continue
         if len(chain) >= max_depth and not (ulrich and heavy.issubset(comp)):
             continue  # only a K step enters past max_depth, and K needs every heavy vertex in C
-        ys, on_c = _laufer(g, comp)
-        boundary = {}
-        for v, a in ys.items():
-            for u in nbrs[v]:
-                if u not in ys:
-                    boundary[u] = boundary.get(u, pairing[u]) + a
-        if any(p > 0 for p in boundary.values()):
-            continue  # not anti-nef
-        surviving = frozenset(v for v, a in ys.items() if a == z0[v])
-        keeps = heavy <= surviving
-        counted = keeps and ulrich  # an Ulrich step: walked past max_depth too
-        if not counted and len(chain) >= max_depth:
-            continue
-        y, z_new, p_new = [0] * len(z0), list(z_prev), list(pairing)
-        for v, a in ys.items():  # kz, zz and top become the child's; each pass re-reads its frame
-            y[v] = a
-            z_new[v] += a
-            kz += a * canonical[v]
-            zz += a * root[v]
-            if z_new[v] * scales[v] > top:
-                top = z_new[v] * scales[v]
-        for v, p in itertools.chain(on_c.items(), boundary.items()):
-            p_new[v] = p
-        y, z_new, p_new = tuple(y), tuple(z_new), tuple(p_new)
-        new_chain = chain + ((y, z_new),)
-        sums = (sq + sum(map(mul, ys.values(), on_c.values())), kz, zz, top)
-        best[z_new] = (new_chain, surviving, keeps, sums)
-        if len(new_chain) < max_depth or counted and not any(p_new[v] for v in heavy):
-            # ys holds C in vertex order: the child's search range.
-            stack.append((_zero_components(g, p_new, ys), z_new, p_new, new_chain, sums))
+        ys, on_c, leaving = _laufer(g, comp)
+        p_new = list(pairing)
+        for v, u in leaving:
+            p_new[u] += ys[v]
+            if p_new[u] > 0:
+                break  # not anti-nef: the step is dropped
+        else:
+            y, z_new, surviving, zeros = [0] * len(z0), list(z_prev), set(), []
+            for v, a in ys.items():
+                p = p_new[v] = on_c[v]
+                y[v] = a
+                z_new[v] += a
+                # The sums become the child's; each pass re-reads its frame.
+                sq, kz, zz = sq + a * p, kz + a * canonical[v], zz + a * root[v]
+                if z_new[v] * scales[v] > top:
+                    top = z_new[v] * scales[v]
+                if a == z0[v]:
+                    surviving.add(v)
+                if not p:
+                    zeros.append(v)
+            keeps = heavy <= surviving
+            if not (keeps and ulrich) and len(chain) >= max_depth:
+                continue  # past max_depth, only an Ulrich step is walked
+            z_new = tuple(z_new)
+            new_chain = chain + ((tuple(y), z_new),)
+            sums = (sq, kz, zz, top)
+            best[z_new] = (new_chain, frozenset(surviving), keeps, sums)
+            if len(new_chain) < max_depth or keeps and ulrich and not any(p_new[v] for v in heavy):
+                stack.append((_zero_components(g, zeros), z_new, p_new, new_chain, sums))
     return best
 
 

@@ -46,8 +46,10 @@ class CycleError(ValueError):
 
 
 def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
-    """({vertex: coefficient}, {vertex: pairing}) of the fundamental cycle
-    on ``verts``, both in the order of ``verts``: Z and M.Z over ``verts``.
+    """({vertex: coefficient}, {vertex: pairing}, [(v, u), ...]) of the
+    fundamental cycle on ``verts``: Z and M.Z over ``verts``, both in the
+    order of ``verts``, and the edges from a v in ``verts`` to a u outside
+    it, in the order the first loop meets them.
 
     Laufer's loop: start from 1 everywhere and bump any vertex whose
     pairing over ``verts`` is positive.  A bump below the fundamental
@@ -57,8 +59,9 @@ def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
     and its positive vertices kept on a stack, the last pushed bumped
     first (deterministic, so traces are reproducible): a bump costs
     O(deg), nothing costs O(r).  The starting pairing is one plain loop
-    over each vertex's neighbours, with no iterator object per vertex.
-    ``verts`` must be connected, unchecked.
+    over each vertex's neighbours, with no iterator object per vertex; it
+    tests every edge for membership already, so it also lists the edges
+    that leave ``verts``.  ``verts`` must be connected, unchecked.
     On a set that is not negative definite the loop may never end, so
     past ``budget`` bumps it gives up and returns None (no budget: the
     set must be definite).
@@ -66,18 +69,20 @@ def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
     z = dict.fromkeys(verts, 1)
     weights, nbrs = g.weights, g._neighbors
     # The pairing of all ones, and exactly the vertices where it is positive.
-    pairing, positive = {}, []
+    pairing, positive, leaving = {}, [], []
     for v in z:
         p = weights[v]
         for u in nbrs[v]:
             if u in z:
                 p += 1
+            else:
+                leaving.append((v, u))
         pairing[v] = p
         if p > 0:
             positive.append(v)
     for _ in itertools.repeat(None) if budget is None else itertools.repeat(None, budget + 1):
         if not positive:
-            return z, pairing
+            return z, pairing, leaving
         i = positive[-1]
         z[i] += 1
         pairing[i] += weights[i]
@@ -131,9 +136,9 @@ def is_negative_definite(g: DualGraph, vertices: Iterable[int] | None = None) ->
     return True
 
 
-def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int]] | None:
+def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int], list] | None:
     """``_laufer`` on a connected ``verts`` when it is negative definite,
-    else None.
+    else None: Z, M.Z over ``verts`` and the edges that leave it.
 
     Laufer's loop is the certificate: if it stops, at Z > 0 with M.Z <= 0,
     then -M over ``verts`` is an irreducible Z-matrix, and it is a

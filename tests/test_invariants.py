@@ -322,8 +322,8 @@ class TestDefinitenessCertificate:
         for name, (g, root) in affine_dynkin().items():
             assert pairing_vector(g, root) == (0,) * g.vertex_count, name
             verts = range(g.vertex_count)
-            z, pairing = _laufer(g, verts, budget(verts))
-            assert (tuple(z.values()), any(pairing.values())) == (root, False), name
+            z, pairing, leaving = _laufer(g, verts, budget(verts))
+            assert (tuple(z.values()), any(pairing.values()), leaving) == (root, False, []), name
             assert _certified(g, verts) is None and not is_negative_definite(g), name
 
     @settings(max_examples=300, deadline=None)
@@ -345,10 +345,11 @@ class TestDefinitenessCertificate:
                             counting(passes, "elimination", invariants.is_negative_definite))
         verts = range(CATERPILLAR.vertex_count)
         assert _laufer(CATERPILLAR, verts, budget(verts)) is None  # 360 bumps needed
-        z, pairing = _certified(CATERPILLAR, verts)
+        z, pairing, leaving = _certified(CATERPILLAR, verts)
         assert len(passes) == 1
         assert tuple(z.values()) == CATERPILLAR_Z0
         assert tuple(pairing.values()) == pairing_vector(CATERPILLAR, CATERPILLAR_Z0)
+        assert leaving == []  # the whole graph: no edge leaves it
         assert _laufer(CATERPILLAR, verts, 360) is not None
         # An indefinite graph runs past the budget too; the elimination
         # refuses it.
@@ -717,8 +718,11 @@ def test_incremental_laufer_matches_recomputation(g, data):
     assert fundamental_cycle(g, verts) == expected
     # The fixed point does not depend on the order the loop visits.
     shuffled = data.draw(st.permutations(sorted(verts)))
-    z, pairing = _laufer(g, shuffled)
+    z, pairing, leaving = _laufer(g, shuffled)
     assert list(z.items()) == [(v, expected[v]) for v in shuffled]
     # ... and its pairing over verts is M.Z there, Z being supported on verts.
     full = pairing_vector(g, expected)
     assert list(pairing.items()) == [(v, full[v]) for v in shuffled]
+    # ... and it lists every edge that leaves verts, from the inside end,
+    # in the order of verts.
+    assert leaving == [(v, u) for v in shuffled for u in g.neighbors(v) if u not in verts]
