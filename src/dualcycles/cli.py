@@ -86,8 +86,8 @@ def _resolve_graph(args) -> DualGraph:
     if (graph is not None) + ade + cyclic > 1:
         raise GraphFormatError("choose one graph source: --graph, --family/--index or --n/--q")
     if graph is not None:
-        with open(graph, encoding="utf-8-sig") as fh:
-            return parse_graph(fh.read())
+        with open(graph, encoding="utf-8") as fh:  # no utf-8-sig: it loads a codec module
+            return parse_graph(fh.read().removeprefix("\ufeff"))
     if ade:
         if family is None or index is None:
             raise GraphFormatError("--family and --index go together")

@@ -474,9 +474,9 @@ class TestClassifyCommand:
         loops = []
         real = classify._laufer
 
-        def spy(g, verts):
+        def spy(g, verts, *args):
             loops.append(verts)
-            return real(g, verts)
+            return real(g, verts, *args)
 
         monkeypatch.setattr(classify, "_laufer", spy)
         path = tmp_path / "star.txt"
@@ -710,6 +710,22 @@ class TestLastResort:
         proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n[]\n['argparse', 'gettext']\n"
+
+    def test_graph_file_request_leaves_the_bom_codec_unloaded(self, tmp_path):
+        # A graph file is read as utf-8 and one leading byte-order mark is
+        # dropped by hand: opening it as utf-8-sig loads that codec's module
+        # on a process's first file request.
+        path = tmp_path / "star.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + serialize_graph(STAR).encode())
+        code = (
+            "import io, sys\n"
+            "import dualcycles.cli as cli\n"
+            f"for argv in (['classify', '--graph', {str(path)!r}], ['graph', 'load', {str(path)!r}]):\n"
+            "    print(cli.main(argv, io.StringIO()), 'encodings.utf_8_sig' in sys.modules)\n"
+        )
+        proc = run_child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n0 False\n"
 
 
 def run_capped(*argv):
