@@ -14,7 +14,9 @@ must equal ``oracle_classify(g, b)`` at b = max(2, the largest colength
 listed): a special cycle of colength l has every a_i <= n_i l, so it lies
 in l Z_0's box, and every cycle listed meets the oracle.  One seeded
 random relabelling must give the relabelled entries, witness chains
-included.
+included.  Up to 5 vertices, a second test sets the oracle's bound a
+priori, to r: ``_walk``'s depth lemma puts every walked cycle's colength
+at most r.
 Run the 7-vertex census with ``PYTHONPATH=src:tests python -c "import
 test_census; print(test_census.census(7))"``.
 """
@@ -24,6 +26,7 @@ import random
 import time
 from typing import NamedTuple
 
+from dualcycles.builders import build_ade
 from dualcycles.classify import _classify, oracle_classify
 from dualcycles.invariants import fundamental_cycle, validate
 from dualcycles.lattice import DualGraph
@@ -133,3 +136,18 @@ def test_census_of_trees_up_to_six_vertices():
     assert len(_classify(g)[1]) == 2
     print(f"PASS census: {got.classes} classes, {got.rational} rational, {elapsed:.2f}s")
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+def test_oracle_at_the_depth_lemma_bound_equals_the_walk():
+    # The bound is r, set before the walk runs, not read off its output as
+    # census() does: a chain has at most r - 1 steps (_walk), so no walked
+    # cycle has colength above r, and the box at bound r holds every cycle
+    # of colength at most r.  So both lists must equal the oracle's there.
+    graphs = [g for g in map(graph_of, tree_classes(5)) if validate(g).rational]
+    assert len(graphs) == 429
+    graphs += [build_ade(family, n) for family, ns in
+               (("A", range(1, 11)), ("D", range(4, 11)), ("E", (6, 7, 8))) for n in ns]
+    for g in graphs:
+        special, ulrich = _classify(g)
+        cycles = lambda es: [e.cycle for e in es]
+        assert oracle_classify(g, g.vertex_count) == (cycles(special), cycles(ulrich)), g
