@@ -23,8 +23,8 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .builders import _ade_type, build_ade
 from .invariants import (
@@ -52,16 +52,14 @@ class BoxLimitError(RuntimeError):
     """The oracle's box holds more than MAX_BOX coefficients."""
 
 
-class ClassificationEntry(NamedTuple):
-    """One classified cycle together with its invariants and a witness chain."""
+class ClassificationEntry(namedtuple("ClassificationEntry", (
+        "cycle colength multiplicity min_gens module_indices chain kind"))):
+    """One classified cycle together with its invariants and a witness chain:
+    three ints, the frozenset of its special module indices, a Filtration,
+    and ``kind``, "special" or "both" (Ulrich too; an Ulrich cycle is
+    special)."""
 
-    cycle: Cycle
-    colength: int
-    multiplicity: int
-    min_gens: int
-    module_indices: frozenset[int]
-    chain: Filtration
-    kind: str  # "special" | "both" (Ulrich too; an Ulrich cycle is special)
+    __slots__ = ()
 
 
 def _zero_components(g: DualGraph, zeros: list[int]):
@@ -610,18 +608,15 @@ def expected_ulrich_count(family: str, index: int) -> int:
     return {6: 2, 7: 3, 8: 2}[n]
 
 
-class RdpVerification(NamedTuple):
-    """Diff between the enumerated and the expected ADE Ulrich table."""
+class RdpVerification(namedtuple("RdpVerification", (
+        "family index matched expected actual expected_count missing extra"
+        " colength_mismatches"))):
+    """Diff between the enumerated and the expected ADE Ulrich table:
+    ``expected`` and ``actual`` list (cycle, colength) pairs, ``missing``
+    and ``extra`` cycles, and ``colength_mismatches`` (cycle, expected,
+    actual) triples."""
 
-    family: str
-    index: int
-    matched: bool
-    expected: list[tuple[Cycle, int]]
-    actual: list[tuple[Cycle, int]]
-    expected_count: int
-    missing: list[Cycle]
-    extra: list[Cycle]
-    colength_mismatches: list[tuple[Cycle, int, int]]
+    __slots__ = ()
 
 
 def verify_rdp(family: str, index: int) -> RdpVerification:

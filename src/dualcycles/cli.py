@@ -11,7 +11,6 @@ or recursion depth), 2 parse/usage error, 3 verification mismatch.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from types import SimpleNamespace
 
@@ -299,7 +298,7 @@ def _classify_chunks(special, ulrich) -> list[str]:
 _HEAD = """{
   "tool": {
     "name": "dualcycles",
-    "version": """ + json.dumps(__version__) + """
+    "version": """ + f'"{__version__}"' + """
   },
   "command": "%s",
   "graph": {
@@ -347,6 +346,8 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
         out.write(_ORACLE % (results["bound"], text,
                              text if ulrich is special else _int_rows(ulrich, "\n    ", fmt)))
     else:
+        import json  # only these documents need it
+
         out.write(json.dumps(results, indent=2).replace("\n", "\n  "))
     out.write("\n}\n")
 

@@ -24,8 +24,8 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from .lattice import Cycle, DualGraph, _reach, pairing_vector, scale, sub
 
@@ -186,9 +186,13 @@ def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cy
     return tuple(found[0].get(v, 0) for v in range(g.vertex_count))
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(namedtuple("ValidationReport", (
+        "connected negative_definite tree rational gorenstein multiplicity failures"
+        " z0 pairing canonical lcm scales"), defaults=(None,) * 5)):
     """Structural verdicts on a dual graph.
 
+    ``connected``, ``negative_definite``, ``tree``, ``rational`` and
+    ``gorenstein`` are bools and ``failures`` a tuple of finding strings.
     ``rational`` and ``gorenstein`` are only meaningful when the graph is
     connected and negative definite; otherwise they are False and a
     finding explains why they are undetermined.  When Z_0 = sum n_i E_i
@@ -197,18 +201,7 @@ class ValidationReport(NamedTuple):
     ``scales`` L/n_i; else all six are None.
     """
 
-    connected: bool
-    negative_definite: bool
-    tree: bool
-    rational: bool
-    gorenstein: bool
-    multiplicity: int | None
-    failures: tuple[str, ...]
-    z0: Cycle | None = None
-    pairing: Cycle | None = None
-    canonical: Cycle | None = None
-    lcm: int | None = None
-    scales: Cycle | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -282,16 +275,12 @@ def _rational(g: DualGraph) -> ValidationReport:
     return record
 
 
-class CycleInvariants(NamedTuple):
-    """The invariants of one anti-nef cycle (``_pointwise``)."""
+class CycleInvariants(namedtuple("CycleInvariants",
+                                  "colength multiplicity min_gens u indices special ulrich")):
+    """The invariants of one anti-nef cycle (``_pointwise``): four ints,
+    the frozenset of its special module indices and the two verdicts."""
 
-    colength: int
-    multiplicity: int
-    min_gens: int
-    u: int
-    indices: frozenset[int]
-    special: bool
-    ulrich: bool
+    __slots__ = ()
 
 
 def _co_genera(squares, canonicals) -> list[int]:
@@ -420,15 +409,14 @@ def u_invariant(g: DualGraph, z: Cycle) -> int:
     return _invariants_of(g, z).u
 
 
-class Filtration(NamedTuple):
+class Filtration(namedtuple("Filtration", "base steps")):
     """Chain Z_0 <= Z_1 <= ... <= Z_s with increments Y_k = Z_k - Z_{k-1}.
 
     ``steps[k-1] == (Y_k, Z_k)``; every Z_k is anti-nef and the Y_k
     decrease componentwise, staying below Z_0.
     """
 
-    base: Cycle
-    steps: tuple[tuple[Cycle, Cycle], ...]
+    __slots__ = ()
 
 
 def filtration(g: DualGraph, z: Cycle) -> Filtration:

@@ -1,9 +1,11 @@
 """Tests for the classification layer: chain enumerators, oracle, tables."""
 
+import copy
 import gc
 import inspect
 import itertools
 import math
+import pickle
 import sys
 import time
 import weakref
@@ -775,3 +777,39 @@ def test_chain_criteria_meet_the_pointwise_tests_both_ways(monkeypatch, column, 
     monkeypatch.setattr(classify, "_formulas", flipped)
     with pytest.raises(AssertionError, match=f"^{name} chain criterion disagrees"):
         _classify(FORK)
+
+
+# Each record of the library: one built the way the library builds it,
+# and its field names in order.
+RECORDS = {
+    "ValidationReport": (lambda: validate(build_ade("E", 6)), (
+        "connected", "negative_definite", "tree", "rational", "gorenstein", "multiplicity",
+        "failures", "z0", "pairing", "canonical", "lcm", "scales")),
+    "CycleInvariants": (lambda: invariants._invariants_of(build_ade("E", 6), (1, 2, 3, 2, 1, 2)), (
+        "colength", "multiplicity", "min_gens", "u", "indices", "special", "ulrich")),
+    "Filtration": (lambda: invariants.filtration(build_ade("E", 6), (2, 4, 6, 4, 2, 3)),
+                   ("base", "steps")),
+    "ClassificationEntry": (lambda: enumerate_ulrich(build_ade("E", 6))[-1], (
+        "cycle", "colength", "multiplicity", "min_gens", "module_indices", "chain", "kind")),
+    "RdpVerification": (lambda: verify_rdp("E", 6), (
+        "family", "index", "matched", "expected", "actual", "expected_count", "missing",
+        "extra", "colength_mismatches")),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_the_tuple_contract(name):
+    make, fields = RECORDS[name]
+    rec = make()
+    assert type(rec).__qualname__ == name
+    assert rec._fields == fields and tuple(rec._asdict()) == fields
+    assert tuple(rec._asdict().values()) == tuple(rec) and rec == tuple(rec)
+    assert not hasattr(rec, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert type(copied) is type(rec) and copied == rec
+
+
+def test_validation_report_defaults_its_last_five_fields():
+    rep = invariants.ValidationReport(False, False, False, False, False, None, ("finding",))
+    assert rep[7:] == (None,) * 5 and not rep.ok
+    assert rep._replace(failures=()).ok

@@ -693,6 +693,26 @@ class TestLastResort:
         proc = run_child("-c", "import sys, dualcycles.cli\nprint('dataclasses' in sys.modules)\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+        # With site off (site alone loads re, typing and enum): a table
+        # request and the templated JSON documents load none of these four,
+        # and a json.dumps document loads json on first use.
+        code = (
+            "import io, sys\n"
+            "def loaded(): print([m for m in ('typing', 're', 'json', 'enum') if m in sys.modules])\n"
+            "import dualcycles.cli as cli\n"
+            "loaded()\n"
+            "for argv in (['classify', '--family', 'A', '--index', '3'],\n"
+            "             ['--format', 'json', 'classify', '--n', '7', '--q', '3'],\n"
+            "             ['--format', 'json', 'oracle', '--family', 'D', '--index', '5', '--bound', '2'],\n"
+            "             ['--format', 'json', 'validate', '--family', 'E', '--index', '6']):\n"
+            "    print(cli.main(argv, io.StringIO()), end=' ')\n"
+            "    loaded()\n"
+        )
+        proc = run_child("-S", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        *lines, last = proc.stdout.splitlines()
+        assert lines == ["[]", "0 []", "0 []", "0 []"]
+        assert last.startswith("0 [") and "'json'" in last  # json imports re, which imports enum
 
     def test_well_formed_request_leaves_argparse_unloaded(self):
         # argparse (and gettext, which it imports) load with the first argv

@@ -37,6 +37,12 @@ HOMES = {
     "is_special_cycle": "invariants",
     "is_ulrich_cycle": "invariants",
     "_rows": "classify",
+    # The records are class statements, so their homes are read here too.
+    "ValidationReport": "invariants",
+    "CycleInvariants": "invariants",
+    "Filtration": "invariants",
+    "ClassificationEntry": "classify",
+    "RdpVerification": "classify",
 }
 
 # The modules that once defined a name and must not import it either: the
