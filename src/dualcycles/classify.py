@@ -63,12 +63,12 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
 
 
 def _zero_components(g: DualGraph, zeros: list[int]):
-    """The components of the vertices ``zeros``, each in its search order:
-    one ``lattice._reach`` inside them starts at each vertex of ``zeros``
-    that no earlier search reached (``_reach`` takes its component out of
-    the set)."""
+    """The components of the vertices ``zeros`` as a list, each in its
+    search order: one ``lattice._reach`` inside them starts at each vertex
+    of ``zeros`` that no earlier search reached (``_reach`` takes its
+    component out of the set)."""
     left = set(zeros)
-    return (_reach(g, s, left) for s in zeros if s in left)
+    return [_reach(g, s, left) for s in zeros if s in left]
 
 
 def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
@@ -153,12 +153,13 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     the boundary only, as every other entry stays as the anti-nef
     parent's.  The one pass over C writes Y, Z + Y and the child's P on C,
     moves the four sums, and collects the surviving set and the child's
-    zero vertices, whose components ``_zero_components`` gives in search
-    order: ``_classify`` sorts the cycles and none is reached twice, so
-    the order the walk meets them in cannot be seen.  Y and Z + Y are
-    length-r tuples and P a length-r list, each built from the parent's,
-    and Z_0's P comes from the graph's report: the walk builds no pairing
-    vector.  P lives only in the stack frame; a node keeps its four sums,
+    zero vertices, whose components ``_zero_components`` lists, each then
+    one step on the stack: ``_classify`` sorts the cycles and none is
+    reached twice, so the order the walk meets them in cannot be seen.
+    Y and Z + Y are length-r tuples and P a length-r list, each built
+    from the parent's, and Z_0's P comes from the graph's report: the
+    walk builds no pairing vector.  P lives only while the node's steps
+    are on the stack; a node keeps its four sums,
     moved exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v,
     K.Z gains y_v K.E_v and Z.Z_0 gains y_v (M.Z_0)_v, and the new
     a_v L/n_v enters the maximum.  Z_0's are -Z_0^2, K.Z_0 = -Z_0^2 - 2
@@ -169,19 +170,15 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     sums = (-record.multiplicity, record.multiplicity - 2, -record.multiplicity, record.lcm)
     best = {z0: ((), frozenset(range(g.vertex_count)), True, sums)}
 
-    # Preorder with an explicit stack of (candidates left, Z, pairing,
-    # chain, sums) frames, so chain length is not bounded by the
-    # interpreter's recursion.
+    # A stack of candidate steps (component, parent's Z, pairing, chain,
+    # sums), a node's all pushed when it is recorded, so chain length is
+    # not bounded by the interpreter's recursion.
     stack = []
     if max_depth > 0 or ulrich and not any(root[v] for v in heavy):
         zeros = [v for v, p in enumerate(root) if not p]
-        stack.append((_zero_components(g, zeros), z0, root, (), sums))
+        stack = [(c, z0, root, (), sums) for c in _zero_components(g, zeros)]
     while stack:
-        comps, z_prev, pairing, chain, (sq, kz, zz, top) = stack[-1]
-        comp = next(comps, None)
-        if comp is None:
-            stack.pop()
-            continue
+        comp, z_prev, pairing, chain, (sq, kz, zz, top) = stack.pop()
         if len(chain) >= max_depth and not (ulrich and heavy.issubset(comp)):
             continue  # only a K step enters past max_depth, and K needs every heavy vertex in C
         ys, on_c, leaving = _laufer(g, comp)
@@ -196,7 +193,7 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
                 p = p_new[v] = on_c[v]
                 y[v] = a
                 z_new[v] += a
-                # The sums become the child's; each pass re-reads its frame.
+                # The sums become the child's; each step pops its parent's.
                 sq, kz, zz = sq + a * p, kz + a * canonical[v], zz + a * root[v]
                 if z_new[v] * scales[v] > top:
                     top = z_new[v] * scales[v]
@@ -212,7 +209,7 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
             sums = (sq, kz, zz, top)
             best[z_new] = (new_chain, frozenset(surviving), keeps, sums)
             if len(new_chain) < max_depth or keeps and ulrich and not any(p_new[v] for v in heavy):
-                stack.append((_zero_components(g, zeros), z_new, p_new, new_chain, sums))
+                stack += [(c, z_new, p_new, new_chain, sums) for c in _zero_components(g, zeros)]
     return best
 
 

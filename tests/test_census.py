@@ -14,9 +14,9 @@ must equal ``oracle_classify(g, b)`` at b = max(2, the largest colength
 listed): a special cycle of colength l has every a_i <= n_i l, so it lies
 in l Z_0's box, and every cycle listed meets the oracle.  One seeded
 random relabelling must give the relabelled entries, witness chains
-included.  Up to 5 vertices, a second test sets the oracle's bound a
-priori, to r: ``_walk``'s depth lemma puts every walked cycle's colength
-at most r.
+included.  Up to 5 vertices (6 in CI), a second check sets the oracle's
+bound a priori, to r: ``_walk``'s depth lemma puts every walked cycle's
+colength at most r.
 Run the 7-vertex census with ``PYTHONPATH=src:tests python -c "import
 test_census; print(test_census.census(7))"``.
 """
@@ -138,16 +138,29 @@ def test_census_of_trees_up_to_six_vertices():
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
 
 
-def test_oracle_at_the_depth_lemma_bound_equals_the_walk():
-    # The bound is r, set before the walk runs, not read off its output as
-    # census() does: a chain has at most r - 1 steps (_walk), so no walked
-    # cycle has colength above r, and the box at bound r holds every cycle
-    # of colength at most r.  So both lists must equal the oracle's there.
-    graphs = [g for g in map(graph_of, tree_classes(5)) if validate(g).rational]
-    assert len(graphs) == 429
+def oracle_at_the_depth_lemma_bound(max_vertices: int) -> int:
+    """Both lists of ``_classify`` against ``oracle_classify`` at bound r on
+    every rational tree class with at most ``max_vertices`` vertices, then
+    on A_1-A_10, D_4-D_10 and E_6-E_8; returns the number of rational
+    classes, AssertionError on the first graph where the routes differ.
+
+    The bound is r, set before the walk runs, not read off its output as
+    ``census`` does: a chain has at most r - 1 steps (``_walk``), so no
+    walked cycle has colength above r, and the box at bound r holds every
+    cycle of colength at most r.  So both lists must equal the oracle's
+    there.
+    """
+    graphs = [g for g in map(graph_of, tree_classes(max_vertices)) if validate(g).rational]
+    rational = len(graphs)
     graphs += [build_ade(family, n) for family, ns in
                (("A", range(1, 11)), ("D", range(4, 11)), ("E", (6, 7, 8))) for n in ns]
     for g in graphs:
         special, ulrich = _classify(g)
         cycles = lambda es: [e.cycle for e in es]
         assert oracle_classify(g, g.vertex_count) == (cycles(special), cycles(ulrich)), g
+    return rational
+
+
+def test_oracle_at_the_depth_lemma_bound_equals_the_walk():
+    # CI runs the same at 6 vertices, on 2,049 rational classes.
+    assert oracle_at_the_depth_lemma_bound(5) == 429

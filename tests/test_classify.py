@@ -8,6 +8,7 @@ import math
 import pickle
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -55,10 +56,12 @@ from corpus import (
     connected_graphs,
     counting,
     cycle_sums,
+    graph_of,
     intersection,
     oracle_graph,
     random_trees,
     run_child,
+    tree_classes,
 )
 
 # A chain 0-1-2-3 into a -3 fork at 4 with arms 5-6 and 7: the branch
@@ -420,6 +423,24 @@ class TestEnumerators:
         best = _walk(g, record, math.inf, True)
         assert (len(best), len(sizes), sum(sizes), len(searches)) == work
 
+    @pytest.mark.parametrize("family, index", [("A", 400), ("D", 300)], ids=["A400", "D300"])
+    def test_walk_peak_memory_is_about_what_it_returns(self, family, index):
+        # The stack holds one item per pending candidate step, sharing its
+        # parent's pairing list, so the walk peaks at about what it
+        # returns: 1.00 on A_400 and 1.19 on D_300.  A stack that kept a
+        # zero-locus set for every node on the path peaks near 2.
+        g = build_ade(family, index)
+        record = validate(g)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            best = _walk(g, record, math.inf, True)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(best) > 100
+        assert peak <= 1.4 * held, (peak, held)
+
     ENTRY_CORPUS = {
         "ade": [
             build_ade(f, n)
@@ -733,12 +754,38 @@ def test_zero_components_split_the_zero_list(g, data):
     # The walk's search splits a list of zero vertices, in any order, into
     # the components of the set it lists: disjoint, connected and covering
     # it.  Their order is not part of the contract: _classify sorts the
-    # cycles, and no cycle is reached twice.
+    # cycles, and no cycle is reached twice
+    # (test_walk_sibling_order_cannot_be_seen).
     r = g.vertex_count
     zeros = data.draw(st.permutations(range(r)))[:data.draw(st.integers(0, r))]
-    got = list(_zero_components(g, zeros))
+    got = _zero_components(g, zeros)
+    assert isinstance(got, list)  # the walk pushes them all at once
     assert sorted(v for c in got for v in c) == sorted(zeros)
     assert sorted(map(sorted, got)) == sorted(map(sorted, components(g, zeros)))
+
+
+def test_walk_sibling_order_cannot_be_seen(monkeypatch):
+    # The walk meets a node's components in the reverse of their search
+    # order; met in search order instead, they give the same walk and the
+    # same lists, chains, module indices and sums included, as no cycle is
+    # reached twice and _classify sorts the cycles.
+    graphs = [g for g in map(graph_of, tree_classes(5)) if validate(g).rational]
+    assert len(graphs) == 429
+    graphs += [build_ade(family, n) for family, ns in
+               (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))) for n in ns]
+    graphs += [build_cyclic(n, q) for n in range(2, 30) for q in range(1, n) if math.gcd(n, q) == 1]
+    both = lambda: [(_walk(g, validate(g), math.inf, True), _classify(g)) for g in graphs]
+    before = both()
+    real, forks = classify._zero_components, []
+
+    def reversed_components(g, zeros):
+        comps = real(g, zeros)
+        forks.append(len(comps) > 1)
+        return comps[::-1]
+
+    monkeypatch.setattr(classify, "_zero_components", reversed_components)
+    assert both() == before
+    assert sum(forks) > 100  # nodes whose siblings the reversal reorders
 
 
 def test_classify_builds_no_pairing_vector(monkeypatch):
