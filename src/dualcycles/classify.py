@@ -10,16 +10,16 @@ K.(Z_0 - Y) = 0.  The oracle brute-forces all anti-nef cycles in a box
 and applies the pointwise tests (coefficient saturation for special,
 vanishing U invariant for Ulrich).  The two routes are compared by the
 differential tests and must never disagree.  Each public entry point
-reads the graph's memoised ``validate`` report once (InvalidGraphError
-unless it accepts the graph) and passes that report down.  The cycle
-invariants and verdicts come from one ``invariants._formulas`` call per
-request, over the four sums per cycle that the chain walk and the
-oracle's box search each keep as they go.  Also: the ADE golden tables.
+computes the graph's ``validate`` report once per call
+(InvalidGraphError unless it accepts the graph) and passes that report
+down; nothing is kept between calls.  The cycle invariants and verdicts
+come from one ``invariants._formulas`` call per request, over the four
+sums per cycle that the chain walk and the oracle's box search each
+keep as they go.  Also: the ADE golden tables.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -34,7 +34,6 @@ from .invariants import (
     _formulas,
     _laufer,
     _rational,
-    fundamental_cycle,
     validate,
 )
 from .lattice import Cycle, DualGraph, _reach
@@ -299,9 +298,9 @@ def _lower_bound_plans(g: DualGraph, order: list[int]) -> list[tuple[list, list,
     c_v, so that sum c_v a_v = (adj(-M_U) b)_p.  The
     adjugates are grown from the last position backwards by the bordering
     (Schur complement) update, all in exact integers: O(r^3) in all, run
-    once per graph by the memoised ``_search_plan``.  The dets are leading
-    minors of -M, positive as the graph must be negative definite
-    (Sylvester's criterion).
+    once per search by ``_search_plan``.  The dets are leading minors of
+    -M, positive as the graph must be negative definite (Sylvester's
+    criterion).
     """
     pos: dict[int, int] = {}  # vertex -> row of `adj`, for the vertices of U
     adj: list[list[int]] = []
@@ -337,23 +336,25 @@ def _rows(flat, r: int):
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
-    sorted.  Z_0 is ``fundamental_cycle(g)``, so a graph that is not
-    connected, then one that is not negative definite, raises its
-    InvalidGraphError; any other graph is searched, rational or not.
-    BoxLimitError when the cycles would hold more than MAX_BOX
-    coefficients; TypeError on a bound that is not an integer."""
+    sorted.  Z_0 is read off one ``validate`` report, so a graph that is
+    not connected, then one that is not negative definite, raises the
+    InvalidGraphError of ``fundamental_cycle(g)``; any other graph is
+    searched, rational or not.  BoxLimitError when the cycles would hold
+    more than MAX_BOX coefficients; TypeError on a bound that is not an
+    integer."""
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
-    z0 = fundamental_cycle(g)
-    return sorted(_rows(_box_search(g, operator.index(bound))[0], len(z0)))
+    record = validate(g)
+    if record.z0 is None:
+        raise InvalidGraphError(record.failures[0])
+    return sorted(_rows(_box_search(g, operator.index(bound), record)[0], g.vertex_count))
 
 
-@functools.lru_cache(maxsize=32)
-def _search_plan(g: DualGraph) -> tuple:
-    """What ``_box_search`` needs of a graph apart from the box, memoised
-    on graph equality as ``validate``'s report is, for the 32 most
-    recently used graphs: (the step tuples of the main loop's positions,
-    the second-to-last position's step tuple, the last position's tuple).
+def _search_plan(g: DualGraph, record: ValidationReport) -> tuple:
+    """What ``_box_search`` needs of a graph apart from the box, given its
+    ``validate`` report, computed afresh on each call and kept nowhere:
+    (the step tuples of the main loop's positions, the second-to-last
+    position's step tuple, the last position's tuple).
 
     The search order starts at the first leaf that a ``lattice._reach``
     from the lowest-index branch vertex (degree > 2) meets, so that the
@@ -370,10 +371,9 @@ def _search_plan(g: DualGraph) -> tuple:
     does not move, and (u, d) for each one whose pairing it moves by d.  A
     one-vertex graph has no q: its place holds a step whose interval is
     {0} and which moves nothing.  Z_0, M.Z_0, K.E_p and L/n_p come from
-    ``validate``, so every connected, negative definite graph is planned,
+    the report, so every connected, negative definite graph is planned,
     rational or not.
     """
-    record = validate(g)
     r, nbrs, weights, z0 = g.vertex_count, g._neighbors, g.weights, record.z0
     branch = next((v for v in range(r) if len(nbrs[v]) > 2), None)
     seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
@@ -393,14 +393,15 @@ def _search_plan(g: DualGraph) -> tuple:
     return steps, inner, last
 
 
-def _box_search(g: DualGraph, bound: int) -> tuple[list[int], ...]:
+def _box_search(g: DualGraph, bound: int, record: ValidationReport) -> tuple[list[int], ...]:
     """Every anti-nef cycle 0 < Z <= bound * Z_0 on a connected, negative
-    definite graph (unchecked: both callers read Z_0 first, which needs
-    both), by pruned enumeration, as five flat lists in the order of the
-    search (not sorted): the coefficients of each cycle found, r per
-    cycle, and four sums per cycle, Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i
-    with L = lcm(n), the input of ``invariants._formulas``.  No tuple and
-    no pairing row is built per cycle.
+    definite graph whose ``validate`` report is ``record`` (unchecked: both
+    callers check that it holds Z_0, which needs both), by pruned
+    enumeration, as five flat lists in the order of the search (not
+    sorted): the coefficients of each cycle found, r per cycle, and four
+    sums per cycle, Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i with L = lcm(n),
+    the input of ``invariants._formulas``.  No tuple and no pairing row
+    is built per cycle.
 
     Coefficients are assigned in the order of ``_search_plan``.  The
     interval of the vertex p being assigned is cut from both sides by the
@@ -439,9 +440,9 @@ def _box_search(g: DualGraph, bound: int) -> tuple[list[int], ...]:
     BoxLimitError when the cycles would then hold more than MAX_BOX
     coefficients, which refuses exactly the boxes whose cycles hold more.
 
-    Cost: the memoised plan, O(r^3) once per graph, then O(r) per
-    main-loop step, O(deg) per value of q, and per cycle O(1) plus one
-    extend of r coefficients.  On E_8 the search tries 474 values for the
+    Cost: the plan, O(r^3) once per search, then O(r) per main-loop step,
+    O(deg) per value of q, and per cycle O(1) plus one extend of r
+    coefficients.  On E_8 the search tries 474 values for the
     61 cycles at bound 6 and 1,435 for the 255 at bound 9 (510 and 1,715
     from the lowest-index leaf); with the neighbour bound ceil(S / -w_p)
     as the only lower bound it tried 226,667 and 2,189,834.  Its main
@@ -451,7 +452,7 @@ def _box_search(g: DualGraph, bound: int) -> tuple[list[int], ...]:
     times for 3,543 cycles, against 6,929 then and 80,239 from the
     lowest-index leaf with one trip per cycle.
     """
-    steps, (q, wq, _, qcaps, qvs, qcs, qdet, nq, kcq, mq, lnq), last = _search_plan(g)
+    steps, (q, wq, _, qcaps, qvs, qcs, qdet, nq, kcq, mq, lnq), last = _search_plan(g, record)
     x, wx, nx, kcx, mx, lnx, dx, fixed, varying = last
     r = g.vertex_count
     zs, squares, canonicals, pairings, tops = [], [], [], [], []
@@ -542,7 +543,7 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     record = _rational(g)
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
-    zs, *sums = _box_search(g, operator.index(bound))
+    zs, *sums = _box_search(g, operator.index(bound), record)
     special, ulrich = _formulas(*sums, record)[4:]
     rows = lambda verdicts: sorted(itertools.compress(_rows(zs, g.vertex_count), verdicts))
     found = rows(special)

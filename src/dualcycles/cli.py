@@ -379,13 +379,16 @@ def _cmd_validate(args, g, out) -> int:
 
 
 def _cmd_fundamental(args, g, out) -> int:
-    # A support is decided by fundamental_cycle alone; only Z_0 reads the report.
-    supp = None
+    # A support is decided by fundamental_cycle alone; Z_0 is read off one
+    # report, whose definiteness is checked before its connectedness.
     if args.support is not None:
-        supp = frozenset(i - 1 for i in _int_list(args.support, "support"))
-    elif not validate(g).negative_definite:
+        z = fundamental_cycle(g, frozenset(i - 1 for i in _int_list(args.support, "support")))
+    elif not (rep := validate(g)).negative_definite:
         raise InvalidGraphError("intersection matrix is not negative definite")
-    z = fundamental_cycle(g, supp)
+    elif rep.z0 is None:
+        raise InvalidGraphError(rep.failures[0])  # the graph is not connected
+    else:
+        z = rep.z0
     if args.format == "json":
         _emit("fundamental", g, {"cycle": z}, out)
     else:

@@ -1,14 +1,15 @@
 """Judging graphs and cycles: the structural verdicts on a graph and the
 numerical invariants of its anti-nef cycles, each formula in one place.
 
-``validate`` returns one memoised report per graph: its verdicts and
-findings, with Z_0, M.Z_0, K.E_i, L = lcm(n_i) and L/n_i when Z_0
+``validate`` returns one report per call, kept nowhere: its verdicts
+and findings, with Z_0, M.Z_0, K.E_i, L = lcm(n_i) and L/n_i when Z_0
 exists.  Connectedness is one ``lattice._reach`` per component, and
 negative definiteness is Laufer's loop (``_certified``), with the exact
 elimination of ``is_negative_definite`` only on a set whose loop passes
 its bump budget.  ``fundamental_cycle`` reads Z_0 off the report, or
-decides a given support with one search and one certificate.  The
-classifiers read the report and hand it to the functions below.
+decides a given support with one search and one certificate.  Each
+entry point, the classifiers' included, computes the report once per
+call and hands it to the functions below.
 ``_formulas`` reads every invariant of many anti-nef cycles off four
 sums per cycle, one columnar pass per invariant; the oracle's box search
 and the chain walk keep those sums as they go.  ``_pointwise`` is the
@@ -20,7 +21,6 @@ virtual genus and anti-nef test of any cycle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -208,7 +208,6 @@ class ValidationReport(namedtuple("ValidationReport", (
         return not self.failures
 
 
-@functools.lru_cache(maxsize=256)
 def validate(g: DualGraph) -> ValidationReport:
     """Full structural report; never raises, all findings are collected,
     the first of them "graph is not connected" or "intersection matrix is
@@ -222,8 +221,9 @@ def validate(g: DualGraph) -> ValidationReport:
     0's are searched lazily, by least vertex, each certified before the
     next is searched.  No elimination runs over more than one component,
     and the first component that is not definite ends the check.
-    Memoised on graph equality, so every caller on one graph shares one
-    report, and a long-running process holds a bounded set of graphs.
+    Nothing is kept between calls: each call returns a fresh, equal
+    report, so a caller computes it once and passes it down, and a
+    dropped graph holds no memory here.
     """
     r = len(g.weights)
     left = set(range(r))
@@ -426,8 +426,9 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     chain starts at Z_0 and ends at Z.  CycleError when the chain would
     hold more than MAX_FILTRATION coefficients (steps times r).
     """
-    _invariants_of(g, z)  # a valid graph, and Z positive and anti-nef
-    return _filtration(g.check_cycle(z), validate(g).z0)
+    record = _rational(g)
+    _pointwise(g, z, record)  # Z positive and anti-nef
+    return _filtration(g.check_cycle(z), record.z0)
 
 
 def _filtration(z: Cycle, z0: Cycle) -> Filtration:

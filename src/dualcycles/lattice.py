@@ -31,7 +31,7 @@ class DualGraph:
     validator reports it).  ``edges`` holds unordered pairs (i, j) with
     i < j, each meaning intersection number 1.  Vertices are 0-based here;
     all I/O uses 1-based labels.  A graph is immutable, and equality and
-    hash read ``(weights, edges)`` only: graphs key ``validate``'s memo.
+    hash read ``(weights, edges)`` only.
     """
 
     __slots__ = ("weights", "edges", "_neighbors", "__weakref__")

@@ -126,7 +126,7 @@ def check_criterion(g: DualGraph, bound: int) -> int:
     search, on every anti-nef cycle of ``bound`` Z_0's box; the number of
     boxed cycles."""
     record = _rational(g)
-    zs, *sums = _box_search(g, bound)
+    zs, *sums = _box_search(g, bound, record)
     special, ulrich = _formulas(*sums, record)[4:]
     fundamental = functools.lru_cache(maxsize=None)(functools.partial(_fundamental, g))
     for z, s, u in zip(_rows(zs, g.vertex_count), special, ulrich):

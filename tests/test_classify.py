@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import pickle
+import resource
 import sys
 import time
 import tracemalloc
@@ -120,20 +121,51 @@ class TestGuards:
             brute_force_anti_nef(g, 1)
         assert str(brute.value) == str(fundamental.value)
 
-    def test_graph_memo_keeps_a_bounded_set_of_graphs(self):
-        # Classifying many distinct graphs keeps at most the memo's bound
-        # of them alive; unbounded per-graph caches kept every one.
+    def test_classifying_keeps_no_graph_alive(self):
+        # Classifying many distinct graphs, by both routes, keeps none of
+        # them alive once dropped: no report or search plan is stored
+        # between calls.  Memos bounded by count once kept 256 of them.
         # The graphs are distinct: the chain determines n/q.
         pairs = ((n, q) for n in itertools.count(5) for q in (1, 2, 3) if math.gcd(n, q) == 1)
         refs = []
         for n, q in itertools.islice(pairs, 1000):
             g = build_cyclic(n, q)
             enumerate_ulrich(g)
+            oracle_classify(g, 1)
             refs.append(weakref.ref(g))
         del g
         gc.collect()
-        bound = dualcycles.invariants.validate.cache_parameters()["maxsize"]
-        assert sum(r() is not None for r in refs) <= bound
+        assert sum(r() is not None for r in refs) == 0
+
+    def test_dropped_graphs_release_their_memory(self):
+        # 40 distinct 20,000-vertex -3 chains (one path, relabelled by a
+        # rotation), each validated, classified and dropped in turn: the
+        # traced memory falls back to where it was.  A memo bounded by
+        # count held every one, about 5.5 MB each.  The child's address
+        # space is capped, in the child only.
+        code = (
+            "import gc, tracemalloc\n"
+            "from dualcycles import DualGraph, enumerate_ulrich, validate\n"
+            "r = 20000\n"
+            "tracemalloc.start()\n"
+            "gc.collect()\n"
+            "before = tracemalloc.get_traced_memory()[0]\n"
+            "for k in range(40):\n"
+            "    path = [*range(k, r), *range(k)]\n"
+            "    g = DualGraph((-3,) * r, zip(path, path[1:]))\n"
+            "    assert validate(g).ok and len(enumerate_ulrich(g)) == 1\n"
+            "    del g, path\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0] - before)\n"
+        )
+        cap = 2**30  # 1 GB
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = run_child("-c", code, timeout=120, preexec_fn=limit)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(int(proc.stdout)) < 2**20
 
     def test_rejects_bad_bounds(self):
         g = build_ade("A", 2)
@@ -251,9 +283,7 @@ class TestBruteForce:
     )
     def test_search_starts_at_the_leaf_nearest_a_branch_vertex(self, monkeypatch, g, start):
         # The order is seen through the plans it is handed; the results
-        # are sorted, so they cannot show it.  A graph searched before has
-        # its plan memoised, so the memo is cleared first.
-        classify._search_plan.cache_clear()
+        # are sorted, so they cannot show it.
         orders = []
         plans = classify._lower_bound_plans
 
@@ -265,20 +295,26 @@ class TestBruteForce:
         brute_force_anti_nef(g, 1)
         assert [order[0] for order in orders] == [start]
 
-    def test_search_is_planned_once_per_graph(self, monkeypatch):
+    def test_search_is_planned_once_per_request(self, monkeypatch):
         # The order, the step tuples and the lower-bound plans do not
-        # depend on the box: three bounds on E_8 plan its search once.
-        classify._search_plan.cache_clear()
+        # depend on the box: each request on E_8 validates its graph once
+        # and plans its search once, off that report, whatever the bound.
         calls = []
         monkeypatch.setattr(classify, "_lower_bound_plans",
                             counting(calls, "plans", classify._lower_bound_plans))
+        spy = counting(calls, "validate", invariants.validate)
+        for module in (invariants, classify):  # every module the oracle reads it from
+            monkeypatch.setattr(module, "validate", spy)
         g = build_ade("E", 8)
         for bound in (4, 5, 6):
+            calls.clear()
             special, ulrich = oracle_classify(g, bound)
             assert ulrich == [z for z, _ in golden_table("E", 8)]
             assert ulrich is special  # multiplicity 2: one sorted list for both
-        assert calls == ["plans"]
-        assert classify._search_plan.cache_info().maxsize == 32
+            assert calls == ["validate", "plans"]
+            calls.clear()
+            assert len(brute_force_anti_nef(g, bound)) >= len(special)
+            assert calls == ["validate", "plans"]
 
     def test_every_result_is_anti_nef_and_in_box(self):
         g = STAR
@@ -680,7 +716,7 @@ def test_box_search_keeps_each_cycles_sums(g, bound):
     z0, r = rep.z0, g.vertex_count
     assume(math.prod(bound * n + 1 for n in z0) <= 20000)
     lcm = math.lcm(*z0)
-    zs, *sums = _box_search(g, bound)
+    zs, *sums = _box_search(g, bound, rep)
     cycles = list(zip(*[iter(zs)] * r))  # flat, one row per cycle
     assert sorted(cycles) == brute_force_anti_nef(g, bound)
     for z, square, canonical, pairing, top in zip(cycles, *sums, strict=True):

@@ -31,11 +31,13 @@ from dualcycles.lattice import DualGraph
 from corpus import (
     CATERPILLAR,
     CATERPILLAR_Z0,
+    DIGEST_DIR,
     DIGEST_FILES,
     INDEFINITE_STAR,
     NON_RATIONAL_TREE,
     STAR,
     counting,
+    digest_argvs,
     graph_of,
     run_child,
     tree_classes,
@@ -224,7 +226,6 @@ class TestFundamentalCommand:
         passes = []
         spy = counting(passes, "elimination", invariants.is_negative_definite)
         monkeypatch.setattr(invariants, "is_negative_definite", spy)
-        invariants.validate.cache_clear()  # fresh graphs
         code, out = run("fundamental", "--n", "97", "--q", "13")
         assert (code, len(passes)) == (EXIT_OK, 0)
         assert out == "1 1 1\n"
@@ -1060,6 +1061,28 @@ def built_parsers(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: (
         built.append(kw.get("prog")) or init(self, *a, **kw)))
     return built
+
+
+class TestRequestWork:
+    def test_each_request_validates_once_and_plans_once(self, tmp_path, monkeypatch, capsys):
+        # Over the digest corpus, a request computes its graph's report
+        # at most once and passes it down, and an oracle request plans its
+        # box search at most once; nothing is kept between requests.
+        calls = []
+        spy = counting(calls, "validate", invariants.validate)
+        for module in (dualcycles, invariants, classify, cli):  # every module holding the name
+            monkeypatch.setattr(module, "validate", spy)
+        monkeypatch.setattr(classify, "_search_plan", counting(calls, "plan", classify._search_plan))
+        write_digest_graphs(tmp_path)
+        seen = set()
+        for argv in digest_argvs():
+            calls.clear()
+            main([a.replace(DIGEST_DIR, str(tmp_path)) for a in argv], out=io.StringIO())
+            assert calls.count("validate") <= 1, argv
+            assert calls.count("plan") <= ("oracle" in argv), argv
+            seen.update(calls)
+        capsys.readouterr()
+        assert seen == {"validate", "plan"}
 
 
 class TestParserReuse:

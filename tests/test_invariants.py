@@ -145,13 +145,14 @@ class TestFundamentalCycle:
             assert fundamental_cycle(g, range(g.vertex_count)) == fundamental_cycle(g), g
 
     def test_support_runs_one_search_and_one_certificate(self, monkeypatch):
+        # Z_0 is one report, whose validation runs one search and one
+        # certificate; a support runs one of each and no validation.
         g = build_ade("E", 8)
-        validate(g)  # warm: the spies see fundamental_cycle's own calls only
         calls = []
         for name in ("_reach", "_certified", "validate"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
         assert fundamental_cycle(g) == (2, 4, 6, 5, 4, 3, 2, 3)
-        assert calls == ["validate"]
+        assert calls == ["validate", "_reach", "_certified"]
         calls.clear()
         assert fundamental_cycle(g, range(8)) == (2, 4, 6, 5, 4, 3, 2, 3)
         assert calls == ["_reach", "_certified"]
@@ -223,25 +224,29 @@ class TestGraphChecks:
         assert InvalidGraphError is classify.InvalidGraphError is dualcycles.InvalidGraphError
 
     def test_validation_does_its_work_once(self, monkeypatch):
-        # One component search per fresh connected graph and no
+        # One component search per call on a connected graph and no
         # elimination on a definite one, whose Laufer loop certifies it;
         # one elimination on a graph whose loop runs past its budget.
-        # Shared by the validator, Z_0 and the classifiers.
+        # The validator, Z_0 and the classifiers each validate once per
+        # call, and no call keeps its report for the next.
         calls = []
         for name, key in (("is_negative_definite", "eliminations"), ("_reach", "search")):
             monkeypatch.setattr(invariants, name, counting(calls, key, getattr(invariants, name)))
-        invariants.validate.cache_clear()  # every graph is fresh
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
-        assert validate(g).ok and validate(g) is validate(g)
+        assert validate(g).ok
         assert calls == ["search"]
-        fundamental_cycle(g)
-        validate(g)
-        classify.enumerate_ulrich(g)
-        assert calls == ["search"]
+        first, second = validate(g), validate(g)
+        assert first == second and first is not second
+        for call in (validate, fundamental_cycle, classify.enumerate_ulrich):
+            calls.clear()
+            call(g)
+            assert calls == ["search"], call
+        calls.clear()
         assert validate(CATERPILLAR).negative_definite
-        assert sorted(calls) == ["eliminations", "search", "search"]
+        assert sorted(calls) == ["eliminations", "search"]
+        calls.clear()
         assert fundamental_cycle(CATERPILLAR) == CATERPILLAR_Z0
-        assert sorted(calls) == ["eliminations", "search", "search"]
+        assert sorted(calls) == ["eliminations", "search"]
 
 
 class TestReportConstants:
@@ -375,7 +380,6 @@ class TestDefinitenessCertificate:
             comps += [[base + v for v in lattice._reach(part, s, left)]
                       for s in range(part.vertex_count) if s in left]
         g = DualGraph(weights, edges)
-        invariants.validate.cache_clear()
         with mock.patch.object(invariants, "is_negative_definite",
                                wraps=invariants.is_negative_definite) as eliminate:
             report = validate(g)

@@ -62,8 +62,8 @@ class TestDualGraph:
         assert a == b and hash(a) == hash(b)
         assert a != DualGraph((-2, -3), [(0, 1)]) and a != DualGraph((-2, -2), [])
         assert (a == object()) is False and a != (a.weights, a.edges)
-        # Graphs key validate's memo: no field can change after
-        # construction, and weak references to a graph work.
+        # A graph is a value: no field can change after construction,
+        # and weak references to a graph work.
         with pytest.raises(AttributeError):
             a.weights = (-3, -2)
         with pytest.raises(AttributeError):
