@@ -21,6 +21,14 @@ from .lattice import DualGraph
 # It is far above any graph this tool can classify in reasonable time.
 MAX_VERTICES = 10**6
 
+# The most digits an input integer may have: each integer of a graph file,
+# each ``--cycle`` and ``--support`` entry (``check_digits``, on the text
+# before ``int`` reads it) and ``hj_expansion``'s n and q.  It keeps every
+# integer that any subcommand prints far below CPython's 4,300-digit limit
+# on ``str(int)``: the largest, U(Z), has about 5 * MAX_DIGITS + 12 digits
+# (see the README).
+MAX_DIGITS = 400
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text (carries a 1-based line number when known)."""
@@ -30,6 +38,14 @@ class GraphFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def check_digits(text: str, what: str, line: int | None = None) -> None:
+    """GraphFormatError, naming ``what`` and MAX_DIGITS, if the integer
+    text ``text`` is written with more than MAX_DIGITS digits (leading
+    zeros count; surrounding whitespace and a sign do not)."""
+    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+        raise GraphFormatError(f"{what} has more than {MAX_DIGITS} digits", line)
 
 
 def _ade_type(family: str, index: int) -> tuple[str, int]:
@@ -73,9 +89,14 @@ def hj_expansion(n: int, q: int) -> list[int]:
     Returns the unique [b_1, ..., b_r] with every b_i >= 2 and
     n/q = b_1 - 1/(b_2 - 1/(... - 1/b_r)).  Each step takes the ceiling
     b = ceil(n/q) and recurses on (q, b*q - n).  ValueError once the
-    expansion would pass MAX_VERTICES terms.
+    expansion would pass MAX_VERTICES terms, and before any step if n has
+    more than MAX_DIGITS digits.
     """
     n, q = operator.index(n), operator.index(q)
+    # q < n, or refused below; 10**D > 2**(3D), so the power is built only
+    # for an n of more than 3D bits
+    if n.bit_length() > 3 * MAX_DIGITS and n >= 10**MAX_DIGITS:
+        raise ValueError(f"n has more than {MAX_DIGITS} digits")
     if not 1 <= q < n:
         raise ValueError(f"need 1 <= q < n, got q={q}, n={n}")
     if math.gcd(n, q) != 1:
@@ -164,12 +185,14 @@ def parse_graph(text: str) -> DualGraph:
 
 def _int_args(args: list[str], want: int, directive: str, lineno: int) -> list[int]:
     """The ``want`` integers of a directive, in order; GraphFormatError on
-    any other argument count, else naming the first argument that is not
-    an integer."""
+    any other argument count, else naming the first argument past
+    MAX_DIGITS, else the first that is not an integer."""
     if len(args) != want:
         raise GraphFormatError(
             f"'{directive}' takes {want} argument(s), got {len(args)}", lineno
         )
+    for a in args:
+        check_digits(a, f"'{directive}' argument", lineno)
     out = []
     try:
         for a in args:

@@ -5,7 +5,8 @@ of a cycle, classify special/Ulrich cycles, run the brute-force oracle,
 and verify the ADE golden tables.  Output is a plain table by default or
 a schema-stable JSON document with ``--format json``.  Exit codes:
 0 success, 1 validation failure (or a request that runs out of memory
-or recursion depth), 2 parse/usage error, 3 verification mismatch.
+or recursion depth, or whose output cannot be written), 2 parse/usage
+error, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .builders import GraphFormatError, build_ade, build_cyclic, parse_graph, serialize_graph
+from .builders import (GraphFormatError, build_ade, build_cyclic, check_digits, parse_graph,
+                       serialize_graph)
 from .classify import (
     BoxLimitError,
     ClassificationEntry,
@@ -44,12 +46,12 @@ def _filtration_dict(f: Filtration) -> dict:
     return {"base": f.base, "steps": [{"increment": y, "cycle": z} for y, z in f.steps]}
 
 
-def _render_graph(g: DualGraph, out) -> None:
+def _render_graph(g: DualGraph) -> list[str]:
     rows = ["graph:\n"]
     for i, w in enumerate(g.weights):
         nbrs = " ".join(f"E{j + 1}" for j in g.neighbors(i)) or "-"
         rows.append(f"  E{i + 1} ({w}): {nbrs}\n")
-    out.write("".join(rows))
+    return rows
 
 
 def _render_cycle(z: Cycle, marked: frozenset[int] = frozenset()) -> str:
@@ -59,20 +61,24 @@ def _render_cycle(z: Cycle, marked: frozenset[int] = frozenset()) -> str:
     return " ".join(parts)
 
 
-def _render_entries(entries: list[ClassificationEntry]) -> str:
-    """The table lines of ``entries``, one string."""
-    return "".join(
+def _render_entries(entries: list[ClassificationEntry]) -> list[str]:
+    """The table lines of ``entries``."""
+    return [
         f"  {_render_cycle(e.cycle, e.module_indices):<30}"
         f" colength={e.colength} mult={e.multiplicity}"
         f" min_gens={e.min_gens} kind={e.kind}\n"
         for e in entries
-    )
+    ]
 
 
 def _int_list(text: str, name: str) -> tuple[int, ...]:
-    """The integers of the comma-separated option ``name``."""
+    """The integers of the comma-separated option ``name``, each of at
+    most MAX_DIGITS digits."""
+    parts = text.split(",")
+    for p in parts:
+        check_digits(p, f"a {name} entry")
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(map(int, parts))
     except ValueError:
         raise GraphFormatError(f"{name} {text!r} is not a comma-separated integer list")
 
@@ -320,14 +326,14 @@ _ORACLE = """{
   }"""
 
 
-def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
-    """Write the JSON document of a command: ``tool``, ``command``, the
-    ``graph`` (vertex count, weights, sorted 1-based edges) and
-    ``results``.
+def _emit(command: str, g: DualGraph, results: dict | tuple) -> list[str]:
+    """The pieces of the JSON document of a command: ``tool``,
+    ``command``, the ``graph`` (vertex count, weights, sorted 1-based
+    edges) and ``results``.
 
     The text is ``json.dumps(doc, indent=2)`` plus a newline, byte for
     byte.  The head and the documents whose size grows with their output
-    come from templates: classify's pair of entry lists is written in
+    come from templates: classify's pair of entry lists is built in
     pieces (``_classify_chunks``) and the oracle's ``results`` from
     ``_ORACLE``, with one text for its two lists when they are one
     object.  Every other ``results`` dict is ``json.dumps``'s own
@@ -335,50 +341,46 @@ def _emit(command: str, g: DualGraph, results: dict | tuple, out) -> None:
     string, so each newline it writes is a line break.
     """
     edges = ",\n      ".join([_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges)])
-    out.write(_HEAD % (command, g.vertex_count,
-                       ",\n      ".join(map(str, g.weights)),
-                       "[\n      " + edges + "\n    ]" if edges else "[]"))
+    head = _HEAD % (command, g.vertex_count, ",\n      ".join(map(str, g.weights)),
+                    "[\n      " + edges + "\n    ]" if edges else "[]")
     if command == "classify":
-        out.writelines(_classify_chunks(*results))
-    elif command == "oracle":
+        return [head, *_classify_chunks(*results), "\n}\n"]
+    if command == "oracle":
         fmt, special, ulrich = _INT_TEXT.__getitem__, results["special"], results["ulrich"]
         text = _int_rows(special, "\n    ", fmt)
-        out.write(_ORACLE % (results["bound"], text,
-                             text if ulrich is special else _int_rows(ulrich, "\n    ", fmt)))
+        body = _ORACLE % (results["bound"], text,
+                          text if ulrich is special else _int_rows(ulrich, "\n    ", fmt))
     else:
         import json  # only these documents need it
 
-        out.write(json.dumps(results, indent=2).replace("\n", "\n  "))
-    out.write("\n}\n")
+        body = json.dumps(results, indent=2).replace("\n", "\n  ")
+    return [head, body, "\n}\n"]
 
 
-def _cmd_graph(args, g, out) -> int:
+# Each handler takes the parsed arguments and the graph, and returns its
+# exit code and the pieces of its whole stdout, which ``main`` writes.
+def _cmd_graph(args, g) -> tuple[int, list[str]]:
     text = serialize_graph(g)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.format == "json":
-        _emit("graph", g, {"text": text}, out)
-    elif args.out is None:
-        out.write(text)
-    return EXIT_OK
+        return EXIT_OK, _emit("graph", g, {"text": text})
+    return EXIT_OK, [text] if args.out is None else []
 
 
-def _cmd_validate(args, g, out) -> int:
+def _cmd_validate(args, g) -> tuple[int, list[str]]:
     rep = validate(g)
     results = dict(zip(rep._fields, rep[:7]))  # the verdicts, then the failures
+    code = EXIT_OK if rep.ok else EXIT_VALIDATION
     if args.format == "json":
-        _emit("validate", g, results, out)
-    else:
-        _render_graph(g, out)
-        for key in list(results)[:-1]:
-            print(f"  {key}: {results[key]}", file=out)
-        for f in rep.failures:
-            print(f"finding: {f}", file=sys.stderr)
-    return EXIT_OK if rep.ok else EXIT_VALIDATION
+        return code, _emit("validate", g, results)
+    for f in rep.failures:
+        print(f"finding: {f}", file=sys.stderr)
+    return code, _render_graph(g) + [f"  {key}: {results[key]}\n" for key in list(results)[:-1]]
 
 
-def _cmd_fundamental(args, g, out) -> int:
+def _cmd_fundamental(args, g) -> tuple[int, list[str]]:
     # A support is decided by fundamental_cycle alone; Z_0 is read off one
     # report, whose definiteness is checked before its connectedness.
     if args.support is not None:
@@ -390,13 +392,11 @@ def _cmd_fundamental(args, g, out) -> int:
     else:
         z = rep.z0
     if args.format == "json":
-        _emit("fundamental", g, {"cycle": z}, out)
-    else:
-        print(_render_cycle(z), file=out)
-    return EXIT_OK
+        return EXIT_OK, _emit("fundamental", g, {"cycle": z})
+    return EXIT_OK, [_render_cycle(z) + "\n"]
 
 
-def _cmd_invariants(args, g, out) -> int:
+def _cmd_invariants(args, g) -> tuple[int, list[str]]:
     z = g.check_cycle(_int_list(args.cycle, "cycle"))
     rep = validate(g)
     if not rep.ok:
@@ -413,42 +413,37 @@ def _cmd_invariants(args, g, out) -> int:
     if args.format == "json":
         # One step per multiple of Z_0 below Z: built only when printed.
         results["filtration"] = _filtration_dict(_filtration(z, rep.z0))
-        _emit("invariants", g, results, out)
-    else:
-        for key in list(results)[1:]:  # all but the cycle
-            print(f"  {key}: {results[key]}", file=out)
-    return EXIT_OK
+        return EXIT_OK, _emit("invariants", g, results)
+    return EXIT_OK, [f"  {key}: {results[key]}\n" for key in list(results)[1:]]  # all but the cycle
 
 
-def _cmd_classify(args, g, out) -> int:
+def _cmd_classify(args, g) -> tuple[int, list[str]]:
     special, ulrich = _classify(g, args.max_colength, not args.ulrich, not args.special)
     if args.format == "json":
-        _emit("classify", g, (special, ulrich), out)
-    else:
-        _render_graph(g, out)
-        lines = "" if special is None else _render_entries(special)
-        for name, entries in (("special", special), ("ulrich", ulrich)):
-            if entries is not None:
-                print(f"{name} cycles ({len(entries)}):", file=out)
-                # Equal lists are one object: its lines are written again.
-                out.write(lines if entries is special else _render_entries(entries))
-    return EXIT_OK
+        return EXIT_OK, _emit("classify", g, (special, ulrich))
+    pieces = _render_graph(g)
+    lines = [] if special is None else _render_entries(special)
+    for name, entries in (("special", special), ("ulrich", ulrich)):
+        if entries is not None:
+            pieces.append(f"{name} cycles ({len(entries)}):\n")
+            # Equal lists are one object: its lines are written again.
+            pieces += lines if entries is special else _render_entries(entries)
+    return EXIT_OK, pieces
 
 
-def _cmd_oracle(args, g, out) -> int:
+def _cmd_oracle(args, g) -> tuple[int, list[str]]:
     special, ulrich = oracle_classify(g, args.bound)
     if args.format == "json":
-        _emit("oracle", g, {"bound": args.bound, "special": special, "ulrich": ulrich}, out)
-    else:
-        _render_graph(g, out)
-        for name, cycles in (("special", special), ("ulrich", ulrich)):
-            print(f"{name} cycles ({len(cycles)}):", file=out)
-            for z in cycles:
-                print(f"  {_render_cycle(z)}", file=out)
-    return EXIT_OK
+        results = {"bound": args.bound, "special": special, "ulrich": ulrich}
+        return EXIT_OK, _emit("oracle", g, results)
+    pieces = _render_graph(g)
+    for name, cycles in (("special", special), ("ulrich", ulrich)):
+        pieces.append(f"{name} cycles ({len(cycles)}):\n")
+        pieces += [f"  {_render_cycle(z)}\n" for z in cycles]
+    return EXIT_OK, pieces
 
 
-def _cmd_verify_rdp(args, g, out) -> int:
+def _cmd_verify_rdp(args, g) -> tuple[int, list[str]]:
     rep = verify_rdp(args.family, args.index)
     results = dict(
         family=rep.family, index=rep.index, matched=rep.matched,
@@ -458,22 +453,19 @@ def _cmd_verify_rdp(args, g, out) -> int:
         missing=rep.missing, extra=rep.extra, colength_mismatches=[
             {"cycle": z, "expected": a, "actual": b} for z, a, b in rep.colength_mismatches],
     )
+    code = EXIT_OK if rep.matched else EXIT_MISMATCH
     if args.format == "json":
-        _emit("verify-rdp", g, results, out)
-    else:
-        verdict = "match" if rep.matched else "MISMATCH"
-        print(f"{rep.family}{rep.index}: {verdict}, "
-              f"{len(rep.actual)} cycles (expected {rep.expected_count})", file=out)
-        for z, c in rep.actual:
-            print(f"  {_render_cycle(z)}  colength={c}", file=out)
-        for z in rep.missing:  # empty when the tables match
-            print(f"missing: {_render_cycle(z)}", file=sys.stderr)
-        for z in rep.extra:
-            print(f"extra: {_render_cycle(z)}", file=sys.stderr)
-        for z, a, b in rep.colength_mismatches:
-            print(f"colength mismatch at {_render_cycle(z)}: expected {a}, got {b}",
-                  file=sys.stderr)
-    return EXIT_OK if rep.matched else EXIT_MISMATCH
+        return code, _emit("verify-rdp", g, results)
+    for z in rep.missing:  # empty when the tables match
+        print(f"missing: {_render_cycle(z)}", file=sys.stderr)
+    for z in rep.extra:
+        print(f"extra: {_render_cycle(z)}", file=sys.stderr)
+    for z, a, b in rep.colength_mismatches:
+        print(f"colength mismatch at {_render_cycle(z)}: expected {a}, got {b}", file=sys.stderr)
+    verdict = "match" if rep.matched else "MISMATCH"
+    return code, [f"{rep.family}{rep.index}: {verdict}, "
+                  f"{len(rep.actual)} cycles (expected {rep.expected_count})\n",
+                  *(f"  {_render_cycle(z)}  colength={c}\n" for z, c in rep.actual)]
 
 
 # Each subcommand's help line, option table (graph: one per subcommand of
@@ -505,20 +497,28 @@ _SCAN = {name: {sub: _scan_table(r) for sub, r in rows.items()} if type(rows) is
 
 def main(argv: list[str] | None = None, out=None) -> int:
     """Run one request and return its exit code.  Handlers raise typed
-    errors; every ``error:`` line and failure exit code is chosen here."""
-    out = out or sys.stdout
+    errors; every ``error:`` line and failure exit code is chosen here.
+    The request's whole stdout is built before any of it is written, in
+    one ``writelines`` call: a request that fails writes nothing to
+    ``out``."""
+    out, pieces = out or sys.stdout, None
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return _SUBCOMMANDS[args.command][2](args, _resolve_graph(args), out)
+        code, pieces = _SUBCOMMANDS[args.command][2](args, _resolve_graph(args))
+        out.writelines(pieces)
+        out.flush()  # a closed pipe or a full disk fails here, not at exit
+        return code
     except (CycleError, InvalidGraphError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (GraphFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        # A failed write of the output (a closed pipe, a full disk) is not
+        # a usage error: the request parsed and ran.
+        return EXIT_USAGE if pieces is None else EXIT_VALIDATION
     except (MemoryError, RecursionError) as e:  # the last resort, no traceback
         name = type(e).__name__
         print(f"error: {name}: the request is too large for this process", file=sys.stderr)

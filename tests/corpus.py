@@ -336,10 +336,22 @@ MALFORMED_FILES = {
 }
 
 
+# Two graphs whose weights pass builders.MAX_DIGITS, each written next to
+# the DIGEST_FILES graphs as <name>.txt: two joined vertices of weight
+# -(10**4300 - 1), the longest int that CPython's str() writes, and two of
+# weight -77...7 with 2,000 sevens.  Requests on them once died on that
+# str() limit after writing part of their output.
+OVERSIZED_FILES = {
+    f"oversized-{digits}-digits": "vertices 2\n" + "".join(
+        f"weight {i} -{digit * digits}\n" for i in (1, 2)) + "edge 1 2\n"
+    for digits, digit in ((4300, "9"), (2000, "7"))
+}
+
+
 def write_digest_graphs(directory) -> None:
     """Write each graph of DIGEST_FILES and each text of MALFORMED_FILES
-    to ``directory``/<name>.txt."""
-    texts = dict(MALFORMED_FILES)
+    and OVERSIZED_FILES to ``directory``/<name>.txt."""
+    texts = {**MALFORMED_FILES, **OVERSIZED_FILES}
     for name, g in DIGEST_FILES.items():
         lines = [f"vertices {g.vertex_count}"]
         lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights)]
@@ -379,7 +391,12 @@ def digest_argvs() -> list[list[str]]:
     - ``validate`` on two graph sources at once, on half-given sources,
       and on each file of MALFORMED_FILES;
     - the small CI tripwires: a 1,999-vertex support of D_2000, A_1 at
-      the cycle 2,000,000, and two oracle boxes past the box limit.
+      the cycle 2,000,000, and two oracle boxes past the box limit;
+
+    then, in both forms, on the 4,300-digit file of OVERSIZED_FILES:
+    ``graph load``, ``validate``, ``classify``, ``invariants`` at 1,1 and
+    ``oracle`` at bound 2; and on the 2,000-digit file ``invariants`` at
+    a cycle of two 1,000-digit coefficients.
     """
     ade = [(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8)))
            for n in ns]
@@ -446,4 +463,12 @@ def digest_argvs() -> list[list[str]]:
         argvs += [form + ["validate", "--graph", f"{DIGEST_DIR}/{name}.txt"]
                   for name in MALFORMED_FILES]
         argvs += [form + argv for argv in tripwires]
+    huge, long = (f"{DIGEST_DIR}/oversized-{digits}-digits.txt" for digits in (4300, 2000))
+    nines = "9" * 1000
+    oversized = (["graph", "load", huge], ["validate", "--graph", huge], ["classify", "--graph", huge],
+                 ["invariants", "--graph", huge, "--cycle", "1,1"],
+                 ["oracle", "--graph", huge, "--bound", "2"],
+                 ["invariants", "--graph", long, "--cycle", f"{nines},{nines}"])
+    for form in forms:
+        argvs += [form + argv for argv in oversized]
     return argvs

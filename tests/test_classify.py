@@ -138,15 +138,15 @@ class TestGuards:
         assert sum(r() is not None for r in refs) == 0
 
     def test_dropped_graphs_release_their_memory(self):
-        # 40 distinct 20,000-vertex -3 chains (one path, relabelled by a
+        # 40 distinct 2,000-vertex -3 chains (one path, relabelled by a
         # rotation), each validated, classified and dropped in turn: the
         # traced memory falls back to where it was.  A memo bounded by
-        # count held every one, about 5.5 MB each.  The child's address
-        # space is capped, in the child only.
+        # count held every one, about 0.44 MB each (17.7 MB in all).  The
+        # child's address space is capped, in the child only.
         code = (
             "import gc, tracemalloc\n"
             "from dualcycles import DualGraph, enumerate_ulrich, validate\n"
-            "r = 20000\n"
+            "r = 2000\n"
             "tracemalloc.start()\n"
             "gc.collect()\n"
             "before = tracemalloc.get_traced_memory()[0]\n"

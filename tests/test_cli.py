@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import dualcycles
 import dualcycles.cli as cli
 from dualcycles import classify, invariants, lattice
-from dualcycles.builders import build_ade, build_cyclic, parse_graph, serialize_graph
+from dualcycles.builders import MAX_DIGITS, build_ade, build_cyclic, parse_graph, serialize_graph
 from dualcycles.classify import enumerate_special, enumerate_ulrich
 from dualcycles.cli import (
     EXIT_MISMATCH,
@@ -690,6 +690,24 @@ class TestLastResort:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0][len("error: "):].strip()
 
+    @pytest.mark.parametrize("fails", ["writelines", "flush"])
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_failed_write_exits_one_with_one_error_line(self, capsys, fmt, fails):
+        # A closed pipe or a full disk is not a usage error: the request ran.
+        class Refusing:
+            def writelines(self, pieces):
+                if fails == "writelines":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        code = main([*fmt, "classify", "--family", "A", "--index", "3"], Refusing())
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == ("error: [Errno 32] Broken pipe\n" if fails == "writelines"
+                       else "error: [Errno 28] No space left on device\n")
+
     def test_import_leaves_dataclasses_unloaded(self):
         proc = run_child("-c", "import sys, dualcycles.cli\nprint('dataclasses' in sys.modules)\n")
         assert proc.returncode == 0, proc.stderr
@@ -818,6 +836,47 @@ class TestSizeLimits:
                    "of anti-nef cycles (cycles times vertices)")
         assert got[:3] == (EXIT_VALIDATION, "", f"error: {message}\n")
         assert got[3] < 10.0, f"took {got[3]:.2f}s"
+
+    @pytest.mark.parametrize("where", ["weight", "cycle", "n"])
+    def test_input_integers_of_at_most_max_digits(self, tmp_path, capsys, where):
+        # A graph-file weight, a --cycle entry and --n of MAX_DIGITS digits
+        # are answered, in both forms where the answer fits; one more digit
+        # is refused with exit 2, one error: line that names the cap and
+        # nothing on stdout.
+        for digits in (MAX_DIGITS, MAX_DIGITS + 1):
+            big = "9" * digits
+            path = tmp_path / f"{digits}.txt"
+            path.write_text(f"vertices 2\nweight 1 -{big}\nweight 2 -3\nedge 1 2\n")
+            argv = {
+                "weight": ["classify", "--graph", str(path)],
+                "cycle": ["invariants", "--family", "A", "--index", "2", "--cycle", f"{big},{big}"],
+                "n": ["classify", "--n", big, "--q", "1"],
+            }[where]
+            # JSON invariants would also list the filtration's 10**400 steps
+            forms = ([],) if where == "cycle" else ([], ["--format", "json"])
+            for form in forms:
+                code, out = run(*form, *argv)
+                err = capsys.readouterr().err
+                if digits == MAX_DIGITS:
+                    assert (code, err) == (EXIT_OK, ""), argv
+                    assert big in out
+                    continue
+                what = {"weight": "line 2: 'weight' argument", "cycle": "a cycle entry", "n": "n"}
+                assert (code, out) == (EXIT_USAGE, ""), argv
+                assert err == f"error: {what[where]} has more than {MAX_DIGITS} digits\n"
+
+    def test_largest_output_integer_at_the_cap(self, tmp_path):
+        # U(Z) on two joined vertices of MAX_DIGITS-digit weight, at a cycle
+        # of MAX_DIGITS-digit coefficients: about 5 * MAX_DIGITS digits,
+        # well under CPython's 4,300-digit limit on str(int).
+        big = "9" * MAX_DIGITS
+        path = tmp_path / "g.txt"
+        path.write_text(f"vertices 2\nweight 1 -{big}\nweight 2 -{big}\nedge 1 2\n")
+        code, out = run("invariants", "--graph", str(path), "--cycle", f"{big},{big}")
+        assert code == EXIT_OK
+        digits = {key.strip(): len(value.lstrip("-")) for key, value in
+                  (line.split(": ") for line in out.splitlines())}
+        assert digits["u_invariant"] == max(digits.values()) == 5 * MAX_DIGITS + 1
 
     def test_library_and_cli_refuse_an_oracle_box_alike(self, monkeypatch, capsys):
         monkeypatch.setattr(classify, "MAX_BOX", 100)
@@ -1364,7 +1423,7 @@ class TestJsonEmitter:
             classified.append(real_classify(*args))
             return classified[-1]
 
-        def spy(command, g, results, out):
+        def spy(command, g, results):
             doc_results = results
             if command == "classify":
                 special, ulrich = classified.pop()
@@ -1379,7 +1438,7 @@ class TestJsonEmitter:
                 "graph": {"vertices": g.vertex_count, "weights": g.weights, "edges": edges},
                 "results": doc_results,
             })
-            return real_emit(command, g, results, out)
+            return real_emit(command, g, results)
 
         monkeypatch.setattr(cli, "_classify", classify_spy)
         monkeypatch.setattr(cli, "_emit", spy)
@@ -1582,6 +1641,12 @@ def fuzz_graphs(draw) -> tuple[str, str, str]:
     return "\n".join(lines) + "\n", arg(0, 6), arg(1, n)
 
 
+# Positive integers of 1, 2, MAX_DIGITS - 1, MAX_DIGITS and MAX_DIGITS + 1
+# digits.
+NEAR_THE_CAP = st.sampled_from((1, 2, MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1)).flatmap(
+    lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1617,3 +1682,37 @@ class TestFuzz:
             elapsed = time.perf_counter() - start
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_MISMATCH), argv
             assert elapsed < 2.0, f"{argv} took {elapsed:.2f}s on\n{text}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(NEAR_THE_CAP, min_size=1, max_size=3),
+        cycle=st.lists(NEAR_THE_CAP, min_size=1, max_size=3),
+        n=NEAR_THE_CAP,
+        fmt=st.sampled_from(["table", "json"]),
+    )
+    def test_failed_requests_near_the_digit_cap_write_nothing(
+        self, tmp_path_factory, weights, cycle, n, fmt
+    ):
+        # Integers of up to MAX_DIGITS + 1 digits in a chain's weights, a
+        # --cycle and --n: each request ends with a documented exit code,
+        # and one that fails writes one error: line and nothing to stdout.
+        src = tmp_path_factory.mktemp("digits") / "g.txt"
+        r = len(weights)
+        src.write_text(f"vertices {r}\n"
+                       + "".join(f"weight {i} {-max(w, 2)}\n" for i, w in enumerate(weights, 1))
+                       + "".join(f"edge {i} {i + 1}\n" for i in range(1, r)), encoding="utf-8")
+        graph = ["--graph", str(src)]
+        requests = [
+            ["validate", *graph],
+            ["classify", *graph],
+            ["invariants", *graph, "--cycle", ",".join(map(str, cycle))],
+            ["oracle", *graph, "--bound", "1"],
+            ["classify", "--n", str(n), "--q", "1"],
+        ]
+        for argv in requests:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--format", fmt, *argv], out=out)
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE), argv
+            if "error:" in err.getvalue():
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv

@@ -51,6 +51,40 @@ def test_outputs_match_their_digests(tmp_path):
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
+class Stdout:
+    """A stdout that keeps the text of each call that writes to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def writelines(self, pieces):
+        self.writes.append("".join(pieces))
+
+    def flush(self):
+        pass
+
+
+def test_each_request_writes_stdout_at_most_once(tmp_path):
+    # Over the digest corpus, main writes each request's stdout in one call,
+    # after the whole of it is built: a request that ends with an error:
+    # line has written nothing.  Exit codes 1 and 3 alone do not mean an
+    # error, as validate and verify-rdp print their reports with them.
+    write_digest_graphs(tmp_path)
+    errors = 0
+    for argv in digest_argvs():
+        out, err = Stdout(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            main([a.replace(DIGEST_DIR, str(tmp_path)) for a in argv], out=out)
+        assert len(out.writes) <= 1, argv
+        if "error:" in err.getvalue():
+            assert out.writes == [], argv
+            errors += 1
+    assert errors > 3000
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN}")
