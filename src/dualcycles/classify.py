@@ -34,7 +34,7 @@ from .invariants import (
     _formulas,
     _laufer,
     _rational,
-    validate,
+    _z0_report,
 )
 from .lattice import Cycle, DualGraph, _reach
 
@@ -336,17 +336,15 @@ def _rows(flat, r: int):
 
 def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     """All anti-nef cycles 0 < Z <= bound * Z_0 (``_box_search``), bound >= 1,
-    sorted.  Z_0 is read off one ``validate`` report, so a graph that is
-    not connected, then one that is not negative definite, raises the
-    InvalidGraphError of ``fundamental_cycle(g)``; any other graph is
-    searched, rational or not.  BoxLimitError when the cycles would hold
-    more than MAX_BOX coefficients; TypeError on a bound that is not an
-    integer."""
+    sorted.  Z_0 is read off one report through ``invariants._z0_report``,
+    the gate of ``fundamental_cycle(g)``, so a graph that is not negative
+    definite, then one that is not connected, raises its
+    InvalidGraphError; any other graph is searched, rational or not.
+    BoxLimitError when the cycles would hold more than MAX_BOX
+    coefficients; TypeError on a bound that is not an integer."""
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")
-    record = validate(g)
-    if record.z0 is None:
-        raise InvalidGraphError(record.failures[0])
+    record = _z0_report(g)
     return sorted(_rows(_box_search(g, operator.index(bound), record)[0], g.vertex_count))
 
 
@@ -534,10 +532,11 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     """Reference classification with no chain reasoning: the sorted special
     and Ulrich cycles among the brute-force anti-nef cycles, by the
     pointwise tests.  One ``_formulas`` call reads every boxed cycle's
-    verdicts off the four sums that ``_box_search`` keeps; only the
-    special and Ulrich rows become tuples.  On a multiplicity-2 graph,
-    where the two verdicts are one, they are sorted once and returned as
-    one list object, as ``_classify`` does.  BoxLimitError as in
+    verdicts off the four sums that ``_box_search`` keeps, the Ulrich one
+    U(Z) = 0 at every multiplicity; only the special and Ulrich rows
+    become tuples.  When the two verdict columns are equal, as the paper
+    shows on a multiplicity-2 graph, the rows are sorted once and
+    returned as one list object, as ``_classify`` does.  BoxLimitError as in
     ``brute_force_anti_nef``, and TypeError on a bound that is not an
     integer."""
     record = _rational(g)
@@ -547,7 +546,7 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     special, ulrich = _formulas(*sums, record)[4:]
     rows = lambda verdicts: sorted(itertools.compress(_rows(zs, g.vertex_count), verdicts))
     found = rows(special)
-    return found, found if ulrich is special else rows(ulrich)
+    return found, found if ulrich == special else rows(ulrich)
 
 
 def golden_table(family: str, index: int) -> list[tuple[Cycle, int]]:

@@ -34,7 +34,7 @@ from .invariants import (
     fundamental_cycle,
     validate,
 )
-from .lattice import Cycle, DualGraph, pairing_vector
+from .lattice import Cycle, DualGraph
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,6 +83,24 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
         raise GraphFormatError(f"{name} {text!r} is not a comma-separated integer list")
 
 
+def _integer(flag: str):
+    """``int`` for the option ``flag``, refusing text of more than
+    MAX_DIGITS digits (``check_digits``) with OverflowError.  ``_scan``
+    leaves such an argv to the top parser, and argparse, which turns a
+    ValueError of ``type`` into its usage block with an echo of the
+    value, passes any other error on: ``main`` refuses it with one
+    ``error:`` line."""
+    def read(text: str) -> int:
+        try:
+            check_digits(text, flag)
+        except GraphFormatError as e:
+            raise OverflowError(e) from None
+        return int(text)
+
+    read.__name__ = "int"  # argparse's "invalid int value" names the type
+    return read
+
+
 def _resolve_graph(args) -> DualGraph:
     # graph ade|cyclic|load set one source
     graph, family, index, n, q = map(vars(args).get, ("graph", "family", "index", "n", "q"))
@@ -115,9 +133,9 @@ _SOURCE = "graph source (choose one)"
 _GRAPH_SOURCE = [
     _opt("--graph", _SOURCE, metavar="FILE", help="load graph from a text file"),
     _opt("--family", _SOURCE, choices=list("ADEade"), help="ADE family"),
-    _opt("--index", _SOURCE, type=int, help="ADE index n"),
-    _opt("--n", _SOURCE, type=int, help="cyclic quotient order n"),
-    _opt("--q", _SOURCE, type=int, help="cyclic quotient parameter q"),
+    _opt("--index", _SOURCE, type=_integer("--index"), help="ADE index n"),
+    _opt("--n", _SOURCE, type=_integer("--n"), help="cyclic quotient order n"),
+    _opt("--q", _SOURCE, type=_integer("--q"), help="cyclic quotient parameter q"),
 ]
 
 
@@ -150,7 +168,7 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
             if value in (None, "--") or "choices" in kw and value not in kw["choices"]:
                 return None  # argparse drops "--" from "--opt=--"
             ns[dest] = kw["type"](value) if "type" in kw else value
-    except (IndexError, KeyError, ValueError):
+    except (IndexError, KeyError, ValueError, OverflowError):
         return None
     return None if not required.isdisjoint(table) else SimpleNamespace(**ns)
 
@@ -200,7 +218,9 @@ def _parse(argv: list[str]):
     goes to the top parser, so usage, help, errors and exit statuses are
     argparse's own.  An option whose value argparse reads as a list, as
     3.10-3.12.1 read ``--opt=--`` (3.13 hands over the string ``--``), is
-    refused here through the top parser's ``error``, naming the option."""
+    refused here through the top parser's ``error``, naming the option.
+    OverflowError on an integer option of more than MAX_DIGITS digits
+    (``_integer``)."""
     ns = _scan(argv)
     if ns is None:
         ns = _top_parser().parse_args(argv)
@@ -381,16 +401,8 @@ def _cmd_validate(args, g) -> tuple[int, list[str]]:
 
 
 def _cmd_fundamental(args, g) -> tuple[int, list[str]]:
-    # A support is decided by fundamental_cycle alone; Z_0 is read off one
-    # report, whose definiteness is checked before its connectedness.
-    if args.support is not None:
-        z = fundamental_cycle(g, frozenset(i - 1 for i in _int_list(args.support, "support")))
-    elif not (rep := validate(g)).negative_definite:
-        raise InvalidGraphError("intersection matrix is not negative definite")
-    elif rep.z0 is None:
-        raise InvalidGraphError(rep.failures[0])  # the graph is not connected
-    else:
-        z = rep.z0
+    z = fundamental_cycle(g, None if args.support is None else
+                          frozenset(i - 1 for i in _int_list(args.support, "support")))
     if args.format == "json":
         return EXIT_OK, _emit("fundamental", g, {"cycle": z})
     return EXIT_OK, [_render_cycle(z) + "\n"]
@@ -401,10 +413,7 @@ def _cmd_invariants(args, g) -> tuple[int, list[str]]:
     rep = validate(g)
     if not rep.ok:
         raise InvalidGraphError(f"invalid graph: {rep.failures[0]}")
-    pairing = pairing_vector(g, z)
-    if min(z) < 0 or max(pairing) > 0:
-        raise CycleError("cycle is not anti-nef (represents no ideal)")
-    inv = _pointwise(g, z, rep, pairing)
+    inv = _pointwise(g, z, rep)
     results = dict(
         cycle=z, virtual_genus=1 - inv.colength, colength=inv.colength,
         multiplicity=inv.multiplicity, min_gens=inv.min_gens, u_invariant=inv.u,
@@ -471,11 +480,13 @@ def _cmd_verify_rdp(args, g) -> tuple[int, list[str]]:
 # Each subcommand's help line, option table (graph: one per subcommand of
 # its own) and handler, in the order of the usage text.
 _FAMILY = _opt("--family", choices=list("ADEade"), required=True)
-_INDEX, _OUT = _opt("--index", type=int, required=True), _opt("--out", metavar="FILE")
+_INDEX = _opt("--index", type=_integer("--index"), required=True)
+_OUT = _opt("--out", metavar="FILE")
 _SUBCOMMANDS = {
     "graph": ("build or load a graph and print it", {
         "ade": [_FAMILY, _INDEX, _OUT],
-        "cyclic": [*(_opt(flag, type=int, required=True) for flag in ("--n", "--q")), _OUT],
+        "cyclic": [*(_opt(flag, type=_integer(flag), required=True) for flag in ("--n", "--q")),
+                   _OUT],
         "load": [_opt("", dest="graph", metavar="FILE"), _OUT]}, _cmd_graph),
     "validate": ("structural report on a graph", _GRAPH_SOURCE, _cmd_validate),
     "fundamental": ("fundamental cycle (optionally on a sub-support)", _GRAPH_SOURCE + [
@@ -485,9 +496,9 @@ _SUBCOMMANDS = {
     "classify": ("enumerate special and/or Ulrich cycles", _GRAPH_SOURCE + [
         _opt("--special", _EXCLUSIVE, action="store_true"),
         _opt("--ulrich", _EXCLUSIVE, action="store_true"),
-        _opt("--max-colength", type=int)], _cmd_classify),
+        _opt("--max-colength", type=_integer("--max-colength"))], _cmd_classify),
     "oracle": ("brute-force classification up to bound * Z0", _GRAPH_SOURCE + [
-        _opt("--bound", type=int, required=True)], _cmd_oracle),
+        _opt("--bound", type=_integer("--bound"), required=True)], _cmd_oracle),
     "verify-rdp": ("diff enumerated Ulrich cycles against the ADE table", [_FAMILY, _INDEX],
                    _cmd_verify_rdp),
 }
@@ -506,6 +517,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    except OverflowError as e:  # an integer option of too many digits (``_integer``)
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code, pieces = _SUBCOMMANDS[args.command][2](args, _resolve_graph(args))
         out.writelines(pieces)

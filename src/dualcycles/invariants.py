@@ -9,14 +9,16 @@ elimination of ``is_negative_definite`` only on a set whose loop passes
 its bump budget.  ``fundamental_cycle`` reads Z_0 off the report, or
 decides a given support with one search and one certificate.  Each
 entry point, the classifiers' included, computes the report once per
-call and hands it to the functions below.
+call and hands it to the functions below; ``_z0_report`` is the one
+gate of the entry points that need Z_0 alone.
 ``_formulas`` reads every invariant of many anti-nef cycles off four
 sums per cycle, one columnar pass per invariant; the oracle's box search
 and the chain walk keep those sums as they go.  ``_pointwise`` is the
-one-cycle case, which the invariant functions and the special and
-Ulrich tests read after raising InvalidGraphError unless the graph is
-connected, negative definite and rational.  Also: filtrations, and the
-virtual genus and anti-nef test of any cycle.
+one-cycle case and the one owner of a cycle's preconditions, which the
+invariant functions and the special and Ulrich tests read after raising
+InvalidGraphError unless the graph is connected, negative definite and
+rational.  Also: filtrations, and the virtual genus and anti-nef test
+of any cycle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .lattice import Cycle, DualGraph, _reach, pairing_vector, scale, sub
+from .lattice import Cycle, DualGraph, _reach, pairing_vector
 
 
 # The most coefficients a filtration may hold, steps times r.  Its step
@@ -157,9 +159,9 @@ def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int], lis
 def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cycle:
     """Minimal nonzero cycle Z with Supp(Z) = vertices and Z.E_i <= 0 there.
 
-    With no support, Z_0 from ``validate``'s report, or InvalidGraphError
-    with its first finding: the graph is not connected, or not negative
-    definite.  A support, full or not, is deduplicated and sorted (TypeError
+    With no support, Z_0 from ``validate``'s report, or the InvalidGraphError
+    of ``_z0_report``: the graph is not negative definite, then it is not
+    connected.  A support, full or not, is deduplicated and sorted (TypeError
     first on a vertex that is not an integer), then decided in this order,
     each failure a ValueError: it is nonempty, inside 0..r-1, covered by one
     ``_reach`` from its least vertex, and certified by one ``_certified``
@@ -167,10 +169,7 @@ def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cy
     its bump budget), whose loop gives Z.
     """
     if vertices is None:
-        record = validate(g)
-        if record.z0 is None:
-            raise InvalidGraphError(record.failures[0])
-        return record.z0
+        return _z0_report(g).z0
     verts = sorted(set(map(operator.index, vertices)))
     if not verts:
         raise ValueError("fundamental cycle needs a nonempty support")
@@ -260,6 +259,17 @@ def validate(g: DualGraph) -> ValidationReport:
                             z0, pairing, canonical, lcm, tuple([lcm // n for n in z0]))
 
 
+def _z0_report(g: DualGraph) -> ValidationReport:
+    """``validate``'s report on a graph where Z_0 is computable, a
+    connected, negative definite one, rational or not; else
+    InvalidGraphError with the report's finding that the graph is not
+    negative definite, or failing that, that it is not connected."""
+    record = validate(g)
+    if record.z0 is None:  # on a disconnected graph indefiniteness is the second finding
+        raise InvalidGraphError(record.failures[not (record.connected or record.negative_definite)])
+    return record
+
+
 def _rational(g: DualGraph) -> ValidationReport:
     """``validate``'s report on a connected, negative definite, rational
     graph with every weight <= -2, the graphs it accepts;
@@ -308,16 +318,19 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
     - special: some a_i = n_i * colength(Z).  With every a_i <= n_i *
       colength(Z) (asserted), that is L max_i a_i/n_i = L * colength(Z):
       one comparison per cycle, not one per vertex;
-    - Ulrich: special on a multiplicity-2 graph (the report's -Z_0^2;
-      the two columns are then one list object), else U(Z) = 0 (valid as
-      mu(I_Z) > 2 there).  On a rational, minimal graph that is every
-      weight -2, K = 0, as p_a(Z_0) = 0 gives -Z_0^2 = K.Z_0 + 2.
+    - Ulrich: U(Z) = 0, at every multiplicity.  The criterion of Goto,
+      Ozeki, Takahashi, Watanabe and Yoshida needs mu(I_Z) > 2, and
+      mu(I_Z) = 1 - Z.Z_0 >= 1 - Z_0^2 >= 3 for every positive anti-nef
+      Z.  On a multiplicity-2 graph the paper's classification makes the
+      Ulrich and special cycles one set, which this column does not
+      assume: ``classify._classify`` checks the chain walk's K bit
+      against it on every walked cycle.
 
     Each column is one pass at C speed: no Python frame per cycle.  Each
     check runs over every cycle before the next one: AssertionError on
     odd Z^2 + K.Z, then on a coefficient above n_i * colength(Z) (both
-    impossible on a rational graph), then CycleError on mu(I_Z) <= 2 at
-    multiplicity >= 3 (impossible for anti-nef cycles).
+    impossible on a rational graph), then CycleError on mu(I_Z) <= 2
+    (impossible for anti-nef cycles).
     """
     repeat = itertools.repeat
     ell = _co_genera(squares, canonicals)
@@ -328,33 +341,26 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
     mult = list(map(operator.neg, squares))
     min_gens = list(map(operator.sub, repeat(1), pairings))
     u = list(map(operator.sub, squares, map(operator.mul, pairings, ell)))  # Z^2 - Z.Z_0 colength
-    if record.multiplicity == 2:
-        return mult, ell, min_gens, u, special, special
     if min(min_gens) <= 2:
-        raise CycleError("U-criterion needs mu(I) > 2; impossible for anti-nef cycles "
-                         "on a multiplicity >= 3 graph")
+        raise CycleError("U-criterion needs mu(I) > 2; impossible for anti-nef cycles")
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport,
-               pairing: Cycle | None = None) -> CycleInvariants:
+def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport) -> CycleInvariants:
     """``_formulas`` on the one cycle Z, with the vertices i where a_i =
     n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's report.
-    ``pairing`` is P = M.Z when the caller holds it, trusted; it is built
-    when None.
-    Raises DimensionError on a cycle of the wrong length, CycleError on
-    one that is not positive, has a negative coefficient or is not
-    anti-nef (read off P), in that order, then the errors of ``_formulas``.
+    The one owner of a cycle's preconditions, for the library and the
+    CLI alike: DimensionError on a cycle of the wrong length, then
+    CycleError "cycle is not anti-nef (represents no ideal)" on one with
+    a negative coefficient or a positive pairing Z.E_i, then CycleError
+    on the zero cycle, then the errors of ``_formulas``.
     """
     z = g.check_cycle(z)
+    pairing = pairing_vector(g, z)
+    if min(z) < 0 or max(pairing) > 0:
+        raise CycleError("cycle is not anti-nef (represents no ideal)")
     if max(z) <= 0:
         raise CycleError("expected a positive cycle")
-    if min(z) < 0:
-        raise CycleError("anti-nef test requires a nonnegative cycle")
-    if pairing is None:
-        pairing = pairing_vector(g, z)
-    if max(pairing) > 0:
-        raise CycleError(f"cycle {z} is not anti-nef: it represents no ideal")
     sums = ([sum(map(operator.mul, z, v))] for v in (pairing, record.canonical, record.pairing))
     cols = _formulas(*sums, [max(map(operator.mul, z, record.scales))], record)
     mult, ell, mu, u, special, ulrich = (c[0] for c in cols)
@@ -404,8 +410,7 @@ def min_gens(g: DualGraph, z: Cycle) -> int:
 
 
 def u_invariant(g: DualGraph, z: Cycle) -> int:
-    """U(Z) = (Z_0.Z)(p_a(Z) - 1) + Z^2; zero exactly on Ulrich cycles
-    once the graph has multiplicity >= 3."""
+    """U(Z) = (Z_0.Z)(p_a(Z) - 1) + Z^2; zero exactly on Ulrich cycles."""
     return _invariants_of(g, z).u
 
 
@@ -423,8 +428,9 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     """Canonical filtration of an anti-nef Z: Z_k = inf(Z, (k+1)Z_0).
 
     Every positive anti-nef Z on a connected graph dominates Z_0, so the
-    chain starts at Z_0 and ends at Z.  CycleError when the chain would
-    hold more than MAX_FILTRATION coefficients (steps times r).
+    chain starts at Z_0 and ends at Z.  The errors of ``_pointwise`` on a
+    cycle that is not positive and anti-nef, then CycleError when the
+    chain would hold more than MAX_FILTRATION coefficients (steps times r).
     """
     record = _rational(g)
     _pointwise(g, z, record)  # Z positive and anti-nef
@@ -437,8 +443,9 @@ def _filtration(z: Cycle, z0: Cycle) -> Filtration:
     top = max(-(-a // n) for a, n in zip(z, z0))  # the least k with Z <= k Z_0
     if (top - 1) * len(z) > MAX_FILTRATION:
         raise CycleError(f"the filtration has more than {MAX_FILTRATION} coefficients")
-    zs = [z0] + [tuple(map(min, z, scale(k, z0))) for k in range(2, top + 1)]
-    return Filtration(base=z0, steps=tuple((sub(b, a), b) for a, b in zip(zs, zs[1:])))
+    zs = [z0] + [tuple([min(a, k * n) for a, n in zip(z, z0)]) for k in range(2, top + 1)]
+    return Filtration(base=z0, steps=tuple((tuple(map(operator.sub, b, a)), b)
+                                           for a, b in zip(zs, zs[1:])))
 
 
 def special_module_indices(g: DualGraph, z: Cycle) -> frozenset[int]:
@@ -458,6 +465,8 @@ def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
 
 
 def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
-    """Ulrich test: on multiplicity-2 graphs this coincides with the special
-    test; otherwise U(Z) = 0 decides (valid since mu(I_Z) > 2 there)."""
+    """Ulrich test: U(Z) = 0 decides at every multiplicity, as mu(I_Z) =
+    1 - Z.Z_0 >= 3 for every positive anti-nef Z.  On a multiplicity-2
+    graph the paper shows the verdict is the special test's; this one
+    does not assume it."""
     return _invariants_of(g, z).ulrich

@@ -113,14 +113,6 @@ def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
     return order
 
 
-def sub(z: Cycle, w: Cycle) -> Cycle:
-    return tuple(a - b for a, b in zip(z, w, strict=True))
-
-
-def scale(k: int, z: Cycle) -> Cycle:
-    return tuple(k * a for a in z)
-
-
 def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:
     """The vector (Z.E_1, ..., Z.E_r), i.e. the intersection matrix applied to Z."""
     z = g.check_cycle(z)

@@ -143,6 +143,10 @@ def add(z, w) -> tuple:
     return tuple(a + b for a, b in zip(z, w, strict=True))
 
 
+def scale(k: int, z) -> tuple:
+    return tuple(k * a for a in z)
+
+
 def inf_cycles(z, w) -> tuple:
     """Componentwise minimum."""
     return tuple(map(min, z, w))
@@ -315,6 +319,13 @@ DIGEST_FILES = {
     "indefinite-star": INDEFINITE_STAR,
 }
 
+# Graphs whose rows come after every other row of the corpus, so that
+# adding one only appends rows.  INDEFINITE_STAR with a seventh, isolated
+# vertex is both disconnected and indefinite.
+LATE_DIGEST_FILES = {
+    "indefinite-star-and-a-vertex": DualGraph((-2,) * 7, INDEFINITE_STAR.edges),
+}
+
 
 # One malformed graph text for each error of ``parse_graph``, each written
 # next to the DIGEST_FILES graphs as <name>.txt.
@@ -349,10 +360,10 @@ OVERSIZED_FILES = {
 
 
 def write_digest_graphs(directory) -> None:
-    """Write each graph of DIGEST_FILES and each text of MALFORMED_FILES
-    and OVERSIZED_FILES to ``directory``/<name>.txt."""
+    """Write each graph of DIGEST_FILES and LATE_DIGEST_FILES and each
+    text of MALFORMED_FILES and OVERSIZED_FILES to ``directory``/<name>.txt."""
     texts = {**MALFORMED_FILES, **OVERSIZED_FILES}
-    for name, g in DIGEST_FILES.items():
+    for name, g in {**DIGEST_FILES, **LATE_DIGEST_FILES}.items():
         lines = [f"vertices {g.vertex_count}"]
         lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights)]
         lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
@@ -396,7 +407,12 @@ def digest_argvs() -> list[list[str]]:
     then, in both forms, on the 4,300-digit file of OVERSIZED_FILES:
     ``graph load``, ``validate``, ``classify``, ``invariants`` at 1,1 and
     ``oracle`` at bound 2; and on the 2,000-digit file ``invariants`` at
-    a cycle of two 1,000-digit coefficients.
+    a cycle of two 1,000-digit coefficients;
+
+    then, on each graph of LATE_DIGEST_FILES, the rows of every graph
+    above, in the same order; then, in both forms, each integer option
+    (``--index``, ``--n``, ``--q``, ``--bound``, ``--max-colength``) at
+    400, 401 and 5,000 nines, one request each.
     """
     ade = [(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8)))
            for n in ns]
@@ -406,21 +422,10 @@ def digest_argvs() -> list[list[str]]:
         + [(build_cyclic(n, q), ["cyclic"], ["--n", str(n), "--q", str(q)]) for n, q in cyclic]
         + [(g, ["load"], ["--graph", f"{DIGEST_DIR}/{name}.txt"]) for name, g in DIGEST_FILES.items()]
     )
-    forms, argvs = ([], ["--format", "json"]), []
-    for g, kind, source in sources:
-        try:
-            z0 = fundamental_cycle(g)
-        except ValueError:
-            z0 = (1,) * g.vertex_count
-        cycles = [",".join(str(k * a) for a in z0) for k in (1, 2)]
-        load = source[1:] if kind == ["load"] else source  # graph load takes a positional FILE
-        for form in forms:
-            argvs.append(form + ["graph"] + kind + load)
-            argvs += [form + [cmd] + source for cmd in ("validate", "fundamental", "classify")]
-            argvs += [form + ["invariants"] + source + ["--cycle", z] for z in cycles]
-            argvs += [form + ["oracle"] + source + ["--bound", str(b)] for b in range(1, 5)]
-            if kind == ["ade"]:
-                argvs.append(form + ["verify-rdp"] + source)
+    late = [(g, ["load"], ["--graph", f"{DIGEST_DIR}/{name}.txt"])
+            for name, g in LATE_DIGEST_FILES.items()]
+    forms = ([], ["--format", "json"])
+    argvs = _graph_rows(sources, forms)
     capped = (["--family", "A", "--index", "9"], ["--family", "D", "--index", "8"],
               ["--family", "E", "--index", "7"], ["--family", "A", "--index", "20"],
               ["--graph", f"{DIGEST_DIR}/star.txt"], ["--n", "19", "--q", "7"])
@@ -430,17 +435,7 @@ def digest_argvs() -> list[list[str]]:
             for colength in colengths:
                 argvs.append(form + ["classify"] + source + lists
                              + ([] if colength is None else ["--max-colength", str(colength)]))
-    for (g, _, source), form in itertools.product(sources, forms):
-        r = g.vertex_count
-        apart = [f"{i + 1},{j + 1}" for i in range(r) for j in range(i + 1, r)
-                 if j not in g.neighbors(i)][:1]
-        supports = [*map(str, dict.fromkeys((1, (r + 1) // 2, r))),
-                    ",".join(map(str, range(1, r + 1))), "1,1", "0", str(r + 1), *apart]
-        argvs += [form + ["fundamental"] + source + ["--support", s] for s in supports]
-        zeros = ["0"] * r
-        cycles = (zeros, ["-1"] + zeros[1:], ["1"] + zeros[1:], ["1"] * (r + 1))
-        argvs += [form + ["invariants"] + source + ["--cycle=" + ",".join(z)] for z in cycles]
-        argvs += [form + ["oracle"] + source + ["--bound", b] for b in ("0", "-1")]
+    argvs += _edge_rows(sources, forms)
     for source, form in itertools.product(capped, forms):
         argvs += [form + ["classify"] + source + ["--max-colength", str(colength)]
                   for colength in (0, 4, 5, 6, 7, 13)]
@@ -471,4 +466,48 @@ def digest_argvs() -> list[list[str]]:
                  ["invariants", "--graph", long, "--cycle", f"{nines},{nines}"])
     for form in forms:
         argvs += [form + argv for argv in oversized]
+    argvs += _graph_rows(late, forms) + _edge_rows(late, forms)
+    options = (["classify", "--family", "A", "--index"], ["classify", "--q", "1", "--n"],
+               ["classify", "--n", "7", "--q"], ["oracle", "--family", "A", "--index", "3", "--bound"],
+               ["classify", "--family", "A", "--index", "3", "--max-colength"])
+    for form in forms:
+        argvs += [form + argv + ["9" * digits] for argv in options for digits in (400, 401, 5000)]
+    return argvs
+
+
+def _graph_rows(sources, forms) -> list[list[str]]:
+    """``digest_argvs``' first rows on each of ``sources``."""
+    argvs = []
+    for g, kind, source in sources:
+        try:
+            z0 = fundamental_cycle(g)
+        except ValueError:
+            z0 = (1,) * g.vertex_count
+        cycles = [",".join(str(k * a) for a in z0) for k in (1, 2)]
+        load = source[1:] if kind == ["load"] else source  # graph load takes a positional FILE
+        for form in forms:
+            argvs.append(form + ["graph"] + kind + load)
+            argvs += [form + [cmd] + source for cmd in ("validate", "fundamental", "classify")]
+            argvs += [form + ["invariants"] + source + ["--cycle", z] for z in cycles]
+            argvs += [form + ["oracle"] + source + ["--bound", str(b)] for b in range(1, 5)]
+            if kind == ["ade"]:
+                argvs.append(form + ["verify-rdp"] + source)
+    return argvs
+
+
+def _edge_rows(sources, forms) -> list[list[str]]:
+    """``digest_argvs``' rows on each of ``sources`` at the edges of what a
+    request accepts: supports, cycles and bounds."""
+    argvs = []
+    for (g, _, source), form in itertools.product(sources, forms):
+        r = g.vertex_count
+        apart = [f"{i + 1},{j + 1}" for i in range(r) for j in range(i + 1, r)
+                 if j not in g.neighbors(i)][:1]
+        supports = [*map(str, dict.fromkeys((1, (r + 1) // 2, r))),
+                    ",".join(map(str, range(1, r + 1))), "1,1", "0", str(r + 1), *apart]
+        argvs += [form + ["fundamental"] + source + ["--support", s] for s in supports]
+        zeros = ["0"] * r
+        cycles = (zeros, ["-1"] + zeros[1:], ["1"] + zeros[1:], ["1"] * (r + 1))
+        argvs += [form + ["invariants"] + source + ["--cycle=" + ",".join(z)] for z in cycles]
+        argvs += [form + ["oracle"] + source + ["--bound", b] for b in ("0", "-1")]
     return argvs

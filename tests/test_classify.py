@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dualcycles
-from dualcycles import classify, cli, invariants, lattice
+from dualcycles import classify, invariants, lattice
 from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic
 from dualcycles.classify import (
     InvalidGraphError,
@@ -46,7 +46,7 @@ from dualcycles.invariants import (
     validate,
     virtual_genus,
 )
-from dualcycles.lattice import DualGraph, pairing_vector, scale
+from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
     INDEFINITE_STAR,
     ORACLE_CORPUS,
@@ -62,6 +62,7 @@ from corpus import (
     oracle_graph,
     random_trees,
     run_child,
+    scale,
     tree_classes,
 )
 
@@ -303,8 +304,7 @@ class TestBruteForce:
         monkeypatch.setattr(classify, "_lower_bound_plans",
                             counting(calls, "plans", classify._lower_bound_plans))
         spy = counting(calls, "validate", invariants.validate)
-        for module in (invariants, classify):  # every module the oracle reads it from
-            monkeypatch.setattr(module, "validate", spy)
+        monkeypatch.setattr(invariants, "validate", spy)  # the one module holding it
         g = build_ade("E", 8)
         for bound in (4, 5, 6):
             calls.clear()
@@ -580,7 +580,7 @@ class TestOracleAgreement:
         expected = oracle_classify(g, 6)  # the validate report is built here
         calls = []
         spy = counting(calls, "pairing_vector", pairing_vector)
-        for module in (invariants, cli, lattice):  # every module holding the name
+        for module in (invariants, lattice):  # every module holding the name
             monkeypatch.setattr(module, "pairing_vector", spy)
         assert oracle_classify(g, 6) == expected
         assert len(calls) <= 1  # one per boxed cycle, 61, when built per cycle
@@ -831,7 +831,7 @@ def test_classify_builds_no_pairing_vector(monkeypatch):
     invariants.validate(g)  # warm the report
     calls = []
     spy = counting(calls, "pairing_vector", pairing_vector)
-    for module in (invariants, cli, lattice):  # every module holding the name
+    for module in (invariants, lattice):  # every module holding the name
         monkeypatch.setattr(module, "pairing_vector", spy)
     special, ulrich = _classify(g, 300)
     assert len(special) > 1 and ulrich is special

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -332,7 +333,7 @@ class TestInvariantsCommand:
         pairing = counting(calls, "pairing_vector", invariants.pairing_vector)
         monkeypatch.setattr(invariants, "_pointwise", pointwise)
         monkeypatch.setattr(cli, "_pointwise", pointwise, raising=False)
-        for module in (invariants, cli, lattice):
+        for module in (invariants, lattice):  # every module holding the name
             monkeypatch.setattr(module, "pairing_vector", pairing)
         assert run(*argv) == expected
         assert calls.count("_pointwise") == 1
@@ -669,12 +670,18 @@ class TestUsageErrors:
         assert code == EXIT_OK
 
     def test_version_is_the_project_version(self):
-        # --version and every JSON document's tool.version read __version__.
-        # A regular expression, not tomllib, which Python 3.10 lacks.
+        # --version and every JSON document's tool.version read __version__,
+        # its one owner: pyproject.toml's [project] table holds no literal
+        # version and reads it from the package.  The file's text, not
+        # tomllib, which Python 3.10 lacks, nor setuptools' reader, which
+        # warns that the dynamic table is a beta.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
-            declared = re.search(r'^version = "(.*)"$', fh.read(), re.MULTILINE)
-        assert declared and declared.group(1) == dualcycles.__version__
+            tables = dict(re.findall(r"^\[(.*)\]\n((?:(?!\[).*\n)*)", fh.read(), re.MULTILINE))
+        assert not re.search(r"^version\s*=", tables["project"], re.MULTILINE)
+        assert 'dynamic = ["version"]\n' in tables["project"]
+        assert tables["tool.setuptools.dynamic"].strip() == 'version = {attr = "dualcycles.__version__"}'
+        assert re.fullmatch(r"\d+\.\d+\.\d+", dualcycles.__version__)
 
 
 class TestLastResort:
@@ -861,9 +868,32 @@ class TestSizeLimits:
                     assert (code, err) == (EXIT_OK, ""), argv
                     assert big in out
                     continue
-                what = {"weight": "line 2: 'weight' argument", "cycle": "a cycle entry", "n": "n"}
+                what = {"weight": "line 2: 'weight' argument", "cycle": "a cycle entry", "n": "--n"}
                 assert (code, out) == (EXIT_USAGE, ""), argv
                 assert err == f"error: {what[where]} has more than {MAX_DIGITS} digits\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--family", "A", "--index"],
+        ["graph", "cyclic", "--q", "1", "--n"],
+        ["classify", "--n", "7", "--q"],
+        ["oracle", "--family", "A", "--index", "3", "--bound"],
+        ["classify", "--family", "A", "--index", "3", "--max-colength"],
+    ], ids=lambda a: a[-1])
+    def test_integer_options_of_more_than_max_digits(self, capsys, argv):
+        # Each integer option past the cap exits 2 with one error: line that
+        # names the option and the cap, no echo of the value and nothing on
+        # stdout: given as "--opt value" or "--opt=value", which the scan
+        # reads when well-formed, abbreviated, which only argparse reads,
+        # and before an unknown option, which argparse refuses last.
+        *head, flag = argv
+        abbreviated = {"--index": "--ind", "--bound": "--bou", "--max-colength": "--max"}
+        for digits in (MAX_DIGITS + 1, 4300, 5000):
+            big = "9" * digits
+            tails = [[flag, big], [f"{flag}={big}"], [flag, big, "--unknown"]]
+            tails += [[abbreviated[flag], big]] if flag in abbreviated else []
+            for form, tail in itertools.product(([], ["--format", "json"]), tails):
+                assert run(*form, *head, *tail) == (EXIT_USAGE, ""), tail
+                assert capsys.readouterr().err == f"error: {flag} has more than {MAX_DIGITS} digits\n"
 
     def test_largest_output_integer_at_the_cap(self, tmp_path):
         # U(Z) on two joined vertices of MAX_DIGITS-digit weight, at a cycle
@@ -1129,7 +1159,7 @@ class TestRequestWork:
         # box search at most once; nothing is kept between requests.
         calls = []
         spy = counting(calls, "validate", invariants.validate)
-        for module in (dualcycles, invariants, classify, cli):  # every module holding the name
+        for module in (dualcycles, invariants, cli):  # every module holding the name
             monkeypatch.setattr(module, "validate", spy)
         monkeypatch.setattr(classify, "_search_plan", counting(calls, "plan", classify._search_plan))
         write_digest_graphs(tmp_path)
@@ -1271,13 +1301,16 @@ def sample_argv(rng: random.Random) -> list[str]:
 
 
 def parse_outcome(parse, argv: list[str]) -> tuple:
-    """The namespace of ``parse(argv)`` or its exit code, with what it wrote."""
+    """The namespace of ``parse(argv)``, its exit code or the OverflowError
+    of an integer option past the digit cap, with what it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = vars(parse(list(argv)))
         except SystemExit as e:
             result = e.code
+        except OverflowError as e:
+            result = repr(e)
     return result, out.getvalue(), err.getvalue()
 
 
@@ -1334,7 +1367,7 @@ class TestScan:
         ["classify", "--n", "7", "--q", "3", "--n", "8"],  # repeated
         ["classify", "--special", "--special"],
         ["classify", "--n", "x", "--q", "3"],  # not an int
-        ["classify", "--n", "9" * 5000, "--q", "3"],  # past int's digit limit
+        ["classify", "--n", "9" * 5000, "--q", "3"],  # past the digit cap
         ["classify", "--n", "7", "--q", "3", "--special=1"],  # a flag takes no value
         ["invariants", "--n", "7", "--q", "3", "--cycle=--"],  # argparse drops "--"
         ["classify", "--", "--n", "7"],

@@ -18,10 +18,23 @@ import sys
 import tempfile
 import time
 
-from dualcycles.cli import main
+import pytest
+
+from dualcycles import cli
+from dualcycles.cli import EXIT_VALIDATION, main
+from dualcycles.invariants import CycleError, InvalidGraphError, _pointwise, fundamental_cycle, validate
 from corpus import DIGEST_DIR, digest_argvs, write_digest_graphs
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "outputs.txt")
+
+
+def run_request(argv: list[str], directory: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one request of the corpus, run in
+    this process on the graph files in ``directory``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([a.replace(DIGEST_DIR, directory) for a in argv], out=out)
+    return code, out.getvalue(), err.getvalue()
 
 
 def digest_lines(directory: str) -> list[str]:
@@ -30,11 +43,8 @@ def digest_lines(directory: str) -> list[str]:
     write_digest_graphs(directory)
     lines = []
     for argv in digest_argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([a.replace(DIGEST_DIR, directory) for a in argv], out=out)
-        seen = (code, out.getvalue().replace(directory, DIGEST_DIR),
-                err.getvalue().replace(directory, DIGEST_DIR))
+        seen = tuple(x if type(x) is int else x.replace(directory, DIGEST_DIR)
+                     for x in run_request(argv, directory))
         lines.append(hashlib.sha256(repr(seen).encode()).hexdigest() + " " + " ".join(argv))
     return lines
 
@@ -83,6 +93,54 @@ def test_each_request_writes_stdout_at_most_once(tmp_path):
             assert out.writes == [], argv
             errors += 1
     assert errors > 3000
+
+
+def failures(directory: str, command: str):
+    """(parsed arguments, graph, stderr) of each request of the corpus for
+    ``command`` that exits 1, run on the graph files in ``directory``."""
+    write_digest_graphs(directory)
+    for argv in digest_argvs():
+        if command in argv:
+            code, _, err = run_request(argv, directory)
+            if code == EXIT_VALIDATION:
+                args = cli._parse([a.replace(DIGEST_DIR, directory) for a in argv])
+                yield args, cli._resolve_graph(args), err
+
+
+def test_invariants_refuses_a_cycle_as_the_library_does(tmp_path):
+    # One owner of a cycle's preconditions: on a graph that validate
+    # accepts, every invariants request that exits 1 prints the error of
+    # _pointwise on its graph and cycle, and once the cycle passes, only
+    # the JSON form's filtration can refuse it.
+    refused = 0
+    for args, g, err in failures(str(tmp_path), "invariants"):
+        record = validate(g)
+        if not record.ok:
+            assert err.startswith("error: invalid graph: "), err
+            continue
+        try:
+            _pointwise(g, cli._int_list(args.cycle, "cycle"), record)
+        except CycleError as e:
+            assert err == f"error: {e}\n"
+            refused += 1
+        else:
+            assert args.format == "json" and "filtration has more than" in err, err
+    assert refused > 1000
+
+
+def test_fundamental_refuses_a_graph_as_the_library_does(tmp_path):
+    # One owner of the Z_0 gate: every fundamental request without
+    # --support that exits 1 prints the error of fundamental_cycle(g),
+    # including on a graph both disconnected and indefinite.
+    refused = set()
+    for args, g, err in failures(str(tmp_path), "fundamental"):
+        if args.support is None:
+            with pytest.raises(InvalidGraphError) as e:
+                fundamental_cycle(g)
+            assert err == f"error: {e.value}\n"
+            record = validate(g)
+            refused.add((record.connected, record.negative_definite))
+    assert refused == {(True, False), (False, False)}
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from dualcycles.invariants import (
     CycleError,
     _certified,
     _co_genera,
+    _formulas,
     _laufer,
     _pointwise,
     InvalidGraphError,
@@ -34,7 +35,7 @@ from dualcycles.invariants import (
     validate,
     virtual_genus,
 )
-from dualcycles.lattice import Cycle, DimensionError, DualGraph, pairing_vector, scale
+from dualcycles.lattice import Cycle, DimensionError, DualGraph, pairing_vector
 from corpus import (
     CATERPILLAR,
     CATERPILLAR_Z0,
@@ -56,6 +57,7 @@ from corpus import (
     random_graphs,
     random_trees,
     run_child,
+    scale,
     tree_classes,
     unit,
 )
@@ -550,46 +552,74 @@ class TestIdealInvariants:
                 )
 
 
+ANTI_NEF = "cycle is not anti-nef (represents no ideal)"
+
+
 class TestPointwiseErrors:
-    """``_pointwise`` raises the same errors in the same order whether it
-    builds the pairing M.Z or is given one."""
+    """``_pointwise`` owns a cycle's preconditions, for the library and the
+    CLI alike: the length, then anti-nefness (no negative coefficient and
+    no positive pairing, one message), then the zero cycle."""
 
     @pytest.mark.parametrize(
-        "z, error, match",
+        "z, error, message",
         [
-            ((1, 1), DimensionError, "coefficients"),
-            ((1, 1, 1, 1), DimensionError, "coefficients"),
-            ((0, 0, 0), CycleError, "expected a positive cycle"),
-            ((0, -1, 0), CycleError, "expected a positive cycle"),
-            ((1, -1, 1), CycleError, "nonnegative"),
-            ((1, 3, 1), CycleError, "not anti-nef"),
+            pytest.param((1, 1), DimensionError, "cycle has 2 coefficients, graph has 3 vertices",
+                         id="z0-DimensionError-coefficients"),
+            pytest.param((1, 1, 1, 1), DimensionError,
+                         "cycle has 4 coefficients, graph has 3 vertices",
+                         id="z1-DimensionError-coefficients"),
+            pytest.param((0, 0, 0), CycleError, "expected a positive cycle",
+                         id="z2-CycleError-expected a positive cycle"),
+            # Nonpositive too: anti-nefness is checked first.
+            pytest.param((0, -1, 0), CycleError, ANTI_NEF, id="z3-CycleError-not anti-nef"),
+            pytest.param((1, -1, 1), CycleError, ANTI_NEF, id="z4-CycleError-not anti-nef"),
+            pytest.param((1, 3, 1), CycleError, ANTI_NEF, id="z5-CycleError-not anti-nef"),
         ],
     )
-    def test_errors_in_order(self, z, error, match):
-        # The given pairing is positive: every earlier check must fire first.
+    def test_errors_in_order(self, z, error, message):
         g = build_ade("A", 3)
-        record = invariants.validate(g)
-        for pairing in (None, (1,) * len(z)):
-            with pytest.raises(error, match=match):
-                _pointwise(g, z, record, pairing)
+        with pytest.raises(error) as e:
+            _pointwise(g, z, invariants.validate(g))
+        assert type(e.value) is error and str(e.value) == message
 
     def test_non_anti_nef_pairing_is_refused(self):
+        # Above Z_0 = (1, 1, 1) with every coefficient positive: the
+        # pairing alone refuses it, (2, 1, 1).E_2 = 1.
         g = build_ade("A", 3)
-        record = invariants.validate(g)
-        with pytest.raises(CycleError, match="not anti-nef"):
-            _pointwise(g, record.z0, record, (0, 1, 0))
+        with pytest.raises(CycleError) as e:
+            _pointwise(g, (2, 1, 1), invariants.validate(g))
+        assert str(e.value) == ANTI_NEF
 
-    def test_assertions_are_reachable_through_a_pairing(self):
-        # Only a pairing that is not M.Z reaches them: Z^2 = -1 is odd, and
-        # Z^2 = 0 makes the colength 0, below the coefficient 2, and Z^2 = -2
-        # makes it 1, just below.
-        g = build_ade("A", 1)
-        record = invariants.validate(g)  # Z_0 = (1,)
+
+class TestFormulas:
+    """``_formulas`` on made-up sums, which no real cycle has."""
+
+    # One positive cycle's four sums: Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i.
+    # Z^2 = -2 and K.Z = 0 give colength 1.
+    @staticmethod
+    def columns(square, canonical, zz0, top, **report):
+        record = invariants.validate(build_ade("A", 1))._replace(**report)  # Z_0 = (1,), L = 1
+        return _formulas([square], [canonical], [zz0], [top], record)
+
+    def test_ulrich_is_u_zero_at_multiplicity_two(self):
+        # Special (top = L colength) with U = Z^2 - (Z.Z_0) colength = 1 on a
+        # multiplicity-2 report: not Ulrich.  The verdict is read off U(Z),
+        # never copied from the special column.
+        mult, ell, mu, u, special, ulrich = self.columns(-2, 0, -3, 1, multiplicity=2)
+        assert (mult, ell, mu, u) == ([2], [1], [4], [1])
+        assert special == [True] and ulrich == [False]
+        assert self.columns(-2, 0, -2, 1, multiplicity=2)[4:] == ([True], [True])  # U = 0
+
+    def test_assertions_are_reachable_through_made_up_sums(self):
+        # Z^2 + K.Z = -1 is odd; colength 0 is below the top 2, and
+        # colength 1 just below it; min_gens 1 - Z.Z_0 = 2 is too few.
         with pytest.raises(AssertionError, match="parity"):
-            _pointwise(g, (1,), record, (-1,))
-        for pairing in ((0,), (-1,)):
+            self.columns(-1, 0, -1, 1)
+        for square in (0, -2):
             with pytest.raises(AssertionError, match="coefficient bound"):
-                _pointwise(g, (2,), record, pairing)
+                self.columns(square, 0, -2, 2)
+        with pytest.raises(CycleError, match=r"needs mu\(I\) > 2"):
+            self.columns(-2, 0, -1, 1)
 
 
 class TestFiltration:

@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from dualcycles.lattice import DimensionError, DualGraph, pairing_vector, scale, sub
+from dualcycles.lattice import DimensionError, DualGraph, pairing_vector
 from corpus import add, graph_and_cycles, inf_cycles, intersection, path_graph, unit
 
 
@@ -75,10 +75,8 @@ class TestDualGraph:
 
 
 class TestArithmetic:
-    def test_add_sub_scale(self):
+    def test_add(self):
         assert add((1, 2), (3, 4)) == (4, 6)
-        assert sub((1, 2), (3, 4)) == (-2, -2)
-        assert scale(3, (1, -2)) == (3, -6)
 
     def test_inf(self):
         assert inf_cycles((1, 5), (2, 3)) == (1, 3)

@@ -60,6 +60,7 @@ CROSSINGS = {
     ("classify", "invariants", "_formulas"),
     ("classify", "invariants", "_laufer"),
     ("classify", "invariants", "_rational"),
+    ("classify", "invariants", "_z0_report"),
     ("classify", "lattice", "_reach"),
     ("cli", "classify", "_classify"),
     ("cli", "invariants", "_filtration"),
