@@ -515,21 +515,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out, pieces = out or sys.stdout, None
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    except OverflowError as e:  # an integer option of too many digits (``_integer``)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         code, pieces = _SUBCOMMANDS[args.command][2](args, _resolve_graph(args))
         out.writelines(pieces)
         out.flush()  # a closed pipe or a full disk fails here, not at exit
         return code
+    except SystemExit as e:  # argparse's usage, help and version
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except (CycleError, InvalidGraphError, BoxLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (GraphFormatError, ValueError, OSError) as e:
+    except (GraphFormatError, ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        # OverflowError: an integer option of too many digits (``_integer``).
         # A failed write of the output (a closed pipe, a full disk) is not
         # a usage error: the request parsed and ran.
         return EXIT_USAGE if pieces is None else EXIT_VALIDATION
