@@ -29,7 +29,6 @@ from operator import mul
 from .builders import _ade_type, build_ade
 from .invariants import (
     Filtration,
-    InvalidGraphError,
     ValidationReport,
     _formulas,
     _laufer,
@@ -230,8 +229,9 @@ def _classify(g: DualGraph, max_colength: int | None = None, special: bool = Tru
     "both" when the K bit holds, else "special" (the K bit puts every
     heavy vertex in the surviving set, so an Ulrich cycle is special).
     Equal lists are returned as one list object.  Errors come in this
-    order: InvalidGraphError, TypeError on a max_colength that is not an
-    integer, ValueError on one below 1, then those of ``_formulas``.
+    order: InvalidGraphError with the graph's first finding in the order
+    of ``invariants._rational``, TypeError on a max_colength that is not
+    an integer, ValueError on one below 1, then those of ``_formulas``.
     """
     record = _rational(g)
     max_colength = math.inf if max_colength is None else operator.index(max_colength)
@@ -536,9 +536,10 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     U(Z) = 0 at every multiplicity; only the special and Ulrich rows
     become tuples.  When the two verdict columns are equal, as the paper
     shows on a multiplicity-2 graph, the rows are sorted once and
-    returned as one list object, as ``_classify`` does.  BoxLimitError as in
-    ``brute_force_anti_nef``, and TypeError on a bound that is not an
-    integer."""
+    returned as one list object, as ``_classify`` does.  Errors come in
+    this order: InvalidGraphError as in ``_classify``, TypeError on a
+    bound that is not an integer, ValueError on one below 1, then
+    BoxLimitError as in ``brute_force_anti_nef``."""
     record = _rational(g)
     if operator.index(bound) < 1:
         raise ValueError("bound must be >= 1")

@@ -18,19 +18,14 @@ from types import SimpleNamespace
 from . import __version__
 from .builders import (GraphFormatError, build_ade, build_cyclic, check_digits, parse_graph,
                        serialize_graph)
-from .classify import (
-    BoxLimitError,
-    ClassificationEntry,
-    InvalidGraphError,
-    _classify,
-    oracle_classify,
-    verify_rdp,
-)
+from .classify import BoxLimitError, ClassificationEntry, _classify, oracle_classify, verify_rdp
 from .invariants import (
     CycleError,
     Filtration,
+    InvalidGraphError,
     _filtration,
     _pointwise,
+    _rational,
     fundamental_cycle,
     validate,
 )
@@ -69,6 +64,25 @@ def _render_entries(entries: list[ClassificationEntry]) -> list[str]:
         f" min_gens={e.min_gens} kind={e.kind}\n"
         for e in entries
     ]
+
+
+def _render_cycles(cycles: list[Cycle]) -> list[str]:
+    """The table lines of ``cycles``."""
+    return [f"  {_render_cycle(z)}\n" for z in cycles]
+
+
+def _render_lists(g: DualGraph, special, ulrich, render) -> list[str]:
+    """The table form of a list command: the graph's rows, then a titled
+    block of ``render``'s lines for each list that is not None.  Equal
+    lists are one object, whose lines are rendered once and written
+    again."""
+    pieces = _render_graph(g)
+    lines = [] if special is None else render(special)
+    for name, items in (("special", special), ("ulrich", ulrich)):
+        if items is not None:
+            pieces.append(f"{name} cycles ({len(items)}):\n")
+            pieces += lines if items is special else render(items)
+    return pieces
 
 
 def _int_list(text: str, name: str) -> tuple[int, ...]:
@@ -410,9 +424,7 @@ def _cmd_fundamental(args, g) -> tuple[int, list[str]]:
 
 def _cmd_invariants(args, g) -> tuple[int, list[str]]:
     z = g.check_cycle(_int_list(args.cycle, "cycle"))
-    rep = validate(g)
-    if not rep.ok:
-        raise InvalidGraphError(f"invalid graph: {rep.failures[0]}")
+    rep = _rational(g)
     inv = _pointwise(g, z, rep)
     results = dict(
         cycle=z, virtual_genus=1 - inv.colength, colength=inv.colength,
@@ -430,14 +442,7 @@ def _cmd_classify(args, g) -> tuple[int, list[str]]:
     special, ulrich = _classify(g, args.max_colength, not args.ulrich, not args.special)
     if args.format == "json":
         return EXIT_OK, _emit("classify", g, (special, ulrich))
-    pieces = _render_graph(g)
-    lines = [] if special is None else _render_entries(special)
-    for name, entries in (("special", special), ("ulrich", ulrich)):
-        if entries is not None:
-            pieces.append(f"{name} cycles ({len(entries)}):\n")
-            # Equal lists are one object: its lines are written again.
-            pieces += lines if entries is special else _render_entries(entries)
-    return EXIT_OK, pieces
+    return EXIT_OK, _render_lists(g, special, ulrich, _render_entries)
 
 
 def _cmd_oracle(args, g) -> tuple[int, list[str]]:
@@ -445,11 +450,7 @@ def _cmd_oracle(args, g) -> tuple[int, list[str]]:
     if args.format == "json":
         results = {"bound": args.bound, "special": special, "ulrich": ulrich}
         return EXIT_OK, _emit("oracle", g, results)
-    pieces = _render_graph(g)
-    for name, cycles in (("special", special), ("ulrich", ulrich)):
-        pieces.append(f"{name} cycles ({len(cycles)}):\n")
-        pieces += [f"  {_render_cycle(z)}\n" for z in cycles]
-    return EXIT_OK, pieces
+    return EXIT_OK, _render_lists(g, special, ulrich, _render_cycles)
 
 
 def _cmd_verify_rdp(args, g) -> tuple[int, list[str]]:

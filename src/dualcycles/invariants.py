@@ -10,14 +10,14 @@ its bump budget.  ``fundamental_cycle`` reads Z_0 off the report, or
 decides a given support with one search and one certificate.  Each
 entry point, the classifiers' included, computes the report once per
 call and hands it to the functions below; ``_z0_report`` is the one
-gate of the entry points that need Z_0 alone.
+gate of the entry points that need Z_0 alone, and ``_rational`` of the
+rest, each raising InvalidGraphError with the report's own finding.
 ``_formulas`` reads every invariant of many anti-nef cycles off four
 sums per cycle, one columnar pass per invariant; the oracle's box search
 and the chain walk keep those sums as they go.  ``_pointwise`` is the
 one-cycle case and the one owner of a cycle's preconditions, which the
-invariant functions and the special and Ulrich tests read after raising
-InvalidGraphError unless the graph is connected, negative definite and
-rational.  Also: filtrations, and the virtual genus and anti-nef test
+invariant functions and the special and Ulrich tests read after
+``_rational``.  Also: filtrations, and the virtual genus and anti-nef test
 of any cycle.
 """
 
@@ -271,17 +271,14 @@ def _z0_report(g: DualGraph) -> ValidationReport:
 
 
 def _rational(g: DualGraph) -> ValidationReport:
-    """``validate``'s report on a connected, negative definite, rational
-    graph with every weight <= -2, the graphs it accepts;
-    InvalidGraphError on any other graph."""
-    record = validate(g)
-    if not record.rational:
-        raise InvalidGraphError(
-            "graph is not a valid rational singularity resolution graph "
-            "(must be connected, negative definite, with p_a(Z0) = 0)"
-        )
-    if max(g.weights) > -2:
-        raise InvalidGraphError("graph is not a minimal resolution: a weight is > -2")
+    """``validate``'s report on a graph it accepts: connected, negative
+    definite and rational, with every weight <= -2.  On any other graph,
+    InvalidGraphError with the report's own finding, in one order: not
+    negative definite, not connected (``_z0_report``), then a weight
+    above -2, then not rational."""
+    record = _z0_report(g)
+    if not record.ok:
+        raise InvalidGraphError(record.failures[0])
     return record
 
 

@@ -326,6 +326,19 @@ LATE_DIGEST_FILES = {
     "indefinite-star-and-a-vertex": DualGraph((-2,) * 7, INDEFINITE_STAR.edges),
 }
 
+# Graphs of the corpus's last group, after the integer options' rows.
+# A_2 beside A_1 is disconnected and definite, and the plain classify
+# walk of the -4 tree meets a cycle that is neither special nor Ulrich;
+# both get the rows of every graph.  On the last two, classify
+# --max-colength 1 drops a component before Laufer's loop, and a step
+# after it.
+LAST_DIGEST_FILES = {
+    "a2-and-a1": DualGraph((-2,) * 3, [(0, 1)]),
+    "plain-walked-cycle": graph_of("(2(2(2)(4))(2(2)))"),
+    "capped-before-laufer": graph_of("(2(2(2)(2))(3(2)))"),
+    "capped-after-laufer": graph_of("(3(2(2))(2(2))(2)(2))"),
+}
+
 
 # One malformed graph text for each error of ``parse_graph``, each written
 # next to the DIGEST_FILES graphs as <name>.txt.
@@ -360,10 +373,11 @@ OVERSIZED_FILES = {
 
 
 def write_digest_graphs(directory) -> None:
-    """Write each graph of DIGEST_FILES and LATE_DIGEST_FILES and each
-    text of MALFORMED_FILES and OVERSIZED_FILES to ``directory``/<name>.txt."""
+    """Write each graph of DIGEST_FILES, LATE_DIGEST_FILES and
+    LAST_DIGEST_FILES and each text of MALFORMED_FILES and OVERSIZED_FILES
+    to ``directory``/<name>.txt."""
     texts = {**MALFORMED_FILES, **OVERSIZED_FILES}
-    for name, g in {**DIGEST_FILES, **LATE_DIGEST_FILES}.items():
+    for name, g in {**DIGEST_FILES, **LATE_DIGEST_FILES, **LAST_DIGEST_FILES}.items():
         lines = [f"vertices {g.vertex_count}"]
         lines += [f"weight {i + 1} {w}" for i, w in enumerate(g.weights)]
         lines += [f"edge {i + 1} {j + 1}" for i, j in sorted(g.edges)]
@@ -412,7 +426,12 @@ def digest_argvs() -> list[list[str]]:
     then, on each graph of LATE_DIGEST_FILES, the rows of every graph
     above, in the same order; then, in both forms, each integer option
     (``--index``, ``--n``, ``--q``, ``--bound``, ``--max-colength``) at
-    400, 401 and 5,000 nines, one request each.
+    400, 401 and 5,000 nines, one request each;
+
+    then, on the first two graphs of LAST_DIGEST_FILES, the rows of every
+    graph above; then, in both forms, ``classify --max-colength 1`` on
+    the other two, and ``classify`` on D_3, E_9, A_0 and (1/6)(1, 4),
+    out of range.
     """
     ade = [(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8)))
            for n in ns]
@@ -472,6 +491,15 @@ def digest_argvs() -> list[list[str]]:
                ["classify", "--family", "A", "--index", "3", "--max-colength"])
     for form in forms:
         argvs += [form + argv + ["9" * digits] for argv in options for digits in (400, 401, 5000)]
+    last = [(g, ["load"], ["--graph", f"{DIGEST_DIR}/{name}.txt"])
+            for name, g in list(LAST_DIGEST_FILES.items())[:2]]
+    argvs += _graph_rows(last, forms) + _edge_rows(last, forms)
+    out_of_range = (["--family", "D", "--index", "3"], ["--family", "E", "--index", "9"],
+                    ["--family", "A", "--index", "0"], ["--n", "6", "--q", "4"])
+    for form in forms:
+        argvs += [form + ["classify", "--graph", f"{DIGEST_DIR}/{name}.txt", "--max-colength", "1"]
+                  for name in list(LAST_DIGEST_FILES)[2:]]
+        argvs += [form + ["classify"] + source for source in out_of_range]
     return argvs
 
 

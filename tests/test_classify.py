@@ -19,7 +19,6 @@ import dualcycles
 from dualcycles import classify, invariants, lattice
 from dualcycles.builders import MAX_VERTICES, build_ade, build_cyclic
 from dualcycles.classify import (
-    InvalidGraphError,
     _box_search,
     _classify,
     _walk,
@@ -33,6 +32,7 @@ from dualcycles.classify import (
     verify_rdp,
 )
 from dualcycles.invariants import (
+    InvalidGraphError,
     colength,
     fundamental_cycle,
     is_anti_nef,
@@ -208,7 +208,8 @@ class TestGuards:
     def test_box_search_refuses_indefinite_graph_in_time(self):
         # A -2 centre with five -2 leaves: Laufer's loop never ends on it.
         code = (
-            "from dualcycles.classify import InvalidGraphError, brute_force_anti_nef\n"
+            "from dualcycles.classify import brute_force_anti_nef\n"
+            "from dualcycles.invariants import InvalidGraphError\n"
             "from dualcycles.lattice import DualGraph\n"
             "g = DualGraph((-2,) * 6, [(0, i) for i in range(1, 6)])\n"
             "try:\n"

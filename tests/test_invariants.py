@@ -222,8 +222,38 @@ class TestGraphChecks:
         with pytest.raises(InvalidGraphError):
             fn(g, z)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [colength, filtration, lambda g, z: classify.enumerate_ulrich(g),
+         lambda g, z: classify.oracle_classify(g, 2)],
+        ids=["colength", "filtration", "enumerate_ulrich", "oracle_classify"],
+    )
+    @pytest.mark.parametrize(
+        "g, finding",
+        [
+            (DualGraph((-2,) * 3, [(0, 1)]), "graph is not connected"),
+            (INDEFINITE_STAR, "intersection matrix is not negative definite"),
+            (DualGraph((-2,) * 7, INDEFINITE_STAR.edges),
+             "intersection matrix is not negative definite"),
+            (NON_RATIONAL_TREE, "not rational: fundamental cycle has virtual genus 1"),
+            (DualGraph((-3, -1), [(0, 1)]),
+             "weights > -2 at vertices [2] (not a minimal resolution)"),
+        ],
+        ids=["disconnected", "indefinite", "disconnected-indefinite", "non-rational", "minus-one"],
+    )
+    def test_refusal_is_a_finding_of_validate(self, fn, g, finding):
+        # One gate, in one order: not negative definite, not connected, a
+        # weight above -2, not rational; its text is validate's own.
+        with pytest.raises(InvalidGraphError) as e:
+            fn(g, (1,) * g.vertex_count)
+        assert str(e.value) == finding
+        assert finding in validate(g).failures
+
     def test_one_error_class(self):
-        assert InvalidGraphError is classify.InvalidGraphError is dualcycles.InvalidGraphError
+        # Defined in invariants and imported from there; classify, which
+        # never raises it itself, does not re-export it.
+        assert InvalidGraphError is invariants.InvalidGraphError is dualcycles.InvalidGraphError
+        assert not hasattr(classify, "InvalidGraphError")
 
     def test_validation_does_its_work_once(self, monkeypatch):
         # One component search per call on a connected graph and no

@@ -65,6 +65,7 @@ CROSSINGS = {
     ("cli", "classify", "_classify"),
     ("cli", "invariants", "_filtration"),
     ("cli", "invariants", "_pointwise"),
+    ("cli", "invariants", "_rational"),
     ("invariants", "lattice", "_reach"),
 }
 
