@@ -340,12 +340,9 @@ def brute_force_anti_nef(g: DualGraph, bound: int) -> list[Cycle]:
     the gate of ``fundamental_cycle(g)``, so a graph that is not negative
     definite, then one that is not connected, raises its
     InvalidGraphError; any other graph is searched, rational or not.
-    BoxLimitError when the cycles would hold more than MAX_BOX
-    coefficients; TypeError on a bound that is not an integer."""
-    if operator.index(bound) < 1:
-        raise ValueError("bound must be >= 1")
-    record = _z0_report(g)
-    return sorted(_rows(_box_search(g, operator.index(bound), record)[0], g.vertex_count))
+    Then, as in ``oracle_classify``, the errors of ``_box_search``: the
+    bound's, then BoxLimitError."""
+    return sorted(_rows(_box_search(g, bound, _z0_report(g))[0], g.vertex_count))
 
 
 def _search_plan(g: DualGraph, record: ValidationReport) -> tuple:
@@ -394,12 +391,13 @@ def _search_plan(g: DualGraph, record: ValidationReport) -> tuple:
 def _box_search(g: DualGraph, bound: int, record: ValidationReport) -> tuple[list[int], ...]:
     """Every anti-nef cycle 0 < Z <= bound * Z_0 on a connected, negative
     definite graph whose ``validate`` report is ``record`` (unchecked: both
-    callers check that it holds Z_0, which needs both), by pruned
-    enumeration, as five flat lists in the order of the search (not
-    sorted): the coefficients of each cycle found, r per cycle, and four
-    sums per cycle, Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i with L = lcm(n),
-    the input of ``invariants._formulas``.  No tuple and no pairing row
-    is built per cycle.
+    callers check that it holds Z_0, which needs both; the bound is
+    checked here, TypeError if not an integer, then ValueError below 1),
+    by pruned enumeration, as five flat lists in the order of the search
+    (not sorted): the coefficients of each cycle found, r per cycle, and
+    four sums per cycle, Z^2, K.Z, Z.Z_0 and L max_i a_i/n_i with L =
+    lcm(n), the input of ``invariants._formulas``.  No tuple and no
+    pairing row is built per cycle.
 
     Coefficients are assigned in the order of ``_search_plan``.  The
     interval of the vertex p being assigned is cut from both sides by the
@@ -450,6 +448,9 @@ def _box_search(g: DualGraph, bound: int, record: ValidationReport) -> tuple[lis
     times for 3,543 cycles, against 6,929 then and 80,239 from the
     lowest-index leaf with one trip per cycle.
     """
+    bound = operator.index(bound)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     steps, (q, wq, _, qcaps, qvs, qcs, qdet, nq, kcq, mq, lnq), last = _search_plan(g, record)
     x, wx, nx, kcx, mx, lnx, dx, fixed, varying = last
     r = g.vertex_count
@@ -537,13 +538,10 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     become tuples.  When the two verdict columns are equal, as the paper
     shows on a multiplicity-2 graph, the rows are sorted once and
     returned as one list object, as ``_classify`` does.  Errors come in
-    this order: InvalidGraphError as in ``_classify``, TypeError on a
-    bound that is not an integer, ValueError on one below 1, then
-    BoxLimitError as in ``brute_force_anti_nef``."""
+    this order: InvalidGraphError as in ``_classify``, then the errors
+    of ``_box_search``: the bound's, then BoxLimitError."""
     record = _rational(g)
-    if operator.index(bound) < 1:
-        raise ValueError("bound must be >= 1")
-    zs, *sums = _box_search(g, operator.index(bound), record)
+    zs, *sums = _box_search(g, bound, record)
     special, ulrich = _formulas(*sums, record)[4:]
     rows = lambda verdicts: sorted(itertools.compress(_rows(zs, g.vertex_count), verdicts))
     found = rows(special)

@@ -25,7 +25,6 @@ from .invariants import (
     InvalidGraphError,
     _filtration,
     _pointwise,
-    _rational,
     fundamental_cycle,
     validate,
 )
@@ -423,9 +422,7 @@ def _cmd_fundamental(args, g) -> tuple[int, list[str]]:
 
 
 def _cmd_invariants(args, g) -> tuple[int, list[str]]:
-    z = g.check_cycle(_int_list(args.cycle, "cycle"))
-    rep = _rational(g)
-    inv = _pointwise(g, z, rep)
+    z, rep, inv = _pointwise(g, _int_list(args.cycle, "cycle"))
     results = dict(
         cycle=z, virtual_genus=1 - inv.colength, colength=inv.colength,
         multiplicity=inv.multiplicity, min_gens=inv.min_gens, u_invariant=inv.u,

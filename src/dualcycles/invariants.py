@@ -15,10 +15,9 @@ rest, each raising InvalidGraphError with the report's own finding.
 ``_formulas`` reads every invariant of many anti-nef cycles off four
 sums per cycle, one columnar pass per invariant; the oracle's box search
 and the chain walk keep those sums as they go.  ``_pointwise`` is the
-one-cycle case and the one owner of a cycle's preconditions, which the
-invariant functions and the special and Ulrich tests read after
-``_rational``.  Also: filtrations, and the virtual genus and anti-nef test
-of any cycle.
+one path of every one-cycle question: the cycle's length, then
+``_rational``, then the cycle's own checks.  Also: filtrations, and the
+virtual genus and anti-nef test of any cycle.
 """
 
 from __future__ import annotations
@@ -343,16 +342,18 @@ def _formulas(squares: list, canonicals: list, pairings: list, tops: list,
     return mult, ell, min_gens, u, special, list(map(operator.not_, u))
 
 
-def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport) -> CycleInvariants:
-    """``_formulas`` on the one cycle Z, with the vertices i where a_i =
-    n_i * colength(Z) (Z_0 = sum n_i E_i), given the graph's report.
-    The one owner of a cycle's preconditions, for the library and the
-    CLI alike: DimensionError on a cycle of the wrong length, then
-    CycleError "cycle is not anti-nef (represents no ideal)" on one with
-    a negative coefficient or a positive pairing Z.E_i, then CycleError
-    on the zero cycle, then the errors of ``_formulas``.
+def _pointwise(g: DualGraph, z: Cycle) -> tuple[Cycle, ValidationReport, CycleInvariants]:
+    """(Z, the graph's report, Z's invariants): the one path of every
+    one-cycle question, for the library and the CLI alike.  It refuses in
+    one order: DimensionError on a cycle of the wrong length, then the
+    InvalidGraphError of ``_rational``, then CycleError "cycle is not
+    anti-nef (represents no ideal)" on a negative coefficient or a
+    positive pairing Z.E_i, then CycleError on the zero cycle, then the
+    errors of ``_formulas`` on Z, which give the invariants with the
+    vertices i where a_i = n_i * colength(Z) (Z_0 = sum n_i E_i).
     """
     z = g.check_cycle(z)
+    record = _rational(g)
     pairing = pairing_vector(g, z)
     if min(z) < 0 or max(pairing) > 0:
         raise CycleError("cycle is not anti-nef (represents no ideal)")
@@ -362,12 +363,7 @@ def _pointwise(g: DualGraph, z: Cycle, record: ValidationReport) -> CycleInvaria
     cols = _formulas(*sums, [max(map(operator.mul, z, record.scales))], record)
     mult, ell, mu, u, special, ulrich = (c[0] for c in cols)
     indices = frozenset(i for i, (a, n) in enumerate(zip(z, record.z0)) if a == n * ell)
-    return CycleInvariants(ell, mult, mu, u, indices, special, ulrich)
-
-
-def _invariants_of(g: DualGraph, z: Cycle) -> CycleInvariants:
-    """``_pointwise`` after the graph check: InvalidGraphError first."""
-    return _pointwise(g, z, _rational(g))
+    return z, record, CycleInvariants(ell, mult, mu, u, indices, special, ulrich)
 
 
 def virtual_genus(g: DualGraph, z: Cycle) -> int:
@@ -388,12 +384,12 @@ def is_anti_nef(g: DualGraph, z: Cycle) -> bool:
 
 def colength(g: DualGraph, z: Cycle) -> int:
     """Length of A/I_Z, which is 1 - p_a(Z) by the Riemann-Roch formula."""
-    return _invariants_of(g, z).colength
+    return _pointwise(g, z)[2].colength
 
 
 def multiplicity(g: DualGraph, z: Cycle) -> int:
     """Multiplicity of the represented ideal: -Z^2."""
-    return _invariants_of(g, z).multiplicity
+    return _pointwise(g, z)[2].multiplicity
 
 
 def min_gens(g: DualGraph, z: Cycle) -> int:
@@ -403,12 +399,12 @@ def min_gens(g: DualGraph, z: Cycle) -> int:
     to -Z^2 - (mu - 1) * colength; cross-checked against the known
     generator counts of the classified ideals.
     """
-    return _invariants_of(g, z).min_gens
+    return _pointwise(g, z)[2].min_gens
 
 
 def u_invariant(g: DualGraph, z: Cycle) -> int:
     """U(Z) = (Z_0.Z)(p_a(Z) - 1) + Z^2; zero exactly on Ulrich cycles."""
-    return _invariants_of(g, z).u
+    return _pointwise(g, z)[2].u
 
 
 class Filtration(namedtuple("Filtration", "base steps")):
@@ -425,13 +421,12 @@ def filtration(g: DualGraph, z: Cycle) -> Filtration:
     """Canonical filtration of an anti-nef Z: Z_k = inf(Z, (k+1)Z_0).
 
     Every positive anti-nef Z on a connected graph dominates Z_0, so the
-    chain starts at Z_0 and ends at Z.  The errors of ``_pointwise`` on a
-    cycle that is not positive and anti-nef, then CycleError when the
-    chain would hold more than MAX_FILTRATION coefficients (steps times r).
+    chain starts at Z_0 and ends at Z.  The errors of ``_pointwise``, in
+    its order, then CycleError when the chain would hold more than
+    MAX_FILTRATION coefficients (steps times r).
     """
-    record = _rational(g)
-    _pointwise(g, z, record)  # Z positive and anti-nef
-    return _filtration(g.check_cycle(z), record.z0)
+    z, record, _ = _pointwise(g, z)
+    return _filtration(z, record.z0)
 
 
 def _filtration(z: Cycle, z0: Cycle) -> Filtration:
@@ -453,12 +448,12 @@ def special_module_indices(g: DualGraph, z: Cycle) -> frozenset[int]:
     upper bound itself holds for every anti-nef cycle on a rational graph
     and is asserted.
     """
-    return _invariants_of(g, z).indices
+    return _pointwise(g, z)[2].indices
 
 
 def is_special_cycle(g: DualGraph, z: Cycle) -> bool:
     """Coefficient-saturation test: some a_i equals n_i * colength(Z)."""
-    return _invariants_of(g, z).special
+    return _pointwise(g, z)[2].special
 
 
 def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
@@ -466,4 +461,4 @@ def is_ulrich_cycle(g: DualGraph, z: Cycle) -> bool:
     1 - Z.Z_0 >= 3 for every positive anti-nef Z.  On a multiplicity-2
     graph the paper shows the verdict is the special test's; this one
     does not assume it."""
-    return _invariants_of(g, z).ulrich
+    return _pointwise(g, z)[2].ulrich

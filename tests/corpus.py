@@ -5,11 +5,11 @@ This is not a test module, so pytest does not collect it; the test
 modules import it as ``corpus`` (the CI drivers run with
 ``PYTHONPATH=src:tests``), and no test module imports another.  Its
 references (the census encoding, intersection numbers, canonical
-degrees and the formula site's four sums, dense determinants and
-flood-fill components) use only the public constructors of
-``dualcycles`` and ``DualGraph.neighbors``, never the code they check;
-``chain_cycles_in_box`` is the chain route itself, as the oracle
-comparisons read it.
+degrees and the formula site's four sums, dense determinants,
+flood-fill components and Laufer's loop) use only the public
+constructors of ``dualcycles`` and ``DualGraph.neighbors``, never the
+code they check; ``chain_cycles_in_box`` is the chain route itself, as
+the oracle comparisons read it.
 """
 
 import collections
@@ -234,6 +234,19 @@ def components(g: DualGraph, verts) -> list[set[int]]:
             comp |= grown
         comps.append(comp)
     return comps
+
+
+def laufer_by_recomputation(g: DualGraph, support) -> tuple:
+    """Reference Laufer loop on a connected, definite ``support``: from 1
+    there, recompute every pairing over it before each bump and bump the
+    least vertex whose pairing is positive; the fundamental cycle of the
+    support, as a cycle of the whole graph."""
+    z = dict.fromkeys(sorted(support), 1)
+    while True:
+        bump = [v for v in z if g.weights[v] * z[v] + sum(z.get(u, 0) for u in g.neighbors(v)) > 0]
+        if not bump:
+            return tuple(z.get(v, 0) for v in range(g.vertex_count))
+        z[bump[0]] += 1
 
 
 def chain_cycles_in_box(g: DualGraph, bound: int) -> tuple[list, list]:

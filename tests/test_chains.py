@@ -32,7 +32,8 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
-    ORACLE_CORPUS, components, cycle_sums, graph_of, oracle_graph, tree_classes,
+    ORACLE_CORPUS, components, cycle_sums, graph_of, laufer_by_recomputation, oracle_graph,
+    tree_classes,
 )
 
 
@@ -79,17 +80,6 @@ def check_walk(g: DualGraph) -> int:
     return len(best)
 
 
-def _fundamental(g: DualGraph, support: frozenset) -> tuple:
-    """Laufer's fundamental cycle on a connected, definite ``support``:
-    from 1 everywhere, bump any vertex whose pairing over it is positive."""
-    z = dict.fromkeys(support, 1)
-    while True:
-        bump = [v for v in z if g.weights[v] * z[v] + sum(z.get(u, 0) for u in g.neighbors(v)) > 0]
-        if not bump:
-            return tuple(z.get(v, 0) for v in range(g.vertex_count))
-        z[bump[0]] += 1
-
-
 def chain_verdicts(g: DualGraph, z: tuple, z0: tuple, fundamental) -> tuple[bool, bool]:
     """(special, Ulrich) of an anti-nef Z >= Z_0 by its canonical filtration.
 
@@ -128,7 +118,7 @@ def check_criterion(g: DualGraph, bound: int) -> int:
     record = _rational(g)
     zs, *sums = _box_search(g, bound, record)
     special, ulrich = _formulas(*sums, record)[4:]
-    fundamental = functools.lru_cache(maxsize=None)(functools.partial(_fundamental, g))
+    fundamental = functools.lru_cache(maxsize=None)(functools.partial(laufer_by_recomputation, g))
     for z, s, u in zip(_rows(zs, g.vertex_count), special, ulrich):
         assert chain_verdicts(g, z, record.z0, fundamental) == (s, u), z
     return len(special)
@@ -181,7 +171,7 @@ def test_criterion_on_a3():
     # middle vertex's fundamental cycle, so (1, 2, 1) is reached and 2 Z_0,
     # whose step (1, 1, 1) leaves the zero locus, is not.
     g = build_ade("A", 3)
-    fundamental = functools.partial(_fundamental, g)
+    fundamental = functools.partial(laufer_by_recomputation, g)
     assert chain_verdicts(g, (1, 1, 1), (1, 1, 1), fundamental) == (True, True)
     assert chain_verdicts(g, (1, 2, 1), (1, 1, 1), fundamental) == (True, True)
     assert chain_verdicts(g, (2, 2, 2), (1, 1, 1), fundamental) == (False, False)

@@ -869,7 +869,7 @@ RECORDS = {
     "ValidationReport": (lambda: validate(build_ade("E", 6)), (
         "connected", "negative_definite", "tree", "rational", "gorenstein", "multiplicity",
         "failures", "z0", "pairing", "canonical", "lcm", "scales")),
-    "CycleInvariants": (lambda: invariants._invariants_of(build_ade("E", 6), (1, 2, 3, 2, 1, 2)), (
+    "CycleInvariants": (lambda: invariants._pointwise(build_ade("E", 6), (1, 2, 3, 2, 1, 2))[2], (
         "colength", "multiplicity", "min_gens", "u", "indices", "special", "ulrich")),
     "Filtration": (lambda: invariants.filtration(build_ade("E", 6), (2, 4, 6, 4, 2, 3)),
                    ("base", "steps")),

@@ -18,14 +18,16 @@ import os
 import sys
 import tempfile
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import pytest
 
 import dualcycles
 from dualcycles import classify, cli, invariants
-from dualcycles.cli import EXIT_VALIDATION, main
+from dualcycles.builders import GraphFormatError
+from dualcycles.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from dualcycles.invariants import (
+    MAX_FILTRATION,
     CycleError,
     InvalidGraphError,
     _pointwise,
@@ -33,6 +35,7 @@ from dualcycles.invariants import (
     fundamental_cycle,
     validate,
 )
+from dualcycles.lattice import DimensionError
 from corpus import DIGEST_DIR, counting, digest_argvs, write_digest_graphs
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "outputs.txt")
@@ -166,24 +169,35 @@ def test_classification_refuses_a_graph_as_the_library_does(corpus):
 
 
 def test_invariants_refuses_a_cycle_as_the_library_does(corpus):
-    # One owner of a cycle's preconditions: on a graph that validate
-    # accepts, every invariants request that exits 1 prints the error of
-    # _pointwise on its graph and cycle, and once the cycle passes, only
-    # the JSON form's filtration can refuse it.  A graph that validate
-    # rejects is the graph gate's (the test above).
-    refused = 0
-    for args, g, err in failures(corpus, "invariants"):
-        record = validate(g)
-        if not record.ok:
+    # One path for a one-cycle question: every invariants request whose
+    # --cycle the CLI reads ends as _pointwise on its graph and cycle
+    # does.  DimensionError exits 2, the gate's InvalidGraphError and a
+    # CycleError exit 1, each with its own error: line; an accepted cycle
+    # exits 0, or 1 in JSON form when its filtration is past the cap.
+    directory, requests, _ = corpus
+    ends = Counter()
+    for r in requests:
+        if "invariants" not in r.argv:
+            continue
+        args = cli._parse([a.replace(DIGEST_DIR, directory) for a in r.argv])
+        try:
+            g, cycle = cli._resolve_graph(args), cli._int_list(args.cycle, "cycle")
+        except GraphFormatError:  # refused before a cycle is read
             continue
         try:
-            _pointwise(g, cli._int_list(args.cycle, "cycle"), record)
-        except CycleError as e:
-            assert err == f"error: {e}\n"
-            refused += 1
+            _pointwise(g, cycle)
+        except (DimensionError, InvalidGraphError, CycleError) as e:
+            code = EXIT_USAGE if type(e) is DimensionError else EXIT_VALIDATION
+            assert (r.code, r.err) == (code, f"error: {e}\n"), r.argv
+            ends[type(e).__name__] += 1
         else:
-            assert args.format == "json" and "filtration has more than" in err, err
-    assert refused > 1000
+            capped = f"error: the filtration has more than {MAX_FILTRATION} coefficients\n"
+            assert (r.code, r.err) in ((EXIT_OK, ""), (EXIT_VALIDATION, capped)), r.argv
+            assert r.code == EXIT_OK or args.format == "json", r.argv
+            ends["accepted" if r.code == EXIT_OK else "capped"] += 1
+    # Every row but the four on the oversized files, whose graphs are refused.
+    assert ends == {"DimensionError": 372, "InvalidGraphError": 50, "CycleError": 1048,
+                    "accepted": 763, "capped": 1}
 
 
 def test_fundamental_refuses_a_graph_as_the_library_does(corpus):

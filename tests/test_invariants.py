@@ -28,6 +28,8 @@ from dualcycles.invariants import (
     fundamental_cycle,
     is_anti_nef,
     is_negative_definite,
+    is_special_cycle,
+    is_ulrich_cycle,
     min_gens,
     multiplicity,
     special_module_indices,
@@ -52,6 +54,7 @@ from corpus import (
     graph_of,
     inf_cycles,
     intersection,
+    laufer_by_recomputation,
     minus_m,
     path_graph,
     random_graphs,
@@ -211,16 +214,33 @@ class TestFundamentalCycle:
             assert min(z0) > 0
 
 
+# The seven per-cycle functions, then filtration: each one _pointwise call.
+PER_CYCLE = [colength, multiplicity, min_gens, u_invariant, special_module_indices,
+             is_special_cycle, is_ulrich_cycle, filtration]
+
+
 class TestGraphChecks:
-    @pytest.mark.parametrize(
-        "fn",
-        [colength, multiplicity, min_gens, u_invariant, special_module_indices, filtration],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("fn", PER_CYCLE, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("g, z", INVALID_GRAPHS.values(), ids=list(INVALID_GRAPHS))
     def test_invalid_graph_raises_typed_error(self, fn, g, z):
         with pytest.raises(InvalidGraphError):
             fn(g, z)
+        # A cycle one coefficient too long is refused before the graph is
+        # judged, as the CLI exits 2 on it.
+        r = g.vertex_count
+        with pytest.raises(DimensionError, match=f"^cycle has {r + 1} coefficients, graph has {r} "):
+            fn(g, z + (1,))
+
+    @pytest.mark.parametrize("fn", [classify.brute_force_anti_nef, classify.oracle_classify],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("g, finding", [
+        (DualGraph((-2,) * 3, [(0, 1)]), "graph is not connected"),
+        (INDEFINITE_STAR, "intersection matrix is not negative definite"),
+    ], ids=["disconnected", "indefinite"])
+    @pytest.mark.parametrize("bound", [0, -1, 1.5])
+    def test_oracle_refuses_the_graph_before_the_bound(self, fn, g, finding, bound):
+        with pytest.raises(InvalidGraphError, match=f"^{finding}$"):
+            fn(g, bound)
 
     @pytest.mark.parametrize(
         "fn",
@@ -586,9 +606,10 @@ ANTI_NEF = "cycle is not anti-nef (represents no ideal)"
 
 
 class TestPointwiseErrors:
-    """``_pointwise`` owns a cycle's preconditions, for the library and the
-    CLI alike: the length, then anti-nefness (no negative coefficient and
-    no positive pairing, one message), then the zero cycle."""
+    """``_pointwise`` is the one path of a one-cycle question, for the
+    library and the CLI alike: the length, then the graph gate, then
+    anti-nefness (no negative coefficient and no positive pairing, one
+    message), then the zero cycle."""
 
     @pytest.mark.parametrize(
         "z, error, message",
@@ -607,18 +628,25 @@ class TestPointwiseErrors:
         ],
     )
     def test_errors_in_order(self, z, error, message):
-        g = build_ade("A", 3)
         with pytest.raises(error) as e:
-            _pointwise(g, z, invariants.validate(g))
+            _pointwise(build_ade("A", 3), z)
         assert type(e.value) is error and str(e.value) == message
 
     def test_non_anti_nef_pairing_is_refused(self):
         # Above Z_0 = (1, 1, 1) with every coefficient positive: the
         # pairing alone refuses it, (2, 1, 1).E_2 = 1.
-        g = build_ade("A", 3)
         with pytest.raises(CycleError) as e:
-            _pointwise(g, (2, 1, 1), invariants.validate(g))
+            _pointwise(build_ade("A", 3), (2, 1, 1))
         assert str(e.value) == ANTI_NEF
+
+    def test_length_before_the_graph_gate(self):
+        # On a disconnected graph: the wrong length is refused as such,
+        # and a cycle of the right length gets the gate's finding.
+        g = DualGraph((-2,) * 3, [(0, 1)])
+        with pytest.raises(DimensionError, match="^cycle has 2 coefficients, graph has 3 vertices$"):
+            _pointwise(g, (1, 1))
+        with pytest.raises(InvalidGraphError, match="^graph is not connected$"):
+            _pointwise(g, (1, 1, 1))
 
 
 class TestFormulas:
@@ -757,17 +785,6 @@ def test_colength_and_multiplicity_of_sums(g, a, b):
     zw = intersection(g, z, w)
     assert colength(g, s) == colength(g, z) + colength(g, w) - zw
     assert multiplicity(g, s) == multiplicity(g, z) + multiplicity(g, w) - 2 * zw
-
-
-def laufer_by_recomputation(g, verts):
-    """Reference Laufer loop: recompute every pairing before each bump."""
-    z = [1 if i in verts else 0 for i in range(g.vertex_count)]
-    while True:
-        pairing = pairing_vector(g, tuple(z))
-        positive = [i for i in sorted(verts) if pairing[i] > 0]
-        if not positive:
-            return tuple(z)
-        z[positive[0]] += 1
 
 
 @settings(max_examples=150, deadline=None)

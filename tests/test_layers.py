@@ -65,7 +65,6 @@ CROSSINGS = {
     ("cli", "classify", "_classify"),
     ("cli", "invariants", "_filtration"),
     ("cli", "invariants", "_pointwise"),
-    ("cli", "invariants", "_rational"),
     ("invariants", "lattice", "_reach"),
 }
 
