@@ -60,13 +60,12 @@ class ClassificationEntry(namedtuple("ClassificationEntry", (
     __slots__ = ()
 
 
-def _zero_components(g: DualGraph, zeros: list[int]):
-    """The components of the vertices ``zeros`` as a list, each in its
-    search order: one ``lattice._reach`` inside them starts at each vertex
-    of ``zeros`` that no earlier search reached (``_reach`` takes its
-    component out of the set)."""
+def _candidates(g: DualGraph, zeros: list[int], starts=()) -> list:
+    """The ``invariants._laufer`` result of the component of each vertex of
+    ``starts`` (of ``zeros`` when empty) inside the vertices ``zeros``, one
+    call from each that no earlier call took out."""
     left = set(zeros)
-    return [_reach(g, s, left) for s in zeros if s in left]
+    return [_laufer(g, s, left) for s in starts or zeros if s in left]
 
 
 def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
@@ -111,13 +110,13 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
       n_v at every earlier step.
 
     A step past ``max_depth`` is dropped unless ``ulrich`` is set and the
-    step keeps K.  The surviving set lies inside C, so a component that
-    misses a heavy vertex (weight <= -3) cannot keep K: past
-    ``max_depth`` such a component, and every component when ``ulrich``
-    is false, is dropped before Laufer's loop runs.  A node whose
-    children all fall past ``max_depth`` gets no zero-locus search at all
-    (no ``_zero_components``, no ``_reach``) when none of them can keep
-    K: when ``ulrich`` is false, when the node's own step does not keep K
+    step keeps K.  The surviving set lies inside C, so only a component
+    that holds every heavy vertex (weight <= -3) can keep K: past
+    ``max_depth`` only the component of the least heavy vertex (every
+    component when there is none) is searched.  A node whose children
+    all fall past ``max_depth`` gets no zero-locus search at all (no
+    ``_candidates``, no ``_laufer``) when none of them can keep K: when
+    ``ulrich`` is false, when the node's own step does not keep K
     (the increments decrease, so no later step gets back a heavy vertex's
     full coefficient), or when its pairing is nonzero at a heavy vertex,
     which then lies in no component.  So ``classify --ulrich`` on a graph
@@ -141,45 +140,45 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     and a vertex survives exactly when a_v = n_v * colength(Z).
 
     A step Y on a component C does O(|C| + boundary) Python work and O(r)
-    at C speed: Laufer's loop, then one pass over C.  Laufer's loop runs
-    on C alone (connected by construction, definite inside a definite
-    graph) and also returns the edges (v, u) that leave C.  P = M.Z moves
-    by M.Y only on C and its boundary.  On C the parent's P is zero, so
-    the child's is the pairing of Y over C that Laufer's loop returns,
-    <= 0.  Off C, y_v is added at the far end u of each leaving edge, and
-    the step is dropped at the first positive sum: the anti-nef test reads
-    the boundary only, as every other entry stays as the anti-nef
-    parent's.  The one pass over C writes Y, Z + Y and the child's P on C,
-    moves the four sums, and collects the surviving set and the child's
-    zero vertices, whose components ``_zero_components`` lists, each then
-    one step on the stack: ``_classify`` sorts the cycles and none is
-    reached twice, so the order the walk meets them in cannot be seen.
-    Y and Z + Y are length-r tuples and P a length-r list, each built
-    from the parent's, and Z_0's P comes from the graph's report: the
-    walk builds no pairing vector.  P lives only while the node's steps
-    are on the stack; a node keeps its four sums,
-    moved exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v,
-    K.Z gains y_v K.E_v and Z.Z_0 gains y_v (M.Z_0)_v, and the new
-    a_v L/n_v enters the maximum.  Z_0's are -Z_0^2, K.Z_0 = -Z_0^2 - 2
-    (p_a(Z_0) = 0) and L.
+    at C speed: one ``_laufer`` from a zero vertex inside the node's zero
+    vertices (``_candidates``), which finds C, gives Y (C is definite
+    inside a definite graph) and the edges (v, u) that leave C, then one
+    pass over C.  P = M.Z moves by M.Y only on C and its boundary.  On C
+    the parent's P is zero, so the child's is the pairing of Y over C that
+    Laufer's loop returns, <= 0.  Off C, y_v is added at the far end u of
+    each leaving edge, and the step is dropped at the first positive sum:
+    the anti-nef test reads the boundary only, as every other entry stays
+    as the anti-nef parent's.  The one pass over C writes Y, Z + Y and the
+    child's P on C, moves the sums, and collects the surviving set and the
+    child's zero vertices, whose components' ``_laufer`` results
+    ``_candidates`` lists, each then one step on the stack: ``_classify``
+    sorts the cycles and none is reached twice, so the order the walk
+    meets them in cannot be seen.  Y and Z + Y are length-r tuples and P a
+    length-r list, each built from the parent's, and Z_0's P comes from
+    the graph's report: the walk builds no pairing vector.  P lives only
+    while the node's steps are on the stack; a node keeps its four sums,
+    moved exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v
+    (M.Y)_v, K.Z gains y_v K.E_v, and the new a_v L/n_v enters the
+    maximum.  Z.Z_0 = Z_0^2 on every walked cycle: every step's C lies
+    inside C_1, in the zero locus of M.Z_0, so Y.Z_0 = 0; hence mu(I_Z) =
+    1 - Z.Z_0 = e + 1, e = -Z_0^2.  Z_0's sums are -e, K.Z_0 = e - 2
+    (p_a(Z_0) = 0), -e and L.
     """
     z0, root, canonical, scales = record.z0, record.pairing, record.canonical, record.scales
     heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)
+    past = sorted(heavy)[:1]  # the starts past max_depth: K needs every heavy vertex in C
     sums = (-record.multiplicity, record.multiplicity - 2, -record.multiplicity, record.lcm)
     best = {z0: ((), frozenset(range(g.vertex_count)), True, sums)}
 
-    # A stack of candidate steps (component, parent's Z, pairing, chain,
-    # sums), a node's all pushed when it is recorded, so chain length is
-    # not bounded by the interpreter's recursion.
+    # A stack of candidate steps (Laufer's result, parent's Z, pairing,
+    # chain, sums), a node's all pushed when it is recorded, so chain
+    # length is not bounded by the interpreter's recursion.
     stack = []
     if max_depth > 0 or ulrich and not any(root[v] for v in heavy):
         zeros = [v for v, p in enumerate(root) if not p]
-        stack = [(c, z0, root, (), sums) for c in _zero_components(g, zeros)]
+        stack = [(c, z0, root, (), sums) for c in _candidates(g, zeros, () if max_depth else past)]
     while stack:
-        comp, z_prev, pairing, chain, (sq, kz, zz, top) = stack.pop()
-        if len(chain) >= max_depth and not (ulrich and heavy.issubset(comp)):
-            continue  # only a K step enters past max_depth, and K needs every heavy vertex in C
-        ys, on_c, leaving = _laufer(g, comp)
+        (ys, on_c, leaving), z_prev, pairing, chain, (sq, kz, zz, top) = stack.pop()
         p_new = list(pairing)
         for v, u in leaving:
             p_new[u] += ys[v]
@@ -191,8 +190,9 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
                 p = p_new[v] = on_c[v]
                 y[v] = a
                 z_new[v] += a
-                # The sums become the child's; each step pops its parent's.
-                sq, kz, zz = sq + a * p, kz + a * canonical[v], zz + a * root[v]
+                # The sums become the child's; each step pops its parent's,
+                # and Z.Z_0, zz, never moves.
+                sq, kz = sq + a * p, kz + a * canonical[v]
                 if z_new[v] * scales[v] > top:
                     top = z_new[v] * scales[v]
                 if a == z0[v]:
@@ -207,7 +207,8 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
             sums = (sq, kz, zz, top)
             best[z_new] = (new_chain, frozenset(surviving), keeps, sums)
             if len(new_chain) < max_depth or keeps and ulrich and not any(p_new[v] for v in heavy):
-                stack += [(c, z_new, p_new, new_chain, sums) for c in _zero_components(g, zeros)]
+                found = _candidates(g, zeros, past if len(new_chain) >= max_depth else ())
+                stack += [(c, z_new, p_new, new_chain, sums) for c in found]
     return best
 
 

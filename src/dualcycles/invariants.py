@@ -3,11 +3,11 @@ numerical invariants of its anti-nef cycles, each formula in one place.
 
 ``validate`` returns one report per call, kept nowhere: its verdicts
 and findings, with Z_0, M.Z_0, K.E_i, L = lcm(n_i) and L/n_i when Z_0
-exists.  Connectedness is one ``lattice._reach`` per component, and
-negative definiteness is Laufer's loop (``_certified``), with the exact
-elimination of ``is_negative_definite`` only on a set whose loop passes
-its bump budget.  ``fundamental_cycle`` reads Z_0 off the report, or
-decides a given support with one search and one certificate.  Each
+exists.  Connectedness and negative definiteness are one ``_laufer`` per
+component, which searches the component and certifies it, with the exact
+elimination of ``is_negative_definite`` only on a component whose loop
+passes its bump budget.  ``fundamental_cycle`` reads Z_0 off the report,
+or decides a given support with one ``_laufer``.  Each
 entry point, the classifiers' included, computes the report once per
 call and hands it to the functions below; ``_z0_report`` is the one
 gate of the entry points that need Z_0 alone, and ``_rational`` of the
@@ -28,7 +28,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .lattice import Cycle, DualGraph, _reach, pairing_vector
+from .lattice import Cycle, DualGraph, pairing_vector
 
 
 # The most coefficients a filtration may hold, steps times r.  Its step
@@ -46,44 +46,54 @@ class CycleError(ValueError):
     """A cycle violates a precondition (negativity, not anti-nef, ...)."""
 
 
-def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
+def _laufer(g: DualGraph, start: int, left: set[int]):
     """({vertex: coefficient}, {vertex: pairing}, [(v, u), ...]) of the
-    fundamental cycle on ``verts``: Z and M.Z over ``verts``, both in the
-    order of ``verts``, and the edges from a v in ``verts`` to a u outside
-    it, in the order the first loop meets them.
+    component C of ``start`` inside the set ``left``, or None when C is
+    not negative definite: the fundamental cycle Z and M.Z over C, both
+    in breadth-first order with neighbours in index order, and the edges
+    from a v in C to a u outside it, in the order the search meets them.
+    C is taken out of ``left``, as ``lattice._reach`` does.
 
-    Laufer's loop: start from 1 everywhere and bump any vertex whose
-    pairing over ``verts`` is positive.  A bump below the fundamental
-    cycle stays below it, so the loop ends at that cycle whatever the
-    order, after sum(Z) - |verts| bumps: no order is observable, and no
-    heap is needed to pick the vertex.  The pairing is updated per bump
-    and its positive vertices kept on a stack, the last pushed bumped
-    first (deterministic, so traces are reproducible): a bump costs
-    O(deg), nothing costs O(r).  The starting pairing is one plain loop
-    over each vertex's neighbours, with no iterator object per vertex; it
-    tests every edge for membership already, so it also lists the edges
-    that leave ``verts``.  ``verts`` must be connected, unchecked.
-    On a set that is not negative definite the loop may never end, so
-    past ``budget`` bumps it gives up and returns None (no budget: the
-    set must be definite).
+    The first loop is the search, and it tests every neighbour of C for
+    membership, so it also gives the pairing of all ones over C and the
+    leaving edges.  Then Laufer's loop bumps any vertex whose pairing over
+    C is positive.  A bump below the fundamental cycle stays below it, so
+    the loop ends at that cycle whatever the order, after sum(Z) - |C|
+    bumps: no order is observable, and no heap is needed to pick the
+    vertex.  The positive vertices are kept on a stack, the last pushed
+    bumped first (deterministic, so traces are reproducible): a bump costs
+    O(deg), nothing costs O(r).  Stopping certifies C: at Z > 0 with
+    M.Z <= 0, -M over C is an irreducible Z-matrix, and it is a
+    nonsingular M-matrix, so positive definite being symmetric, exactly
+    when M.Z != 0 (Berman and Plemmons); M.Z = 0 makes Z^2 = 0.  On an
+    indefinite C the loop may never end, so past a budget of 8 bumps a
+    vertex plus 64, one exact integer elimination over C alone
+    (``is_negative_definite``) decides, and a definite C finishes the loop.
     """
-    z = dict.fromkeys(verts, 1)
+    z, order = {start: 1}, [start]
     weights, nbrs = g.weights, g._neighbors
     # The pairing of all ones, and exactly the vertices where it is positive.
     pairing, positive, leaving = {}, [], []
-    for v in z:
+    for v in order:  # the list grows while it is walked: a queue
         p = weights[v]
         for u in nbrs[v]:
             if u in z:
+                p += 1
+            elif u in left:
+                z[u] = 1
+                order.append(u)
                 p += 1
             else:
                 leaving.append((v, u))
         pairing[v] = p
         if p > 0:
             positive.append(v)
-    for _ in itertools.repeat(None) if budget is None else itertools.repeat(None, budget + 1):
-        if not positive:
-            return z, pairing, leaving
+    left.difference_update(order)
+    budget = 8 * len(order) + 64
+    while positive:
+        if not budget and not is_negative_definite(g, order):
+            return None
+        budget -= 1
         i = positive[-1]
         z[i] += 1
         pairing[i] += weights[i]
@@ -94,7 +104,7 @@ def _laufer(g: DualGraph, verts: Iterable[int], budget: int | None = None):
                 pairing[j] += 1
                 if pairing[j] == 1:
                     positive.append(j)
-    return None
+    return (z, pairing, leaving) if any(pairing.values()) else None
 
 
 def is_negative_definite(g: DualGraph, vertices: Iterable[int] | None = None) -> bool:
@@ -137,24 +147,6 @@ def is_negative_definite(g: DualGraph, vertices: Iterable[int] | None = None) ->
     return True
 
 
-def _certified(g: DualGraph, verts) -> tuple[dict[int, int], dict[int, int], list] | None:
-    """``_laufer`` on a connected ``verts`` when it is negative definite,
-    else None: Z, M.Z over ``verts`` and the edges that leave it.
-
-    Laufer's loop is the certificate: if it stops, at Z > 0 with M.Z <= 0,
-    then -M over ``verts`` is an irreducible Z-matrix, and it is a
-    nonsingular M-matrix, so positive definite being symmetric, exactly
-    when M.Z != 0 (Berman and Plemmons); M.Z = 0 makes Z^2 = 0.  Past a
-    budget of 8 bumps a vertex plus 64, one exact integer elimination over
-    ``verts`` alone (``is_negative_definite``) decides instead, and the
-    loop then runs unbounded on a definite set.
-    """
-    found = _laufer(g, verts, 8 * len(verts) + 64)
-    if found is None:
-        return _laufer(g, verts) if is_negative_definite(g, verts) else None
-    return found if any(found[1].values()) else None
-
-
 def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cycle:
     """Minimal nonzero cycle Z with Supp(Z) = vertices and Z.E_i <= 0 there.
 
@@ -162,10 +154,9 @@ def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cy
     of ``_z0_report``: the graph is not negative definite, then it is not
     connected.  A support, full or not, is deduplicated and sorted (TypeError
     first on a vertex that is not an integer), then decided in this order,
-    each failure a ValueError: it is nonempty, inside 0..r-1, covered by one
-    ``_reach`` from its least vertex, and certified by one ``_certified``
-    (Laufer's loop, with one integer elimination over the support only past
-    its bump budget), whose loop gives Z.
+    each failure a ValueError: it is nonempty, inside 0..r-1, the one
+    component of its least vertex, and negative definite, all read off one
+    ``_laufer`` from that vertex, whose loop gives Z.
     """
     if vertices is None:
         return _z0_report(g).z0
@@ -176,9 +167,10 @@ def fundamental_cycle(g: DualGraph, vertices: Iterable[int] | None = None) -> Cy
         raise ValueError(
             f"support has vertices outside the graph's {g.vertex_count} vertices"
         )
-    if len(_reach(g, verts[0], set(verts))) != len(verts):
+    left = set(verts)
+    found = _laufer(g, verts[0], left)
+    if left:
         raise ValueError("fundamental cycle needs a connected support")
-    found = _certified(g, verts)
     if found is None:
         raise ValueError("fundamental cycle needs a negative definite support")
     return tuple(found[0].get(v, 0) for v in range(g.vertex_count))
@@ -211,25 +203,22 @@ def validate(g: DualGraph) -> ValidationReport:
     the first of them "graph is not connected" or "intersection matrix is
     not negative definite" when Z_0 is not computable.
 
-    One breadth-first search per component (``lattice._reach``), and
-    Laufer's loop on each component (``_certified``), which certifies its
-    definiteness.  A connected graph takes one search, from vertex 0, and
-    one loop, over the vertices in index order, which gives Z_0 and M.Z_0,
-    whence p_a(Z_0).  On a disconnected graph the components after vertex
-    0's are searched lazily, by least vertex, each certified before the
-    next is searched.  No elimination runs over more than one component,
-    and the first component that is not definite ends the check.
+    One ``_laufer`` per component, which searches the component and
+    certifies its definiteness.  A connected graph takes one, from vertex
+    0, which gives Z_0 and M.Z_0, whence p_a(Z_0).  On a disconnected
+    graph the components after vertex 0's are taken lazily, by least
+    vertex.  No elimination runs over more than one component, and the
+    first component that is not definite ends the check.
     Nothing is kept between calls: each call returns a fresh, equal
     report, so a caller computes it once and passes it down, and a
     dropped graph holds no memory here.
     """
     r = len(g.weights)
     left = set(range(r))
-    first = _reach(g, 0, left)
+    found = _laufer(g, 0, left)
     connected = not left  # the first search reached every vertex
-    found = _certified(g, range(r) if connected else first)
     definite = found is not None and (connected or all(
-        _certified(g, _reach(g, v, left)) for v in range(r) if v in left))
+        _laufer(g, v, left) for v in range(r) if v in left))
     failures = []
     if not connected:
         failures.append("graph is not connected")
@@ -245,7 +234,7 @@ def validate(g: DualGraph) -> ValidationReport:
             "negative definite graph)"
         )
         return ValidationReport(connected, definite, tree, False, False, None, tuple(failures))
-    z0, pairing = tuple(found[0].values()), tuple(found[1].values())
+    z0, pairing = tuple(map(found[0].get, range(r))), tuple(map(found[1].get, range(r)))
     canonical = tuple([-2 - w for w in g.weights])
     lcm = math.lcm(*z0)
     zz = sum(map(operator.mul, z0, pairing))

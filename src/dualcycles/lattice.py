@@ -1,11 +1,12 @@
-"""The dual graph type, its one graph search, and exact integer
-arithmetic on cycles over a fixed graph.
+"""The dual graph type, a graph search, and exact integer arithmetic on
+cycles over a fixed graph.
 
 A dual graph is a weighted simple graph: vertices are exceptional curves,
 the weight of a vertex is its self-intersection number, and an edge means
-the two curves meet transversally in one point.  ``_reach`` is the
-breadth-first search that every component and connectedness question
-runs.  A cycle is an integer coefficient vector over the vertices.
+the two curves meet transversally in one point.  ``_reach`` is a
+breadth-first search inside a vertex set, which orders the oracle's box
+search; ``invariants._laufer`` finds each component it certifies with
+the same search.  A cycle is an integer coefficient vector over the vertices.
 Everything here is exact integer arithmetic; coefficients may be
 negative (differences of cycles are legitimate lattice elements),
 positivity is enforced by callers that need it.  ``invariants`` judges

@@ -184,6 +184,19 @@ def cycle_sums(g: DualGraph, z, z0) -> tuple[int, int, int, int]:
             max(a * lcm // n for a, n in zip(z, z0)))
 
 
+def check_ulrich_numbers(e: int, rows) -> int:
+    """Assert min_gens = e + 1 and multiplicity = e colength on each
+    (colength, multiplicity, min_gens) row of an Ulrich cycle Z of a
+    multiplicity-e graph; the number of rows.  Both follow from
+    Z.Z_0 = Z_0^2 = -e (``classify._walk``) and U(Z) = Z^2 - (Z.Z_0)
+    colength(Z) = 0, at every multiplicity."""
+    count = 0
+    for ell, mult, mu in rows:
+        assert (mu, mult) == (e + 1, e * ell), (e, ell, mult, mu)
+        count += 1
+    return count
+
+
 def minus_m(g: DualGraph) -> list[list[int]]:
     """-M as a dense list of rows."""
     r = g.vertex_count

@@ -14,7 +14,7 @@ anti-nef cycle of a box: the special and Ulrich columns that
 
 ``check_walk`` checks the four sums the walk keeps for every node, Z^2,
 K.Z, Z.Z_0 and max_i a_i L/n_i, against their reductions from the
-lattice definitions.
+lattice definitions, and Z.Z_0 = Z_0^2 on every node.
 
 Run the three checks over the 7-vertex tree census with
 ``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.check_census(7))"``.
@@ -32,8 +32,8 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
-    ORACLE_CORPUS, components, cycle_sums, graph_of, laufer_by_recomputation, oracle_graph,
-    tree_classes,
+    ORACLE_CORPUS, check_ulrich_numbers, components, cycle_sums, graph_of,
+    laufer_by_recomputation, oracle_graph, tree_classes,
 )
 
 
@@ -46,22 +46,25 @@ def census_graphs(max_vertices: int) -> list[DualGraph]:
 
 
 def check_entries(g: DualGraph) -> int:
-    """Assert the three entry facts on every entry of ``_classify(g)``;
-    the number of distinct entries."""
+    """Assert the three entry facts on every entry of ``_classify(g)``,
+    and ``corpus.check_ulrich_numbers`` on its Ulrich entries; the number
+    of distinct entries."""
     special, ulrich = _classify(g)
-    z0 = _rational(g).z0
+    record = _rational(g)
     entries = {e.cycle: e for e in special + ulrich}
     for z, e in entries.items():
-        assert e.chain == _filtration(z, z0), z
+        assert e.chain == _filtration(z, record.z0), z
         assert e.module_indices == special_module_indices(g, z), z
         assert e.kind in ("special", "both"), z
     assert all(e.kind == "both" for e in ulrich)
+    check_ulrich_numbers(record.multiplicity, (e[1:4] for e in ulrich))
     return len(entries)
 
 
 def check_walk(g: DualGraph) -> int:
     """Assert that each node of ``_classify(g)``'s walk keeps its cycle's
-    four sums (``corpus.cycle_sums``), and the depth lemma of ``_walk``:
+    four sums (``corpus.cycle_sums``), Z.Z_0 = Z_0^2 among them, and the
+    depth lemma of ``_walk``:
     each step's support lies strictly inside the previous step's (all
     vertices at the root), so no chain has more than z = #{v: (M.Z_0)_v
     = 0} steps; the number of nodes."""
@@ -71,6 +74,7 @@ def check_walk(g: DualGraph) -> int:
     best = _walk(g, record, r, True)
     for cycle, (chain, _, _, sums) in best.items():
         assert sums == cycle_sums(g, cycle, record.z0), cycle
+        assert sums[2] == -record.multiplicity, cycle  # Z.Z_0 = Z_0^2
         assert len(chain) <= z, cycle
         inside = set(range(r))
         for y, _ in chain:

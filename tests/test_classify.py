@@ -22,7 +22,6 @@ from dualcycles.classify import (
     _box_search,
     _classify,
     _walk,
-    _zero_components,
     brute_force_anti_nef,
     enumerate_special,
     enumerate_ulrich,
@@ -53,12 +52,14 @@ from corpus import (
     STAR,
     canonical_degree,
     chain_cycles_in_box,
+    check_ulrich_numbers,
     components,
     connected_graphs,
     counting,
     cycle_sums,
     graph_of,
     intersection,
+    laufer_by_recomputation,
     oracle_graph,
     random_trees,
     run_child,
@@ -412,15 +413,35 @@ class TestEnumerators:
                       [(i, i + 1) for i in range(99)])
         real, sizes = classify._laufer, []
 
-        def spy(g, verts, *args):
-            sizes.append(len(verts))
-            return real(g, verts, *args)
+        def spy(g, start, left):
+            found = real(g, start, left)
+            sizes.append(len(found[0]))
+            return found
 
         monkeypatch.setattr(classify, "_laufer", spy)
         assert [e.cycle for e in enumerate_ulrich(g)] == [(1,) * 100]
         assert sizes == []
         assert len(enumerate_special(g, 2)) == 3  # depth 1 walks both components
         assert sorted(sizes) == [39, 58]  # in search order, which is not part of the contract
+        # A -2 centre, vertex 0, with arms 1-2 and 3-4 and a -3 leaf 5: Z_0's
+        # zero locus is {1, 2}, {3, 4} and {5}, and past max_depth only
+        # the component of the least heavy vertex, 5, gets a loop.
+        g = DualGraph((-2,) * 5 + (-3,), [(0, 1), (0, 3), (0, 5), (1, 2), (3, 4)])
+        sizes.clear()
+        assert [e.cycle for e in enumerate_ulrich(g)] == [(3, 2, 1, 2, 1, 1), (3, 2, 1, 2, 1, 2)]
+        assert sizes == [1]
+        sizes.clear()
+        ulrich = _classify(g)[1]
+        assert sorted(sizes) == [1, 2, 2]  # the full walk: every component
+        assert [e.cycle for e in ulrich] == [(3, 2, 1, 2, 1, 1), (3, 2, 1, 2, 1, 2)]
+        # The same past max_depth below the root: on this tree the K step
+        # on {0, 1, 2, 4, 5} leaves three one-vertex zero components, and
+        # only that of the -3 vertex 2 gets a loop.
+        g = DualGraph((-2, -2, -3) + (-2,) * 5,
+                      [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (5, 7)])
+        sizes.clear()
+        assert [e.cycle[:3] for e in enumerate_ulrich(g)] == [(2, 2, 1), (3, 4, 2), (3, 4, 3)]
+        assert sizes == [5, 1]
 
     @pytest.mark.parametrize("n, q", [(37, 10), (395, 296)], ids=["37-10", "395-296"])
     def test_ulrich_walk_searches_no_zero_locus_that_yields_no_step(self, monkeypatch, n, q):
@@ -431,7 +452,7 @@ class TestEnumerators:
         g = build_cyclic(n, q)
         reference = _classify(g)[1]  # both lists: the search runs to full depth
         calls = []
-        for name in ("_zero_components", "_reach"):
+        for name in ("_candidates", "_laufer", "_reach"):
             real = getattr(classify, name)
             monkeypatch.setattr(classify, name, lambda *a, real=real, name=name: (
                 calls.append(name) or real(*a)))
@@ -440,25 +461,30 @@ class TestEnumerators:
         assert calls == []
 
     @pytest.mark.parametrize("family, index, work", [
-        ("A", 400, (200, 199, 39_800, 199)),
-        ("D", 300, (152, 299, 22_499, 299)),
-        ("E", 8, (2, 2, 13, 2)),
+        ("A", 400, (200, 199, 39_800)),
+        ("D", 300, (152, 299, 22_499)),
+        ("E", 8, (2, 2, 13)),
     ], ids=["A400", "D300", "E8"])
     def test_walk_work_is_exact(self, monkeypatch, family, index, work):
         # The full walk's work, counted: (nodes, Laufer loops, vertices
-        # those loops start from, zero-locus searches).  One loop per
-        # candidate component and one search per component, so a walk
+        # in their components).  One loop per candidate component, which
+        # searches the component itself, and no other search, so a walk
         # that re-scans a component or re-walks a chain fails here on any
         # machine.
         g = build_ade(family, index)
         record = validate(g)
-        sizes, searches = [], []
-        laufer, reach = classify._laufer, classify._reach
-        monkeypatch.setattr(classify, "_laufer", lambda g, verts, *a: (
-            sizes.append(len(verts)) or laufer(g, verts, *a)))
-        monkeypatch.setattr(classify, "_reach", counting(searches, "_reach", reach))
+        sizes, searches, laufer = [], [], classify._laufer
+
+        def spy(g, start, left):
+            found = laufer(g, start, left)
+            sizes.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(classify, "_laufer", spy)
+        monkeypatch.setattr(classify, "_reach", counting(searches, "_reach", classify._reach))
         best = _walk(g, record, math.inf, True)
-        assert (len(best), len(sizes), sum(sizes), len(searches)) == work
+        assert (len(best), len(sizes), sum(sizes)) == work
+        assert searches == []
 
     @pytest.mark.parametrize("family, index", [("A", 400), ("D", 300)], ids=["A400", "D300"])
     def test_walk_peak_memory_is_about_what_it_returns(self, family, index):
@@ -560,7 +586,14 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("kind, a, b", ORACLE_CORPUS)
     def test_chain_route_equals_oracle(self, kind, a, b):
         g = oracle_graph(kind, a, b)
-        assert chain_cycles_in_box(g, 4) == oracle_classify(g, 4)
+        special, ulrich = oracle_classify(g, 4)
+        assert chain_cycles_in_box(g, 4) == (special, ulrich)
+        # Off the walk, each Ulrich row's own sums give min_gens = e + 1
+        # and multiplicity = e colength.
+        z0 = fundamental_cycle(g)
+        rows = ((-(sq + kz) // 2, -sq, 1 - zz)
+                for sq, kz, zz, _ in (cycle_sums(g, z, z0) for z in ulrich))
+        assert check_ulrich_numbers(-intersection(g, z0, z0), rows) == len(ulrich) > 0
 
     @pytest.mark.parametrize("index", [7, 8])
     def test_large_bounds_match_golden_table_and_chain_route(self, index):
@@ -785,20 +818,30 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
             assert best[parent][0] == chain[:-1]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(random_trees(7), st.data())
-def test_zero_components_split_the_zero_list(g, data):
-    # The walk's search splits a list of zero vertices, in any order, into
-    # the components of the set it lists: disjoint, connected and covering
-    # it.  Their order is not part of the contract: _classify sorts the
-    # cycles, and no cycle is reached twice
+def test_laufer_takes_out_the_start_component(g, data):
+    # The walk's one call per zero-locus component: from any start, inside
+    # any set, _laufer takes out exactly the start's component, lists the
+    # edges that leave it, and on a definite one gives its fundamental
+    # cycle.  The order of the components is not part of the contract:
+    # _classify sorts the cycles, and no cycle is reached twice
     # (test_walk_sibling_order_cannot_be_seen).
     r = g.vertex_count
-    zeros = data.draw(st.permutations(range(r)))[:data.draw(st.integers(0, r))]
-    got = _zero_components(g, zeros)
-    assert isinstance(got, list)  # the walk pushes them all at once
-    assert sorted(v for c in got for v in c) == sorted(zeros)
-    assert sorted(map(sorted, got)) == sorted(map(sorted, components(g, zeros)))
+    left = set(data.draw(st.sets(st.integers(0, r - 1))))
+    start = data.draw(st.integers(0, r - 1))
+    comp = next(c for c in components(g, left | {start}) if start in c)
+    rest = left - comp
+    found = classify._laufer(g, start, left)
+    assert left == rest
+    if not is_negative_definite(g, comp):
+        assert found is None
+        return
+    z, pairing, leaving = found
+    assert set(z) == set(pairing) == comp
+    assert tuple(z.get(v, 0) for v in range(r)) == laufer_by_recomputation(g, comp)
+    assert sorted(leaving) == sorted((v, u) for v in comp for u in g.neighbors(v)
+                                     if u not in comp)
 
 
 def test_walk_sibling_order_cannot_be_seen(monkeypatch):
@@ -813,14 +856,14 @@ def test_walk_sibling_order_cannot_be_seen(monkeypatch):
     graphs += [build_cyclic(n, q) for n in range(2, 30) for q in range(1, n) if math.gcd(n, q) == 1]
     both = lambda: [(_walk(g, validate(g), math.inf, True), _classify(g)) for g in graphs]
     before = both()
-    real, forks = classify._zero_components, []
+    real, forks = classify._candidates, []
 
-    def reversed_components(g, zeros):
-        comps = real(g, zeros)
+    def reversed_components(g, zeros, starts=()):
+        comps = real(g, zeros, starts)
         forks.append(len(comps) > 1)
         return comps[::-1]
 
-    monkeypatch.setattr(classify, "_zero_components", reversed_components)
+    monkeypatch.setattr(classify, "_candidates", reversed_components)
     assert both() == before
     assert sum(forks) > 100  # nodes whose siblings the reversal reorders
 

@@ -17,7 +17,6 @@ from dualcycles.builders import (
 from dualcycles.invariants import (
     MAX_FILTRATION,
     CycleError,
-    _certified,
     _co_genera,
     _formulas,
     _laufer,
@@ -138,9 +137,9 @@ class TestFundamentalCycle:
                 fundamental_cycle(g, frozenset({0, 2}))
 
     def test_full_support_gives_z0(self):
-        # An explicit full support takes the support path (one search and
-        # one certificate), not a read of validate's report; the
-        # caterpillar's loop passes its budget, so its elimination runs.
+        # An explicit full support takes the support path (one Laufer
+        # loop), not a read of validate's report; the caterpillar's loop
+        # passes its budget, so its elimination runs.
         graphs = [g for g in map(graph_of, tree_classes(6)) if validate(g).rational]
         graphs += [build_ade(f, n) for f, ns in (("A", range(1, 31)), ("D", range(4, 31)),
                                                  ("E", (6, 7, 8))) for n in ns]
@@ -150,17 +149,27 @@ class TestFundamentalCycle:
             assert fundamental_cycle(g, range(g.vertex_count)) == fundamental_cycle(g), g
 
     def test_support_runs_one_search_and_one_certificate(self, monkeypatch):
-        # Z_0 is one report, whose validation runs one search and one
-        # certificate; a support runs one of each and no validation.
+        # Z_0 is one report, whose validation runs one Laufer loop, which
+        # searches its own component and certifies it; a support runs one
+        # loop and no validation.  No separate search runs: invariants
+        # holds no _reach.
         g = build_ade("E", 8)
         calls = []
-        for name in ("_reach", "_certified", "validate"):
+        for name in ("_laufer", "validate"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
+        monkeypatch.setattr(lattice, "_reach", counting(calls, "_reach", lattice._reach))
+        assert not hasattr(invariants, "_reach")
         assert fundamental_cycle(g) == (2, 4, 6, 5, 4, 3, 2, 3)
-        assert calls == ["validate", "_reach", "_certified"]
+        assert calls == ["validate", "_laufer"]
         calls.clear()
         assert fundamental_cycle(g, range(8)) == (2, 4, 6, 5, 4, 3, 2, 3)
-        assert calls == ["_reach", "_certified"]
+        assert calls == ["_laufer"]
+        # A disconnected support is refused after the one loop, which
+        # takes out its least vertex's component only.
+        calls.clear()
+        with pytest.raises(ValueError, match="^fundamental cycle needs a connected support$"):
+            fundamental_cycle(g, {0, 1, 3, 4})
+        assert calls == ["_laufer"]
 
     @pytest.mark.parametrize("verts", [{-1}, {98}, {0, 1, 3}], ids=["-1", "98", "0,1,3"])
     def test_rejects_support_outside_the_graph(self, verts):
@@ -276,13 +285,14 @@ class TestGraphChecks:
         assert not hasattr(classify, "InvalidGraphError")
 
     def test_validation_does_its_work_once(self, monkeypatch):
-        # One component search per call on a connected graph and no
-        # elimination on a definite one, whose Laufer loop certifies it;
-        # one elimination on a graph whose loop runs past its budget.
-        # The validator, Z_0 and the classifiers each validate once per
-        # call, and no call keeps its report for the next.
+        # One Laufer loop per call on a connected graph, which searches
+        # the graph, and no elimination on a definite one, whose loop
+        # certifies it; one elimination on a graph whose loop runs past
+        # its budget.  The validator, Z_0 and the classifiers each
+        # validate once per call, and no call keeps its report for the
+        # next.  A disconnected graph takes one loop per component.
         calls = []
-        for name, key in (("is_negative_definite", "eliminations"), ("_reach", "search")):
+        for name, key in (("is_negative_definite", "eliminations"), ("_laufer", "search")):
             monkeypatch.setattr(invariants, name, counting(calls, key, getattr(invariants, name)))
         g = DualGraph((-3, -2, -5, -2, -2, -4, -2, -7), [(i, i + 1) for i in range(7)])
         assert validate(g).ok
@@ -299,6 +309,9 @@ class TestGraphChecks:
         calls.clear()
         assert fundamental_cycle(CATERPILLAR) == CATERPILLAR_Z0
         assert sorted(calls) == ["eliminations", "search"]
+        calls.clear()
+        assert not validate(DualGraph((-2,) * 5, [(0, 3), (1, 4)])).connected
+        assert calls == ["search"] * 3
 
 
 class TestReportConstants:
@@ -323,11 +336,6 @@ class TestReportConstants:
         assert (rep.lcm, rep.scales) == (lcm, tuple(lcm // n for n in z0))
         genus = (intersection(g, z0, z0) + canonical_degree(g, z0)) // 2 + 1
         assert rep.rational == (genus == 0)
-
-
-def budget(verts) -> int:
-    """The bump budget ``_certified`` gives Laufer's loop."""
-    return 8 * len(verts) + 64
 
 
 def star_tree(centre: int, arms: list[list[int]]) -> tuple[DualGraph, Cycle]:
@@ -357,18 +365,29 @@ def affine_dynkin() -> dict[str, tuple[DualGraph, Cycle]]:
     return graphs
 
 
+def certify(g: DualGraph, verts) -> tuple[object, int]:
+    """(``_laufer`` from the least vertex of ``verts`` inside them, the
+    number of eliminations it ran); every vertex of ``verts`` is taken out."""
+    left = set(verts)
+    with mock.patch.object(invariants, "is_negative_definite",
+                           wraps=invariants.is_negative_definite) as eliminate:
+        found = _laufer(g, min(verts), left)
+    assert not left
+    return found, eliminate.call_count
+
+
 class TestDefinitenessCertificate:
-    """``_certified`` decides definiteness as the elimination does."""
+    """``_laufer`` decides definiteness as the elimination does, with an
+    elimination past its bump budget of 8 a vertex plus 64 only."""
 
     def test_every_six_vertex_tree_class(self):
         outcomes = {"certified": 0, "null": 0, "budget": 0}
         for code in tree_classes(6):
             g = graph_of(code)
-            verts = range(g.vertex_count)
             definite = is_negative_definite(g)
-            assert (_certified(g, verts) is not None) == definite, code
-            loop = _laufer(g, verts, budget(verts))
-            outcome = "budget" if loop is None else "certified" if any(loop[1].values()) else "null"
+            found, eliminations = certify(g, range(g.vertex_count))
+            assert (found is not None) == definite, code
+            outcome = "budget" if eliminations else "certified" if found else "null"
             assert (outcome == "certified") == definite, code
             outcomes[outcome] += 1
         # Every definite class is certified by the loop; five classes are
@@ -376,42 +395,59 @@ class TestDefinitenessCertificate:
         assert outcomes == {"certified": 2204, "null": 5, "budget": 8}
 
     def test_affine_dynkin_graphs_stop_at_the_null_root(self):
+        # The loop stops within its budget, at the null root, where M.Z = 0
+        # refuses the graph with no elimination.
         for name, (g, root) in affine_dynkin().items():
             assert pairing_vector(g, root) == (0,) * g.vertex_count, name
             verts = range(g.vertex_count)
-            z, pairing, leaving = _laufer(g, verts, budget(verts))
-            assert (tuple(z.values()), any(pairing.values()), leaving) == (root, False, []), name
-            assert _certified(g, verts) is None and not is_negative_definite(g), name
+            assert laufer_by_recomputation(g, verts) == root, name
+            assert sum(root) - len(root) <= 8 * len(root) + 64, name
+            assert certify(g, verts) == (None, 0), name
+            assert not is_negative_definite(g), name
 
     @settings(max_examples=300, deadline=None)
     @given(connected_graphs(8, -4), st.data())
     def test_random_graphs_with_cycles(self, g, data):
         verts = range(g.vertex_count)
-        found = _certified(g, verts)
+        found = certify(g, verts)[0]
         assert (found is not None) == is_negative_definite(g)
         if found is not None:
-            assert tuple(found[0].values()) == laufer_by_recomputation(g, frozenset(verts))
+            z = tuple(found[0].get(v, 0) for v in verts)
+            assert z == laufer_by_recomputation(g, frozenset(verts))
         # ... and on a connected sub-support, as fundamental_cycle reads it.
         sub_verts = frozenset(data.draw(st.sets(st.sampled_from(list(verts)), min_size=1)))
         assume(len(components(g, sub_verts)) == 1)
-        assert (_certified(g, sub_verts) is not None) == is_negative_definite(g, sub_verts)
+        assert (certify(g, sub_verts)[0] is not None) == is_negative_definite(g, sub_verts)
 
-    def test_budget_fallback(self, monkeypatch):
-        passes = []
-        monkeypatch.setattr(invariants, "is_negative_definite",
-                            counting(passes, "elimination", invariants.is_negative_definite))
+    def test_budget_fallback(self):
+        # The caterpillar needs 360 bumps, past its budget of 8 * 18 + 64:
+        # one elimination over it, and the same loop then finishes.
         verts = range(CATERPILLAR.vertex_count)
-        assert _laufer(CATERPILLAR, verts, budget(verts)) is None  # 360 bumps needed
-        z, pairing, leaving = _certified(CATERPILLAR, verts)
-        assert len(passes) == 1
-        assert tuple(z.values()) == CATERPILLAR_Z0
-        assert tuple(pairing.values()) == pairing_vector(CATERPILLAR, CATERPILLAR_Z0)
+        assert sum(CATERPILLAR_Z0) - len(verts) == 360 > 8 * len(verts) + 64
+        (z, pairing, leaving), eliminations = certify(CATERPILLAR, verts)
+        assert eliminations == 1
+        assert list(z) == list(pairing) == lattice._reach(CATERPILLAR, 0, set(verts))
+        assert z == dict(enumerate(CATERPILLAR_Z0))
+        assert pairing == dict(enumerate(pairing_vector(CATERPILLAR, CATERPILLAR_Z0)))
         assert leaving == []  # the whole graph: no edge leaves it
-        assert _laufer(CATERPILLAR, verts, 360) is not None
         # An indefinite graph runs past the budget too; the elimination
         # refuses it.
-        assert _certified(INDEFINITE_STAR, range(6)) is None
-        assert len(passes) == 2
+        assert certify(INDEFINITE_STAR, range(6)) == (None, 1)
+
+    @pytest.mark.parametrize("spine, leaves, weight, tail, over", [
+        (9, 4, 8, 11, 0), (5, 5, 9, 8, 1)], ids=["at-budget", "one-past"])
+    def test_budget_is_eight_bumps_a_vertex_plus_64(self, spine, leaves, weight, tail, over):
+        # A -2 spine with a -weight leaf on each of its first vertices and
+        # a -2 tail from its last: Laufer's loop needs exactly the budget,
+        # or one bump more, and only the latter runs an elimination.
+        edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(leaves)]
+        path = [spine - 1] + list(range(spine + leaves, spine + leaves + tail))
+        g = DualGraph((-2,) * spine + (-weight,) * leaves + (-2,) * tail,
+                      edges + list(zip(path, path[1:])))
+        r = g.vertex_count
+        assert sum(fundamental_cycle(g)) - r == 8 * r + 64 + over
+        found, eliminations = certify(g, range(r))
+        assert found is not None and eliminations == over
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(
@@ -437,10 +473,10 @@ class TestDefinitenessCertificate:
             report = validate(g)
         assert report.negative_definite == all(d > 0 for d in block_minors(minus_m(g)))
         assert not report.connected
-        stopped = [_laufer(g, c, budget(c)) is not None for c in comps]
-        if all(stopped):
+        over = [certify(g, c)[1] for c in comps]
+        if not any(over):
             assert eliminate.call_count == 0
-        assert eliminate.call_count <= stopped.count(False)
+        assert eliminate.call_count <= sum(over)
 
 
 # Numbers that are not integers, at the public entry points.  int() once
@@ -797,13 +833,15 @@ def test_incremental_laufer_matches_recomputation(g, data):
     assume(len(components(g, verts)) == 1)
     expected = laufer_by_recomputation(g, verts)
     assert fundamental_cycle(g, verts) == expected
-    # The fixed point does not depend on the order the loop visits.
-    shuffled = data.draw(st.permutations(sorted(verts)))
-    z, pairing, leaving = _laufer(g, shuffled)
-    assert list(z.items()) == [(v, expected[v]) for v in shuffled]
+    # The fixed point does not depend on the vertex the loop starts from,
+    # which fixes the breadth-first order of its search.
+    start = data.draw(st.sampled_from(sorted(verts)))
+    z, pairing, leaving = _laufer(g, start, set(verts))
+    order = lattice._reach(g, start, set(verts))
+    assert list(z.items()) == [(v, expected[v]) for v in order]
     # ... and its pairing over verts is M.Z there, Z being supported on verts.
     full = pairing_vector(g, expected)
-    assert list(pairing.items()) == [(v, full[v]) for v in shuffled]
+    assert list(pairing.items()) == [(v, full[v]) for v in order]
     # ... and it lists every edge that leaves verts, from the inside end,
-    # in the order of verts.
-    assert leaving == [(v, u) for v in shuffled for u in g.neighbors(v) if u not in verts]
+    # in the order of the search.
+    assert leaving == [(v, u) for v in order for u in g.neighbors(v) if u not in verts]

@@ -28,7 +28,7 @@ HOMES = {
     "parse_graph": "builders",
     "serialize_graph": "builders",
     "is_negative_definite": "invariants",
-    "_certified": "invariants",
+    "_laufer": "invariants",
     "_reach": "lattice",
     "CycleError": "invariants",
     "_co_genera": "invariants",
@@ -65,7 +65,6 @@ CROSSINGS = {
     ("cli", "classify", "_classify"),
     ("cli", "invariants", "_filtration"),
     ("cli", "invariants", "_pointwise"),
-    ("invariants", "lattice", "_reach"),
 }
 
 
