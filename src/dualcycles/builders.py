@@ -127,7 +127,11 @@ def parse_graph(text: str) -> DualGraph:
       vertices <r>        required first, 1 <= r <= MAX_VERTICES
       weight <i> <w>      optional, 1-based i, integer w <= -2 (default -2)
       edge <i> <j>        1-based, i != j, at most once per unordered pair
+
+    A ``text`` that is not a str raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"graph text must be a str, not {type(text).__name__}")
     r: int | None = None
     weights: list[int] = []
     weight_seen: set[int] = set()

@@ -24,6 +24,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
+from heapq import heappop, heappush
 from operator import mul
 
 from .builders import _ade_type, build_ade
@@ -74,13 +75,13 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     Candidate increments at each node are the fundamental cycles of the
     connected components of the zero-pairing locus inside the previous
     increment's support (all of Z_0's at the root); a candidate extends
-    the chain when it keeps Z anti-nef.  Returns {cycle: (its chain, its
-    surviving set, K bit, its sums)}, Z_0 included: the chain is a
-    tuple of (Y_k, Z_k) pairs, each pair one object shared by every chain
-    through its node, the surviving set the vertices i with coeff(Y_k) =
-    n_i at every step, the K bit whether every step keeps
-    K.(Z_0 - Y_k) = 0, the Ulrich condition, and the sums the four of
-    ``invariants._formulas``.
+    the chain when it keeps Z anti-nef.  Yields (cycle, its chain, its
+    surviving set, K bit, its sums) for every walked cycle, Z_0 first, in
+    ascending order of the cycle: the chain is a tuple of (Y_k, Z_k)
+    pairs, each pair one object shared by every chain through its node,
+    the surviving set the vertices i with coeff(Y_k) = n_i at every step,
+    the K bit whether every step keeps K.(Z_0 - Y_k) = 0, the Ulrich
+    condition, and the sums the four of ``invariants._formulas``.
 
     The chains form a tree of bounded depth, by four lemmas on a child's
     increment Y', the fundamental cycle of a connected component C' of
@@ -139,6 +140,16 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     p_a(Z + Y) = p_a(Z) - 1: every chain to Z has colength(Z) - 1 steps,
     and a vertex survives exactly when a_v = n_v * colength(Z).
 
+    So off the Gorenstein locus (some heavy vertex) the Ulrich cycles form
+    one chain Z_0 < U_1 < ... < U_m, each U_j a step from U_{j-1}.  A step
+    keeps K only when its component holds every heavy vertex, as the
+    surviving set lies inside it, and a node's components are disjoint:
+    at most one child of a node keeps K.  A node's K bit needs every step
+    of its chain to keep K, so an Ulrich node's parent is an Ulrich node.
+    The Ulrich nodes are thus one path from Z_0 in the tree, and every
+    Ulrich chain is a prefix of the longest.  On a rational double point
+    every step keeps K, and every walked cycle is Ulrich.
+
     A step Y on a component C does O(|C| + boundary) Python work and O(r)
     at C speed: one ``_laufer`` from a zero vertex inside the node's zero
     vertices (``_candidates``), which finds C, gives Y (C is definite
@@ -151,65 +162,67 @@ def _walk(g: DualGraph, record: ValidationReport, max_depth: int, ulrich: bool):
     as the anti-nef parent's.  The one pass over C writes Y, Z + Y and the
     child's P on C, moves the sums, and collects the surviving set and the
     child's zero vertices, whose components' ``_laufer`` results
-    ``_candidates`` lists, each then one step on the stack: ``_classify``
-    sorts the cycles and none is reached twice, so the order the walk
-    meets them in cannot be seen.  Y and Z + Y are length-r tuples and P a
-    length-r list, each built from the parent's, and Z_0's P comes from
-    the graph's report: the walk builds no pairing vector.  P lives only
-    while the node's steps are on the stack; a node keeps its four sums,
-    moved exactly over C alone: Z.Y = 0, so Z^2 gains Y^2 = sum y_v
-    (M.Y)_v, K.Z gains y_v K.E_v, and the new a_v L/n_v enters the
-    maximum.  Z.Z_0 = Z_0^2 on every walked cycle: every step's C lies
-    inside C_1, in the zero locus of M.Z_0, so Y.Z_0 = 0; hence mu(I_Z) =
-    1 - Z.Z_0 = e + 1, e = -Z_0^2.  Z_0's sums are -e, K.Z_0 = e - 2
-    (p_a(Z_0) = 0), -e and L.
+    ``_candidates`` lists once the child is popped.  Y and Z + Y are
+    length-r tuples and P a length-r list, each built from the parent's,
+    and Z_0's P comes from the graph's report: the walk builds no pairing
+    vector.  A node keeps its four sums, moved exactly over C alone:
+    Z.Y = 0, so Z^2 gains Y^2 = sum y_v (M.Y)_v, K.Z gains y_v K.E_v, and
+    the new a_v L/n_v enters the maximum.  Z.Z_0 = Z_0^2 on every walked
+    cycle: every step's C lies inside C_1, in the zero locus of M.Z_0, so
+    Y.Z_0 = 0; hence mu(I_Z) = 1 - Z.Z_0 = e + 1, e = -Z_0^2.  Z_0's sums
+    are -e, K.Z_0 = e - 2 (p_a(Z_0) = 0), -e and L.
+
+    The nodes wait on a heap keyed by Z and pop in ascending order, the
+    order of both output lists.  A child is Z + Y with Y >= 0 and Y != 0,
+    so it is lexicographically greater than its parent, and it is pushed
+    only once its parent has popped; so every node not yet popped
+    descends from one on the heap and is greater than the least of them,
+    which pops next.  No cycle is reached twice, so no two items share a
+    Z, the heap's comparisons never look past it, and the order in which
+    ``_candidates`` lists a node's components cannot be seen.  The heap
+    holds the walk's frontier, not its result: a node's P and zero
+    vertices live only until its children are pushed.
     """
-    z0, root, canonical, scales = record.z0, record.pairing, record.canonical, record.scales
+    z0, canonical, scales = record.z0, record.canonical, record.scales
     heavy = frozenset(v for v, w in enumerate(g.weights) if w < -2)
     past = sorted(heavy)[:1]  # the starts past max_depth: K needs every heavy vertex in C
     sums = (-record.multiplicity, record.multiplicity - 2, -record.multiplicity, record.lcm)
-    best = {z0: ((), frozenset(range(g.vertex_count)), True, sums)}
-
-    # A stack of candidate steps (Laufer's result, parent's Z, pairing,
-    # chain, sums), a node's all pushed when it is recorded, so chain
-    # length is not bounded by the interpreter's recursion.
-    stack = []
-    if max_depth > 0 or ulrich and not any(root[v] for v in heavy):
-        zeros = [v for v, p in enumerate(root) if not p]
-        stack = [(c, z0, root, (), sums) for c in _candidates(g, zeros, () if max_depth else past)]
-    while stack:
-        (ys, on_c, leaving), z_prev, pairing, chain, (sq, kz, zz, top) = stack.pop()
-        p_new = list(pairing)
-        for v, u in leaving:
-            p_new[u] += ys[v]
-            if p_new[u] > 0:
-                break  # not anti-nef: the step is dropped
-        else:
-            y, z_new, surviving, zeros = [0] * len(z0), list(z_prev), set(), []
-            for v, a in ys.items():
-                p = p_new[v] = on_c[v]
-                y[v] = a
-                z_new[v] += a
-                # The sums become the child's; each step pops its parent's,
-                # and Z.Z_0, zz, never moves.
-                sq, kz = sq + a * p, kz + a * canonical[v]
-                if z_new[v] * scales[v] > top:
-                    top = z_new[v] * scales[v]
-                if a == z0[v]:
-                    surviving.add(v)
-                if not p:
-                    zeros.append(v)
-            keeps = heavy <= surviving
-            if not (keeps and ulrich) and len(chain) >= max_depth:
-                continue  # past max_depth, only an Ulrich step is walked
-            z_new = tuple(z_new)
-            new_chain = chain + ((tuple(y), z_new),)
-            sums = (sq, kz, zz, top)
-            best[z_new] = (new_chain, frozenset(surviving), keeps, sums)
-            if len(new_chain) < max_depth or keeps and ulrich and not any(p_new[v] for v in heavy):
-                found = _candidates(g, zeros, past if len(new_chain) >= max_depth else ())
-                stack += [(c, z_new, p_new, new_chain, sums) for c in found]
-    return best
+    zeros = [v for v, p in enumerate(record.pairing) if not p]
+    # The frontier, a heap of (Z, chain, surviving set, K bit, sums,
+    # pairing, zero vertices), so chain length is not bounded by the
+    # interpreter's recursion.
+    heap = [(z0, (), frozenset(range(g.vertex_count)), True, sums, record.pairing, zeros)]
+    while heap:
+        z, chain, surviving, keeps, sums, pairing, zeros = heappop(heap)
+        yield z, chain, surviving, keeps, sums
+        if not (len(chain) < max_depth or keeps and ulrich and not any(pairing[v] for v in heavy)):
+            continue
+        for ys, on_c, leaving in _candidates(g, zeros, past if len(chain) >= max_depth else ()):
+            p_new = list(pairing)
+            for v, u in leaving:
+                p_new[u] += ys[v]
+                if p_new[u] > 0:
+                    break  # not anti-nef: the step is dropped
+            else:
+                (sq, kz, zz, top), y, z_new, kept, nulls = sums, [0] * len(z0), list(z), set(), []
+                for v, a in ys.items():
+                    p = p_new[v] = on_c[v]
+                    y[v] = a
+                    z_new[v] += a
+                    # Z.Z_0, zz, never moves.
+                    sq, kz = sq + a * p, kz + a * canonical[v]
+                    if z_new[v] * scales[v] > top:
+                        top = z_new[v] * scales[v]
+                    if a == z0[v]:
+                        kept.add(v)
+                    if not p:
+                        nulls.append(v)
+                child_keeps = heavy <= kept
+                if not (child_keeps and ulrich) and len(chain) >= max_depth:
+                    continue  # past max_depth, only an Ulrich step is walked
+                z_new = tuple(z_new)
+                heappush(heap, (z_new, chain + ((tuple(y), z_new),), frozenset(kept), child_keeps,
+                                (sq, kz, zz, top), p_new, nulls))
 
 
 def _classify(g: DualGraph, max_colength: int | None = None, special: bool = True,
@@ -224,11 +237,12 @@ def _classify(g: DualGraph, max_colength: int | None = None, special: bool = Tru
     pointwise tests, and both chain criteria must agree with them both
     ways (AssertionError else): a nonempty surviving set with the special
     verdict, the K bit with the Ulrich one.  Each cycle that is special
-    or Ulrich gets one entry, with its one chain, shared by both lists,
-    read off its walk node: the module indices are the surviving set
-    ({i: a_i = n_i colength(Z)}, as ``_walk`` shows) and the kind is
-    "both" when the K bit holds, else "special" (the K bit puts every
-    heavy vertex in the surviving set, so an Ulrich cycle is special).
+    or Ulrich gets one entry, in the walk's ascending order, with its one
+    chain, shared by both lists, read off its walk node: the module
+    indices are the surviving set ({i: a_i = n_i colength(Z)}, as
+    ``_walk`` shows) and the kind is "both" when the K bit holds, else
+    "special" (the K bit puts every heavy vertex in the surviving set,
+    so an Ulrich cycle is special).
     Equal lists are returned as one list object.  Errors come in this
     order: InvalidGraphError with the graph's first finding in the order
     of ``invariants._rational``, TypeError on a max_colength that is not
@@ -239,13 +253,12 @@ def _classify(g: DualGraph, max_colength: int | None = None, special: bool = Tru
     if max_colength < 1:
         raise ValueError("max_colength must be >= 1")
     max_depth = max_colength - 1 if special else 0
-    best = _walk(g, record, max_depth, ulrich)
-    cycles = sorted(best)
-    cols = _formulas(*zip(*(best[z][3] for z in cycles)), record)
+    nodes = list(_walk(g, record, max_depth, ulrich))
+    cols = _formulas(*zip(*(node[4] for node in nodes)), record)
 
     specials, ulrichs = [], []
-    for z, mult, ell, mu, _, saturated, is_ulrich in zip(cycles, *cols):
-        chain, surviving, keeps, _ = best[z]
+    for node, mult, ell, mu, _, saturated, is_ulrich in zip(nodes, *cols):
+        z, chain, surviving, keeps, _ = node
         if bool(surviving) != saturated:
             raise AssertionError(f"special chain criterion disagrees with pointwise test at {z}")
         if keeps != is_ulrich:

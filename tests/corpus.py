@@ -197,6 +197,27 @@ def check_ulrich_numbers(e: int, rows) -> int:
     return count
 
 
+def balanced_star(e: int, k: int) -> DualGraph:
+    """The balanced star S(e, k), k >= 1: a centre of weight -e, vertex 0,
+    with e arms of k (-2)-curves each; arm a holds vertices a k + 1, ...,
+    a k + k, from the centre out.  Z_0 is all ones and -Z_0^2 = e."""
+    edges = []
+    for a in range(e):
+        arm = range(a * k + 1, a * k + k + 1)
+        edges += [(0, arm[0]), *zip(arm, arm[1:])]
+    return DualGraph((-e,) + (-2,) * (e * k), edges)
+
+
+def balanced_star_ulrich(e: int, k: int) -> list[tuple[tuple, int]]:
+    """The Ulrich cycles of ``balanced_star(e, k)`` in closed form, as
+    sorted (cycle, colength) pairs: for j = 1, ..., k + 1, U_j has
+    coefficient j at the centre and min(j, k + 1 - d) at distance d on
+    each arm (the A_n plateau of ``golden_table`` on each arm), and
+    colength j.  Observed, not proved: checked against both routes."""
+    return [((j,) + tuple(min(j, k + 1 - d) for d in range(1, k + 1)) * e, j)
+            for j in range(1, k + 2)]
+
+
 def minus_m(g: DualGraph) -> list[list[int]]:
     """-M as a dense list of rows."""
     r = g.vertex_count

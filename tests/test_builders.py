@@ -213,6 +213,11 @@ class TestParse:
         with pytest.raises(GraphFormatError, match="vertex count must be <= 3, got 4"):
             parse_graph("vertices 4\n")
 
+    @pytest.mark.parametrize("text", [None, 3], ids=["None", "int"])
+    def test_rejects_a_text_that_is_not_a_str(self, text):
+        with pytest.raises(TypeError, match="graph text must be a str, not " + type(text).__name__):
+            parse_graph(text)
+
     def test_error_carries_line_number(self):
         err = None
         try:

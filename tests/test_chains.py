@@ -14,7 +14,14 @@ anti-nef cycle of a box: the special and Ulrich columns that
 
 ``check_walk`` checks the four sums the walk keeps for every node, Z^2,
 K.Z, Z.Z_0 and max_i a_i L/n_i, against their reductions from the
-lattice definitions, and Z.Z_0 = Z_0^2 on every node.
+lattice definitions, Z.Z_0 = Z_0^2 on every node, and the order the
+walk's heap yields its nodes in: strictly ascending, each after its
+parent.
+
+``check_one_chain`` checks the one-chain theorem of ``_walk`` off the
+Gorenstein locus, and ``check_balanced_star`` the closed form of the
+Ulrich cycles of the balanced stars ``corpus.balanced_star(e, k)``,
+k + 1 of them at any multiplicity e.
 
 Run the three checks over the 7-vertex tree census with
 ``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.check_census(7))"``.
@@ -23,17 +30,18 @@ Run the three checks over the 7-vertex tree census with
 import functools
 import itertools
 import math
+import operator
 import time
 
 from dualcycles.builders import build_ade, build_cyclic
-from dualcycles.classify import _box_search, _classify, _rows, _walk
+from dualcycles.classify import _box_search, _classify, _rows, _walk, oracle_classify
 from dualcycles.invariants import (
     _filtration, _formulas, _rational, special_module_indices, validate,
 )
 from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
-    ORACLE_CORPUS, check_ulrich_numbers, components, cycle_sums, graph_of,
-    laufer_by_recomputation, oracle_graph, tree_classes,
+    ORACLE_CORPUS, balanced_star, balanced_star_ulrich, check_ulrich_numbers, components,
+    cycle_sums, graph_of, laufer_by_recomputation, oracle_graph, tree_classes,
 )
 
 
@@ -67,12 +75,18 @@ def check_walk(g: DualGraph) -> int:
     depth lemma of ``_walk``:
     each step's support lies strictly inside the previous step's (all
     vertices at the root), so no chain has more than z = #{v: (M.Z_0)_v
-    = 0} steps; the number of nodes."""
+    = 0} steps; and the heap's order: the cycles come strictly ascending,
+    Z_0 first, each after its parent; the number of nodes."""
     record = _rational(g)
     r = g.vertex_count
     z = pairing_vector(g, record.z0).count(0)
-    best = _walk(g, record, r, True)
-    for cycle, (chain, _, _, sums) in best.items():
+    nodes = list(_walk(g, record, r, True))
+    cycles = [node[0] for node in nodes]
+    assert cycles[0] == record.z0 and all(map(operator.lt, cycles, cycles[1:])), cycles
+    rank = {cycle: k for k, cycle in enumerate(cycles)}
+    for k, (cycle, chain, _, _, sums) in enumerate(nodes):
+        if chain:
+            assert rank[chain[-2][1] if len(chain) > 1 else record.z0] < k, cycle
         assert sums == cycle_sums(g, cycle, record.z0), cycle
         assert sums[2] == -record.multiplicity, cycle  # Z.Z_0 = Z_0^2
         assert len(chain) <= z, cycle
@@ -81,7 +95,34 @@ def check_walk(g: DualGraph) -> int:
             support = {v for v, a in enumerate(y) if a}
             assert support < inside, cycle
             inside = support
-    return len(best)
+    return len(nodes)
+
+
+def check_one_chain(g: DualGraph) -> int:
+    """Off the Gorenstein locus, assert the one-chain theorem of ``_walk``:
+    the Ulrich cycles are totally ordered, Z_0 < U_1 < ... < U_m
+    coefficientwise, and every Ulrich entry's chain is a prefix of the
+    longest one, U_j's of j steps; the number of Ulrich entries, 0 on a
+    Gorenstein graph."""
+    if _rational(g).gorenstein:
+        return 0
+    ulrich = _classify(g, special=False)[1]
+    cycles = [e.cycle for e in ulrich]
+    assert all(all(map(operator.le, z, w)) for z, w in zip(cycles, cycles[1:])), cycles
+    longest = ulrich[-1].chain.steps
+    assert [e.chain.steps for e in ulrich] == [longest[:j] for j in range(len(ulrich))], cycles
+    return len(ulrich)
+
+
+def check_balanced_star(e: int, k: int) -> int:
+    """Assert that both lists of ``_classify`` on ``corpus.balanced_star(e,
+    k)`` equal its closed form ``corpus.balanced_star_ulrich(e, k)``, as
+    (cycle, colength) pairs, and ``corpus.check_ulrich_numbers`` on every
+    row; the number of Ulrich cycles, k + 1."""
+    special, ulrich = _classify(balanced_star(e, k))
+    rows = lambda entries: [(x.cycle, x.colength) for x in entries]
+    assert rows(special) == balanced_star_ulrich(e, k) == rows(ulrich), (e, k)
+    return check_ulrich_numbers(e, (x[1:4] for x in ulrich))
 
 
 def chain_verdicts(g: DualGraph, z: tuple, z0: tuple, fundamental) -> tuple[bool, bool]:
@@ -159,6 +200,26 @@ def test_entries_are_read_off_the_walk():
 
 def test_walk_keeps_each_nodes_sums():
     assert sum(map(check_walk, census_graphs(6))) == 4174
+
+
+def test_ulrich_cycles_off_the_gorenstein_locus_form_one_chain():
+    counts = [check_one_chain(g) for g in census_graphs(6)]
+    # (non-Gorenstein classes, their Ulrich entries, those with more than one)
+    assert (sum(map(bool, counts)), sum(counts), sum(c > 1 for c in counts)) == (2039, 2052, 13)
+
+
+def test_balanced_stars_have_k_plus_one_ulrich_cycles():
+    # Every special cycle of S(e, k) is Ulrich, and there are k + 1 of
+    # them: no bound on the number of Ulrich cycles at any multiplicity.
+    assert sum(check_balanced_star(e, k) for e in range(3, 9) for k in range(1, 13)) == 540
+
+
+def test_oracle_agrees_on_balanced_stars():
+    # Each bound holds every cycle of colength <= k + 1, so it holds both
+    # of the walk's lists; MAX_BOX refuses S(5, 2) at bound r = 11.
+    for e, k, bound in ((4, 2, 9), (5, 1, 6), (6, 1, 7), (5, 2, 4), (4, 3, 5), (3, 4, 6)):
+        cycles = [z for z, _ in balanced_star_ulrich(e, k)]
+        assert oracle_classify(balanced_star(e, k), bound) == (cycles, cycles), (e, k, bound)
 
 
 def test_chain_criterion_matches_the_pointwise_verdicts():

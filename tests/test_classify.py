@@ -460,49 +460,60 @@ class TestEnumerators:
         assert [e.cycle for e in reference] == [(1,) * g.vertex_count]
         assert calls == []
 
-    @pytest.mark.parametrize("family, index, work", [
-        ("A", 400, (200, 199, 39_800)),
-        ("D", 300, (152, 299, 22_499)),
-        ("E", 8, (2, 2, 13)),
+    @pytest.mark.parametrize("family, index, work, peak", [
+        ("A", 400, (200, 199, 39_800), 1),
+        ("D", 300, (152, 299, 22_499), 3),
+        ("E", 8, (2, 2, 13), 1),
     ], ids=["A400", "D300", "E8"])
-    def test_walk_work_is_exact(self, monkeypatch, family, index, work):
+    def test_walk_work_is_exact(self, monkeypatch, family, index, work, peak):
         # The full walk's work, counted: (nodes, Laufer loops, vertices
         # in their components).  One loop per candidate component, which
         # searches the component itself, and no other search, so a walk
         # that re-scans a component or re-walks a chain fails here on any
-        # machine.
+        # machine.  And the heap's exact peak size, read after every push:
+        # each item holds a pairing list of r ints, so a walk that kept
+        # more than its frontier, or pushed a node before its parent
+        # popped, fails too.
         g = build_ade(family, index)
         record = validate(g)
-        sizes, searches, laufer = [], [], classify._laufer
+        sizes, searches, heap_sizes = [], [], []
+        laufer, push = classify._laufer, classify.heappush
 
         def spy(g, start, left):
             found = laufer(g, start, left)
             sizes.append(len(found[0]))
             return found
 
+        def push_spy(heap, item):
+            push(heap, item)
+            heap_sizes.append(len(heap))
+
         monkeypatch.setattr(classify, "_laufer", spy)
+        monkeypatch.setattr(classify, "heappush", push_spy)
         monkeypatch.setattr(classify, "_reach", counting(searches, "_reach", classify._reach))
-        best = _walk(g, record, math.inf, True)
-        assert (len(best), len(sizes), sum(sizes)) == work
+        nodes = list(_walk(g, record, math.inf, True))
+        assert (len(nodes), len(sizes), sum(sizes)) == work
         assert searches == []
+        assert max(heap_sizes) == peak
+        assert len(heap_sizes) == len(nodes) - 1  # every node but Z_0 is pushed once
 
     @pytest.mark.parametrize("family, index", [("A", 400), ("D", 300)], ids=["A400", "D300"])
     def test_walk_peak_memory_is_about_what_it_returns(self, family, index):
-        # The stack holds one item per pending candidate step, sharing its
-        # parent's pairing list, so the walk peaks at about what it
-        # returns: 1.00 on A_400 and 1.19 on D_300.  A stack that kept a
-        # zero-locus set for every node on the path peaks near 2.
+        # The heap holds only the frontier, each item with its own pairing
+        # list, so the walk peaks at about what it yields: 1.003 on A_400
+        # and 1.007 on D_300.  A walk that kept a zero-locus set for every
+        # node on the path peaks near 2.
         g = build_ade(family, index)
         record = validate(g)
         gc.collect()
         tracemalloc.start()
         try:
-            best = _walk(g, record, math.inf, True)
+            nodes = list(_walk(g, record, math.inf, True))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(best) > 100
-        assert peak <= 1.4 * held, (peak, held)
+        assert len(nodes) > 100
+        assert peak <= 1.1 * held, (peak, held)
 
     ENTRY_CORPUS = {
         "ade": [
@@ -781,8 +792,8 @@ def test_walk_keeps_only_k_steps_past_max_depth():
     # there where Z_0 takes 2: only the check after Laufer's loop stops it.
     g = DualGraph((-2, -3, -2, -2, -2, -2, -2), [(0, 1), (1, 2), (2, 3), (1, 4), (4, 6), (1, 5)])
     for depth in range(3):
-        best = _walk(g, validate(g), depth, True)
-        assert all(keeps for chain, _, keeps, _ in best.values() if len(chain) > depth)
+        nodes = list(_walk(g, validate(g), depth, True))
+        assert all(keeps for _, chain, _, keeps, _ in nodes if len(chain) > depth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -798,8 +809,8 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
     z0 = fundamental_cycle(g)
     k0 = canonical_degree(g, z0)
     heavy = {v for v, w in enumerate(g.weights) if w <= -3}
-    best = _walk(g, invariants.validate(g), 10 * g.vertex_count, False)
-    for z, (chain, surviving, keeps, sums) in best.items():
+    chains, walk = {}, _walk(g, invariants.validate(g), 10 * g.vertex_count, False)
+    for z, chain, surviving, keeps, sums in walk:
         assert len(chain) == colength(g, z) - 1
         indices = special_module_indices(g, z)
         assert surviving == indices
@@ -809,13 +820,14 @@ def test_every_walked_chain_has_colength_minus_one_steps(g):
         # to node; _classify trusts them.
         assert sums == cycle_sums(g, z, z0)
         # The increments decrease (from Z_0 down), and the chains form a
-        # tree: a chain without its last step is its parent's, which a
-        # second chain to the parent would have overwritten.
+        # tree: a chain without its last step is its parent's, yielded
+        # before it, and no cycle is yielded twice.
         ys = [z0] + [y for y, _ in chain]
         assert all(all(map(int.__le__, y, prev)) for prev, y in zip(ys, ys[1:]))
         if chain:
             parent = chain[-2][1] if len(chain) > 1 else z0
-            assert best[parent][0] == chain[:-1]
+            assert chains.get(parent) == chain[:-1]
+        assert chains.setdefault(z, chain) is chain
 
 
 @settings(max_examples=200, deadline=None)
@@ -825,7 +837,7 @@ def test_laufer_takes_out_the_start_component(g, data):
     # any set, _laufer takes out exactly the start's component, lists the
     # edges that leave it, and on a definite one gives its fundamental
     # cycle.  The order of the components is not part of the contract:
-    # _classify sorts the cycles, and no cycle is reached twice
+    # the walk's heap pops the least cycle, and no cycle is reached twice
     # (test_walk_sibling_order_cannot_be_seen).
     r = g.vertex_count
     left = set(data.draw(st.sets(st.integers(0, r - 1))))
@@ -845,16 +857,16 @@ def test_laufer_takes_out_the_start_component(g, data):
 
 
 def test_walk_sibling_order_cannot_be_seen(monkeypatch):
-    # The walk meets a node's components in the reverse of their search
-    # order; met in search order instead, they give the same walk and the
-    # same lists, chains, module indices and sums included, as no cycle is
-    # reached twice and _classify sorts the cycles.
+    # Met in the reverse of their search order, a node's components give
+    # the same walk, node for node in the same order, and the same lists,
+    # chains, module indices and sums included: the heap pops the least
+    # cycle, and no cycle is reached twice.
     graphs = [g for g in map(graph_of, tree_classes(5)) if validate(g).rational]
     assert len(graphs) == 429
     graphs += [build_ade(family, n) for family, ns in
                (("A", range(1, 31)), ("D", range(4, 31)), ("E", (6, 7, 8))) for n in ns]
     graphs += [build_cyclic(n, q) for n in range(2, 30) for q in range(1, n) if math.gcd(n, q) == 1]
-    both = lambda: [(_walk(g, validate(g), math.inf, True), _classify(g)) for g in graphs]
+    both = lambda: [(list(_walk(g, validate(g), math.inf, True)), _classify(g)) for g in graphs]
     before = both()
     real, forks = classify._candidates, []
 
