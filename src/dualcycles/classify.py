@@ -36,7 +36,7 @@ from .invariants import (
     _rational,
     _z0_report,
 )
-from .lattice import Cycle, DualGraph, _reach
+from .lattice import Cycle, DualGraph
 
 
 # The most coefficients (cycles times r) the oracle's box search may hold.
@@ -242,11 +242,11 @@ def _classify(g: DualGraph, max_colength: int | None = None, special: bool = Tru
     indices are the surviving set ({i: a_i = n_i colength(Z)}, as
     ``_walk`` shows) and the kind is "both" when the K bit holds, else
     "special" (the K bit puts every heavy vertex in the surviving set,
-    so an Ulrich cycle is special).
-    Equal lists are returned as one list object.  Errors come in this
-    order: InvalidGraphError with the graph's first finding in the order
-    of ``invariants._rational``, TypeError on a max_colength that is not
-    an integer, ValueError on one below 1, then those of ``_formulas``.
+    so an Ulrich cycle is special).  A cycle in both lists is one entry
+    object in both.  Errors come in this order: InvalidGraphError with
+    the graph's first finding in the order of ``invariants._rational``,
+    TypeError on a max_colength that is not an integer, ValueError on one
+    below 1, then those of ``_formulas``.
     """
     record = _rational(g)
     max_colength = math.inf if max_colength is None else operator.index(max_colength)
@@ -273,8 +273,6 @@ def _classify(g: DualGraph, max_colength: int | None = None, special: bool = Tru
             specials.append(entry)
         if in_ulrich:
             ulrichs.append(entry)
-    if specials == ulrichs:
-        ulrichs = specials
     return specials if special else None, ulrichs if ulrich else None
 
 
@@ -365,28 +363,31 @@ def _search_plan(g: DualGraph, record: ValidationReport) -> tuple:
     (the step tuples of the main loop's positions, the second-to-last
     position's step tuple, the last position's tuple).
 
-    The search order starts at the first leaf that a ``lattice._reach``
-    from the lowest-index branch vertex (degree > 2) meets, so that the
+    The search order starts at the first leaf met by a breadth-first
+    search from the lowest-index branch vertex (degree > 2), so that the
     fork and its short arms are assigned early and their bounds cut the
     long arms; a chain starts at its lowest-index leaf (vertex 0 when there
-    is none).  The order is that leaf's breadth-first ``_reach``, which
-    meets every vertex of a connected graph.  A step tuple holds the
-    vertex p, w_p, p's neighbours, those assigned before it (the upper
-    bound's), the lower bound's vertices, coefficients and det
-    (``_lower_bound_plans``), n_p, K.E_p, (M.Z_0)_p and L/n_p with L =
-    lcm(n).  The last vertex x's tuple holds x, w_x, n_x, K.E_x,
-    (M.Z_0)_x, L/n_x, then how far x's own pairing moves per unit of a_q
-    (q the second-to-last vertex), the neighbours of x whose pairing a_q
-    does not move, and (u, d) for each one whose pairing it moves by d.  A
-    one-vertex graph has no q: its place holds a step whose interval is
-    {0} and which moves nothing.  Z_0, M.Z_0, K.E_p and L/n_p come from
-    the report, so every connected, negative definite graph is planned,
-    rational or not.
+    is none).  The order is that leaf's breadth-first search, which meets
+    every vertex of a connected graph.  Both searches are read off the
+    keys of ``invariants._laufer`` over every vertex, which come in that
+    order; each loop ends at Z_0, the graph being certified, and the
+    order only sets how fast the box search prunes, never what it finds.
+    A step tuple holds the vertex p, w_p, p's neighbours, those assigned
+    before it (the upper bound's), the lower bound's vertices,
+    coefficients and det (``_lower_bound_plans``), n_p, K.E_p, (M.Z_0)_p
+    and L/n_p with L = lcm(n).  The last vertex x's tuple holds x, w_x,
+    n_x, K.E_x, (M.Z_0)_x, L/n_x, then how far x's own pairing moves per
+    unit of a_q (q the second-to-last vertex), the neighbours of x whose
+    pairing a_q does not move, and (u, d) for each one whose pairing it
+    moves by d.  A one-vertex graph has no q: its place holds a step whose
+    interval is {0} and which moves nothing.  Z_0, M.Z_0, K.E_p and L/n_p
+    come from the report, so every connected, negative definite graph is
+    planned, rational or not.
     """
     r, nbrs, weights, z0 = g.vertex_count, g._neighbors, g.weights, record.z0
     branch = next((v for v in range(r) if len(nbrs[v]) > 2), None)
-    seek = range(r) if branch is None else _reach(g, branch, set(range(r)))
-    order = _reach(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))
+    seek = range(r) if branch is None else _laufer(g, branch, set(range(r)))[0]
+    order = [*_laufer(g, next((v for v in seek if len(nbrs[v]) == 1), 0), set(range(r)))[0]]
     rank = {v: k for k, v in enumerate(order)}
     steps = [
         (p, weights[p], nbrs[p], [u for u in nbrs[p] if rank[u] < k], *plan, z0[p],
@@ -551,9 +552,9 @@ def oracle_classify(g: DualGraph, bound: int) -> tuple[list[Cycle], list[Cycle]]
     U(Z) = 0 at every multiplicity; only the special and Ulrich rows
     become tuples.  When the two verdict columns are equal, as the paper
     shows on a multiplicity-2 graph, the rows are sorted once and
-    returned as one list object, as ``_classify`` does.  Errors come in
-    this order: InvalidGraphError as in ``_classify``, then the errors
-    of ``_box_search``: the bound's, then BoxLimitError."""
+    returned as one list object.  Errors come in this order:
+    InvalidGraphError as in ``_classify``, then the errors of
+    ``_box_search``: the bound's, then BoxLimitError."""
     record = _rational(g)
     zs, *sums = _box_search(g, bound, record)
     special, ulrich = _formulas(*sums, record)[4:]

@@ -72,15 +72,15 @@ def _render_cycles(cycles: list[Cycle]) -> list[str]:
 
 def _render_lists(g: DualGraph, special, ulrich, render) -> list[str]:
     """The table form of a list command: the graph's rows, then a titled
-    block of ``render``'s lines for each list that is not None.  Equal
-    lists are one object, whose lines are rendered once and written
-    again."""
+    block of ``render``'s lines for each list that is not None.  A
+    ``ulrich`` list equal to the ``special`` list writes its lines again,
+    rendered once."""
     pieces = _render_graph(g)
     lines = [] if special is None else render(special)
     for name, items in (("special", special), ("ulrich", ulrich)):
         if items is not None:
             pieces.append(f"{name} cycles ({len(items)}):\n")
-            pieces += lines if items is special else render(items)
+            pieces += lines if items == special else render(items)
     return pieces
 
 
@@ -321,14 +321,14 @@ def _classify_chunks(special, ulrich) -> list[str]:
     ``_ENTRY`` template.  Each distinct chain step's text is built once
     from ``_STEP`` (keyed on the identity of the walk's step pair, which
     every chain through it shares and which outlives this call) and is
-    its own piece wherever a chain holds it.  A ``ulrich`` list that is
+    its own piece wherever a chain holds it.  A ``ulrich`` list equal to
     the ``special`` list repeats its pieces.  Every integer's text comes
     from the process's ``_IntText`` table."""
     steps: dict[int, str] = {}
     pieces = ['{\n    "special": ', *_listing(special, steps)] if special is not None else []
     if ulrich is not None:
         key = ("," if pieces else "{") + '\n    "ulrich": '
-        pieces += [key, *(pieces[1:] if ulrich is special else _listing(ulrich, steps))]
+        pieces += [key, *(pieces[1:] if ulrich == special else _listing(ulrich, steps))]
     return pieces + ["\n  }"]
 
 
@@ -368,10 +368,10 @@ def _emit(command: str, g: DualGraph, results: dict | tuple) -> list[str]:
     byte.  The head and the documents whose size grows with their output
     come from templates: classify's pair of entry lists is built in
     pieces (``_classify_chunks``) and the oracle's ``results`` from
-    ``_ORACLE``, with one text for its two lists when they are one
-    object.  Every other ``results`` dict is ``json.dumps``'s own
-    text, indented one level: json.dumps escapes every newline inside a
-    string, so each newline it writes is a line break.
+    ``_ORACLE``, with one text for its two lists when they are equal.
+    Every other ``results`` dict is ``json.dumps``'s own text, indented
+    one level: json.dumps escapes every newline inside a string, so each
+    newline it writes is a line break.
     """
     edges = ",\n      ".join([_EDGE % (i + 1, j + 1) for i, j in sorted(g.edges)])
     head = _HEAD % (command, g.vertex_count, ",\n      ".join(map(str, g.weights)),
@@ -382,7 +382,7 @@ def _emit(command: str, g: DualGraph, results: dict | tuple) -> list[str]:
         fmt, special, ulrich = _INT_TEXT.__getitem__, results["special"], results["ulrich"]
         text = _int_rows(special, "\n    ", fmt)
         body = _ORACLE % (results["bound"], text,
-                          text if ulrich is special else _int_rows(ulrich, "\n    ", fmt))
+                          text if ulrich == special else _int_rows(ulrich, "\n    ", fmt))
     else:
         import json  # only these documents need it
 

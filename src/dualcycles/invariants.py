@@ -49,10 +49,12 @@ class CycleError(ValueError):
 def _laufer(g: DualGraph, start: int, left: set[int]):
     """({vertex: coefficient}, {vertex: pairing}, [(v, u), ...]) of the
     component C of ``start`` inside the set ``left``, or None when C is
-    not negative definite: the fundamental cycle Z and M.Z over C, both
-    in breadth-first order with neighbours in index order, and the edges
-    from a v in C to a u outside it, in the order the search meets them.
-    C is taken out of ``left``, as ``lattice._reach`` does.
+    not negative definite: the fundamental cycle Z and M.Z over C, and
+    the edges from a v in C to a u outside it, in the order the search
+    meets them.  C is taken out of ``left``.  The keys of both dicts are
+    C in breadth-first order from ``start``, neighbours in index order:
+    a contract, which the oracle's search order
+    (``classify._search_plan``) reads.
 
     The first loop is the search, and it tests every neighbour of C for
     membership, so it also gives the pairing of all ones over C and the

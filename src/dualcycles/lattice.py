@@ -1,14 +1,13 @@
-"""The dual graph type, a graph search, and exact integer arithmetic on
-cycles over a fixed graph.
+"""The dual graph type and exact integer arithmetic on cycles over a
+fixed graph.
 
 A dual graph is a weighted simple graph: vertices are exceptional curves,
 the weight of a vertex is its self-intersection number, and an edge means
-the two curves meet transversally in one point.  ``_reach`` is a
-breadth-first search inside a vertex set, which orders the oracle's box
-search; ``invariants._laufer`` finds each component it certifies with
-the same search.  A cycle is an integer coefficient vector over the vertices.
-Everything here is exact integer arithmetic; coefficients may be
-negative (differences of cycles are legitimate lattice elements),
+the two curves meet transversally in one point.  No search lives here:
+the program's one breadth-first search is the first loop of
+``invariants._laufer``.  A cycle is an integer coefficient vector over
+the vertices.  Everything here is exact integer arithmetic; coefficients
+may be negative (differences of cycles are legitimate lattice elements),
 positivity is enforced by callers that need it.  ``invariants`` judges
 cycles.
 """
@@ -97,21 +96,6 @@ class DualGraph:
                 f"cycle has {len(z)} coefficients, graph has {self.vertex_count} vertices"
             )
         return z
-
-
-def _reach(g: DualGraph, start: int, inside: set[int]) -> list[int]:
-    """``start`` and the vertices of the set ``inside`` reachable from it
-    inside it, in breadth-first order with neighbours in index order.
-    Each vertex reached is taken out of ``inside``, which the caller owns:
-    the set is also the record of what is left to reach."""
-    inside.discard(start)
-    order = [start]
-    for v in order:  # the list grows while it is walked: a queue
-        for u in g._neighbors[v]:
-            if u in inside:
-                inside.remove(u)
-                order.append(u)
-    return order
 
 
 def pairing_vector(g: DualGraph, z: Cycle) -> Cycle:

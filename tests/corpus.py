@@ -6,10 +6,10 @@ modules import it as ``corpus`` (the CI drivers run with
 ``PYTHONPATH=src:tests``), and no test module imports another.  Its
 references (the census encoding, intersection numbers, canonical
 degrees and the formula site's four sums, dense determinants,
-flood-fill components and Laufer's loop) use only the public
-constructors of ``dualcycles`` and ``DualGraph.neighbors``, never the
-code they check; ``chain_cycles_in_box`` is the chain route itself, as
-the oracle comparisons read it.
+flood-fill components, breadth-first order and Laufer's loop) use only
+the public constructors of ``dualcycles`` and ``DualGraph.neighbors``,
+never the code they check; ``chain_cycles_in_box`` is the chain route
+itself, as the oracle comparisons read it.
 """
 
 import collections
@@ -268,6 +268,22 @@ def components(g: DualGraph, verts) -> list[set[int]]:
             comp |= grown
         comps.append(comp)
     return comps
+
+
+def bfs_order(g: DualGraph, start: int, inside) -> list[int]:
+    """``start`` and every vertex of ``inside`` reachable from it inside
+    it, in breadth-first order: a FIFO queue from ``start``, each dequeued
+    vertex enqueueing its unseen neighbours in ``inside`` in index order."""
+    inside, order = set(inside), [start]
+    queue, seen = collections.deque(order), {start}
+    while queue:
+        v = queue.popleft()
+        for u in sorted(g.neighbors(v)):
+            if u in inside and u not in seen:
+                seen.add(u)
+                order.append(u)
+                queue.append(u)
+    return order
 
 
 def laufer_by_recomputation(g: DualGraph, support) -> tuple:

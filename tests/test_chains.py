@@ -21,12 +21,17 @@ parent.
 ``check_one_chain`` checks the one-chain theorem of ``_walk`` off the
 Gorenstein locus, and ``check_balanced_star`` the closed form of the
 Ulrich cycles of the balanced stars ``corpus.balanced_star(e, k)``,
-k + 1 of them at any multiplicity e.
+k + 1 of them at any multiplicity e.  ``step_ulrich`` writes that one
+chain's step condition on the graph alone, with no walk code, and
+``ulrich_census`` compares it with ``_classify`` over the census.
 
 Run the three checks over the 7-vertex tree census with
-``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.check_census(7))"``.
+``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.check_census(7))"``,
+and the Ulrich checks over the 8-vertex census with
+``PYTHONPATH=src:tests python -c "import test_chains; print(test_chains.ulrich_census(8))"``.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -40,7 +45,7 @@ from dualcycles.invariants import (
 )
 from dualcycles.lattice import DualGraph, pairing_vector
 from corpus import (
-    ORACLE_CORPUS, balanced_star, balanced_star_ulrich, check_ulrich_numbers, components,
+    ORACLE_CORPUS, add, balanced_star, balanced_star_ulrich, check_ulrich_numbers, components,
     cycle_sums, graph_of, laufer_by_recomputation, oracle_graph, tree_classes,
 )
 
@@ -125,6 +130,59 @@ def check_balanced_star(e: int, k: int) -> int:
     return check_ulrich_numbers(e, (x[1:4] for x in ulrich))
 
 
+def step_ulrich(g: DualGraph) -> list[tuple]:
+    """The Ulrich cycles of a rational graph with a heavy vertex (weight
+    <= -3), by the one chain's step condition on the graph alone, with no
+    walk code.  U_0 = Z_0.  From U_j, take the component of the zero
+    locus of M.U_j inside the last step's support (every vertex at U_0)
+    that holds every heavy vertex, and its fundamental cycle Y
+    (``corpus.laufer_by_recomputation``); U_{j+1} = U_j + Y when Y keeps
+    every heavy vertex v at n_v and U_j + Y is anti-nef.  The chain ends
+    at the first U_j with no such component or no such step."""
+    r = g.vertex_count
+    z0 = laufer_by_recomputation(g, range(r))
+    heavy = {v for v, w in enumerate(g.weights) if w <= -3}
+    chain, inside = [z0], set(range(r))
+    while True:
+        pairing = pairing_vector(g, chain[-1])
+        zeros = {v for v in inside if pairing[v] == 0}
+        inside = next((c for c in components(g, zeros) if heavy <= c), None)
+        if inside is None:
+            return chain
+        y = laufer_by_recomputation(g, inside)
+        u = add(chain[-1], y)
+        if any(y[v] != z0[v] for v in heavy) or max(pairing_vector(g, u)) > 0:
+            return chain
+        chain.append(u)
+
+
+def step_mismatches(graphs) -> list[DualGraph]:
+    """The graphs off the Gorenstein locus among ``graphs`` on which
+    ``step_ulrich`` differs from the Ulrich list of ``_classify``."""
+    return [g for g in graphs if not _rational(g).gorenstein
+            and step_ulrich(g) != [e.cycle for e in _classify(g, special=False)[1]]]
+
+
+def ulrich_table(graphs) -> dict[int, dict[int, int]]:
+    """{e: {Ulrich cycles: classes}} over ``graphs``, by multiplicity e."""
+    table = collections.defaultdict(collections.Counter)
+    for g in graphs:
+        table[_rational(g).multiplicity][len(_classify(g, special=False)[1])] += 1
+    return {e: dict(counts) for e, counts in sorted(table.items())}
+
+
+def ulrich_census(max_vertices: int) -> tuple:
+    """``check_one_chain`` and the step condition on every rational class
+    of the census with at most ``max_vertices`` vertices: (non-Gorenstein
+    classes, their Ulrich entries, those with more than one, the classes
+    where ``step_ulrich`` differs from ``_classify``, the Ulrich-count
+    table by multiplicity)."""
+    graphs = census_graphs(max_vertices)
+    counts = [check_one_chain(g) for g in graphs]
+    return (sum(map(bool, counts)), sum(counts), sum(c > 1 for c in counts),
+            step_mismatches(graphs), ulrich_table(graphs))
+
+
 def chain_verdicts(g: DualGraph, z: tuple, z0: tuple, fundamental) -> tuple[bool, bool]:
     """(special, Ulrich) of an anti-nef Z >= Z_0 by its canonical filtration.
 
@@ -206,6 +264,20 @@ def test_ulrich_cycles_off_the_gorenstein_locus_form_one_chain():
     counts = [check_one_chain(g) for g in census_graphs(6)]
     # (non-Gorenstein classes, their Ulrich entries, those with more than one)
     assert (sum(map(bool, counts)), sum(counts), sum(c > 1 for c in counts)) == (2039, 2052, 13)
+
+
+def test_ulrich_step_condition_on_the_graph_alone():
+    stars = [balanced_star(e, k) for e in range(3, 9) for k in range(1, 13)]
+    assert step_mismatches(census_graphs(6) + stars) == []
+    # The 6-vertex census's Ulrich counts by multiplicity e: from e = 5
+    # on, one Ulrich cycle on every class.
+    one_each = zip(range(5, 17), (156, 269, 334, 374, 316, 241, 135, 70, 22, 8, 1, 1))
+    assert ulrich_table(census_graphs(6)) == {
+        2: {1: 2, 2: 3, 3: 3, 4: 1, 5: 1},
+        3: {1: 18, 2: 9},
+        4: {1: 81, 2: 4},
+        **{e: {1: classes} for e, classes in one_each},
+    }
 
 
 def test_balanced_stars_have_k_plus_one_ulrich_cycles():

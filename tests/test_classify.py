@@ -50,6 +50,7 @@ from corpus import (
     INDEFINITE_STAR,
     ORACLE_CORPUS,
     STAR,
+    bfs_order,
     canonical_degree,
     chain_cycles_in_box,
     check_ulrich_numbers,
@@ -298,6 +299,25 @@ class TestBruteForce:
         brute_force_anti_nef(g, 1)
         assert [order[0] for order in orders] == [start]
 
+    @pytest.mark.parametrize("g", [
+        *(oracle_graph(*entry) for entry in ORACLE_CORPUS),
+        *(build_ade("E", n) for n in (6, 7, 8)),
+        *(build_ade("D", n) for n in range(4, 13)),
+    ])
+    def test_search_order_is_breadth_first_from_its_leaf(self, g):
+        # The plan's positions, the last two included, are the
+        # breadth-first order from the first leaf that a breadth-first
+        # search from the lowest-index branch vertex meets (the
+        # lowest-index leaf, or vertex 0, when there is no branch vertex).
+        verts = range(g.vertex_count)
+        branch = next((v for v in verts if len(g.neighbors(v)) > 2), None)
+        seek = verts if branch is None else bfs_order(g, branch, verts)
+        leaf = next((v for v in seek if len(g.neighbors(v)) == 1), 0)
+        steps, inner, last = classify._search_plan(g, validate(g))
+        # One vertex has no second-to-last position: ``inner`` is a stand-in.
+        positions = [step[0] for step in (*steps, inner)][:g.vertex_count - 1] + [last[0]]
+        assert positions == bfs_order(g, leaf, verts)
+
     def test_search_is_planned_once_per_request(self, monkeypatch):
         # The order, the step tuples and the lower-bound plans do not
         # depend on the box: each request on E_8 validates its graph once
@@ -452,7 +472,7 @@ class TestEnumerators:
         g = build_cyclic(n, q)
         reference = _classify(g)[1]  # both lists: the search runs to full depth
         calls = []
-        for name in ("_candidates", "_laufer", "_reach"):
+        for name in ("_candidates", "_laufer"):
             real = getattr(classify, name)
             monkeypatch.setattr(classify, name, lambda *a, real=real, name=name: (
                 calls.append(name) or real(*a)))
@@ -476,7 +496,7 @@ class TestEnumerators:
         # popped, fails too.
         g = build_ade(family, index)
         record = validate(g)
-        sizes, searches, heap_sizes = [], [], []
+        sizes, heap_sizes = [], []
         laufer, push = classify._laufer, classify.heappush
 
         def spy(g, start, left):
@@ -490,10 +510,8 @@ class TestEnumerators:
 
         monkeypatch.setattr(classify, "_laufer", spy)
         monkeypatch.setattr(classify, "heappush", push_spy)
-        monkeypatch.setattr(classify, "_reach", counting(searches, "_reach", classify._reach))
         nodes = list(_walk(g, record, math.inf, True))
         assert (len(nodes), len(sizes), sum(sizes)) == work
-        assert searches == []
         assert max(heap_sizes) == peak
         assert len(heap_sizes) == len(nodes) - 1  # every node but Z_0 is pushed once
 
@@ -571,7 +589,6 @@ class TestEnumerators:
             cap = 10 * g.vertex_count if max_colength is None else max_colength
             assert special == enumerate_special(g, cap)
             assert ulrich == entries
-            assert (special is ulrich) == (special == ulrich)
 
     def test_special_respects_colength_cap(self):
         g = build_ade("A", 9)
@@ -890,7 +907,7 @@ def test_classify_builds_no_pairing_vector(monkeypatch):
     for module in (invariants, lattice):  # every module holding the name
         monkeypatch.setattr(module, "pairing_vector", spy)
     special, ulrich = _classify(g, 300)
-    assert len(special) > 1 and ulrich is special
+    assert len(special) > 1 and ulrich == special
     assert calls == []
 
 

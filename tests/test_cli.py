@@ -514,6 +514,26 @@ class TestClassifyCommand:
         assert code == EXIT_OK and doc["results"]["ulrich"] != doc["results"]["special"]
         assert calls.count("_int_rows") == 2 and "dumps" not in calls
 
+    def test_equal_lists_render_each_entry_once(self, monkeypatch):
+        # On E_6 (multiplicity 2) the two lists are equal, each holding
+        # the same two entry objects: both forms render each entry once
+        # and write its text in both lists.
+        special, ulrich = cli._classify(build_ade("E", 6))
+        assert special == ulrich and special is not ulrich and len(special) == 2
+        rendered = []
+        for name in ("_render_entries", "_listing"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda entries, *a, _real=real: (
+                rendered.extend(map(id, entries)) or _real(entries, *a)))
+        code, out = run("classify", "--family", "E", "--index", "6")
+        assert code == EXIT_OK and "special cycles (2):" in out and "ulrich cycles (2):" in out
+        assert len(rendered) == len(set(rendered)) == 2
+        assert all(out.count(line) == 2 for line in out.splitlines() if "colength=" in line)
+        rendered.clear()
+        code, doc = run_json("classify", "--family", "E", "--index", "6")
+        assert code == EXIT_OK and doc["results"]["special"] == doc["results"]["ulrich"]
+        assert len(rendered) == len(set(rendered)) == 2
+
 
 class TestOracleCommand:
     def test_agrees_with_classify(self):
@@ -1575,18 +1595,18 @@ class TestJsonEmitter:
         out = Pieces()
         assert main(["--format", "json", "classify", "--family", "D", "--index", "30"], out) == EXIT_OK
         [(special, ulrich)] = classified
-        assert ulrich is special
+        assert ulrich == special
         held = [pair for e in special for pair in e.chain.steps]
         distinct = {id(pair): pair for pair in held}
         assert len(distinct) < len(held) / 2  # chains share most of their steps
         at_steps = [key for key, pad in formatted if pad == "\n" + " " * 14]
         assert sorted(at_steps) == sorted(id(v) for pair in distinct.values() for v in pair)
         # Z_0 once, each entry's cycle and module indices once: the ulrich
-        # list, being the special list, repeats the special list's pieces.
+        # list, equal to the special list, repeats the special list's pieces.
         assert len(formatted) == 1 + 2 * len(special) + 2 * len(distinct)
         for y, z in distinct.values():
             text = json.dumps({"increment": y, "cycle": z}, indent=2).replace("\n", "\n" + " " * 12)
-            # both lists are one object: the special list's pieces repeat
+            # the lists are equal: the special list's pieces repeat
             assert pieces.count(text) == 2 * sum(pair == (y, z) for pair in held)
 
     def test_document_with_shared_steps_round_trips(self):

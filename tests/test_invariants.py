@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dualcycles
-from dualcycles import classify, invariants, lattice
+from dualcycles import classify, invariants
 from dualcycles.builders import (
     build_ade,
     build_cyclic,
@@ -44,6 +44,7 @@ from corpus import (
     NON_RATIONAL_TREE,
     STAR,
     add,
+    bfs_order,
     block_minors,
     canonical_degree,
     components,
@@ -151,14 +152,11 @@ class TestFundamentalCycle:
     def test_support_runs_one_search_and_one_certificate(self, monkeypatch):
         # Z_0 is one report, whose validation runs one Laufer loop, which
         # searches its own component and certifies it; a support runs one
-        # loop and no validation.  No separate search runs: invariants
-        # holds no _reach.
+        # loop and no validation.
         g = build_ade("E", 8)
         calls = []
         for name in ("_laufer", "validate"):
             monkeypatch.setattr(invariants, name, counting(calls, name, getattr(invariants, name)))
-        monkeypatch.setattr(lattice, "_reach", counting(calls, "_reach", lattice._reach))
-        assert not hasattr(invariants, "_reach")
         assert fundamental_cycle(g) == (2, 4, 6, 5, 4, 3, 2, 3)
         assert calls == ["validate", "_laufer"]
         calls.clear()
@@ -426,7 +424,7 @@ class TestDefinitenessCertificate:
         assert sum(CATERPILLAR_Z0) - len(verts) == 360 > 8 * len(verts) + 64
         (z, pairing, leaving), eliminations = certify(CATERPILLAR, verts)
         assert eliminations == 1
-        assert list(z) == list(pairing) == lattice._reach(CATERPILLAR, 0, set(verts))
+        assert list(z) == list(pairing) == bfs_order(CATERPILLAR, 0, verts)
         assert z == dict(enumerate(CATERPILLAR_Z0))
         assert pairing == dict(enumerate(pairing_vector(CATERPILLAR, CATERPILLAR_Z0)))
         assert leaving == []  # the whole graph: no edge leaves it
@@ -464,9 +462,12 @@ class TestDefinitenessCertificate:
             base = len(weights)
             weights += part.weights
             edges += [(base + i, base + j) for i, j in part.edges]
-            left = set(range(part.vertex_count))
-            comps += [[base + v for v in lattice._reach(part, s, left)]
-                      for s in range(part.vertex_count) if s in left]
+            taken = set()
+            for s in range(part.vertex_count):
+                if s not in taken:
+                    comp = bfs_order(part, s, range(part.vertex_count))
+                    taken.update(comp)
+                    comps.append([base + v for v in comp])
         g = DualGraph(weights, edges)
         with mock.patch.object(invariants, "is_negative_definite",
                                wraps=invariants.is_negative_definite) as eliminate:
@@ -503,6 +504,29 @@ NON_INTEGRAL = {
 def test_non_integral_numbers_are_refused(call):
     with pytest.raises(TypeError):
         call()
+
+
+# A bool is an integer: operator.index reads True as 1 and False as 0, so
+# each call equals its 0/1 form, and no bool reaches its result.
+BOOLEANS = {
+    "ade-index": (lambda: build_ade("A", True), lambda: build_ade("A", 1)),
+    "hj-q": (lambda: hj_expansion(3, True), lambda: hj_expansion(3, 1)),
+    "special-cap": (lambda: classify.enumerate_special(build_ade("D", 5), True),
+                    lambda: classify.enumerate_special(build_ade("D", 5), 1)),
+    "oracle-bound": (lambda: classify.oracle_classify(build_ade("D", 5), True),
+                     lambda: classify.oracle_classify(build_ade("D", 5), 1)),
+    "support-vertex": (lambda: fundamental_cycle(build_ade("A", 3), [True]),
+                       lambda: fundamental_cycle(build_ade("A", 3), [1])),
+    "cycle": (lambda: colength(build_ade("A", 3), (True,) * 3),
+              lambda: colength(build_ade("A", 3), (1,) * 3)),
+    "edge-end": (lambda: DualGraph((-2, -2), [(False, True)]),
+                 lambda: DualGraph((-2, -2), [(0, 1)])),
+}
+
+
+@pytest.mark.parametrize("call, integral", BOOLEANS.values(), ids=list(BOOLEANS))
+def test_bools_are_read_as_integers(call, integral):
+    assert repr(call()) == repr(integral())
 
 
 def canonical_of(g: DualGraph, z: Cycle) -> int:
@@ -837,7 +861,7 @@ def test_incremental_laufer_matches_recomputation(g, data):
     # which fixes the breadth-first order of its search.
     start = data.draw(st.sampled_from(sorted(verts)))
     z, pairing, leaving = _laufer(g, start, set(verts))
-    order = lattice._reach(g, start, set(verts))
+    order = bfs_order(g, start, verts)
     assert list(z.items()) == [(v, expected[v]) for v in order]
     # ... and its pairing over verts is M.Z there, Z being supported on verts.
     full = pairing_vector(g, expected)

@@ -1,6 +1,6 @@
 """The module boundary of ``src/dualcycles``, read off the source.
 
-``lattice`` holds the graph type, its search and cycle arithmetic,
+``lattice`` holds the graph type and cycle arithmetic,
 ``builders`` makes graphs and writes the text format both ways,
 ``invariants`` judges graphs and cycles, and ``classify`` runs the two
 routes.  Each module's sibling imports, the home of each name below and
@@ -29,7 +29,6 @@ HOMES = {
     "serialize_graph": "builders",
     "is_negative_definite": "invariants",
     "_laufer": "invariants",
-    "_reach": "lattice",
     "CycleError": "invariants",
     "_co_genera": "invariants",
     "virtual_genus": "invariants",
@@ -61,7 +60,6 @@ CROSSINGS = {
     ("classify", "invariants", "_laufer"),
     ("classify", "invariants", "_rational"),
     ("classify", "invariants", "_z0_report"),
-    ("classify", "lattice", "_reach"),
     ("cli", "classify", "_classify"),
     ("cli", "invariants", "_filtration"),
     ("cli", "invariants", "_pointwise"),
